@@ -42,7 +42,9 @@ serving speedups at density 0.3) and ``--check-overlap W``
 (overlapped-vs-blocking comm training speedup AND the sparse payload
 staying at or under half the dense payload at density 0.3) and
 ``--check-latency MS`` (saturated-phase p99 request latency at or under
-MS milliseconds AND zero failed requests), each exiting
+MS milliseconds AND zero failed requests) and ``--check-comm-tcp R`` (tcp
+allreduce at most R times the process transport's, at 2 ranks, on the
+Higgs payload and both e2e payloads), each exiting
 non-zero below its threshold, plus ``--check-committed PATH`` which fails when the committed
 JSON's speedup ratios drift more than ``--drift-tol`` (default ±50%) from
 the runner's fresh measurement — a stale or hand-edited committed JSON
@@ -568,6 +570,15 @@ def test_comm_throughput_measured_on_every_transport():
     for name in ("serial", "thread", "process", "tcp"):
         assert "error" not in by_name[name], by_name[name]
         assert by_name[name]["seconds_per_allreduce"] > 0
+    # The payloads the e2e workloads really reduce ride along, and the gated
+    # tcp-vs-process ratio is derived for all three.
+    assert {(r["payload"], r["transport"]) for r in outcome["e2e_payloads"]} == {
+        (p, t)
+        for p in ("narrow_tcp2", "wide_process2")
+        for t in ("serial", "thread", "process", "tcp")
+    }
+    assert set(outcome["tcp_vs_process"]) == {"default", "narrow_tcp2", "wide_process2"}
+    assert all(ratio > 0 for ratio in outcome["tcp_vs_process"].values())
 
 
 def test_comm_overlap_measured():
@@ -753,6 +764,16 @@ def main(argv=None):
         ),
     )
     parser.add_argument(
+        "--check-comm-tcp",
+        type=float,
+        default=None,
+        metavar="R",
+        help=(
+            "exit non-zero when a 2-rank tcp allreduce takes more than R times "
+            "the process transport's, on the Higgs payload or either e2e payload"
+        ),
+    )
+    parser.add_argument(
         "--check-committed",
         type=str,
         default=None,
@@ -894,6 +915,18 @@ def main(argv=None):
             f"{args.check_checkpoint:.2f}x gate"
         )
         failed = True
+    if args.check_comm_tcp is not None:
+        ratios = comm.get("tcp_vs_process")
+        if not ratios:
+            print("PERF REGRESSION: comm throughput did not measure both tcp and process")
+            failed = True
+        for payload, ratio in (ratios or {}).items():
+            if ratio > args.check_comm_tcp:
+                print(
+                    f"PERF REGRESSION: tcp allreduce is {ratio:.2f}x the process "
+                    f"transport's on the {payload} payload (gate {args.check_comm_tcp:.2f}x)"
+                )
+                failed = True
     if args.check_committed is not None:
         drift = check_committed_drift(sections, args.check_committed, args.drift_tol)
         for line in drift:

@@ -542,7 +542,8 @@ def train_layer_program(
             buf[1 : 1 + n_input] = local.sum(axis=0)
             buf[1 + n_input : stats_head] = activations.sum(axis=0)
             if ctx is None:
-                buf[stats_head:] = (local.T @ activations).ravel()
+                # ``local.T @ activations``, written straight into the payload.
+                np.matmul(local.T, activations, out=buf[stats_head:].reshape(n_input, n_hidden))
             else:
                 layout = ctx["layout"]
                 body = buf[stats_head + 1 :]
@@ -568,7 +569,9 @@ def train_layer_program(
         mean_x_red = reduced[1 : 1 + n_input] / count
         mean_a_red = reduced[1 + n_input : stats_head] / count
         if ctx is None:
-            mean_outer = reduced[stats_head:].reshape(n_input, n_hidden) / count
+            # Caller-owned on every transport, so the mean is formed in place.
+            mean_outer = reduced[stats_head:].reshape(n_input, n_hidden)
+            mean_outer /= count
         else:
             if reduced[stats_head] != size * ctx["token"]:
                 raise BackendError(

@@ -1,35 +1,38 @@
 """The tcp transport: socket collectives so ranks can span hosts.
 
-``TCPComm`` is the first :class:`~repro.comm.base.Communicator` whose ranks
+``TCPComm`` is the one :class:`~repro.comm.base.Communicator` whose ranks
 are not pinned to one machine.  The topology is a **hub**: the driver
-process (rank 0) owns a listening *rendezvous* socket; every rank —
-including rank 0's own view, over loopback — holds exactly one connection
-to it.  A collective is a **round**: each rank posts one tagged frame, the
-hub waits until all ``size`` frames for the round have arrived, verifies the
-ops match, computes the result (reducing strictly in rank order, so results
-are deterministic and bit-identical to the other transports), and replies to
-every rank.
+process (rank 0) owns a listening *rendezvous* socket and every worker rank
+holds one connection to it; rank 0 itself joins the hub in-process (no
+loopback socket).  A collective is a **round**: each rank posts one tagged
+contribution, and whichever thread delivers the round's *last* one — a
+worker's reader thread or rank 0's own — completes it: checks the ranks
+agree, reduces strictly in rank order into one accumulator (deterministic,
+bit-identical to the other transports), sends that one reply buffer to every
+worker and hands it to rank 0.
 
-* **Chunked framing** — every frame is a small pickled header followed by
-  the payload split into length-prefixed chunks of at most ``chunk_bytes``,
-  so arrays larger than one send cross the wire incrementally and the
-  framing is self-describing (peers may use different chunk sizes).
+* **Raw-buffer frames** — a ``>IQ`` prefix (header bytes, payload bytes), a
+  small pickled header, then the payload as ``>I``-prefixed chunks of at
+  most ``chunk_bytes``.  Array frames list ``(dtype, shape)`` per array in
+  the header (``arrays``) and carry the arrays' own memory: one gather
+  ``sendmsg`` straight from the array, ``recv_into`` straight into the
+  destination.  Only headers and ``task``/``result`` payloads are pickled.
+  The framing is self-describing, so peers may use different chunk sizes.
 * **Crash/timeout -> BackendError, never a hang** — a lost connection is
-  detected by the hub's per-rank reader thread the moment the socket
-  closes; a wedged rank trips the hub's per-round timeout.  Either way the
-  hub broadcasts an ``abort`` frame and every surviving rank raises
-  :class:`~repro.exceptions.BackendError` from its next (or pending)
-  collective.  All client reads carry a socket timeout as a second line of
-  defence.
+  seen by the hub's per-worker reader thread the moment the socket closes,
+  and every wait (a worker's socket read, rank 0's in-process wait, every
+  hub-side send) is bounded by ``timeout``.  Either way the hub broadcasts
+  an ``abort`` frame and every surviving rank raises
+  :class:`~repro.exceptions.BackendError` from its next or pending collective.
 * **Nonblocking collectives** — ``iallreduce`` is genuinely split-phase:
-  the contribution is posted immediately and ``wait()`` reads the reply
-  later, so the overlap window is as real as the process transport's (with
-  the same at-most-one-outstanding contract, enforced per rank).
+  the contribution is captured at call time (a worker's goes on the wire,
+  rank 0's is snapshotted) and ``wait()`` collects the reply, with the same
+  at-most-one-outstanding contract as the process transport.
 * **Fault tolerance** — the rendezvous listener stays open for the
   communicator's whole life.  :meth:`TCPComm.recover` respawns locally
-  spawned workers (or simply waits for an external worker to reconnect and
-  claim its old rank) and re-arms the hub, so a driver can roll back to its
-  last model snapshot and re-launch the SPMD program after a crash.
+  spawned workers (or waits for an external worker to reconnect and claim
+  its old rank), so a driver can roll back to its last model snapshot and
+  re-launch the SPMD program after a crash.
 
 Workers are locally spawned by default (``spawn_workers=True``), which makes
 ``tcp://127.0.0.1`` a drop-in, conformance-identical alternative to the
@@ -43,6 +46,8 @@ Workers that omit ``--rank`` are assigned the lowest free rank by the hub.
 
 from __future__ import annotations
 
+import itertools
+import math
 import pickle
 import select
 import socket
@@ -52,93 +57,156 @@ import time
 import traceback
 from collections import deque
 from multiprocessing import get_context
-from queue import Empty, Queue
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.comm.base import (
-    REDUCE_OPS,
-    CommRequest,
-    Communicator,
-    _reduce_in_rank_order,
-    split_ranks,
-)
+from repro import faults
+from repro.comm.base import REDUCE_OPS, CommRequest, Communicator, split_ranks
 from repro.exceptions import BackendError
 
 __all__ = ["TCPComm"]
 
 _PICKLE_PROTOCOL = 4
-_MISSING = object()
+_PREFIX = struct.Struct(">IQ")  # header bytes, payload bytes
+_CHUNK = struct.Struct(">I")  # bytes in the chunk that follows
+_IOV_BATCH = 512  # buffers per sendmsg call (IOV_MAX is 1024 on Linux)
+_COMBINE = {"sum": np.add, "mean": np.add, "max": np.maximum, "min": np.minimum}
 
 
 # ------------------------------------------------------------------ framing
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    """Read exactly ``n`` bytes or raise ``ConnectionError`` on EOF."""
-    buf = bytearray()
-    while len(buf) < n:
-        piece = sock.recv(n - len(buf))
-        if not piece:
+def _dumps(obj: Any) -> bytes:
+    return pickle.dumps(obj, protocol=_PICKLE_PROTOCOL)
+
+
+def _describe(arrays: Sequence[np.ndarray]) -> List[Tuple[np.dtype, Tuple[int, ...]]]:
+    """The ``arrays`` header field: what a raw payload holds."""
+    return [(a.dtype, a.shape) for a in arrays]
+
+
+def _raw(array: np.ndarray) -> memoryview:
+    """A C-contiguous array's own memory as a flat byte view (no copy)."""
+    return memoryview(array.reshape(-1).view(np.uint8))
+
+
+def _recv_into(sock: socket.socket, view: memoryview) -> None:
+    """Fill ``view`` from the socket or raise ``ConnectionError`` on EOF."""
+    while len(view):
+        got = sock.recv_into(view)
+        if not got:
             raise ConnectionError("peer closed the connection")
-        buf += piece
-    return bytes(buf)
+        view = view[got:]
+
+
+def _recv_exact(sock: socket.socket, n: int) -> bytearray:
+    buf = bytearray(n)
+    _recv_into(sock, memoryview(buf))
+    return buf
+
+
+def _send_all(sock: socket.socket, pieces: Iterator[Union[bytes, memoryview]]) -> None:
+    """Gather-send every piece with ``sendmsg``, finishing partial sends."""
+    while True:
+        batch = list(itertools.islice(pieces, _IOV_BATCH))
+        if not batch:
+            return
+        while batch:
+            sent = sock.sendmsg(batch)
+            done = 0
+            while done < len(batch) and sent >= len(batch[done]):
+                sent -= len(batch[done])
+                done += 1
+            del batch[:done]
+            if sent:
+                batch[0] = memoryview(batch[0])[sent:]
 
 
 def _send_frame(
     sock: socket.socket,
-    lock: threading.Lock,
     header: Dict[str, Any],
-    payload: bytes,
+    payload: Union[bytes, Sequence[np.ndarray]],
     chunk_bytes: int,
 ) -> None:
-    """One frame: header length + payload length, header, then chunked payload.
+    """One frame: prefix + pickled header, then the payload in chunks.
 
-    The payload travels as length-prefixed chunks of at most ``chunk_bytes``
-    each, so arbitrarily large arrays never require one giant send and the
-    receiver can account for progress chunk by chunk.
+    ``payload`` is either a list of C-contiguous arrays — described in the
+    header and sent from their own memory, never copied or pickled — or an
+    opaque ``bytes`` blob (pickled task/result, or empty).  Each array (or
+    the blob) travels as length-prefixed chunks of at most ``chunk_bytes``,
+    so the receiver can validate progress chunk by chunk.
 
     Every frame passes through the deterministic fault-injection hooks
     ``tcp.delay`` (sleep before sending) and ``tcp.drop`` (swallow the frame
     entirely — the peer observes a stall/timeout, exactly like a lossy
     link); see :mod:`repro.faults`.
     """
-    from repro import faults
-
-    rule = faults.fault_point("tcp.delay", bytes=len(payload))
+    if isinstance(payload, bytes):
+        buffers = [payload]
+    else:
+        header = dict(header, arrays=_describe(payload))
+        buffers = [_raw(a) for a in payload]
+    total = sum(len(b) for b in buffers)
+    rule = faults.fault_point("tcp.delay", bytes=total)
     if rule is not None:
         time.sleep(rule.param_float("seconds", 0.05))
-    if faults.fault_point("tcp.drop", bytes=len(payload)) is not None:
+    if faults.fault_point("tcp.drop", bytes=total) is not None:
         return
-    head = pickle.dumps(header, protocol=_PICKLE_PROTOCOL)
-    with lock:
-        sock.sendall(struct.pack(">IQ", len(head), len(payload)))
-        sock.sendall(head)
-        for lo in range(0, len(payload), chunk_bytes):
-            chunk = payload[lo : lo + chunk_bytes]
-            sock.sendall(struct.pack(">I", len(chunk)))
-            sock.sendall(chunk)
+    head = _dumps(header)
+
+    def pieces() -> Iterator[Union[bytes, memoryview]]:
+        yield _PREFIX.pack(len(head), total) + head
+        for buf in buffers:
+            for lo in range(0, len(buf), chunk_bytes):
+                piece = buf[lo : lo + chunk_bytes]
+                yield _CHUNK.pack(len(piece))
+                yield piece
+
+    _send_all(sock, pieces())
 
 
-def _recv_frame(sock: socket.socket) -> Tuple[Dict[str, Any], bytes]:
-    """Inverse of :func:`_send_frame`; chunk prefixes are re-validated."""
-    head_len, payload_len = struct.unpack(">IQ", _recv_exact(sock, 12))
+def _recv_frame(sock: socket.socket) -> Tuple[Dict[str, Any], Union[bytearray, List[np.ndarray]]]:
+    """Inverse of :func:`_send_frame`; chunk prefixes are re-validated.
+
+    Arrays land directly in fresh (hence caller-owned) destinations.
+    """
+    head_len, total = _PREFIX.unpack(_recv_exact(sock, _PREFIX.size))
     header = pickle.loads(_recv_exact(sock, head_len))
-    buf = bytearray()
-    while len(buf) < payload_len:
-        (chunk_len,) = struct.unpack(">I", _recv_exact(sock, 4))
-        if chunk_len == 0 or len(buf) + chunk_len > payload_len:
-            raise ConnectionError(f"corrupt chunk framing ({chunk_len} bytes)")
-        buf += _recv_exact(sock, chunk_len)
-    return header, bytes(buf)
+    specs = header.get("arrays")
+    if specs is None:
+        payload = bytearray(total)
+        targets = [memoryview(payload)]
+    else:
+        if sum(np.dtype(d).itemsize * math.prod(s) for d, s in specs) != total:
+            raise ConnectionError("frame header does not describe its payload")
+        payload = [np.empty(s, dtype=d) for d, s in specs]
+        targets = [_raw(a) for a in payload]
+    for view in targets:
+        while len(view):
+            (n,) = _CHUNK.unpack(_recv_exact(sock, _CHUNK.size))
+            if n == 0 or n > len(view):
+                raise ConnectionError(f"corrupt chunk framing ({n} bytes)")
+            _recv_into(sock, view[:n])
+            view = view[n:]
+    return header, payload
 
 
-def _dumps(obj: Any) -> bytes:
-    return pickle.dumps(obj, protocol=_PICKLE_PROTOCOL)
+def _close_socket(sock: socket.socket) -> None:
+    try:
+        sock.shutdown(socket.SHUT_RDWR)  # wakes a thread blocked on the socket
+    except OSError:
+        pass
+    sock.close()
 
 
 # ---------------------------------------------------------------- rank view
 class _TCPRankView(Communicator):
-    """One rank's endpoint: a single socket to the hub."""
+    """One rank's collectives; subclasses supply the link to the hub.
+
+    The link is three methods: ``_submit(header, arrays)`` delivers this
+    rank's contribution to a round, ``_await(seq)`` blocks (bounded by
+    ``timeout``) for that round's reply arrays, and ``_ready(seq)`` probes
+    for it without blocking.
+    """
 
     transport = "tcp"
     multihost = True
@@ -150,26 +218,18 @@ class _TCPRankView(Communicator):
     #: transport: a driver-side SPMD collective outside run() fails fast).
     _in_program = True
 
-    def __init__(
-        self, rank: int, size: int, sock: socket.socket, timeout: float, chunk_bytes: int
-    ) -> None:
+    def __init__(self, rank: int, size: int, timeout: float, chunk_bytes: int) -> None:
         Communicator.__init__(self)
         self._rank = int(rank)
         self._size = int(size)
-        self._sock = sock
         self._timeout = float(timeout)
         self._chunk = int(chunk_bytes)
-        self._send_lock = threading.Lock()
         # Collective sequencing is scoped per run() task: _begin_task resets
-        # the counter and discards buffered replies, so frames from an
-        # aborted task can never be confused with the current one (every
-        # frame carries its task id).
+        # the counter, and every frame carries its task id, so frames from an
+        # aborted task can never be confused with the current one.
         self._task = 0
         self._seq = 0
-        self._replies: Dict[int, bytes] = {}
-        self._aborted: Optional[str] = None
         self._nb_pending: Optional["_TCPRequest"] = None
-        sock.settimeout(self._timeout)
 
     # ------------------------------------------------------------- identity
     @property
@@ -187,79 +247,31 @@ class _TCPRankView(Communicator):
     def _begin_task(self, task: int) -> None:
         self._task = int(task)
         self._seq = 0
-        self._replies.clear()
-        self._aborted = None
         self._nb_pending = None
 
-    def _guard(self) -> None:
+    def _post(self, op: str, array: Optional[np.ndarray] = None, **extra: Any) -> int:
+        """Contribute to this rank's next round; returns its sequence."""
         if not self._in_program and self._size > 1:
             raise BackendError(
                 "SPMD collectives on a size>1 communicator must be called from "
                 "inside run(); for driver-side combines use reduce_parts()/"
                 "gather_parts() (or pass a list of per-rank contributions)"
             )
-
-    def _post(self, op: str, obj: Any, **extra: Any) -> int:
-        """Send this rank's contribution to the hub; returns its sequence."""
-        self._guard()
+        if array is not None and array.dtype.hasobject:
+            raise BackendError("tcp collectives carry raw array memory, not object arrays")
         seq = self._seq
         self._seq += 1
         header = {"kind": "coll", "op": op, "task": self._task, "seq": seq, "rank": self._rank}
-        header.update(extra)
-        payload = _dumps(obj) if obj is not None else b""
-        try:
-            _send_frame(self._sock, self._send_lock, header, payload, self._chunk)
-        except (OSError, ConnectionError) as exc:
-            raise BackendError(f"tcp hub connection lost while sending: {exc}") from exc
+        self._submit({**header, **extra}, [] if array is None else [array])
         return seq
-
-    def _read_frame(self) -> None:
-        """Read and route one frame from the hub (reply/abort; stale dropped)."""
-        try:
-            header, payload = _recv_frame(self._sock)
-        except socket.timeout as exc:
-            raise BackendError(
-                f"tcp collective timed out after {self._timeout}s "
-                "(a rank crashed or stalled)"
-            ) from exc
-        except (OSError, ConnectionError, EOFError) as exc:
-            raise BackendError(f"tcp hub connection lost: {exc}") from exc
-        kind = header.get("kind")
-        if header.get("task") != self._task:
-            return  # stale frame from a finished or aborted task
-        if kind == "abort":
-            self._aborted = str(header.get("reason", "aborted"))
-        elif kind == "reply":
-            self._replies[int(header["seq"])] = payload
-
-    def _await(self, seq: int) -> Any:
-        """Block until the hub's reply for ``seq`` arrives (order-tolerant)."""
-        while True:
-            if self._aborted is not None:
-                raise BackendError(f"tcp collective aborted: {self._aborted}")
-            payload = self._replies.pop(seq, _MISSING)
-            if payload is not _MISSING:
-                return pickle.loads(payload) if payload else None
-            self._read_frame()
-
-    def _send_result(self, task: int, ok: bool, result: Any) -> None:
-        _send_frame(
-            self._sock,
-            self._send_lock,
-            {"kind": "result", "task": int(task), "rank": self._rank, "ok": bool(ok)},
-            _dumps(result),
-            self._chunk,
-        )
 
     # ------------------------------------------------------ SPMD collectives
     def _allreduce_array(self, array: np.ndarray, op: str) -> np.ndarray:
         if op not in REDUCE_OPS:
             raise BackendError(f"unknown reduction '{op}'; available: {sorted(REDUCE_OPS)}")
-        arr = np.ascontiguousarray(array)
-        seq = self._post("allreduce", arr, reduce=op)
-        out = np.asarray(self._await(seq))
+        out = self._await(self._post("allreduce", array, reduce=op))[0]
         self.collective_calls["allreduce"] += 1
-        self.bytes_communicated += arr.nbytes * self._size
+        self.bytes_communicated += array.nbytes * self._size
         return out
 
     def _iallreduce_array(self, array: np.ndarray, op: str) -> CommRequest:
@@ -270,65 +282,51 @@ class _TCPRankView(Communicator):
                 "a nonblocking collective is already outstanding on this rank; "
                 "wait() on it before issuing the next one"
             )
-        arr = np.ascontiguousarray(array)
-        # Genuinely split-phase: the contribution goes on the wire now, the
-        # reply is read in wait() — local compute overlaps the reduction.
-        seq = self._post("allreduce", arr, reduce=op)
-        request = _TCPRequest(self, seq, arr.nbytes)
+        # Genuinely split-phase: the contribution is captured now (on the
+        # wire, or snapshotted on rank 0), the reply is collected in wait()
+        # — local compute overlaps the reduction.
+        request = _TCPRequest(self, self._post("allreduce", array, reduce=op), array.nbytes)
         self._nb_pending = request
         self.collective_calls["iallreduce"] += 1
         return request
 
     def _allgather_array(self, array: np.ndarray) -> List[np.ndarray]:
-        arr = np.ascontiguousarray(array)
-        seq = self._post("allgather", arr)
-        parts = [np.asarray(p) for p in self._await(seq)]
+        parts = self._await(self._post("allgather", array))
         self.collective_calls["allgather"] += 1
         self.bytes_communicated += sum(p.nbytes for p in parts)
         return parts
 
-    def bcast(self, array: Optional[np.ndarray], root: int = 0) -> np.ndarray:
+    def _from_root(self, op: str, array: Optional[np.ndarray], root: int) -> np.ndarray:
+        """bcast/scatter: only the root contributes, every rank gets one array."""
         if not 0 <= root < self._size:
             raise BackendError(f"root {root} out of range for size {self._size}")
-        if self._rank == root:
-            if array is None:
-                raise BackendError("bcast root must provide an array")
-            seq = self._post("bcast", np.ascontiguousarray(array), root=int(root))
-        else:
-            seq = self._post("bcast", None, root=int(root))
-        out = np.asarray(self._await(seq))
-        self.collective_calls["bcast"] += 1
+        contribution = np.asarray(array) if self._rank == root else None
+        out = self._await(self._post(op, contribution, root=int(root)))[0]
+        self.collective_calls[op] += 1
         self.bytes_communicated += out.nbytes
         return out
 
-    def barrier(self) -> None:
-        seq = self._post("barrier", None)
-        self._await(seq)
-        self.collective_calls["barrier"] += 1
+    def bcast(self, array: Optional[np.ndarray], root: int = 0) -> np.ndarray:
+        if self._rank == root and array is None:
+            raise BackendError("bcast root must provide an array")
+        return self._from_root("bcast", array, root)
 
     def scatter_rows(self, x: Optional[np.ndarray], root: int = 0) -> np.ndarray:
-        if not 0 <= root < self._size:
-            raise BackendError(f"root {root} out of range for size {self._size}")
-        if self._rank == root:
-            x = np.asarray(x)
-            if x.ndim != 2:
-                raise BackendError("scatter_rows root must provide a 2-D matrix")
-            seq = self._post("scatter", np.ascontiguousarray(x), root=int(root))
-        else:
-            seq = self._post("scatter", None, root=int(root))
-        out = np.asarray(self._await(seq))
-        self.collective_calls["scatter"] += 1
-        self.bytes_communicated += out.nbytes
-        return out
+        if self._rank == root and np.ndim(x) != 2:
+            raise BackendError("scatter_rows root must provide a 2-D matrix")
+        return self._from_root("scatter", x, root)
+
+    def barrier(self) -> None:
+        self._await(self._post("barrier"))
+        self.collective_calls["barrier"] += 1
 
 
 class _TCPRequest(CommRequest):
     """In-flight nonblocking allreduce on the tcp transport.
 
-    The contribution was posted to the hub at ``iallreduce`` time (captured
-    on the wire), so the caller's buffer is immediately reusable; ``wait()``
-    reads the hub's reply, buffering any out-of-order frames for later
-    collectives of the same task.
+    The contribution was captured at ``iallreduce`` time (a worker's is on
+    the wire, rank 0's was snapshotted), so the caller's buffer is
+    immediately reusable; ``wait()`` collects the hub's reply.
     """
 
     __slots__ = ("_view", "_seq", "_nbytes", "_result", "_done")
@@ -343,25 +341,90 @@ class _TCPRequest(CommRequest):
     def wait(self) -> np.ndarray:
         if self._done:
             return self._result
-        out = np.asarray(self._view._await(self._seq))
-        self._result = out
+        self._result = self._view._await(self._seq)[0]
         self._done = True
         self._view._nb_pending = None
         self._view.bytes_communicated += self._nbytes * self._view._size
-        return out
+        return self._result
 
     def test(self) -> bool:
-        if self._done:
-            return True
-        view = self._view
-        # Opportunistically drain frames already on the wire (non-blocking).
-        while self._seq not in view._replies and view._aborted is None:
-            readable, _, _ = select.select([view._sock], [], [], 0)
-            if not readable:
-                break
-            view._read_frame()
-        # An abort means wait() would raise promptly — that counts as ready.
-        return self._seq in view._replies or view._aborted is not None
+        return self._done or self._view._ready(self._seq)
+
+
+class _WorkerView(_TCPRankView):
+    """A worker rank's endpoint: a single socket to the hub."""
+
+    def __init__(
+        self, rank: int, size: int, sock: socket.socket, timeout: float, chunk_bytes: int
+    ) -> None:
+        _TCPRankView.__init__(self, rank, size, timeout, chunk_bytes)
+        self._sock = sock
+        self._replies: Dict[int, List[np.ndarray]] = {}
+        self._aborted: Optional[str] = None
+        sock.settimeout(self._timeout)
+
+    def _begin_task(self, task: int) -> None:
+        _TCPRankView._begin_task(self, task)
+        self._replies.clear()
+        self._aborted = None
+
+    def _submit(self, header: Dict[str, Any], arrays: List[np.ndarray]) -> None:
+        if self._nb_pending is not None:
+            # The hub thread sending us that reply may be this rank's reader:
+            # were we to block in a send while it blocks in one, neither side
+            # would read.  So take the reply off the wire before sending.
+            self._fill(self._nb_pending._seq)
+        arrays = [np.asarray(a, order="C") for a in arrays]
+        try:
+            _send_frame(self._sock, header, arrays, self._chunk)
+        except OSError as exc:
+            raise BackendError(f"tcp hub connection lost while sending: {exc}") from exc
+
+    def _read_frame(self) -> None:
+        """Read and route one frame from the hub (reply/abort; stale dropped)."""
+        try:
+            header, payload = _recv_frame(self._sock)
+        except socket.timeout as exc:
+            raise BackendError(
+                f"tcp collective timed out after {self._timeout}s "
+                "(a rank crashed or stalled)"
+            ) from exc
+        except (OSError, EOFError) as exc:
+            raise BackendError(f"tcp hub connection lost: {exc}") from exc
+        kind = header.get("kind")
+        if header.get("task") != self._task:
+            return  # stale frame from a finished or aborted task
+        if kind == "abort":
+            self._aborted = str(header.get("reason", "aborted"))
+        elif kind == "reply":
+            self._replies[int(header["seq"])] = payload
+
+    def _fill(self, seq: int, block: bool = True) -> bool:
+        """Read frames until the reply for ``seq`` is buffered (order-tolerant).
+
+        ``block=False`` only drains what is already on the wire and reports
+        whether ``_await`` would return promptly — an abort counts: it raises.
+        """
+        while seq not in self._replies:
+            if self._aborted is not None:
+                if block:
+                    raise BackendError(f"tcp collective aborted: {self._aborted}")
+                return True
+            if not block and not select.select([self._sock], [], [], 0)[0]:
+                return False
+            self._read_frame()
+        return True
+
+    def _await(self, seq: int) -> List[np.ndarray]:
+        self._fill(seq)
+        return self._replies.pop(seq)
+
+    def _ready(self, seq: int) -> bool:
+        return self._fill(seq, block=False)
+
+    def _send_result(self, task: int, ok: bool, result: Any) -> None:
+        header = {"kind": "result", "task": int(task), "rank": self._rank, "ok": bool(ok)}
+        _send_frame(self._sock, header, _dumps(result), self._chunk)
 
 
 # --------------------------------------------------------------- handshake
@@ -381,26 +444,26 @@ def _handshake(
     try:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(max(float(timeout), 10.0))
-        _send_frame(sock, threading.Lock(), {"kind": "hello", "rank": rank}, b"", chunk_bytes)
+        _send_frame(sock, {"kind": "hello", "rank": rank}, b"", chunk_bytes)
         header, _ = _recv_frame(sock)
-    except (OSError, ConnectionError) as exc:
+    except OSError as exc:
         sock.close()
         raise BackendError(f"tcp rendezvous handshake failed: {exc}") from exc
     if header.get("kind") != "welcome":
         reason = header.get("reason", header)
         sock.close()
         raise BackendError(f"tcp rendezvous rejected the connection: {reason}")
-    return (
-        sock,
-        int(header["rank"]),
-        int(header["size"]),
-        int(header.get("chunk_bytes", chunk_bytes)),
-    )
+    chunk_bytes = int(header.get("chunk_bytes", chunk_bytes))
+    return sock, int(header["rank"]), int(header["size"]), chunk_bytes
 
 
 # --------------------------------------------------------------------- hub
 class _Hub:
-    """Driver-side rendezvous: listener, per-rank readers, round engine."""
+    """Driver-side rendezvous: listener, per-worker readers, round engine.
+
+    Rank 0 is the driver itself and has no connection: it :meth:`post`\\ s
+    its contributions and :meth:`await_local`\\ s its replies in-process.
+    """
 
     def __init__(self, size: int, host: str, port: int, timeout: float, chunk_bytes: int) -> None:
         self._size = int(size)
@@ -411,29 +474,20 @@ class _Hub:
         bound_host, bound_port = self._listener.getsockname()[:2]
         self.address: Tuple[str, int] = (host if host else bound_host, int(bound_port))
         self._cond = threading.Condition()
-        self._conns: List[Optional[socket.socket]] = [None] * self._size
+        self._conns: List[Optional[socket.socket]] = [None] * self._size  # [0]: never set
         self._send_locks = [threading.Lock() for _ in range(self._size)]
         self._queues: List[deque] = [deque() for _ in range(self._size)]
-        self._results: "Queue[Tuple[int, int, bool, Any]]" = Queue()
+        self._local: Dict[int, List[np.ndarray]] = {}  # rank 0's replies by seq
+        self._results: Dict[Tuple[int, int], Tuple[bool, Any]] = {}  # by (task, rank)
         self._dead: set = set()
         self._failed: Optional[str] = None
         self._task = 0
         self._closed = False
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="tcp-hub-accept", daemon=True
-        )
-        self._round_thread = threading.Thread(
-            target=self._round_loop, name="tcp-hub-rounds", daemon=True
-        )
-        self._accept_thread.start()
-        self._round_thread.start()
+        threading.Thread(target=self._accept_loop, name="tcp-hub-accept", daemon=True).start()
 
     # ------------------------------------------------------------ rendezvous
     def _accept_loop(self) -> None:
-        while True:
-            with self._cond:
-                if self._closed:
-                    return
+        while not self._closed:
             try:
                 sock, _addr = self._listener.accept()
             except socket.timeout:
@@ -450,309 +504,260 @@ class _Hub:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.settimeout(max(self._timeout, 10.0))
             header, _ = _recv_frame(sock)
-        except (OSError, ConnectionError):
-            sock.close()
-            return
-        if header.get("kind") != "hello":
-            sock.close()
-            return
-        requested = header.get("rank")
-        with self._cond:
-            if self._closed:
-                sock.close()
-                return
-            if requested is None:
+            if header.get("kind") != "hello":
+                raise ConnectionError("expected a hello frame")
+            rank = header.get("rank")
+            with self._cond:
                 free = [r for r in range(1, self._size) if self._conns[r] is None]
-                rank = free[0] if free else None
-                reason = f"no free rank (size {self._size})"
-            else:
-                rank = int(requested)
-                if not 0 <= rank < self._size:
-                    rank, reason = None, f"rank {requested} out of range for size {self._size}"
-                elif self._conns[rank] is not None:
-                    rank, reason = None, f"rank {requested} is already connected"
-            try:
-                if rank is None:
-                    _send_frame(
-                        sock, threading.Lock(), {"kind": "reject", "reason": reason}, b"", self._chunk
-                    )
-                    sock.close()
-                    return
-                _send_frame(
-                    sock,
-                    self._send_locks[rank],
-                    {
-                        "kind": "welcome",
-                        "rank": rank,
-                        "size": self._size,
-                        "chunk_bytes": self._chunk,
-                    },
-                    b"",
-                    self._chunk,
-                )
-            except (OSError, ConnectionError):
-                sock.close()
-                return
-            sock.settimeout(None)  # readers block; the round timer bounds rounds
-            self._conns[rank] = sock
-            self._dead.discard(rank)
-            threading.Thread(
-                target=self._reader, args=(rank, sock), name=f"tcp-hub-read{rank}", daemon=True
-            ).start()
-            self._cond.notify_all()
+                if self._closed:
+                    raise ConnectionError("hub closed")
+                if rank is None and free:
+                    rank = free[0]
+                if rank not in free:
+                    reason = f"rank {rank} is not free (free worker ranks of {self._size}: {free})"
+                    _send_frame(sock, {"kind": "reject", "reason": reason}, b"", self._chunk)
+                    raise ConnectionError(reason)
+                welcome = {"kind": "welcome", "rank": rank, "size": self._size}
+                _send_frame(sock, dict(welcome, chunk_bytes=self._chunk), b"", self._chunk)
+                # The socket timeout bounds every hub-side send and every read
+                # *within* a frame; the reader's idle wait between frames is
+                # not bounded (a quiet worker is not an error).
+                sock.settimeout(self._timeout)
+                self._conns[rank] = sock
+                self._dead.discard(rank)
+                threading.Thread(
+                    target=self._reader, args=(rank, sock), name=f"tcp-hub-read{rank}", daemon=True
+                ).start()
+                self._cond.notify_all()
+        except (OSError, EOFError, pickle.UnpicklingError):
+            sock.close()
 
     def _reader(self, rank: int, sock: socket.socket) -> None:
-        """Route one rank's frames: collectives to the round engine, results up."""
+        """Route one worker's frames: collectives into rounds, results up."""
         try:
             while True:
+                select.select([sock], [], [])  # idle between frames is not a timeout
                 header, payload = _recv_frame(sock)
-                kind = header.get("kind")
-                if kind == "coll":
+                if header.get("kind") == "coll":
+                    self.post(rank, header, payload, sock)
+                elif header.get("kind") == "result":
+                    result = (bool(header["ok"]), pickle.loads(payload))
                     with self._cond:
-                        if header.get("task") == self._task and self._conns[rank] is sock:
-                            self._queues[rank].append((header, payload))
-                            self._cond.notify_all()
-                elif kind == "result":
-                    self._results.put(
-                        (int(header["task"]), rank, bool(header["ok"]), pickle.loads(payload))
-                    )
-        except (OSError, ConnectionError, EOFError, pickle.UnpicklingError):
+                        self._results[(int(header["task"]), rank)] = result
+                        self._cond.notify_all()
+        except (OSError, EOFError, ValueError, pickle.UnpicklingError):
             pass
         finally:
-            with self._cond:
-                if self._conns[rank] is sock:
-                    self._conns[rank] = None
-                    self._dead.add(rank)
-                    if not self._closed:
-                        self._fail_locked(f"rank {rank} lost its connection")
-                    self._cond.notify_all()
-            try:
-                sock.close()
-            except OSError:
-                pass
+            self._drop(rank, sock, f"rank {rank} lost its connection")
+
+    def _drop(self, rank: int, sock: socket.socket, reason: str) -> None:
+        """Close ``sock``; if it was ``rank``'s live connection, fail the task."""
+        with self._cond:
+            current = self._conns[rank] is sock
+            if current:
+                self._conns[rank] = None
+                self._dead.add(rank)
+                self._cond.notify_all()
+        _close_socket(sock)
+        if current:
+            self.fail(reason)
+
+    def send(self, rank: int, header: Dict[str, Any], payload: Any) -> None:
+        """One frame to worker ``rank``; a failed or timed-out send drops it."""
+        conn = self._conns[rank]
+        if conn is None:
+            raise BackendError(f"rank {rank} is not connected")
+        try:
+            with self._send_locks[rank]:  # frames from concurrent rounds must not interleave
+                _send_frame(conn, header, payload, self._chunk)
+        except OSError as exc:
+            # A partial frame poisons the stream, and a worker that stopped
+            # reading (full socket buffers) would block every later send too.
+            reason = f"sending to rank {rank} failed: {exc}"
+            self._drop(rank, conn, reason)
+            raise BackendError(reason) from exc
 
     # ---------------------------------------------------------- round engine
-    def _round_loop(self) -> None:
-        while True:
-            with self._cond:
-                round_started: Optional[float] = None
-                while True:
-                    if self._closed:
-                        return
-                    if self._failed is None and all(self._queues):
-                        break
-                    if self._failed is None and any(self._queues):
-                        now = time.monotonic()
-                        if round_started is None:
-                            round_started = now
-                        elif now - round_started > self._timeout:
-                            self._fail_locked(
-                                "tcp collective rendezvous timed out after "
-                                f"{self._timeout}s (a rank crashed or stalled)"
-                            )
-                    else:
-                        round_started = None
-                    self._cond.wait(0.1)
-                frames = [self._queues[r].popleft() for r in range(self._size)]
-            try:
-                self._process_round(frames)
-            except BaseException as exc:  # noqa: BLE001 - surfaced as an abort
-                with self._cond:
-                    self._fail_locked(f"collective round failed: {exc}")
+    def post(
+        self,
+        rank: int,
+        header: Dict[str, Any],
+        arrays: List[np.ndarray],
+        conn: Optional[socket.socket] = None,
+    ) -> None:
+        """Queue one contribution; a round's last arrival completes it here."""
+        with self._cond:
+            stale = header.get("task") != self._task or self._conns[rank] is not conn
+            if stale or self._failed is not None:
+                return  # finished task, superseded connection, or poisoned task
+            self._queues[rank].append((header, arrays))
+            if not all(self._queues):
+                return
+            frames = [queue.popleft() for queue in self._queues]
+        try:
+            self._complete(frames)
+        except Exception as exc:  # noqa: BLE001 - surfaced as an abort
+            self.fail(f"collective round failed: {exc}")
 
-    def _process_round(self, frames: List[Tuple[Dict[str, Any], bytes]]) -> None:
+    def _complete(self, frames: List[Tuple[Dict[str, Any], List[np.ndarray]]]) -> None:
+        """Check agreement, compute the round's result, fan the replies out."""
         headers = [h for h, _ in frames]
-        ops = {h.get("op") for h in headers}
-        seqs = {h.get("seq") for h in headers}
-        if len(ops) != 1 or len(seqs) != 1:
-            raise BackendError(
-                f"ranks issued mismatched collectives: ops={sorted(map(str, ops))} "
-                f"seqs={sorted(map(str, seqs))}"
-            )
-        op = headers[0]["op"]
+        issued = {(str(h.get("op")), str(h.get("seq"))) for h in headers}
+        if len(issued) != 1:
+            raise BackendError(f"ranks issued mismatched collectives (op, seq): {sorted(issued)}")
+        op, seq, task = headers[0]["op"], int(headers[0]["seq"]), int(headers[0]["task"])
         size = self._size
-        objs = [pickle.loads(p) if p else None for _, p in frames]
+        parts = [arrays[0] if arrays else None for _, arrays in frames]
         if op == "allreduce":
-            reduces = {h.get("reduce") for h in headers}
-            if len(reduces) != 1:
-                raise BackendError(f"ranks disagree on the reduction op: {sorted(reduces)}")
-            out = _reduce_in_rank_order([np.asarray(o) for o in objs], headers[0]["reduce"])
-            replies: List[Any] = [out] * size
+            posted = [(h.get("reduce"), h["arrays"]) for h in headers]
+            if any(p != posted[0] for p in posted):
+                raise BackendError(f"ranks posted mismatched allreduce contributions: {posted}")
+            # Rank 0's contribution is its private float64 snapshot, taken
+            # at post time: it doubles as the accumulator and the reply.
+            out = parts[0]
+            reduce = headers[0]["reduce"]
+            for part in parts[1:]:
+                _COMBINE[reduce](out, part, out=out)
+            if reduce == "mean":
+                out /= float(size)
+            replies = [[out]] * size
         elif op == "allgather":
-            parts = [np.asarray(o) for o in objs]
             replies = [parts] * size
         elif op == "bcast":
-            root = int(headers[0]["root"])
-            if objs[root] is None:
+            root = parts[int(headers[0]["root"])]
+            if root is None:
                 raise BackendError("bcast root provided no array")
-            replies = [np.asarray(objs[root])] * size
+            replies = [[root]] * size
         elif op == "barrier":
-            replies = [None] * size
+            replies = [[]] * size
         elif op == "scatter":
-            root = int(headers[0]["root"])
-            x = np.asarray(objs[root])
-            if x.ndim != 2:
+            x = parts[int(headers[0]["root"])]
+            if x is None or x.ndim != 2:
                 raise BackendError("scatter_rows root must provide a 2-D matrix")
-            replies = [x[lo:hi] for lo, hi in split_ranks(x.shape[0], size)]
+            replies = [[x[lo:hi]] for lo, hi in split_ranks(x.shape[0], size)]
+            replies[0] = [replies[0][0].copy()]  # rank 0's shard must be caller-owned
         else:
             raise BackendError(f"unknown collective op {op!r}")
-        task = int(headers[0]["task"])
-        shared: Optional[bytes] = None
-        for rank in range(size):
-            if shared is None or replies[rank] is not replies[0]:
-                payload = _dumps(replies[rank]) if replies[rank] is not None else b""
-            else:
-                payload = shared
-            if rank == 0:
-                shared = payload
-            header = {"kind": "reply", "task": task, "seq": int(headers[rank]["seq"]), "op": op}
-            conn = self._conns[rank]
-            if conn is None:
-                raise BackendError(f"rank {rank} disconnected mid-round")
-            try:
-                _send_frame(conn, self._send_locks[rank], header, payload, self._chunk)
-            except (OSError, ConnectionError) as exc:
-                raise BackendError(f"sending the round reply to rank {rank} failed: {exc}") from exc
+        reply = {"kind": "reply", "task": task, "seq": seq, "op": op}
+        for rank in range(1, size):
+            self.send(rank, reply, replies[rank])
+        # Rank 0 last: it owns (and may mutate) the buffer the workers were sent.
+        with self._cond:
+            if task == self._task and self._failed is None:
+                self._local[seq] = replies[0]
+                self._cond.notify_all()
 
-    def _fail_locked(self, reason: str) -> None:
-        """Poison the current task and tell every live rank (cond held)."""
-        if self._failed is not None:
-            return
-        self._failed = reason
-        for q in self._queues:
-            q.clear()
-        abort = {"kind": "abort", "task": self._task, "reason": reason}
-        for rank, conn in enumerate(self._conns):
-            if conn is None:
-                continue
+    def await_local(self, seq: int) -> List[np.ndarray]:
+        """Rank 0's bounded wait for the reply to its round ``seq``."""
+
+        def ready() -> bool:
+            if seq not in self._local and self._failed is not None:
+                raise BackendError(f"tcp collective aborted: {self._failed}")
+            return seq in self._local
+
+        with self._cond:
+            if not self._cond.wait_for(ready, self._timeout):
+                raise BackendError(
+                    f"tcp collective timed out after {self._timeout}s "
+                    "(a rank crashed or stalled)"
+                )
+            return self._local.pop(seq)
+
+    def local_ready(self, seq: int) -> bool:
+        with self._cond:
+            return seq in self._local or self._failed is not None
+
+    def fail(self, reason: str) -> None:
+        """Poison the current task and tell every live worker."""
+        with self._cond:
+            if self._failed is not None or self._closed:
+                return
+            self._failed = reason
+            for queue in self._queues:
+                queue.clear()
+            abort = {"kind": "abort", "task": self._task, "reason": reason}
+            self._cond.notify_all()
+        self.tell_workers(abort)
+
+    def tell_workers(self, header: Dict[str, Any]) -> None:
+        """Best-effort control frame to every connected worker."""
+        for rank in range(1, self._size):
             try:
-                _send_frame(conn, self._send_locks[rank], abort, b"", self._chunk)
-            except (OSError, ConnectionError):
+                self.send(rank, header, b"")
+            except BackendError:  # not connected, or just dropped
                 pass
-        self._cond.notify_all()
 
     # ------------------------------------------------------------- task API
     def begin_task(self, task: int) -> None:
         with self._cond:
             self._task = int(task)
             self._failed = None
-            for q in self._queues:
-                q.clear()
-            self._cond.notify_all()
+            self._local.clear()
+            self._results.clear()
+            for queue in self._queues:
+                queue.clear()
 
-    def fail(self, reason: str) -> None:
+    def collect(self, task: int, deadline: float) -> Dict[int, Tuple[bool, Any]]:
+        """Every worker's ``(ok, result)`` for ``task``, by rank."""
+        workers = range(1, self._size)
+
+        def ready() -> bool:
+            lost = sorted(r for r in self._dead if (task, r) not in self._results)
+            if lost:
+                raise BackendError(
+                    f"worker rank(s) lost their connection without reporting a result: {lost}"
+                )
+            return all((task, r) in self._results for r in workers)
+
         with self._cond:
-            self._fail_locked(reason)
-
-    def send_task(self, rank: int, task: int, fn: Callable, args: tuple) -> None:
-        with self._cond:
-            conn = self._conns[rank]
-        if conn is None:
-            raise BackendError(
-                f"worker rank {rank} is not connected (crashed and not recovered?)"
-            )
-        try:
-            _send_frame(
-                conn,
-                self._send_locks[rank],
-                {"kind": "task", "task": int(task)},
-                _dumps((fn, tuple(args))),
-                self._chunk,
-            )
-        except (OSError, ConnectionError) as exc:
-            raise BackendError(f"sending the task to worker rank {rank} failed: {exc}") from exc
-
-    def collect(self, task: int, expect: int, deadline: float) -> Dict[int, Tuple[bool, Any]]:
-        """Drain ``expect`` result messages for ``task`` (stale ones skipped)."""
-        got: Dict[int, Tuple[bool, Any]] = {}
-        give_up_at = time.monotonic() + deadline
-        while len(got) < expect:
-            try:
-                msg_task, rank, ok, payload = self._results.get(timeout=0.25)
-            except Empty:
-                with self._cond:
-                    lost = sorted(r for r in self._dead if r not in got)
-                if lost:
-                    raise BackendError(
-                        f"worker rank(s) lost their connection without reporting "
-                        f"a result: {lost}"
-                    ) from None
-                if time.monotonic() > give_up_at:
-                    raise BackendError(
-                        f"timed out after {deadline}s waiting for worker results"
-                    ) from None
-                continue
-            if msg_task != task:
-                continue  # stale result from an aborted task
-            got[rank] = (ok, payload)
-        return got
+            if not self._cond.wait_for(ready, deadline):
+                raise BackendError(f"timed out after {deadline}s waiting for worker results")
+            return {r: self._results.pop((task, r)) for r in workers}
 
     # ------------------------------------------------------------ membership
     def missing_ranks(self) -> List[int]:
         with self._cond:
-            return [r for r in range(self._size) if self._conns[r] is None]
+            return [r for r in range(1, self._size) if self._conns[r] is None]
 
     def wait_connected(self, deadline: float) -> None:
-        give_up_at = time.monotonic() + deadline
-        with self._cond:
-            while any(conn is None for conn in self._conns):
-                if self._closed:
-                    raise BackendError("tcp hub closed while waiting for ranks")
-                remaining = give_up_at - time.monotonic()
-                if remaining <= 0:
-                    missing = [r for r in range(self._size) if self._conns[r] is None]
-                    raise BackendError(
-                        f"timed out after {deadline}s waiting for rank(s) {missing} "
-                        f"to join the tcp rendezvous at {self.address[0]}:{self.address[1]}"
-                    )
-                self._cond.wait(min(0.1, remaining))
 
-    def clear_failure(self) -> None:
+        def ready() -> bool:
+            if self._closed:
+                raise BackendError("tcp hub closed while waiting for ranks")
+            return not self.missing_ranks()
+
         with self._cond:
-            self._failed = None
+            if not self._cond.wait_for(ready, deadline):
+                raise BackendError(
+                    f"timed out after {deadline}s waiting for rank(s) {self.missing_ranks()} "
+                    f"to join the tcp rendezvous at {self.address[0]}:{self.address[1]}"
+                )
 
     # -------------------------------------------------------------- lifecycle
-    def shutdown_workers(self) -> None:
-        with self._cond:
-            targets = [
-                (rank, conn) for rank, conn in enumerate(self._conns) if rank > 0 and conn
-            ]
-        for rank, conn in targets:
-            try:
-                _send_frame(conn, self._send_locks[rank], {"kind": "shutdown"}, b"", self._chunk)
-            except (OSError, ConnectionError):
-                pass
-
     def close(self) -> None:
         with self._cond:
             if self._closed:
                 return
             self._closed = True
-            conns = list(self._conns)
+            conns = [conn for conn in self._conns if conn is not None]
             self._cond.notify_all()
         try:
             self._listener.close()
         except OSError:
             pass
         for conn in conns:
-            if conn is not None:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
+            _close_socket(conn)
 
 
 # ------------------------------------------------------------------ workers
-def _worker_loop(view: _TCPRankView) -> None:
+def _worker_loop(view: _WorkerView) -> None:
     """Task loop of one tcp worker (spawned locally or started remotely)."""
     sock = view._sock
     while True:
-        readable, _, _ = select.select([sock], [], [], 1.0)
-        if not readable:
-            continue
         try:
+            select.select([sock], [], [])  # idle between tasks is not a timeout
             header, payload = _recv_frame(sock)
-        except (OSError, ConnectionError, EOFError):
+        except (OSError, EOFError):
             return
         kind = header.get("kind")
         if kind == "shutdown":
@@ -770,26 +775,27 @@ def _worker_loop(view: _TCPRankView) -> None:
             ok = False
         try:
             view._send_result(task, ok, result)
-        except (OSError, ConnectionError):
+        except OSError:
             return
 
 
 def _tcp_worker_main(
-    rank: Optional[int],
-    address: Tuple[str, int],
-    timeout: float,
-    chunk_bytes: int,
+    rank: Optional[int], address: Tuple[str, int], timeout: float, chunk_bytes: int
 ) -> None:
     """Entry point of one worker process (module-level: spawn-picklable)."""
     sock, assigned, size, chunk = _handshake(rank, address, timeout, chunk_bytes)
-    view = _TCPRankView(assigned, size, sock, timeout, chunk)
-    try:
-        _worker_loop(view)
-    finally:
-        try:
-            sock.close()
-        except OSError:
-            pass
+    with sock:
+        _worker_loop(_WorkerView(assigned, size, sock, timeout, chunk))
+
+
+def _reap(proc: Any, grace: float) -> None:
+    """Join a worker process, escalating to terminate then kill if wedged."""
+    proc.join(timeout=grace)
+    for stop in (proc.terminate, proc.kill):  # kill also reaps a SIGSTOPped worker
+        if not proc.is_alive():
+            return
+        stop()
+        proc.join(timeout=1.0)
 
 
 # ------------------------------------------------------------------- driver
@@ -806,8 +812,8 @@ class TCPComm(_TCPRankView):
         handed to spawned workers.  Use a routable ``host`` for multi-host
         runs.
     timeout:
-        Bound, in seconds, on every collective rendezvous, socket read and
-        result collection; a crash or wedge surfaces as a
+        Bound, in seconds, on every collective rendezvous, socket read,
+        hub-side send and result collection; a crash or wedge surfaces as a
         :class:`~repro.exceptions.BackendError` within this bound.
     chunk_bytes:
         Maximum payload chunk per send: frames for larger arrays are split
@@ -837,36 +843,53 @@ class TCPComm(_TCPRankView):
             raise BackendError("communicator size must be positive")
         if int(chunk_bytes) <= 0:
             raise BackendError("chunk_bytes must be positive")
+        _TCPRankView.__init__(self, 0, size, timeout, chunk_bytes)
+        self._in_program = False
         self._closed = False
         self._task_counter = 0
         self._spawn = bool(spawn_workers)
         self._workers: Dict[int, Any] = {}
-        self._ctx = get_context(start_method) if self._spawn and int(size) > 1 else None
-        self._hub = _Hub(int(size), host, int(port), float(timeout), int(chunk_bytes))
+        self._ctx = get_context(start_method) if self._spawn and self._size > 1 else None
+        self._hub = _Hub(self._size, host, int(port), self._timeout, self._chunk)
         self.address = self._hub.address
         try:
             if self._spawn:
-                for rank in range(1, int(size)):
-                    self._workers[rank] = self._start_worker(rank, float(timeout), int(chunk_bytes))
-            sock, _rank, _size, chunk = _handshake(
-                0, self.address, float(timeout), int(chunk_bytes)
-            )
-            _TCPRankView.__init__(self, 0, int(size), sock, float(timeout), chunk)
-            self._in_program = False
-            self._hub.wait_connected(deadline=max(float(timeout), 60.0))
+                for rank in range(1, self._size):
+                    self._workers[rank] = self._start_worker(rank)
+            self._hub.wait_connected(deadline=max(self._timeout, 60.0))
         except BaseException:
             self.close()
             raise
 
-    def _start_worker(self, rank: int, timeout: float, chunk_bytes: int):
+    def _start_worker(self, rank: int):
         proc = self._ctx.Process(
             target=_tcp_worker_main,
-            args=(rank, self.address, timeout, chunk_bytes),
+            args=(rank, self.address, self._timeout, self._chunk),
             daemon=True,
             name=f"tcp-rank{rank}",
         )
         proc.start()
         return proc
+
+    # ------------------------------------------------- in-process hub link
+    def _submit(self, header: Dict[str, Any], arrays: List[np.ndarray]) -> None:
+        header["arrays"] = _describe(arrays)
+        if arrays and header["op"] == "scatter":
+            # Blocking and read-only: the hub slices the caller's matrix.
+            arrays = [np.asarray(arrays[0], order="C")]
+        elif arrays:
+            # One snapshot, so the caller's buffer is free on return (the
+            # iallreduce contract) and the round's result is caller-owned;
+            # for allreduce it is also the hub's float64 accumulator.
+            dtype = np.float64 if header["op"] == "allreduce" else None
+            arrays = [np.array(arrays[0], dtype=dtype, order="C")]
+        self._hub.post(0, header, arrays)
+
+    def _await(self, seq: int) -> List[np.ndarray]:
+        return self._hub.await_local(seq)
+
+    def _ready(self, seq: int) -> bool:
+        return self._hub.local_ready(seq)
 
     # --------------------------------------------------------- program launch
     def run(self, fn: Callable, rank_args: Optional[Sequence[tuple]] = None) -> List[object]:
@@ -876,10 +899,8 @@ class TCPComm(_TCPRankView):
         if rank_args is None:
             rank_args = [()] * size
         if len(rank_args) != size:
-            raise BackendError(
-                f"run expected {size} per-rank argument tuples, got {len(rank_args)}"
-            )
-        missing = [r for r in self._hub.missing_ranks() if r != 0]
+            raise BackendError(f"run expected {size} per-rank arg tuples, got {len(rank_args)}")
+        missing = self._hub.missing_ranks()
         if missing:
             raise BackendError(
                 f"worker rank(s) {missing} are not connected; call recover() "
@@ -891,7 +912,8 @@ class TCPComm(_TCPRankView):
         self._hub.begin_task(task_id)
         self._begin_task(task_id)
         for rank in range(1, size):
-            self._hub.send_task(rank, task_id, fn, tuple(rank_args[rank]))
+            task = _dumps((fn, tuple(rank_args[rank])))
+            self._hub.send(rank, {"kind": "task", "task": task_id}, task)
 
         local_error: Optional[BaseException] = None
         local_result: object = None
@@ -906,7 +928,7 @@ class TCPComm(_TCPRankView):
 
         remote: Dict[int, Tuple[bool, Any]] = {}
         if size > 1:
-            remote = self._hub.collect(task_id, expect=size - 1, deadline=self._timeout + 5.0)
+            remote = self._hub.collect(task_id, deadline=self._timeout + 5.0)
         failures = {rank: payload for rank, (ok, payload) in remote.items() if not ok}
         if local_error is not None and not isinstance(local_error, BackendError):
             raise local_error
@@ -929,40 +951,27 @@ class TCPComm(_TCPRankView):
         """
         if self._closed:
             return False
-        for rank in [r for r in self._hub.missing_ranks() if r != 0]:
+        for rank in self._hub.missing_ranks():
             proc = self._workers.get(rank)
             if proc is not None:
-                proc.join(timeout=2.0)
-                if proc.is_alive():  # pragma: no cover - wedged worker
-                    proc.terminate()
-                    proc.join(timeout=1.0)
-                self._workers[rank] = self._start_worker(rank, self._timeout, self._chunk)
+                _reap(proc, grace=2.0)
+                self._workers[rank] = self._start_worker(rank)
         try:
             self._hub.wait_connected(deadline=max(self._timeout, 60.0))
         except BackendError:
             return False
-        self._hub.clear_failure()
         return True
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        if getattr(self, "_closed", False):
+        if getattr(self, "_closed", True):
             return
         self._closed = True
         hub = getattr(self, "_hub", None)
         if hub is not None:
-            hub.shutdown_workers()
-        sock = getattr(self, "_sock", None)
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
-        for proc in getattr(self, "_workers", {}).values():
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - wedged worker
-                proc.terminate()
-                proc.join(timeout=1.0)
+            hub.tell_workers({"kind": "shutdown"})
+        for proc in self._workers.values():
+            _reap(proc, grace=5.0)
         if hub is not None:
             hub.close()
 
@@ -982,21 +991,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro.comm.tcp",
         description="join a repro tcp rendezvous as one worker rank",
     )
-    parser.add_argument(
-        "--connect", required=True, metavar="HOST:PORT", help="driver rendezvous address"
-    )
-    parser.add_argument(
-        "--rank",
-        type=int,
-        default=None,
-        help="rank to claim (default: hub assigns the lowest free worker rank)",
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=120.0, help="collective/rendezvous timeout (s)"
-    )
-    parser.add_argument(
-        "--chunk-bytes", type=int, default=1 << 20, help="max payload chunk per send"
-    )
+    add = parser.add_argument
+    add("--connect", required=True, metavar="HOST:PORT", help="driver rendezvous address")
+    add("--rank", type=int, default=None, help="rank to claim (default: the lowest free one)")
+    add("--timeout", type=float, default=120.0, help="collective/rendezvous timeout (s)")
+    add("--chunk-bytes", type=int, default=1 << 20, help="max payload chunk per send")
     args = parser.parse_args(argv)
     host, _, port = args.connect.rpartition(":")
     if not host or not port.isdigit():
