@@ -653,8 +653,11 @@ def train_layer_program(
             if local.shape[0] > 0:
                 activations = layer.forward_raw(local)
                 if competitive:
-                    activations = layer._training_activity(activations)
+                    # Entropy of the forward activations, as the plain loop
+                    # records it: the competition output is one-hot in
+                    # ``sample`` mode, whose entropy is identically zero.
                     mean_entropy.append(mean_activation_entropy(activations))
+                    activations = layer._training_activity(activations)
             else:
                 activations = None
             buf = fill_statistics(local, activations, ctx)

@@ -824,8 +824,10 @@ def main_serve(argv: Optional[List[str]] = None) -> int:
         prog="repro-serve",
         description=(
             "Online serving endpoint: coalesce concurrent POST /predict "
-            "requests into micro-batches (flush on --batch-size rows or "
-            "--batch-deadline-ms, whichever first) dispatched through "
+            "requests into micro-batches (a batch leaves whenever the dispatch "
+            "worker is free: at once on --batch-size rows, otherwise as soon as "
+            "every request that has already arrived is queued; requests that "
+            "arrive during a dispatch form the next batch) dispatched through "
             "preallocated engine workspaces.  GET /healthz and /metrics for "
             "operations, POST /reload for zero-downtime model hot-swap.  "
             "Runs until SIGINT/SIGTERM, then drains gracefully."
@@ -843,7 +845,10 @@ def main_serve(argv: Optional[List[str]] = None) -> int:
         "--batch-deadline-ms",
         type=float,
         default=5.0,
-        help="flush a partial micro-batch this many ms after its oldest request",
+        help=(
+            "longest a queued request may be held back for coalescing while new "
+            "requests keep arriving (a cap, not a timer: an idle server answers at once)"
+        ),
     )
     parser.add_argument(
         "--max-queue-rows",

@@ -120,6 +120,8 @@ class ServingSection:
     host: str = "127.0.0.1"
     port: int = 8477
     batch_size: int = 64
+    #: Longest a queued request may be held back for coalescing while new
+    #: requests keep arriving — a cap, not a timer (see ``docs/serving.md``).
     batch_deadline_ms: float = 5.0
     max_queue_rows: int = 4096
     request_timeout_ms: Optional[float] = None

@@ -7,9 +7,17 @@ when it dispatches *micro-batches* through one preallocated
 bulk :class:`~repro.serving.StreamingPredictor` path uses.
 :class:`MicroBatcher` bridges the two: concurrent ``submit`` calls park on
 an :mod:`asyncio` queue, a single flush task coalesces them into one
-feature matrix, and the batch is dispatched once — flushing on whichever
-comes first, ``batch_size`` accumulated rows or the ``deadline`` measured
-from the oldest queued request.
+feature matrix, and the batch is dispatched once.
+
+The flush policy is **arrival-driven**: a batch leaves whenever the
+dispatch worker is free and the queue is non-empty — at once when
+``batch_size`` rows are queued, otherwise as soon as every request that has
+*already arrived* has reached the queue (:meth:`MicroBatcher._settle`).  It
+never sleeps on a timer for requests that have not arrived: a wait can save
+at most one dispatch's fixed cost, and coalescing is free while a dispatch
+is in flight — whatever arrives during batch ``k`` forms batch ``k+1``.
+``deadline`` only caps how long the oldest queued request may be held back
+while arrivals keep coming.
 
 Admission control and backpressure are explicit:
 
@@ -25,9 +33,8 @@ Admission control and backpressure are explicit:
   queued request is flushed and answered, then the dispatch executor shuts
   down.
 
-Dispatches run on a dedicated single worker thread, so batch ``k+1`` can
-coalesce on the event loop while batch ``k`` computes, and two batches
-never dispatch concurrently into the same predictor workspaces.
+Dispatches run on a dedicated single worker thread, so two batches never
+dispatch concurrently into the same predictor workspaces.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ import math
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Deque, Dict, List, Optional
 
 import numpy as np
@@ -60,7 +67,8 @@ class QueueFullError(ReproError, RuntimeError):
     """Raised when admitting a request would overflow the bounded queue.
 
     ``retry_after`` is the suggested client back-off in whole seconds
-    (at least 1) — the HTTP front end forwards it as a ``Retry-After``
+    (at least 1): the queued backlog in batches times the measured mean
+    dispatch time — the HTTP front end forwards it as a ``Retry-After``
     header on the ``503`` response.
     """
 
@@ -139,27 +147,22 @@ class BatcherStats:
     rows: int = 0
     batches: int = 0
     batch_rows: int = 0
+    dispatch_seconds: float = 0.0  # wall time of the successful dispatches
     flush_full: int = 0
+    flush_idle: int = 0
     flush_deadline: int = 0
     flush_drain: int = 0
     rejected: int = 0
     timeouts: int = 0
     dispatch_errors: int = 0
-    fills: Deque[int] = field(default_factory=lambda: deque(maxlen=1024))
 
     def as_dict(self) -> Dict[str, float]:
-        mean_fill = (self.batch_rows / self.batches) if self.batches else 0.0
+        """Every counter, plus the per-batch means derived from them."""
+        batches = max(self.batches, 1)
         return {
-            "requests": self.requests,
-            "rows": self.rows,
-            "batches": self.batches,
-            "mean_batch_rows": mean_fill,
-            "flush_full": self.flush_full,
-            "flush_deadline": self.flush_deadline,
-            "flush_drain": self.flush_drain,
-            "rejected": self.rejected,
-            "timeouts": self.timeouts,
-            "dispatch_errors": self.dispatch_errors,
+            **asdict(self),
+            "mean_batch_rows": self.batch_rows / batches,
+            "mean_dispatch_ms": self.dispatch_seconds / batches * 1e3,
         }
 
 
@@ -175,11 +178,12 @@ class MicroBatcher:
         :class:`~repro.serving.server.ModelRunner` snapshots predictor and
         version under one lock).
     batch_size:
-        Flush as soon as at least this many rows are queued.
+        Flush at once when at least this many rows are queued; a batch
+        carries at most this many rows unless one request is larger.
     deadline:
-        Seconds after the *oldest* queued request at which the batch is
-        flushed regardless of fill — bounds the latency a straggler pays
-        for coalescing.
+        The longest, in seconds, the *oldest* queued request may be held
+        back for coalescing while new requests keep arriving — a cap, not a
+        timer: with nothing arriving the batch leaves immediately.
     max_queue_rows:
         Bound on queued (not yet dispatched) rows; admission beyond it
         raises :class:`QueueFullError`.
@@ -272,12 +276,13 @@ class MicroBatcher:
         n = int(rows.shape[0])
         if self._pending_rows + n > self.max_queue_rows:
             self.stats.rejected += 1
-            # Suggest retrying after roughly one queue's worth of batches.
+            # Suggest retrying once the backlog has had time to dispatch.
             backlog_batches = math.ceil((self._pending_rows + n) / self.batch_size)
+            mean_dispatch = self.stats.dispatch_seconds / max(self.stats.batches, 1)
             raise QueueFullError(
                 f"serving queue is full ({self._pending_rows} rows queued, "
                 f"bound {self.max_queue_rows}); retry later",
-                retry_after=math.ceil(backlog_batches * self.deadline),
+                retry_after=math.ceil(backlog_batches * mean_dispatch),
             )
         loop = asyncio.get_running_loop()
         item = _Pending(rows, loop.create_future(), time.monotonic())
@@ -299,20 +304,26 @@ class MicroBatcher:
             ) from None
 
     # ------------------------------------------------------------ flushing
-    async def _wait_for_flush_condition(self) -> str:
-        """Block until the current queue should flush; returns the reason."""
+    async def _settle(self) -> str:
+        """Let requests that have already arrived reach the queue; returns the flush reason.
+
+        Runs only while the dispatch worker is free.  Bytes on a socket need
+        event-loop turns, not time, to be queued — one for the selector to
+        hand them to the stream, one for the handler to parse and ``submit``
+        — so yield two turns at a time until a round admits nothing new.
+        """
+        seen = None  # admissions counted before the last round
         while self._pending_rows < self.batch_size:
             if self._closed:
                 return "drain"
-            head = self._pending[0]
-            remaining = self.deadline - (time.monotonic() - head.enqueued_at)
-            if remaining <= 0:
+            if seen == self.stats.requests:
+                return "idle"
+            oldest = self._pending[0].enqueued_at
+            if seen is not None and time.monotonic() - oldest >= self.deadline:
                 return "deadline"
-            self._wakeup.clear()
-            try:
-                await asyncio.wait_for(self._wakeup.wait(), timeout=remaining)
-            except asyncio.TimeoutError:
-                return "deadline"
+            seen = self.stats.requests
+            await asyncio.sleep(0)
+            await asyncio.sleep(0)
         return "full"
 
     def _collect(self) -> List[_Pending]:
@@ -338,7 +349,7 @@ class MicroBatcher:
                     return
                 self._wakeup.clear()
                 await self._wakeup.wait()
-            reason = await self._wait_for_flush_condition()
+            reason = await self._settle()
             batch = self._collect()
             live = [item for item in batch if not item.future.done()]
             if not live:
@@ -348,6 +359,7 @@ class MicroBatcher:
                 if len(live) == 1
                 else np.concatenate([item.rows for item in live], axis=0)
             )
+            started = time.monotonic()
             try:
                 result = await loop.run_in_executor(self._executor, self._dispatch, matrix)
             except Exception as exc:  # noqa: BLE001 - forwarded to every waiter
@@ -358,15 +370,11 @@ class MicroBatcher:
                     if not item.future.done():
                         item.future.set_exception(error)
                 continue
+            self.stats.dispatch_seconds += time.monotonic() - started
             self.stats.batches += 1
             self.stats.batch_rows += int(matrix.shape[0])
-            self.stats.fills.append(int(matrix.shape[0]))
-            if reason == "full":
-                self.stats.flush_full += 1
-            elif reason == "deadline":
-                self.stats.flush_deadline += 1
-            else:
-                self.stats.flush_drain += 1
+            counter = f"flush_{reason}"
+            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
             offset = 0
             for item in live:
                 n = int(item.rows.shape[0])

@@ -15,7 +15,8 @@ Endpoints
     Body ``{"rows": [[...], ...], "proba": false}``.  Replies
     ``{"predictions": [...], "model_version": N, "batch_rows": K}``
     (plus ``"probabilities"`` when ``proba`` is true).  Backpressure is
-    explicit: a full queue replies ``503`` with ``Retry-After``; a request
+    explicit: a full queue replies ``503`` with ``Retry-After`` (the backlog
+    in batches times the measured mean dispatch time); a request
     older than the per-request deadline replies ``504``.  Optional
     ``"backend"`` and ``"sparse"`` keys override the execution choice for
     that request alone (validated against the backend registry / the
@@ -308,10 +309,12 @@ class PredictionServer:
         from :attr:`port` after :meth:`start` — tests and the latency
         benchmark rely on this).
     batch_size:
-        Micro-batch flush threshold in rows.
+        Rows at which a micro-batch flushes at once (and its size bound).
     batch_deadline:
-        Seconds after the oldest queued request at which a partial batch
-        flushes anyway (the latency a straggler pays for coalescing).
+        Longest, in seconds, the oldest queued request may be held back for
+        coalescing while new requests keep arriving — a cap, not a timer:
+        with the dispatch worker free and nothing arriving, a batch leaves
+        immediately (see :class:`~repro.serving.batcher.MicroBatcher`).
     max_queue_rows:
         Admission-control bound on queued rows (``503`` beyond it).
     request_timeout:

@@ -173,6 +173,29 @@ class TestNetworkFitComm:
         assert network.evaluate(x, y)["accuracy"] > 0.5
 
 
+    def test_serial_comm_fit_records_forward_activation_entropy(self, encoded_higgs):
+        """The comm route logs the entropy of the *forward* activations, as the
+        plain loop does — not of the competition output, which in the default
+        ``sample`` mode is one-hot (entropy identically 0.0 every epoch)."""
+        network = Network(seed=3, name="fit-comm-entropy")
+        hyperparams = BCPNNHyperParameters(taupdt=0.02, density=0.4)
+        network.add(StructuralPlasticityLayer(1, 30, hyperparams=hyperparams, seed=4))
+        network.add(BCPNNClassifier(n_classes=2))
+        schedule = TrainingSchedule(hidden_epochs=4, classifier_epochs=1, batch_size=64)
+        with SerialComm() as comm:
+            network.fit(
+                encoded_higgs["x_train"][:1600],
+                encoded_higgs["y_train"][:1600],
+                input_spec=encoded_higgs["spec"],
+                schedule=schedule,
+                comm=comm,
+            )
+        entropies = network.history.metric("mean_activation_entropy", phase="hidden")
+        assert len(entropies) == 4
+        assert all(entropy > 0.0 for entropy in entropies)
+        assert all(later < earlier for earlier, later in zip(entropies, entropies[1:]))
+
+
 class TestExperimentAcrossTransports:
     @pytest.fixture(scope="class")
     def higgs(self):

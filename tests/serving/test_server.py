@@ -1,7 +1,9 @@
 """Online serving: micro-batcher coalescing and the HTTP endpoint.
 
 Unit tests drive :class:`MicroBatcher` directly on an event loop (flush
-reasons, admission control, timeouts, drain); integration tests run a real
+reasons, admission control, timeouts, drain) with the dispatch gated on a
+``threading.Event`` — "a dispatch is in flight" is a state the test holds,
+never a race against a timer; integration tests run a real
 :class:`PredictionServer` on an ephemeral port via :class:`ServerThread`
 and speak plain ``http.client`` to it — predictions must round-trip
 bit-identical to ``Network.predict`` on the same rows.
@@ -13,7 +15,6 @@ import asyncio
 import json
 import http.client
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from repro.serving import (
     ServerThread,
     ServingClosedError,
 )
+from tests.serving.gates import GatedDispatch, wait_until
 
 
 def _echo_dispatch(matrix):
@@ -46,23 +48,35 @@ def run_async(coro):
     return asyncio.run(coro)
 
 
-class TestMicroBatcher:
-    def test_single_request_flushes_on_deadline(self):
-        async def scenario():
-            batcher = MicroBatcher(_echo_dispatch, batch_size=64, deadline=0.01)
-            await batcher.start()
-            start = time.monotonic()
-            result = await batcher.submit(_rows([7]))
-            elapsed = time.monotonic() - start
-            await batcher.drain()
-            return result, elapsed, batcher.stats
+def _ids(gate):
+    """What each dispatch behind ``gate`` saw, as the rows' integer ids."""
+    return [matrix[:, 0].astype(int).tolist() for matrix in gate.batches]
 
-        result, elapsed, stats = run_async(scenario())
+
+async def _submit_all(batcher, requests):
+    """Admit ``requests`` (in order) without awaiting their answers."""
+    futures = [asyncio.ensure_future(batcher.submit(rows)) for rows in requests]
+    await asyncio.sleep(0)  # one loop turn: every submit has run up to its await
+    assert batcher.queued_rows == sum(len(rows) for rows in requests)
+    return futures
+
+
+class TestMicroBatcher:
+    def test_lone_request_is_not_held_for_the_deadline(self):
+        async def scenario():
+            batcher = MicroBatcher(_echo_dispatch, batch_size=64, deadline=60.0)
+            await batcher.start()
+            # Nothing else is arriving and the worker is free: the request
+            # must not be held for the (here minute-long) coalescing cap.
+            result = await asyncio.wait_for(batcher.submit(_rows([7])), timeout=30.0)
+            await batcher.drain()
+            return result, batcher.stats
+
+        result, stats = run_async(scenario())
         assert result.predictions.tolist() == [7]
         assert result.batch_rows == 1
-        # One lone request cannot fill the batch; only the deadline flushes it.
-        assert elapsed >= 0.009
-        assert stats.flush_deadline == 1
+        assert stats.flush_idle == 1
+        assert stats.flush_deadline == 0
         assert stats.flush_full == 0
 
     def test_concurrent_requests_coalesce_into_one_batch(self):
@@ -97,25 +111,106 @@ class TestMicroBatcher:
         # 3+3 rows > batch_size=4, so the second request rode a second batch.
         assert stats.batches == 2
 
-    def test_queue_full_rejects_with_retry_after(self):
-        release = threading.Event()
-
-        def blocking_dispatch(matrix):
-            release.wait(5.0)
-            return _echo_dispatch(matrix)
+    def test_arrivals_during_a_dispatch_leave_as_one_batch(self):
+        gate = GatedDispatch(_echo_dispatch)
 
         async def scenario():
+            batcher = MicroBatcher(gate, batch_size=64, deadline=60.0)
+            await batcher.start()
+            first = asyncio.ensure_future(batcher.submit(_rows([0])))
+            await gate.wait_entered()  # batch 1 is in flight and held
+            later = await _submit_all(batcher, [_rows([i]) for i in range(1, 6)])
+            gate.release.set()
+            results = await asyncio.gather(first, *later)
+            await batcher.drain()
+            return results, batcher.stats
+
+        results, stats = run_async(scenario())
+        # Coalescing was free while the worker was busy: the five requests
+        # ride ONE batch, in submission order, with no timer involved.
+        assert _ids(gate) == [[0], [1, 2, 3, 4, 5]]
+        assert [r.batch_rows for r in results] == [1, 5, 5, 5, 5, 5]
+        assert [r.predictions.tolist() for r in results] == [[i] for i in range(6)]
+        assert (stats.flush_idle, stats.flush_deadline, stats.flush_full) == (2, 0, 0)
+
+    def test_next_batch_takes_whole_requests_up_to_batch_size(self):
+        gate = GatedDispatch(_echo_dispatch)
+
+        async def scenario():
+            batcher = MicroBatcher(gate, batch_size=8, deadline=60.0)
+            await batcher.start()
+            first = asyncio.ensure_future(batcher.submit(_rows([0])))
+            await gate.wait_entered()
+            later = await _submit_all(
+                batcher, [_rows([1, 2]), _rows([3, 4, 5]), _rows([6, 7]), _rows([8, 9, 10])]
+            )
+            gate.release.set()
+            results = await asyncio.gather(first, *later)
+            await batcher.drain()
+            return results, batcher.stats
+
+        results, stats = run_async(scenario())
+        # 10 rows were queued: 2+3+2 fit batch_size=8, the last request does
+        # not, and a request is never split across batches.
+        assert _ids(gate) == [[0], [1, 2, 3, 4, 5, 6, 7], [8, 9, 10]]
+        assert [r.batch_rows for r in results] == [1, 7, 7, 7, 3]
+        assert stats.flush_full == 1
+
+    def test_oversized_request_travels_alone(self):
+        gate = GatedDispatch(_echo_dispatch)
+
+        async def scenario():
+            batcher = MicroBatcher(gate, batch_size=4, deadline=60.0)
+            await batcher.start()
+            first = asyncio.ensure_future(batcher.submit(_rows([0])))
+            await gate.wait_entered()
+            later = await _submit_all(batcher, [_rows(range(1, 7)), _rows([7])])
+            gate.release.set()
+            results = await asyncio.gather(first, *later)
+            await batcher.drain()
+            return results
+
+        results = run_async(scenario())
+        assert _ids(gate) == [[0], [1, 2, 3, 4, 5, 6], [7]]
+        assert [r.batch_rows for r in results] == [1, 6, 1]
+
+    def test_trickle_of_arrivals_cannot_hold_the_head_past_the_deadline(self):
+        async def scenario():
             batcher = MicroBatcher(
-                blocking_dispatch, batch_size=2, deadline=0.001, max_queue_rows=4
+                _echo_dispatch, batch_size=10**6, deadline=0.02, max_queue_rows=10**7
             )
             await batcher.start()
+            head = asyncio.ensure_future(batcher.submit(_rows([0])))
+            trickle = []
+            # One new request every loop turn: each settle round sees an
+            # arrival, the batch never fills, so ONLY the deadline cap can
+            # release the head (ignore it and this loop spins until the
+            # wait_for below fails the test).
+            while not head.done():
+                trickle.append(asyncio.ensure_future(batcher.submit(_rows([1]))))
+                await asyncio.sleep(0)
+            answers = await asyncio.gather(head, *trickle)
+            await batcher.drain()
+            return answers, batcher.stats
+
+        answers, stats = run_async(asyncio.wait_for(scenario(), timeout=30.0))
+        assert stats.flush_deadline >= 1
+        assert stats.flush_full == 0
+        assert answers[0].predictions.tolist() == [0]
+        assert 1 < answers[0].batch_rows < len(answers)
+
+    def test_queue_full_rejects_with_retry_after(self):
+        gate = GatedDispatch(_echo_dispatch)
+
+        async def scenario():
+            batcher = MicroBatcher(gate, batch_size=2, deadline=0.001, max_queue_rows=4)
+            await batcher.start()
             first = asyncio.ensure_future(batcher.submit(_rows([1, 2])))
-            await asyncio.sleep(0.05)  # first batch now blocked in dispatch
-            second = asyncio.ensure_future(batcher.submit(_rows([3, 4, 5, 6])))
-            await asyncio.sleep(0.01)  # queue now holds 4 rows (its bound)
+            await gate.wait_entered()  # first batch now blocked in dispatch
+            (second,) = await _submit_all(batcher, [_rows([3, 4, 5, 6])])  # the bound
             with pytest.raises(QueueFullError) as excinfo:
                 await batcher.submit(_rows([7]))
-            release.set()
+            gate.release.set()
             results = await asyncio.gather(first, second)
             await batcher.drain()
             return excinfo.value, results, batcher.stats
@@ -127,23 +222,42 @@ class TestMicroBatcher:
         assert results[0].predictions.tolist() == [1, 2]
         assert results[1].predictions.tolist() == [3, 4, 5, 6]
 
+    def test_retry_after_follows_the_measured_dispatch_time(self):
+        async def scenario():
+            batcher = MicroBatcher(_echo_dispatch, batch_size=2, max_queue_rows=4)
+            await batcher.start()
+            await batcher.submit(_rows([1]))
+            # Pretend the one dispatch so far took 2.5 s: a 5-row request is
+            # a 3-batch backlog at batch_size=2, so "retry in ceil(7.5) s".
+            batcher.stats.dispatch_seconds = 2.5
+            with pytest.raises(QueueFullError) as excinfo:
+                await batcher.submit(_rows([1, 2, 3, 4, 5]))
+            await batcher.drain()
+            return excinfo.value
+
+        assert run_async(scenario()).retry_after == 8
+
     def test_request_timeout_raises_deadline_exceeded(self):
-        def slow_dispatch(matrix):
-            time.sleep(0.3)
-            return _echo_dispatch(matrix)
+        gate = GatedDispatch(_echo_dispatch)
 
         async def scenario():
-            batcher = MicroBatcher(
-                slow_dispatch, batch_size=2, deadline=0.001, request_timeout=0.05
-            )
+            batcher = MicroBatcher(gate, batch_size=2, deadline=0.001, request_timeout=0.05)
             await batcher.start()
-            with pytest.raises(DeadlineExceededError):
-                await batcher.submit(_rows([1]))
+            in_flight = asyncio.ensure_future(batcher.submit(_rows([1])))
+            await gate.wait_entered()
+            (queued,) = await _submit_all(batcher, [_rows([2])])
+            outcomes = await asyncio.gather(in_flight, queued, return_exceptions=True)
+            gate.release.set()
+            served = await batcher.submit(_rows([3]))
             await batcher.drain()
-            return batcher.stats
+            return outcomes, served, batcher.stats
 
-        stats = run_async(scenario())
-        assert stats.timeouts == 1
+        outcomes, served, stats = run_async(scenario())
+        assert all(isinstance(o, DeadlineExceededError) for o in outcomes)
+        assert stats.timeouts == 2
+        # The abandoned queued request never reached a dispatch.
+        assert _ids(gate) == [[1], [3]]
+        assert served.predictions.tolist() == [3]
 
     def test_dispatch_failure_raises_dispatch_error_to_all_waiters(self):
         def broken_dispatch(matrix):
@@ -166,25 +280,28 @@ class TestMicroBatcher:
         assert stats.dispatch_errors == 1
 
     def test_drain_answers_queued_requests_then_refuses_new_ones(self):
-        async def scenario():
-            batcher = MicroBatcher(_echo_dispatch, batch_size=64, deadline=10.0)
-            await batcher.start()
-            # Far-future deadline: only the drain can flush these.
-            pending = [asyncio.ensure_future(batcher.submit(_rows([i]))) for i in range(3)]
-            await asyncio.sleep(0.02)
-            await batcher.drain()
-            answered = await asyncio.gather(*pending)
-            closed = None
-            try:
-                await batcher.submit(_rows([9]))
-            except ServingClosedError as exc:
-                closed = exc
-            return answered, closed, batcher.stats
+        gate = GatedDispatch(_echo_dispatch)
 
-        answered, closed, stats = run_async(scenario())
-        assert [r.predictions.tolist() for r in answered] == [[0], [1], [2]]
+        async def scenario():
+            batcher = MicroBatcher(gate, batch_size=2, deadline=60.0)
+            await batcher.start()
+            in_flight = asyncio.ensure_future(batcher.submit(_rows([0])))
+            await gate.wait_entered()
+            queued = await _submit_all(batcher, [_rows([i]) for i in range(1, 4)])
+            # Drain begins with one batch in flight and three requests queued.
+            draining = asyncio.ensure_future(batcher.drain())
+            await asyncio.sleep(0)
+            with pytest.raises(ServingClosedError):
+                await batcher.submit(_rows([9]))
+            gate.release.set()
+            await draining
+            answered = await asyncio.gather(in_flight, *queued)
+            return answered, batcher.stats
+
+        answered, stats = run_async(scenario())
+        assert [r.predictions.tolist() for r in answered] == [[0], [1], [2], [3]]
+        assert _ids(gate) == [[0], [1, 2], [3]]
         assert stats.flush_drain >= 1
-        assert closed is not None
 
     def test_submit_before_start_is_refused(self):
         async def scenario():
@@ -250,30 +367,34 @@ class TestPredictionServer:
         expected = trained_network.predict_proba(rows)
         np.testing.assert_allclose(np.asarray(doc["probabilities"]), expected, atol=1e-9)
 
-    def test_concurrent_requests_coalesce(self, live_server, trained_network, encoded_higgs):
-        """Many single-row POSTs land in shared micro-batches, all correct."""
+    def test_concurrent_requests_coalesce(self, trained_network, encoded_higgs):
+        """Single-row POSTs that arrive during a dispatch share ONE micro-batch."""
         rows = encoded_higgs["x_test"][:24]
         expected = trained_network.predict(rows).tolist()
         outcomes = [None] * len(rows)
+        runner = ModelRunner(trained_network, batch_size=64)
+        runner.run_batch = gate = GatedDispatch(runner.run_batch)
+        server = PredictionServer(runner, port=0, batch_size=64, batch_deadline=60.0)
 
         def worker(i):
-            outcomes[i] = _request(
-                live_server, "POST", "/predict", {"rows": [rows[i].tolist()]}
-            )
+            outcomes[i] = _request(handle, "POST", "/predict", {"rows": [rows[i].tolist()]})
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(rows))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        batch_fills = []
+        with ServerThread(server) as handle:
+            threads[0].start()
+            assert gate.entered.wait(30.0)  # request 0 is in flight and held
+            for t in threads[1:]:
+                t.start()
+            wait_until(lambda: server.batcher.queued_rows == 23, "23 requests are queued")
+            gate.release.set()
+            for t in threads:
+                t.join(30)
         for i, (status, doc, _) in enumerate(outcomes):
             assert status == 200
             assert doc["predictions"] == [expected[i]]
-            batch_fills.append(doc["batch_rows"])
-        # With 24 concurrent clients and a 3ms deadline, at least some
-        # requests must have shared a micro-batch.
-        assert max(batch_fills) > 1
+        # Coalescing is free while the worker is busy: no timer was involved
+        # (the cap is a minute) and the 23 later requests left together.
+        assert [doc["batch_rows"] for _, doc, _ in outcomes] == [1] + [23] * 23
 
     def test_metrics_endpoint(self, live_server):
         status, doc, _ = _request(live_server, "GET", "/metrics")

@@ -2,7 +2,8 @@
 
 These are the failure-path acceptance tests for the online endpoint:
 
-* a lone straggler request is flushed by the deadline, never stuck;
+* a lone request is answered at once — it never waits out the coalescing
+  deadline;
 * a full queue answers ``503`` with ``Retry-After`` instead of queueing
   unboundedly;
 * a mid-flight ``POST /reload`` never tears a micro-batch — every
@@ -10,6 +11,10 @@ These are the failure-path acceptance tests for the online endpoint:
   served it, with predictions consistent with that version;
 * graceful shutdown answers everything already admitted;
 * malformed input of every shape is a ``4xx``, never a crash or a hang.
+
+No test here sleeps to *make* something happen: "a dispatch is in flight" is
+held with a ``threading.Event`` gate on the dispatch, and every other
+precondition is awaited as a condition (see :mod:`tests.serving.gates`).
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from __future__ import annotations
 import http.client
 import json
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from repro.core import (
     save_network,
 )
 from repro.serving import ModelRunner, PredictionServer, ServerThread
+from tests.serving.gates import GatedDispatch, wait_until
 
 
 def _post(port, path, body, timeout=15):
@@ -71,34 +76,25 @@ def _train_variant(encoded_higgs, seed):
     return network
 
 
-def test_deadline_only_flush_single_straggler(trained_network, encoded_higgs):
-    """One lone request must be answered by the deadline, not wait for fill."""
+def test_lone_request_is_answered_without_a_deadline_flush(trained_network, encoded_higgs):
+    """One lone request is dispatched at once: worker free, nothing else arriving."""
     runner = ModelRunner(trained_network, batch_size=256)
-    server = PredictionServer(runner, port=0, batch_size=256, batch_deadline=0.02)
+    # A minute-long coalescing cap: if anything still waited on it, the
+    # client below would time out instead of reading a 200.
+    server = PredictionServer(runner, port=0, batch_size=256, batch_deadline=60.0)
     row = encoded_higgs["x_test"][:1]
     with ServerThread(server) as handle:
-        start = time.monotonic()
         status, doc, _ = _post(handle.port, "/predict", {"rows": row.tolist()})
-        elapsed = time.monotonic() - start
     assert status == 200
     assert doc["batch_rows"] == 1
-    # Flushed by deadline (~20ms), far sooner than any fill could happen.
-    assert elapsed < 5.0
-    assert server.batcher.stats.flush_deadline >= 1
-    assert server.batcher.stats.flush_full == 0
+    stats = server.batcher.stats
+    assert (stats.flush_idle, stats.flush_deadline, stats.flush_full) == (1, 0, 0)
 
 
 def test_queue_full_returns_503_with_retry_after(trained_network, encoded_higgs):
     """Admission beyond max_queue_rows is a 503 + Retry-After, not a hang."""
-    release = threading.Event()
-    real_dispatch = ModelRunner(trained_network, batch_size=8).run_batch
-
-    def stalled_dispatch(matrix):
-        release.wait(20.0)
-        return real_dispatch(matrix)
-
     runner = ModelRunner(trained_network, batch_size=8)
-    runner.run_batch = stalled_dispatch  # stall every dispatch until released
+    runner.run_batch = gate = GatedDispatch(runner.run_batch)
     server = PredictionServer(
         runner, port=0, batch_size=8, batch_deadline=0.001, max_queue_rows=8
     )
@@ -111,31 +107,24 @@ def test_queue_full_returns_503_with_retry_after(trained_network, encoded_higgs)
         with lock:
             outcomes.append(result)
 
-    with ServerThread(server) as handle:
-        assert handle.port  # bound
-        # First request occupies the dispatch thread; the next fills the
-        # 8-row queue; further admissions must be rejected.
-        threads = [threading.Thread(target=client) for _ in range(4)]
-        for t in threads:
-            t.start()
-            time.sleep(0.1)
-        deadline = time.monotonic() + 10
-        status_503 = None
-        while time.monotonic() < deadline and status_503 is None:
-            with lock:
-                for status, _doc, headers in outcomes:
-                    if status == 503:
-                        status_503 = (status, headers)
-            time.sleep(0.05)
-        release.set()
+    with ServerThread(server):
+        threads = [threading.Thread(target=client) for _ in range(2)]
+        # The first request occupies the dispatch thread, the second fills
+        # the 8-row queue; the third admission must be rejected at once.
+        threads[0].start()
+        assert gate.entered.wait(30.0)
+        threads[1].start()
+        wait_until(lambda: server.batcher.queued_rows == 8, "the queue is at its bound")
+        status, _doc, headers = _post(server.port, "/predict", {"rows": rows}, timeout=30)
+        gate.release.set()
         for t in threads:
             t.join(30)
-    assert status_503 is not None, f"no 503 among {[o[0] for o in outcomes]}"
-    headers = {k.lower(): v for k, v in status_503[1].items()}
+    assert status == 503
+    headers = {k.lower(): v for k, v in headers.items()}
     assert "retry-after" in headers
     assert int(headers["retry-after"]) >= 1
-    # Every admitted request was eventually answered once the stall cleared.
-    assert {s for s, _, _ in outcomes} <= {200, 503}
+    # Every admitted request was answered once the stall cleared.
+    assert [s for s, _, _ in outcomes] == [200, 200]
 
 
 def test_mid_flight_reload_never_tears_a_batch(
@@ -174,12 +163,13 @@ def test_mid_flight_reload_never_tears_a_batch(
         threads = [threading.Thread(target=client) for _ in range(6)]
         for t in threads:
             t.start()
-        time.sleep(0.3)  # requests in flight on v1
+        wait_until(lambda: len(results) >= 12, "v1 has served traffic")
         status, doc, _ = _post(handle.port, "/reload", {"model": str(variant_path)})
         assert status == 200
         v2 = doc["model_version"]
         assert v2 == v1 + 1
-        time.sleep(0.3)  # requests in flight on v2
+        served = len(results)
+        wait_until(lambda: len(results) >= served + 12, "v2 has served traffic")
         stop.set()
         for t in threads:
             t.join(30)
@@ -225,9 +215,10 @@ def test_reload_bad_model_keeps_serving_old_version(
 def test_graceful_shutdown_drains_in_flight_requests(trained_network, encoded_higgs):
     """stop(drain=True) answers queued requests before sockets close."""
     runner = ModelRunner(trained_network, batch_size=64)
-    # Deadline far in the future: queued requests can ONLY be answered by
-    # the drain flush, so a 200 here proves the drain path.
-    server = PredictionServer(runner, port=0, batch_size=512, batch_deadline=30.0)
+    # One request is held inside the dispatch and two more are parked behind
+    # it when the drain begins, so their 200s prove the drain path.
+    runner.run_batch = gate = GatedDispatch(runner.run_batch)
+    server = PredictionServer(runner, port=0, batch_size=512, batch_deadline=60.0)
     rows = encoded_higgs["x_test"][:2]
     outcomes = []
     lock = threading.Lock()
@@ -239,17 +230,21 @@ def test_graceful_shutdown_drains_in_flight_requests(trained_network, encoded_hi
 
     handle = ServerThread(server)
     handle.__enter__()
+    stopper = threading.Thread(target=handle.stop, kwargs={"drain": True})
     try:
         threads = [threading.Thread(target=client) for _ in range(3)]
-        for t in threads:
+        threads[0].start()
+        assert gate.entered.wait(30.0)
+        for t in threads[1:]:
             t.start()
-        # Wait until all three are parked in the queue.
-        deadline = time.monotonic() + 10
-        while server.batcher.queued_rows < 6 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert server.batcher.queued_rows == 6
+        wait_until(lambda: server.batcher.queued_rows == 4, "two requests are parked")
+        stopper.start()
+        wait_until(lambda: server.batcher._closed, "the drain has begun")
     finally:
-        handle.stop(drain=True)
+        gate.release.set()
+        if stopper.ident is not None:
+            stopper.join(60)
+        handle.stop(drain=True)  # no-op once the stopper thread has finished
     for t in threads:
         t.join(30)
     assert len(outcomes) == 3

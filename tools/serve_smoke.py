@@ -5,7 +5,8 @@ model and runs this script against it.  It replays every call the
 documentation shows — ``GET /healthz``, ``POST /predict`` (plain and with
 ``"proba": true``), ``POST /reload``, ``GET /metrics`` — and asserts the
 responses match what the docs promise, including that the served
-predictions are identical to ``Network.predict`` on the same rows.  A
+predictions are identical to ``Network.predict`` on the same rows and that
+a lone request is never held for the batch deadline.  A
 docs edit that drifts from the server's actual behaviour therefore fails
 CI, not just a reader.
 
@@ -99,7 +100,11 @@ def main(argv: list[str] | None = None) -> int:
     for key in ("batcher", "queued_rows", "model_version", "reloads"):
         assert key in payload, f"/metrics missing {key!r}: {sorted(payload)}"
     assert int(payload["reloads"]) >= 1
-    print("metrics ok")
+    # Every POST above was alone on the server: each must have been dispatched
+    # the moment it was queued, never held for --batch-deadline-ms.
+    batcher = payload["batcher"]
+    assert batcher["flush_deadline"] == 0 and batcher["flush_idle"] >= 1, batcher
+    print("metrics ok (lone requests were not held for the batch deadline)")
     print("serving smoke: the docs/serving.md example session holds")
     return 0
 
