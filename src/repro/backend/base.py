@@ -212,7 +212,14 @@ class Backend:
         """Batch statistics + in-place EMA trace update in one dispatch.
 
         Mutates the trace arrays directly (``p <- (1-taupdt) p + taupdt mean``).
+        ``a`` may be a :class:`repro.kernels.OneHotActivity` (the ``sample``
+        competition's winners); it is densified once here, into the
+        workspace's idle support buffer, so every ``batch_statistics``
+        implementation keeps receiving a matrix.  Backends with an index
+        path (NumPy) override this method and consume the winners directly.
         """
+        if isinstance(a, kernels.OneHotActivity):
+            a = a.dense(out=None if workspace is None else workspace.support[: a.shape[0]])
         mean_x, mean_a, mean_outer = self.batch_statistics(x, a)
         kernels.ema_update(p_i, p_j, p_ij, mean_x, mean_a, mean_outer, taupdt)
         if workspace is not None:
@@ -240,8 +247,9 @@ class Backend:
         """One fused training step: forward + batch statistics + trace update.
 
         ``activity_fn`` maps the forward activations to the training activity
-        (the layer's competition rule); ``None`` trains on the activations
-        themselves.  Returns the forward activations — a view into the
+        (the layer's competition rule: a dense matrix or a
+        :class:`repro.kernels.OneHotActivity`); ``None`` trains on the
+        activations themselves.  Returns the forward activations — a view into the
         workspace when one is supplied, valid until the next dispatch.
 
         On a sparse dispatch only the forward side goes through the packed

@@ -538,12 +538,26 @@ def train_layer_program(
         """Pack this rank's shard statistics; returns the payload to reduce."""
         buf = packed if ctx is None else ctx["packed"]
         if local.shape[0] > 0:
+            counts = None
+            if isinstance(activations, kernels.OneHotActivity):
+                # One-hot shard x one-hot winners: the sums below are integer
+                # co-activation counts, formed from the indices bit for bit
+                # (real-valued inputs densify and take the GEMMs).
+                counts = activations.counts(local)
+                if counts is None:
+                    activations = activations.dense()
             buf[0] = float(local.shape[0])
             buf[1 : 1 + n_input] = local.sum(axis=0)
-            buf[1 + n_input : stats_head] = activations.sum(axis=0)
+            buf[1 + n_input : stats_head] = (
+                activations.sum(axis=0) if counts is None else counts[0]
+            )
             if ctx is None:
-                # ``local.T @ activations``, written straight into the payload.
-                np.matmul(local.T, activations, out=buf[stats_head:].reshape(n_input, n_hidden))
+                outer = buf[stats_head:].reshape(n_input, n_hidden)
+                if counts is None:
+                    # ``local.T @ activations``, written straight into the payload.
+                    np.matmul(local.T, activations, out=outer)
+                else:
+                    outer[:] = counts[1]
             else:
                 layout = ctx["layout"]
                 body = buf[stats_head + 1 :]
@@ -552,10 +566,13 @@ def train_layer_program(
                         slab = body[
                             layout.block_starts[h] : layout.block_starts[h + 1]
                         ].reshape(idx.size, hi - lo)
-                        # Same length-B contraction as the dense (F,B)@(B,H)
-                        # GEMM restricted to active entries, so the reduced
-                        # active statistics are bitwise-identical.
-                        np.matmul(local[:, idx].T, activations[:, lo:hi], out=slab)
+                        if counts is None:
+                            # Same length-B contraction as the dense (F,B)@(B,H)
+                            # GEMM restricted to active entries, so the reduced
+                            # active statistics are bitwise-identical.
+                            np.matmul(local[:, idx].T, activations[:, lo:hi], out=slab)
+                        else:
+                            slab[:] = counts[1][idx, lo:hi]
         else:
             buf[:] = 0.0
         if ctx is not None:

@@ -126,7 +126,10 @@ class NumpyBackend(Backend):
         workspace=None,
     ) -> None:
         x = self._require_2d(x, "x")
-        a = self._require_2d(a, "a")
+        if not isinstance(a, kernels.OneHotActivity):
+            # Winner indices go to the kernel as they are: it counts
+            # co-activations instead of multiplying two one-hot matrices.
+            a = self._require_2d(a, "a")
         out_x = out_a = out_outer = None
         if workspace is not None:
             out_x, out_a, out_outer = workspace.mean_x, workspace.mean_a, workspace.mean_outer

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Dict
 
 from repro.exceptions import ConfigurationError
+from repro.kernels import COMPETITION_MODES
 from repro.utils.validation import check_fraction, check_positive_int, check_sparse_mode
 
 __all__ = ["BCPNNHyperParameters", "TrainingSchedule"]
@@ -83,10 +84,9 @@ class BCPNNHyperParameters:
     competition_bias_gain: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.competition not in ("softmax", "noisy_softmax", "sample"):
+        if self.competition not in COMPETITION_MODES:
             raise ConfigurationError(
-                "competition must be one of 'softmax', 'noisy_softmax', 'sample', "
-                f"got {self.competition!r}"
+                f"competition must be one of {COMPETITION_MODES}, got {self.competition!r}"
             )
         if self.competition_noise < 0:
             raise ConfigurationError("competition_noise must be non-negative")

@@ -8,6 +8,7 @@ trace learning rule with a trainable receptive field.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -18,7 +19,6 @@ from repro.core.hyperparams import BCPNNHyperParameters
 from repro.core.plasticity import StructuralPlasticity
 from repro.core.traces import ProbabilityTraces
 from repro.exceptions import ConfigurationError, DataError
-from repro.utils.arrays import blockwise_sample, blockwise_softmax, stable_log
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_fraction, check_positive_int
 
@@ -278,33 +278,27 @@ class StructuralPlasticityLayer(BackendExecutionMixin):
         return self.forward_raw(x)
 
     # -------------------------------------------------------------- training
-    def _training_activity(self, activations: np.ndarray) -> np.ndarray:
-        """Apply the configured competition rule to rate-based activations.
+    def _training_activity(self, activations: np.ndarray, scratch=None):
+        """The configured competition rule applied to rate-based activations.
 
-        The competition logits are recovered from the activations as
-        ``log(a)`` (the per-hypercolumn log-normaliser cancels inside the
-        softmax), the occupancy bias is re-weighted to
+        A thin binding of the layer's hyper-parameters, bias and generator
+        to :func:`repro.kernels.compete_into` (which documents the rule and
+        the draw-order contract).  The occupancy bias is re-weighted to
         ``competition_bias_gain`` (0 by default — the conscience mechanism
-        that prevents a single minicolumn from monopolising its HCU), and the
-        configured exploration noise / sampling rule is applied.
+        that prevents a single minicolumn from monopolising its HCU).
+        ``scratch`` is the workspace whose forward produced ``activations``.
         """
-        mode = self.hyperparams.competition
-        logits = stable_log(activations)
-        bias_delta = self.hyperparams.competition_bias_gain - self.hyperparams.bias_gain
-        if bias_delta != 0.0 and self.bias is not None:
-            logits = logits + bias_delta * self.bias[None, :]
-        noise_scale = self.hyperparams.competition_noise
-        if mode == "softmax":
-            return blockwise_softmax(logits, self.hidden_sizes)
-        if mode == "noisy_softmax":
-            noisy = logits + self._rng.normal(0.0, noise_scale, size=logits.shape)
-            return blockwise_softmax(noisy, self.hidden_sizes)
-        # mode == "sample": winner-take-all draw from the softmax distribution,
-        # with a whiff of noise so exactly-tied uniform columns still split.
-        if noise_scale > 0:
-            logits = logits + self._rng.normal(0.0, 0.1 * noise_scale, size=logits.shape)
-        probs = blockwise_softmax(logits, self.hidden_sizes)
-        return blockwise_sample(probs, self.hidden_sizes, self._rng)
+        hp = self.hyperparams
+        return kernels.compete_into(
+            activations,
+            self.hidden_sizes,
+            hp.competition,
+            hp.competition_noise,
+            self.bias,
+            hp.competition_bias_gain - hp.bias_gain,
+            self._rng,
+            scratch=scratch,
+        )
 
     def train_batch(self, x: np.ndarray, taupdt: Optional[float] = None) -> np.ndarray:
         """One unsupervised learning step on a batch; returns the activations.
@@ -344,7 +338,8 @@ class StructuralPlasticityLayer(BackendExecutionMixin):
             self.hyperparams.bias_gain,
             self.traces,
             taupdt,
-            activity_fn=self._training_activity,
+            # engine.workspace is the one this dispatch streams through.
+            activity_fn=partial(self._training_activity, scratch=engine.workspace),
             sparse=self.sparse_context(),
         )
         # Stale-weights caching: the engine tracks the accumulated

@@ -44,7 +44,9 @@ class LayerWorkspace:
     support, activations:
         ``(batch_size, n_hidden)`` buffers for the support GEMM result and
         the per-hypercolumn softmax.  Smaller (remainder) batches use leading
-        row slices of the same buffers.
+        row slices of the same buffers.  ``support`` is free again once the
+        forward has produced ``activations``; the training step's competition
+        (:func:`repro.kernels.compete_into`) then runs in place in it.
     mean_x, mean_a, mean_outer:
         Batch-statistic buffers consumed by the in-place trace update.
     """
@@ -72,12 +74,23 @@ class LayerWorkspace:
         #: into; allocated lazily on the first sparse dispatch so dense runs
         #: pay nothing (worst case one extra ``batch_size x n_input`` buffer).
         self._gather: np.ndarray = None
+        #: ``(batch_size, n_hidden)`` buffer the competition kernel draws its
+        #: exploration noise into; allocated lazily on the first noisy
+        #: competition so heads, serving engines and ``softmax`` layers pay
+        #: nothing.
+        self._noise: np.ndarray = None
 
     def gather_scratch(self) -> np.ndarray:
         """The flat gather buffer for block-sparse dispatches (lazy)."""
         if self._gather is None:
             self._gather = np.empty(self.batch_size * self.n_input, dtype=np.float64)
         return self._gather
+
+    def noise_scratch(self) -> np.ndarray:
+        """The noise buffer of :func:`repro.kernels.compete_into` (lazy)."""
+        if self._noise is None:
+            self._noise = np.empty((self.batch_size, self.n_hidden), dtype=np.float64)
+        return self._noise
 
     def accommodates(self, n_rows: int) -> bool:
         """Whether a batch of ``n_rows`` fits in the preallocated buffers."""
@@ -93,6 +106,7 @@ class LayerWorkspace:
             + self.mean_a.nbytes
             + self.mean_outer.nbytes
             + (self._gather.nbytes if self._gather is not None else 0)
+            + (self._noise.nbytes if self._noise is not None else 0)
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -40,6 +40,16 @@ class CostBreakdown:
 
     @property
     def total_flops(self) -> float:
+        """FLOPs of one batch in the paper's dense, GEMM-shaped formulation.
+
+        ``statistics_gemm_flops`` stays the dense ``2 * B * N_in * N_hid``
+        on purpose (the figure feeds cross-run comparisons such as the e2e
+        ``kernels.flops_per_fit``): under the default ``sample`` competition
+        on one-hot inputs the activity is one-hot and the statistics are
+        formed by counting co-activations (``kernels.batch_outer_product``),
+        O(nnz) work, so achieved-FLOP/s figures derived from this total
+        overstate the arithmetic actually executed there.
+        """
         return (
             self.support_gemm_flops
             + self.softmax_flops

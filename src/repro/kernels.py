@@ -16,7 +16,12 @@ compatibility.
 
 Every hot-path kernel accepts optional ``out=`` buffers so the execution
 engine (:mod:`repro.engine`) can stream batches through preallocated
-workspaces instead of allocating fresh intermediates per batch.
+workspaces instead of allocating fresh intermediates per batch.  The one
+step of the update that is *not* a GEMM — the training-time competition —
+is a kernel here as well (:func:`compete_into`); under its default
+``sample`` rule it hands :func:`batch_outer_product` the winner indices
+(:class:`OneHotActivity`), whose statistics are counts rather than a
+product of two one-hot matrices.
 
 Notation
 --------
@@ -40,12 +45,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import DataError
-from repro.utils.arrays import blockwise_softmax, block_offsets, stable_log
+from repro.utils.arrays import EPS, blockwise_softmax, block_offsets, stable_log
 
 __all__ = [
     "expand_mask",
     "compute_support",
     "hidden_activations",
+    "OneHotActivity",
+    "compete_into",
     "batch_outer_product",
     "traces_to_weights",
     "ema_update",
@@ -584,9 +591,200 @@ def hidden_activations(
     return blockwise_softmax(support, hidden_sizes, out=out)
 
 
+#: Batch rows from which counting the co-activations of a one-hot activity
+#: beats the GEMM over its dense matrix.  Counting costs O(N_in * N_hid)
+#: whatever the batch (zero-fill + scaling of the count matrix), the GEMM
+#: O(B * N_in * N_hid): measured break-even between 16 and 32 rows at 280
+#: inputs for 150 and for 1200 hidden units (16-row shards: 39 vs 61 us).
+ONE_HOT_COUNT_MIN_ROWS = 32
+
+
+class OneHotActivity:
+    """Winner-take-all training activity: one active unit per row and block.
+
+    ``winners[b, h]`` is the hidden-unit *column* that won hypercolumn ``h``
+    on row ``b``; ``width`` is the number of hidden units.  This is the
+    value :func:`compete_into` returns in ``sample`` mode instead of a
+    zero-filled ``(B, width)`` float matrix: the statistics of a one-hot
+    activity are co-activation *counts*, which :meth:`counts` forms without
+    a GEMM.  :meth:`dense` materialises the matrix for consumers that want
+    one.
+    """
+
+    __slots__ = ("winners", "width")
+
+    def __init__(self, winners: np.ndarray, width: int) -> None:
+        winners = np.asarray(winners)
+        if winners.ndim != 2 or winners.dtype.kind not in "iu":
+            raise DataError("winners must be a 2-D integer array")
+        if winners.size and (winners.min() < 0 or winners.max() >= width):
+            raise DataError(f"winner columns must lie in [0, {width})")
+        self.winners = winners.astype(np.intp, copy=False)
+        self.width = int(width)
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        """Shape of the dense matrix this activity stands for."""
+        return (self.winners.shape[0], self.width)
+
+    def dense(self, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The ``(B, width)`` one-hot float matrix (written into ``out``)."""
+        if out is None:
+            out = np.zeros(self.shape, dtype=np.float64)
+        elif out.shape != self.shape:
+            raise DataError(f"out has shape {out.shape}, expected {self.shape}")
+        else:
+            out[:] = 0.0
+        out[np.arange(out.shape[0])[:, None], self.winners] = 1.0
+        return out
+
+    def counts(self, x: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Sufficient statistics ``(sum_b a, sum_b x^T a)`` of a batch, by counting.
+
+        Only defined when ``x`` is exactly {0,1}-valued, decided by one pass
+        before any index work, and only worth it from
+        :data:`ONE_HOT_COUNT_MIN_ROWS` rows; returns ``None`` otherwise (the
+        caller then densifies and takes the GEMM, whose result is bit for
+        bit the same).  ``sum_outer[i, j]`` counts the rows
+        where input unit ``i`` is on and unit ``j`` won — every entry of the
+        dense ``(n_input, width)`` matrix is produced, silent connections
+        included.  The counts equal what the float GEMM over the dense
+        matrices computes *exactly*: both are sums of at most ``B`` ones,
+        and integers up to 2**53 are exact in float64 in any summation
+        order.  ``sum_outer`` is accumulated in float64 (unit weights) so
+        callers can scale it in place; both arrays are fresh.
+        """
+        if x.shape[0] < ONE_HOT_COUNT_MIN_ROWS:
+            return None
+        ones = x == 1.0
+        if np.count_nonzero(ones) != np.count_nonzero(x):
+            return None
+        n_input = x.shape[1]
+        rows, cols = np.nonzero(ones)
+        pairs = (cols[:, None] * self.width + self.winners[rows]).ravel()
+        sum_outer = np.bincount(
+            pairs, weights=np.ones(pairs.shape[0]), minlength=n_input * self.width
+        ).astype(np.float64, copy=False)  # an all-zero x has no pairs: int zeros
+        sum_a = np.bincount(self.winners.ravel(), minlength=self.width)
+        return sum_a, sum_outer.reshape(n_input, self.width)
+
+
+#: Competition rules of the unsupervised training step (see
+#: :class:`repro.core.hyperparams.BCPNNHyperParameters`).
+COMPETITION_MODES = ("softmax", "noisy_softmax", "sample")
+
+
+def compete_into(
+    activations: np.ndarray,
+    hidden_sizes: Sequence[int],
+    mode: str,
+    noise_scale: float,
+    bias: Optional[np.ndarray],
+    bias_delta: float,
+    rng: np.random.Generator,
+    scratch=None,
+):
+    """Training-time competition over rate-based activations.
+
+    The competition logits are recovered from the forward activations as
+    ``log(max(a, 1e-12))`` (the per-hypercolumn log-normaliser cancels
+    inside the softmax), the occupancy bias is re-weighted by ``bias_delta *
+    bias`` (the conscience mechanism: the layer passes ``competition_bias_gain
+    - bias_gain``), the mode's exploration noise is added and a softmax runs
+    within each hypercolumn.  ``softmax`` and ``noisy_softmax`` return that
+    dense ``(B, H)`` activity; ``sample`` draws one winner per row and
+    hypercolumn from it and returns an :class:`OneHotActivity`.
+
+    ``scratch`` is a workspace (duck-typed on
+    :class:`repro.engine.LayerWorkspace`: a ``support`` buffer, free once
+    the forward produced ``activations``, and ``noise_scratch()``); every
+    ``(B, H)`` intermediate is then computed in place in its buffers — the
+    dense activity returned is a view of ``scratch.support``, valid until
+    the next dispatch — and nothing layer-sized is allocated.  Without it
+    the buffers are allocated per call.  ``activations`` is never written.
+
+    **Draw-order contract.**  The generator is consumed in a fixed order
+    and count, which is what makes training reproducible from a seed (and
+    what a checkpointed generator state resumes into): ``softmax`` draws
+    nothing; ``noisy_softmax`` draws ``B*H`` normals (also at scale 0);
+    ``sample`` draws ``B*H`` normals iff ``noise_scale > 0`` (applied at a
+    tenth of the scale, so exactly-tied columns still split), then
+    ``B*n_hypercolumns`` uniforms.
+    """
+    activations = np.asarray(activations, dtype=np.float64)
+    if activations.ndim != 2:
+        raise DataError(f"activations must be 2-D, got shape {activations.shape}")
+    if mode not in COMPETITION_MODES:
+        raise DataError(f"competition mode must be one of {COMPETITION_MODES}, got {mode!r}")
+    offsets = block_offsets(hidden_sizes)
+    n, width = activations.shape
+    if width != offsets[-1]:
+        raise DataError(f"activations have {width} columns, hidden sizes sum to {offsets[-1]}")
+    if scratch is None:
+        logits = np.empty((n, width), dtype=np.float64)
+    else:
+        logits = scratch.support[:n]
+        if logits.shape != (n, width) or not logits.flags.c_contiguous:
+            raise DataError(
+                f"scratch.support {scratch.support.shape} cannot hold a "
+                f"contiguous {(n, width)} batch"
+            )
+    np.maximum(activations, EPS, out=logits)
+    np.log(logits, out=logits)
+    if bias_delta != 0.0 and bias is not None:
+        logits += bias_delta * bias[None, :]
+    if mode == "noisy_softmax":
+        scale = noise_scale
+    elif mode == "sample" and noise_scale > 0:
+        scale = 0.1 * noise_scale
+    else:
+        scale = None
+    if scale is not None:
+        # ``standard_normal(out=) * scale`` is draw for draw and bit for bit
+        # ``Generator.normal(0.0, scale, size)`` without its fresh array.
+        noise = np.empty_like(logits) if scratch is None else scratch.noise_scratch()[:n]
+        rng.standard_normal(out=noise)
+        noise *= scale
+        logits += noise
+    # (view, hypercolumn slice) pairs; every view is (B, k, m) with one
+    # hypercolumn along its last axis: a single cube over all k = n_blocks
+    # hypercolumns when they share a size, else one k = 1 view per block.
+    starts, stops = offsets[:-1], offsets[1:]
+    n_blocks = starts.shape[0]
+    m = int(stops[0])
+    if np.all(stops - starts == m):
+        blocks = [(logits.reshape(n, n_blocks, m), slice(None))]
+    else:
+        blocks = [
+            (logits[:, None, lo:hi], slice(b, b + 1))
+            for b, (lo, hi) in enumerate(zip(starts, stops))
+        ]
+    for block, _ in blocks:
+        block -= block.max(axis=-1, keepdims=True)
+        np.exp(block, out=block)
+        block /= block.sum(axis=-1, keepdims=True)
+    if mode != "sample":
+        return logits
+    u = rng.random((n, n_blocks))
+    winners = np.empty((n, n_blocks), dtype=np.intp)
+    for block, cols in blocks:
+        # Inverse-cdf pick: the winner is the number of cdf entries the
+        # uniform exceeds, all in place (the comparison lands as 0.0/1.0 in
+        # the probability buffer, whose row sums are then exact counts).
+        norm = block.sum(axis=-1, keepdims=True)
+        norm[norm <= 0.0] = 1.0
+        block /= norm
+        np.cumsum(block, axis=-1, out=block)
+        np.greater(u[:, cols, None], block, out=block)
+        picks = block.sum(axis=-1)
+        np.minimum(picks, block.shape[-1] - 1, out=winners[:, cols], casting="unsafe")
+    winners += starts
+    return OneHotActivity(winners, width)
+
+
 def batch_outer_product(
     x: np.ndarray,
-    a: np.ndarray,
+    a,
     out_x: Optional[np.ndarray] = None,
     out_a: Optional[np.ndarray] = None,
     out_outer: Optional[np.ndarray] = None,
@@ -597,15 +795,39 @@ def batch_outer_product(
     batch average of ``x[:, i] * a[:, j]`` — a single GEMM of shape
     ``(N_in, B) @ (B, N_hid)``.  The three ``out_*`` buffers let callers
     stream statistics into a preallocated workspace.
+
+    ``a`` may be an :class:`OneHotActivity`.  When ``x`` is then exactly
+    {0,1}-valued (the one-hot Higgs encoding) both operands of that GEMM are
+    one-hot and it only *counts* co-activations, so the counts are formed
+    from the indices (:meth:`OneHotActivity.counts`) and scaled by the very
+    operations the GEMM path applies — ``/ B`` for ``mean_a`` (``np.mean``
+    divides) and ``* (1/B)`` for ``mean_outer`` — which makes the result bit
+    for bit the GEMM's.  ``mean_outer`` is then the count array itself,
+    scaled in place (``np.bincount`` owns its result, and copying it into
+    ``out_outer`` would cost a second pass over the matrix): as with any
+    ``out=``-less call, use the returned arrays.  Real-valued ``x``
+    (complementary-coded images, stacked layers) and batches too small for
+    counting to pay take the GEMM on the densified activity, into
+    ``out_outer``.
     """
     x = np.asarray(x, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    if x.ndim != 2 or a.ndim != 2 or x.shape[0] != a.shape[0]:
+    one_hot = isinstance(a, OneHotActivity)
+    if not one_hot:
+        a = np.asarray(a, dtype=np.float64)
+    if x.ndim != 2 or len(a.shape) != 2 or x.shape[0] != a.shape[0]:
         raise DataError("x and a must be 2-D with the same number of rows")
     if x.shape[0] == 0:
         raise DataError("cannot compute batch statistics of an empty batch")
     inv_b = 1.0 / x.shape[0]
     mean_x = np.mean(x, axis=0, out=out_x)
+    if one_hot:
+        counts = a.counts(x)
+        if counts is not None:
+            mean_a = np.true_divide(counts[0], x.shape[0], out=out_a)
+            mean_outer = counts[1]
+            mean_outer *= inv_b
+            return mean_x, mean_a, mean_outer
+        a = a.dense()
     mean_a = np.mean(a, axis=0, out=out_a)
     if out_outer is None:
         mean_outer = (x.T @ a) * inv_b

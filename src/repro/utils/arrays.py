@@ -19,7 +19,6 @@ __all__ = [
     "row_softmax",
     "blockwise_softmax",
     "blockwise_argmax",
-    "blockwise_sample",
     "moving_average_update",
     "stable_log",
     "batch_slices",
@@ -143,32 +142,6 @@ def blockwise_argmax(activations: np.ndarray, block_sizes: Sequence[int]) -> np.
         lo, hi = offsets[b], offsets[b + 1]
         cols.append(activations[:, lo:hi].argmax(axis=1))
     return np.stack(cols, axis=1)
-
-
-def blockwise_sample(
-    activations: np.ndarray, block_sizes: Sequence[int], rng: np.random.Generator
-) -> np.ndarray:
-    """Sample a winner per block according to the block's probabilities.
-
-    Returns a one-hot matrix of the same shape as ``activations``.  Used by
-    the spiking-flavoured evaluation mode.
-    """
-    activations = np.asarray(activations, dtype=np.float64)
-    sizes = np.asarray(block_sizes, dtype=np.int64)
-    offsets = block_offsets(sizes)
-    n = activations.shape[0]
-    out = np.zeros_like(activations)
-    u = rng.random((n, sizes.shape[0]))
-    for b in range(sizes.shape[0]):
-        lo, hi = offsets[b], offsets[b + 1]
-        block = activations[:, lo:hi]
-        norm = block.sum(axis=1, keepdims=True)
-        norm[norm <= 0.0] = 1.0
-        cdf = np.cumsum(block / norm, axis=1)
-        picks = (u[:, b : b + 1] > cdf).sum(axis=1)
-        picks = np.minimum(picks, hi - lo - 1)
-        out[np.arange(n), lo + picks] = 1.0
-    return out
 
 
 def moving_average_update(trace: np.ndarray, target: np.ndarray, rate: float) -> np.ndarray:

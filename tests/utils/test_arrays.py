@@ -11,7 +11,6 @@ from repro.utils.arrays import (
     batch_slices,
     block_offsets,
     blockwise_argmax,
-    blockwise_sample,
     blockwise_softmax,
     moving_average_update,
     normalize_blocks,
@@ -89,20 +88,6 @@ class TestBlockwise:
         acts = np.array([[0.1, 0.9, 0.7, 0.3], [0.8, 0.2, 0.1, 0.9]])
         winners = blockwise_argmax(acts, [2, 2])
         assert np.array_equal(winners, [[1, 0], [0, 1]])
-
-    def test_blockwise_sample_is_one_hot_per_block(self):
-        rng = np.random.default_rng(0)
-        probs = blockwise_softmax(rng.normal(size=(10, 6)), [3, 3])
-        sample = blockwise_sample(probs, [3, 3], rng)
-        assert np.allclose(sample[:, :3].sum(axis=1), 1.0)
-        assert np.allclose(sample[:, 3:].sum(axis=1), 1.0)
-        assert set(np.unique(sample)) <= {0.0, 1.0}
-
-    def test_blockwise_sample_respects_degenerate_distribution(self):
-        rng = np.random.default_rng(0)
-        probs = np.tile(np.array([[1.0, 0.0, 0.0]]), (20, 1))
-        sample = blockwise_sample(probs, [3], rng)
-        assert np.all(sample[:, 0] == 1.0)
 
     def test_block_offsets(self):
         assert np.array_equal(block_offsets([2, 3, 1]), [0, 2, 5, 6])
