@@ -322,6 +322,9 @@ def measure_fused_training_backends(backends=TRAINING_BACKENDS, repeats=5, inner
                 out_weights=weight_buf,
                 out_bias=bias_buf,
             )
+            # The refresh mutates weight_buf in place: tell the engine, or it
+            # keeps dispatching on its cached (stale) weights * mask product.
+            engine.note_weights_refreshed()
             engine.fused_update(x, weight_buf, bias_buf, mask, 1.0, traces, taupdt)
 
         seconds = _time_loop(step, repeats=repeats, inner=inner)

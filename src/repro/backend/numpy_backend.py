@@ -72,7 +72,7 @@ class NumpyBackend(Backend):
             # Block-sparse fast path: one gather-GEMM per hidden hypercolumn
             # over the packed slabs — only the FLOPs the mask requires.
             support_buf = workspace.support[:n_rows] if workspace is not None else None
-            gather = workspace.gather_scratch() if workspace is not None else None
+            gather = workspace.gather_scratch(sparse.layout) if workspace is not None else None
             if out is None and workspace is not None:
                 out = workspace.activations[:n_rows]
             support = kernels.compute_support_sparse(

@@ -128,7 +128,7 @@ class ParallelBackend(Backend):
             self.stats.elements_processed += int(n_rows) * int(sparse.layout.n_hidden)
             if len(chunks) == 1:
                 support_buf = workspace.support[:n_rows] if workspace is not None else None
-                gather = workspace.gather_scratch() if workspace is not None else None
+                gather = workspace.gather_scratch(sparse.layout) if workspace is not None else None
                 support = kernels.compute_support_sparse(
                     x, sparse.blocks, bias, sparse.layout, bias_gain,
                     out=support_buf, gather=gather,

@@ -44,6 +44,11 @@ __all__ = ["Network"]
 
 HeadLayer = Union[BCPNNClassifier, SGDClassifier]
 
+#: Rows per tile of every bulk forward (``predict*``, ``transform``,
+#: ``evaluate`` and the between-phase transforms of ``fit``): the working set
+#: of a forward is ``TILE_ROWS x H`` whatever the input length.
+TILE_ROWS = 512
+
 
 class Network:
     """A feed-forward stack of BCPNN layers with a classification head.
@@ -375,10 +380,9 @@ class Network:
 
             comm = resolve_comm(comm)
             owns_comm = comm is not None
-        representation = x
         try:
-            representation = self._fit_phases(
-                representation,
+            self._fit_phases(
+                x,
                 y,
                 schedule,
                 comm,
@@ -410,7 +414,7 @@ class Network:
 
     def _fit_phases(
         self,
-        representation,
+        x,
         y,
         schedule,
         comm,
@@ -426,14 +430,18 @@ class Network:
         boundary,
         advance,
     ):
-        """Run the hidden-layer and head training phases for ``fit``."""
+        """Run the hidden-layer and head training phases for ``fit``.
+
+        Each unit trains on the tiled forward of ``x`` through the layers
+        before it (:meth:`_tiled`) — one ``(N, H)`` matrix, released before
+        the next unit's is built, and the only thing ``fit`` holds at the
+        size of the training set.
+        """
+        n_hidden = len(self.hidden_layers)
         try:
-            for index, layer in enumerate(self.hidden_layers):
-                if index < start_layer:
-                    # Already trained (restored from the checkpoint): only
-                    # its forward pass is needed to feed the next unit.
-                    representation = layer.forward(representation)
-                    continue
+            for index in range(start_layer, n_hidden):
+                layer = self.hidden_layers[index]
+                representation = self._tiled(x, n_layers=index)
                 layer_start = hidden_start_epoch if index == start_layer else 0
                 layer_unit = unit_extras if index == start_layer else None
                 if comm is not None:
@@ -468,11 +476,11 @@ class Network:
                         start_epoch=layer_start,
                         boundary=boundary,
                     )
-                if index + 1 < len(self.hidden_layers):
+                del representation
+                if index + 1 < n_hidden:
                     advance({"phase": "hidden", "layer_index": index + 1, "epochs_done": 0})
                 else:
                     advance({"phase": "head", "epochs_done": 0})
-                representation = layer.forward(representation)
         finally:
             if owns_comm:
                 comm.close()
@@ -480,7 +488,7 @@ class Network:
         # -------------------------------------------- phase 2: classification
         if not resume_done:
             self._train_head(
-                representation,
+                self._tiled(x),
                 y,
                 schedule,
                 callback_list,
@@ -489,7 +497,6 @@ class Network:
                 boundary=boundary,
             )
             advance({"phase": "done", "epochs_done": 0})
-        return representation
 
     def _batch_stream(
         self, x: np.ndarray, y: Optional[np.ndarray], schedule: TrainingSchedule
@@ -608,11 +615,13 @@ class Network:
             # Phase boundary: publish weights matching the final traces (a
             # no-op unless stale-weights caching deferred a refresh), then
             # restore the default execution contract — single-buffer engines
-            # (inference-sized workspaces must not be allocated twice) and
-            # exact per-batch refreshes, so later direct ``train_batch``
-            # callers get the historical refresh-every-batch semantics.
+            # and exact per-batch refreshes, so later direct ``train_batch``
+            # callers get the historical refresh-every-batch semantics — and
+            # release the training engine: a fitted network keeps parameters,
+            # not scratch (``engine_for`` rebuilds it on the next dispatch).
             layer.flush_weights()
             layer.configure_execution(n_buffers=1, weight_refresh_tol=0.0)
+            layer._reset_engine()
 
     def _train_hidden_layer_comm(
         self,
@@ -731,8 +740,10 @@ class Network:
             )
         finally:
             # Phase boundary: settle the dense weight matrix the sparse
-            # plan's packed refreshes may have deferred (a no-op otherwise).
+            # plan's packed refreshes may have deferred (a no-op otherwise),
+            # and drop any engine an earlier serial fit left on the layer.
             layer.flush_weights()
+            layer._reset_engine()
 
     def _train_head(
         self,
@@ -823,13 +834,42 @@ class Network:
         if self.head is None or not self.head.is_built:
             raise NotFittedError("the network has not been trained; call fit() first")
 
+    def _tiled(
+        self, x, head_stage=None, tail=(), dtype=np.float64, n_layers: Optional[int] = None
+    ) -> np.ndarray:
+        """``x`` through the first ``n_layers`` hidden layers (default all), tile by tile.
+
+        Every bulk forward is this loop: at most ``TILE_ROWS`` rows at a time
+        go through :meth:`~repro.serving.StreamingPredictor.hidden_tiles`
+        (the loop ``predict_stream`` runs) and then through ``head_stage`` (a
+        head method returning ``(rows, *tail)`` of ``dtype``) when one is
+        given.  The returned ``(n_samples, ...)`` array is the only
+        allocation that grows with the input (none for zero layers).  The
+        predictor is never cached: its tile workspaces die with the call, so
+        bulk calls leave nothing on the network (a retained workspace makes
+        the *next* fit's ``(N, H)`` matrix grow the heap — docs/training.md,
+        "Memory model of ``fit``").
+        """
+        from repro.serving import StreamingPredictor
+
+        x = np.asarray(x)
+        if x.ndim != 2:
+            raise DataError(f"input batch must be 2-D, got shape {x.shape}")
+        layers = self.hidden_layers[:n_layers]
+        if head_stage is None:
+            if not layers:
+                return np.asarray(x, dtype=np.float64)
+            tail = (layers[-1].n_hidden_units,)
+        out = np.empty((x.shape[0], *tail), dtype=dtype)
+        predictor = StreamingPredictor(self, batch_size=max(1, min(x.shape[0], TILE_ROWS)))
+        for batch, hidden in predictor.hidden_tiles(x, len(layers)):
+            out[batch.indices] = hidden if head_stage is None else head_stage(hidden)
+        return out
+
     def transform(self, x: np.ndarray) -> np.ndarray:
         """Hidden representation of ``x`` (output of the last hidden layer)."""
         self._require_fitted()
-        representation = np.asarray(x, dtype=np.float64)
-        for layer in self.hidden_layers:
-            representation = layer.forward(representation)
-        return representation
+        return self._tiled(x)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Class-probability matrix for encoded inputs.
@@ -853,11 +893,11 @@ class Network:
             ``x`` does not match the built input spec.
         """
         self._require_fitted()
-        return self.head.predict_proba(self.transform(x))
+        return self._tiled(x, self.head.predict_proba, (self.head.n_classes,))
 
     def decision_function(self, x: np.ndarray) -> np.ndarray:
         self._require_fitted()
-        return self.head.decision_function(self.transform(x))
+        return self._tiled(x, self.head.decision_function, (self.head.n_classes,))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Hard class predictions for encoded inputs.
@@ -882,7 +922,7 @@ class Network:
             ``x`` does not match the built input spec.
         """
         self._require_fitted()
-        return self.head.predict(self.transform(x))
+        return self._tiled(x, self.head.predict, (), np.int64)
 
     # ----------------------------------------------------- streaming serving
     def _streaming_predictor(self, batch_size: int, backend):
@@ -912,9 +952,9 @@ class Network:
     def predict_stream(self, x, batch_size: int = 1024, backend=None) -> np.ndarray:
         """Hard class predictions, streamed at O(batch) memory.
 
-        Equivalent to :meth:`predict` (bit-for-bit on the NumPy backend) but
-        never materialises a layer-sized intermediate for the whole input:
-        batches stream through preallocated engine workspaces, and on a
+        The tile loop of :meth:`predict` with the knobs exposed: the caller
+        picks the tile size and may force a backend, the predictor (and its
+        workspaces) is cached on the network for repeated calls, and on a
         distributed backend the rows are sharded over the ranks with a
         single gather of the predictions.  ``x`` may also be a prebuilt
         :class:`~repro.datasets.stream.BatchStream`.

@@ -27,6 +27,8 @@ Two flags support the pipelined training engine (:mod:`repro.engine.plan`):
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from repro.exceptions import ConfigurationError
@@ -37,18 +39,26 @@ __all__ = ["LayerWorkspace"]
 class LayerWorkspace:
     """Reusable buffers for one ``(n_input, n_hidden, batch_size)`` shape set.
 
+    Only ``support`` and ``activations`` — what every dispatch needs — are
+    allocated up front.  The rest is allocated on first use, so a
+    forward-only engine (serving stage, bulk-inference tile) holds its two
+    ``(batch_size, n_hidden)`` buffers and nothing else.
+
     Attributes
     ----------
-    masked_weights:
-        ``(n_input, n_hidden)`` scratch for the ``weights * mask`` product.
     support, activations:
         ``(batch_size, n_hidden)`` buffers for the support GEMM result and
         the per-hypercolumn softmax.  Smaller (remainder) batches use leading
         row slices of the same buffers.  ``support`` is free again once the
         forward has produced ``activations``; the training step's competition
         (:func:`repro.kernels.compete_into`) then runs in place in it.
+    masked_weights:
+        ``(n_input, n_hidden)`` scratch for the ``weights * mask`` product
+        (lazy: a sparse dispatch never reads it).
     mean_x, mean_a, mean_outer:
-        Batch-statistic buffers consumed by the in-place trace update.
+        Batch-statistic buffers consumed by the in-place trace update (lazy:
+        inference never reads them, and the winner-index statistics path
+        returns its own ``mean_outer``).
     """
 
     def __init__(self, n_input: int, n_hidden: int, batch_size: int) -> None:
@@ -60,19 +70,14 @@ class LayerWorkspace:
         self.n_input = int(n_input)
         self.n_hidden = int(n_hidden)
         self.batch_size = int(batch_size)
-        self.masked_weights = np.empty((self.n_input, self.n_hidden), dtype=np.float64)
         self.support = np.empty((self.batch_size, self.n_hidden), dtype=np.float64)
         self.activations = np.empty((self.batch_size, self.n_hidden), dtype=np.float64)
-        self.mean_x = np.empty(self.n_input, dtype=np.float64)
-        self.mean_a = np.empty(self.n_hidden, dtype=np.float64)
-        self.mean_outer = np.empty((self.n_input, self.n_hidden), dtype=np.float64)
         #: Whether ``masked_weights`` currently holds the full weights*mask
         #: product (dense multiply or sparse scatter) for the weight/mask
         #: pair the owning engine last saw.
         self.masked_valid = False
         #: Flat scratch the sparse gather-GEMM copies active input columns
-        #: into; allocated lazily on the first sparse dispatch so dense runs
-        #: pay nothing (worst case one extra ``batch_size x n_input`` buffer).
+        #: into; allocated on the first sparse dispatch, sized by its layout.
         self._gather: np.ndarray = None
         #: ``(batch_size, n_hidden)`` buffer the competition kernel draws its
         #: exploration noise into; allocated lazily on the first noisy
@@ -80,10 +85,32 @@ class LayerWorkspace:
         #: nothing.
         self._noise: np.ndarray = None
 
-    def gather_scratch(self) -> np.ndarray:
-        """The flat gather buffer for block-sparse dispatches (lazy)."""
-        if self._gather is None:
-            self._gather = np.empty(self.batch_size * self.n_input, dtype=np.float64)
+    @cached_property
+    def masked_weights(self) -> np.ndarray:
+        return np.empty((self.n_input, self.n_hidden), dtype=np.float64)
+
+    @cached_property
+    def mean_x(self) -> np.ndarray:
+        return np.empty(self.n_input, dtype=np.float64)
+
+    @cached_property
+    def mean_a(self) -> np.ndarray:
+        return np.empty(self.n_hidden, dtype=np.float64)
+
+    @cached_property
+    def mean_outer(self) -> np.ndarray:
+        return np.empty((self.n_input, self.n_hidden), dtype=np.float64)
+
+    def gather_scratch(self, layout) -> np.ndarray:
+        """The flat gather buffer for block-sparse dispatches (lazy).
+
+        Sized for ``layout`` (a :class:`~repro.kernels.SparseLayout`): every
+        block's active input columns for a full batch — the most one batched
+        gather-GEMM reads.  Regrown when a later layout needs more.
+        """
+        size = self.batch_size * sum(layout.n_active_units)
+        if self._gather is None or self._gather.size < size:
+            self._gather = np.empty(size, dtype=np.float64)
         return self._gather
 
     def noise_scratch(self) -> np.ndarray:
@@ -98,16 +125,9 @@ class LayerWorkspace:
 
     def nbytes(self) -> int:
         """Total bytes held by the workspace (for memory reports)."""
-        return int(
-            self.masked_weights.nbytes
-            + self.support.nbytes
-            + self.activations.nbytes
-            + self.mean_x.nbytes
-            + self.mean_a.nbytes
-            + self.mean_outer.nbytes
-            + (self._gather.nbytes if self._gather is not None else 0)
-            + (self._noise.nbytes if self._noise is not None else 0)
-        )
+        lazy = ("masked_weights", "mean_x", "mean_a", "mean_outer", "_gather", "_noise")
+        held = [self.support, self.activations] + [vars(self).get(name) for name in lazy]
+        return int(sum(buffer.nbytes for buffer in held if buffer is not None))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -32,7 +32,8 @@ Entry points:
   resolution for a fitted network.
 * :func:`predict_stream` / :func:`predict_proba_stream` — one-shot helpers.
 * ``Network.predict_stream`` / ``Network.predict_proba_stream`` — facades on
-  the network front end.
+  the network front end (``Network.predict`` and its siblings run the same
+  tile loop on a throw-away predictor).
 * ``python -m repro.cli predict`` — CSV/npz in, predictions out (bulk).
 * :class:`PredictionServer` / ``python -m repro.cli serve`` — the online
   request-facing HTTP endpoint over :class:`ModelRunner` +

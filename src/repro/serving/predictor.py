@@ -1,14 +1,18 @@
 """The streaming predictor: constant-memory, rank-sharded bulk inference.
 
-``Network.predict`` materialises the full input and every layer-sized
-intermediate in one shot; :class:`StreamingPredictor` instead drives a
+:class:`StreamingPredictor` drives a
 :class:`~repro.datasets.stream.BatchStream` through
 :class:`~repro.engine.LayerEngine.forward` with preallocated (optionally
 double-buffered) :class:`~repro.engine.LayerWorkspace` buffers, so inference
 over any input length runs at O(batch) memory and the steady-state loop
-performs zero layer-sized allocations.  Per-backend numerics are identical to
-``Network.predict`` up to the backend's declared precision (bit-for-bit on
-the NumPy backend — ``tests/serving`` enforces both).
+performs zero layer-sized allocations.  Its tile loop
+(:meth:`StreamingPredictor.hidden_tiles`) is the only bulk forward in the
+repo: ``Network.predict`` / ``predict_proba`` / ``transform`` / ``evaluate``
+and the between-phase transforms of ``Network.fit`` run on a throw-away
+predictor, ``Network.predict_stream`` on a cached one.  Per-backend numerics
+equal the layers' own ``forward`` up to the backend's declared precision
+(bit-for-bit on the NumPy backend at equal tile boundaries —
+``tests/serving`` and ``tests/core/test_network_memory.py`` enforce both).
 
 Sharding comes in two flavours:
 
@@ -351,17 +355,28 @@ class StreamingPredictor(BackendExecutionMixin):
                 stage.rebuild(effective, max(int(n_rows), self.batch_size), self.n_buffers)
 
     # ------------------------------------------------------------- dispatch
-    def _hidden_batch(self, x: np.ndarray, ordinal: int) -> np.ndarray:
+    def _hidden_batch(self, x: np.ndarray, ordinal: int, n_layers=None) -> np.ndarray:
         """The hidden representation of one batch (a workspace view)."""
         representation = x
-        for stage in self._stages:
+        for stage in self._stages[:n_layers]:
             representation = stage.layer.input_spec.validate_batch(representation)
             representation = stage.forward(representation, ordinal)
         return representation
 
-    def _decision_batch(self, x: np.ndarray, ordinal: int) -> np.ndarray:
-        """Head support values for one batch, streamed through the stages."""
-        return self.head.decision_function(self._hidden_batch(x, ordinal))
+    def hidden_tiles(self, source: Source, n_layers: Optional[int] = None):
+        """Yield ``(batch, hidden)`` for every batch of ``source``, in order.
+
+        The one tile loop behind every bulk forward: ``predict_stream`` and
+        ``predict_proba_stream`` here, and ``Network.predict`` /
+        ``predict_proba`` / ``decision_function`` / ``transform`` / the
+        between-phase transform of ``Network.fit``.  ``hidden`` is the output
+        of the first ``n_layers`` hidden layers (default: all of them) — a
+        workspace view that the next tile overwrites, so consume or copy it
+        before advancing.  Non-float64 rows are converted per tile.
+        """
+        for batch in self._as_stream(source):
+            self._ensure_capacity(batch.size)
+            yield batch, self._hidden_batch(batch.x, batch.ordinal, n_layers)
 
     def _scatter_batch(
         self, out: np.ndarray, batch, representation: np.ndarray, proba: bool
@@ -384,13 +399,8 @@ class StreamingPredictor(BackendExecutionMixin):
         so the outputs are bit-for-bit identical to the sequential loop.
         """
         if not self.pipeline:
-            for batch in stream:
-                self._ensure_capacity(batch.size)
-                decision = self._decision_batch(batch.x, batch.ordinal)
-                if proba:
-                    out[batch.indices] = row_softmax(decision)
-                else:
-                    out[batch.indices] = np.argmax(decision, axis=1)
+            for batch, hidden in self.hidden_tiles(stream):
+                self._scatter_batch(out, batch, hidden, proba)
             return out
         with PipelineWorker(name=f"{self.name}-pipeline") as worker:
             pending = None

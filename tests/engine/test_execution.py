@@ -191,6 +191,36 @@ class TestWorkspaceReuse:
         )
         assert ws.nbytes() == expected
 
+    def test_forward_only_workspace_holds_two_batch_buffers(self):
+        # Everything but support/activations is allocated on first use, and
+        # nbytes() counts exactly what has been.
+        x, weights, bias, mask, p_i, p_j, p_ij = _problem(seed=11)
+        engine = LayerEngine(get_backend("numpy"), ExecutionPlan(N_INPUT, HIDDEN_SIZES, BATCH))
+        ws = engine.workspace
+        batch_buffers = 2 * BATCH * N_HIDDEN * 8
+        assert ws.nbytes() == batch_buffers
+        engine.forward(x, weights, bias, None)
+        assert ws.nbytes() == batch_buffers
+        engine.forward(x, weights, bias, mask)  # the dense masked product
+        assert ws.nbytes() == batch_buffers + N_INPUT * N_HIDDEN * 8
+        engine.fused_update(x, weights, bias, mask, 1.0, _Traces(p_i, p_j, p_ij), 0.01)
+        statistics = (N_INPUT + N_HIDDEN + N_INPUT * N_HIDDEN) * 8
+        assert ws.nbytes() == batch_buffers + N_INPUT * N_HIDDEN * 8 + statistics
+
+    def test_gather_scratch_is_sized_by_the_layout(self):
+        input_sizes = [4] * (N_INPUT // 4)
+        mask = np.zeros((len(input_sizes), len(HIDDEN_SIZES)))
+        mask[:2] = 1  # two input hypercolumns (8 units) per hidden block
+        narrow = kernels.SparseLayout(mask, input_sizes, HIDDEN_SIZES)
+        ws = LayerWorkspace(N_INPUT, N_HIDDEN, BATCH)
+        gather = ws.gather_scratch(narrow)
+        assert gather.size == BATCH * 8 * len(HIDDEN_SIZES) < BATCH * N_INPUT
+        assert ws.gather_scratch(narrow) is gather
+        mask[:5] = 1
+        wider = kernels.SparseLayout(mask, input_sizes, HIDDEN_SIZES)
+        assert ws.gather_scratch(wider).size == BATCH * 20 * len(HIDDEN_SIZES)
+        assert ws.nbytes() == 2 * BATCH * N_HIDDEN * 8 + BATCH * 20 * len(HIDDEN_SIZES) * 8
+
     def test_invalid_plan_rejected(self):
         with pytest.raises(ConfigurationError):
             ExecutionPlan(0, HIDDEN_SIZES, BATCH)

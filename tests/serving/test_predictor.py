@@ -224,6 +224,82 @@ class TestStreamingMemory:
         assert np.array_equal(single.predict_stream(x), double.predict_stream(x))
 
 
+    def test_forward_only_stage_holds_two_batch_buffers(self, trained_network):
+        # The lean workspace: a serving stage allocates the support and
+        # activation buffers (plus, on a sparse layer, the gather scratch of
+        # its layout) and none of the training-side statistics buffers.
+        predictor = StreamingPredictor(trained_network, batch_size=128)
+        layer = trained_network.hidden_layers[0]
+        batch_buffers = 2 * 128 * layer.n_hidden_units * 8
+        assert predictor.workspace_nbytes() == batch_buffers
+        predictor.predict_stream(np.zeros((128, layer.input_spec.n_units)))
+        gather = 128 * sum(layer.sparse_layout.n_active_units) * 8
+        assert predictor.workspace_nbytes() == batch_buffers + gather
+
+
+class TestHiddenTiles:
+    """``hidden_tiles`` — the one tile loop ``Network``'s bulk calls share."""
+
+    def test_tiles_are_workspace_views_in_stream_order(self, trained_network, encoded_higgs):
+        x = encoded_higgs["x_test"][:300]
+        predictor = StreamingPredictor(trained_network, batch_size=128)
+        workspace = predictor._stages[-1].engines[0].workspace
+        rows = []
+        for batch, hidden in predictor.hidden_tiles(x):
+            assert np.shares_memory(hidden, workspace.activations)
+            assert np.array_equal(hidden, trained_network.hidden_layers[0].forward(batch.x))
+            rows.append(batch.indices)
+        assert np.array_equal(np.concatenate(rows), np.arange(300))
+        assert [len(r) for r in rows] == [128, 128, 44]
+
+    def test_layer_prefix(self, encoded_higgs):
+        from repro.core import Network, SGDClassifier, StructuralPlasticityLayer, TrainingSchedule
+
+        network = Network(seed=0)
+        network.add(StructuralPlasticityLayer(2, 12, density=0.5, seed=1))
+        network.add(StructuralPlasticityLayer(2, 6, density=1.0, seed=2))
+        network.add(SGDClassifier(n_classes=2, seed=3))
+        x = encoded_higgs["x_train"][:256]
+        network.fit(
+            x, encoded_higgs["y_train"][:256], input_spec=encoded_higgs["spec"],
+            schedule=TrainingSchedule(hidden_epochs=1, classifier_epochs=1, batch_size=128),
+        )
+        predictor = StreamingPredictor(network, batch_size=256)
+        first, second = network.hidden_layers
+        (_, raw), = predictor.hidden_tiles(x, n_layers=0)
+        assert raw is not None and np.array_equal(raw, x)
+        (_, one), = predictor.hidden_tiles(x, n_layers=1)
+        assert np.array_equal(one, first.forward(x))
+        (_, both), = predictor.hidden_tiles(x)
+        assert np.array_equal(both, second.forward(first.forward(x)))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
+    def test_compact_encodings_are_converted_per_tile(self, trained_network, encoded_higgs, dtype):
+        x = np.vstack([encoded_higgs["x_test"]] * 8)  # 4800 x 280
+        compact = x.astype(dtype)
+        predictor = StreamingPredictor(trained_network, batch_size=128)
+        expected = predictor.predict_stream(x)
+        tracemalloc.start()
+        labels = predictor.predict_stream(compact)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert np.array_equal(labels, expected)
+        # One 128-row tile is converted at a time (0.29 MB); the whole matrix
+        # as float64 would be 10.8 MB.
+        assert peak < 1024 * 1024
+
+    def test_network_bulk_calls_use_a_throwaway_predictor(self, trained_network, encoded_higgs):
+        # predict/evaluate must not park tile workspaces on the network: only
+        # predict_stream caches its predictor.
+        trained_network._serving_predictor = None
+        x = encoded_higgs["x_test"]
+        trained_network.predict(x)
+        trained_network.evaluate(x, encoded_higgs["y_test"])
+        assert trained_network._serving_predictor is None
+        trained_network.predict_stream(x)
+        assert trained_network._serving_predictor is not None
+
+
 class TestSources:
     def test_batch_stream_source_respects_indices(self, trained_network, encoded_higgs):
         x = encoded_higgs["x_test"]
