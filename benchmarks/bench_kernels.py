@@ -383,18 +383,30 @@ def measure_streaming_inference(
     for name in backends:
         predictor = StreamingPredictor(network, batch_size=batch_size, backend=name)
         predictor.predict_stream(x[: 2 * batch_size])  # warm up engines/pools
-        timings = []
+        # The encoder's stored form (one byte per unit, widened per batch in
+        # ``validate_batch``) beside its float64 copy: same model, same rows,
+        # timed alternately so the pair shares whatever drift there is.
+        inputs = {name: x}
+        if name == "numpy":
+            inputs["numpy_uint8_input"] = x.astype(np.uint8)
+        timings = {row: [] for row in inputs}
         for _ in range(repeats):
-            start = time.perf_counter()
-            predictor.predict_stream(x)
-            timings.append(time.perf_counter() - start)
-        best = float(min(timings))
-        results[name] = {
-            "seconds_total": best,
-            "rows_per_second": n_samples / max(best, 1e-12),
-            "workspace_bytes": predictor.workspace_nbytes(),
-        }
+            for row, rows in inputs.items():
+                start = time.perf_counter()
+                predictor.predict_stream(rows)
+                timings[row].append(time.perf_counter() - start)
+        for row in inputs:
+            best = float(min(timings[row]))
+            results[row] = {
+                "seconds_total": best,
+                "rows_per_second": n_samples / max(best, 1e-12),
+                "workspace_bytes": predictor.workspace_nbytes(),
+            }
         predictor.backend.close()
+    if "numpy" in results:
+        results["numpy_uint8_input"]["vs_float64_input"] = (
+            results["numpy_uint8_input"]["rows_per_second"] / results["numpy"]["rows_per_second"]
+        )
     return {
         "config": {
             "n_input": N_INPUT,
@@ -653,7 +665,7 @@ def test_streaming_inference_throughput_recorded():
     trajectory.  The JSON is regenerated by ``python benchmarks/bench_kernels.py``.
     """
     outcome = measure_streaming_inference(n_samples=2048, repeats=2)
-    for name in SERVING_BACKENDS:
+    for name in SERVING_BACKENDS + ("numpy_uint8_input",):
         entry = outcome["backends"][name]
         assert entry["rows_per_second"] > 0
         assert entry["workspace_bytes"] > 0
@@ -704,6 +716,9 @@ def _committed_speedups(payload):
     overlap = payload.get("comm_overlap")
     if overlap:
         metrics["comm_overlap.speedup"] = float(overlap["speedup"])
+    compact = payload.get("streaming_inference", {}).get("backends", {}).get("numpy_uint8_input")
+    if compact:
+        metrics["streaming_inference.uint8_vs_float64_input"] = float(compact["vs_float64_input"])
     sparse = payload.get("sparse_density_sweep")
     if sparse:
         for row in sparse.get("densities", []):

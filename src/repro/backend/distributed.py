@@ -40,6 +40,7 @@ from repro.comm import CommRequest, Communicator, LocalComm, split_ranks
 from repro.engine.pipeline import mean_activation_entropy, resolve_comm_overlap
 from repro.exceptions import BackendError, DataError
 from repro.utils.logging import get_logger
+from repro.utils.validation import check_numeric_dtype
 
 logger = get_logger(__name__)
 
@@ -532,7 +533,7 @@ def train_layer_program(
     def gather_shard(order: np.ndarray, start: int) -> np.ndarray:
         batch_idx = order[start : start + batch_size]
         lo, hi = split_ranks(batch_idx.shape[0], size)[rank]
-        return x[batch_idx[lo:hi]]
+        return x[batch_idx[lo:hi]].astype(np.float64, copy=False)
 
     def fill_statistics(local: np.ndarray, activations, ctx) -> np.ndarray:
         """Pack this rank's shard statistics; returns the payload to reduce."""
@@ -910,7 +911,7 @@ class DistributedTrainer:
         start of that global batch, exactly once — the test hook behind
         ``repro train --inject-crash``.
         """
-        x = np.ascontiguousarray(x, dtype=np.float64)
+        x = np.ascontiguousarray(check_numeric_dtype(x))  # broadcast in its stored dtype
         if x.ndim != 2:
             raise DataError("x must be a 2-D activation matrix")
         if x.shape[0] == 0:

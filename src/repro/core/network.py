@@ -38,7 +38,7 @@ from repro.metrics.classification import accuracy as accuracy_metric
 from repro.metrics.classification import log_loss as log_loss_metric
 from repro.metrics.roc import roc_auc
 from repro.utils.rng import as_rng
-from repro.utils.validation import check_labels
+from repro.utils.validation import check_labels, check_numeric_dtype
 
 __all__ = ["Network"]
 
@@ -204,7 +204,8 @@ class Network:
         ----------
         x:
             ``(n_samples, n_features)`` encoded (one-hot per hypercolumn)
-            training matrix.
+            training matrix of any real dtype; kept as stored (``uint8``
+            from the encoder) and widened to float64 one batch at a time.
         y:
             ``(n_samples,)`` integer class labels.
         input_spec:
@@ -262,7 +263,7 @@ class Network:
         Raises
         ------
         DataError
-            ``x`` is not 2-D, or ``x`` and ``y`` are misaligned.
+            ``x`` is not a 2-D real-valued matrix, or misaligned with ``y``.
         ConfigurationError
             No classification head was added, or no input spec is
             available, or an override value is invalid.
@@ -285,7 +286,7 @@ class Network:
             overrides["fault_tolerance"] = bool(fault_tolerance)
         if overrides:
             schedule = schedule.replace(**overrides)
-        x = np.asarray(x, dtype=np.float64)
+        x = check_numeric_dtype(x)
         if x.ndim != 2:
             raise DataError("x must be a 2-D matrix")
         y = check_labels(y, name="y")
@@ -852,13 +853,13 @@ class Network:
         """
         from repro.serving import StreamingPredictor
 
-        x = np.asarray(x)
+        x = check_numeric_dtype(x)
         if x.ndim != 2:
             raise DataError(f"input batch must be 2-D, got shape {x.shape}")
         layers = self.hidden_layers[:n_layers]
         if head_stage is None:
             if not layers:
-                return np.asarray(x, dtype=np.float64)
+                return x  # stored dtype: the unit trained on it widens per batch
             tail = (layers[-1].n_hidden_units,)
         out = np.empty((x.shape[0], *tail), dtype=dtype)
         predictor = StreamingPredictor(self, batch_size=max(1, min(x.shape[0], TILE_ROWS)))

@@ -33,11 +33,12 @@ class QuantileOneHotEncoder:
     ----------
     n_bins:
         Number of quantile bins per feature (the paper uses 10).
-    dtype:
-        Output dtype of the encoded matrix.
 
     Notes
     -----
+    * The encoded matrix is ``uint8`` — one byte per input unit.  Training
+      and inference widen it to float64 one ``(batch, n_units)`` tile at a
+      time (``InputSpec.validate_batch``), never as a whole.
     * Bin edges are the interior quantiles of the *fit* data; values outside
       the fitted range fall into the first/last bin, so the transform is
       total.
@@ -45,9 +46,8 @@ class QuantileOneHotEncoder:
       columns so the hypercolumn layout stays uniform; all mass goes to bin 0.
     """
 
-    def __init__(self, n_bins: int = 10, dtype=np.float64) -> None:
+    def __init__(self, n_bins: int = 10) -> None:
         self.n_bins = check_positive_int(n_bins, "n_bins", minimum=2)
-        self.dtype = dtype
         self._edges: Optional[np.ndarray] = None  # (n_features, n_bins - 1)
         self._n_features: Optional[int] = None
 
@@ -105,13 +105,13 @@ class QuantileOneHotEncoder:
         return indices
 
     def transform(self, features: np.ndarray) -> np.ndarray:
-        """One-hot encode: output shape ``(n_samples, n_features * n_bins)``."""
+        """One-hot encode: ``(n_samples, n_features * n_bins)`` of ``uint8``."""
         indices = self.bin_indices(features)
         n_samples, n_features = indices.shape
-        out = np.zeros((n_samples, n_features * self.n_bins), dtype=self.dtype)
+        out = np.zeros((n_samples, n_features * self.n_bins), dtype=np.uint8)
         cols = indices + np.arange(n_features)[None, :] * self.n_bins
         rows = np.repeat(np.arange(n_samples), n_features)
-        out[rows, cols.ravel()] = 1.0
+        out[rows, cols.ravel()] = 1
         return out
 
     def fit_transform(self, features: np.ndarray) -> np.ndarray:
@@ -121,7 +121,7 @@ class QuantileOneHotEncoder:
         """Recover bin indices from an encoded (or soft probability) matrix."""
         if self._edges is None:
             raise NotFittedError("encoder must be fitted")
-        X = check_array(encoded, name="encoded", ndim=2)
+        X = check_array(encoded, name="encoded", ndim=2, dtype=None)
         if X.shape[1] != self.n_output_units:
             raise DataError(
                 f"expected {self.n_output_units} encoded columns, got {X.shape[1]}"

@@ -17,6 +17,7 @@ from repro.exceptions import ConfigurationError, DataError
 
 __all__ = [
     "check_array",
+    "check_numeric_dtype",
     "check_positive_int",
     "check_fraction",
     "check_probability_matrix",
@@ -78,6 +79,21 @@ def check_array(
     if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
         raise DataError(f"{name} contains NaN or infinite values")
     return np.ascontiguousarray(arr)
+
+
+def check_numeric_dtype(value, name: str = "x") -> np.ndarray:
+    """``value`` as an ndarray in its stored dtype; reject what no kernel can widen.
+
+    ``Network.fit``, the tiled forward and the SPMD trainer keep a dataset as
+    it arrives (one byte per unit for the ``uint8`` one-hot encoding) and
+    widen per batch in ``InputSpec.validate_batch``: bool and every
+    integer/float width pass; object, string and complex input is refused
+    here, before a kernel — or a worker rank after the broadcast — sees it.
+    """
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "biuf":
+        raise DataError(f"{name} has unsupported dtype {arr.dtype}; expected a real numeric matrix")
+    return arr
 
 
 def check_positive_int(value, name: str, *, minimum: int = 1) -> int:

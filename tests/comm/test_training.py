@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.backend.distributed import DistributedTrainer
-from repro.comm import ProcessComm, SerialComm, ThreadComm
+from repro.comm import ProcessComm, SerialComm, TCPComm, ThreadComm
 from repro.core import (
     BCPNNClassifier,
     BCPNNHyperParameters,
@@ -20,6 +20,7 @@ from repro.core import (
 )
 from repro.experiments.distributed_experiment import run_distributed_equivalence
 from repro.utils.rng import as_rng
+from tests.core.test_input_dtype import assert_same_fit, fit, one_hot
 
 ATOL = 1e-9
 
@@ -194,6 +195,39 @@ class TestNetworkFitComm:
         assert len(entropies) == 4
         assert all(entropy > 0.0 for entropy in entropies)
         assert all(later < earlier for earlier, later in zip(entropies, entropies[1:]))
+
+
+@pytest.fixture(scope="module")
+def tcp_pool():
+    comm = TCPComm(2, timeout=60.0)
+    yield comm
+    comm.close()
+
+
+class TestStoredInputDtype:
+    """The dataset crosses the transport in its stored dtype and changes nothing.
+
+    Worker ranks receive the ``uint8`` one-hot matrix (N x n_in bytes, not
+    x 8) and widen their ``(B/R, n_in)`` shard per batch; the fit must equal
+    the fit on the float64 copy bit for bit.  Serial, pipelined and
+    ``thread:2`` routes: ``tests/core/test_input_dtype.py``.
+    """
+
+    @pytest.mark.parametrize("density", [0.3, 1.0])
+    @pytest.mark.parametrize("transport", ["process", "tcp"])
+    def test_uint8_and_float64_fits_are_bitwise_equal(
+        self, transport, density, process_pool, tcp_pool
+    ):
+        comm = process_pool if transport == "process" else tcp_pool
+        x = one_hot(320)
+        start = comm.bytes_communicated
+        compact = fit(x, density, comm=comm)
+        compact_bytes = comm.bytes_communicated - start
+        wide = fit(x.astype(np.float64), density, comm=comm)
+        wide_bytes = comm.bytes_communicated - start - compact_bytes
+        assert_same_fit(compact, wide)
+        # Same collectives either way except the one broadcast of x.
+        assert wide_bytes - compact_bytes == 7 * x.size
 
 
 class TestExperimentAcrossTransports:

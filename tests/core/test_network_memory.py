@@ -392,3 +392,37 @@ class TestMemory:
         # top of the tile's working set.
         tile_bytes = 2 * T * WIDE_H * 8 + 2 * T * WIDE_SPEC.n_units * 8
         assert peak < tile_bytes + 2 * MB, f"{peak / MB:.1f} MB"
+
+
+class TestStoredInputDtype:
+    """The dataset stays at one byte per unit: no float64 copy in setup or in ``fit``."""
+
+    N = 5974  # narrow-layer fit: N*H*8 = 1.4 MB is out of the way of N*n_in*8 = 13.4 MB
+
+    @pytest.mark.parametrize("comm", [None, "thread:2"])
+    def test_fit_and_evaluate_never_widen_the_whole_matrix(self, comm):
+        x = _one_hot(self.N, WIDE_SPEC, 2, dtype=np.uint8)
+        y = np.random.default_rng(1).integers(0, 2, self.N)
+        schedule = _schedule(hidden_epochs=1, classifier_epochs=1, batch_size=256)
+
+        def fit_and_evaluate():
+            network = Network(seed=0)
+            network.add(StructuralPlasticityLayer(1, 30, density=0.3, seed=1))
+            network.add(SGDClassifier(n_classes=2, seed=2))
+            network.fit(x, y, input_spec=WIDE_SPEC, schedule=schedule, comm=comm)
+            return network.evaluate(x, y)
+
+        _, peak = _traced_peak(fit_and_evaluate)
+        # Parent commit: 16.3 MB serial (the cast in fit), 41.5 MB on thread:2
+        # (the cast plus one broadcast float64 copy per rank).
+        assert peak < self.N * WIDE_SPEC.n_units * 8 / 2, f"peak {peak / MB:.1f} MB"
+
+    def test_scenario_setup_holds_the_encoding_at_one_byte_per_unit(self):
+        from repro.config import DatasetSection
+        from repro.datasets.registry import get_scenario
+
+        section = DatasetSection(scenario="higgs", n_events=12000, test_fraction=0.5)
+        data, peak = _traced_peak(lambda: get_scenario("higgs").prepare(section, seed=0))
+        assert data.x_train.dtype == data.x_test.dtype == np.uint8
+        # Parent commit: 36.4 MB (29.5 MB of it retained as two float64 matrices).
+        assert peak < 16 * MB, f"peak {peak / MB:.1f} MB"

@@ -77,6 +77,15 @@ class TestQuantileOneHotEncoder:
         assert reps.shape == (2, 10)
         assert np.all(np.diff(reps, axis=1) >= -1e-9)
 
+    def test_encoding_is_one_byte_per_unit_and_not_an_option(self):
+        X = _random_table()
+        encoded = QuantileOneHotEncoder(n_bins=10).fit_transform(X)
+        assert encoded.dtype == np.uint8
+        assert encoded.nbytes == 400 * 50
+        assert set(np.unique(encoded)) == {0, 1}
+        with pytest.raises(TypeError):
+            QuantileOneHotEncoder(n_bins=10, dtype=np.float64)
+
     def test_minimum_bins_validated(self):
         with pytest.raises(Exception):
             QuantileOneHotEncoder(n_bins=1)

@@ -97,6 +97,22 @@ class TestGeneratorDeterminism:
         assert np.array_equal(d1.x_test, d2.x_test)
 
 
+    def test_higgs_scenario_equals_the_flag_path(self):
+        """``repro run`` (scenario) and ``repro train`` (flags) encode the same bytes."""
+        from repro.experiments.higgs_pipeline import prepare_higgs_data
+
+        section = DatasetSection(scenario="higgs", n_events=900, test_fraction=0.25)
+        via_scenario = get_scenario("higgs").prepare(section, seed=5)
+        via_flags = prepare_higgs_data(n_events=900, test_fraction=0.25, seed=5)
+        for name in ("x_train", "y_train", "x_test", "y_test"):
+            ours, theirs = getattr(via_scenario, name), getattr(via_flags, name)
+            assert ours.dtype == theirs.dtype
+            assert np.array_equal(ours, theirs)
+        assert via_scenario.x_train.dtype == via_scenario.x_test.dtype == np.uint8
+        assert via_scenario.input_spec == via_flags.input_spec
+        assert np.array_equal(via_scenario.encoder.edges, via_flags.encoder.edges)
+
+
 class TestGeneratorSemantics:
     def test_imbalance_ratio_respected(self):
         data = generate_higgs(4000, seed=0, signal_fraction=0.1)

@@ -74,5 +74,11 @@ class TestCommittedDrift:
         failures = bench_kernels.check_committed_drift(fresh, committed, tolerance=0.1)
         assert any("fused_vs_unfused.speedup" in f for f in failures)
 
+    def test_uint8_input_row_is_committed_and_tracked(self, bench_kernels):
+        """Streaming from the stored ``uint8`` encoding is a gated ratio, not a claim."""
+        committed = json.loads((MODULE_PATH.parent.parent / "BENCH_kernels.json").read_text())
+        tracked = bench_kernels._committed_speedups(committed)
+        assert tracked["streaming_inference.uint8_vs_float64_input"] > 0.9
+
     def test_committed_file_tracks_the_documented_default(self, bench_kernels):
         assert bench_kernels.COMMITTED_DRIFT_TOLERANCE == 0.5
