@@ -26,7 +26,9 @@ masked GEMM + full refresh; see
 *online serving* endpoint under a closed-loop client population
 (``serving_latency`` — p50/p99 request latency and saturation throughput
 of the micro-batched ``repro serve`` HTTP path; see
-:func:`repro.instrumentation.measure_serving_latency`), and emits the
+:func:`repro.instrumentation.measure_serving_latency` — plus its
+``request_decode`` row: one 64 x 280 request body through ``json.loads`` +
+``np.asarray`` against the server's rows-first decoder), and emits the
 machine-readable ``BENCH_kernels.json`` at the repository root so the perf
 trajectory of every hot path is tracked from PR to PR
 (``benchmarks/bench_history.py`` accumulates the run-over-run history in
@@ -495,6 +497,42 @@ def measure_checkpoint_overhead(n_samples=32768, epochs=3, repeats=8, batch_size
     }
 
 
+def measure_request_decode(repeats=300):
+    """Microseconds to turn one 64 x 280 ``POST /predict`` body into its matrix.
+
+    ``json_us`` is the server's general parse (``json.loads`` +
+    ``np.asarray(..., float64)``), ``decoder_us`` the rows-first decoder it
+    tries first on large bodies (:mod:`repro.serving.jsonrows`), on the e2e
+    load generator's body (integer literals) and on a ``0.0``/``1.0`` one.
+    Calls alternate so both share whatever drift there is; each figure is
+    the median call, ``speedup`` their ratio.
+    """
+    from repro.serving.jsonrows import decode_rows_first
+
+    x = _one_hot_rows(64)
+    rows = {}
+    for kind, literals in (("integer", x.astype(np.uint8)), ("float", x)):
+        body = json.dumps({"rows": literals.tolist()}).encode("utf-8")
+        if decode_rows_first(body) is None:  # a decline would time nothing
+            raise RuntimeError(f"the rows-first decoder declined the {kind} body")
+        json_s, decoder_s = [], []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            np.asarray(json.loads(body.decode("utf-8"))["rows"], dtype=np.float64)
+            middle = time.perf_counter()
+            decode_rows_first(body)
+            decoder_s.append(time.perf_counter() - middle)
+            json_s.append(middle - start)
+        json_us, decoder_us = float(np.median(json_s) * 1e6), float(np.median(decoder_s) * 1e6)
+        rows[kind] = {
+            "body_bytes": len(body),
+            "json_us": json_us,
+            "decoder_us": decoder_us,
+            "speedup": json_us / decoder_us,
+        }
+    return rows
+
+
 def write_bench_json(sections, path=BENCH_JSON_PATH):
     """Merge ``sections`` into ``BENCH_kernels.json``, preserving the rest.
 
@@ -694,6 +732,14 @@ def test_serving_latency_measured():
     assert outcome["batcher"]["batches"] > 0
 
 
+def test_request_decode_measured():
+    """Both e2e-shaped bodies are timed through both paths (the decoder declines neither)."""
+    rows = measure_request_decode(repeats=5)
+    for kind in ("integer", "float"):
+        assert rows[kind]["json_us"] > 0 and rows[kind]["decoder_us"] > 0
+        assert rows[kind]["speedup"] == rows[kind]["json_us"] / rows[kind]["decoder_us"]
+
+
 #: Relative tolerance for ``--check-committed``: the committed JSON's
 #: dimensionless speedup ratios must sit within this fraction of the
 #: runner's fresh measurement.  Absolute seconds are machine-dependent and
@@ -719,6 +765,8 @@ def _committed_speedups(payload):
     compact = payload.get("streaming_inference", {}).get("backends", {}).get("numpy_uint8_input")
     if compact:
         metrics["streaming_inference.uint8_vs_float64_input"] = float(compact["vs_float64_input"])
+    for kind, row in payload.get("serving_latency", {}).get("request_decode", {}).items():
+        metrics[f"serving_latency.request_decode[{kind}].speedup"] = float(row["speedup"])
     sparse = payload.get("sparse_density_sweep")
     if sparse:
         for row in sparse.get("densities", []):
@@ -886,6 +934,7 @@ def main(argv=None):
         sparse = measure_sparse_density_sweep()
         latency = measure_serving_latency()
         checkpoint = measure_checkpoint_overhead()
+    latency["request_decode"] = measure_request_decode()
     sections = {
         "fused_vs_unfused": fused,
         "fused_training_backends": training,

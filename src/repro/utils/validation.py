@@ -88,9 +88,13 @@ def check_numeric_dtype(value, name: str = "x") -> np.ndarray:
     it arrives (one byte per unit for the ``uint8`` one-hot encoding) and
     widen per batch in ``InputSpec.validate_batch``: bool and every
     integer/float width pass; object, string and complex input is refused
-    here, before a kernel — or a worker rank after the broadcast — sees it.
+    here, before a kernel — or a worker rank after the broadcast — sees it, and
+    so is a ragged nested sequence.
     """
-    arr = np.asarray(value)
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:
+        raise DataError(f"{name} is not a rectangular matrix: {exc}") from exc
     if arr.dtype.kind not in "biuf":
         raise DataError(f"{name} has unsupported dtype {arr.dtype}; expected a real numeric matrix")
     return arr

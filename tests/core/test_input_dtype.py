@@ -154,10 +154,11 @@ class _NeverRun(SerialComm):
         raise AssertionError("the input was broadcast before it was validated")
 
 
-BAD_INPUTS = {
-    "object": np.full((8, SPEC.n_units), None, dtype=object),
-    "str": np.full((8, SPEC.n_units), "1"),
-    "complex": np.ones((8, SPEC.n_units), dtype=np.complex128),
+BAD_INPUTS = {  # kind: (input, what the DataError names)
+    "object": (np.full((8, SPEC.n_units), None, dtype=object), "object"),
+    "str": (np.full((8, SPEC.n_units), "1"), "<U1"),
+    "complex": (np.ones((8, SPEC.n_units), dtype=np.complex128), "complex128"),
+    "ragged": ([[0] * SPEC.n_units] * 7 + [[0]], "x is not a rectangular matrix"),
 }
 
 
@@ -168,22 +169,22 @@ class TestUnsupportedDtypesAreRefusedAtTheEntryPoints:
             raise AssertionError("a communicator was built before the input was validated")
 
         monkeypatch.setattr("repro.comm.resolve_comm", no_comm)
-        x = BAD_INPUTS[kind]
-        with pytest.raises(DataError, match=str(x.dtype)):
+        x, named = BAD_INPUTS[kind]
+        with pytest.raises(DataError, match=named):
             fit(x, comm="process:2")
 
     def test_bulk_forward(self, kind):
         network = fit(one_hot(128))
-        x = BAD_INPUTS[kind]
+        x, named = BAD_INPUTS[kind]
         for method in ("predict", "predict_proba", "transform", "decision_function"):
-            with pytest.raises(DataError, match=str(x.dtype)):
+            with pytest.raises(DataError, match=named):
                 getattr(network, method)(x)
 
     def test_spmd_trainer(self, kind):
         layer = StructuralPlasticityLayer(2, 6, seed=3)
         layer.build(SPEC)
-        x = BAD_INPUTS[kind]
-        with pytest.raises(DataError, match=str(x.dtype)):
+        x, named = BAD_INPUTS[kind]
+        with pytest.raises(DataError, match=named):
             DistributedTrainer(_NeverRun()).train_layer(
                 layer, x, epochs=1, batch_size=4, rng=as_rng(0)
             )

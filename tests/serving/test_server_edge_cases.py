@@ -274,6 +274,8 @@ class TestMalformedInput:
             b'{"rows": "nope"}',
             b'{"rows": [1, 2, 3]}',
             b'{"rows": [["a", "b"]]}',
+            pytest.param(b'{"rows": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", id="deep"),
+            pytest.param(b'{"rows": [[' + b"9" * 400 + b"]]}", id="beyond-float64"),
         ],
     )
     def test_malformed_bodies_are_400(self, handle, body):
@@ -293,6 +295,20 @@ class TestMalformedInput:
         status, doc, _ = _post(handle.port, "/predict", body.encode())
         assert status == 400
         assert "NaN" in doc["error"]
+
+    @pytest.mark.parametrize("entry, named", [("1", '"1"'), (True, "true"), (None, "null")])
+    def test_non_number_entries_are_400_naming_them(self, handle, encoded_higgs, entry, named):
+        rows = encoded_higgs["x_test"][:1].tolist()
+        rows[0][0] = entry
+        status, doc, _ = _post(handle.port, "/predict", {"rows": rows})
+        assert status == 400
+        assert f"found {named}" in doc["error"]
+
+    def test_non_boolean_proba_is_400(self, handle, encoded_higgs):
+        rows = encoded_higgs["x_test"][:1].tolist()
+        status, doc, _ = _post(handle.port, "/predict", {"rows": rows, "proba": "false"})
+        assert status == 400
+        assert '"proba"' in doc["error"]
 
     def test_oversized_body_is_413(self, handle):
         # Claim an enormous body via Content-Length without sending it.

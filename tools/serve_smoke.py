@@ -5,10 +5,12 @@ model and runs this script against it.  It replays every call the
 documentation shows — ``GET /healthz``, ``POST /predict`` (plain and with
 ``"proba": true``), ``POST /reload``, ``GET /metrics`` — and asserts the
 responses match what the docs promise, including that the served
-predictions are identical to ``Network.predict`` on the same rows and that
-a lone request is never held for the batch deadline.  A
-docs edit that drifts from the server's actual behaviour therefore fails
-CI, not just a reader.
+predictions are identical to ``Network.predict`` on the same rows — posted
+as integer literals and as ``0.0``/``1.0`` literals (both read by the
+rows-first decoder) and with ``"proba"`` ahead of ``"rows"`` (read by
+``json.loads``) — and that a lone request is never held for the batch
+deadline.  A docs edit that drifts from the server's actual behaviour
+therefore fails CI, not just a reader.
 
     python tools/serve_smoke.py --model model.npz --url http://127.0.0.1:8477
 """
@@ -62,10 +64,12 @@ def main(argv: list[str] | None = None) -> int:
     spec = spec or getattr(network, "input_spec", None)
     width = int(spec.n_units)
 
-    # Deterministic probe rows of the model's encoded feature width.
+    # Deterministic probe rows of the model's encoded feature width: 32 of
+    # them, so the bodies are large enough for the server's rows-first
+    # decoder and each request is still less than one (64-row) batch.
     rng = np.random.default_rng(0)
-    rows = np.zeros((3, width))
-    rows[np.arange(3), rng.integers(0, width, size=3)] = 1.0
+    rows = np.zeros((32, width))
+    rows[np.arange(32), rng.integers(0, width, size=32)] = 1.0
     expected = network.predict(rows)
 
     health = _wait_until_up(base, time.monotonic() + args.startup_timeout)
@@ -73,11 +77,17 @@ def main(argv: list[str] | None = None) -> int:
     v1 = int(health["model_version"])
     print(f"healthz ok (model_version={v1})")
 
-    status, payload = _request(f"{base}/predict", "POST", {"rows": rows.tolist()})
-    assert status == 200, (status, payload)
-    assert payload["predictions"] == expected.tolist(), (payload["predictions"], expected)
-    assert payload["model_version"] == v1 and payload["batch_rows"] >= len(rows)
-    print(f"predict ok (matches Network.predict, batch_rows={payload['batch_rows']})")
+    spellings = {
+        "integer literals": {"rows": rows.astype(np.uint8).tolist()},
+        "0.0/1.0 literals": {"rows": rows.tolist()},
+        "proba before rows": {"proba": False, "rows": rows.tolist()},  # the general parser
+    }
+    for spelling, body in spellings.items():
+        status, payload = _request(f"{base}/predict", "POST", body)
+        assert status == 200, (spelling, status, payload)
+        assert payload["predictions"] == expected.tolist(), (spelling, payload["predictions"])
+        assert payload["model_version"] == v1 and payload["batch_rows"] >= len(rows)
+        print(f"predict ok as {spelling} (matches Network.predict)")
 
     status, payload = _request(f"{base}/predict", "POST", {"rows": rows.tolist(), "proba": True})
     assert status == 200 and "probabilities" in payload, (status, payload)
