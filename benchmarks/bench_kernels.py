@@ -16,7 +16,7 @@ off-thread entropy, stale-weights caching; see
 *streaming inference* path (:mod:`repro.serving`) per backend, measures
 per-transport allreduce throughput of the :mod:`repro.comm` communicator
 subsystem (``comm_throughput``), measures *communication-overlapped*
-data-parallel training against the blocking schedule at two process ranks
+data-parallel training against the blocking schedule at two tcp ranks
 plus the dense-vs-sparse allreduce payload sweep (``comm_overlap`` — see
 :func:`repro.instrumentation.measure_comm_overlap`), sweeps the *block-sparse execution plan*
 against the dense fused path across mask densities
@@ -44,10 +44,8 @@ serving speedups at density 0.3) and ``--check-overlap W``
 (overlapped-vs-blocking comm training speedup AND the sparse payload
 staying at or under half the dense payload at density 0.3) and
 ``--check-latency MS`` (saturated-phase p99 request latency at or under
-MS milliseconds AND zero failed requests) and ``--check-comm-tcp R`` (tcp
-allreduce at most R times the process transport's, at 2 ranks, on the
-Higgs payload and both e2e payloads), each exiting
-non-zero below its threshold, plus ``--check-committed PATH`` which fails when the committed
+MS milliseconds AND zero failed requests), each exiting non-zero below its
+threshold, plus ``--check-committed PATH`` which fails when the committed
 JSON's speedup ratios drift more than ``--drift-tol`` (default ±50%) from
 the runner's fresh measurement — a stale or hand-edited committed JSON
 cannot land.
@@ -653,25 +651,20 @@ def test_comm_throughput_measured_on_every_transport():
     from repro.comm.benchmark import measure_comm_throughput
 
     outcome = measure_comm_throughput(
-        transports=("serial", "thread", "process", "tcp"),
+        transports=("serial", "thread", "tcp"),
         ranks=2,
         repeats=3,
         warmup=1,
         timeout=60.0,
     )
     by_name = {row["transport"]: row for row in outcome["transports"]}
-    for name in ("serial", "thread", "process", "tcp"):
+    for name in ("serial", "thread", "tcp"):
         assert "error" not in by_name[name], by_name[name]
         assert by_name[name]["seconds_per_allreduce"] > 0
-    # The payloads the e2e workloads really reduce ride along, and the gated
-    # tcp-vs-process ratio is derived for all three.
+    # The payloads the e2e workloads really reduce ride along.
     assert {(r["payload"], r["transport"]) for r in outcome["e2e_payloads"]} == {
-        (p, t)
-        for p in ("narrow_tcp2", "wide_process2")
-        for t in ("serial", "thread", "process", "tcp")
+        (p, t) for p in ("narrow_tcp2", "wide_process2") for t in ("serial", "thread", "tcp")
     }
-    assert set(outcome["tcp_vs_process"]) == {"default", "narrow_tcp2", "wide_process2"}
-    assert all(ratio > 0 for ratio in outcome["tcp_vs_process"].values())
 
 
 def test_comm_overlap_measured():
@@ -844,7 +837,7 @@ def main(argv=None):
         metavar="W",
         help=(
             "exit non-zero when the overlapped-vs-blocking comm training "
-            "speedup at two process ranks is below W, or when the sparse "
+            "speedup at two tcp ranks is below W, or when the sparse "
             "payload at density 0.3 exceeds half the dense payload"
         ),
     )
@@ -867,16 +860,6 @@ def main(argv=None):
         help=(
             "exit non-zero when fit with checkpoint_every=1 is more than R "
             "times slower than the same fit without checkpointing"
-        ),
-    )
-    parser.add_argument(
-        "--check-comm-tcp",
-        type=float,
-        default=None,
-        metavar="R",
-        help=(
-            "exit non-zero when a 2-rank tcp allreduce takes more than R times "
-            "the process transport's, on the Higgs payload or either e2e payload"
         ),
     )
     parser.add_argument(
@@ -1022,18 +1005,6 @@ def main(argv=None):
             f"{args.check_checkpoint:.2f}x gate"
         )
         failed = True
-    if args.check_comm_tcp is not None:
-        ratios = comm.get("tcp_vs_process")
-        if not ratios:
-            print("PERF REGRESSION: comm throughput did not measure both tcp and process")
-            failed = True
-        for payload, ratio in (ratios or {}).items():
-            if ratio > args.check_comm_tcp:
-                print(
-                    f"PERF REGRESSION: tcp allreduce is {ratio:.2f}x the process "
-                    f"transport's on the {payload} payload (gate {args.check_comm_tcp:.2f}x)"
-                )
-                failed = True
     if args.check_committed is not None:
         drift = check_committed_drift(sections, args.check_committed, args.drift_tol)
         for line in drift:

@@ -5,11 +5,11 @@ Demonstrates the property that makes BCPNN attractive on HPC systems
 (Section II-B): learning is local, so data-parallel training only has to
 allreduce the probability-trace statistics — one packed allreduce per batch.
 The example trains the same hidden layer serially and with 2 and 4 real
-ranks (in-process threads by default, real OS processes with
-``--transport process``), verifies the learned traces are equivalent, and
+ranks (in-process threads by default, OS processes over loopback sockets
+with ``--transport tcp``), verifies the learned traces are equivalent, and
 reports the communication volume per rank count.
 
-Run:  python examples/distributed_training.py [--transport thread|process]
+Run:  python examples/distributed_training.py [--transport thread|tcp]
 """
 
 import argparse
@@ -21,7 +21,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--transport",
-        choices=["thread", "process"],
+        choices=["thread", "tcp"],
         default="thread",
         help="repro.comm transport carrying the per-batch allreduce",
     )

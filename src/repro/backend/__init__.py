@@ -12,7 +12,7 @@ this package provides:
 * :mod:`~repro.backend.distributed` — the data-parallel layer over
   :mod:`repro.comm`: a rank-sharded simulation backend plus the SPMD
   :class:`~repro.backend.distributed.DistributedTrainer` that runs real
-  thread/process/MPI ranks, standing in for the MPI backend.
+  thread/tcp/MPI ranks, standing in for the MPI backend.
 * :class:`~repro.backend.lowprec.LowPrecisionBackend` — float16 / posit-style
   quantisation wrapper, standing in for the FPGA reduced-precision backend.
 
@@ -27,7 +27,6 @@ from repro.backend.registry import get_backend, register_backend, list_backends
 from repro.backend.distributed import (
     DistributedBackend,
     DistributedTrainer,
-    LocalComm,
     split_ranks,
 )
 
@@ -42,7 +41,6 @@ __all__ = [
     "get_backend",
     "register_backend",
     "list_backends",
-    "LocalComm",
     "DistributedTrainer",
     "split_ranks",
 ]

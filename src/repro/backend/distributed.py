@@ -18,7 +18,7 @@ algorithm onto the :class:`~repro.comm.Communicator` interface:
   caller's layer object is trained in place.  Because the reduction is
   exact, training with ``R`` ranks produces bit-for-bit (up to floating
   point summation order) the same traces as the serial run — on the serial,
-  thread and process transports alike (the invariance tests in
+  thread and tcp transports alike (the invariance tests in
   ``tests/backend/test_distributed.py`` and ``tests/comm`` check this).
 """
 
@@ -36,7 +36,7 @@ import numpy as np
 
 from repro import faults, kernels
 from repro.backend.base import Backend
-from repro.comm import CommRequest, Communicator, LocalComm, split_ranks
+from repro.comm import CommRequest, Communicator, ThreadComm, split_ranks
 from repro.engine.pipeline import mean_activation_entropy, resolve_comm_overlap
 from repro.exceptions import BackendError, DataError
 from repro.utils.logging import get_logger
@@ -45,7 +45,6 @@ from repro.utils.validation import check_numeric_dtype
 logger = get_logger(__name__)
 
 __all__ = [
-    "LocalComm",
     "DistributedBackend",
     "DistributedTrainer",
     "split_ranks",
@@ -89,7 +88,7 @@ class DistributedBackend(Backend):
                 raise BackendError("n_ranks disagrees with the supplied communicator size")
             self.comm = comm
         else:
-            self.comm = LocalComm(int(n_ranks) if n_ranks is not None else 2)
+            self.comm = ThreadComm(int(n_ranks) if n_ranks is not None else 2)
 
     # ------------------------------------------------------------- kernels
     def forward(
@@ -624,9 +623,9 @@ def train_layer_program(
             staleness = 0.0
 
     # The in-flight nonblocking reduction of the overlapped schedule: at
-    # most ONE request is outstanding at any time (required by the process
-    # transport's single-barrier parity-slot protocol), and it never
-    # crosses an epoch boundary (drained before end_epoch reads the traces).
+    # most ONE request is outstanding at any time (the tcp transport's
+    # contract), and it never crosses an epoch boundary (drained before
+    # end_epoch reads the traces).
     pending: Optional[Tuple[CommRequest, Optional[Dict[str, object]]]] = None
 
     for epoch in range(start_epoch, epochs):
@@ -646,7 +645,7 @@ def train_layer_program(
                 and index == int(inject["batch"])
                 and rank == int(inject["rank"])
             ):
-                if rank != 0 and comm.transport in ("process", "tcp"):
+                if rank != 0 and comm.transport == "tcp":
                     # A hard kill, not an exception: exercises the real
                     # dead-worker detection and respawn/re-admission path.
                     os._exit(17)
@@ -822,14 +821,14 @@ class DistributedTrainer:
     ----------
     comm:
         Any :class:`repro.comm.Communicator` (``SerialComm``, ``ThreadComm``,
-        ``ProcessComm`` or ``MPIComm``).
+        ``TCPComm`` or ``MPIComm``).
     """
 
     def __init__(self, comm: Communicator) -> None:
         if not isinstance(comm, Communicator):
             raise BackendError(
                 "DistributedTrainer requires a repro.comm.Communicator "
-                "(SerialComm, ThreadComm, ProcessComm or MPIComm)"
+                "(SerialComm, ThreadComm, TCPComm or MPIComm)"
             )
         self.comm = comm
 
@@ -899,7 +898,7 @@ class DistributedTrainer:
 
         ``fault_tolerance`` arms crash recovery on transports that support
         it (``comm.fault_tolerant``): when a rank dies mid-program, the
-        dead worker is respawned (process) or re-admitted (tcp) through
+        dead worker is respawned or re-admitted (tcp) through
         ``comm.recover()``, the layer is restored from the last
         completed-epoch snapshot, and training resumes at that epoch
         boundary with the shuffle stream fast-forwarded — at

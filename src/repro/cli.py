@@ -31,13 +31,13 @@ JSON report.
 
 ``train``, ``predict``, ``sweep``, ``benchmark`` and ``serve`` additionally
 accept ``--comm SPEC`` — a transport spec such as ``serial``, ``thread:4``,
-``process:4``, ``tcp://host:port?ranks=8`` (multi-host sockets) or ``mpi``
-— to run data-parallel training / rank-sharded serving / the
-comm-throughput benchmark over a :mod:`repro.comm` transport.  ``--comm
-help`` prints the capability table (multihost / fault-tolerant /
+``tcp://host:port?ranks=8`` (sockets, multi-host; ``process:4`` is 4 ranks
+on loopback tcp) or ``mpi`` — to run data-parallel training / rank-sharded
+serving / the comm-throughput benchmark over a :mod:`repro.comm` transport.
+``--comm help`` prints the capability table (multihost / fault-tolerant /
 nonblocking per transport); the legacy ``--ranks N`` flag still works for
 bare transport names.  ``train`` also accepts ``--fault-tolerance``
-(recover from crashed ranks mid-run on the process/tcp transports) and the
+(recover from crashed ranks mid-run on the tcp transport) and the
 ``--inject-crash RANK:EPOCH:BATCH`` testing hook.
 
 ``train``, ``sweep`` and ``benchmark`` accept ``--pipeline`` (overlapped
@@ -108,9 +108,9 @@ def _add_comm(parser: argparse.ArgumentParser) -> None:
         metavar="SPEC",
         help=(
             "communicator transport spec for data-parallel execution: "
-            "'serial', 'thread:N', 'process:N', 'tcp://host:port?ranks=N' "
-            "(multi-host sockets) or 'mpi'; pass 'help' to print the "
-            "transport capability table and exit"
+            "'serial', 'thread:N', 'tcp://host:port?ranks=N' (multi-host "
+            "sockets), 'process:N' (loopback tcp) or 'mpi'; pass 'help' to "
+            "print the transport capability table and exit"
         ),
     )
     parser.add_argument(
@@ -143,7 +143,8 @@ def _print_comm_help() -> None:
     print(format_table(rows, title="Available comm transports"))
     print(
         "Spec grammar: NAME[:RANKS] or tcp://HOST:PORT?ranks=N"
-        "[&timeout=SEC&chunk_bytes=B&spawn=0|1]; see docs/distributed.md."
+        "[&timeout=SEC&chunk_bytes=B&spawn=0|1]; process:N is "
+        "tcp://127.0.0.1:0?ranks=N; see docs/distributed.md."
     )
 
 
@@ -266,7 +267,7 @@ def main_train(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help=(
             "recover from crashed ranks mid-training (fault-tolerant "
-            "transports: process, tcp); the dead rank is respawned or "
+            "transport: tcp, including process:N); the dead rank is respawned or "
             "re-admitted and training resumes from the last epoch boundary"
         ),
     )
@@ -624,7 +625,7 @@ def main_benchmark(argv: Optional[List[str]] = None) -> int:
     if args.comm is not None or args.ranks is not None:
         from repro.comm.benchmark import measure_comm_throughput
 
-        transports = (args.comm,) if args.comm else ("serial", "thread", "process", "tcp")
+        transports = (args.comm,) if args.comm else ("serial", "thread", "tcp")
         comm_result = measure_comm_throughput(
             transports=transports,
             ranks=int(args.ranks) if args.ranks else 2,
@@ -723,7 +724,7 @@ def main_predict(argv: Optional[List[str]] = None) -> int:
     network = load_network(args.model)
     if args.sparse is not None:
         # bind_sparse(force=True) updates the layer's *spec* too, so worker
-        # replicas rebuilt from the serialized blob on process-comm ranks
+        # replicas rebuilt from the serialized blob on tcp-comm ranks
         # make the same dense-vs-sparse choice as the driver.
         for layer in network.hidden_layers:
             if hasattr(layer, "bind_sparse"):

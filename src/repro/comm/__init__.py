@@ -2,7 +2,7 @@
 
 The paper's data-parallel BCPNN needs exactly one allreduce of sufficient
 statistics per batch, so the whole distributed stack is written against a
-tiny MPI-shaped :class:`~repro.comm.base.Communicator` interface with five
+tiny MPI-shaped :class:`~repro.comm.base.Communicator` interface with four
 interchangeable transports:
 
 ============  ====================================================================
@@ -11,16 +11,13 @@ transport      implementation
 ``serial``     :class:`SerialComm` — size 1, collectives are copies; the
                reference for rank-invariance tests.
 ``thread``     :class:`ThreadComm` — in-process ranks on daemon threads with
-               real barrier rendezvous (also provides the legacy driver-side
-               ``LocalComm`` list semantics).
-``process``    :class:`ProcessComm` — persistent OS-process worker pool;
-               collectives move NumPy arrays through ``shared_memory`` with
-               zero pickling of layer-sized data.  Fault tolerant: a dead
-               rank is respawned by :meth:`~repro.comm.base.Communicator.recover`.
+               real barrier rendezvous (also provides the driver-side list
+               combines ``reduce_parts``/``gather_parts``).
 ``tcp``        :class:`TCPComm` — socket collectives through a driver-side
-               rendezvous hub, so ranks can span hosts.  Multi-host, fault
-               tolerant (crashed workers are respawned or re-admitted) and
-               genuinely nonblocking.
+               rendezvous hub; worker ranks are OS processes spawned on this
+               host (``process:N`` is the loopback spelling) or started on
+               others.  Multi-host, fault tolerant (crashed workers are
+               respawned or re-admitted) and genuinely nonblocking.
 ``mpi``        :class:`MPIComm` — mpi4py adapter, available when mpi4py is
                importable (``HAVE_MPI``).
 ============  ====================================================================
@@ -44,14 +41,9 @@ from repro.comm.factory import (
     transport_capabilities,
 )
 from repro.comm.mpi import HAVE_MPI, MPIComm
-from repro.comm.process import ProcessComm
 from repro.comm.serial import SerialComm
 from repro.comm.tcp import TCPComm
 from repro.comm.thread import ThreadComm
-
-#: Backwards-compatible alias: the old simulated-MPI ``LocalComm`` exposed the
-#: driver-side list collectives that :class:`ThreadComm` still provides.
-LocalComm = ThreadComm
 
 __all__ = [
     "Communicator",
@@ -59,10 +51,8 @@ __all__ = [
     "CompletedRequest",
     "SerialComm",
     "ThreadComm",
-    "ProcessComm",
     "TCPComm",
     "MPIComm",
-    "LocalComm",
     "HAVE_MPI",
     "REDUCE_OPS",
     "split_ranks",

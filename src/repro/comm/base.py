@@ -13,8 +13,8 @@ transport-agnostic.  This module defines that surface:
 * **nonblocking collectives** (``iallreduce``): returns a
   :class:`CommRequest` immediately so the caller can overlap local compute
   with the reduction and collect the result with :meth:`CommRequest.wait`.
-  The contribution is *captured at call time* on every transport (copied
-  into shared memory, reduced eagerly, or serialised), so the caller may
+  The contribution is *captured at call time* on every transport (reduced
+  eagerly, snapshotted, or put on the wire), so the caller may
   reuse its buffer as soon as ``iallreduce`` returns — the property the
   software-pipelined training loop relies on.
 * **rank-0 program launch** (:meth:`Communicator.run`): the driver process is
@@ -22,12 +22,12 @@ transport-agnostic.  This module defines that surface:
   ranks (threads, OS processes, or nothing for the serial transport).  This
   is the moral equivalent of ``mpirun`` for environments without one.
 * **driver-side combine helpers** (:meth:`reduce_parts`,
-  :meth:`gather_parts`): the legacy ``LocalComm`` surface — deterministic
-  rank-ordered reductions over *lists of per-rank contributions* — kept so
-  the simulated-sharding :class:`~repro.backend.distributed.DistributedBackend`
-  runs unchanged on any transport.  For convenience ``allreduce``/``allgather``
-  dispatch on input type: a list/tuple means the legacy driver-side mode, an
-  array means the SPMD mode.
+  :meth:`gather_parts`): deterministic rank-ordered reductions over *lists
+  of per-rank contributions* — kept so the simulated-sharding
+  :class:`~repro.backend.distributed.DistributedBackend` runs unchanged on
+  any transport.  For convenience ``allreduce``/``allgather`` dispatch on
+  input type: a list/tuple means the legacy driver-side mode, an array
+  means the SPMD mode.
 
 Determinism contract: every transport reduces contributions in rank order
 (0, 1, …, size-1), so results are bit-for-bit reproducible for a fixed rank
@@ -121,19 +121,18 @@ class Communicator(ABC):
 
     The object handed to user code *is* rank 0's view (the driver).  Inside
     :meth:`run`, each rank receives its own view with the same interface, so
-    SPMD programs read identically across the serial, thread, process and
+    SPMD programs read identically across the serial, thread, tcp and
     mpi4py transports.
     """
 
-    #: Transport name ("serial", "thread", "process", "tcp", "mpi").
+    #: Transport name ("serial", "thread", "tcp", "mpi").
     transport: str = "abstract"
 
     #: Capability flags (class attributes, surfaced by
     #: :func:`repro.comm.factory.transport_capabilities`):
     #:
     #: * ``multihost`` — ranks may live on different machines (socket/MPI
-    #:   transports); shared-memory and in-process transports are pinned to
-    #:   one host.
+    #:   transports); the in-process transports are pinned to one host.
     #: * ``fault_tolerant`` — :meth:`recover` can restore the communicator
     #:   after a failed rank (respawn or re-admission), so the driver may
     #:   retry a program instead of failing the job.
@@ -246,15 +245,15 @@ class Communicator(ABC):
         its arguments stay live — e.g. the driver's model replica ends up
         trained in place); the transport supplies the remaining ranks.
         Returns the per-rank results in rank order.  ``fn`` must be a
-        module-level callable for the process transport (it crosses a
-        process boundary by reference).
+        module-level callable for the tcp transport (it crosses a process
+        boundary by reference).
         """
 
     def _iallreduce_array(self, array: np.ndarray, op: str) -> CommRequest:
         """Default nonblocking allreduce: complete eagerly on call.
 
-        Transports with a genuinely split-phase path (shared-memory slots,
-        MPI requests) override this; everything else reduces inline and
+        Transports with a genuinely split-phase path (tcp rounds, MPI
+        requests) override this; everything else reduces inline and
         returns a :class:`CompletedRequest`, which is semantically identical
         — the overlap window is just empty.  The call is re-labelled from
         ``allreduce`` to ``iallreduce`` in ``collective_calls`` so the
@@ -350,9 +349,9 @@ class Communicator(ABC):
     def reduce_parts(self, parts: Sequence[np.ndarray], op: str = "sum") -> np.ndarray:
         """Deterministically combine a list of per-rank contributions.
 
-        This is the driver-side simulation mode (the old ``LocalComm``
-        semantics): all contributions already live in the calling process and
-        are reduced in rank order without any transport involvement.
+        This is the driver-side simulation mode: all contributions already
+        live in the calling process and are reduced in rank order without
+        any transport involvement.
         """
         if op not in REDUCE_OPS:
             raise BackendError(f"unknown reduction '{op}'; available: {sorted(REDUCE_OPS)}")
@@ -373,16 +372,16 @@ class Communicator(ABC):
         """Attempt to restore the communicator after a failed rank.
 
         Fault-tolerant transports (``fault_tolerant`` is ``True``) respawn a
-        dead worker (process transport) or re-admit a reconnecting one (tcp
-        transport) and return ``True`` once the pool is whole again, so the
-        driver can roll its model back to the last snapshot and re-launch the
-        SPMD program.  The default — transports without a recovery path —
-        returns ``False``: the caller must treat the failure as fatal.
+        dead local worker or re-admit a reconnecting remote one (tcp) and
+        return ``True`` once the pool is whole again, so the driver can roll
+        its model back to the last snapshot and re-launch the SPMD program.
+        The default — transports without a recovery path — returns
+        ``False``: the caller must treat the failure as fatal.
         """
         return False
 
     def close(self) -> None:
-        """Release transport resources (worker pools, shared memory)."""
+        """Release transport resources (worker processes, sockets)."""
 
     def __enter__(self) -> "Communicator":
         return self

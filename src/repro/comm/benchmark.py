@@ -32,7 +32,7 @@ def _mbytes_per_second(nbytes: float, n_ranks: int, seconds: float) -> float:
 
 
 def measure_comm_throughput(
-    transports: Sequence[str] = ("serial", "thread", "process", "tcp"),
+    transports: Sequence[str] = ("serial", "thread", "tcp"),
     ranks: int = 2,
     shape: Sequence[int] = (281, 300),
     repeats: int = 20,
@@ -56,10 +56,7 @@ def measure_comm_throughput(
 
     ``e2e_payloads`` holds one more row per transport and payload the
     end-to-end workloads really reduce (:data:`E2E_PAYLOAD_FLOATS`, blocking
-    allreduce only), and when both ``process`` and ``tcp`` were measured the
-    result carries ``tcp_vs_process``: tcp seconds per allreduce over
-    process seconds, per payload — the figure ``bench_kernels.py
-    --check-comm-tcp`` gates.
+    allreduce only).
     """
     rows: List[Dict[str, object]] = []
     e2e_rows: List[Dict[str, object]] = []
@@ -72,7 +69,7 @@ def measure_comm_throughput(
         else:
             n_ranks = int(ranks)
         kwargs = {}
-        if timeout is not None and parsed.name in ("thread", "process", "tcp"):
+        if timeout is not None and parsed.name in ("thread", "tcp"):
             kwargs["timeout"] = timeout
         try:
             comm = get_communicator(transport, ranks=n_ranks, **kwargs)
@@ -122,7 +119,7 @@ def measure_comm_throughput(
             rows.append({"transport": parsed.name, "ranks": n_ranks, "error": str(exc)})
         finally:
             comm.close()
-    outcome: Dict[str, object] = {
+    return {
         "config": {
             "shape": [int(s) for s in shape],
             "ranks": int(ranks),
@@ -131,14 +128,3 @@ def measure_comm_throughput(
         "transports": rows,
         "e2e_payloads": e2e_rows,
     }
-    per_call = {
-        (row.get("payload", "default"), row["transport"]): row["seconds_per_allreduce"]
-        for row in rows + e2e_rows
-        if "error" not in row
-    }
-    if ("default", "tcp") in per_call and ("default", "process") in per_call:
-        outcome["tcp_vs_process"] = {
-            name: per_call[(name, "tcp")] / per_call[(name, "process")]
-            for name in ["default", *E2E_PAYLOAD_FLOATS]
-        }
-    return outcome

@@ -9,10 +9,14 @@ spec                            meaning
 ==============================  ==============================================
 ``serial``                      rank-0 no-op communicator
 ``thread:4``                    4 in-process ranks on daemon threads
-``process:4``                   4 ranks as OS processes over shared memory
 ``tcp://host:port?ranks=8``     8 ranks over sockets (multi-host capable)
+``process:4``                   ``tcp://127.0.0.1:0?ranks=4``: 4 local ranks
 ``mpi``                         mpi4py adapter; size comes from ``mpirun``
 ==============================  ==============================================
+
+``process:N`` is only a spelling: it parses to the loopback tcp spec, so
+``TransportSpec.name`` is ``"tcp"`` and the communicator is a
+:class:`~repro.comm.tcp.TCPComm` whose workers are spawned on this host.
 
 A bare name (``thread``, ``process``, ``tcp``) is a size-1 communicator unless
 an explicit ``ranks`` argument accompanies it — the legacy ``comm``/``ranks``
@@ -35,7 +39,6 @@ from urllib.parse import urlsplit, parse_qsl
 
 from repro.comm.base import Communicator
 from repro.comm.mpi import HAVE_MPI, MPIComm
-from repro.comm.process import ProcessComm
 from repro.comm.serial import SerialComm
 from repro.comm.tcp import TCPComm
 from repro.comm.thread import ThreadComm
@@ -57,12 +60,9 @@ CommSpec = Union[str, Communicator, None]
 _TRANSPORT_CLASSES: Dict[str, Type[Communicator]] = {
     "serial": SerialComm,
     "thread": ThreadComm,
-    "process": ProcessComm,
     "tcp": TCPComm,
     "mpi": MPIComm,
 }
-_ALIASES = {"local": "thread"}
-_SIZED = ("thread", "process", "tcp")
 _TCP_QUERY_KEYS = ("ranks", "timeout", "chunk_bytes", "spawn")
 
 
@@ -143,7 +143,9 @@ def parse_transport_spec(spec: str) -> TransportSpec:
             f"malformed tcp spec {spec!r}; use URL syntax: 'tcp://host:port?ranks=N'"
         )
     name, sep, count = lowered.partition(":")
-    name = _ALIASES.get(name, name)
+    if name == "process":  # loopback tcp: ranks spawned on this host
+        ranks = _positive_int(count, "process rank count") if sep else None
+        return TransportSpec("tcp", ranks, {"host": "127.0.0.1", "port": 0})
     if name not in _TRANSPORT_CLASSES:
         raise BackendError(
             f"unknown comm transport '{spec}'; available: {list_transports()}"
@@ -213,8 +215,8 @@ def get_communicator(spec: CommSpec = None, ranks: int = 1, **kwargs) -> Communi
         its own count the two must agree (or ``ranks`` be 1).
     kwargs:
         Forwarded to the transport constructor (e.g. ``timeout=``,
-        ``start_method=`` for the process transport, ``host=``/``port=``
-        for tcp).  Explicit kwargs win over spec-embedded options.
+        ``host=``/``port=``/``start_method=`` for tcp).  Explicit kwargs
+        win over spec-embedded options.
     """
     if isinstance(spec, Communicator):
         if ranks not in (1, spec.size):
@@ -255,7 +257,7 @@ def get_communicator(spec: CommSpec = None, ranks: int = 1, **kwargs) -> Communi
 
 def list_transports() -> List[str]:
     """Names of the constructible transports in this environment."""
-    names = ["serial", "thread", "process", "tcp"]
+    names = ["serial", "thread", "tcp"]
     if HAVE_MPI:  # pragma: no cover - mpi4py absent in CI
         names.append("mpi")
     return names
@@ -270,7 +272,6 @@ def transport_capabilities() -> Dict[str, Dict[str, object]]:
     examples = {
         "serial": "serial",
         "thread": "thread:4",
-        "process": "process:4",
         "tcp": "tcp://127.0.0.1:0?ranks=4",
         "mpi": "mpi",
     }

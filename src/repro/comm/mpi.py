@@ -1,7 +1,7 @@
 """Optional mpi4py adapter behind the :class:`Communicator` interface.
 
 When ``mpi4py`` is importable (an actual cluster), :class:`MPIComm` exposes a
-real MPI communicator through the exact surface the serial/thread/process
+real MPI communicator through the exact surface the serial/thread/tcp
 transports implement, so code written against :mod:`repro.comm` runs under
 ``mpirun`` unchanged.  The module degrades gracefully when mpi4py is absent:
 ``HAVE_MPI`` is ``False`` and constructing :class:`MPIComm` raises a
@@ -72,7 +72,7 @@ class MPIComm(Communicator):  # pragma: no cover - exercised only with mpi4py
         if not HAVE_MPI:
             raise BackendError(
                 "mpi4py is not installed; use the 'serial', 'thread' or "
-                "'process' transport instead"
+                "'tcp' transport instead"
             )
         self._comm = comm if comm is not None else _MPI.COMM_WORLD
 

@@ -1,6 +1,6 @@
 """Module-level SPMD tasks shared by the tests, benchmarks and diagnostics.
 
-The process transport ships :meth:`~repro.comm.Communicator.run` functions to
+The tcp transport ships :meth:`~repro.comm.Communicator.run` functions to
 worker processes *by reference* (module + qualified name), so any function
 that crosses the process boundary must live at module scope in an importable
 module.  The generic tasks here serve three audiences:
@@ -68,8 +68,7 @@ def collective_checks(comm, n_rows: int = 10, n_cols: int = 3) -> Dict[str, obje
 def iallreduce_checks(comm, n_cols: int = 5, rounds: int = 4) -> Dict[str, object]:
     """Exercise the nonblocking allreduce path; return what this rank saw.
 
-    Issues ``rounds`` back-to-back ``iallreduce`` calls (exercising the
-    parity-slot alternation on the process transport), overwrites the local
+    Issues ``rounds`` back-to-back ``iallreduce`` calls, overwrites the local
     contribution buffer *after* each call returns (the capture-at-call-time
     contract), and checks ``wait()`` idempotency plus ``test()`` after
     completion.
@@ -102,12 +101,11 @@ def iallreduce_checks(comm, n_cols: int = 5, rounds: int = 4) -> Dict[str, objec
 
 
 def chunked_allreduce_checks(comm, n_elems: int = 23) -> Dict[str, object]:
-    """Round-trip blocking + nonblocking allreduces sized around the slot cap.
+    """Round-trip blocking + nonblocking allreduces sized around the chunk cap.
 
-    Meant to run on a ``ProcessComm`` constructed with a tiny
-    ``max_slot_bytes`` so payloads of ``n_elems`` float64s take the chunked
-    path (including a ragged final chunk), while the zero-length and
-    one-element arrays stay on the dense path.
+    Meant to run on a ``TCPComm`` constructed with a tiny ``chunk_bytes`` so
+    payloads of ``n_elems`` float64s travel as many chunks (including a
+    ragged final one), alongside zero-length and one-element arrays.
     """
     rank, size = comm.rank, comm.size
     big = np.arange(n_elems, dtype=np.float64) + float(rank)
@@ -131,13 +129,13 @@ def chunked_allreduce_checks(comm, n_elems: int = 23) -> Dict[str, object]:
 
 
 def iallreduce_outstanding_error(comm, n_cols: int = 4) -> Dict[str, object]:
-    """Check the one-outstanding-request contract of the process transport.
+    """Check the one-outstanding-request contract of the tcp transport.
 
     Issues a second ``iallreduce`` while the first is still in flight.  On
-    the process transport that must raise immediately (the parity-slot
-    protocol supports exactly one outstanding reduction per rank); the
-    eagerly-completing transports accept it.  Every rank then waits the
-    pending request(s), keeping the rendezvous schedule aligned.
+    the tcp transport that must raise immediately (exactly one outstanding
+    reduction per rank); the eagerly-completing transports accept it.
+    Every rank then waits the pending request(s), keeping the rendezvous
+    schedule aligned.
     """
     from repro.exceptions import BackendError
 
@@ -161,9 +159,9 @@ def iallreduce_outstanding_error(comm, n_cols: int = 4) -> Dict[str, object]:
 def crash_rank_chunked(comm, victim: int = 1, n_elems: int = 64) -> np.ndarray:
     """Failure injection: ``victim`` dies mid-way through a chunked allreduce.
 
-    The surviving ranks sit in a per-chunk rendezvous the victim never
-    reaches; on the process transport that must surface as a
-    :class:`~repro.exceptions.BackendError` within the timeout, not a hang.
+    The surviving ranks wait on a multi-chunk round the victim never
+    completes; that must surface as a
+    :class:`~repro.exceptions.BackendError`, not a hang.
     """
     if comm.rank == victim:
         os._exit(17)
@@ -230,7 +228,7 @@ def iallreduce_loop(
 def crash_rank(comm, victim: int = 1) -> int:
     """Failure injection: hard-kill ``victim`` mid-rendezvous.
 
-    Only meaningful on the process transport — ``os._exit`` would take the
+    Only meaningful on the tcp transport — ``os._exit`` would take the
     whole interpreter down on the serial/thread transports.  The surviving
     ranks block in a barrier the victim never reaches, which must surface as
     a :class:`~repro.exceptions.BackendError`, not a hang.

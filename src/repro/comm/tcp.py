@@ -18,26 +18,28 @@ worker and hands it to rank 0.
   ``sendmsg`` straight from the array, ``recv_into`` straight into the
   destination.  Only headers and ``task``/``result`` payloads are pickled.
   The framing is self-describing, so peers may use different chunk sizes.
-* **Crash/timeout -> BackendError, never a hang** — a lost connection is
-  seen by the hub's per-worker reader thread the moment the socket closes,
-  and every wait (a worker's socket read, rank 0's in-process wait, every
-  hub-side send) is bounded by ``timeout``.  Either way the hub broadcasts
-  an ``abort`` frame and every surviving rank raises
+* **Crash/timeout -> BackendError, never a hang** — a lost connection (or
+  a worker's failed result) is seen by the hub's per-worker reader thread
+  the moment it arrives, and every wait (a worker's socket read, rank 0's
+  in-process wait, every hub-side send) is bounded by ``timeout``.  Either
+  way the hub broadcasts an ``abort`` frame and every surviving rank raises
   :class:`~repro.exceptions.BackendError` from its next or pending collective.
 * **Nonblocking collectives** — ``iallreduce`` is genuinely split-phase:
   the contribution is captured at call time (a worker's goes on the wire,
-  rank 0's is snapshotted) and ``wait()`` collects the reply, with the same
-  at-most-one-outstanding contract as the process transport.
+  rank 0's is snapshotted) and ``wait()`` collects the reply; at most one
+  request may be outstanding per rank.
 * **Fault tolerance** — the rendezvous listener stays open for the
   communicator's whole life.  :meth:`TCPComm.recover` respawns locally
   spawned workers (or waits for an external worker to reconnect and claim
   its old rank), so a driver can roll back to its last model snapshot and
-  re-launch the SPMD program after a crash.
+  re-launch the SPMD program after a crash.  A spawned worker that exits
+  before joining the rendezvous fails the wait at once, naming its rank
+  and exit code.
 
-Workers are locally spawned by default (``spawn_workers=True``), which makes
-``tcp://127.0.0.1`` a drop-in, conformance-identical alternative to the
-process transport.  For true multi-host runs, construct the driver with
-``spawn_workers=False`` and start each remote worker with::
+Workers are locally spawned by default (``spawn_workers=True``); the spec
+``process:N`` is shorthand for exactly that on loopback,
+``tcp://127.0.0.1:0?ranks=N``.  For true multi-host runs, construct the
+driver with ``spawn_workers=False`` and start each remote worker with::
 
     python -m repro.comm.tcp --connect HOST:PORT [--rank R]
 
@@ -71,6 +73,7 @@ _PICKLE_PROTOCOL = 4
 _PREFIX = struct.Struct(">IQ")  # header bytes, payload bytes
 _CHUNK = struct.Struct(">I")  # bytes in the chunk that follows
 _IOV_BATCH = 512  # buffers per sendmsg call (IOV_MAX is 1024 on Linux)
+_JOIN_POLL = 0.1  # seconds between liveness checks of spawned workers that have not joined
 _COMBINE = {"sum": np.add, "mean": np.add, "max": np.maximum, "min": np.minimum}
 
 
@@ -190,12 +193,13 @@ def _recv_frame(sock: socket.socket) -> Tuple[Dict[str, Any], Union[bytearray, L
     return header, payload
 
 
-def _close_socket(sock: socket.socket) -> None:
+def _shutdown(sock: socket.socket) -> None:
+    """Wake the reader blocked on ``sock``.  Only that reader closes it: a
+    descriptor freed under its ``select`` could be reused by another socket."""
     try:
-        sock.shutdown(socket.SHUT_RDWR)  # wakes a thread blocked on the socket
+        sock.shutdown(socket.SHUT_RDWR)
     except OSError:
         pass
-    sock.close()
 
 
 # ---------------------------------------------------------------- rank view
@@ -214,8 +218,8 @@ class _TCPRankView(Communicator):
     nonblocking = True
 
     #: Worker views always run inside a program; the driver (TCPComm)
-    #: toggles this in :meth:`TCPComm.run` (same guard as the process
-    #: transport: a driver-side SPMD collective outside run() fails fast).
+    #: toggles this in :meth:`TCPComm.run`, so a driver-side SPMD collective
+    #: outside run() fails fast instead of waiting for absent peers.
     _in_program = True
 
     def __init__(self, rank: int, size: int, timeout: float, chunk_bytes: int) -> None:
@@ -542,23 +546,29 @@ class _Hub:
                     self.post(rank, header, payload, sock)
                 elif header.get("kind") == "result":
                     result = (bool(header["ok"]), pickle.loads(payload))
+                    task = int(header["task"])
                     with self._cond:
-                        self._results[(int(header["task"]), rank)] = result
+                        self._results[(task, rank)] = result
                         self._cond.notify_all()
+                        current = task == self._task
+                    if current and not result[0]:
+                        # Its peers may be waiting on a collective it will never post.
+                        self.fail(f"rank {rank} raised an exception")
         except (OSError, EOFError, ValueError, pickle.UnpicklingError):
             pass
         finally:
             self._drop(rank, sock, f"rank {rank} lost its connection")
+            sock.close()
 
     def _drop(self, rank: int, sock: socket.socket, reason: str) -> None:
-        """Close ``sock``; if it was ``rank``'s live connection, fail the task."""
+        """Shut ``sock`` down; if it was ``rank``'s live connection, fail the task."""
         with self._cond:
             current = self._conns[rank] is sock
             if current:
                 self._conns[rank] = None
                 self._dead.add(rank)
                 self._cond.notify_all()
-        _close_socket(sock)
+        _shutdown(sock)
         if current:
             self.fail(reason)
 
@@ -719,19 +729,24 @@ class _Hub:
         with self._cond:
             return [r for r in range(1, self._size) if self._conns[r] is None]
 
-    def wait_connected(self, deadline: float) -> None:
+    def wait_connected(self, deadline: float, check: Callable[[List[int]], None]) -> None:
+        """Wait up to ``deadline`` s for every worker rank to join.
 
-        def ready() -> bool:
-            if self._closed:
-                raise BackendError("tcp hub closed while waiting for ranks")
-            return not self.missing_ranks()
-
+        ``check(missing)`` runs every ``_JOIN_POLL`` s and may raise, so the
+        driver fails fast on a spawned worker that exited instead of joining.
+        """
+        give_up = time.monotonic() + deadline
         with self._cond:
-            if not self._cond.wait_for(ready, deadline):
-                raise BackendError(
-                    f"timed out after {deadline}s waiting for rank(s) {self.missing_ranks()} "
-                    f"to join the tcp rendezvous at {self.address[0]}:{self.address[1]}"
-                )
+            while self.missing_ranks():
+                if self._closed:
+                    raise BackendError("tcp hub closed while waiting for ranks")
+                check(self.missing_ranks())
+                if time.monotonic() > give_up:
+                    raise BackendError(
+                        f"timed out after {deadline}s waiting for rank(s) {self.missing_ranks()} "
+                        f"to join the tcp rendezvous at {self.address[0]}:{self.address[1]}"
+                    )
+                self._cond.wait(_JOIN_POLL)
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -746,7 +761,7 @@ class _Hub:
         except OSError:
             pass
         for conn in conns:
-            _close_socket(conn)
+            _shutdown(conn)
 
 
 # ------------------------------------------------------------------ workers
@@ -821,8 +836,8 @@ class TCPComm(_TCPRankView):
         framing is self-describing, so peers may differ).
     spawn_workers:
         ``True`` (default): spawn ``size - 1`` local worker processes that
-        connect back over loopback — a drop-in alternative to the process
-        transport.  ``False``: workers are external; the constructor blocks
+        connect back over loopback (the ``process:N`` spec).  ``False``:
+        workers are external; the constructor blocks
         (up to ``timeout``) until every rank has joined the rendezvous
         (``python -m repro.comm.tcp --connect HOST:PORT``).
     start_method:
@@ -856,7 +871,7 @@ class TCPComm(_TCPRankView):
             if self._spawn:
                 for rank in range(1, self._size):
                     self._workers[rank] = self._start_worker(rank)
-            self._hub.wait_connected(deadline=max(self._timeout, 60.0))
+            self._hub.wait_connected(max(self._timeout, 60.0), self._check_spawned)
         except BaseException:
             self.close()
             raise
@@ -870,6 +885,16 @@ class TCPComm(_TCPRankView):
         )
         proc.start()
         return proc
+
+    def _check_spawned(self, missing: List[int]) -> None:
+        """A locally spawned worker that exited before joining is an error now."""
+        for rank in missing:
+            proc = self._workers.get(rank)
+            if proc is not None and proc.exitcode is not None:
+                raise BackendError(
+                    f"tcp worker rank {rank} exited with code {proc.exitcode} "
+                    "before joining the rendezvous"
+                )
 
     # ------------------------------------------------- in-process hub link
     def _submit(self, header: Dict[str, Any], arrays: List[np.ndarray]) -> None:
@@ -947,7 +972,9 @@ class TCPComm(_TCPRankView):
         keep their rank reserved and are simply waited for (the rendezvous
         listener is open for the communicator's whole life, so a restarted
         remote worker reconnects with ``--rank R`` and is re-admitted).
-        Returns ``True`` once every rank is connected again.
+        Returns ``True`` once every rank is connected again and ``False`` if
+        one is still missing after the wait; a respawned worker that exits
+        before joining raises :class:`~repro.exceptions.BackendError`.
         """
         if self._closed:
             return False
@@ -957,8 +984,9 @@ class TCPComm(_TCPRankView):
                 _reap(proc, grace=2.0)
                 self._workers[rank] = self._start_worker(rank)
         try:
-            self._hub.wait_connected(deadline=max(self._timeout, 60.0))
+            self._hub.wait_connected(max(self._timeout, 60.0), self._check_spawned)
         except BackendError:
+            self._check_spawned(self._hub.missing_ranks())  # a dead worker's error wins
             return False
         return True
 

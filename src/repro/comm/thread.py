@@ -1,13 +1,13 @@
 """The thread transport: in-process ranks with real barrier rendezvous.
 
-``ThreadComm`` upgrades the old ``LocalComm`` simulation into a transport
-that actually *runs* SPMD programs: :meth:`run` executes rank 0 inline and
-ranks 1..N-1 on daemon threads, and the collectives rendezvous through a
-shared ``threading.Barrier`` with per-rank contribution slots.  NumPy
+``ThreadComm`` is the in-process transport that actually *runs* SPMD
+programs: :meth:`run` executes rank 0 inline and ranks 1..N-1 on daemon
+threads, and the collectives rendezvous through a shared
+``threading.Barrier`` with per-rank contribution slots.  NumPy
 releases the GIL inside the BLAS kernels, so shard-local GEMMs genuinely
-overlap; more importantly the transport exercises the exact rendezvous
-semantics of the process transport with zero serialization cost, which makes
-it the fast CI-friendly middle rung of the serial → thread → process ladder.
+overlap; more importantly the transport exercises the same rendezvous
+semantics as the tcp transport with zero serialization cost, which makes it
+the fast CI-friendly middle rung of the serial → thread → tcp ladder.
 
 Reduction is performed independently by every rank in rank order, so all
 ranks observe identical, deterministic results.

@@ -90,8 +90,9 @@ class TrainingSection:
     sparse: str = "auto"
     #: Communicator transport spec for data-parallel training: a string from
     #: the :func:`repro.comm.parse_transport_spec` grammar (``"thread:4"``,
-    #: ``"process:4"``, ``"tcp://host:port?ranks=8"``, ``"mpi"``).  ``None``
-    #: keeps the single-process path (exactly like omitting ``--comm``).
+    #: ``"tcp://host:port?ranks=8"``, ``"process:4"`` for loopback tcp,
+    #: ``"mpi"``).  ``None`` keeps the single-process path (exactly like
+    #: omitting ``--comm``).
     comm: Optional[str] = None
     #: Legacy communicator size for bare transport names; ``None`` defaults
     #: to 1 (``> 1`` without ``comm`` implies the thread transport).  Prefer
@@ -368,14 +369,14 @@ def _validate_cross(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             "training.comm_overlap",
             "'on' requires a multi-rank communicator, but training.comm is "
-            f"{tr.comm!r}; set training.comm to thread/process/tcp/mpi or drop "
+            f"{tr.comm!r}; set training.comm to thread/tcp/mpi or drop "
             "the override",
         )
     if name == "serial" and ranks > 1:
         raise ConfigError(
             "training.ranks",
             f"the serial transport is single-rank but ranks={ranks}; "
-            "use training.comm: thread:N or process:N",
+            "use training.comm: thread:N or tcp://host:port?ranks=N",
         )
     if tr.fault_tolerance:
         from repro.comm import transport_capabilities
@@ -385,7 +386,8 @@ def _validate_cross(cfg: ExperimentConfig) -> None:
             raise ConfigError(
                 "training.fault_tolerance",
                 "requires a fault-tolerant transport, but training.comm is "
-                f"{tr.comm!r}; use process:N or tcp://host:port?ranks=N",
+                f"{tr.comm!r}; use tcp://host:port?ranks=N (or process:N, its "
+                "loopback spelling)",
             )
     if tr.resume and tr.checkpoint_dir is None:
         raise ConfigError(

@@ -181,7 +181,7 @@ class Network:
         layer replica, each global batch is sharded over the ranks, and the
         sufficient statistics are combined with one allreduce per batch (see
         :class:`repro.backend.distributed.DistributedTrainer`).  Training is
-        rank-invariant across the serial/thread/process transports (bit for
+        rank-invariant across the serial/thread/tcp transports (bit for
         bit up to floating-point summation order) for deterministic
         competition modes.  The classification head is small and trains on
         the driver as usual.
@@ -223,8 +223,8 @@ class Network:
             string for data-parallel hidden-layer training (see above).
         fault_tolerance:
             Override of the schedule's ``fault_tolerance`` flag: recover
-            from crashed ranks mid-fit on fault-tolerant transports
-            (process, tcp) by respawning/re-admitting the dead rank and
+            from crashed ranks mid-fit on the fault-tolerant tcp
+            transport by respawning/re-admitting the dead rank and
             resuming from the last epoch boundary — bitwise-exact at
             ``weight_refresh_tol=0``.
         fault_injection:

@@ -118,7 +118,7 @@ class HiggsExperimentConfig:
     comm_overlap: str = "auto"
     #: Sparse-packed allreduce payloads on frozen masks ("auto"/"on"/"off").
     sparse_payload: str = "auto"
-    #: Recover from crashed ranks during comm training (process/tcp).
+    #: Recover from crashed ranks during comm training (tcp).
     fault_tolerance: bool = False
     #: Durable checkpoint directory for crash-safe training (None = off).
     checkpoint_dir: Optional[str] = None

@@ -3,8 +3,8 @@
 BCPNN's local learning means data-parallel training only exchanges
 probability-trace statistics (one packed allreduce per batch).  This
 experiment trains the same hidden layer serially and with 2/4/8 ranks on a
-selectable :mod:`repro.comm` transport — in-process threads or real OS
-processes — and verifies that (a) the learned traces are numerically
+selectable :mod:`repro.comm` transport — in-process threads or OS
+processes over tcp — and verifies that (a) the learned traces are numerically
 equivalent and (b) the communication volume grows with the trace size, not
 with the batch size — the property the paper uses to argue BCPNN "scales
 horizontally without the limiting factor on communication" (Section II-B).
@@ -67,7 +67,7 @@ def run_distributed_equivalence(
     ``backend`` selects the *compute* backend each rank uses for its local
     shard arithmetic; ``transport`` selects the :mod:`repro.comm` transport
     carrying the per-batch allreduce ("serial" is only valid for one rank,
-    "thread" runs in-process ranks, "process" real OS processes).
+    "thread" runs in-process ranks, "tcp" (or "process") OS processes).
     ``pipeline``/``weight_refresh_tol`` exercise the pipelined shard gather
     and the rank-invariant stale-weights caching — every run (including the
     serial reference) uses the same options, so the equivalence check also

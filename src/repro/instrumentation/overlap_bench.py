@@ -6,7 +6,7 @@ Shared by ``benchmarks/bench_kernels.py`` (which records the result in the
 
 * **blocking vs overlapped** — the same Higgs-sized hidden layer trained
   through :class:`~repro.backend.distributed.DistributedTrainer` at two
-  ranks on the process transport, once with the historical blocking
+  ranks on the tcp transport, once with the historical blocking
   schedule (``comm_overlap="off"``, dense payloads) and once with the
   software-pipelined schedule (``comm_overlap="on"`` + sparse-packed
   payloads on the frozen mask).  Both sides run the same stale-weights
@@ -99,11 +99,11 @@ def measure_comm_overlap(
     allreduce every batch); the overlapped side issues the reduction
     nonblocking, computes the next batch before waiting, and packs only
     active-row statistics (the mask is frozen for the whole run).  Both
-    sides run the identical stale-weights tolerance and the process
+    sides run the identical stale-weights tolerance and the tcp
     transport at ``ranks`` ranks, so the speedup isolates the
     communication schedule + payload packing.
     """
-    from repro.comm import ProcessComm
+    from repro.comm import TCPComm
     from repro.core.layers import InputSpec
 
     input_spec = InputSpec.uniform(int(n_input_hypercolumns), int(bins))
@@ -117,7 +117,7 @@ def measure_comm_overlap(
 
     n_batches = max(1, -(-int(n_samples) // int(batch_size))) * int(epochs)
 
-    comm = ProcessComm(int(ranks), timeout=timeout)
+    comm = TCPComm(int(ranks), timeout=timeout)
     try:
         # Warm both paths once (BLAS pools, worker imports), then interleave
         # the repeats so machine-load drift hits both sides equally.
@@ -186,7 +186,7 @@ def measure_comm_overlap(
             "ranks": int(ranks),
             "density": float(density),
             "weight_refresh_tol": float(weight_refresh_tol),
-            "transport": "process",
+            "transport": "tcp",
             "backend": backend or "numpy",
         },
         "blocking_seconds_per_batch": blocking_seconds / n_batches,

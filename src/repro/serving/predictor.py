@@ -22,8 +22,8 @@ Sharding comes in two flavours:
   threads/processes included; rank 0 is the driver, inline) streams its
   shard through its own replica, and the per-rank outputs are combined with
   a **single** ``allgather`` — one gather per call, independent of the
-  number of batches.  On the process transport the model crosses the
-  process boundary once per call as a broadcast npz blob (shared memory, no
+  number of batches.  On the tcp transport the model crosses the process
+  boundary once per model version as a broadcast npz blob (raw frames, no
   pickling of live layers).
 * a :class:`~repro.backend.distributed.DistributedBackend` backend: the
   historical in-process simulation of the same row partitioning, kept for
@@ -51,7 +51,7 @@ Source = Union[np.ndarray, BatchStream]
 
 
 #: Worker-process-resident model replica: ``{"token": ..., "network": ...}``.
-#: ``ProcessComm`` workers are persistent, so a replica rebuilt from one
+#: ``TCPComm`` workers are persistent, so a replica rebuilt from one
 #: predict call's broadcast blob can serve every subsequent call until the
 #: driver's model actually changes (detected through the serving refresh
 #: token) — the blob then stops crossing the process boundary entirely.
@@ -78,15 +78,15 @@ def _predict_shard_program(
     Worker ranks obtain the model one of three ways: thread ranks share the
     driver's address space and read the live ``network`` directly (forward
     passes never mutate layer state, and each rank owns its own engine
-    workspaces); process ranks receive it as a broadcast npz blob
+    workspaces); tcp ranks receive it as a broadcast npz blob
     (``ship_model=True, ship_blob=True``) and rebuild a local replica —
-    through shared memory, never pickled — which they then *cache* keyed on
+    raw array frames, never pickled — which they then *cache* keyed on
     the driver's serving refresh token, so repeat calls with an unchanged
     model skip the broadcast and the rebuild entirely
     (``ship_blob=False``).  The per-rank outputs are combined with one
     ragged ``allgather`` (no padding needed — shapes travel with the
     payload), and only rank 0 materialises the final result, so nothing
-    layer-sized is ever pickled back through the task queue.
+    layer-sized is ever pickled back to the driver.
     """
     if ship_model and ship_blob:
         blob = comm.bcast(blob, root=0)
@@ -507,9 +507,9 @@ class StreamingPredictor(BackendExecutionMixin):
     def _stream_spmd(self, x: np.ndarray, proba: bool) -> np.ndarray:
         """Scatter rows over the communicator ranks; gather outputs once.
 
-        Thread ranks read the driver's live network directly; process ranks
-        receive it as a broadcast npz blob (a ``uint8`` array moved through
-        shared memory, nothing layer-sized is pickled) — **once per model
+        Thread ranks read the driver's live network directly; tcp ranks
+        receive it as a broadcast npz blob (a ``uint8`` array sent as raw
+        frames, nothing layer-sized is pickled) — **once per model
         version**: the blob broadcast is skipped whenever the serving
         refresh token matches what this communicator's workers already hold
         (they cache the rebuilt replica), so steady-state serving moves only
@@ -520,7 +520,7 @@ class StreamingPredictor(BackendExecutionMixin):
         comm = self.comm
         # Transports whose worker ranks live in other processes (or on other
         # hosts) need the model shipped as a blob; thread ranks share memory.
-        ship_model = comm.transport in ("process", "tcp")
+        ship_model = comm.transport == "tcp"
         model_token = self._model_token()
         ship_blob = True
         blob = None

@@ -1,38 +1,38 @@
 """Tests for the comm-backed data-parallel trainer and legacy combine mode.
 
 The transport-level collective semantics live in ``tests/comm``; this module
-covers what the *backend* layer builds on top: the driver-side legacy
-``LocalComm`` combine helpers (still used by ``DistributedBackend``) and the
-SPMD :class:`~repro.backend.distributed.DistributedTrainer`.
+covers what the *backend* layer builds on top: the driver-side list combine
+helpers (used by ``DistributedBackend``) and the SPMD
+:class:`~repro.backend.distributed.DistributedTrainer`.
 """
 
 import numpy as np
 import pytest
 
-from repro.backend.distributed import DistributedTrainer, LocalComm, split_ranks
+from repro.backend.distributed import DistributedTrainer, split_ranks
 from repro.comm import SerialComm, ThreadComm
 from repro.core import BCPNNHyperParameters, StructuralPlasticityLayer
 from repro.exceptions import BackendError, DataError
 from repro.utils.rng import as_rng
 
 
-class TestLocalCommLegacyMode:
-    """The driver-side list collectives (old LocalComm semantics)."""
+class TestDriverSideListMode:
+    """The driver-side list collectives ``DistributedBackend`` combines with."""
 
     def test_allreduce_sum_and_mean(self):
-        comm = LocalComm(3)
+        comm = ThreadComm(3)
         parts = [np.full(4, float(r)) for r in range(3)]
         assert np.allclose(comm.allreduce(parts, op="sum"), 3.0)
         assert np.allclose(comm.allreduce(parts, op="mean"), 1.0)
 
     def test_allreduce_max_min(self):
-        comm = LocalComm(2)
+        comm = ThreadComm(2)
         parts = [np.array([1.0, 5.0]), np.array([3.0, 2.0])]
         assert np.allclose(comm.allreduce(parts, op="max"), [3.0, 5.0])
         assert np.allclose(comm.allreduce(parts, op="min"), [1.0, 2.0])
 
     def test_allgather_returns_copies(self):
-        comm = LocalComm(2)
+        comm = ThreadComm(2)
         parts = [np.zeros(2), np.ones(2)]
         gathered = comm.allgather(parts)
         gathered[0][:] = 99
@@ -41,7 +41,7 @@ class TestLocalCommLegacyMode:
     def test_spmd_collectives_guarded_outside_run(self):
         # A single SPMD array collective on a size>1 comm would rendezvous
         # with peers that are not running; it must fail fast, not hang.
-        comm = LocalComm(3)
+        comm = ThreadComm(3)
         with pytest.raises(BackendError):
             comm.bcast(np.array([1.0, 2.0]), root=0)
         with pytest.raises(BackendError):
@@ -50,7 +50,7 @@ class TestLocalCommLegacyMode:
             comm.bcast(np.ones(2), root=9)
 
     def test_contribution_validation(self):
-        comm = LocalComm(2)
+        comm = ThreadComm(2)
         with pytest.raises(BackendError):
             comm.allreduce([np.ones(2)])
         with pytest.raises(BackendError):
@@ -59,14 +59,14 @@ class TestLocalCommLegacyMode:
             comm.allreduce([np.ones(2), np.ones(2)], op="median")
 
     def test_counters(self):
-        comm = LocalComm(2)
+        comm = ThreadComm(2)
         comm.allreduce([np.ones(4), np.ones(4)])
         assert comm.collective_calls["allreduce"] == 1
         assert comm.bytes_communicated > 0
 
     def test_invalid_size(self):
         with pytest.raises(BackendError):
-            LocalComm(0)
+            ThreadComm(0)
 
 
 class TestSplitRanks:

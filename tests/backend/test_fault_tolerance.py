@@ -2,11 +2,11 @@
 
 The guarantee under test (``DistributedTrainer.train_layer`` with
 ``fault_tolerance=True``): when a worker rank dies mid-epoch, the failed
-rank is respawned (process transport) or re-admitted (tcp transport), the
-layer is restored from the last completed epoch boundary, and the run
-converges to *bitwise-identical* final weights, traces and mask as the
-uninterrupted run at ``weight_refresh_tol=0`` — same shuffle stream, same
-RNG state, same batch count.
+rank is respawned or re-admitted (tcp transport), the layer is restored
+from the last completed epoch boundary, and the run converges to
+*bitwise-identical* final weights, traces and mask as the uninterrupted run
+at ``weight_refresh_tol=0`` — same shuffle stream, same RNG state, same
+batch count.
 """
 
 import numpy as np
@@ -14,7 +14,7 @@ import pytest
 
 from repro import faults
 from repro.backend.distributed import DistributedTrainer
-from repro.comm import ProcessComm, TCPComm, ThreadComm
+from repro.comm import TCPComm, ThreadComm
 from repro.core import BCPNNHyperParameters, StructuralPlasticityLayer
 from repro.core.layers import InputSpec
 from repro.exceptions import BackendError, DataError
@@ -60,33 +60,20 @@ def _train(comm, inject=None, fault_tolerance=False, competition="softmax"):
     return layer, report
 
 
-@pytest.mark.parametrize(
-    "transport,competition",
-    [
-        ("process", "softmax"),
-        ("tcp", "softmax"),
-        # The stochastic mode is the hard case: its shard-shaped noise draws
-        # desynchronise the per-rank generators mid-epoch, so the guarantee
-        # depends on _sync_replica re-imposing rank 0's RNG state at every
-        # epoch boundary (the respawned worker can only replay from there).
-        ("process", "sample"),
-        ("tcp", "sample"),
-    ],
-)
-def test_mid_epoch_crash_is_bitwise_invisible(transport, competition):
+# The stochastic mode is the hard case: its shard-shaped noise draws
+# desynchronise the per-rank generators mid-epoch, so the guarantee depends
+# on _sync_replica re-imposing rank 0's RNG state at every epoch boundary
+# (the respawned worker can only replay from there).
+@pytest.mark.parametrize("competition", ["softmax", "sample"])
+def test_mid_epoch_crash_is_bitwise_invisible(competition):
     """Injected crash + recovery == uninterrupted run, bit for bit (tol=0)."""
-    factory = {
-        "process": lambda: ProcessComm(3, timeout=60.0),
-        "tcp": lambda: TCPComm(3, timeout=60.0),
-    }[transport]
-
-    comm = factory()
+    comm = TCPComm(3, timeout=60.0)
     try:
         base_layer, base_report = _train(comm, competition=competition)
     finally:
         comm.close()
 
-    comm = factory()
+    comm = TCPComm(3, timeout=60.0)
     try:
         ft_layer, ft_report = _train(
             comm,
@@ -147,7 +134,7 @@ class TestEdges:
         snapshot — there is no completed boundary to roll back to."""
         with ThreadComm(3) as comm:
             base_layer, base_report = _train(comm)
-        comm = ProcessComm(3, timeout=60.0)
+        comm = TCPComm(3, timeout=60.0)
         try:
             ft_layer, ft_report = _train(
                 comm, inject={"rank": 1, "epoch": 0, "batch": 0}, fault_tolerance=True
@@ -166,7 +153,7 @@ class TestEdges:
         faults.install_plan(
             faults.FaultPlan("worker.crash@rank=1,epoch=0,batch=1,count=2")
         )
-        comm = ProcessComm(3, timeout=60.0)
+        comm = TCPComm(3, timeout=60.0)
         try:
             layer = _make_layer()
             trainer = DistributedTrainer(comm)

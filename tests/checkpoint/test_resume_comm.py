@@ -1,4 +1,4 @@
-"""Data-parallel checkpoint/resume on the process and tcp transports.
+"""Data-parallel checkpoint/resume on the tcp transport.
 
 The acceptance-critical guarantee: a driver killed at an epoch boundary of
 comm training, resumed with ``resume=True`` on the same transport, produces
@@ -46,13 +46,14 @@ def _history_key(history):
     return [(r.phase, r.layer_name, r.epoch, sorted(r.metrics.items())) for r in history.records]
 
 
-_TRANSPORTS = ["process:2", "tcp://127.0.0.1:0?ranks=2"]
-
-
-@pytest.mark.parametrize("spec", _TRANSPORTS, ids=["process", "tcp"])
-def test_driver_kill_then_resume_is_bitwise_identical(tmp_path, spec):
+def test_driver_kill_then_resume_is_bitwise_identical(tmp_path):
     x, y, blocks = _data()
-    kw = dict(input_spec=blocks, schedule=_schedule(), comm=spec, weight_refresh_tol=0.0)
+    kw = dict(
+        input_spec=blocks,
+        schedule=_schedule(),
+        comm="tcp://127.0.0.1:0?ranks=2",
+        weight_refresh_tol=0.0,
+    )
 
     baseline = _network()
     hist_a = baseline.fit(x, y, **kw)

@@ -1,4 +1,4 @@
-"""SPMD programs only the comm test-suite runs.
+"""SPMD programs (and a worker entry point) only the comm test-suite runs.
 
 Like :mod:`repro.comm.tasks`, these cross the process boundary *by
 reference*, so they live at module scope in an importable module; unlike
@@ -120,6 +120,25 @@ def mismatched_post(comm, what: str) -> Dict[str, object]:
     except BackendError:
         raised = True
     return {"rank": rank, "raised": raised, "seconds": time.perf_counter() - started}
+
+
+def exit_before_joining(rank, address, timeout, chunk_bytes) -> None:
+    """Stand-in for the tcp worker entry point: die before the handshake."""
+    os._exit(3)
+
+
+def killed_before_joining(rank, address, timeout, chunk_bytes) -> None:
+    """Stand-in for the tcp worker entry point: SIGKILLed before the handshake."""
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def rank1_exits_before_joining(rank, address, timeout, chunk_bytes) -> None:
+    """Rank 1 dies before the handshake; every other rank is a real worker."""
+    if rank == 1:
+        os._exit(3)
+    from repro.comm.tcp import _tcp_worker_main
+
+    _tcp_worker_main(rank, address, timeout, chunk_bytes)
 
 
 def freeze_rank(comm, victim: int = 1, n_elems: int = 1 << 23) -> float:

@@ -4,16 +4,17 @@ Every :class:`~repro.comm.Communicator` must present *identical* collective
 semantics, honour the one-outstanding ``iallreduce`` contract, survive
 chunked payloads at tiny chunk caps, and turn a crashed rank into a
 :class:`~repro.exceptions.BackendError` instead of a hang.  The suite runs
-the same SPMD programs (:mod:`repro.comm.tasks`) over serial, thread,
-process and tcp, so a new transport passes or fails the whole matrix at
-once.
+the same SPMD programs (:mod:`repro.comm.tasks`) over serial, thread and
+tcp, so a new transport passes or fails the whole matrix at once.
 
-The module-scope process/tcp fixtures are shared across tests (pool/hub
-start-up costs ~a second per worker under the spawn start method); the
-crash tests construct their own throwaway communicators.
+The module-scope tcp fixture is shared across tests (hub start-up costs
+~a second per worker under the spawn start method); the crash tests
+construct their own throwaway communicators.
 """
 
+import multiprocessing
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -25,7 +26,6 @@ import pytest
 
 from repro import faults
 from repro.comm import (
-    ProcessComm,
     SerialComm,
     TCPComm,
     ThreadComm,
@@ -36,17 +36,12 @@ from repro.comm import (
     tasks,
     transport_capabilities,
 )
+from repro.comm import tcp as tcp_module
 from repro.exceptions import BackendError
 from tests.comm import programs
 
-TRANSPORTS = ["serial", "thread", "process", "tcp"]
-
-
-@pytest.fixture(scope="module")
-def process_comm():
-    comm = ProcessComm(2, timeout=60.0)
-    yield comm
-    comm.close()
+TRANSPORTS = ["serial", "thread", "tcp"]
+FAULT_TOLERANT = [name for name, caps in transport_capabilities().items() if caps["fault_tolerant"]]
 
 
 @pytest.fixture(scope="module")
@@ -57,15 +52,13 @@ def tcp_comm():
 
 
 @pytest.fixture(params=TRANSPORTS)
-def comm(request, process_comm, tcp_comm):
+def comm(request, tcp_comm):
     if request.param == "serial":
         with SerialComm() as c:
             yield c
     elif request.param == "thread":
         with ThreadComm(2) as c:
             yield c
-    elif request.param == "process":
-        yield process_comm
     else:
         yield tcp_comm
 
@@ -102,13 +95,13 @@ class TestCollectiveConformance:
     def test_iallreduce_one_outstanding_contract(self, comm):
         """A second in-flight iallreduce either completes or raises — never corrupts.
 
-        The rendezvous transports (process, tcp) support exactly one
-        outstanding reduction per rank and must reject the second *call*;
-        the eagerly-completing transports accept it.  Either way the first
+        The rendezvous transport (tcp) supports exactly one outstanding
+        reduction per rank and must reject the second *call*; the
+        eagerly-completing transports accept it.  Either way the first
         request's value must be exact on every rank.
         """
         results = comm.run(tasks.iallreduce_outstanding_error)
-        expected_reject = comm.transport in ("process", "tcp")
+        expected_reject = comm.transport == "tcp"
         for r in results:
             assert r["rejected"] == expected_reject
             assert r["value"] == float(sum(range(comm.size)))
@@ -125,10 +118,6 @@ class TestCollectiveConformance:
 
 class TestChunking:
     """Payloads far above the per-message cap still reduce exactly."""
-
-    def test_process_small_slot_cap(self):
-        with ProcessComm(2, timeout=60.0, max_slot_bytes=256) as comm:
-            self._check(comm)
 
     def test_tcp_small_chunk_bytes(self):
         with TCPComm(2, timeout=60.0, chunk_bytes=256) as comm:
@@ -148,10 +137,46 @@ class TestChunking:
 class TestCrashSemantics:
     """A dead rank surfaces as BackendError on the survivors — never a hang."""
 
-    def test_process_crash_raises(self):
-        with ProcessComm(2, timeout=30.0) as comm:
+    @pytest.mark.parametrize("name", FAULT_TOLERANT)
+    def test_crashed_rank_is_an_error_within_a_second(self, name):
+        """Detection is an event (EOF, a dead process), not the 30 s timeout."""
+        with get_communicator(name, ranks=2, timeout=30.0) as comm:
+            started = time.monotonic()
             with pytest.raises(BackendError):
                 comm.run(tasks.crash_rank, [(1,)] * comm.size)
+            assert time.monotonic() - started < 1.0
+
+    def test_worker_that_exits_before_joining_fails_the_constructor(self, monkeypatch):
+        """The driver watches the workers it spawned instead of waiting out the deadline."""
+        monkeypatch.setattr(tcp_module, "_tcp_worker_main", programs.exit_before_joining)
+        started = time.monotonic()
+        with pytest.raises(BackendError, match="rank 1 exited with code 3"):
+            TCPComm(2, timeout=30.0)
+        assert time.monotonic() - started < 5.0  # spawn start-up included; deadline 60 s
+
+    def test_worker_killed_before_joining_names_the_signal(self, monkeypatch):
+        monkeypatch.setattr(tcp_module, "_tcp_worker_main", programs.killed_before_joining)
+        with pytest.raises(BackendError, match=f"rank 1 exited with code -{int(signal.SIGKILL)}"):
+            TCPComm(2, timeout=30.0)
+
+    def test_failed_constructor_reaps_the_workers_that_did_join(self, monkeypatch):
+        monkeypatch.setattr(tcp_module, "_tcp_worker_main", programs.rank1_exits_before_joining)
+        fixture_workers = set(multiprocessing.active_children())  # module-scope comms
+        # Holding the traceback keeps the half-built comm alive, so its
+        # __del__ cannot do the cleanup the constructor owes.
+        with pytest.raises(BackendError, match="rank 1 exited with code 3") as _failure:
+            TCPComm(3, timeout=30.0)
+        assert set(multiprocessing.active_children()) <= fixture_workers
+
+    def test_respawned_worker_that_exits_before_joining_fails_recover(self, monkeypatch):
+        with TCPComm(2, timeout=30.0) as comm:
+            with pytest.raises(BackendError):
+                comm.run(tasks.crash_rank, [(1,)] * comm.size)
+            monkeypatch.setattr(tcp_module, "_tcp_worker_main", programs.exit_before_joining)
+            started = time.monotonic()
+            with pytest.raises(BackendError, match="rank 1 exited with code 3"):
+                comm.recover()
+            assert time.monotonic() - started < 5.0  # spawn start-up included; deadline 60 s
 
     def test_tcp_crash_raises_and_recovers(self):
         with TCPComm(2, timeout=30.0) as comm:
@@ -287,6 +312,13 @@ class TestRawFrames:
             for worker in workers:
                 worker.kill()
 
+    def test_complex_payloads_cross_the_wire(self, tcp3_comm):
+        """Frames carry any fixed-size dtype's raw memory, complex included."""
+        for r in tcp3_comm.run(_complex_round_trip):
+            assert [part.dtype for part in r["gathered"]] == [np.dtype(np.complex128)] * 3
+            assert np.array_equal(np.stack(r["gathered"]), _complex_rows(3))
+            assert np.array_equal(r["broadcast"], _complex_rows(3)[2])
+
     def test_object_arrays_are_rejected(self, tcp_comm):
         with pytest.raises(BackendError, match="object arrays"):
             tcp_comm.run(_allgather_objects)
@@ -294,6 +326,18 @@ class TestRawFrames:
 
 def _allgather_objects(comm):
     return comm.allgather(np.array([{"rank": comm.rank}], dtype=object))
+
+
+def _complex_rows(size):
+    return np.arange(size * 5).reshape(size, 5) * (1.0 - 2.0j)
+
+
+def _complex_round_trip(comm):
+    mine = _complex_rows(comm.size)[comm.rank]
+    return {
+        "gathered": comm.allgather(mine),
+        "broadcast": comm.bcast(mine if comm.rank == 2 else None, root=2),
+    }
 
 
 class TestTimeouts:
@@ -368,7 +412,8 @@ class TestCapabilities:
         from repro.comm import HAVE_MPI
 
         names = list_transports()
-        assert {"serial", "thread", "process", "tcp"} <= set(names)
+        assert {"serial", "thread", "tcp"} <= set(names)
+        assert "process" not in names  # a spelling of tcp, not a transport
         assert ("mpi" in names) == HAVE_MPI
 
     def test_capability_flags_match_classes(self, comm):
@@ -388,7 +433,8 @@ class TestSpecParsing:
         spec = parse_transport_spec("thread:4")
         assert (spec.name, spec.ranks) == ("thread", 4)
         spec = parse_transport_spec("process:2")
-        assert (spec.name, spec.ranks) == ("process", 2)
+        assert spec == parse_transport_spec("tcp://127.0.0.1:0?ranks=2")
+        assert parse_transport_spec("process").ranks is None
 
     def test_tcp_url_spec(self):
         spec = parse_transport_spec("tcp://10.0.0.5:9400?ranks=8&timeout=30&chunk_bytes=4096")
@@ -399,17 +445,41 @@ class TestSpecParsing:
         assert spec.options["chunk_bytes"] == 4096
 
     @pytest.mark.parametrize(
-        "bad", ["tcp:4", "serial:2", "mpi:3", "thread:0", "warp-drive", "tcp://h:p?ranks=x"]
+        "bad",
+        [
+            "tcp:4",
+            "serial:2",
+            "mpi:3",
+            "thread:0",
+            "warp-drive",
+            "tcp://h:p?ranks=x",
+            "process:0",
+            "process:two",
+            "local",  # the retired LocalComm alias
+            "local:2",
+        ],
     )
     def test_malformed_specs_raise(self, bad):
         with pytest.raises(BackendError):
             parse_transport_spec(bad)
+
+    def test_process_one_is_a_tcp_comm_without_workers(self):
+        with get_communicator("process:1") as comm:
+            assert isinstance(comm, TCPComm) and comm.size == 1
+            assert not comm._workers
+            [result] = comm.run(tasks.collective_checks)
+            assert np.array_equal(result["reduced"], np.zeros(3))
+            assert np.array_equal(result["shard"], np.arange(30.0).reshape(10, 3))
+            assert result["int_ranks"] == [0]
 
     def test_get_communicator_accepts_specs(self):
         with get_communicator("thread:3") as comm:
             assert comm.transport == "thread" and comm.size == 3
         with get_communicator("tcp?ranks=2&timeout=60") as comm:
             assert comm.transport == "tcp" and comm.size == 2
+        with get_communicator("process:2", timeout=60.0) as comm:
+            assert isinstance(comm, TCPComm) and comm.size == 2
+            assert comm.address[0] == "127.0.0.1"
 
     def test_embedded_rank_conflicts_rejected(self):
         with pytest.raises(BackendError):

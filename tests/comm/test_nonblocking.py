@@ -1,8 +1,8 @@
-"""Nonblocking collectives and chunked slot-capped reductions (ISSUE 6).
+"""Nonblocking collectives and chunked tcp reductions.
 
 The ``iallreduce`` semantics are exercised through real SPMD programs on
-every transport; the chunked ProcessComm paths construct their own pools
-with deliberately tiny ``max_slot_bytes`` so multi-chunk (and ragged final
+every transport; the chunked tcp cases construct their own communicators
+with deliberately tiny ``chunk_bytes`` so multi-chunk (and ragged final
 chunk) round-trips run even for small payloads.
 """
 
@@ -11,8 +11,8 @@ import pytest
 
 from repro.comm import (
     CompletedRequest,
-    ProcessComm,
     SerialComm,
+    TCPComm,
     ThreadComm,
     tasks,
 )
@@ -20,14 +20,14 @@ from repro.exceptions import BackendError
 
 
 @pytest.fixture(scope="module")
-def process_comm():
-    comm = ProcessComm(2, timeout=60.0)
+def tcp_comm():
+    comm = TCPComm(2, timeout=60.0)
     yield comm
     comm.close()
 
 
-@pytest.fixture(params=["serial", "thread", "process"])
-def comm(request, process_comm):
+@pytest.fixture(params=["serial", "thread", "tcp"])
+def comm(request, tcp_comm):
     if request.param == "serial":
         with SerialComm() as c:
             yield c
@@ -35,7 +35,7 @@ def comm(request, process_comm):
         with ThreadComm(3) as c:
             yield c
     else:
-        yield process_comm
+        yield tcp_comm
 
 
 class TestIallreduceSemantics:
@@ -76,20 +76,20 @@ class TestIallreduceSemantics:
         expected = float(sum(range(comm.size)))
         for r in results:
             assert r["value"] == expected
-            if comm.transport == "process":
-                # The parity-slot protocol supports exactly one in-flight
-                # reduction per rank; a second issue must fail fast.
+            if comm.transport == "tcp":
+                # The tcp rounds support exactly one in-flight reduction
+                # per rank; a second issue must fail fast.
                 assert r["rejected"]
             else:
                 assert not r["rejected"]
 
 
-class TestChunkedProcessCollectives:
-    @pytest.mark.parametrize("max_slot_bytes", [8, 64])
-    def test_chunked_round_trips(self, max_slot_bytes):
+class TestChunkedTCPCollectives:
+    @pytest.mark.parametrize("chunk_bytes", [8, 64])
+    def test_chunked_round_trips(self, chunk_bytes):
         """Ragged final chunks, zero-length and 1-element payloads all
-        round-trip at slot caps down to one float64 per chunk."""
-        with ProcessComm(2, timeout=60.0, max_slot_bytes=max_slot_bytes) as comm:
+        round-trip at chunk caps down to one float64 per chunk."""
+        with TCPComm(2, timeout=60.0, chunk_bytes=chunk_bytes) as comm:
             results = comm.run(tasks.chunked_allreduce_checks, [(23,)] * comm.size)
             for r in results:
                 assert np.array_equal(r["reduced"], r["expected"])
@@ -98,20 +98,11 @@ class TestChunkedProcessCollectives:
                 assert r["single"] == float(sum(range(comm.size)))
                 assert r["nonblocking_matches"]
 
-    def test_uncapped_payloads_stay_dense(self):
-        with ProcessComm(2, timeout=60.0) as comm:
-            before = comm.collective_calls["allreduce"]
-            results = comm.run(tasks.chunked_allreduce_checks, [(23,)] * comm.size)
-            for r in results:
-                assert np.array_equal(r["reduced"], r["expected"])
-            # 4 blocking allreduces per rank-program, one booking each: no
-            # chunk inflation of the counters on the dense path.
-            assert comm.collective_calls["allreduce"] == before + 4
-
-    def test_worker_crash_mid_chunk_surfaces_backend_error(self):
-        comm = ProcessComm(2, timeout=8.0, max_slot_bytes=64)
-        try:
-            with pytest.raises(BackendError):
-                comm.run(tasks.crash_rank_chunked, [(1, 64)] * comm.size)
-        finally:
-            comm.close()
+    def test_chunking_books_one_call_per_collective(self):
+        with TCPComm(2, timeout=60.0, chunk_bytes=64) as comm:
+            before = dict(comm.collective_calls)
+            comm.run(tasks.chunked_allreduce_checks, [(23,)] * comm.size)
+            # 4 blocking allreduces and 1 iallreduce per rank-program, one
+            # booking each however many chunks their frames took.
+            assert comm.collective_calls["allreduce"] == before["allreduce"] + 4
+            assert comm.collective_calls["iallreduce"] == before["iallreduce"] + 1

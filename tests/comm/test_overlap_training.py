@@ -5,7 +5,7 @@ Contracts under test:
 * at ``weight_refresh_tol=0`` every ``comm_overlap`` mode degrades to the
   blocking schedule, bit-for-bit (no ``iallreduce`` issued);
 * at ``tol > 0`` the overlapped schedule is transport-invariant — equal
-  rank counts produce bitwise-identical traces on thread and process
+  rank counts produce bitwise-identical traces on thread and tcp
   transports, and every rank count stays within epsilon of the serial
   single-rank reference;
 * sparse-packed payloads engage exactly in the frozen-mask tail of a run
@@ -19,7 +19,7 @@ import pytest
 
 from repro import kernels
 from repro.backend.distributed import DistributedTrainer
-from repro.comm import ProcessComm, SerialComm, ThreadComm
+from repro.comm import SerialComm, TCPComm, ThreadComm
 from repro.core import BCPNNHyperParameters, InputSpec, StructuralPlasticityLayer
 from repro.exceptions import DataError
 
@@ -35,8 +35,8 @@ def dataset():
 
 
 @pytest.fixture(scope="module")
-def process_pool():
-    comm = ProcessComm(2, timeout=60.0)
+def tcp_pool():
+    comm = TCPComm(2, timeout=60.0)
     yield comm
     comm.close()
 
@@ -76,27 +76,25 @@ class TestOverlapSchedule:
             _, report = _train(comm, dataset, tol=0.05, comm_overlap="on")
         assert report.extra["iallreduce_calls"] == report.global_batches
 
-    def test_equal_rank_counts_are_bitwise_across_transports(
-        self, dataset, process_pool
-    ):
+    def test_equal_rank_counts_are_bitwise_across_transports(self, dataset, tcp_pool):
         with ThreadComm(2) as comm:
             threaded, _ = _train(comm, dataset, tol=0.05)
-        processed, report = _train(process_pool, dataset, tol=0.05)
-        assert np.array_equal(threaded.traces.p_ij, processed.traces.p_ij)
-        assert np.array_equal(threaded.traces.p_i, processed.traces.p_i)
-        assert np.array_equal(threaded.plasticity.mask, processed.plasticity.mask)
+        socketed, report = _train(tcp_pool, dataset, tol=0.05)
+        assert np.array_equal(threaded.traces.p_ij, socketed.traces.p_ij)
+        assert np.array_equal(threaded.traces.p_i, socketed.traces.p_i)
+        assert np.array_equal(threaded.plasticity.mask, socketed.plasticity.mask)
         assert report.extra["iallreduce_calls"] > 0
 
-    def test_overlapped_stays_within_epsilon_of_serial(self, dataset, process_pool):
+    def test_overlapped_stays_within_epsilon_of_serial(self, dataset, tcp_pool):
         """Rank counts differ in shard-sum float order only: the overlapped
         one-batch-stale schedule itself is rank-count-invariant."""
         with SerialComm() as comm:
             serial, _ = _train(comm, dataset, tol=0.05)
         with ThreadComm(2) as comm:
             threaded, _ = _train(comm, dataset, tol=0.05)
-        processed, _ = _train(process_pool, dataset, tol=0.05)
+        socketed, _ = _train(tcp_pool, dataset, tol=0.05)
         probe = np.random.default_rng(1).random((20, 12))
-        for other in (threaded, processed):
+        for other in (threaded, socketed):
             assert np.allclose(serial.traces.p_ij, other.traces.p_ij, atol=1e-9)
             assert np.array_equal(serial.plasticity.mask, other.plasticity.mask)
             assert np.allclose(serial.forward(probe), other.forward(probe), atol=1e-9)
@@ -135,16 +133,12 @@ class TestSparsePayloads:
         probe = np.random.default_rng(1).random((20, 12))
         assert np.array_equal(dense.forward(probe), sparse.forward(probe))
 
-    def test_sparse_payload_with_overlap_is_transport_invariant(
-        self, dataset, process_pool
-    ):
+    def test_sparse_payload_with_overlap_is_transport_invariant(self, dataset, tcp_pool):
         with ThreadComm(2) as comm:
             threaded, _ = _train(comm, dataset, tol=0.05, sparse_payload="on")
-        processed, report = _train(
-            process_pool, dataset, tol=0.05, sparse_payload="on"
-        )
-        assert np.array_equal(threaded.traces.p_ij, processed.traces.p_ij)
-        assert np.array_equal(threaded.plasticity.mask, processed.plasticity.mask)
+        socketed, report = _train(tcp_pool, dataset, tol=0.05, sparse_payload="on")
+        assert np.array_equal(threaded.traces.p_ij, socketed.traces.p_ij)
+        assert np.array_equal(threaded.plasticity.mask, socketed.plasticity.mask)
         assert report.extra["epoch_logs"][-1]["sparse_payload"] == 1.0
 
     def test_full_density_mask_stays_dense_on_auto(self, dataset):

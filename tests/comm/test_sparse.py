@@ -3,7 +3,7 @@
 * data-parallel training with the block-sparse plan stays rank-invariant on
   every transport (the replicas inherit rank 0's sparse policy through the
   program spec);
-* process-transport serving caches worker-resident model replicas keyed on
+* tcp-transport serving caches worker-resident model replicas keyed on
   the serving refresh token: the npz blob is broadcast once per model
   version, not once per call, and a retrain invalidates the cache.
 """
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.backend.distributed import DistributedTrainer
-from repro.comm import ProcessComm, SerialComm, ThreadComm
+from repro.comm import SerialComm, TCPComm, ThreadComm
 from repro.core import (
     BCPNNClassifier,
     BCPNNHyperParameters,
@@ -69,8 +69,8 @@ class TestSparseRankInvariance:
         assert np.allclose(layer.traces.p_ij, reference.traces.p_ij, atol=ATOL)
         assert np.array_equal(layer.plasticity.mask, reference.plasticity.mask)
 
-    def test_process_matches_serial(self, data, reference):
-        with ProcessComm(2, timeout=120.0) as comm:
+    def test_tcp_matches_serial(self, data, reference):
+        with TCPComm(2, timeout=120.0) as comm:
             layer = _train_sparse(comm, data, "on")
         assert np.allclose(layer.traces.p_ij, reference.traces.p_ij, atol=ATOL)
         assert np.array_equal(layer.plasticity.mask, reference.plasticity.mask)
@@ -125,7 +125,7 @@ def _fitted_network(seed=3, epochs=1):
 class TestServingReplicaCache:
     def test_blob_broadcast_once_per_model_version(self):
         network, x, _ = _fitted_network()
-        with ProcessComm(2, timeout=120.0) as comm:
+        with TCPComm(2, timeout=120.0) as comm:
             predictor = StreamingPredictor(network, batch_size=64, comm=comm)
             first = predictor.predict_stream(x)
             bcasts_after_first = comm.collective_calls["bcast"]
@@ -141,7 +141,7 @@ class TestServingReplicaCache:
 
     def test_retraining_invalidates_the_replica(self):
         network, x, y = _fitted_network()
-        with ProcessComm(2, timeout=120.0) as comm:
+        with TCPComm(2, timeout=120.0) as comm:
             predictor = StreamingPredictor(network, batch_size=64, comm=comm)
             predictor.predict_stream(x)
             baseline_bcasts = comm.collective_calls["bcast"]
@@ -173,7 +173,7 @@ class TestServingReplicaCache:
         network_b, _, _ = _fitted_network(seed=9)
         loaded_a = network_from_bytes(network_to_bytes(network_a))
         loaded_b = network_from_bytes(network_to_bytes(network_b))
-        with ProcessComm(2, timeout=120.0) as comm:
+        with TCPComm(2, timeout=120.0) as comm:
             pred_a = StreamingPredictor(loaded_a, batch_size=64, comm=comm)
             pred_b = StreamingPredictor(loaded_b, batch_size=64, comm=comm)
             out_a = pred_a.predict_proba_stream(x)
@@ -187,7 +187,7 @@ class TestServingReplicaCache:
         from repro.exceptions import DataError as ReproDataError
 
         network, x, _ = _fitted_network()
-        with ProcessComm(2, timeout=120.0) as comm:
+        with TCPComm(2, timeout=120.0) as comm:
             predictor = StreamingPredictor(network, batch_size=64, comm=comm)
             # Sabotage the first program: rows with the wrong width blow up
             # inside every rank before the replica is cached as "current".
@@ -202,7 +202,7 @@ class TestServingReplicaCache:
         """set_density mutates the mask without a weight refresh; the mask
         token must still move the serving token so workers re-ship."""
         network, x, _ = _fitted_network()
-        with ProcessComm(2, timeout=120.0) as comm:
+        with TCPComm(2, timeout=120.0) as comm:
             predictor = StreamingPredictor(network, batch_size=64, comm=comm)
             predictor.predict_proba_stream(x)
             network.hidden_layers[0].set_density(0.8)
@@ -213,7 +213,7 @@ class TestServingReplicaCache:
 
     def test_cached_replica_results_match_local(self):
         network, x, _ = _fitted_network()
-        with ProcessComm(2, timeout=120.0) as comm:
+        with TCPComm(2, timeout=120.0) as comm:
             predictor = StreamingPredictor(network, batch_size=64, comm=comm)
             predictor.predict_stream(x)  # populate the cache
             proba = predictor.predict_proba_stream(x)  # served from the cache

@@ -1,7 +1,7 @@
 """Rank-invariance of data-parallel training across every transport.
 
-The acceptance property of the subsystem: training over real OS processes
-(and threads) reproduces the serial traces bit-for-bit up to floating-point
+The acceptance property of the subsystem: training over OS processes on
+the tcp transport (and over threads) reproduces the serial traces bit-for-bit up to floating-point
 summation order — exactly the paper's claim for the MPI backend.
 """
 
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.backend.distributed import DistributedTrainer
-from repro.comm import ProcessComm, SerialComm, TCPComm, ThreadComm
+from repro.comm import SerialComm, TCPComm, ThreadComm
 from repro.core import (
     BCPNNClassifier,
     BCPNNHyperParameters,
@@ -66,8 +66,8 @@ class TestTrainerInvariance:
         assert np.array_equal(layer.plasticity.mask, ref.plasticity.mask)
 
     @pytest.mark.parametrize("mode", ["rate", "competitive"])
-    def test_process_matches_serial(self, data, reference, mode, process_pool):
-        layer = _train(process_pool, data, mode)
+    def test_tcp_matches_serial(self, data, reference, mode, tcp_pool):
+        layer = _train(tcp_pool, data, mode)
         ref = reference[mode]
         assert np.allclose(layer.traces.p_ij, ref.traces.p_ij, atol=ATOL)
         assert np.allclose(layer.traces.p_i, ref.traces.p_i, atol=ATOL)
@@ -75,8 +75,8 @@ class TestTrainerInvariance:
 
 
 @pytest.fixture(scope="module")
-def process_pool():
-    comm = ProcessComm(2, timeout=120.0)
+def tcp_pool():
+    comm = TCPComm(2, timeout=60.0)
     yield comm
     comm.close()
 
@@ -98,14 +98,14 @@ class TestNetworkFitComm:
         network.fit(x, y, input_spec=InputSpec([4, 4, 4]), schedule=schedule, comm=comm)
         return network
 
-    def test_fit_is_rank_invariant_across_transports(self, dataset, process_pool):
+    def test_fit_is_rank_invariant_across_transports(self, dataset, tcp_pool):
         x, _ = dataset
         with SerialComm() as comm:
             serial = self._fit(comm, dataset)
         with ThreadComm(3) as comm:
             threaded = self._fit(comm, dataset)
-        processed = self._fit(process_pool, dataset)
-        for other in (threaded, processed):
+        socketed = self._fit(tcp_pool, dataset)
+        for other in (threaded, socketed):
             assert np.allclose(
                 serial.hidden_layers[0].traces.p_ij,
                 other.hidden_layers[0].traces.p_ij,
@@ -130,9 +130,7 @@ class TestNetworkFitComm:
         return network
 
     @pytest.mark.parametrize("tol", [0.0, 0.02])
-    def test_pipelined_fit_is_rank_invariant_across_transports(
-        self, dataset, process_pool, tol
-    ):
+    def test_pipelined_fit_is_rank_invariant_across_transports(self, dataset, tcp_pool, tol):
         """ISSUE 4 acceptance: pipelining (and the rank-invariant stale-weights
         refresh decisions) must not break transport invariance."""
         x, _ = dataset
@@ -140,8 +138,8 @@ class TestNetworkFitComm:
             serial = self._fit_pipelined(comm, dataset, tol)
         with ThreadComm(3) as comm:
             threaded = self._fit_pipelined(comm, dataset, tol)
-        processed = self._fit_pipelined(process_pool, dataset, tol)
-        for other in (threaded, processed):
+        socketed = self._fit_pipelined(tcp_pool, dataset, tol)
+        for other in (threaded, socketed):
             assert np.allclose(
                 serial.hidden_layers[0].traces.p_ij,
                 other.hidden_layers[0].traces.p_ij,
@@ -197,13 +195,6 @@ class TestNetworkFitComm:
         assert all(later < earlier for earlier, later in zip(entropies, entropies[1:]))
 
 
-@pytest.fixture(scope="module")
-def tcp_pool():
-    comm = TCPComm(2, timeout=60.0)
-    yield comm
-    comm.close()
-
-
 class TestStoredInputDtype:
     """The dataset crosses the transport in its stored dtype and changes nothing.
 
@@ -214,17 +205,13 @@ class TestStoredInputDtype:
     """
 
     @pytest.mark.parametrize("density", [0.3, 1.0])
-    @pytest.mark.parametrize("transport", ["process", "tcp"])
-    def test_uint8_and_float64_fits_are_bitwise_equal(
-        self, transport, density, process_pool, tcp_pool
-    ):
-        comm = process_pool if transport == "process" else tcp_pool
+    def test_uint8_and_float64_fits_are_bitwise_equal(self, density, tcp_pool):
         x = one_hot(320)
-        start = comm.bytes_communicated
-        compact = fit(x, density, comm=comm)
-        compact_bytes = comm.bytes_communicated - start
-        wide = fit(x.astype(np.float64), density, comm=comm)
-        wide_bytes = comm.bytes_communicated - start - compact_bytes
+        start = tcp_pool.bytes_communicated
+        compact = fit(x, density, comm=tcp_pool)
+        compact_bytes = tcp_pool.bytes_communicated - start
+        wide = fit(x.astype(np.float64), density, comm=tcp_pool)
+        wide_bytes = tcp_pool.bytes_communicated - start - compact_bytes
         assert_same_fit(compact, wide)
         # Same collectives either way except the one broadcast of x.
         assert wide_bytes - compact_bytes == 7 * x.size
@@ -237,7 +224,7 @@ class TestExperimentAcrossTransports:
 
         return prepare_higgs_data(n_events=600, seed=0)
 
-    @pytest.mark.parametrize("transport", ["thread", "process"])
+    @pytest.mark.parametrize("transport", ["thread", "tcp"])
     def test_distributed_equivalence(self, higgs, transport):
         result = run_distributed_equivalence(
             rank_counts=(1, 2),

@@ -1,6 +1,6 @@
 """Collective semantics of every transport, checked via real SPMD programs.
 
-One long-lived :class:`~repro.comm.ProcessComm` is shared module-wide (pool
+One long-lived :class:`~repro.comm.TCPComm` is shared module-wide (worker
 start-up costs ~a second per worker under the spawn start method); tests
 that need a broken pool construct their own in ``test_failures.py``.
 """
@@ -10,8 +10,8 @@ import pytest
 
 from repro.comm import (
     Communicator,
-    ProcessComm,
     SerialComm,
+    TCPComm,
     ThreadComm,
     get_communicator,
     list_transports,
@@ -21,14 +21,14 @@ from repro.exceptions import BackendError
 
 
 @pytest.fixture(scope="module")
-def process_comm():
-    comm = ProcessComm(2, timeout=60.0)
+def tcp_comm():
+    comm = TCPComm(2, timeout=60.0)
     yield comm
     comm.close()
 
 
-@pytest.fixture(params=["serial", "thread", "process"])
-def comm(request, process_comm):
+@pytest.fixture(params=["serial", "thread", "tcp"])
+def comm(request, tcp_comm):
     if request.param == "serial":
         with SerialComm() as c:
             yield c
@@ -36,7 +36,7 @@ def comm(request, process_comm):
         with ThreadComm(3) as c:
             yield c
     else:
-        yield process_comm
+        yield tcp_comm
 
 
 class TestCollectives:
@@ -44,7 +44,7 @@ class TestCollectives:
         results = comm.run(tasks.echo_rank)
         assert [r["rank"] for r in results] == list(range(comm.size))
         assert all(r["size"] == comm.size for r in results)
-        if comm.transport == "process":
+        if comm.transport == "tcp":
             # Real OS processes: worker ranks run in different PIDs.
             assert len({r["pid"] for r in results}) == comm.size
 
@@ -87,7 +87,7 @@ class TestScatterEdgeCases:
 class TestFactory:
     def test_transport_names(self):
         names = list_transports()
-        assert {"serial", "thread", "process"} <= set(names)
+        assert {"serial", "thread", "tcp"} <= set(names)
 
     def test_resolution(self):
         assert isinstance(get_communicator(None), SerialComm)

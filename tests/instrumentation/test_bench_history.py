@@ -39,7 +39,7 @@ def bench_json(tmp_path):
         "comm_throughput": {
             "transports": [
                 {"transport": "serial", "seconds_per_allreduce": 2.5e-05},
-                {"transport": "process", "seconds_per_allreduce": 5.2e-04},
+                {"transport": "tcp", "seconds_per_allreduce": 2.4e-04},
             ]
         },
     }
@@ -54,7 +54,7 @@ class TestAppend:
         first = bench_history.append_record(history_dir, bench_json, commit="abc123")
         assert first["fused_speedup"] == 1.01
         assert first["pipelined_speedup"] == 1.21
-        assert first["comm_process_allreduce_s"] == 5.2e-04
+        assert first["comm_tcp_allreduce_s"] == 2.4e-04
         assert first["commit"] == "abc123"
         second = bench_history.append_record(history_dir, bench_json, commit="def456")
         records = bench_history.load_history(history_dir)

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.comm import ProcessComm, SerialComm, ThreadComm
+from repro.comm import SerialComm, TCPComm, ThreadComm
 from repro.serving import StreamingPredictor
 from repro.exceptions import DataError
 
 
 @pytest.fixture(scope="module")
-def process_pool():
-    comm = ProcessComm(2, timeout=120.0)
+def tcp_pool():
+    comm = TCPComm(2, timeout=120.0)
     yield comm
     comm.close()
 
@@ -31,9 +31,9 @@ class TestCommSharding:
                 predictor.predict_proba_stream(inputs), expected_proba, atol=1e-12
             )
 
-    def test_process_sharded_matches_reference(self, trained_network, inputs, process_pool):
+    def test_tcp_sharded_matches_reference(self, trained_network, inputs, tcp_pool):
         expected = trained_network.predict(inputs)
-        predictor = StreamingPredictor(trained_network, batch_size=64, comm=process_pool)
+        predictor = StreamingPredictor(trained_network, batch_size=64, comm=tcp_pool)
         assert np.array_equal(predictor.predict_stream(inputs), expected)
 
     def test_single_gather_per_call(self, trained_network, inputs):
