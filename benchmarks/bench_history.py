@@ -44,10 +44,6 @@ METRICS = {
         ("streaming_inference", "backends", "numpy", "rows_per_second"),
         True,
     ),
-    "serving_parallel_rows_per_s": (
-        ("streaming_inference", "backends", "parallel", "rows_per_second"),
-        True,
-    ),
     "training_numpy_batches_per_s": (
         ("fused_training_backends", "backends", "numpy", "batches_per_second"),
         True,

@@ -8,7 +8,7 @@ configuration (280 input units, 1x300 hidden units, batch 256).
 The module also compares the execution engine's *fused* training step
 (one dispatch, preallocated workspace — :mod:`repro.engine`) against the
 seed's allocate-per-batch composition of the same kernels, times that
-fused step on every registered backend (``fused_training_backends``),
+fused step on the numpy and float32 backends (``fused_training_backends``),
 times the *pipelined* training engine against the serial fused loop
 (``pipelined_training`` — double-buffered workspaces, prefetched gathers,
 off-thread entropy, stale-weights caching; see
@@ -286,7 +286,7 @@ def measure_fused_vs_unfused(repeats=5, inner=20):
     }
 
 
-TRAINING_BACKENDS = ("numpy", "parallel", "distributed", "float32")
+TRAINING_BACKENDS = ("numpy", "float32")
 
 
 def measure_fused_training_backends(backends=TRAINING_BACKENDS, repeats=5, inner=20):
@@ -333,7 +333,6 @@ def measure_fused_training_backends(backends=TRAINING_BACKENDS, repeats=5, inner
             "batches_per_second": 1.0 / max(seconds, 1e-12),
             "workspace_bytes": engine.workspace.nbytes(),
         }
-        backend.close()
     return {
         "config": {
             "n_input": N_INPUT,
@@ -346,7 +345,7 @@ def measure_fused_training_backends(backends=TRAINING_BACKENDS, repeats=5, inner
     }
 
 
-SERVING_BACKENDS = ("numpy", "parallel", "distributed", "float32")
+SERVING_BACKENDS = ("numpy", "float32")
 
 
 def _serving_network():
@@ -382,7 +381,7 @@ def measure_streaming_inference(
     results = {}
     for name in backends:
         predictor = StreamingPredictor(network, batch_size=batch_size, backend=name)
-        predictor.predict_stream(x[: 2 * batch_size])  # warm up engines/pools
+        predictor.predict_stream(x[: 2 * batch_size])  # warm up the engines
         # The encoder's stored form (one byte per unit, widened per batch in
         # ``validate_batch``) beside its float64 copy: same model, same rows,
         # timed alternately so the pair shares whatever drift there is.
@@ -402,7 +401,6 @@ def measure_streaming_inference(
                 "rows_per_second": n_samples / max(best, 1e-12),
                 "workspace_bytes": predictor.workspace_nbytes(),
             }
-        predictor.backend.close()
     if "numpy" in results:
         results["numpy_uint8_input"]["vs_float64_input"] = (
             results["numpy_uint8_input"]["rows_per_second"] / results["numpy"]["rows_per_second"]

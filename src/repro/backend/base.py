@@ -9,8 +9,8 @@ up to its declared precision — a property the test-suite enforces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,35 +28,20 @@ class KernelStatistics:
     statistics_calls: int = 0
     weight_updates: int = 0
     elements_processed: int = 0
-    extra: Dict[str, float] = field(default_factory=dict)
-
-    def merge(self, other: "KernelStatistics") -> "KernelStatistics":
-        merged = KernelStatistics(
-            forward_calls=self.forward_calls + other.forward_calls,
-            statistics_calls=self.statistics_calls + other.statistics_calls,
-            weight_updates=self.weight_updates + other.weight_updates,
-            elements_processed=self.elements_processed + other.elements_processed,
-            extra=dict(self.extra),
-        )
-        for key, value in other.extra.items():
-            merged.extra[key] = merged.extra.get(key, 0.0) + value
-        return merged
 
 
 class Backend:
     """Abstract compute backend.
 
     Subclasses must implement :meth:`forward`, :meth:`batch_statistics` and
-    :meth:`traces_to_weights`.  ``supports_parallel``/``precision`` are
-    advisory metadata used by reports and tests.
+    :meth:`traces_to_weights`.  ``precision`` is advisory metadata used by
+    reports and tests.
     """
 
     #: Human-readable backend name (used by the registry and reports).
     name: str = "abstract"
     #: Working precision of the backend ("float64", "float32", "float16", "posit16").
     precision: str = "float64"
-    #: Whether the backend distributes work over multiple workers.
-    supports_parallel: bool = False
 
     def __init__(self) -> None:
         self.stats = KernelStatistics()
@@ -75,10 +60,8 @@ class Backend:
         """Masked support GEMM followed by per-hypercolumn softmax.
 
         ``sparse`` is an optional :class:`repro.kernels.SparseWeights`
-        bundle (compiled mask layout + packed weight slabs); backends with a
-        block-sparse fast path serve it with gather-GEMMs, everyone else
-        falls back to scattering the slabs into the dense effective matrix
-        (see :meth:`_sparse_effective`) — always correct, never required.
+        bundle (compiled mask layout + packed weight slabs), served with
+        gather-GEMMs.
         """
         raise NotImplementedError
 
@@ -113,8 +96,7 @@ class Backend:
     # ``masked_weights``, ``mean_x``, ``mean_a``, ``mean_outer``) works.
     # The base implementations compose the three abstract kernels, so every
     # backend gets a numerically-faithful fused path for free; subclasses
-    # override them to exploit buffer reuse (NumPy), chunked parallelism
-    # (parallel) or rank sharding (distributed).
+    # override them to exploit buffer reuse (NumPy).
     #
     # Two workspace conventions support the pipelined engine:
     #
@@ -156,25 +138,6 @@ class Backend:
             return activations
         np.copyto(out, activations)
         return out
-
-    def _sparse_effective(self, sparse, workspace=None) -> np.ndarray:
-        """Dense ``weights * mask`` product scattered from packed slabs.
-
-        The correctness fallback for backends without a gather-GEMM fast
-        path: silent entries are exactly ``0.0``, elementwise identical to
-        the dense path's masked product, so the ordinary dense GEMM over the
-        result is valid.  With a workspace the scatter is cached in
-        ``masked_weights`` behind the ``masked_valid`` flag (the engine
-        clears it whenever the packed buffer or the layout changes).
-        """
-        layout = sparse.layout
-        if workspace is not None:
-            if not getattr(workspace, "masked_valid", False):
-                kernels.scatter_packed(sparse.blocks, layout, workspace.masked_weights)
-                workspace.masked_valid = True
-            return workspace.masked_weights
-        out = np.empty((layout.n_input, layout.n_hidden), dtype=np.float64)
-        return kernels.scatter_packed(sparse.blocks, layout, out)
 
     def pack_weights(
         self,
@@ -268,22 +231,6 @@ class Backend:
         return activations
 
     # --------------------------------------------------------------- misc
-    def prepare_array(self, array: np.ndarray) -> np.ndarray:
-        """Hook for backends that require a particular dtype/layout."""
-        return np.ascontiguousarray(array)
-
-    def synchronize(self) -> None:
-        """Wait for asynchronous work (no-op for synchronous backends)."""
-
-    def close(self) -> None:
-        """Release worker pools or device handles."""
-
-    def __enter__(self) -> "Backend":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(name={self.name!r}, precision={self.precision!r})"
 

@@ -4,22 +4,18 @@ StreamBrain's MPI backend exploits the fact that BCPNN learning is *local*:
 each rank accumulates probability statistics on its own shard of the batch
 and the shards are combined with a single allreduce — there is no gradient
 to backpropagate across ranks (Section II-B).  This module maps that
-algorithm onto the :class:`~repro.comm.Communicator` interface:
+algorithm onto the :class:`~repro.comm.Communicator` interface.
 
-* :class:`DistributedBackend` — a :class:`~repro.backend.base.Backend` that
-  *simulates* rank-sharding inside one process using the communicator's
-  driver-side combine helpers; useful for testing the reduction algebra and
-  for the ``backend="mpi"``/``"distributed"`` registry names.
-* :class:`DistributedTrainer` — real data-parallel training: an SPMD program
-  (:func:`train_layer_program`) launched through ``comm.run`` where every
-  rank owns an identical layer replica, computes the sufficient statistics
-  of its shard of each global batch, and applies the update from **one
-  packed allreduce per batch**.  Rank 0 runs inline in the driver, so the
-  caller's layer object is trained in place.  Because the reduction is
-  exact, training with ``R`` ranks produces bit-for-bit (up to floating
-  point summation order) the same traces as the serial run — on the serial,
-  thread and tcp transports alike (the invariance tests in
-  ``tests/backend/test_distributed.py`` and ``tests/comm`` check this).
+:class:`DistributedTrainer` launches an SPMD program
+(:func:`train_layer_program`) through ``comm.run`` where every rank owns an
+identical layer replica, computes the sufficient statistics of its shard of
+each global batch, and applies the update from **one packed allreduce per
+batch**.  Rank 0 runs inline in the driver, so the caller's layer object is
+trained in place.  Because the reduction is exact, training with ``R`` ranks
+produces bit-for-bit (up to floating point summation order) the same traces
+as the serial run — on the serial, thread and tcp transports alike (the
+invariance tests in ``tests/backend/test_distributed.py`` and ``tests/comm``
+check this).
 """
 
 from __future__ import annotations
@@ -30,13 +26,12 @@ import pickle
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro import faults, kernels
-from repro.backend.base import Backend
-from repro.comm import CommRequest, Communicator, ThreadComm, split_ranks
+from repro.comm import CommRequest, Communicator, split_ranks
 from repro.engine.pipeline import mean_activation_entropy, resolve_comm_overlap
 from repro.exceptions import BackendError, DataError
 from repro.utils.logging import get_logger
@@ -45,186 +40,11 @@ from repro.utils.validation import check_numeric_dtype
 logger = get_logger(__name__)
 
 __all__ = [
-    "DistributedBackend",
     "DistributedTrainer",
     "split_ranks",
-    "ShardStatistics",
     "train_layer_program",
     "resolve_backend_name",
 ]
-
-
-class DistributedBackend(Backend):
-    """Rank-sharded compute backend over a communicator's combine algebra.
-
-    Every kernel partitions the batch rows over ``comm.size`` ranks, computes
-    rank-local results, and combines the sufficient statistics with a single
-    allreduce — the same reduction algebra :class:`DistributedTrainer` uses,
-    but packaged behind the :class:`Backend` interface so the execution
-    engine (and therefore ``Network(backend="mpi")``) can stream batches
-    through it end-to-end.  The sharding is simulated in-process through the
-    communicator's driver-side combine helpers (real process-parallel
-    training/serving goes through ``comm.run`` instead — see
-    :class:`DistributedTrainer` and :mod:`repro.serving`).  The forward pass
-    needs no communication (each rank computes activations for its own
-    rows); only the trace statistics are reduced, which is the paper's
-    "communication scales with the model, not the batch" property.
-
-    Numerics match the NumPy reference up to floating-point summation order
-    (the per-rank partial sums are added in a different order than one fused
-    GEMM).
-    """
-
-    name = "distributed"
-    precision = "float64"
-    supports_parallel = True
-
-    def __init__(self, n_ranks: Optional[int] = None, comm: Optional[Communicator] = None) -> None:
-        super().__init__()
-        if comm is not None:
-            if not isinstance(comm, Communicator):
-                raise BackendError("comm must be a repro.comm.Communicator")
-            if n_ranks is not None and int(n_ranks) != comm.size:
-                raise BackendError("n_ranks disagrees with the supplied communicator size")
-            self.comm = comm
-        else:
-            self.comm = ThreadComm(int(n_ranks) if n_ranks is not None else 2)
-
-    # ------------------------------------------------------------- kernels
-    def forward(
-        self,
-        x: np.ndarray,
-        weights: np.ndarray,
-        bias: np.ndarray,
-        mask_expanded: np.ndarray,
-        hidden_sizes: Sequence[int],
-        bias_gain: float = 1.0,
-        sparse=None,
-    ) -> np.ndarray:
-        return self.forward_into(
-            x, weights, bias, mask_expanded, hidden_sizes, bias_gain, sparse=sparse
-        )
-
-    def forward_into(
-        self,
-        x: np.ndarray,
-        weights: np.ndarray,
-        bias: np.ndarray,
-        mask_expanded: np.ndarray,
-        hidden_sizes: Sequence[int],
-        bias_gain: float = 1.0,
-        out: Optional[np.ndarray] = None,
-        workspace=None,
-        sparse=None,
-    ) -> np.ndarray:
-        x = self._require_2d(x, "x")
-        n_rows = x.shape[0]
-        self.stats.forward_calls += 1
-        n_hidden = int(sparse.layout.n_hidden if sparse is not None else weights.shape[1])
-        self.stats.elements_processed += int(n_rows) * n_hidden
-        if out is None:
-            if workspace is not None:
-                out = workspace.activations[:n_rows]
-            else:
-                out = np.empty((n_rows, n_hidden), dtype=np.float64)
-        if sparse is not None:
-            # Rank-local block-sparse forward: each simulated rank runs the
-            # gather-GEMMs on its own row shard (no communication needed).
-            for lo, hi in split_ranks(n_rows, self.comm.size):
-                if hi <= lo:
-                    continue
-                support = kernels.compute_support_sparse(
-                    x[lo:hi], sparse.blocks, bias, sparse.layout, bias_gain
-                )
-                kernels.hidden_activations(support, hidden_sizes, out=out[lo:hi])
-            return out
-        if mask_expanded is not None:
-            if workspace is not None:
-                if getattr(workspace, "masked_valid", False):
-                    effective = workspace.masked_weights
-                else:
-                    effective = np.multiply(weights, mask_expanded, out=workspace.masked_weights)
-                    workspace.masked_valid = True
-            else:
-                effective = weights * mask_expanded
-        else:
-            effective = weights
-        # Rank-local compute: activations of a row only depend on that row.
-        for lo, hi in split_ranks(n_rows, self.comm.size):
-            if hi <= lo:
-                continue
-            support = bias_gain * bias[None, :] + x[lo:hi] @ effective
-            kernels.hidden_activations(support, hidden_sizes, out=out[lo:hi])
-        return out
-
-    def batch_statistics(
-        self, x: np.ndarray, a: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        x = self._require_2d(x, "x")
-        a = self._require_2d(a, "a")
-        if x.shape[0] != a.shape[0]:
-            raise BackendError("x and a must have the same number of rows")
-        if x.shape[0] == 0:
-            raise BackendError("cannot compute batch statistics of an empty batch")
-        self.stats.statistics_calls += 1
-        self.stats.elements_processed += int(x.shape[1]) * int(a.shape[1])
-        n_input, n_hidden = x.shape[1], a.shape[1]
-        sum_x, sum_a, sum_outer, counts = [], [], [], []
-        for lo, hi in split_ranks(x.shape[0], self.comm.size):
-            if hi <= lo:
-                sum_x.append(np.zeros(n_input))
-                sum_a.append(np.zeros(n_hidden))
-                sum_outer.append(np.zeros((n_input, n_hidden)))
-                counts.append(np.zeros(1))
-                continue
-            xs, as_ = x[lo:hi], a[lo:hi]
-            sum_x.append(xs.sum(axis=0))
-            sum_a.append(as_.sum(axis=0))
-            sum_outer.append(xs.T @ as_)
-            counts.append(np.asarray([float(hi - lo)]))
-        total = float(self.comm.reduce_parts(counts, op="sum")[0])
-        mean_x = self.comm.reduce_parts(sum_x, op="sum") / total
-        mean_a = self.comm.reduce_parts(sum_a, op="sum") / total
-        mean_outer = self.comm.reduce_parts(sum_outer, op="sum") / total
-        return mean_x, mean_a, mean_outer
-
-    def traces_to_weights(
-        self,
-        p_i: np.ndarray,
-        p_j: np.ndarray,
-        p_ij: np.ndarray,
-        trace_floor: float = 1e-12,
-        out_weights: Optional[np.ndarray] = None,
-        out_bias: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        # The trace-to-weight conversion is replicated on every rank (the
-        # traces themselves are already identical after the allreduce).
-        self.stats.weight_updates += 1
-        return kernels.traces_to_weights(
-            p_i, p_j, p_ij, trace_floor, out_weights=out_weights, out_bias=out_bias
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"DistributedBackend(ranks={self.comm.size})"
-
-
-@dataclass
-class ShardStatistics:
-    """Per-rank sufficient statistics of one global batch shard."""
-
-    sum_x: np.ndarray
-    sum_a: np.ndarray
-    sum_outer: np.ndarray
-    count: int
-
-    @classmethod
-    def empty(cls, n_input: int, n_hidden: int) -> "ShardStatistics":
-        return cls(
-            sum_x=np.zeros(n_input),
-            sum_a=np.zeros(n_hidden),
-            sum_outer=np.zeros((n_input, n_hidden)),
-            count=0,
-        )
 
 
 @dataclass
@@ -280,8 +100,8 @@ def _replica_from_spec(spec: Dict[str, object], rng: np.random.Generator):
     """Construct a worker-rank layer replica from a config-only spec.
 
     Only small configuration crosses the process boundary; the layer-sized
-    trace/mask arrays are broadcast afterwards through the communicator's
-    shared-memory path (see :func:`train_layer_program`).  ``rng`` must use
+    trace/mask arrays are broadcast afterwards (see
+    :func:`train_layer_program`).  ``rng`` must use
     the same bit-generator type as rank 0's layer so the subsequent in-place
     state synchronisation is well defined.
     """
@@ -438,8 +258,7 @@ def train_layer_program(
     """
     rank, size = comm.rank, comm.size
     x = comm.bcast(x, root=0)
-    is_replica = layer is None
-    if is_replica:
+    if layer is None:
         layer = _replica_from_spec(
             options["spec"], _generator_from_state(options["rng_layer_state"])
         )
@@ -765,8 +584,6 @@ def train_layer_program(
                     },
                 )
 
-    if is_replica:
-        layer.backend.close()  # replica-owned pools/buffers die with the program
     return {
         "rank": rank,
         "global_batches": total_batches,

@@ -73,8 +73,6 @@ def posit_round(values: np.ndarray, nbits: int = 16, es: int = 1) -> np.ndarray:
 class LowPrecisionBackend(Backend):
     """Wrap the reference backend and quantise every kernel output."""
 
-    supports_parallel = False
-
     def __init__(self, precision: str = "float16") -> None:
         super().__init__()
         if precision not in _SUPPORTED:
@@ -98,9 +96,6 @@ class LowPrecisionBackend(Backend):
             clipped = np.clip(arr, -65000.0, 65000.0)
             return clipped.astype(np.float16).astype(np.float64)
         return posit_round(arr, nbits=16, es=1)
-
-    def prepare_array(self, array: np.ndarray) -> np.ndarray:
-        return self.quantize(np.ascontiguousarray(array))
 
     # ------------------------------------------------------------- kernels
     def forward(

@@ -31,7 +31,6 @@ class NumpyBackend(Backend):
 
     name = "numpy"
     precision = "float64"
-    supports_parallel = False
 
     def forward(
         self,

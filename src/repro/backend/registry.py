@@ -1,8 +1,8 @@
 """Backend registry: obtain compute backends by name.
 
-Mirrors StreamBrain's backend selection (``numpy``, ``openmp``, ``mpi``,
-``cuda``, ``fpga``); the names here map to the simulated equivalents
-available in this environment (see the package docstring).
+``numpy`` is the float64 reference; ``float32``, ``float16`` and ``posit16``
+run the same kernels and round every result to that representation (the
+paper's reduced-precision study).  Names are matched exactly.
 """
 
 from __future__ import annotations
@@ -10,43 +10,21 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Union
 
 from repro.backend.base import Backend
-from repro.backend.distributed import DistributedBackend
 from repro.backend.lowprec import LowPrecisionBackend
 from repro.backend.numpy_backend import NumpyBackend
-from repro.backend.parallel import ParallelBackend
 from repro.exceptions import BackendError
 
-__all__ = ["register_backend", "get_backend", "list_backends"]
+__all__ = ["get_backend", "list_backends"]
 
-BackendFactory = Callable[..., Backend]
-
-_REGISTRY: Dict[str, BackendFactory] = {
+_REGISTRY: Dict[str, Callable[[], Backend]] = {
     "numpy": NumpyBackend,
-    "parallel": ParallelBackend,
-    "distributed": DistributedBackend,
-    # Aliases matching the StreamBrain backend names they stand in for.
-    "openmp": ParallelBackend,
-    "mpi": DistributedBackend,
-    "float32": lambda **kw: LowPrecisionBackend("float32"),
-    "float16": lambda **kw: LowPrecisionBackend("float16"),
-    "posit16": lambda **kw: LowPrecisionBackend("posit16"),
-    "fpga": lambda **kw: LowPrecisionBackend("posit16"),
+    "float32": lambda: LowPrecisionBackend("float32"),
+    "float16": lambda: LowPrecisionBackend("float16"),
+    "posit16": lambda: LowPrecisionBackend("posit16"),
 }
 
 
-def register_backend(name: str, factory: BackendFactory, overwrite: bool = False) -> None:
-    """Register a backend factory under ``name``."""
-    if not isinstance(name, str) or not name:
-        raise BackendError("backend name must be a non-empty string")
-    if not callable(factory):
-        raise BackendError("backend factory must be callable")
-    key = name.lower()
-    if key in _REGISTRY and not overwrite:
-        raise BackendError(f"backend '{name}' is already registered")
-    _REGISTRY[key] = factory
-
-
-def get_backend(backend: Union[str, Backend, None] = None, **kwargs) -> Backend:
+def get_backend(backend: Union[str, Backend, None] = None) -> Backend:
     """Resolve a backend instance from a name, an instance, or ``None``.
 
     ``None`` returns the default :class:`NumpyBackend`.  Passing an existing
@@ -57,12 +35,11 @@ def get_backend(backend: Union[str, Backend, None] = None, **kwargs) -> Backend:
     if isinstance(backend, Backend):
         return backend
     if isinstance(backend, str):
-        key = backend.lower()
-        if key not in _REGISTRY:
+        if backend not in _REGISTRY:
             raise BackendError(
                 f"unknown backend '{backend}'; available: {sorted(_REGISTRY)}"
             )
-        return _REGISTRY[key](**kwargs)
+        return _REGISTRY[backend]()
     raise BackendError(
         f"backend must be a name, a Backend instance or None, got {type(backend).__name__}"
     )

@@ -507,7 +507,7 @@ def main_benchmark(argv: Optional[List[str]] = None) -> int:
     hidden_sizes = [args.mcus] * args.hcus
 
     rows = []
-    for name in ("numpy", "parallel", "distributed", "float32", "float16"):
+    for name in ("numpy", "float32", "float16"):
         backend = get_backend(name)
         timer = RepeatTimer(repeats=args.repeats, warmup=1)
         stats = timer.measure(lambda b=backend: b.forward(x, weights, bias, mask, hidden_sizes))
@@ -519,7 +519,6 @@ def main_benchmark(argv: Optional[List[str]] = None) -> int:
                 "gflops_per_s": cost.support_gemm_flops / max(stats.mean, 1e-12) / 1e9,
             }
         )
-        backend.close()
     table = format_table(rows, precision=5, title="Forward-kernel timing by backend")
     print(table)
 
@@ -997,7 +996,7 @@ def main_run(argv: Optional[List[str]] = None) -> int:
         default=[],
         metavar="KEY=VALUE",
         help=(
-            "dotted override, e.g. --set training.backend=parallel "
+            "dotted override, e.g. --set training.backend=float32 "
             "--set model.density=0.2 (highest precedence; repeatable)"
         ),
     )

@@ -11,8 +11,7 @@ transport      implementation
 ``serial``     :class:`SerialComm` — size 1, collectives are copies; the
                reference for rank-invariance tests.
 ``thread``     :class:`ThreadComm` — in-process ranks on daemon threads with
-               real barrier rendezvous (also provides the driver-side list
-               combines ``reduce_parts``/``gather_parts``).
+               real barrier rendezvous.
 ``tcp``        :class:`TCPComm` — socket collectives through a driver-side
                rendezvous hub; worker ranks are OS processes spawned on this
                host (``process:N`` is the loopback spelling) or started on

@@ -21,13 +21,6 @@ transport-agnostic.  This module defines that surface:
   rank 0 and executes the program inline; the transport supplies the other
   ranks (threads, OS processes, or nothing for the serial transport).  This
   is the moral equivalent of ``mpirun`` for environments without one.
-* **driver-side combine helpers** (:meth:`reduce_parts`,
-  :meth:`gather_parts`): deterministic rank-ordered reductions over *lists
-  of per-rank contributions* — kept so the simulated-sharding
-  :class:`~repro.backend.distributed.DistributedBackend` runs unchanged on
-  any transport.  For convenience ``allreduce``/``allgather`` dispatch on
-  input type: a list/tuple means the legacy driver-side mode, an array
-  means the SPMD mode.
 
 Determinism contract: every transport reduces contributions in rank order
 (0, 1, …, size-1), so results are bit-for-bit reproducible for a fixed rank
@@ -46,13 +39,8 @@ from repro.utils.arrays import split_into_chunks
 
 __all__ = ["Communicator", "CommRequest", "CompletedRequest", "REDUCE_OPS", "split_ranks"]
 
-#: Driver-side reductions over stacked per-rank contributions (rank order).
-REDUCE_OPS: Dict[str, Callable[[Sequence[np.ndarray]], np.ndarray]] = {
-    "sum": lambda arrays: np.sum(arrays, axis=0),
-    "mean": lambda arrays: np.mean(arrays, axis=0),
-    "max": lambda arrays: np.max(arrays, axis=0),
-    "min": lambda arrays: np.min(arrays, axis=0),
-}
+#: Reduction operators every transport's ``allreduce`` accepts.
+REDUCE_OPS: Tuple[str, ...] = ("sum", "mean", "max", "min")
 
 
 def split_ranks(n_samples: int, n_ranks: int) -> List[Tuple[int, int]]:
@@ -266,14 +254,12 @@ class Communicator(ABC):
 
     # ------------------------------------------------------------ dispatchers
     def allreduce(self, value, op: str = "sum"):
-        """SPMD allreduce of one array, or legacy combine of a per-rank list.
+        """SPMD allreduce of one array.
 
         Parameters
         ----------
         value:
-            This rank's contribution (any array-like), or — driver-side
-            legacy mode — a list/tuple of per-rank contributions, which is
-            forwarded to :meth:`reduce_parts`.
+            This rank's contribution (any array-like).
         op:
             Reduction operator: ``"sum"`` (default), ``"max"``, ``"min"``
             or ``"mean"``.
@@ -287,11 +273,8 @@ class Communicator(ABC):
         Raises
         ------
         BackendError
-            Unknown ``op``, mismatched contribution shapes (legacy mode),
-            or a transport rendezvous timeout.
+            Unknown ``op`` or a transport rendezvous timeout.
         """
-        if isinstance(value, (list, tuple)):
-            return self.reduce_parts(value, op)
         return self._allreduce_array(np.asarray(value), op)
 
     def iallreduce(self, value, op: str = "sum") -> CommRequest:
@@ -302,22 +285,16 @@ class Communicator(ABC):
         collectives in the same order and eventually ``wait()`` on each
         request (SPMD programs do so by construction).
         """
-        if isinstance(value, (list, tuple)):
-            raise BackendError(
-                "iallreduce takes a single array (SPMD mode); driver-side "
-                "per-rank lists go through reduce_parts()"
-            )
         return self._iallreduce_array(np.asarray(value), op)
 
     def allgather(self, value):
-        """SPMD allgather of one array, or legacy gather of a per-rank list.
+        """SPMD allgather of one array.
 
         Parameters
         ----------
         value:
             This rank's contribution (arrays may be ragged across ranks —
-            e.g. uneven prediction shards), or a per-rank list in the
-            driver-side legacy mode (forwarded to :meth:`gather_parts`).
+            e.g. uneven prediction shards).
 
         Returns
         -------
@@ -327,45 +304,9 @@ class Communicator(ABC):
         Raises
         ------
         BackendError
-            A transport rendezvous timeout, or mismatched list length in
-            legacy mode.
+            A transport rendezvous timeout.
         """
-        if isinstance(value, (list, tuple)):
-            return self.gather_parts(value)
         return self._allgather_array(np.asarray(value))
-
-    # ----------------------------------------------- driver-side legacy mode
-    def _check_parts(self, parts: Sequence[np.ndarray], op_name: str) -> List[np.ndarray]:
-        if len(parts) != self.size:
-            raise BackendError(
-                f"{op_name} expected {self.size} per-rank contributions, got {len(parts)}"
-            )
-        arrays = [np.asarray(p, dtype=np.float64) for p in parts]
-        shapes = {a.shape for a in arrays}
-        if len(shapes) != 1:
-            raise BackendError(f"{op_name} contributions have mismatched shapes: {shapes}")
-        return arrays
-
-    def reduce_parts(self, parts: Sequence[np.ndarray], op: str = "sum") -> np.ndarray:
-        """Deterministically combine a list of per-rank contributions.
-
-        This is the driver-side simulation mode: all contributions already
-        live in the calling process and are reduced in rank order without
-        any transport involvement.
-        """
-        if op not in REDUCE_OPS:
-            raise BackendError(f"unknown reduction '{op}'; available: {sorted(REDUCE_OPS)}")
-        arrays = self._check_parts(parts, "allreduce")
-        self.collective_calls["allreduce"] += 1
-        self.bytes_communicated += sum(a.nbytes for a in arrays)
-        return REDUCE_OPS[op](arrays)
-
-    def gather_parts(self, parts: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Driver-side allgather: returns copies of the per-rank list."""
-        arrays = self._check_parts(parts, "allgather")
-        self.collective_calls["allgather"] += 1
-        self.bytes_communicated += sum(a.nbytes for a in arrays) * self.size
-        return [a.copy() for a in arrays]
 
     # -------------------------------------------------------------- lifecycle
     def recover(self) -> bool:

@@ -258,8 +258,7 @@ class _TCPRankView(Communicator):
         if not self._in_program and self._size > 1:
             raise BackendError(
                 "SPMD collectives on a size>1 communicator must be called from "
-                "inside run(); for driver-side combines use reduce_parts()/"
-                "gather_parts() (or pass a list of per-rank contributions)"
+                "inside run()"
             )
         if array is not None and array.dtype.hasobject:
             raise BackendError("tcp collectives carry raw array memory, not object arrays")

@@ -61,8 +61,7 @@ class _ThreadCollectives:
         if not self._in_program and self._shared.size > 1:
             raise BackendError(
                 "SPMD collectives on a size>1 communicator must be called from "
-                "inside run(); for driver-side combines use reduce_parts()/"
-                "gather_parts() (or pass a list of per-rank contributions)"
+                "inside run()"
             )
         try:
             self._shared.barrier.wait(self._shared.timeout)

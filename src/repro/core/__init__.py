@@ -23,7 +23,7 @@ from repro.core.serialization import (
     network_to_bytes,
     save_network,
 )
-from repro.core import kernels, schedules
+from repro.core import schedules
 
 __all__ = [
     "BCPNNHyperParameters",
@@ -42,6 +42,5 @@ __all__ = [
     "load_network",
     "network_to_bytes",
     "network_from_bytes",
-    "kernels",
     "schedules",
 ]

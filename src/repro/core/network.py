@@ -955,10 +955,8 @@ class Network:
 
         The tile loop of :meth:`predict` with the knobs exposed: the caller
         picks the tile size and may force a backend, the predictor (and its
-        workspaces) is cached on the network for repeated calls, and on a
-        distributed backend the rows are sharded over the ranks with a
-        single gather of the predictions.  ``x`` may also be a prebuilt
-        :class:`~repro.datasets.stream.BatchStream`.
+        workspaces) is cached on the network for repeated calls.  ``x`` may
+        also be a prebuilt :class:`~repro.datasets.stream.BatchStream`.
 
         Parameters
         ----------

@@ -6,7 +6,7 @@ averages ``p_i`` (input marginals), ``p_j`` (hidden marginals) and ``p_ij``
 per batch followed by a conversion to weights/biases — no gradients flow
 backwards, which is the property that makes BCPNN attractive on HPC systems
 (Section II-B of the paper): traces from independently trained shards can
-simply be averaged, which the distributed backend exploits.
+simply be averaged, which the distributed trainer exploits.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ class ProbabilityTraces:
         mean_outer: np.ndarray,
         taupdt: float,
     ) -> None:
-        """Apply pre-computed batch statistics (used by parallel backends)."""
+        """Apply pre-computed batch statistics (used by the distributed trainer)."""
         if not 0.0 < taupdt <= 1.0:
             raise DataError(f"taupdt must be in (0, 1], got {taupdt}")
         if mean_x.shape != (self.n_input,) or mean_a.shape != (self.n_hidden,):

@@ -4,15 +4,13 @@ These are the mathematical primitives every compute backend must provide
 (see :mod:`repro.backend.base`).  The rate-based BCPNN formulation maps the
 expensive steps onto dense matrix products (GEMM) exactly as the paper's
 Section II-B describes, so the NumPy implementation already dispatches to
-BLAS; alternative backends (multiprocessing, reduced precision, simulated
-MPI) reuse these functions on partitioned or quantised data.
+BLAS; the reduced-precision backends reuse these functions on quantised
+data.
 
 The module lives at the top of the package (outside both ``repro.core`` and
 ``repro.backend``) so that backends can depend on the kernels without
 importing the layer/network layer — this is what breaks the historical
 ``core.layers -> backend.registry -> numpy_backend -> core`` import cycle.
-``repro.core.kernels`` remains as a thin re-export for backward
-compatibility.
 
 Every hot-path kernel accepts optional ``out=`` buffers so the execution
 engine (:mod:`repro.engine`) can stream batches through preallocated

@@ -11,11 +11,8 @@ zero per-batch layer-sized allocations.
 Passing ``comm=`` (a :class:`repro.comm.Communicator`) shards each call
 over *real* ranks — worker threads or OS processes — via
 ``scatter_rows`` + one ragged ``allgather``; the model reaches process
-ranks once per call as a broadcast npz blob through shared memory.  The
-older in-process simulation (a
-:class:`~repro.backend.distributed.DistributedBackend` backend) sharding
-rows with a single driver-side gather is still supported.  Both exploit
-the same "communication scales with the model, not the data" property the
+ranks once per model version as a broadcast npz blob.  This exploits the
+same "communication scales with the model, not the data" property the
 training path uses.
 
 The *online* half lives in :mod:`repro.serving.server`: an asyncio

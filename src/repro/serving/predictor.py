@@ -14,20 +14,15 @@ equal the layers' own ``forward`` up to the backend's declared precision
 (bit-for-bit on the NumPy backend at equal tile boundaries —
 ``tests/serving`` and ``tests/core/test_network_memory.py`` enforce both).
 
-Sharding comes in two flavours:
-
-* ``comm=`` (a :class:`repro.comm.Communicator`): **real multi-rank
-  serving** — the rows are scattered over the communicator ranks through
-  :meth:`~repro.comm.Communicator.scatter_rows`, every rank (worker
-  threads/processes included; rank 0 is the driver, inline) streams its
-  shard through its own replica, and the per-rank outputs are combined with
-  a **single** ``allgather`` — one gather per call, independent of the
-  number of batches.  On the tcp transport the model crosses the process
-  boundary once per model version as a broadcast npz blob (raw frames, no
-  pickling of live layers).
-* a :class:`~repro.backend.distributed.DistributedBackend` backend: the
-  historical in-process simulation of the same row partitioning, kept for
-  the ``--backend distributed`` path.
+With ``comm=`` (a :class:`repro.comm.Communicator`) serving is **multi-rank**:
+the rows are scattered over the communicator ranks through
+:meth:`~repro.comm.Communicator.scatter_rows`, every rank (worker
+threads/processes included; rank 0 is the driver, inline) streams its shard
+through its own replica, and the per-rank outputs are combined with a
+**single** ``allgather`` — one gather per call, independent of the number of
+batches.  On the tcp transport the model crosses the process boundary once
+per model version as a broadcast npz blob (raw frames, no pickling of live
+layers).
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.backend.distributed import DistributedBackend, resolve_backend_name, split_ranks
+from repro.backend.distributed import resolve_backend_name
 from repro.comm import Communicator
 from repro.core.execution import BackendExecutionMixin
 from repro.datasets.stream import BatchStream
@@ -452,15 +447,6 @@ class StreamingPredictor(BackendExecutionMixin):
         n = stream.n_samples
         if n == 0:
             return self._output(0, proba)
-        uniform = self._uniform_backend()
-        comm = getattr(uniform, "comm", None)
-        if (
-            isinstance(uniform, DistributedBackend)
-            and comm is not None
-            and comm.size > 1
-            and not isinstance(source, BatchStream)
-        ):
-            return self._stream_sharded(stream.x, comm, proba)
         return self._stream_into(self._output(n, proba), stream, proba)
 
     def _model_token(self) -> tuple:
@@ -580,35 +566,6 @@ class StreamingPredictor(BackendExecutionMixin):
         if ship_model:
             comm._serving_replica_token = model_token
         return results[0]
-
-    def _stream_sharded(self, x: np.ndarray, comm, proba: bool) -> np.ndarray:
-        """Shard rows over the communicator ranks; gather results once.
-
-        Each rank streams only its contiguous block of rows through its own
-        :class:`BatchStream`; the per-rank outputs are padded to a common
-        shard length and combined with a single ``allgather`` — one
-        collective per call regardless of input length.
-        """
-        n = x.shape[0]
-        shards = split_ranks(n, comm.size)
-        width = max(hi - lo for lo, hi in shards)
-        n_cols = self.head.n_classes if proba else 1
-        padded: List[np.ndarray] = []
-        for lo, hi in shards:
-            rank_out = np.zeros((width, n_cols), dtype=np.float64)
-            if hi > lo:
-                part = self._output(hi - lo, proba)
-                self._stream_into(
-                    part, BatchStream(x[lo:hi], batch_size=self.batch_size), proba
-                )
-                rank_out[: hi - lo] = part.reshape(hi - lo, n_cols)
-            padded.append(rank_out)
-        gathered = comm.allgather(padded)
-        trimmed = [g[: hi - lo] for g, (lo, hi) in zip(gathered, shards)]
-        stacked = np.concatenate(trimmed, axis=0)
-        if proba:
-            return stacked
-        return stacked[:, 0].astype(np.int64)
 
     def predict_stream(self, source: Source) -> np.ndarray:
         """Hard class predictions for a streamed source.

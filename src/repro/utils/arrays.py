@@ -200,8 +200,8 @@ def normalize_blocks(values: np.ndarray, block_sizes: Sequence[int]) -> np.ndarr
 def split_into_chunks(n_items: int, n_chunks: int) -> List[Tuple[int, int]]:
     """Split ``range(n_items)`` into ``n_chunks`` near-equal contiguous ranges.
 
-    Used by the parallel and distributed backends for static work
-    partitioning.  Chunks may be empty when ``n_chunks > n_items``.
+    Used by the communicators and the distributed trainer for static
+    row partitioning.  Chunks may be empty when ``n_chunks > n_items``.
     """
     if n_chunks <= 0:
         raise DataError("n_chunks must be positive")

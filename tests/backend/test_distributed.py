@@ -1,9 +1,8 @@
-"""Tests for the comm-backed data-parallel trainer and legacy combine mode.
+"""Tests for the comm-backed data-parallel trainer.
 
 The transport-level collective semantics live in ``tests/comm``; this module
-covers what the *backend* layer builds on top: the driver-side list combine
-helpers (used by ``DistributedBackend``) and the SPMD
-:class:`~repro.backend.distributed.DistributedTrainer`.
+covers the reduction operators and driver-side guards the trainer relies on
+and the SPMD :class:`~repro.backend.distributed.DistributedTrainer`.
 """
 
 import numpy as np
@@ -16,27 +15,30 @@ from repro.exceptions import BackendError, DataError
 from repro.utils.rng import as_rng
 
 
-class TestDriverSideListMode:
-    """The driver-side list collectives ``DistributedBackend`` combines with."""
+def _reduce_rank_values(comm, values, op):
+    return comm.allreduce(np.asarray(values[comm.rank], dtype=np.float64), op=op)
+
+
+class TestThreadCommReductions:
+    """Every reduction operator, reduced in rank order inside ``run``."""
 
     def test_allreduce_sum_and_mean(self):
-        comm = ThreadComm(3)
         parts = [np.full(4, float(r)) for r in range(3)]
-        assert np.allclose(comm.allreduce(parts, op="sum"), 3.0)
-        assert np.allclose(comm.allreduce(parts, op="mean"), 1.0)
+        with ThreadComm(3) as comm:
+            for op, expected in (("sum", 3.0), ("mean", 1.0)):
+                for out in comm.run(_reduce_rank_values, [(parts, op)] * 3):
+                    assert np.allclose(out, expected)
 
     def test_allreduce_max_min(self):
-        comm = ThreadComm(2)
         parts = [np.array([1.0, 5.0]), np.array([3.0, 2.0])]
-        assert np.allclose(comm.allreduce(parts, op="max"), [3.0, 5.0])
-        assert np.allclose(comm.allreduce(parts, op="min"), [1.0, 2.0])
+        with ThreadComm(2) as comm:
+            for op, expected in (("max", [3.0, 5.0]), ("min", [1.0, 2.0])):
+                for out in comm.run(_reduce_rank_values, [(parts, op)] * 2):
+                    assert np.allclose(out, expected)
 
-    def test_allgather_returns_copies(self):
-        comm = ThreadComm(2)
-        parts = [np.zeros(2), np.ones(2)]
-        gathered = comm.allgather(parts)
-        gathered[0][:] = 99
-        assert parts[0][0] == 0.0
+    def test_unknown_reduction_rejected(self):
+        with pytest.raises(BackendError, match="unknown reduction"):
+            SerialComm().allreduce(np.ones(2), op="median")
 
     def test_spmd_collectives_guarded_outside_run(self):
         # A single SPMD array collective on a size>1 comm would rendezvous
@@ -48,21 +50,6 @@ class TestDriverSideListMode:
             comm.allreduce(np.ones(4))
         with pytest.raises(BackendError):
             comm.bcast(np.ones(2), root=9)
-
-    def test_contribution_validation(self):
-        comm = ThreadComm(2)
-        with pytest.raises(BackendError):
-            comm.allreduce([np.ones(2)])
-        with pytest.raises(BackendError):
-            comm.allreduce([np.ones(2), np.ones(3)])
-        with pytest.raises(BackendError):
-            comm.allreduce([np.ones(2), np.ones(2)], op="median")
-
-    def test_counters(self):
-        comm = ThreadComm(2)
-        comm.allreduce([np.ones(4), np.ones(4)])
-        assert comm.collective_calls["allreduce"] == 1
-        assert comm.bytes_communicated > 0
 
     def test_invalid_size(self):
         with pytest.raises(BackendError):

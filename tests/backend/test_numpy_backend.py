@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.backend import NumpyBackend
-from repro.core import kernels
 from repro.exceptions import BackendError
 
 
@@ -60,17 +60,3 @@ class TestNumpyBackend:
         backend = NumpyBackend()
         with pytest.raises(BackendError):
             backend.forward(np.ones(3), np.ones((3, 2)), np.zeros(2), None, [2])
-
-    def test_context_manager(self):
-        with NumpyBackend() as backend:
-            assert backend.name == "numpy"
-
-    def test_stats_merge(self):
-        a = NumpyBackend()
-        b = NumpyBackend()
-        a.stats.forward_calls = 2
-        b.stats.forward_calls = 3
-        b.stats.extra["x"] = 1.0
-        merged = a.stats.merge(b.stats)
-        assert merged.forward_calls == 5
-        assert merged.extra["x"] == 1.0

@@ -2,15 +2,16 @@
 
 import pytest
 
-from repro.backend import Backend, NumpyBackend, get_backend, list_backends, register_backend
+from repro.backend import NumpyBackend, get_backend, list_backends
 from repro.exceptions import BackendError
+
+#: StreamBrain backend names and simulations this registry no longer carries.
+RETIRED_BACKENDS = ("parallel", "distributed", "openmp", "mpi", "fpga")
 
 
 class TestRegistry:
     def test_builtin_backends_listed(self):
-        names = list_backends()
-        for expected in ("numpy", "parallel", "openmp", "float16", "posit16", "fpga"):
-            assert expected in names
+        assert list_backends() == ["float16", "float32", "numpy", "posit16"]
 
     def test_none_gives_numpy(self):
         assert isinstance(get_backend(None), NumpyBackend)
@@ -19,38 +20,24 @@ class TestRegistry:
         backend = NumpyBackend()
         assert get_backend(backend) is backend
 
-    def test_by_name_case_insensitive(self):
-        assert get_backend("NumPy").name == "numpy"
+    def test_names_match_exactly(self):
+        # The config schema and /predict check exact membership in
+        # list_backends(); the registry applies the same rule.
+        with pytest.raises(BackendError, match="unknown backend 'NumPy'"):
+            get_backend("NumPy")
 
-    def test_aliases_resolve(self):
-        assert get_backend("fpga").precision == "posit16"
-        assert get_backend("openmp").supports_parallel is True
+    @pytest.mark.parametrize("name", ["float32", "float16", "posit16"])
+    def test_low_precision_names_resolve(self, name):
+        assert get_backend(name).precision == name
 
-    def test_unknown_name(self):
-        with pytest.raises(BackendError):
-            get_backend("cuda-a100")
+    @pytest.mark.parametrize("name", ("cuda-a100",) + RETIRED_BACKENDS)
+    def test_unknown_name(self, name):
+        with pytest.raises(BackendError) as excinfo:
+            get_backend(name)
+        message = str(excinfo.value)
+        assert f"unknown backend '{name}'" in message
+        assert "['float16', 'float32', 'numpy', 'posit16']" in message
 
     def test_invalid_type(self):
         with pytest.raises(BackendError):
             get_backend(42)
-
-    def test_register_custom_backend(self):
-        class Dummy(Backend):
-            name = "dummy-test"
-
-        register_backend("dummy-test", Dummy)
-        try:
-            assert isinstance(get_backend("dummy-test"), Dummy)
-            with pytest.raises(BackendError):
-                register_backend("dummy-test", Dummy)
-            register_backend("dummy-test", Dummy, overwrite=True)
-        finally:
-            from repro.backend import registry
-
-            registry._REGISTRY.pop("dummy-test", None)
-
-    def test_invalid_registration(self):
-        with pytest.raises(BackendError):
-            register_backend("", NumpyBackend)
-        with pytest.raises(BackendError):
-            register_backend("x-backend", "not-callable")

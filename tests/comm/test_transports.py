@@ -125,11 +125,6 @@ class TestDriverSideGuards:
             with pytest.raises(BackendError):
                 comm.allreduce(np.ones(3))
 
-    def test_legacy_list_mode_works_outside_run(self):
-        with ThreadComm(2) as comm:
-            out = comm.allreduce([np.ones(3), np.ones(3)])
-            assert np.allclose(out, 2.0)
-
     def test_nested_run_rejected(self):
         with ThreadComm(2) as comm:
             with pytest.raises(BackendError):

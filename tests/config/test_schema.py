@@ -80,9 +80,13 @@ class TestErrorPaths:
         with pytest.raises(ConfigError, match="dataset.scenario: unknown scenario"):
             build_config({"dataset": {"scenario": "nope"}})
 
-    def test_unknown_backend(self):
-        with pytest.raises(ConfigError, match="training.backend: unknown backend"):
-            build_config({"training": {"backend": "cuda"}})
+    @pytest.mark.parametrize("section", ["training", "serving"])
+    @pytest.mark.parametrize(
+        "name", ("cuda", "NumPy", "parallel", "distributed", "openmp", "mpi", "fpga")
+    )
+    def test_unknown_backend(self, section, name):
+        with pytest.raises(ConfigError, match=f"{section}.backend: unknown backend"):
+            build_config({section: {"backend": name}})
 
     def test_density_domain(self):
         with pytest.raises(ConfigError, match=r"model.density: must be in \(0, 1\]"):

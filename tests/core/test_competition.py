@@ -270,7 +270,7 @@ def _dense_oracle_activity(layer):
 
 
 class TestTrainingRoutes:
-    @pytest.mark.parametrize("backend", ["numpy", "parallel", "float32"])
+    @pytest.mark.parametrize("backend", ["numpy", "float32", "float16", "posit16"])
     @pytest.mark.parametrize("competition", ["sample", "noisy_softmax", "softmax"])
     def test_train_batch_equals_training_on_the_dense_oracle(self, competition, backend):
         """Engine route, per backend: indices (numpy) and the base-class

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import kernels
+from repro import kernels
 from repro.exceptions import DataError
 
 

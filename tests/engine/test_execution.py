@@ -23,10 +23,6 @@ BATCH = 48
 #: (backend name, absolute tolerance implied by its declared precision)
 BACKEND_TOLERANCES = [
     ("numpy", 1e-12),
-    ("parallel", 1e-10),
-    ("openmp", 1e-10),
-    ("distributed", 1e-8),
-    ("mpi", 1e-8),
     ("float32", 1e-4),
     ("float16", 5e-2),
     ("posit16", 5e-2),
@@ -97,7 +93,6 @@ class TestFusedEquivalence:
         np.testing.assert_allclose(traces.p_i, ref_p_i, atol=tol)
         np.testing.assert_allclose(traces.p_j, ref_p_j, atol=tol)
         np.testing.assert_allclose(traces.p_ij, ref_p_ij, atol=tol)
-        backend.close()
 
     @pytest.mark.parametrize("name,tol", BACKEND_TOLERANCES)
     def test_forward_into_matches_forward(self, name, tol):
@@ -112,7 +107,6 @@ class TestFusedEquivalence:
         # The same backend must agree with itself exactly regardless of the
         # dispatch style; declared precision only bounds cross-backend drift.
         np.testing.assert_allclose(out, plain, atol=1e-12)
-        backend.close()
 
     @pytest.mark.parametrize("name,tol", BACKEND_TOLERANCES)
     def test_fused_activity_fn_is_applied(self, name, tol):
@@ -132,28 +126,6 @@ class TestFusedEquivalence:
         # With a constant uniform activity the hidden marginal update is exact.
         expected_p_j = (1.0 - taupdt) * p_j + taupdt * const_activity.mean(axis=0)
         np.testing.assert_allclose(traces.p_j, expected_p_j, atol=max(tol, 1e-10))
-        backend.close()
-
-
-class TestParallelChunking:
-    def test_chunked_fused_update_matches_reference(self):
-        """Force the multi-chunk thread path (min_chunk below the batch)."""
-        from repro.backend.parallel import ParallelBackend
-
-        x, weights, bias, mask, p_i, p_j, p_ij = _problem(seed=8)
-        taupdt = 0.05
-        ref_acts, ref_p_i, ref_p_j, ref_p_ij = _reference_step(
-            x, weights, bias, mask, p_i, p_j, p_ij, taupdt
-        )
-        backend = ParallelBackend(n_workers=3, min_chunk=8)
-        try:
-            traces = _Traces(p_i, p_j, p_ij)
-            engine = LayerEngine(backend, ExecutionPlan(N_INPUT, HIDDEN_SIZES, BATCH))
-            activations = engine.fused_update(x, weights, bias, mask, 1.0, traces, taupdt)
-            np.testing.assert_allclose(activations, ref_acts, atol=1e-10)
-            np.testing.assert_allclose(traces.p_ij, ref_p_ij, atol=1e-10)
-        finally:
-            backend.close()
 
 
 class TestWorkspaceReuse:
@@ -259,16 +231,15 @@ class TestLayerEngineLifecycle:
         x[:, 0] = 1.0
         layer.train_batch(x)
         first_engine = layer._engine
-        layer.backend = "parallel"
+        layer.backend = "float32"
         layer.train_batch(x)
         assert layer._engine is not first_engine
-        assert layer._engine.backend.name == "parallel"
-        layer.backend.close()
+        assert layer._engine.backend.precision == "float32"
 
     def test_network_threads_backend_through_layers(self):
         from repro.core import BCPNNClassifier, Network, StructuralPlasticityLayer
 
-        net = Network(seed=0, backend="parallel")
+        net = Network(seed=0, backend="float32")
         hidden = StructuralPlasticityLayer(1, 4, density=1.0, seed=1)
         head = BCPNNClassifier(n_classes=2)
         net.add(hidden)
@@ -276,11 +247,9 @@ class TestLayerEngineLifecycle:
         # One shared backend instance across the whole stack.
         assert hidden.backend is net.backend
         assert head.backend is net.backend
-        assert net.backend.name == "parallel"
+        assert net.backend.precision == "float32"
         # An explicit per-layer choice survives network binding.
         explicit = StructuralPlasticityLayer(1, 4, density=1.0, backend="numpy", seed=2)
-        net2 = Network(seed=0, backend="parallel")
+        net2 = Network(seed=0, backend="float32")
         net2.add(explicit)
         assert explicit.backend.name == "numpy"
-        net.backend.close()
-        net2.backend.close()

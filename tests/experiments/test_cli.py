@@ -6,6 +6,9 @@ import pytest
 
 from repro.cli import main_benchmark, main_sweep, main_train
 
+#: Backend names the registry no longer carries.
+RETIRED_BACKENDS = ("parallel", "distributed", "openmp", "mpi", "fpga")
+
 
 class TestTrainCli:
     def test_train_runs_and_writes_json(self, capsys, tmp_path):
@@ -52,7 +55,7 @@ class TestBenchmarkCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "Analytical per-batch cost" in out
-        assert "numpy" in out and "parallel" in out
+        assert "numpy" in out and "float32" in out and "float16" in out
 
 
 class TestSweepCli:
@@ -147,13 +150,19 @@ class TestRunCli:
         assert code == 0
         assert "[label-noise]" in capsys.readouterr().out
 
-    def test_config_error_exits_2_with_field_path(self, capsys):
+    @pytest.mark.parametrize(
+        "override",
+        ["training.comn=thread"]
+        # Retired backend names fail at the schema, never at run time.
+        + [f"training.backend={name}" for name in RETIRED_BACKENDS],
+    )
+    def test_config_error_exits_2_with_field_path(self, capsys, override):
         from repro.cli import main_run
 
-        code = main_run(["--quick", "--quiet", "--set", "training.comn=thread"])
+        code = main_run(["--quick", "--quiet", "--set", override])
         assert code == 2
         err = capsys.readouterr().err
-        assert "config error: training.comn" in err
+        assert f"config error: {override.split('=')[0]}" in err
 
     def test_unknown_scenario_exits_2(self, capsys):
         from repro.cli import main_run

@@ -32,7 +32,6 @@ def bench_json(tmp_path):
         "streaming_inference": {
             "backends": {
                 "numpy": {"rows_per_second": 180000.0},
-                "parallel": {"rows_per_second": 190000.0},
             }
         },
         "fused_training_backends": {"backends": {"numpy": {"batches_per_second": 400.0}}},

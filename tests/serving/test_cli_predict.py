@@ -40,7 +40,7 @@ def test_predict_from_npz_with_proba_and_json(
     report = tmp_path / "report.json"
     code = main(
         ["predict", str(features), "--model", saved_model, "--output", str(output),
-         "--proba", "--backend", "parallel", "--quiet", "--json", str(report)]
+         "--proba", "--backend", "float32", "--quiet", "--json", str(report)]
     )
     assert code == 0
     matrix = read_numeric_csv(output, skip_header=True)
@@ -52,7 +52,7 @@ def test_predict_from_npz_with_proba_and_json(
     assert np.array_equal(np.argmax(matrix[:, 1:], axis=1), matrix[:, 0].astype(np.int64))
     payload = json.loads(report.read_text())
     assert payload["n_rows"] == x.shape[0]
-    assert payload["backend"] == "parallel"
+    assert payload["backend"] == "lowprec-float32"
     assert payload["rows_per_second"] > 0
 
 

@@ -56,7 +56,7 @@ class TestPipelineConfiguration:
         assert piped.n_buffers == 2
         assert piped.workspace_nbytes() == 2 * single.workspace_nbytes()
 
-    @pytest.mark.parametrize("backend", ["parallel", "float32"])
+    @pytest.mark.parametrize("backend", ["float32", "float16", "posit16"])
     def test_pipeline_on_other_backends(self, backend, trained_network, encoded_higgs):
         x = encoded_higgs["x_test"]
         sequential = StreamingPredictor(trained_network, batch_size=128, backend=backend)
@@ -66,8 +66,6 @@ class TestPipelineConfiguration:
         np.testing.assert_array_equal(
             piped.predict_proba_stream(x), sequential.predict_proba_stream(x)
         )
-        piped.backend.close()
-        sequential.backend.close()
 
     def test_masked_cache_invalidated_by_retraining(self, encoded_higgs):
         """Regression: a predictor's cached weights*mask product must not

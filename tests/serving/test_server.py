@@ -451,13 +451,17 @@ class TestPredictOverrides:
             assert status == 200
             np.testing.assert_allclose(doc["probabilities"], base["probabilities"], atol=1e-9)
 
-    def test_unknown_backend_400(self, live_server, encoded_higgs):
+    @pytest.mark.parametrize(
+        "name", ["warp-drive", "parallel", "distributed", "openmp", "mpi", "fpga"]
+    )
+    def test_unknown_backend_400(self, live_server, encoded_higgs, name):
         rows = encoded_higgs["x_test"][:1]
         status, doc, _ = _request(
-            live_server, "POST", "/predict", {"rows": rows.tolist(), "backend": "warp-drive"}
+            live_server, "POST", "/predict", {"rows": rows.tolist(), "backend": name}
         )
         assert status == 400
-        assert "unknown" in doc["error"] and "warp-drive" in doc["error"]
+        assert "unknown" in doc["error"] and repr(name) in doc["error"]
+        assert "float16, float32, numpy, posit16" in doc["error"]
 
     def test_invalid_sparse_mode_400(self, live_server, encoded_higgs):
         rows = encoded_higgs["x_test"][:1]

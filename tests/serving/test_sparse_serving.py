@@ -98,14 +98,11 @@ class TestSparseStreaming:
             piped.predict_proba_stream(x), plain.predict_proba_stream(x)
         )
 
-    @pytest.mark.parametrize("backend", ["parallel", "distributed"])
+    @pytest.mark.parametrize("backend", ["float32", "float16", "posit16"])
     def test_backend_override_serves_sparse(self, sparse_network, backend):
         network, x = sparse_network
         predictor = StreamingPredictor(network, batch_size=128, backend=backend)
-        try:
-            assert np.array_equal(predictor.predict_stream(x), network.predict(x))
-        finally:
-            predictor.backend.close()
+        assert np.array_equal(predictor.predict_stream(x), network.predict(x))
 
     def test_workspaces_stay_o_batch(self, sparse_network):
         network, x = sparse_network
