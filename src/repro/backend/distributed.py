@@ -113,10 +113,6 @@ def _replica_from_spec(spec: Dict[str, object], rng: np.random.Generator):
         n_minicolumns=int(spec["n_minicolumns"]),
         hyperparams=BCPNNHyperParameters.from_dict(dict(spec["hyperparams"])),
         backend=spec.get("backend"),
-        # Replicas must make the same dense-vs-sparse execution choice as
-        # rank 0, or the per-shard forward bits (and on multi-hypercolumn
-        # layers the block structure) would differ across ranks.
-        sparse=spec.get("sparse"),
         seed=rng,
         name=str(spec["name"]),
     )
@@ -251,10 +247,10 @@ def train_layer_program(
       boundary with the completed-epoch count and a resume snapshot
       (traces, mask, RNG state).  Rank 0 runs inline in the driver, so the
       driver still holds the last consistent state after a crash.
-    * ``options["fault_injection"]`` — ``{rank, epoch, batch}`` test hook:
-      the matching rank dies at the start of that global batch (a hard
-      ``os._exit`` on multi-process transports, a raised
-      :class:`BackendError` otherwise).
+    * ``options["fault_injection"]`` — ``{rank, epoch, batch}`` from the
+      fault plan's ``worker.crash`` rule: the matching rank dies at the
+      start of that global batch (a hard ``os._exit`` on multi-process
+      transports, a raised :class:`BackendError` otherwise).
     """
     rank, size = comm.rank, comm.size
     x = comm.bcast(x, root=0)
@@ -666,7 +662,6 @@ class DistributedTrainer:
         sparse_payload: str = "auto",
         fault_tolerance: bool = False,
         max_restarts: int = 2,
-        fault_injection: Optional[Dict[str, int]] = None,
         resume_state: Optional[Dict[str, object]] = None,
         on_epoch_boundary: Optional[Callable[[int, Dict[str, object]], None]] = None,
     ) -> DistributedEpochReport:
@@ -722,10 +717,10 @@ class DistributedTrainer:
         ``weight_refresh_tol=0`` the recovered run's final weights are
         bitwise-identical to an uninterrupted run (test-enforced in
         ``tests/backend/test_fault_tolerance.py``).  ``max_restarts``
-        bounds the recovery attempts per call.  ``fault_injection``
-        (``{"rank": r, "epoch": e, "batch": b}``) kills rank ``r`` at the
-        start of that global batch, exactly once — the test hook behind
-        ``repro train --inject-crash``.
+        bounds the recovery attempts per call.  A ``worker.crash`` rule of
+        the active fault plan (:func:`repro.faults.crash_injection_from_plan`,
+        e.g. ``REPRO_FAULTS="worker.crash@rank=1,epoch=0,batch=2"``) kills
+        that rank at the start of that global batch.
         """
         x = np.ascontiguousarray(check_numeric_dtype(x))  # broadcast in its stored dtype
         if x.ndim != 2:
@@ -750,23 +745,12 @@ class DistributedTrainer:
             )
         if int(max_restarts) < 0:
             raise DataError("max_restarts must be non-negative")
-        if fault_injection is None:
-            # An env-activated ``worker.crash`` rule (REPRO_FAULTS) subsumes
-            # the explicit hook, so chaos runs need no plumbing changes.
-            fault_injection = faults.crash_injection_from_plan()
-        injection: Optional[Dict[str, int]] = None
-        if fault_injection is not None:
-            missing = {"rank", "epoch", "batch"} - set(fault_injection)
-            if missing:
-                raise DataError(
-                    f"fault_injection needs rank/epoch/batch keys, missing {sorted(missing)}"
-                )
-            injection = {key: int(fault_injection[key]) for key in ("rank", "epoch", "batch")}
-            if not 0 <= injection["rank"] < self.comm.size:
-                raise DataError(
-                    f"fault_injection rank {injection['rank']} out of range for "
-                    f"{self.comm.size} ranks"
-                )
+        injection = faults.crash_injection_from_plan()
+        if injection is not None and not 0 <= injection["rank"] < self.comm.size:
+            raise DataError(
+                f"worker.crash rank {injection['rank']} out of range for "
+                f"{self.comm.size} ranks"
+            )
         n = x.shape[0]
         # Drawing the seed consumes the caller's generator, so repeated
         # calls with one rng get fresh, still-deterministic shuffles.  A
@@ -802,8 +786,6 @@ class DistributedTrainer:
                 # Worker replicas must compute their shards on the same compute
                 # backend as rank 0, or the reduction mixes precisions.
                 "backend": resolve_backend_name(layer._backend_spec, layer.backend),
-                # ... and on the same execution plan (dense vs block-sparse).
-                "sparse": getattr(layer, "sparse_mode", None),
             }
             options = {
                 "spec": spec,
@@ -864,10 +846,9 @@ class DistributedTrainer:
                     raise
                 if not self.comm.recover():
                     raise
-                # An explicit fault_injection dict fires exactly once; a
-                # REPRO_FAULTS worker.crash rule with count=N re-arms until
-                # its budget is spent (how the chaos tests exceed
-                # max_restarts with genuine repeat crashes).
+                # A worker.crash rule with count=N re-arms until its budget
+                # is spent (how the chaos tests exceed max_restarts with
+                # genuine repeat crashes).
                 injection = faults.crash_injection_from_plan()
                 if progress is not None and progress.get("snapshot") is not None:
                     start_epoch = int(progress["epoch"])

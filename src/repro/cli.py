@@ -37,8 +37,8 @@ serving / the comm-throughput benchmark over a :mod:`repro.comm` transport.
 ``--comm help`` prints the capability table (multihost / fault-tolerant /
 nonblocking per transport); the legacy ``--ranks N`` flag still works for
 bare transport names.  ``train`` also accepts ``--fault-tolerance``
-(recover from crashed ranks mid-run on the tcp transport) and the
-``--inject-crash RANK:EPOCH:BATCH`` testing hook.
+(recover from crashed ranks mid-run on the tcp transport); crashes are
+injected through ``REPRO_FAULTS`` (see :mod:`repro.faults`).
 
 ``train``, ``sweep`` and ``benchmark`` accept ``--pipeline`` (overlapped
 double-buffered training loop; identical results) and
@@ -46,12 +46,6 @@ double-buffered training loop; identical results) and
 ``traces_to_weights`` refresh while the accumulated taupdt-scaled trace
 drift stays under TOL; 0 = exact); ``predict`` accepts ``--pipeline`` to
 overlap the hidden and head serving stages.
-
-``train``, ``sweep`` and ``predict`` accept ``--sparse {auto,on,off}`` —
-the block-sparse execution plan that serves low-density receptive fields
-through gather-GEMM kernels (an execution choice only; results unchanged).
-On ``benchmark``, passing ``--sparse`` adds a dense-vs-sparse density-sweep
-table.
 """
 
 from __future__ import annotations
@@ -148,24 +142,11 @@ def _print_comm_help() -> None:
     )
 
 
-def _add_sparse(parser: argparse.ArgumentParser, default: Optional[str] = "auto") -> None:
-    """``--sparse``: block-sparse execution policy for masked layers."""
-    parser.add_argument(
-        "--sparse",
-        choices=["auto", "on", "off"],
-        default=default,
-        help=(
-            "block-sparse execution plan for the structural-plasticity mask: "
-            "auto (gather-GEMM kernels when the receptive-field density is at "
-            "or below the measured break-even), on (force sparse), off (force "
-            "the dense masked GEMM); an execution choice only, results are "
-            "unchanged"
-        ),
-    )
-
-
 def _add_pipeline(parser: argparse.ArgumentParser, default_tol: float = 0.0) -> None:
     """``--pipeline``/``--weight-refresh-tol``: pipelined training options."""
+    # Exact flag names only, so a prefix such as ``--sparse`` is an error
+    # rather than a silent ``--sparse-payload``.
+    parser.allow_abbrev = False
     parser.add_argument(
         "--pipeline",
         action="store_true",
@@ -272,17 +253,6 @@ def main_train(argv: Optional[List[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--inject-crash",
-        type=str,
-        default=None,
-        metavar="RANK:EPOCH:BATCH",
-        help=(
-            "testing hook: kill the given rank at the start of that global "
-            "batch, exactly once (pair with --fault-tolerance to watch the "
-            "run recover)"
-        ),
-    )
-    parser.add_argument(
         "--checkpoint-dir",
         type=str,
         default=None,
@@ -319,7 +289,6 @@ def main_train(argv: Optional[List[str]] = None) -> int:
     _add_common(parser)
     _add_comm(parser)
     _add_pipeline(parser)
-    _add_sparse(parser)
     args = parser.parse_args(argv)
     if args.comm == "help":
         _print_comm_help()
@@ -327,12 +296,6 @@ def main_train(argv: Optional[List[str]] = None) -> int:
     if not args.quiet:
         enable_console_logging()
 
-    fault_injection = None
-    if args.inject_crash is not None:
-        parts = args.inject_crash.split(":")
-        if len(parts) != 3:
-            parser.error("--inject-crash takes RANK:EPOCH:BATCH, e.g. 1:0:2")
-        fault_injection = dict(zip(("rank", "epoch", "batch"), (int(p) for p in parts)))
     scale = get_scale(args.scale)
     config = HiggsExperimentConfig(
         n_hypercolumns=args.hcus,
@@ -347,7 +310,6 @@ def main_train(argv: Optional[List[str]] = None) -> int:
         seed=args.seed,
         pipeline=args.pipeline,
         weight_refresh_tol=args.weight_refresh_tol,
-        sparse=args.sparse,
         comm_overlap=args.comm_overlap,
         sparse_payload=args.sparse_payload,
         fault_tolerance=args.fault_tolerance,
@@ -361,9 +323,7 @@ def main_train(argv: Optional[List[str]] = None) -> int:
     )
     comm = _build_comm(args)
     try:
-        result = train_and_evaluate(
-            config, data=data, comm=comm, fault_injection=fault_injection
-        )
+        result = train_and_evaluate(config, data=data, comm=comm)
     finally:
         if comm is not None:
             comm.close()
@@ -410,7 +370,6 @@ def main_sweep(argv: Optional[List[str]] = None) -> int:
     _add_common(parser)
     _add_comm(parser)
     _add_pipeline(parser)
-    _add_sparse(parser)
     args = parser.parse_args(argv)
     if args.comm == "help":
         _print_comm_help()
@@ -439,7 +398,6 @@ def main_sweep(argv: Optional[List[str]] = None) -> int:
             backend=args.backend,
             pipeline=args.pipeline,
             weight_refresh_tol=args.weight_refresh_tol,
-            sparse=args.sparse,
             comm_overlap=args.comm_overlap,
             sparse_payload=args.sparse_payload,
             **kwargs,
@@ -451,7 +409,6 @@ def main_sweep(argv: Optional[List[str]] = None) -> int:
             backend=args.backend,
             pipeline=args.pipeline,
             weight_refresh_tol=args.weight_refresh_tol,
-            sparse=args.sparse,
         )
     print(result["table"])
     return _finish(result, args)
@@ -478,9 +435,6 @@ def main_benchmark(argv: Optional[List[str]] = None) -> int:
     # --weight-refresh-tol 0 explicitly to time the exact (pure-scheduling)
     # pipelined mode.
     _add_pipeline(parser, default_tol=0.01)
-    # No default: passing --sparse opts the (multi-second) dense-vs-sparse
-    # density sweep table into the benchmark run.
-    _add_sparse(parser, default=None)
     args = parser.parse_args(argv)
     if args.comm == "help":
         _print_comm_help()
@@ -600,25 +554,6 @@ def main_benchmark(argv: Optional[List[str]] = None) -> int:
         result["pipelined_training"] = pipelined
         result["table"] = result["table"] + "\n" + pipeline_table
 
-    # Block-sparse execution plan vs the dense fused path (opted in with
-    # --sparse): dense vs gather-GEMM seconds/batch and serving rows/s
-    # across mask densities, on the same shipped layer/predictor paths the
-    # committed BENCH_kernels.json sweep publishes.
-    if args.sparse is not None:
-        from repro.instrumentation import measure_sparse_density_sweep
-
-        sweep = measure_sparse_density_sweep(
-            n_minicolumns=args.mcus, repeats=max(2, args.repeats // 2)
-        )
-        sparse_table = format_table(
-            sweep["densities"],
-            precision=6,
-            title="Block-sparse execution: dense vs gather-GEMM by density",
-        )
-        print(sparse_table)
-        result["sparse_density_sweep"] = sweep
-        result["table"] = result["table"] + "\n" + sparse_table
-
     # Per-transport collective throughput (opted in with --comm/--ranks):
     # the payload is the trace matrix one data-parallel batch allreduces.
     if args.comm is not None or args.ranks is not None:
@@ -709,10 +644,6 @@ def main_predict(argv: Optional[List[str]] = None) -> int:
     )
     _add_common(parser)
     _add_comm(parser)
-    # No default: without --sparse the model's saved policy applies; with it
-    # the mode is *forced* (auto re-evaluates the density threshold, on/off
-    # force the gather-GEMM / dense masked paths).
-    _add_sparse(parser, default=None)
     args = parser.parse_args(argv)
     if args.comm == "help":
         _print_comm_help()
@@ -721,13 +652,6 @@ def main_predict(argv: Optional[List[str]] = None) -> int:
         enable_console_logging()
 
     network = load_network(args.model)
-    if args.sparse is not None:
-        # bind_sparse(force=True) updates the layer's *spec* too, so worker
-        # replicas rebuilt from the serialized blob on tcp-comm ranks
-        # make the same dense-vs-sparse choice as the driver.
-        for layer in network.hidden_layers:
-            if hasattr(layer, "bind_sparse"):
-                layer.bind_sparse(args.sparse, force=True)
     x = _load_feature_matrix(args.input)
     comm = _build_comm(args)
     predictor = StreamingPredictor(
@@ -883,9 +807,6 @@ def main_serve(argv: Optional[List[str]] = None) -> int:
         ),
     )
     parser.add_argument("--quiet", action="store_true", help="suppress progress logging")
-    # No default: without --sparse the model's saved policy applies (same
-    # semantics as repro-predict).
-    _add_sparse(parser, default=None)
     args = parser.parse_args(argv)
     if args.comm == "help":
         _print_comm_help()
@@ -894,10 +815,6 @@ def main_serve(argv: Optional[List[str]] = None) -> int:
         enable_console_logging()
 
     network = load_network(args.model)
-    if args.sparse is not None:
-        for layer in network.hidden_layers:
-            if hasattr(layer, "bind_sparse"):
-                layer.bind_sparse(args.sparse, force=True)
     runner = ModelRunner(
         network, batch_size=args.batch_size, backend=args.backend, comm=args.comm
     )

@@ -1,7 +1,7 @@
 """Declarative experiment configs: typed schema, layered loader, runner.
 
 The knob surface of this stack (backend, comm transport/ranks, pipeline,
-sparse policy, refresh tolerance, comm overlap, serving and hyperopt flags)
+refresh tolerance, comm overlap, serving and hyperopt flags)
 outgrew CLI flags; this package makes an experiment *data* instead:
 
 >>> from repro.config import compose_config, run_experiment

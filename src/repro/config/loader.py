@@ -104,7 +104,7 @@ def _parse_scalar(text: str) -> Any:
 
 
 def parse_set_overrides(pairs: Sequence[str]) -> Dict[str, Any]:
-    """Turn ``["training.sparse=on", ...]`` into a nested override dict."""
+    """Turn ``["training.pipeline=true", ...]`` into a nested override dict."""
     out: Dict[str, Any] = {}
     for pair in pairs:
         if "=" not in pair:

@@ -16,8 +16,7 @@ top-level ``seed``.  Every section is a frozen dataclass, and
 * **cross-field contradictions** — combinations that each validate alone but
   cannot mean anything together — raise naming the field that must change
   (e.g. ``training.comm_overlap: on`` with a single-rank serial
-  communicator, or ``training.sparse: on`` against a density-1.0 mask that
-  has no silent rows to skip).
+  communicator).
 
 The schema deliberately mirrors the ``repro train`` flag surface so that a
 config file and a flag invocation build byte-identical
@@ -87,7 +86,6 @@ class TrainingSection:
     backend: str = "numpy"
     pipeline: bool = False
     weight_refresh_tol: float = 0.0
-    sparse: str = "auto"
     #: Communicator transport spec for data-parallel training: a string from
     #: the :func:`repro.comm.parse_transport_spec` grammar (``"thread:4"``,
     #: ``"tcp://host:port?ranks=8"``, ``"process:4"`` for loopback tcp,
@@ -301,7 +299,6 @@ def _validate_fields(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             "training.weight_refresh_tol", f"must be non-negative, got {tr.weight_refresh_tol}"
         )
-    _check_choice(tr.sparse, _MODES, "training.sparse")
     _check_choice(tr.comm_overlap, _MODES, "training.comm_overlap")
     _check_choice(tr.sparse_payload, _MODES, "training.sparse_payload")
     if tr.comm is not None:
@@ -400,13 +397,6 @@ def _validate_cross(cfg: ExperimentConfig) -> None:
             "hyperopt.resume",
             "resume: true requires hyperopt.journal to point at the trial "
             "journal to resume from",
-        )
-    if tr.sparse == "on" and cfg.model.density >= 1.0:
-        raise ConfigError(
-            "training.sparse",
-            "'on' forces the block-sparse gather-GEMM plan, but model.density is 1.0 "
-            "— a fully dense mask has no silent rows to skip; lower the density or "
-            "use sparse: auto/off",
         )
     if cfg.hyperopt.enabled:
         if not cfg.hyperopt.space:

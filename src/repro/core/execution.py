@@ -15,9 +15,10 @@ between :class:`~repro.core.layers.StructuralPlasticityLayer` and
 * the trace→weight refresh, streamed into the layer's persistent
   weight/bias buffers,
 * the **block-sparse execution plan**: when a layer's structural-plasticity
-  mask is sparse enough (``sparse="auto"`` with density at or below
-  :data:`repro.kernels.SPARSE_DENSITY_THRESHOLD`, or forced with
-  ``sparse="on"``), the per-batch trace→weight refresh packs only the active
+  mask is sparse enough (density at or below
+  :data:`repro.kernels.SPARSE_DENSITY_THRESHOLD`, decided in
+  :meth:`BackendExecutionMixin._refresh_sparse_layout` whenever the mask
+  changes), the per-batch trace→weight refresh packs only the active
   rows of each hidden hypercolumn into packed slabs
   (:func:`repro.kernels.pack_traces_to_weights`) and every forward dispatch
   runs gather-GEMMs over them.  The dense ``weights`` matrix then becomes a
@@ -43,47 +44,24 @@ from repro.backend.base import Backend
 from repro.backend.registry import get_backend
 from repro.engine import ExecutionPlan, LayerEngine
 from repro.exceptions import NotFittedError
-from repro.utils.validation import check_sparse_mode
 
-__all__ = ["BackendExecutionMixin", "normalize_sparse_mode"]
-
-
-def normalize_sparse_mode(value) -> Optional[str]:
-    """Normalise a user-facing sparse choice to ``None``/"auto"/"on"/"off".
-
-    ``None`` means "unset" (callers fall back to ``"auto"``); booleans map to
-    the force modes so ``Network(sparse=True)`` reads naturally.
-    """
-    if value is None:
-        return None
-    if value is True:
-        return "on"
-    if value is False:
-        return "off"
-    return check_sparse_mode(str(value).lower())
+__all__ = ["BackendExecutionMixin"]
 
 
 class BackendExecutionMixin:
     """Backend resolution + streaming engine shared by trainable layers."""
 
     # ------------------------------------------------------------- backend
-    def _init_execution(self, backend=None, sparse=None) -> None:
-        """Record the constructor-supplied backend/sparse choices."""
+    def _init_execution(self, backend=None) -> None:
+        """Record the constructor-supplied backend choice."""
         self._backend_spec = backend
         self._backend: Optional[Backend] = (
             get_backend(backend) if backend is not None else None
         )
         self._engine: Optional[LayerEngine] = None
         # Engine construction options (see configure_execution): workspace
-        # ring depth, the stale-weights tolerance and the sparse policy.  The
-        # defaults reproduce the historical behaviour exactly (sparse "auto"
-        # only changes the execution path, never the semantics).
-        self._sparse_spec = normalize_sparse_mode(sparse)
-        self._engine_options = {
-            "n_buffers": 1,
-            "weight_refresh_tol": 0.0,
-            "sparse": self._sparse_spec or "auto",
-        }
+        # ring depth and the stale-weights tolerance.
+        self._engine_options = {"n_buffers": 1, "weight_refresh_tol": 0.0}
         # Monotonic counter bumped on every weight refresh.  Weights are
         # mutated *in place*, so engines that are not this layer's own
         # (serving stages hold their own engine per layer) key their cached
@@ -163,24 +141,6 @@ class BackendExecutionMixin:
             self._engine = None
             self._packed_stale = True
 
-    def bind_sparse(self, sparse, force: bool = False) -> None:
-        """Adopt a network-level sparse policy unless one was explicitly chosen.
-
-        The sparse twin of :meth:`bind_backend`: ``Network(sparse=...)``
-        threads its policy through every layer that did not pick one in its
-        own constructor.  Binding records the mode as the layer's spec so
-        the choice survives serialisation (``state_dict``) and reaches
-        worker replicas; per-``fit`` *schedule* values therefore do not go
-        through this method (they configure the runtime mode of spec-less
-        layers without claiming the spec — see ``Network.fit``).
-        """
-        mode = normalize_sparse_mode(sparse)
-        if mode is None:
-            return
-        if force or self._sparse_spec is None:
-            self._sparse_spec = mode
-            self.configure_execution(sparse=mode)
-
     # ------------------------------------------------------------ lifecycle
     @property
     def is_built(self) -> bool:
@@ -195,36 +155,23 @@ class BackendExecutionMixin:
         self,
         n_buffers: Optional[int] = None,
         weight_refresh_tol: Optional[float] = None,
-        sparse=None,
     ) -> None:
         """Set the engine options the next dispatches run with.
 
         ``n_buffers`` sizes the workspace ring (2+ = multi-buffering for the
         pipelined training path); ``weight_refresh_tol`` enables the
-        engine's stale-weights caching (0 = exact, refresh every batch);
-        ``sparse`` selects the block-sparse policy (``"auto"``/``"on"``/
-        ``"off"`` or a bool).  A change drops the current engine so the next
-        dispatch rebuilds it with the new options; passing the current
-        values is a no-op.
+        engine's stale-weights caching (0 = exact, refresh every batch).  A
+        change drops the current engine so the next dispatch rebuilds it
+        with the new options; passing the current values is a no-op.
         """
         options = dict(self._engine_options)
         if n_buffers is not None:
             options["n_buffers"] = int(n_buffers)
         if weight_refresh_tol is not None:
             options["weight_refresh_tol"] = float(weight_refresh_tol)
-        if sparse is not None:
-            options["sparse"] = normalize_sparse_mode(sparse)
         if options != self._engine_options:
-            sparse_changed = options["sparse"] != self._engine_options["sparse"]
             self._engine_options = options
             self._engine = None
-            if sparse_changed:
-                self._refresh_sparse_layout()
-
-    @property
-    def sparse_mode(self) -> str:
-        """The effective block-sparse policy ("auto", "on" or "off")."""
-        return self._engine_options["sparse"]
 
     def engine_for(self, n_rows: int) -> LayerEngine:
         """The streaming engine for the current shape, sized for ``n_rows``.
@@ -243,12 +190,8 @@ class BackendExecutionMixin:
             or not engine.accommodates(n_rows)
         ):
             previous = engine.plan.batch_size if engine is not None else 0
-            options = dict(self._engine_options)
-            sparse_mode = options.pop("sparse")
-            plan = ExecutionPlan.for_traces(
-                traces, max(int(n_rows), previous), sparse=sparse_mode
-            )
-            engine = LayerEngine(self.backend, plan, **options)
+            plan = ExecutionPlan.for_traces(traces, max(int(n_rows), previous))
+            engine = LayerEngine(self.backend, plan, **self._engine_options)
             self._engine = engine
         return engine
 
@@ -265,23 +208,25 @@ class BackendExecutionMixin:
         return None
 
     def _refresh_sparse_layout(self) -> None:
-        """(Re)compile the mask layout according to the current policy.
+        """(Re)compile the mask layout and decide the execution plan.
 
-        Called whenever the mask or the sparse policy changes.  Compiling a
-        fresh :class:`~repro.kernels.SparseLayout` changes the layout
-        identity, which invalidates every engine cache keyed on it; the
-        packed slabs are marked stale and re-packed lazily on the next
-        sparse dispatch (from the current traces — at ``tol=0`` the traces
-        are exactly the ones the last refresh used, so the repack is
-        bit-identical to gathering the dense weights).
+        The one place the dense-vs-sparse choice is made: the compiled
+        layout is kept iff its density is at or below
+        :data:`repro.kernels.SPARSE_DENSITY_THRESHOLD`
+        (:func:`repro.kernels.sparse_beneficial`); every engine, serving
+        stage and worker replica follows from whether the layer hands out a
+        :class:`~repro.kernels.SparseWeights` bundle.  Called whenever the
+        mask changes.  Compiling a fresh :class:`~repro.kernels.SparseLayout`
+        changes the layout identity, which invalidates every engine cache
+        keyed on it; the packed slabs are marked stale and re-packed lazily
+        on the next sparse dispatch (from the current traces — at ``tol=0``
+        the traces are exactly the ones the last refresh used, so the
+        repack is bit-identical to gathering the dense weights).
         """
         source = self._sparse_source()
-        mode = self.sparse_mode
-        layout = None
-        if source is not None and mode != "off":
-            candidate = kernels.SparseLayout(*source)
-            if kernels.sparse_beneficial(candidate, mode):
-                layout = candidate
+        layout = kernels.SparseLayout(*source) if source is not None else None
+        if not kernels.sparse_beneficial(layout):
+            layout = None
         self._sparse_layout = layout
         self._packed_blocks = None
         self._packed_stale = True
@@ -305,7 +250,7 @@ class BackendExecutionMixin:
         """A :class:`~repro.kernels.SparseLayout` of the *current* mask.
 
         Unlike :attr:`sparse_layout` this is independent of the execution
-        policy: communication payload packing (sparse-packed allreduce in
+        plan: communication payload packing (sparse-packed allreduce in
         :func:`repro.backend.distributed.train_layer_program`) wants the
         mask's index structure even when execution stays dense.  Cached on
         the mask generation token, so repeated calls between structural-
@@ -327,8 +272,8 @@ class BackendExecutionMixin:
         """The :class:`~repro.kernels.SparseWeights` bundle for a dispatch.
 
         Returns ``None`` when the sparse plan is inactive.  Ensures the
-        packed slabs exist (they are packed lazily after a mask change or a
-        policy flip); a *stale-weights* skip is honoured — the slabs are only
+        packed slabs exist (they are packed lazily after a mask or backend
+        change); a *stale-weights* skip is honoured — the slabs are only
         repacked when a refresh actually happened or the layout changed,
         mirroring the dense path's stale weight buffers bit for bit.
         """

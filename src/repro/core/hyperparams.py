@@ -14,7 +14,7 @@ from typing import Dict
 
 from repro.exceptions import ConfigurationError
 from repro.kernels import COMPETITION_MODES
-from repro.utils.validation import check_fraction, check_positive_int, check_sparse_mode
+from repro.utils.validation import check_fraction, check_positive_int
 
 __all__ = ["BCPNNHyperParameters", "TrainingSchedule"]
 
@@ -156,19 +156,11 @@ class TrainingSchedule:
     default) refreshes every batch — exact training; ``> 0`` trades bounded
     weight staleness for throughput.
 
-    ``sparse`` selects the block-sparse execution plan for the hidden
-    layers: ``"auto"`` (default) serves a layer through the gather-GEMM
-    kernels whenever its receptive-field density is at or below the measured
-    break-even, ``"on"`` forces them, ``"off"`` forces the dense masked
-    GEMM.  At ``weight_refresh_tol=0`` (the default) this is purely an
-    execution choice — the learning rule and its results are unchanged
-    (bitwise on single-hypercolumn layers).  Combining ``sparse`` with
-    ``weight_refresh_tol > 0`` *and* active structural plasticity is the
-    one corner where the plans can drift within the tolerance: a mask swap
-    forces the sparse plan to repack from the current traces (equivalent to
-    an extra refresh at the swap boundary), while the dense plan keeps its
-    stale buffer — the same approximation class ``tol > 0`` already opts
-    into, with the sparse weights only ever *fresher*.
+    Hidden layers whose mask density is at or below
+    :data:`repro.kernels.SPARSE_DENSITY_THRESHOLD` run the block-sparse
+    plan.  Under ``weight_refresh_tol > 0`` a mask swap repacks their
+    weights from the current traces, so they are only ever *fresher* than
+    the dense plan's stale buffer would be.
 
     ``comm_overlap`` controls the communication-overlapped data-parallel
     schedule when training through a communicator: the per-batch statistics
@@ -203,8 +195,6 @@ class TrainingSchedule:
     pipeline: bool = False
     #: Stale-weights tolerance for the per-batch weight refresh (0 = exact).
     weight_refresh_tol: float = 0.0
-    #: Block-sparse execution policy for the hidden layers ("auto"/"on"/"off").
-    sparse: str = "auto"
     #: Nonblocking-allreduce overlap for comm training ("auto"/"on"/"off").
     comm_overlap: str = "auto"
     #: Sparse-packed allreduce payloads on frozen masks ("auto"/"on"/"off").
@@ -231,7 +221,6 @@ class TrainingSchedule:
             raise ConfigurationError("sgd_weight_decay must be non-negative")
         if self.weight_refresh_tol < 0:
             raise ConfigurationError("weight_refresh_tol must be non-negative")
-        check_sparse_mode(self.sparse)
         for knob, value in (
             ("comm_overlap", self.comm_overlap),
             ("sparse_payload", self.sparse_payload),
@@ -257,7 +246,6 @@ class TrainingSchedule:
             "prefetch_batches": self.prefetch_batches,
             "pipeline": self.pipeline,
             "weight_refresh_tol": self.weight_refresh_tol,
-            "sparse": self.sparse,
             "comm_overlap": self.comm_overlap,
             "sparse_payload": self.sparse_payload,
             "fault_tolerance": self.fault_tolerance,

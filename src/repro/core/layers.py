@@ -101,6 +101,9 @@ class InputSpec:
 class StructuralPlasticityLayer(BackendExecutionMixin):
     """Unsupervised BCPNN hidden layer with a trainable receptive field.
 
+    The layer runs the block-sparse gather-GEMM kernels whenever its mask
+    density is at or below :data:`repro.kernels.SPARSE_DENSITY_THRESHOLD`.
+
     Parameters
     ----------
     n_hypercolumns:
@@ -114,11 +117,6 @@ class StructuralPlasticityLayer(BackendExecutionMixin):
         overrides the value in the hyper-parameter set.
     backend:
         Backend name or instance (default "numpy").
-    sparse:
-        Block-sparse execution policy: ``"auto"`` (default — gather-GEMM
-        kernels whenever the receptive-field density is at or below the
-        measured break-even), ``"on"``/``True`` (force sparse) or
-        ``"off"``/``False`` (force the dense masked GEMM).
     seed:
         RNG seed controlling mask initialisation.
     """
@@ -130,7 +128,6 @@ class StructuralPlasticityLayer(BackendExecutionMixin):
         density: Optional[float] = None,
         hyperparams: Optional[BCPNNHyperParameters] = None,
         backend=None,
-        sparse=None,
         seed=None,
         name: Optional[str] = None,
     ) -> None:
@@ -141,7 +138,7 @@ class StructuralPlasticityLayer(BackendExecutionMixin):
             density = check_fraction(density, "density")
             base = base.replace(density=density)
         self.hyperparams = base
-        self._init_execution(backend, sparse=sparse)
+        self._init_execution(backend)
         self._rng = as_rng(seed)
         self.name = name or f"hidden-{self.n_hypercolumns}x{self.n_minicolumns}"
 
@@ -389,7 +386,6 @@ class StructuralPlasticityLayer(BackendExecutionMixin):
             "n_minicolumns": self.n_minicolumns,
             "hyperparams": self.hyperparams.to_dict(),
             "input_sizes": list(self.input_spec.hypercolumn_sizes),
-            "sparse": self._sparse_spec,
             "p_i": self.traces.p_i.copy(),
             "p_j": self.traces.p_j.copy(),
             "p_ij": self.traces.p_ij.copy(),
@@ -398,18 +394,15 @@ class StructuralPlasticityLayer(BackendExecutionMixin):
         }
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore a layer previously exported with :meth:`state_dict`."""
+        """Restore a layer previously exported with :meth:`state_dict`.
+
+        A ``"sparse"`` key written by older versions is ignored: the
+        restored mask alone decides the execution plan.
+        """
         input_spec = InputSpec([int(s) for s in state["input_sizes"]])
         self.hyperparams = BCPNNHyperParameters.from_dict(
             {k: v for k, v in dict(state["hyperparams"]).items()}
         )
-        # Restore the sparse policy before building so the worker-replica /
-        # deserialisation paths make the same dense-vs-sparse choice as the
-        # process that exported the state (older saves default to "auto").
-        sparse = state.get("sparse")
-        if sparse is not None:
-            self._sparse_spec = str(sparse)
-            self.configure_execution(sparse=self._sparse_spec)
         self.build(input_spec)
         self.traces.p_i[:] = np.asarray(state["p_i"])
         self.traces.p_j[:] = np.asarray(state["p_j"])

@@ -21,17 +21,12 @@ import numpy as np
 
 from repro.backend.base import Backend
 from repro.backend.registry import get_backend
-from repro.core.execution import normalize_sparse_mode
 from repro.core.heads import BCPNNClassifier, SGDClassifier
 from repro.core.hyperparams import TrainingSchedule
 from repro.core.layers import InputSpec, StructuralPlasticityLayer
 from repro.core.training import CallbackList, EpochResult, History, TrainingCallback
 from repro.datasets.stream import BatchStream
-from repro.engine.pipeline import (
-    helper_threads_available,
-    mean_activation_entropy,
-    train_layer_pipelined,
-)
+from repro.engine.pipeline import helper_threads_available, train_layer_pipelined
 from repro import faults
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
 from repro.metrics.classification import accuracy as accuracy_metric
@@ -64,19 +59,12 @@ class Network:
         that did not choose one explicitly — the single backend-resolution
         point for a whole network (layers share the instance, so e.g. one
         thread pool serves the full stack).
-    sparse:
-        Optional block-sparse execution policy (``"auto"``/``"on"``/``"off"``
-        or a bool) threaded through every hidden layer that did not choose
-        one explicitly — the network-level twin of ``backend``.
     """
 
-    def __init__(
-        self, seed=None, name: str = "bcpnn-network", backend=None, sparse=None
-    ) -> None:
+    def __init__(self, seed=None, name: str = "bcpnn-network", backend=None) -> None:
         self._rng = as_rng(seed)
         self.name = name
         self._backend: Optional[Backend] = get_backend(backend) if backend is not None else None
-        self._sparse = normalize_sparse_mode(sparse)
         self.hidden_layers: List[StructuralPlasticityLayer] = []
         self.head: Optional[HeadLayer] = None
         self.input_spec: Optional[InputSpec] = None
@@ -108,8 +96,6 @@ class Network:
             )
         if self._backend is not None and hasattr(layer, "bind_backend"):
             layer.bind_backend(self._backend)
-        if self._sparse is not None and hasattr(layer, "bind_sparse"):
-            layer.bind_sparse(self._sparse)
         return self
 
     @property
@@ -160,11 +146,9 @@ class Network:
         comm=None,
         pipeline: Optional[bool] = None,
         weight_refresh_tol: Optional[float] = None,
-        sparse=None,
         comm_overlap: Optional[str] = None,
         sparse_payload: Optional[str] = None,
         fault_tolerance: Optional[bool] = None,
-        fault_injection=None,
         checkpoint_dir=None,
         checkpoint_every: int = 1,
         checkpoint_keep: int = 3,
@@ -186,19 +170,17 @@ class Network:
         competition modes.  The classification head is small and trains on
         the driver as usual.
 
-        ``pipeline`` / ``weight_refresh_tol`` / ``sparse`` override the
-        corresponding :class:`TrainingSchedule` fields: ``pipeline=True``
+        ``pipeline`` / ``weight_refresh_tol`` override the corresponding
+        :class:`TrainingSchedule` fields: ``pipeline=True``
         runs the hidden phase through the overlapped double-buffered loop
         (:mod:`repro.engine.pipeline`; identical results, different work
         schedule — also honoured by the data-parallel SPMD program),
         ``weight_refresh_tol > 0`` enables stale-weights caching (skip the
         per-batch ``traces_to_weights`` refresh while the accumulated
         ``taupdt``-scaled trace drift stays under the tolerance; ``0`` is
-        bit-for-bit exact), and ``sparse`` selects the block-sparse
-        execution plan for the hidden layers (``"auto"``/``"on"``/``"off"``;
-        an execution choice — results unchanged at ``tol=0``; see
-        :class:`~repro.core.hyperparams.TrainingSchedule` for the one
-        ``tol>0``-plus-plasticity caveat).
+        bit-for-bit exact).  Hidden layers whose mask density is at or
+        below :data:`repro.kernels.SPARSE_DENSITY_THRESHOLD` run the
+        block-sparse kernels (an execution choice — results unchanged).
 
         Parameters
         ----------
@@ -227,11 +209,6 @@ class Network:
             transport by respawning/re-admitting the dead rank and
             resuming from the last epoch boundary — bitwise-exact at
             ``weight_refresh_tol=0``.
-        fault_injection:
-            Test hook forwarded to the first comm-trained hidden layer:
-            ``{"rank": r, "epoch": e, "batch": b}`` kills rank ``r`` at
-            that global batch, exactly once (the ``repro train
-            --inject-crash`` flag).
         checkpoint_dir / checkpoint_every / checkpoint_keep / resume:
             Durable driver-side crash recovery (:mod:`repro.checkpoint`):
             with ``checkpoint_dir`` set, the full training state — every
@@ -249,7 +226,7 @@ class Network:
             ``resume=True`` simply starts fresh, so restart loops are
             idempotent.  Mid-layer resumes must use the same execution mode
             (serial vs ``comm``) the checkpoint was written under.
-        pipeline / weight_refresh_tol / sparse / comm_overlap / sparse_payload:
+        pipeline / weight_refresh_tol / comm_overlap / sparse_payload:
             Per-call overrides of the matching schedule fields (see above
             and :class:`TrainingSchedule`); ``None`` leaves the schedule's
             value in force.
@@ -276,8 +253,6 @@ class Network:
             overrides["pipeline"] = bool(pipeline)
         if weight_refresh_tol is not None:
             overrides["weight_refresh_tol"] = float(weight_refresh_tol)
-        if sparse is not None:
-            overrides["sparse"] = normalize_sparse_mode(sparse)
         if comm_overlap is not None:
             overrides["comm_overlap"] = str(comm_overlap)
         if sparse_payload is not None:
@@ -359,20 +334,6 @@ class Network:
         callback_list.on_train_begin(self)
 
         # ------------------------------------------- phase 1: hidden layers
-        # Sparse policy resolution: an explicit fit(sparse=...) *forces* the
-        # mode onto every hidden layer — including its serialised spec, so
-        # SPMD/serving worker replicas rebuilt from a blob make the same
-        # dense-vs-sparse choice as the driver.  The schedule's value only
-        # configures the runtime mode of layers without an explicit choice
-        # (constructor or Network(sparse=...)), and does not claim the spec
-        # — so a later fit with a different schedule can still change it.
-        for layer in self.hidden_layers:
-            if not hasattr(layer, "bind_sparse"):
-                continue
-            if sparse is not None:
-                layer.bind_sparse(schedule.sparse, force=True)
-            elif getattr(layer, "_sparse_spec", None) is None:
-                layer.configure_execution(sparse=schedule.sparse)
         # Spec strings resolve through the one shared factory; a communicator
         # fit creates it also owns (and closes before returning).
         owns_comm = False
@@ -390,7 +351,6 @@ class Network:
                 owns_comm,
                 callback_list,
                 verbose,
-                fault_injection,
                 start_layer,
                 hidden_start_epoch,
                 head_start_epoch,
@@ -422,7 +382,6 @@ class Network:
         owns_comm,
         callback_list,
         verbose,
-        fault_injection,
         start_layer,
         hidden_start_epoch,
         head_start_epoch,
@@ -453,13 +412,11 @@ class Network:
                         comm,
                         callback_list,
                         verbose,
-                        fault_injection=fault_injection,
                         layer_index=index,
                         start_epoch=layer_start,
                         resume_unit=layer_unit,
                         boundary=boundary,
                     )
-                    fault_injection = None  # the hook targets one layer, once
                 else:
                     if layer_unit is not None:
                         raise ConfigurationError(
@@ -581,37 +538,23 @@ class Network:
                 )
 
         try:
-            if schedule.pipeline:
-                # Overlapped loop: entropy of batch k reduces on a worker
-                # thread while batch k+1 gathers (prefetch thread) and its
-                # fused dispatch runs — double-buffered workspaces keep
-                # batch k's activations valid throughout.
-                train_layer_pipelined(
-                    layer,
-                    stream,
-                    schedule.hidden_epochs,
-                    on_epoch_end=lambda epoch, logs: emit(
-                        epoch,
-                        logs["seconds"],
-                        logs["mean_activation_entropy"],
-                        int(logs["swaps"]),
-                    ),
-                    start_epoch=start_epoch,
-                )
-            else:
-                for epoch in range(start_epoch, schedule.hidden_epochs):
-                    start = time.perf_counter()
-                    batch_entropy = []
-                    for batch in stream:
-                        activations = layer.train_batch(batch.x)
-                        # Mean per-HCU entropy of the activations: a cheap
-                        # progress proxy for unsupervised training (lower =
-                        # more specialised MCUs).
-                        batch_entropy.append(mean_activation_entropy(activations))
-                    swaps = layer.end_epoch(epoch)
-                    duration = time.perf_counter() - start
-                    entropy = float(np.mean(batch_entropy)) if batch_entropy else 0.0
-                    emit(epoch, duration, entropy, swaps)
+            # One loop for both schedules: when overlapping, the entropy of
+            # batch k reduces on a worker thread while batch k+1 gathers
+            # (prefetch thread) and its fused dispatch runs — double-buffered
+            # workspaces keep batch k's activations valid throughout.
+            train_layer_pipelined(
+                layer,
+                stream,
+                schedule.hidden_epochs,
+                on_epoch_end=lambda epoch, logs: emit(
+                    epoch,
+                    logs["seconds"],
+                    logs["mean_activation_entropy"],
+                    int(logs["swaps"]),
+                ),
+                offload=overlap,
+                start_epoch=start_epoch,
+            )
         finally:
             # Phase boundary: publish weights matching the final traces (a
             # no-op unless stale-weights caching deferred a refresh), then
@@ -632,7 +575,6 @@ class Network:
         comm,
         callbacks: CallbackList,
         verbose: bool,
-        fault_injection=None,
         layer_index: int = 0,
         start_epoch: int = 0,
         resume_unit=None,
@@ -735,7 +677,6 @@ class Network:
                 sparse_payload=schedule.sparse_payload,
                 fault_tolerance=schedule.fault_tolerance,
                 max_restarts=schedule.max_restarts,
-                fault_injection=fault_injection,
                 resume_state=resume_arg,
                 on_epoch_boundary=on_epoch_boundary,
             )

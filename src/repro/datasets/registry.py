@@ -248,7 +248,6 @@ def _register_builtin_scenarios() -> None:
             generate=gen.generate_wide_sparse,
             defaults={
                 "model": {"density": 0.2, "n_minicolumns": 100},
-                "training": {"sparse": "on"},
             },
         ),
         ScenarioSpec(

@@ -35,11 +35,9 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from repro import kernels
 from repro.backend.base import Backend
 from repro.engine.workspace import LayerWorkspace
 from repro.exceptions import ConfigurationError
-from repro.utils.validation import check_sparse_mode
 
 __all__ = ["ExecutionPlan", "LayerEngine"]
 
@@ -57,51 +55,29 @@ class ExecutionPlan:
         supervised head).
     batch_size:
         Largest batch the workspace must accommodate.
-    sparse:
-        Three-state block-sparse policy for masked layers: ``"auto"``
-        (default — sparse when the compiled :class:`~repro.kernels.SparseLayout`
-        is at or below ``sparse_density_threshold``), ``"on"`` (force the
-        gather-GEMM path whenever a layout exists) or ``"off"`` (always the
-        dense masked GEMM).
-    sparse_density_threshold:
-        Density at or below which ``"auto"`` picks the sparse kernels (the
-        measured gather-GEMM break-even; see
-        :data:`repro.kernels.SPARSE_DENSITY_THRESHOLD`).
     """
 
     n_input: int
     hidden_sizes: Tuple[int, ...]
     batch_size: int
-    sparse: str = "auto"
-    sparse_density_threshold: float = kernels.SPARSE_DENSITY_THRESHOLD
 
     def __post_init__(self) -> None:
         if self.n_input <= 0 or self.batch_size <= 0 or not self.hidden_sizes:
             raise ConfigurationError(f"invalid execution plan: {self}")
         if any(int(s) <= 0 for s in self.hidden_sizes):
             raise ConfigurationError("hidden sizes must be positive")
-        check_sparse_mode(self.sparse)
-        if not 0.0 <= float(self.sparse_density_threshold) <= 1.0:
-            raise ConfigurationError("sparse_density_threshold must be in [0, 1]")
 
     @property
     def n_hidden(self) -> int:
         return int(sum(self.hidden_sizes))
 
-    def sparse_active(self, layout) -> bool:
-        """Whether this plan serves ``layout`` with the sparse kernels."""
-        return kernels.sparse_beneficial(
-            layout, self.sparse, self.sparse_density_threshold
-        )
-
     @classmethod
-    def for_traces(cls, traces, batch_size: int, sparse: str = "auto") -> "ExecutionPlan":
+    def for_traces(cls, traces, batch_size: int) -> "ExecutionPlan":
         """Plan matching a :class:`~repro.core.traces.ProbabilityTraces` layout."""
         return cls(
             n_input=int(traces.n_input),
             hidden_sizes=tuple(int(s) for s in traces.hidden_sizes),
             batch_size=int(batch_size),
-            sparse=str(sparse),
         )
 
     def allocate(self) -> LayerWorkspace:
@@ -237,28 +213,6 @@ class LayerEngine:
         self._staleness += max(drift_x, drift_a) / (1.0 - t)
 
     # ----------------------------------------------------------- dispatch
-    def _resolve_sparse(self, sparse, weights):
-        """Apply the plan's dense-vs-sparse policy to a supplied bundle.
-
-        An engine planned with ``sparse="off"`` (or an "auto" plan whose
-        threshold rejects the layout) serves the dispatch dense — but only
-        when a dense weight matrix was actually supplied; silently falling
-        back onto ``None`` weights would crash deep inside a backend, so
-        the policy/caller disagreement is reported loudly instead.  In-tree
-        callers (layers, serving stages) build their engines from the same
-        mode they hand bundles out under, so they never hit the error.
-        """
-        if sparse is None or self.plan.sparse_active(sparse.layout):
-            return sparse
-        if weights is None:
-            raise ConfigurationError(
-                "this engine's plan rejects the supplied sparse weights "
-                f"(plan sparse={self.plan.sparse!r}, layout density "
-                f"{sparse.layout.density:.2f}) and no dense weight matrix "
-                "was provided to fall back on"
-            )
-        return None
-
     def _next_workspace(
         self,
         weights: Optional[np.ndarray],
@@ -322,12 +276,10 @@ class LayerEngine:
         """Hidden activations for a batch, written into the next workspace.
 
         ``sparse`` is an optional :class:`~repro.kernels.SparseWeights`
-        bundle; the plan's policy decides whether the backend serves the
-        batch through the block-sparse gather-GEMM kernels or the dense
-        masked GEMM (an engine planned with ``sparse="off"`` ignores the
-        bundle).
+        bundle: when one is given the backend serves the batch through the
+        block-sparse gather-GEMM kernels, otherwise through the dense
+        masked GEMM.
         """
-        sparse = self._resolve_sparse(sparse, weights)
         n_rows = np.asarray(x).shape[0]
         ws = self._next_workspace(weights, mask_expanded, weights_token, sparse)
         return self.backend.forward_into(
@@ -360,9 +312,8 @@ class LayerEngine:
         workspace view).  The trace statistics stay dense even on a sparse
         dispatch (structural plasticity scores silent connections from the
         full joint trace); only the forward side of the step is sparse, and
-        only when the plan's policy accepts the layout.
+        only when a ``sparse`` bundle is given.
         """
-        sparse = self._resolve_sparse(sparse, weights)
         ws = self._next_workspace(weights, mask_expanded, sparse=sparse)
         activations = self.backend.fused_update(
             x,

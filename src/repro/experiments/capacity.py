@@ -33,7 +33,6 @@ def run_capacity_sweep(
     backend: str = "numpy",
     pipeline: bool = False,
     weight_refresh_tol: float = 0.0,
-    sparse: str = "auto",
 ) -> Dict[str, object]:
     """Run the HCU x MCU capacity sweep and return a result table.
 
@@ -64,7 +63,6 @@ def run_capacity_sweep(
                 seed=seed,
                 pipeline=pipeline,
                 weight_refresh_tol=weight_refresh_tol,
-                sparse=sparse,
             )
             aggregate = repeated_runs(config, repeats=repeats, data=data)
             row = {

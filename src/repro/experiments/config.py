@@ -22,7 +22,6 @@ from typing import Optional, Tuple
 
 from repro.core.hyperparams import BCPNNHyperParameters, TrainingSchedule
 from repro.exceptions import ConfigurationError
-from repro.utils.validation import check_sparse_mode
 
 __all__ = ["ExperimentScale", "HiggsExperimentConfig", "get_scale"]
 
@@ -112,8 +111,6 @@ class HiggsExperimentConfig:
     pipeline: bool = False
     #: Stale-weights tolerance for the per-batch weight refresh (0 = exact).
     weight_refresh_tol: float = 0.0
-    #: Block-sparse execution policy for the hidden layer ("auto"/"on"/"off").
-    sparse: str = "auto"
     #: Nonblocking-allreduce overlap for comm training ("auto"/"on"/"off").
     comm_overlap: str = "auto"
     #: Sparse-packed allreduce payloads on frozen masks ("auto"/"on"/"off").
@@ -142,7 +139,6 @@ class HiggsExperimentConfig:
             raise ConfigurationError("checkpoint_keep must be at least 1")
         if self.resume and self.checkpoint_dir is None:
             raise ConfigurationError("resume=True requires checkpoint_dir")
-        check_sparse_mode(self.sparse)
         for knob, value in (
             ("comm_overlap", self.comm_overlap),
             ("sparse_payload", self.sparse_payload),
@@ -165,7 +161,6 @@ class HiggsExperimentConfig:
             batch_size=self.batch_size,
             pipeline=self.pipeline,
             weight_refresh_tol=self.weight_refresh_tol,
-            sparse=self.sparse,
             comm_overlap=self.comm_overlap,
             sparse_payload=self.sparse_payload,
             fault_tolerance=self.fault_tolerance,
@@ -197,7 +192,6 @@ class HiggsExperimentConfig:
             seed=config.seed,
             pipeline=training.pipeline,
             weight_refresh_tol=training.weight_refresh_tol,
-            sparse=training.sparse,
             comm_overlap=training.comm_overlap,
             sparse_payload=training.sparse_payload,
             fault_tolerance=getattr(training, "fault_tolerance", False),

@@ -31,13 +31,12 @@ __all__ = ["run_distributed_equivalence"]
 
 
 def _fresh_layer(
-    input_spec: InputSpec, n_minicolumns: int, seed: int, backend: str = "numpy",
-    sparse: str = "auto",
+    input_spec: InputSpec, n_minicolumns: int, seed: int, backend: str = "numpy"
 ) -> StructuralPlasticityLayer:
     hyperparams = BCPNNHyperParameters(taupdt=0.02, density=0.5, competition="softmax")
     layer = StructuralPlasticityLayer(
         n_hypercolumns=2, n_minicolumns=n_minicolumns, hyperparams=hyperparams,
-        seed=seed, backend=backend, sparse=sparse,
+        seed=seed, backend=backend,
     )
     layer.build(input_spec)
     return layer
@@ -55,7 +54,6 @@ def run_distributed_equivalence(
     transport: str = "thread",
     pipeline: bool = False,
     weight_refresh_tol: float = 0.0,
-    sparse: str = "auto",
     comm_overlap: str = "auto",
     sparse_payload: str = "auto",
 ) -> Dict[str, object]:
@@ -80,9 +78,7 @@ def run_distributed_equivalence(
     input_spec = data.input_spec
 
     # Serial reference (single rank, trained through the same SPMD program).
-    reference_layer = _fresh_layer(
-        input_spec, n_minicolumns, seed=seed + 1, backend=backend, sparse=sparse
-    )
+    reference_layer = _fresh_layer(input_spec, n_minicolumns, seed=seed + 1, backend=backend)
     with get_communicator("serial") as reference_comm:
         DistributedTrainer(reference_comm).train_layer(
             reference_layer, x, epochs=epochs, batch_size=batch_size,
@@ -98,9 +94,7 @@ def run_distributed_equivalence(
         spec = "serial" if int(ranks) == 1 else transport
         comm = get_communicator(spec, ranks=int(ranks))
         try:
-            layer = _fresh_layer(
-                input_spec, n_minicolumns, seed=seed + 1, backend=backend, sparse=sparse
-            )
+            layer = _fresh_layer(input_spec, n_minicolumns, seed=seed + 1, backend=backend)
             trainer = DistributedTrainer(comm)
             report = trainer.train_layer(
                 layer, x, epochs=epochs, batch_size=batch_size,

@@ -121,7 +121,6 @@ def train_and_evaluate(
     callbacks: Optional[List[TrainingCallback]] = None,
     seed_offset: int = 0,
     comm=None,
-    fault_injection=None,
 ) -> Dict[str, object]:
     """Train one network and report accuracy, AUC and timing.
 
@@ -129,8 +128,7 @@ def train_and_evaluate(
     ``train_seconds``, ``train_accuracy``, ``network`` and ``config``.
     ``comm`` (a :class:`repro.comm.Communicator` or a transport spec string)
     switches hidden-layer training to the data-parallel path (see
-    ``Network.fit``); ``fault_injection`` is the crash-testing hook
-    forwarded to ``fit`` (requires ``config.fault_tolerance`` to survive).
+    ``Network.fit``).
     """
     if data is None:
         data = prepare_higgs_data(
@@ -145,7 +143,6 @@ def train_and_evaluate(
         schedule=config.schedule(),
         callbacks=callbacks,
         comm=comm,
-        fault_injection=fault_injection,
         checkpoint_dir=config.checkpoint_dir,
         checkpoint_every=config.checkpoint_every,
         checkpoint_keep=config.checkpoint_keep,

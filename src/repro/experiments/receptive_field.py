@@ -40,7 +40,6 @@ def run_receptive_field_sweep(
     backend: str = "numpy",
     pipeline: bool = False,
     weight_refresh_tol: float = 0.0,
-    sparse: str = "auto",
 ) -> Dict[str, object]:
     """Sweep the receptive-field density of a single-HCU network.
 
@@ -71,7 +70,6 @@ def run_receptive_field_sweep(
             seed=seed,
             pipeline=pipeline,
             weight_refresh_tol=weight_refresh_tol,
-            sparse=sparse,
         )
         aggregate = repeated_runs(config, repeats=repeats, data=data)
         rows.append(

@@ -44,7 +44,6 @@ def run_related_work_comparison(
     backend: str = "numpy",
     pipeline: bool = False,
     weight_refresh_tol: float = 0.0,
-    sparse: str = "auto",
 ) -> Dict[str, object]:
     """Train BCPNN (both heads) and the baselines on one split.
 
@@ -67,7 +66,6 @@ def run_related_work_comparison(
             backend=backend,
             pipeline=pipeline,
             weight_refresh_tol=weight_refresh_tol,
-            sparse=sparse,
         )
         outcome = train_and_evaluate(config, data=data)
         results[label] = {

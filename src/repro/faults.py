@@ -37,8 +37,8 @@ Sites wired through the codebase:
 ``driver.kill``            kill the driver at a training epoch boundary
                            (``mode=exit`` hard-exits — the chaos-job default —
                            ``mode=raise`` raises :class:`FaultInjected`)
-``worker.crash``           kill a worker rank at a global batch (subsumes the
-                           legacy ``--inject-crash RANK:EPOCH:BATCH`` flag)
+``worker.crash``           kill a worker rank at a global batch (needs
+                           ``rank``, ``epoch`` and ``batch``)
 ``checkpoint.fsync``       fail the fsync during an atomic checkpoint write
 ``checkpoint.short_write`` truncate the temp-file write partway through
 ``checkpoint.corrupt_read`` flip bytes while reading a checkpoint back
@@ -234,12 +234,11 @@ def kill_driver(rule: FaultRule, **context) -> None:
 
 
 def crash_injection_from_plan() -> Optional[Dict[str, int]]:
-    """A ``worker.crash`` rule as the legacy ``{rank, epoch, batch}`` dict.
+    """The active plan's ``worker.crash`` rule as a ``{rank, epoch, batch}`` dict.
 
-    The distributed trainer's historical ``fault_injection`` option predates
-    this module; the CLI uses this helper so ``REPRO_FAULTS`` subsumes
-    ``--inject-crash`` without touching the SPMD program's hook.  The rule
-    is consumed (crash injections fire exactly once).
+    The distributed trainer's only source of crash injections: the dict is
+    handed to the SPMD program, whose matching rank dies at the start of
+    that global batch.  Each call consumes one fire of the rule's budget.
     """
     plan = active_plan()
     if plan is None:

@@ -24,11 +24,26 @@ between repeats.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from typing import Dict, Optional
 
 import numpy as np
 
+from repro import kernels
+
 __all__ = ["measure_pipelined_training"]
+
+
+@contextmanager
+def _pinned_density_threshold(value: float):
+    """Hold ``kernels.SPARSE_DENSITY_THRESHOLD`` at ``value`` (0.0 = dense plan,
+    1.0 = sparse plan) for every layout compiled inside the block."""
+    saved = kernels.SPARSE_DENSITY_THRESHOLD
+    kernels.SPARSE_DENSITY_THRESHOLD = float(value)
+    try:
+        yield
+    finally:
+        kernels.SPARSE_DENSITY_THRESHOLD = saved
 
 
 def _one_hot(n_rows: int, sizes, seed: int) -> np.ndarray:
@@ -82,15 +97,8 @@ def measure_pipelined_training(
     )
 
     def fresh_layer() -> StructuralPlasticityLayer:
-        # The execution plan is pinned to dense: this benchmark isolates the
-        # pipelined *scheduler* against the serial loop on one fixed plan
-        # (at density 0.5 the sparse auto mode would otherwise shrink both
-        # sides' refresh cost and with it the stale-weights headroom the
-        # section has tracked since it was introduced).  The sparse plan has
-        # its own section (``sparse_density_sweep``).
         layer = StructuralPlasticityLayer(
-            1, int(n_minicolumns), hyperparams=hyperparams, backend=backend,
-            sparse="off", seed=seed,
+            1, int(n_minicolumns), hyperparams=hyperparams, backend=backend, seed=seed
         )
         layer.build(input_spec)
         return layer
@@ -135,33 +143,41 @@ def measure_pipelined_training(
         layer.flush_weights()
         return elapsed
 
-    # Warm up BLAS/thread pools once, then interleave the repeats
-    # (serial, pipelined, serial, pipelined, ...) so a slow drift in
-    # machine load hits both sides equally instead of biasing whichever
-    # side runs last.
-    run_serial()
-    run_pipelined()
-    serial_times = []
-    pipelined_times = []
-    for _ in range(int(repeats)):
-        serial_times.append(run_serial())
-        pipelined_times.append(run_pipelined())
-    serial_seconds = min(serial_times)
-    pipelined_seconds = min(pipelined_times)
+    # The execution plan is pinned to dense: this benchmark isolates the
+    # pipelined *scheduler* against the serial loop on one fixed plan (at
+    # density 0.5 the sparse plan would otherwise shrink both sides' refresh
+    # cost and with it the stale-weights headroom the section has tracked
+    # since it was introduced).  The sparse plan has its own section
+    # (``sparse_density_sweep``).  Plasticity recompiles the layout at
+    # epoch ends, so the pin spans every run.
+    with _pinned_density_threshold(0.0):
+        # Warm up BLAS/thread pools once, then interleave the repeats
+        # (serial, pipelined, serial, pipelined, ...) so a slow drift in
+        # machine load hits both sides equally instead of biasing whichever
+        # side runs last.
+        run_serial()
+        run_pipelined()
+        serial_times = []
+        pipelined_times = []
+        for _ in range(int(repeats)):
+            serial_times.append(run_serial())
+            pipelined_times.append(run_pipelined())
+        serial_seconds = min(serial_times)
+        pipelined_seconds = min(pipelined_times)
 
-    # Count the weight refreshes the stale-weights cache actually performed.
-    probe = fresh_layer()
-    probe.configure_execution(
-        n_buffers=2 if overlap else 1, weight_refresh_tol=float(weight_refresh_tol)
-    )
-    stream = BatchStream(
-        x, batch_size=int(batch_size), shuffle=True,
-        rng=np.random.default_rng(seed + 2), prefetch=2 if overlap else 0,
-    )
-    before = probe.backend.stats.weight_updates
-    train_layer_pipelined(probe, stream, int(epochs))
-    probe.flush_weights()
-    refreshes = int(probe.backend.stats.weight_updates - before)
+        # Count the weight refreshes the stale-weights cache actually performed.
+        probe = fresh_layer()
+        probe.configure_execution(
+            n_buffers=2 if overlap else 1, weight_refresh_tol=float(weight_refresh_tol)
+        )
+        stream = BatchStream(
+            x, batch_size=int(batch_size), shuffle=True,
+            rng=np.random.default_rng(seed + 2), prefetch=2 if overlap else 0,
+        )
+        before = probe.backend.stats.weight_updates
+        train_layer_pipelined(probe, stream, int(epochs))
+        probe.flush_weights()
+        refreshes = int(probe.backend.stats.weight_updates - before)
 
     return {
         "config": {

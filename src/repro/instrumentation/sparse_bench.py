@@ -2,7 +2,9 @@
 
 Shared by ``benchmarks/bench_kernels.py`` (which records the result in the
 ``sparse_density_sweep`` section of ``BENCH_kernels.json`` and gates CI on it
-through ``--check-sparse``) and the ``repro-benchmark --sparse`` CLI.
+through ``--check-sparse``).  The layer-level comparisons pick their plan by
+pinning :data:`repro.kernels.SPARSE_DENSITY_THRESHOLD` to 0.0 (dense) or 1.0
+(sparse) while the layers compile their mask layouts.
 
 Three comparisons run per density, all through the shipped engine/backend
 paths:
@@ -40,7 +42,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.instrumentation.pipeline_bench import _one_hot
+from repro.instrumentation.pipeline_bench import _one_hot, _pinned_density_threshold
 
 __all__ = ["measure_sparse_density_sweep", "SPARSE_SWEEP_DENSITIES"]
 
@@ -128,9 +130,10 @@ def measure_sparse_density_sweep(
         p_ij = np.outer(p_i, p_j)
 
         dense_traces = _TraceBuffers(p_i, p_j, p_ij)
-        dense_engine = LayerEngine(
-            compute, ExecutionPlan(n_input, tuple(hidden_sizes), B, sparse="off")
-        )
+        # One plan for both engines: the sparse one runs gather-GEMMs because
+        # it is handed the packed bundle.
+        plan = ExecutionPlan(n_input, tuple(hidden_sizes), B)
+        dense_engine = LayerEngine(compute, plan)
         weight_buf = np.empty((n_input, n_hidden))
         bias_buf = np.empty(n_hidden)
 
@@ -145,9 +148,7 @@ def measure_sparse_density_sweep(
             )
 
         sparse_traces = _TraceBuffers(p_i, p_j, p_ij)
-        sparse_engine = LayerEngine(
-            compute, ExecutionPlan(n_input, tuple(hidden_sizes), B, sparse="on")
-        )
+        sparse_engine = LayerEngine(compute, plan)
         packed_flat = np.empty(layout.packed_size)
         packed_blocks = layout.block_views(packed_flat)
         sparse_bias = np.empty(n_hidden)
@@ -173,13 +174,13 @@ def measure_sparse_density_sweep(
             sparse_best = min(sparse_best, _time_loop(sparse_step, 1, inner, warmup=0))
         return dense_best, sparse_best
 
-    def train_batch_seconds(density: float, sparse: str) -> float:
+    def train_batch_seconds(density: float) -> float:
         """End-to-end ``layer.train_batch`` loop (competition rule included)."""
         hyperparams = BCPNNHyperParameters(
             taupdt=float(taupdt), density=float(density), competition="softmax"
         )
         layer = StructuralPlasticityLayer(
-            1, n_hidden, hyperparams=hyperparams, backend=backend, sparse=sparse, seed=seed
+            1, n_hidden, hyperparams=hyperparams, backend=backend, seed=seed
         )
         layer.build(input_spec)
         stream = BatchStream(
@@ -202,17 +203,16 @@ def measure_sparse_density_sweep(
         from repro.serving import StreamingPredictor
 
         predictors = {}
-        for sparse in ("off", "on"):
-            network = Network(
-                seed=seed, name=f"sparse-bench-{density:g}-{sparse}", sparse=sparse
-            )
+        for sparse, threshold in (("off", 0.0), ("on", 1.0)):
+            network = Network(seed=seed, name=f"sparse-bench-{density:g}-{sparse}")
             network.add(
-                StructuralPlasticityLayer(
-                    1, n_hidden, density=float(density), sparse=sparse, seed=seed + 4
-                )
+                StructuralPlasticityLayer(1, n_hidden, density=float(density), seed=seed + 4)
             )
             network.add(BCPNNClassifier(n_classes=2))
-            network.build(input_spec)
+            # The plan is fixed when the layout compiles; serving never
+            # changes the mask, so the pin need only span the build.
+            with _pinned_density_threshold(threshold):
+                network.build(input_spec)
             predictor = StreamingPredictor(
                 network, batch_size=int(serve_batch_size), backend=backend
             )
@@ -231,8 +231,10 @@ def measure_sparse_density_sweep(
     rows = []
     for density in densities:
         dense_step, sparse_step = fused_step_seconds(density)
-        e2e_dense = train_batch_seconds(density, "off")
-        e2e_sparse = train_batch_seconds(density, "on")
+        with _pinned_density_threshold(0.0):
+            e2e_dense = train_batch_seconds(density)
+        with _pinned_density_threshold(1.0):
+            e2e_sparse = train_batch_seconds(density)
         dense_serve, sparse_serve = serve_rates(density)
         rows.append(
             {

@@ -96,10 +96,10 @@ __all__ = [
 # support GEMM, and leaves the learning-rule statistics bit-identical.
 # --------------------------------------------------------------------------
 
-#: Default receptive-field density at or below which ``sparse="auto"``
-#: switches a layer to the block-sparse kernels.  Measured break-even on the
+#: Receptive-field density at or below which a layer runs the block-sparse
+#: kernels (see :func:`sparse_beneficial`).  Measured break-even on the
 #: Higgs-sized configuration (280 inputs, 1x300 hidden, batches 64-256) sits
-#: around density 0.7; 0.6 keeps a safety margin so auto mode never loses.
+#: around density 0.7; 0.6 keeps a safety margin so the sparse plan never loses.
 SPARSE_DENSITY_THRESHOLD = 0.6
 
 
@@ -272,26 +272,16 @@ class SparseWeights:
         self.flat = flat
 
 
-def sparse_beneficial(
-    layout: Optional[SparseLayout],
-    mode: str = "auto",
-    threshold: float = SPARSE_DENSITY_THRESHOLD,
-) -> bool:
+def sparse_beneficial(layout: Optional[SparseLayout]) -> bool:
     """Whether the block-sparse kernels should serve a layout.
 
-    ``mode`` is the three-state user knob: ``"on"`` forces sparse whenever a
-    layout exists, ``"off"`` forces dense, and ``"auto"`` (the default)
-    enables sparse only when the layout's unit-level density is at or below
-    ``threshold`` — the measured break-even of gather-GEMM vs the dense
-    masked GEMM.
+    True when the layout's unit-level density is at or below
+    :data:`SPARSE_DENSITY_THRESHOLD` — the measured break-even of gather-GEMM
+    vs the dense masked GEMM.  The constant is read at call time, so pinning
+    it to 0.0 or 1.0 selects the dense or the sparse path for layouts
+    compiled while the pin holds.
     """
-    if mode not in ("auto", "on", "off"):
-        raise DataError(f"sparse mode must be 'auto', 'on' or 'off', got {mode!r}")
-    if layout is None or mode == "off":
-        return False
-    if mode == "on":
-        return True
-    return layout.density <= float(threshold)
+    return layout is not None and layout.density <= SPARSE_DENSITY_THRESHOLD
 
 
 def _stack_slabs(blocks: Sequence[np.ndarray]) -> Tuple[np.ndarray, bool]:

@@ -141,13 +141,7 @@ class _LayerStage:
         self.rebuild(backend, batch_size, n_buffers)
 
     def rebuild(self, backend, batch_size: int, n_buffers: int) -> None:
-        # The stage's plan carries the layer's sparse policy, so the
-        # engines' per-dispatch dense-vs-sparse decision matches the
-        # context the stage hands them.
-        plan = ExecutionPlan.for_traces(
-            self.layer.traces, batch_size,
-            sparse=getattr(self.layer, "sparse_mode", "auto"),
-        )
+        plan = ExecutionPlan.for_traces(self.layer.traces, batch_size)
         self.engines = tuple(LayerEngine(backend, plan) for _ in range(n_buffers))
 
     def stale(self, backend, n_rows: int) -> bool:
@@ -157,7 +151,6 @@ class _LayerStage:
             engine.backend is not backend
             or not engine.matches(traces.n_input, tuple(traces.hidden_sizes))
             or not engine.accommodates(n_rows)
-            or engine.plan.sparse != getattr(self.layer, "sparse_mode", "auto")
         )
 
     def forward(self, x: np.ndarray, ordinal: int) -> np.ndarray:

@@ -17,12 +17,12 @@ Endpoints
     (plus ``"probabilities"`` when ``proba`` is true).  Backpressure is
     explicit: a full queue replies ``503`` with ``Retry-After`` (the backlog
     in batches times the measured mean dispatch time); a request
-    older than the per-request deadline replies ``504``.  Optional
-    ``"backend"`` and ``"sparse"`` keys override the execution choice for
-    that request alone (validated against the backend registry / the
-    ``auto``/``on``/``off`` modes — unknown names reply ``400``); override
-    requests run on a cached per-override predictor and skip the
-    micro-batcher, so they never perturb default-path coalescing.
+    older than the per-request deadline replies ``504``.  An optional
+    ``"backend"`` key overrides the compute backend for that request alone
+    (validated against the backend registry — unknown names reply
+    ``400``); override requests run on a cached per-backend predictor and
+    skip the micro-batcher, so they never perturb default-path coalescing.
+    Other keys are ignored.
 ``GET /healthz``
     ``200 {"status": "ok", ...}`` while serving, ``503`` while draining.
 ``GET /metrics``
@@ -123,12 +123,10 @@ class ModelRunner:
 
     Per-request overrides
     ---------------------
-    ``POST /predict`` may name a ``"backend"`` and/or ``"sparse"`` mode for
-    that request alone.  The runner keeps one cached predictor per distinct
-    override tuple (workspaces are the expensive part), invalidated on
-    every :meth:`swap`.  A sparse override rebuilds its network from the
-    serialized blob first, because ``bind_sparse(force=True)`` mutates the
-    layer spec in place and must not leak into the default path.
+    ``POST /predict`` may name a ``"backend"`` for that request alone.  The
+    runner keeps one cached predictor per override backend (workspaces are
+    the expensive part) over the serving network, invalidated on every
+    :meth:`swap`.
 
     Raises
     ------
@@ -148,9 +146,7 @@ class ModelRunner:
         self.network = None
         self.n_features = 0
         self._predictor: Optional[StreamingPredictor] = None
-        self._override_predictors: Dict[
-            Tuple[Optional[str], Optional[str]], StreamingPredictor
-        ] = {}
+        self._override_predictors: Dict[str, StreamingPredictor] = {}
         self.swap(network)
 
     def _feature_width(self, network) -> int:
@@ -183,57 +179,36 @@ class ModelRunner:
             self.version += 1
             return self.version
 
-    def _override_predictor(
-        self, backend: Optional[str], sparse: Optional[str]
-    ) -> StreamingPredictor:
-        """The cached predictor for one ``(backend, sparse)`` override tuple.
+    def _override_predictor(self, backend: str) -> StreamingPredictor:
+        """The cached predictor for one override backend.
 
         Called under :attr:`_lock` (the build blocks a concurrent swap, like
-        any other dispatch).  Backend-only overrides share the serving
-        network — the backend is a per-predictor execution choice; sparse
-        overrides clone it through the serialization blob first because
-        ``bind_sparse(force=True)`` rewrites the layer spec in place.
+        any other dispatch).  It shares the serving network — the backend is
+        a per-predictor execution choice.
         """
-        key = (backend, sparse)
-        predictor = self._override_predictors.get(key)
+        predictor = self._override_predictors.get(backend)
         if predictor is None:
-            network = self.network
-            if sparse is not None:
-                from repro.core import network_from_bytes, network_to_bytes
-
-                network = network_from_bytes(network_to_bytes(self.network))
-                for layer in network.hidden_layers:
-                    if hasattr(layer, "bind_sparse"):
-                        layer.bind_sparse(sparse, force=True)
             predictor = StreamingPredictor(
-                network,
-                batch_size=self._batch_size,
-                backend=backend if backend is not None else self._backend,
-                comm=self._comm,
+                self.network, batch_size=self._batch_size, backend=backend, comm=self._comm
             )
-            self._override_predictors[key] = predictor
+            self._override_predictors[backend] = predictor
         return predictor
 
-    def run_batch(
-        self,
-        matrix: np.ndarray,
-        backend: Optional[str] = None,
-        sparse: Optional[str] = None,
-    ) -> BatchResult:
+    def run_batch(self, matrix: np.ndarray, backend: Optional[str] = None) -> BatchResult:
         """One micro-batch through the cached predictor (dispatch callable).
 
         Runs on the batcher's dispatch thread.  Probabilities are computed
         once (one fused forward + head pass through the preallocated
         workspaces) and the hard predictions derived by row-argmax, so a
         mixed batch of ``proba`` and plain requests costs one dispatch.
-        ``backend``/``sparse`` select a per-request override predictor
-        (validated names only — see :meth:`_override_predictor`).
+        ``backend`` selects a per-request override predictor (validated
+        names only — see :meth:`_override_predictor`).
         """
         with self._lock:
-            if backend is None and sparse is None:
+            if backend is None:
                 predictor = self._predictor
             else:
-                predictor = self._override_predictor(backend, sparse)
+                predictor = self._override_predictor(backend)
             proba = predictor.predict_proba_stream(matrix)
             version = self.version
         return BatchResult(
@@ -584,9 +559,7 @@ class PredictionServer:
         payload["draining"] = self._draining
         return payload
 
-    def _parse_predict_body(
-        self, body: bytes
-    ) -> Tuple[np.ndarray, bool, Optional[str], Optional[str]]:
+    def _parse_predict_body(self, body: bytes) -> Tuple[np.ndarray, bool, Optional[str]]:
         decoded = decode_rows_first(body) if len(body) >= FAST_DECODE_MIN_BYTES else None
         if decoded is None:
             try:
@@ -610,9 +583,6 @@ class PredictionServer:
                 raise _BadRequest(
                     f'unknown "backend" {backend!r} (available: {", ".join(known)})'
                 )
-        sparse = doc.get("sparse")
-        if sparse is not None and sparse not in ("auto", "on", "off"):
-            raise _BadRequest(f'"sparse" must be "auto", "on" or "off", got {sparse!r}')
         if decoded is None:
             if not isinstance(rows, list) or not rows:
                 raise _BadRequest('"rows" must be a non-empty list of feature rows')
@@ -635,7 +605,7 @@ class PredictionServer:
             )
         if not np.isfinite(matrix).all():
             raise _BadRequest('"rows" contains NaN or infinite values')
-        return matrix, proba, backend, sparse
+        return matrix, proba, backend
 
     async def _predict(
         self, request: _Request
@@ -645,19 +615,19 @@ class PredictionServer:
             self.metrics.observe("/predict", 503)
             return 503, {"error": "server is draining"}, {"Retry-After": "1"}
         try:
-            matrix, proba, backend, sparse = self._parse_predict_body(request.body)
+            matrix, proba, backend = self._parse_predict_body(request.body)
         except _BadRequest as exc:
             self.metrics.observe("/predict", exc.status)
             return exc.status, {"error": str(exc)}, None
-        if backend is not None or sparse is not None:
+        if backend is not None:
             # Override requests cannot coalesce with default-path traffic
-            # (different predictor, possibly different network clone), so
-            # they bypass the micro-batcher and dispatch standalone off-loop.
+            # (different predictor), so they bypass the micro-batcher and
+            # dispatch standalone off-loop.
             loop = asyncio.get_running_loop()
             try:
                 result = await loop.run_in_executor(
                     None,
-                    lambda: self.runner.run_batch(matrix, backend=backend, sparse=sparse),
+                    lambda: self.runner.run_batch(matrix, backend=backend),
                 )
             except ReproError as exc:
                 self.metrics.observe("/predict", 500)

@@ -1,4 +1,4 @@
-"""Shared utilities: RNG handling, validation, array helpers, configuration."""
+"""Shared utilities: RNG handling, validation, array helpers, logging."""
 
 from repro.utils.rng import as_rng, derive_rng, spawn_rngs
 from repro.utils.validation import (
@@ -16,7 +16,6 @@ from repro.utils.arrays import (
     moving_average_update,
     stable_log,
 )
-from repro.utils.config import FrozenConfig, asdict_shallow
 from repro.utils.logging import get_logger
 
 __all__ = [
@@ -34,7 +33,5 @@ __all__ = [
     "blockwise_softmax",
     "moving_average_update",
     "stable_log",
-    "FrozenConfig",
-    "asdict_shallow",
     "get_logger",
 ]

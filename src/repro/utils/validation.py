@@ -24,22 +24,7 @@ __all__ = [
     "check_one_hot",
     "check_labels",
     "check_same_length",
-    "check_sparse_mode",
 ]
-
-
-def check_sparse_mode(value, name: str = "sparse") -> str:
-    """Validate a block-sparse execution mode string ("auto"/"on"/"off").
-
-    The single validation point shared by the schedule/plan/config
-    dataclasses; boolean convenience forms are handled one level up by
-    :func:`repro.core.execution.normalize_sparse_mode`.
-    """
-    if value not in ("auto", "on", "off"):
-        raise ConfigurationError(
-            f"{name} must be 'auto', 'on' or 'off', got {value!r}"
-        )
-    return value
 
 
 def check_array(

@@ -44,7 +44,11 @@ def _make_data() -> np.ndarray:
     return np.tile(x, (4, 1))
 
 
-def _train(comm, inject=None, fault_tolerance=False, competition="softmax"):
+def _train(comm, crash=None, fault_tolerance=False, competition="softmax"):
+    """Train three epochs; ``crash`` ("rank=r,epoch=e,batch=b") installs a
+    ``worker.crash`` fault plan, the trainer's only source of crashes."""
+    if crash is not None:
+        faults.install_plan(faults.FaultPlan(f"worker.crash@{crash}"))
     layer = _make_layer(competition=competition)
     trainer = DistributedTrainer(comm)
     report = trainer.train_layer(
@@ -55,7 +59,6 @@ def _train(comm, inject=None, fault_tolerance=False, competition="softmax"):
         rng=as_rng(5),
         shuffle=True,
         fault_tolerance=fault_tolerance,
-        fault_injection=inject,
     )
     return layer, report
 
@@ -77,7 +80,7 @@ def test_mid_epoch_crash_is_bitwise_invisible(competition):
     try:
         ft_layer, ft_report = _train(
             comm,
-            inject={"rank": 1, "epoch": 1, "batch": 2},
+            crash="rank=1,epoch=1,batch=2",
             fault_tolerance=True,
             competition=competition,
         )
@@ -98,22 +101,23 @@ def test_crash_without_fault_tolerance_raises():
     """fault_tolerance=False keeps the historical contract: a hard error."""
     with ThreadComm(2) as comm:
         with pytest.raises(BackendError):
-            _train(comm, inject={"rank": 0, "epoch": 0, "batch": 0})
+            _train(comm, crash="rank=0,epoch=0,batch=0")
 
 
 def test_injection_validation():
     with ThreadComm(2) as comm:
         layer = _make_layer()
         trainer = DistributedTrainer(comm)
-        with pytest.raises(DataError):
+        faults.install_plan(faults.FaultPlan("worker.crash@rank=9,epoch=0,batch=0"))
+        with pytest.raises(DataError, match="out of range"):
             trainer.train_layer(
                 layer,
                 _make_data(),
                 epochs=1,
                 batch_size=64,
                 rng=as_rng(5),
-                fault_injection={"rank": 9, "epoch": 0, "batch": 0},
             )
+        faults.install_plan(None)
         with pytest.raises(DataError):
             trainer.train_layer(
                 layer,
@@ -137,7 +141,7 @@ class TestEdges:
         comm = TCPComm(3, timeout=60.0)
         try:
             ft_layer, ft_report = _train(
-                comm, inject={"rank": 1, "epoch": 0, "batch": 0}, fault_tolerance=True
+                comm, crash="rank=1,epoch=0,batch=0", fault_tolerance=True
             )
         finally:
             comm.close()
@@ -183,7 +187,7 @@ class TestEdges:
         comm = TCPComm(3, timeout=60.0, chunk_bytes=256)
         try:
             ft_layer, ft_report = _train(
-                comm, inject={"rank": 1, "epoch": 1, "batch": 2}, fault_tolerance=True
+                comm, crash="rank=1,epoch=1,batch=2", fault_tolerance=True
             )
         finally:
             comm.close()

@@ -1,8 +1,8 @@
 """Sparse execution under the comm transports.
 
 * data-parallel training with the block-sparse plan stays rank-invariant on
-  every transport (the replicas inherit rank 0's sparse policy through the
-  program spec);
+  every transport (each replica compiles the same mask, so it takes the same
+  plan as rank 0);
 * tcp-transport serving caches worker-resident model replicas keyed on
   the serving refresh token: the npz blob is broadcast once per model
   version, not once per call, and a retrain invalidates the cache.
@@ -21,6 +21,7 @@ from repro.core import (
     StructuralPlasticityLayer,
     TrainingSchedule,
 )
+from repro.instrumentation.pipeline_bench import _pinned_density_threshold as pinned_threshold
 from repro.serving import StreamingPredictor
 from repro.utils.rng import as_rng
 
@@ -39,13 +40,11 @@ def _one_hot(n, sizes, seed):
     return x
 
 
-def _train_sparse(comm, x, sparse, seed=7):
+def _train_sparse(comm, x, seed=7):
+    """Train at density 0.4 (one of three input hypercolumns: sparse plan)."""
     hyperparams = BCPNNHyperParameters(taupdt=0.05, density=0.4, competition="softmax")
-    layer = StructuralPlasticityLayer(
-        2, 6, hyperparams=hyperparams, sparse=sparse, seed=seed
-    )
+    layer = StructuralPlasticityLayer(2, 6, hyperparams=hyperparams, seed=seed)
     layer.build(InputSpec(SIZES))
-    assert layer.sparse_active == (sparse != "off")
     DistributedTrainer(comm).train_layer(
         layer, x, epochs=2, batch_size=64, rng=as_rng(5), shuffle=True,
         mode="competitive",
@@ -61,25 +60,28 @@ class TestSparseRankInvariance:
     @pytest.fixture(scope="class")
     def reference(self, data):
         with SerialComm() as comm:
-            return _train_sparse(comm, data, "on")
+            layer = _train_sparse(comm, data)
+        assert layer.sparse_active
+        return layer
 
     def test_thread_matches_serial(self, data, reference):
         with ThreadComm(3) as comm:
-            layer = _train_sparse(comm, data, "on")
+            layer = _train_sparse(comm, data)
         assert np.allclose(layer.traces.p_ij, reference.traces.p_ij, atol=ATOL)
         assert np.array_equal(layer.plasticity.mask, reference.plasticity.mask)
 
     def test_tcp_matches_serial(self, data, reference):
         with TCPComm(2, timeout=120.0) as comm:
-            layer = _train_sparse(comm, data, "on")
+            layer = _train_sparse(comm, data)
         assert np.allclose(layer.traces.p_ij, reference.traces.p_ij, atol=ATOL)
         assert np.array_equal(layer.plasticity.mask, reference.plasticity.mask)
 
     def test_sparse_matches_dense_training(self, data):
         with SerialComm() as comm:
-            sparse = _train_sparse(comm, data, "on", seed=7)
-        with SerialComm() as comm:
-            dense = _train_sparse(comm, data, "off", seed=7)
+            sparse = _train_sparse(comm, data, seed=7)
+        with SerialComm() as comm, pinned_threshold(0.0):
+            dense = _train_sparse(comm, data, seed=7)
+        assert not dense.sparse_active
         assert np.allclose(sparse.traces.p_ij, dense.traces.p_ij, atol=ATOL)
         assert np.array_equal(sparse.plasticity.mask, dense.plasticity.mask)
 
@@ -90,9 +92,7 @@ class TestSparseRankInvariance:
             hyperparams = BCPNNHyperParameters(
                 taupdt=0.05, density=0.4, competition="softmax"
             )
-            layer = StructuralPlasticityLayer(
-                2, 6, hyperparams=hyperparams, sparse="on", seed=11
-            )
+            layer = StructuralPlasticityLayer(2, 6, hyperparams=hyperparams, seed=11)
             layer.build(InputSpec(SIZES))
             DistributedTrainer(comm).train_layer(
                 layer, data, epochs=2, batch_size=64, rng=as_rng(5), shuffle=True,
@@ -111,7 +111,7 @@ class TestSparseRankInvariance:
 def _fitted_network(seed=3, epochs=1):
     x = _one_hot(192, SIZES, seed=1)
     y = (np.arange(192) % 2).astype(np.int64)
-    network = Network(seed=seed, sparse="auto")
+    network = Network(seed=seed)
     network.add(StructuralPlasticityLayer(2, 5, density=0.4, seed=seed + 1))
     network.add(BCPNNClassifier(n_classes=2))
     network.fit(

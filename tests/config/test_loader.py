@@ -74,12 +74,12 @@ class TestSetOverrides:
 
     def test_on_off_stay_strings(self):
         # YAML 1.1 would coerce on/off to booleans; these are mode names here.
-        out = parse_set_overrides(["training.sparse=on"])
-        assert out["training"]["sparse"] == "on"
+        out = parse_set_overrides(["training.comm_overlap=on"])
+        assert out["training"]["comm_overlap"] == "on"
 
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="section.key=value"):
-            parse_set_overrides(["training.sparse"])
+            parse_set_overrides(["training.pipeline"])
 
     def test_empty_key_rejected(self):
         with pytest.raises(ConfigError, match="empty key"):

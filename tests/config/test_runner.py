@@ -43,7 +43,6 @@ class TestFlagParity:
         via_flags = _train_via_flags(
             n_events=2000,
             density=0.3,
-            sparse="on",
             hidden_epochs=2,
             classifier_epochs=3,
             seed=0,

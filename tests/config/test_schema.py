@@ -31,7 +31,7 @@ class TestBuildConfig:
         cfg = build_config(
             {
                 "dataset": {"n_events": 2000, "params": {"signal_fraction": 0.3}},
-                "training": {"comm": "thread", "ranks": 2, "sparse": "on"},
+                "training": {"comm": "thread", "ranks": 2, "comm_overlap": "on"},
             }
         )
         assert cfg.dataset.n_events == 2000
@@ -143,12 +143,6 @@ class TestCrossFieldValidation:
     def test_serial_comm_rejects_multiple_ranks(self):
         with pytest.raises(ConfigError, match="training.ranks: the serial transport"):
             build_config({"training": {"comm": "serial", "ranks": 2}})
-
-    def test_sparse_on_rejects_fully_dense_mask(self):
-        with pytest.raises(ConfigError, match="training.sparse: 'on'"):
-            build_config({"training": {"sparse": "on"}, "model": {"density": 1.0}})
-        cfg = build_config({"training": {"sparse": "on"}, "model": {"density": 0.3}})
-        assert cfg.training.sparse == "on"
 
     def test_hyperopt_enabled_needs_nonempty_space(self):
         with pytest.raises(ConfigError, match="hyperopt.space"):

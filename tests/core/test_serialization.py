@@ -1,5 +1,8 @@
 """Tests for model save/load."""
 
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from repro.core import (
     load_network,
     save_network,
 )
-from repro.core.serialization import _instantiate_layer, network_from_bytes
+from repro.core.serialization import _instantiate_layer, _network_payload, network_from_bytes
 from repro.exceptions import SerializationError
 
 
@@ -61,6 +64,22 @@ class TestSaveLoad:
     def test_unknown_layer_kind_rejected(self):
         with pytest.raises(SerializationError):
             _instantiate_layer("MysteryLayer", {})
+
+    @pytest.mark.parametrize("mode", ["auto", "on", "off"])
+    def test_saved_sparse_key_is_ignored(self, mode):
+        """Models saved while the ``sparse`` option existed carry it in the
+        layer header; it loads, and the mask alone picks the plan."""
+        net, x = _tiny_fitted_network()
+        payload = _network_payload(net)
+        header = json.loads(payload["header"].tobytes().decode("utf-8"))
+        header["layers"][0]["sparse"] = mode
+        payload["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+        buffer = io.BytesIO()
+        np.savez(buffer, **payload)
+        restored = network_from_bytes(buffer.getvalue())
+        layer = net.hidden_layers[0]
+        assert restored.hidden_layers[0].sparse_active == layer.sparse_active
+        assert np.array_equal(restored.predict_proba(x), net.predict_proba(x))
 
 
 def _tiny_fitted_network():

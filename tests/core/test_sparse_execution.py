@@ -1,8 +1,11 @@
 """The block-sparse execution plan end to end: layers, engines, networks.
 
-The central contract — ``sparse="on"`` vs ``sparse="off"`` is an execution
-choice only.  On the gate configuration (single hidden hypercolumn, batches
-of 128+) full training runs are **bitwise identical**: traces, weights,
+The central contract — the dense and the sparse plan are an execution
+choice only.  Each comparison picks its plan by pinning
+``kernels.SPARSE_DENSITY_THRESHOLD`` to 0.0 (dense) or 1.0 (sparse) while
+the layers compile their layouts.  On the gate configuration (single
+hidden hypercolumn, batches of 128+) full training runs are **bitwise
+identical**: traces, weights,
 predictions and probabilities.  On multi-hypercolumn layers (where the
 dense path computes one wide GEMM and the sparse path one GEMM per block)
 the runs agree to floating-point summation order and on every hard
@@ -12,6 +15,7 @@ prediction.
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.backend import get_backend
 from repro.core import (
     BCPNNClassifier,
@@ -22,6 +26,7 @@ from repro.core import (
     StructuralPlasticityLayer,
     TrainingSchedule,
 )
+from repro.instrumentation.pipeline_bench import _pinned_density_threshold as pinned_threshold
 
 INPUT_SIZES = [10] * 28
 SPEC = InputSpec(INPUT_SIZES)
@@ -42,13 +47,11 @@ X = _one_hot(512, INPUT_SIZES, seed=0)
 Y = (np.arange(512) % 2).astype(np.int64)
 
 
-def _layer(sparse, density=0.3, hcus=1, mcus=60, seed=42, competition="sample", **hp):
+def _layer(density=0.3, hcus=1, mcus=60, seed=42, competition="sample", **hp):
     hyperparams = BCPNNHyperParameters(
         taupdt=0.02, density=density, competition=competition, **hp
     )
-    layer = StructuralPlasticityLayer(
-        hcus, mcus, hyperparams=hyperparams, sparse=sparse, seed=seed
-    )
+    layer = StructuralPlasticityLayer(hcus, mcus, hyperparams=hyperparams, seed=seed)
     layer.build(SPEC)
     return layer
 
@@ -62,73 +65,129 @@ def _train(layer, epochs=3, batch=128):
 
 
 class TestSparseActivation:
-    def test_auto_follows_the_density_threshold(self):
-        assert _layer("auto", density=0.3).sparse_active
-        assert _layer("auto", density=0.5).sparse_active
-        # auto consults the *actual* unit-level layout density.
-        assert not _layer("auto", density=1.0).sparse_active
+    def test_the_mask_density_decides(self):
+        assert _layer(density=0.3).sparse_active
+        assert _layer(density=0.5).sparse_active
+        # The decision reads the *actual* unit-level layout density.
+        assert not _layer(density=1.0).sparse_active
 
-    def test_forced_modes(self):
-        assert _layer("on", density=1.0).sparse_active
-        assert not _layer("off", density=0.1).sparse_active
-        assert _layer(True, density=1.0).sparse_active
-        assert not _layer(False, density=0.1).sparse_active
+    def test_threshold_pin_selects_the_plan(self):
+        with pinned_threshold(1.0):
+            assert _layer(density=1.0).sparse_active
+        with pinned_threshold(0.0):
+            assert not _layer(density=0.1).sparse_active
 
-    def test_configure_execution_switches_the_plan(self):
-        layer = _layer("off", density=0.3)
-        assert not layer.sparse_active
-        layer.configure_execution(sparse="on")
-        assert layer.sparse_active
-        assert layer.sparse_layout is not None
-        layer.configure_execution(sparse="off")
-        assert not layer.sparse_active
-
-    def test_set_density_reevaluates_auto(self):
-        layer = _layer("auto", density=0.3)
+    def test_set_density_reevaluates_the_plan(self):
+        layer = _layer(density=0.3)
         assert layer.sparse_active
         layer.set_density(1.0)
         assert not layer.sparse_active
         layer.set_density(0.2)
         assert layer.sparse_active
 
-    def test_engine_plan_carries_the_policy(self):
-        layer = _layer("on", density=0.3)
-        engine = layer.engine_for(64)
-        assert engine.plan.sparse == "on"
-        assert engine.plan.sparse_active(layer.sparse_layout)
+    @pytest.mark.parametrize("surface", ["fitted", "serving", "replica", "parent_state"])
+    @pytest.mark.parametrize("density", [0.2, 0.6, 1.0])
+    def test_sparse_iff_density_at_or_below_threshold(self, monkeypatch, density, surface):
+        """Every consumer of a layer follows its mask: a fitted layer, a
+        serving stage, a thread-rank SPMD replica and a layer loaded from a
+        state that still carries the retired ``"sparse": "off"`` key."""
+        from repro.backend import distributed
+        from repro.comm import ThreadComm
+        from repro.engine import LayerEngine
+        from repro.serving import StreamingPredictor
 
-    def test_engine_rejecting_a_bundle_without_dense_weights_is_loud(self):
-        """A plan/caller policy disagreement must not crash deep in a
-        backend (or silently serve stale dense weights)."""
+        spec = InputSpec.uniform(10, 4)  # densities 0.2/0.6/1.0 are exact
+        x = _one_hot(64, spec.hypercolumn_sizes, seed=1)
+        expected = density <= kernels.SPARSE_DENSITY_THRESHOLD
+        network = Network(seed=1)
+        network.add(StructuralPlasticityLayer(1, 8, density=density, seed=2))
+        network.add(BCPNNClassifier(n_classes=2))
+        network.fit(x, Y[:64], input_spec=spec,
+                    schedule=TrainingSchedule(hidden_epochs=1, classifier_epochs=1,
+                                              batch_size=32))
+        layer = network.hidden_layers[0]
+        assert layer.sparse_layout is None or layer.sparse_layout.density == density
+        if surface == "fitted":
+            active = layer.sparse_active
+        elif surface == "serving":
+            seen = []
+            forward = LayerEngine.forward
+
+            def spy(engine, *args, **kwargs):
+                seen.append(kwargs.get("sparse") is not None)
+                return forward(engine, *args, **kwargs)
+
+            monkeypatch.setattr(LayerEngine, "forward", spy)
+            StreamingPredictor(network, batch_size=32).predict_stream(x)
+            assert seen and len(set(seen)) == 1
+            active = seen[0]
+        elif surface == "replica":
+            replicas = []
+            build = distributed._replica_from_spec
+
+            def capture(spec_, rng):
+                replicas.append(build(spec_, rng))
+                return replicas[-1]
+
+            monkeypatch.setattr(distributed, "_replica_from_spec", capture)
+            with ThreadComm(2) as comm:
+                distributed.DistributedTrainer(comm).train_layer(
+                    layer, x, epochs=1, batch_size=32, rng=np.random.default_rng(3)
+                )
+            assert len(replicas) == 1
+            active = replicas[0].sparse_active
+        else:
+            state = dict(layer.state_dict(), sparse="off")
+            clone = StructuralPlasticityLayer(1, 8)
+            clone.load_state_dict(state)
+            active = clone.sparse_active
+        assert active == expected
+
+    def test_engine_runs_sparse_iff_handed_a_bundle(self):
+        """The engine holds no policy: a bundle means the gather-GEMM path
+        (no dense matrix needed), none means the dense masked GEMM."""
         from repro.engine import ExecutionPlan, LayerEngine
-        from repro.exceptions import ConfigurationError
 
-        layer = _layer("on", density=0.3, mcus=20)
-        ctx = layer.sparse_context()
-        engine = LayerEngine(
-            get_backend("numpy"),
-            ExecutionPlan(280, (20,), 32, sparse="off"),
-        )
-        with pytest.raises(ConfigurationError):
-            engine.forward(X[:32], None, layer.bias, None, sparse=ctx)
-        # With a dense matrix supplied, the same engine falls back cleanly.
-        out = engine.forward(
-            X[:32], layer.weights, layer.bias, layer.mask_expanded, sparse=ctx
-        )
-        assert out.shape == (32, 20)
+        layer = _layer(density=0.3, mcus=20)
+        engine = LayerEngine(get_backend("numpy"), ExecutionPlan(280, (20,), 32))
+        sparse = engine.forward(X[:32], None, layer.bias, None, sparse=layer.sparse_context())
+        sparse = sparse.copy()
+        dense = engine.forward(X[:32], layer.weights, layer.bias, layer.mask_expanded)
+        np.testing.assert_allclose(sparse, dense, rtol=0, atol=1e-12)
 
-    def test_network_level_binding(self):
-        network = Network(seed=0, sparse="off")
-        layer = StructuralPlasticityLayer(1, 10, density=0.2, seed=1)
-        network.add(layer).add(BCPNNClassifier(n_classes=2))
-        network.build(SPEC)
-        assert not layer.sparse_active
-        # A layer with its own explicit choice keeps it.
-        network2 = Network(seed=0, sparse="off")
-        layer2 = StructuralPlasticityLayer(1, 10, density=0.2, sparse="on", seed=1)
-        network2.add(layer2).add(BCPNNClassifier(n_classes=2))
-        network2.build(SPEC)
-        assert layer2.sparse_active
+
+def _public_entry_points():
+    from repro.backend.distributed import DistributedTrainer
+    from repro.core.execution import BackendExecutionMixin
+    from repro.engine import ExecutionPlan
+    from repro.experiments import (
+        HiggsExperimentConfig,
+        run_capacity_sweep,
+        run_distributed_equivalence,
+        run_receptive_field_sweep,
+        run_related_work_comparison,
+        train_and_evaluate,
+    )
+    from repro.serving.server import ModelRunner
+
+    return [
+        StructuralPlasticityLayer, Network, Network.fit, TrainingSchedule,
+        HiggsExperimentConfig, ExecutionPlan, ExecutionPlan.for_traces,
+        BackendExecutionMixin.configure_execution, ModelRunner.run_batch,
+        train_and_evaluate, DistributedTrainer.train_layer, run_capacity_sweep,
+        run_receptive_field_sweep, run_related_work_comparison,
+        run_distributed_equivalence,
+    ]
+
+
+@pytest.mark.parametrize("entry", _public_entry_points(), ids=lambda f: f.__qualname__)
+def test_no_entry_point_takes_a_plan_or_crash_override(entry):
+    """The mask picks the kernel and the fault plan injects crashes: no
+    public signature offers ``sparse=`` or ``fault_injection=``."""
+    import inspect
+
+    parameters = inspect.signature(entry).parameters
+    assert "sparse" not in parameters and "fault_injection" not in parameters
 
 
 class TestBitwiseEquivalence:
@@ -136,8 +195,10 @@ class TestBitwiseEquivalence:
 
     @pytest.fixture(scope="class")
     def pair(self):
-        dense = _train(_layer("off", mcus=300))
-        sparse = _train(_layer("on", mcus=300))
+        with pinned_threshold(0.0):
+            dense = _train(_layer(mcus=300))
+        with pinned_threshold(1.0):
+            sparse = _train(_layer(mcus=300))
         return dense, sparse
 
     def test_traces_bitwise_equal(self, pair):
@@ -164,17 +225,17 @@ class TestBitwiseEquivalence:
         # tol > 0 with a static mask: both modes must make the same refresh
         # decisions (drift is computed from traces, which stay bitwise
         # equal) and produce the same results.
-        def run(mode):
-            layer = _layer(mode, mcus=300, competition="softmax",
-                           mask_update_period=1000)
-            layer.configure_execution(weight_refresh_tol=0.05)
-            _train(layer, epochs=2)
-            refreshes = layer.weights_token
-            layer.flush_weights()
+        def run(threshold):
+            with pinned_threshold(threshold):
+                layer = _layer(mcus=300, competition="softmax", mask_update_period=1000)
+                layer.configure_execution(weight_refresh_tol=0.05)
+                _train(layer, epochs=2)
+                refreshes = layer.weights_token
+                layer.flush_weights()
             return layer, refreshes
 
-        dense, dense_refreshes = run("off")
-        sparse, sparse_refreshes = run("on")
+        dense, dense_refreshes = run(0.0)
+        sparse, sparse_refreshes = run(1.0)
         assert sparse_refreshes == dense_refreshes
         assert np.array_equal(sparse.traces.p_ij, dense.traces.p_ij)
         assert np.array_equal(sparse.weights, dense.weights)
@@ -183,37 +244,39 @@ class TestBitwiseEquivalence:
 class TestNetworkEquivalence:
     @pytest.mark.parametrize("head", ["bcpnn", "sgd"])
     def test_fit_predict_bitwise_equal_single_hypercolumn(self, head):
-        def run(mode):
-            network = Network(seed=3, sparse=mode)
+        def run(threshold):
+            network = Network(seed=3)
             network.add(StructuralPlasticityLayer(1, 120, density=0.3, seed=4))
             if head == "bcpnn":
                 network.add(BCPNNClassifier(n_classes=2))
             else:
                 network.add(SGDClassifier(n_classes=2, seed=5))
-            network.fit(X, Y, input_spec=SPEC,
-                        schedule=TrainingSchedule(hidden_epochs=2,
-                                                  classifier_epochs=2,
-                                                  batch_size=128))
+            with pinned_threshold(threshold):
+                network.fit(X, Y, input_spec=SPEC,
+                            schedule=TrainingSchedule(hidden_epochs=2,
+                                                      classifier_epochs=2,
+                                                      batch_size=128))
             return network
 
-        dense = run("off")
-        sparse = run("on")
+        dense = run(0.0)
+        sparse = run(1.0)
         assert np.array_equal(sparse.predict(X), dense.predict(X))
         assert np.array_equal(sparse.predict_proba(X), dense.predict_proba(X))
 
     def test_multi_hypercolumn_matches_to_summation_order(self):
-        def run(mode):
-            network = Network(seed=3, sparse=mode)
+        def run(threshold):
+            network = Network(seed=3)
             network.add(StructuralPlasticityLayer(4, 30, density=0.3, seed=4))
             network.add(BCPNNClassifier(n_classes=2))
-            network.fit(X, Y, input_spec=SPEC,
-                        schedule=TrainingSchedule(hidden_epochs=2,
-                                                  classifier_epochs=2,
-                                                  batch_size=128))
+            with pinned_threshold(threshold):
+                network.fit(X, Y, input_spec=SPEC,
+                            schedule=TrainingSchedule(hidden_epochs=2,
+                                                      classifier_epochs=2,
+                                                      batch_size=128))
             return network
 
-        dense = run("off")
-        sparse = run("on")
+        dense = run(0.0)
+        sparse = run(1.0)
         np.testing.assert_allclose(
             sparse.predict_proba(X), dense.predict_proba(X), rtol=0, atol=1e-9
         )
@@ -221,7 +284,7 @@ class TestNetworkEquivalence:
 
     def test_pipelined_fit_equals_serial_fit_under_sparse(self):
         def run(pipeline):
-            network = Network(seed=6, sparse="on")
+            network = Network(seed=6)
             network.add(StructuralPlasticityLayer(1, 80, density=0.3, seed=7))
             network.add(BCPNNClassifier(n_classes=2))
             network.fit(X, Y, input_spec=SPEC,
@@ -233,38 +296,8 @@ class TestNetworkEquivalence:
 
         serial = run(False)
         piped = run(True)
+        assert serial.hidden_layers[0].sparse_active
         assert np.array_equal(piped.predict_proba(X), serial.predict_proba(X))
-
-    def test_fit_sparse_kwarg_forces_the_plan(self):
-        network = Network(seed=3)
-        layer = StructuralPlasticityLayer(1, 20, density=0.3, sparse="off", seed=4)
-        network.add(layer).add(BCPNNClassifier(n_classes=2))
-        network.fit(X[:128], Y[:128], input_spec=SPEC, sparse="on",
-                    schedule=TrainingSchedule(hidden_epochs=1, classifier_epochs=1,
-                                              batch_size=64))
-        assert layer.sparse_active
-        # The force reaches the serialised spec, so worker replicas rebuilt
-        # from a blob make the same execution choice as the driver.
-        assert layer.state_dict()["sparse"] == "on"
-
-    def test_schedule_sparse_stays_rebindable_across_fits(self):
-        """A default first fit must not permanently claim the sparse spec."""
-        schedule = TrainingSchedule(hidden_epochs=1, classifier_epochs=1,
-                                    batch_size=64)
-        network = Network(seed=3)
-        layer = StructuralPlasticityLayer(1, 20, density=0.3, seed=4)
-        network.add(layer).add(BCPNNClassifier(n_classes=2))
-        network.fit(X[:128], Y[:128], input_spec=SPEC, schedule=schedule)
-        assert layer.sparse_active  # auto at density 0.3
-        network.fit(X[:128], Y[:128], input_spec=SPEC,
-                    schedule=schedule.replace(sparse="off"))
-        assert not layer.sparse_active
-        # ... while a network-level choice survives default schedules.
-        network2 = Network(seed=3, sparse="off")
-        layer2 = StructuralPlasticityLayer(1, 20, density=0.3, seed=4)
-        network2.add(layer2).add(BCPNNClassifier(n_classes=2))
-        network2.fit(X[:128], Y[:128], input_spec=SPEC, schedule=schedule)
-        assert not layer2.sparse_active
 
 
 class TestBackendsSparse:
@@ -279,8 +312,9 @@ class TestBackendsSparse:
     )
     def test_sparse_forward_matches_dense_forward(self, name, atol):
         backend = get_backend(name)
-        dense = _layer("off", mcus=80, seed=11)
-        sparse = _layer("on", mcus=80, seed=11)
+        with pinned_threshold(0.0):
+            dense = _layer(mcus=80, seed=11)
+        sparse = _layer(mcus=80, seed=11)
         dense.backend = backend
         sparse.backend = backend
         d = dense.forward(X[:128])
@@ -289,21 +323,22 @@ class TestBackendsSparse:
 
     @pytest.mark.parametrize("name", ["numpy", "float32", "float16", "posit16"])
     def test_sparse_training_matches_dense_per_backend(self, name):
-        def run(mode):
-            layer = _layer(mode, mcus=60, seed=12, competition="softmax")
-            layer.backend = get_backend(name)
-            _train(layer, epochs=1)
-            layer.flush_weights()
+        def run(threshold):
+            with pinned_threshold(threshold):
+                layer = _layer(mcus=60, seed=12, competition="softmax")
+                layer.backend = get_backend(name)
+                _train(layer, epochs=1)
+                layer.flush_weights()
             return layer.traces.p_ij.copy(), layer.weights.copy()
 
-        dense_pij, dense_w = run("off")
-        sparse_pij, sparse_w = run("on")
+        dense_pij, dense_w = run(0.0)
+        sparse_pij, sparse_w = run(1.0)
         np.testing.assert_allclose(sparse_pij, dense_pij, rtol=0, atol=1e-12)
         np.testing.assert_allclose(sparse_w, dense_w, rtol=0, atol=1e-9)
 
     def test_lowprec_packed_weights_are_quantised(self):
         backend = get_backend("float16")
-        layer = _layer("on", mcus=20, seed=13)
+        layer = _layer(mcus=20, seed=13)
         layer.backend = backend
         ctx = layer.sparse_context()
         quantised = backend.quantize(ctx.blocks[0])
@@ -312,7 +347,7 @@ class TestBackendsSparse:
 
 class TestRepackOnMaskChange:
     def test_structural_plasticity_recompiles_and_repacks(self):
-        layer = _layer("on", mcus=40, seed=20, competition="softmax")
+        layer = _layer(mcus=40, seed=20, competition="softmax")
         _train(layer, epochs=1)
         layout_before = layer.sparse_layout
         # Force swaps by zeroing half the mutual-information mass: run more
@@ -328,19 +363,21 @@ class TestRepackOnMaskChange:
         assert layer.sparse_layout is not layout_before
         # After the swap the packed slabs must re-pack along the NEW layout:
         # the sparse forward equals a dense layer put into the same state.
-        reference = _layer("off", mcus=40, seed=20, competition="softmax")
-        reference.traces.p_i[:] = layer.traces.p_i
-        reference.traces.p_j[:] = layer.traces.p_j
-        reference.traces.p_ij[:] = layer.traces.p_ij
-        reference.plasticity.mask[:] = layer.plasticity.mask
-        reference._refresh_mask()
-        reference.refresh_weights()
+        with pinned_threshold(0.0):
+            reference = _layer(mcus=40, seed=20, competition="softmax")
+            reference.traces.p_i[:] = layer.traces.p_i
+            reference.traces.p_j[:] = layer.traces.p_j
+            reference.traces.p_ij[:] = layer.traces.p_ij
+            reference.plasticity.mask[:] = layer.plasticity.mask
+            reference._refresh_mask()
+            reference.refresh_weights()
+        assert not reference.sparse_active
         np.testing.assert_allclose(
             layer.forward(X[:128]), reference.forward(X[:128]), rtol=0, atol=1e-11
         )
 
     def test_layout_identity_invalidates_engine_caches(self):
-        layer = _layer("on", mcus=30, seed=21)
+        layer = _layer(mcus=30, seed=21)
         layer.train_batch(X[:128])
         engine = layer.engine_for(128)
         ws = engine.workspaces[0]
@@ -355,31 +392,21 @@ class TestRepackOnMaskChange:
 
 
 class TestStateRoundTrip:
-    def test_state_dict_carries_the_sparse_spec(self):
-        layer = _layer("on", mcus=20, seed=30)
+    def test_round_trip_keeps_the_plan_without_a_sparse_key(self):
+        layer = _layer(mcus=20, seed=30)
         _train(layer, epochs=1)
         layer.flush_weights()
         state = layer.state_dict()
-        assert state["sparse"] == "on"
+        assert "sparse" not in state
         clone = StructuralPlasticityLayer(1, 20)
         clone.load_state_dict(state)
         assert clone.sparse_active
         assert np.array_equal(clone.forward(X[:128]), layer.forward(X[:128]))
 
-    def test_legacy_state_without_sparse_key_defaults_to_auto(self):
-        layer = _layer("auto", mcus=20, seed=31)
-        state = layer.state_dict()
-        state.pop("sparse")
-        clone = StructuralPlasticityLayer(1, 20)
-        clone.load_state_dict(state)
-        # density 0.3 <= threshold -> auto resolves to sparse.
-        assert clone.sparse_active
-        assert np.array_equal(clone.forward(X[:64]), layer.forward(X[:64]))
-
 
 class TestLazyDenseWeights:
     def test_dense_matrix_lags_and_settles(self):
-        layer = _layer("on", mcus=30, seed=40)
+        layer = _layer(mcus=30, seed=40)
         layer.train_batch(X[:128])
         assert layer._dense_stale
         # Reading the property settles it to exactly the trace-derived values.
@@ -391,7 +418,7 @@ class TestLazyDenseWeights:
         assert np.array_equal(layer.bias, expected_b)
 
     def test_flush_weights_settles_the_dense_matrix(self):
-        layer = _layer("on", mcus=30, seed=41)
+        layer = _layer(mcus=30, seed=41)
         layer.train_batch(X[:128])
         layer.flush_weights()
         assert not layer._dense_stale

@@ -85,23 +85,20 @@ class TestSparseLayout:
 
 
 class TestSparseBeneficial:
-    def test_modes(self):
+    def test_density_threshold(self):
         _, _, layout, *_ = _problem(density=0.3)
-        assert kernels.sparse_beneficial(layout, "auto")
-        assert kernels.sparse_beneficial(layout, "on")
-        assert not kernels.sparse_beneficial(layout, "off")
-        assert not kernels.sparse_beneficial(None, "on")
-
-    def test_auto_threshold(self):
+        assert kernels.sparse_beneficial(layout)
+        assert not kernels.sparse_beneficial(None)
         _, _, dense_layout, *_ = _problem(density=1.0)
-        assert not kernels.sparse_beneficial(dense_layout, "auto")
-        assert kernels.sparse_beneficial(dense_layout, "on")
-        _, _, layout, *_ = _problem(density=0.3)
-        assert not kernels.sparse_beneficial(layout, "auto", threshold=0.1)
+        assert not kernels.sparse_beneficial(dense_layout)
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(DataError):
-            kernels.sparse_beneficial(None, "maybe")
+    def test_threshold_is_read_at_call_time(self, monkeypatch):
+        _, _, layout, *_ = _problem(density=0.3)
+        monkeypatch.setattr(kernels, "SPARSE_DENSITY_THRESHOLD", 0.1)
+        assert not kernels.sparse_beneficial(layout)
+        _, _, dense_layout, *_ = _problem(density=1.0)
+        monkeypatch.setattr(kernels, "SPARSE_DENSITY_THRESHOLD", 1.0)
+        assert kernels.sparse_beneficial(dense_layout)
 
 
 class TestPackAndScatter:

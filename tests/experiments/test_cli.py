@@ -1,9 +1,11 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
+from repro import cli
 from repro.cli import main_benchmark, main_sweep, main_train
 
 #: Backend names the registry no longer carries.
@@ -87,24 +89,33 @@ class TestSweepCli:
             main_sweep(["nonexistent-experiment", "--quiet"])
 
 
-class TestSparseCli:
-    def test_train_with_forced_sparse_matches_dense(self, capsys, tmp_path):
-        """--sparse on/off train the same model (execution choice only)."""
-        results = {}
-        for mode in ("on", "off"):
-            json_path = tmp_path / f"result-{mode}.json"
-            code = main_train(
-                [
-                    "--hcus", "1", "--mcus", "15", "--density", "0.4",
-                    "--events", "1200", "--epochs", "1", "--seed", "0",
-                    "--sparse", mode, "--quiet", "--json", str(json_path),
-                ]
-            )
-            assert code == 0
-            capsys.readouterr()
-            results[mode] = json.loads(json_path.read_text())
-        assert results["on"]["accuracy"] == results["off"]["accuracy"]
-        assert results["on"]["auc"] == results["off"]["auc"]
+#: Every subcommand with the minimal positional/required arguments.
+SUBCOMMANDS = {
+    "train": (cli.main_train, []),
+    "sweep": (cli.main_sweep, ["capacity"]),
+    "benchmark": (cli.main_benchmark, []),
+    "predict": (cli.main_predict, ["rows.csv", "--model", "model.npz"]),
+    "serve": (cli.main_serve, ["--model", "model.npz"]),
+}
+
+
+class TestSparseFlagRetired:
+    """The mask density picks the kernel; no subcommand takes ``--sparse``."""
+
+    @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+    def test_sparse_flag_is_an_argparse_error(self, capsys, name):
+        main, required = SUBCOMMANDS[name]
+        with pytest.raises(SystemExit) as exc:
+            main(required + ["--sparse", "on"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --sparse on" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+    def test_help_lists_no_sparse_flag(self, capsys, name):
+        main, _ = SUBCOMMANDS[name]
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert re.search(r"--sparse(?!-payload)", capsys.readouterr().out) is None
 
 
 class TestRunCli:
@@ -152,7 +163,7 @@ class TestRunCli:
 
     @pytest.mark.parametrize(
         "override",
-        ["training.comn=thread"]
+        ["training.comn=thread", "training.sparse=on"]
         # Retired backend names fail at the schema, never at run time.
         + [f"training.backend={name}" for name in RETIRED_BACKENDS],
     )

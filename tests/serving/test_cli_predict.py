@@ -114,23 +114,3 @@ def test_ambiguous_npz_rejected(tmp_path, saved_model, encoded_higgs):
 
 def test_unknown_command():
     assert main(["frobnicate"]) == 2
-
-
-def test_predict_sparse_flag_round_trip(tmp_path, saved_model, trained_network, encoded_higgs):
-    """`--sparse on` and `--sparse off` serve identical hard predictions."""
-    x = encoded_higgs["x_test"][:128]
-    features = tmp_path / "features.npz"
-    np.savez(features, x=x)
-    outputs = {}
-    for mode in ("on", "off"):
-        output = tmp_path / f"predictions-{mode}.csv"
-        code = main_predict(
-            [str(features), "--model", saved_model, "--output", str(output),
-             "--sparse", mode, "--quiet"]
-        )
-        assert code == 0
-        outputs[mode] = read_numeric_csv(output, skip_header=True)[:, 0]
-    assert np.array_equal(outputs["on"], outputs["off"])
-    assert np.array_equal(
-        outputs["off"].astype(np.int64), trained_network.predict(x)
-    )

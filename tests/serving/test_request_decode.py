@@ -216,6 +216,6 @@ class TestServerAnswers:
         monkeypatch.setattr(json, "loads", lambda s, **kw: seen.append(len(s)) or loads(s, **kw))
         for rows in (x.tolist(), x.astype(np.float64).tolist()):
             seen.clear()
-            matrix, proba, _, _ = server._parse_predict_body(json.dumps({"rows": rows}).encode())
+            matrix, proba, _ = server._parse_predict_body(json.dumps({"rows": rows}).encode())
             assert matrix.tobytes() == x.astype(np.float64).tobytes() and proba is False
             assert seen and max(seen) <= 64, seen

@@ -418,7 +418,7 @@ class TestPredictionServer:
 
 
 class TestPredictOverrides:
-    """Per-request ``"backend"``/``"sparse"`` overrides on POST /predict."""
+    """Per-request ``"backend"`` overrides on POST /predict."""
 
     def test_backend_override_matches_default(self, live_server, trained_network, encoded_higgs):
         rows = encoded_higgs["x_test"][:4]
@@ -434,22 +434,25 @@ class TestPredictOverrides:
         assert status == 200
         np.testing.assert_allclose(doc["probabilities"], base["probabilities"], atol=1e-12)
 
-    def test_sparse_override_is_execution_choice_only(
-        self, live_server, trained_network, encoded_higgs
-    ):
+    @pytest.mark.parametrize("value", ["on", "off", "maybe"])
+    def test_sparse_key_is_ignored(self, live_server, trained_network, encoded_higgs, value):
+        """``"sparse"`` is no longer an override: like any unknown key it is
+        ignored and the request takes the default, coalescing path."""
+        runner = live_server.server.runner
+        runner.swap(trained_network)  # start from an empty override cache
         rows = encoded_higgs["x_test"][:4]
         _, base, _ = _request(
             live_server, "POST", "/predict", {"rows": rows.tolist(), "proba": True}
         )
-        for mode in ("on", "off"):
-            status, doc, _ = _request(
-                live_server,
-                "POST",
-                "/predict",
-                {"rows": rows.tolist(), "proba": True, "sparse": mode},
-            )
-            assert status == 200
-            np.testing.assert_allclose(doc["probabilities"], base["probabilities"], atol=1e-9)
+        status, doc, _ = _request(
+            live_server,
+            "POST",
+            "/predict",
+            {"rows": rows.tolist(), "proba": True, "sparse": value},
+        )
+        assert status == 200
+        assert doc["probabilities"] == base["probabilities"]
+        assert runner._override_predictors == {}
 
     @pytest.mark.parametrize(
         "name", ["warp-drive", "parallel", "distributed", "openmp", "mpi", "fpga"]
@@ -463,14 +466,6 @@ class TestPredictOverrides:
         assert "unknown" in doc["error"] and repr(name) in doc["error"]
         assert "float16, float32, numpy, posit16" in doc["error"]
 
-    def test_invalid_sparse_mode_400(self, live_server, encoded_higgs):
-        rows = encoded_higgs["x_test"][:1]
-        status, doc, _ = _request(
-            live_server, "POST", "/predict", {"rows": rows.tolist(), "sparse": "maybe"}
-        )
-        assert status == 400
-        assert "sparse" in doc["error"]
-
     def test_override_predictors_cached_and_invalidated_on_swap(
         self, live_server, trained_network, encoded_higgs
     ):
@@ -480,11 +475,11 @@ class TestPredictOverrides:
         for body in (
             {"rows": rows.tolist(), "backend": "numpy"},
             {"rows": rows.tolist(), "backend": "numpy"},
-            {"rows": rows.tolist(), "sparse": "off"},
+            {"rows": rows.tolist(), "backend": "float32"},
         ):
             status, _, _ = _request(live_server, "POST", "/predict", body)
             assert status == 200
-        assert set(runner._override_predictors) == {("numpy", None), (None, "off")}
+        assert set(runner._override_predictors) == {"numpy", "float32"}
         runner.swap(trained_network)
         assert runner._override_predictors == {}
 

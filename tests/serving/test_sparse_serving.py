@@ -19,6 +19,7 @@ from repro.core import (
     TrainingSchedule,
 )
 from repro.datasets.stream import BatchStream
+from repro.instrumentation.pipeline_bench import _pinned_density_threshold as pinned_threshold
 from repro.serving import StreamingPredictor
 
 INPUT_SIZES = [10] * 28
@@ -40,7 +41,7 @@ def _one_hot(n, seed):
 def sparse_network():
     x = _one_hot(512, seed=0)
     y = (np.arange(512) % 2).astype(np.int64)
-    network = Network(seed=3, sparse="on")
+    network = Network(seed=3)
     network.add(StructuralPlasticityLayer(1, 80, density=0.3, seed=4))
     network.add(BCPNNClassifier(n_classes=2))
     network.fit(x, y, input_spec=SPEC,
@@ -71,13 +72,16 @@ class TestSparseStreaming:
         network, x = sparse_network
         sparse_out = StreamingPredictor(network, batch_size=128).predict_proba_stream(x)
         layer = network.hidden_layers[0]
-        layer.configure_execution(sparse="off")
         try:
+            with pinned_threshold(0.0):
+                layer._refresh_sparse_layout()
+            assert not layer.sparse_active
             dense_out = StreamingPredictor(
                 network, batch_size=128
             ).predict_proba_stream(x)
         finally:
-            layer.configure_execution(sparse="on")
+            layer._refresh_sparse_layout()
+        assert layer.sparse_active
         assert np.array_equal(sparse_out, dense_out)
 
     def test_prebuilt_shuffled_stream_with_remainder(self, sparse_network):
@@ -118,7 +122,7 @@ class TestSgdHeadSparseServing:
     def test_hybrid_head_round_trip(self):
         x = _one_hot(256, seed=5)
         y = (np.arange(256) % 2).astype(np.int64)
-        network = Network(seed=6, sparse="auto")
+        network = Network(seed=6)
         network.add(StructuralPlasticityLayer(1, 40, density=0.2, seed=7))
         network.add(SGDClassifier(n_classes=2, seed=8))
         network.fit(x, y, input_spec=SPEC,
