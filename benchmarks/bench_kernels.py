@@ -370,9 +370,9 @@ def measure_streaming_inference(
     """Per-backend throughput of ``predict_stream`` over a large input.
 
     The input is several times larger than any single workspace, so the
-    numbers measure the steady-state streaming path: preallocated
-    double-buffered workspaces, O(batch) memory, one engine dispatch per
-    batch per layer.
+    numbers measure the steady-state streaming path: one preallocated
+    workspace per layer, O(batch) memory, one engine dispatch per batch per
+    layer.
     """
     from repro.serving import StreamingPredictor
 

@@ -29,11 +29,13 @@ All are also reachable as ``python -m repro.cli <command>``, and all except
 ``serve`` accept ``--json PATH`` to additionally write the results as a
 JSON report.
 
-``train``, ``predict``, ``sweep``, ``benchmark`` and ``serve`` additionally
-accept ``--comm SPEC`` — a transport spec such as ``serial``, ``thread:4``,
+``train``, ``predict``, ``sweep`` and ``benchmark`` additionally accept
+``--comm SPEC`` — a transport spec such as ``serial``, ``thread:4``,
 ``tcp://host:port?ranks=8`` (sockets, multi-host; ``process:4`` is 4 ranks
 on loopback tcp) or ``mpi`` — to run data-parallel training / rank-sharded
-serving / the comm-throughput benchmark over a :mod:`repro.comm` transport.
+bulk inference / the comm-throughput benchmark over a :mod:`repro.comm`
+transport.  ``serve`` has one path: every micro-batch runs the plain tile
+loop in the server process.
 ``--comm help`` prints the capability table (multihost / fault-tolerant /
 nonblocking per transport); the legacy ``--ranks N`` flag still works for
 bare transport names.  ``train`` also accepts ``--fault-tolerance``
@@ -44,8 +46,7 @@ injected through ``REPRO_FAULTS`` (see :mod:`repro.faults`).
 double-buffered training loop; identical results) and
 ``--weight-refresh-tol TOL`` (stale-weights caching: skip the per-batch
 ``traces_to_weights`` refresh while the accumulated taupdt-scaled trace
-drift stays under TOL; 0 = exact); ``predict`` accepts ``--pipeline`` to
-overlap the hidden and head serving stages.
+drift stays under TOL; 0 = exact).
 """
 
 from __future__ import annotations
@@ -583,26 +584,32 @@ def _load_feature_matrix(path: str) -> np.ndarray:
 
     ``.npz`` archives use the array under the key ``x`` (falling back to the
     single array when only one is stored); CSV/CSV.gz files are streamed
-    through :func:`repro.datasets.csvio.read_numeric_csv`.
+    through :func:`repro.datasets.csvio.read_numeric_csv`.  Archived arrays
+    keep their stored dtype (a ``uint8`` one-hot matrix stays one byte per
+    unit; the tile loop widens per tile), and a complex or string array is a
+    :class:`~repro.exceptions.DataError` naming the file.
     """
     from repro.datasets.csvio import read_numeric_csv
     from repro.exceptions import DataError
+    from repro.utils.validation import check_numeric_dtype
 
     p = Path(path)
     if not p.is_file():
         raise DataError(f"input file not found: {path}")
     if p.suffix == ".npy":
-        return np.asarray(np.load(p, allow_pickle=False), dtype=np.float64)
+        return check_numeric_dtype(np.load(p, allow_pickle=False), name=path)
     if p.suffix == ".npz":
         with np.load(p, allow_pickle=False) as archive:
             if "x" in archive.files:
-                return np.asarray(archive["x"], dtype=np.float64)
-            if len(archive.files) == 1:
-                return np.asarray(archive[archive.files[0]], dtype=np.float64)
-            raise DataError(
-                f"{path} holds {len(archive.files)} arrays and none is named 'x'; "
-                "store the feature matrix under the key 'x'"
-            )
+                key = "x"
+            elif len(archive.files) == 1:
+                key = archive.files[0]
+            else:
+                raise DataError(
+                    f"{path} holds {len(archive.files)} arrays and none is named 'x'; "
+                    "store the feature matrix under the key 'x'"
+                )
+            return check_numeric_dtype(archive[key], name=f"{path}[{key!r}]")
     return read_numeric_csv(p)
 
 
@@ -634,14 +641,6 @@ def main_predict(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--batch-size", type=int, default=1024, help="rows per streamed batch")
     parser.add_argument("--proba", action="store_true", help="also emit class probabilities")
-    parser.add_argument(
-        "--pipeline",
-        action="store_true",
-        help=(
-            "overlap the hidden stages of batch k with the head stage of "
-            "batch k-1 on a background thread (identical outputs)"
-        ),
-    )
     _add_common(parser)
     _add_comm(parser)
     args = parser.parse_args(argv)
@@ -655,11 +654,7 @@ def main_predict(argv: Optional[List[str]] = None) -> int:
     x = _load_feature_matrix(args.input)
     comm = _build_comm(args)
     predictor = StreamingPredictor(
-        network,
-        batch_size=args.batch_size,
-        backend=args.backend,
-        comm=comm,
-        pipeline=args.pipeline,
+        network, batch_size=args.batch_size, backend=args.backend, comm=comm
     )
 
     start = time.perf_counter()
@@ -795,29 +790,13 @@ def main_serve(argv: Optional[List[str]] = None) -> int:
             "default: each layer's own resolved backend"
         ),
     )
-    parser.add_argument(
-        "--comm",
-        type=str,
-        default=None,
-        metavar="SPEC",
-        help=(
-            "communicator transport spec for rank-sharded serving batches "
-            "('process:N', 'tcp://host:port?ranks=N', ...); pass 'help' to "
-            "print the transport capability table and exit"
-        ),
-    )
     parser.add_argument("--quiet", action="store_true", help="suppress progress logging")
     args = parser.parse_args(argv)
-    if args.comm == "help":
-        _print_comm_help()
-        return 0
     if not args.quiet:
         enable_console_logging()
 
     network = load_network(args.model)
-    runner = ModelRunner(
-        network, batch_size=args.batch_size, backend=args.backend, comm=args.comm
-    )
+    runner = ModelRunner(network, batch_size=args.batch_size, backend=args.backend)
     server = PredictionServer(
         runner,
         host=args.host,
@@ -831,16 +810,13 @@ def main_serve(argv: Optional[List[str]] = None) -> int:
         model_path=args.model,
     )
 
-    try:
-        _serve_until_interrupted(
-            server,
-            f"serving {args.model} on {{url}}  "
-            f"(batch_size={args.batch_size}, deadline={args.batch_deadline_ms:g}ms, "
-            f"queue_bound={args.max_queue_rows} rows, "
-            f"backend={server.runner._predictor.backend.name})",
-        )
-    finally:
-        runner.close()
+    _serve_until_interrupted(
+        server,
+        f"serving {args.model} on {{url}}  "
+        f"(batch_size={args.batch_size}, deadline={args.batch_deadline_ms:g}ms, "
+        f"queue_bound={args.max_queue_rows} rows, "
+        f"backend={server.runner._predictor.backend.name})",
+    )
     return 0
 
 

@@ -1,19 +1,18 @@
-"""Sharded streaming inference.
+"""Streaming inference: one tile loop behind every forward pass.
 
 ``repro.serving`` is the serving half of the streaming execution engine:
 where ``Network.fit`` streams *training* batches through fused backend
 primitives, :class:`StreamingPredictor` streams *inference* over arbitrarily
-large inputs at O(batch) memory — every hidden layer runs through
-preallocated (optionally double-buffered)
-:class:`~repro.engine.LayerWorkspace` buffers, so bulk prediction performs
-zero per-batch layer-sized allocations.
+large inputs at O(batch) memory — every hidden layer runs through one
+preallocated :class:`~repro.engine.LayerWorkspace`, so bulk prediction
+performs zero per-batch layer-sized allocations.
 
-Passing ``comm=`` (a :class:`repro.comm.Communicator`) shards each call
-over *real* ranks — worker threads or OS processes — via
+For bulk calls only, passing ``comm=`` (a :class:`repro.comm.Communicator`)
+shards each call over *real* ranks — worker threads or OS processes — via
 ``scatter_rows`` + one ragged ``allgather``; the model reaches process
-ranks once per model version as a broadcast npz blob.  This exploits the
-same "communication scales with the model, not the data" property the
-training path uses.
+ranks once per model version as a broadcast npz blob.  It pays only when
+each rank has a core BLAS does not already use (``docs/serving.md``); the
+online server never shards.
 
 The *online* half lives in :mod:`repro.serving.server`: an asyncio
 HTTP/JSON endpoint (``repro serve``) whose concurrent single-row requests

@@ -49,7 +49,7 @@ from typing import Callable, Deque, Dict, List, Optional
 
 import numpy as np
 
-from repro.exceptions import ReproError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.utils.validation import check_positive_int
 
 __all__ = [
@@ -208,11 +208,13 @@ class MicroBatcher:
         self._dispatch = dispatch
         self.batch_size = check_positive_int(batch_size, "batch_size")
         if deadline <= 0:
-            raise ValueError("deadline must be positive (seconds)")
+            raise ConfigurationError(f"deadline must be positive (seconds), got {deadline}")
         self.deadline = float(deadline)
         self.max_queue_rows = check_positive_int(max_queue_rows, "max_queue_rows")
         if request_timeout is not None and request_timeout <= 0:
-            raise ValueError("request_timeout must be positive (seconds)")
+            raise ConfigurationError(
+                f"request_timeout must be positive (seconds), got {request_timeout}"
+            )
         self.request_timeout = request_timeout
         self.stats = BatcherStats()
         self._pending: Deque[_Pending] = deque()

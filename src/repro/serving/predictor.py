@@ -2,8 +2,8 @@
 
 :class:`StreamingPredictor` drives a
 :class:`~repro.datasets.stream.BatchStream` through
-:class:`~repro.engine.LayerEngine.forward` with preallocated (optionally
-double-buffered) :class:`~repro.engine.LayerWorkspace` buffers, so inference
+:class:`~repro.engine.LayerEngine.forward` with one preallocated
+:class:`~repro.engine.LayerWorkspace` per hidden layer, so inference
 over any input length runs at O(batch) memory and the steady-state loop
 performs zero layer-sized allocations.  Its tile loop
 (:meth:`StreamingPredictor.hidden_tiles`) is the only bulk forward in the
@@ -14,7 +14,8 @@ equal the layers' own ``forward`` up to the backend's declared precision
 (bit-for-bit on the NumPy backend at equal tile boundaries —
 ``tests/serving`` and ``tests/core/test_network_memory.py`` enforce both).
 
-With ``comm=`` (a :class:`repro.comm.Communicator`) serving is **multi-rank**:
+With ``comm=`` (a :class:`repro.comm.Communicator`) bulk inference is
+**multi-rank**:
 the rows are scattered over the communicator ranks through
 :meth:`~repro.comm.Communicator.scatter_rows`, every rank (worker
 threads/processes included; rank 0 is the driver, inline) streams its shard
@@ -22,12 +23,14 @@ through its own replica, and the per-rank outputs are combined with a
 **single** ``allgather`` — one gather per call, independent of the number of
 batches.  On the tcp transport the model crosses the process boundary once
 per model version as a broadcast npz blob (raw frames, no pickling of live
-layers).
+layers).  Sharding pays only on large inputs whose ranks have cores that
+BLAS does not already use, e.g. one BLAS thread per rank; the measurements
+are in ``docs/serving.md`` ("Rank-sharded bulk inference").
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -35,7 +38,7 @@ from repro.backend.distributed import resolve_backend_name
 from repro.comm import Communicator
 from repro.core.execution import BackendExecutionMixin
 from repro.datasets.stream import BatchStream
-from repro.engine import ExecutionPlan, LayerEngine, PipelineWorker
+from repro.engine import ExecutionPlan, LayerEngine
 from repro.exceptions import DataError, NotFittedError
 from repro.utils.arrays import row_softmax
 from repro.utils.validation import check_positive_int
@@ -63,7 +66,6 @@ def _predict_shard_program(
     batch_size: int,
     backend_spec,
     proba: bool,
-    pipeline: bool = False,
     ship_blob: bool = True,
     model_token=None,
 ) -> Optional[np.ndarray]:
@@ -104,15 +106,13 @@ def _predict_shard_program(
                 network = _REPLICA_CACHE["network"]
         # The predictor (engines + workspaces) is cached alongside the
         # replica so repeat calls also reuse warm workspaces.
-        pred_key = (model_token, int(batch_size), backend_spec, bool(pipeline))
+        pred_key = (model_token, int(batch_size), backend_spec)
         if network is _REPLICA_CACHE.get("network") and (
             _REPLICA_CACHE.get("predictor_key") == pred_key
         ):
             predictor = _REPLICA_CACHE["predictor"]
         else:
-            predictor = StreamingPredictor(
-                network, batch_size=batch_size, backend=backend_spec, pipeline=pipeline
-            )
+            predictor = StreamingPredictor(network, batch_size=batch_size, backend=backend_spec)
             if network is _REPLICA_CACHE.get("network"):
                 _REPLICA_CACHE["predictor"] = predictor
                 _REPLICA_CACHE["predictor_key"] = pred_key
@@ -124,38 +124,30 @@ def _predict_shard_program(
 
 
 class _LayerStage:
-    """One hidden layer bound to its streaming engine(s).
+    """One hidden layer bound to its streaming engine.
 
-    With ``n_buffers > 1`` the stage alternates engines (each owning one
-    workspace) per batch ordinal, so batch ``k``'s activations stay valid
-    while batch ``k+1`` is computed into the other buffer — the invariant a
-    pipelined consumer (one that holds the previous batch's view while the
-    next is in flight) needs.  The sequential ``predict_stream`` loop
-    consumes each batch before the next starts, so it defaults to a single
-    buffer.
+    The engine owns one workspace: the tile loop consumes each batch's
+    activations before the next batch overwrites them.
     """
 
-    def __init__(self, layer, backend, batch_size: int, n_buffers: int) -> None:
+    def __init__(self, layer, backend, batch_size: int) -> None:
         self.layer = layer
-        self.engines: Tuple[LayerEngine, ...] = ()
-        self.rebuild(backend, batch_size, n_buffers)
+        self.rebuild(backend, batch_size)
 
-    def rebuild(self, backend, batch_size: int, n_buffers: int) -> None:
-        plan = ExecutionPlan.for_traces(self.layer.traces, batch_size)
-        self.engines = tuple(LayerEngine(backend, plan) for _ in range(n_buffers))
+    def rebuild(self, backend, batch_size: int) -> None:
+        self.engine = LayerEngine(backend, ExecutionPlan.for_traces(self.layer.traces, batch_size))
 
     def stale(self, backend, n_rows: int) -> bool:
         traces = self.layer.traces
-        engine = self.engines[0]
+        engine = self.engine
         return (
             engine.backend is not backend
             or not engine.matches(traces.n_input, tuple(traces.hidden_sizes))
             or not engine.accommodates(n_rows)
         )
 
-    def forward(self, x: np.ndarray, ordinal: int) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         """Hidden activations for one batch (a workspace view)."""
-        engine = self.engines[ordinal % len(self.engines)]
         layer = self.layer
         # Serving honours the layer's block-sparse execution plan: a sparse
         # layer streams through the gather-GEMM kernels (packed slabs shared
@@ -163,7 +155,7 @@ class _LayerStage:
         # weight buffer is passed raw (``_weights``) so a sparse dispatch
         # never forces the full-matrix materialisation.
         sparse = layer.sparse_context() if hasattr(layer, "sparse_context") else None
-        return engine.forward(
+        return self.engine.forward(
             x,
             layer._weights if sparse is not None else layer.weights,
             layer.bias,
@@ -177,7 +169,7 @@ class _LayerStage:
         )
 
     def workspace_nbytes(self) -> int:
-        return sum(engine.workspace.nbytes() for engine in self.engines)
+        return self.engine.workspace.nbytes()
 
 
 class StreamingPredictor(BackendExecutionMixin):
@@ -198,20 +190,6 @@ class StreamingPredictor(BackendExecutionMixin):
         backend — exactly the backends ``Network.predict`` would use, so the
         equivalence guarantee holds even for stacks with explicit per-layer
         backend choices.
-    double_buffer:
-        Keep two workspaces per hidden layer and alternate between batches,
-        so batch ``k``'s activations stay valid while batch ``k+1``
-        computes.  Off by default: the sequential prediction loop consumes
-        each batch immediately, so the second buffer would only double
-        workspace memory.
-    pipeline:
-        Overlap the stages per batch: a background
-        :class:`~repro.engine.pipeline.PipelineWorker` runs the hidden
-        stages of batch ``k`` while the driver runs the *head* stage
-        (decision function, softmax/argmax, scatter) of batch ``k-1``.
-        Implies double buffering (batch ``k-1``'s representation must stay
-        valid while batch ``k`` computes).  Bit-for-bit the same outputs as
-        the sequential loop — only the schedule changes.
     comm:
         Optional :class:`repro.comm.Communicator` or transport spec string
         (``"thread:4"``, ``"process:4"``, ``"tcp://host:port?ranks=4"`` —
@@ -232,8 +210,6 @@ class StreamingPredictor(BackendExecutionMixin):
         network,
         batch_size: int = 1024,
         backend=None,
-        double_buffer: bool = False,
-        pipeline: bool = False,
         comm: Union[Communicator, str, None] = None,
     ) -> None:
         head = getattr(network, "head", None)
@@ -264,12 +240,10 @@ class StreamingPredictor(BackendExecutionMixin):
         self.head = head
         self.comm = comm
         self.batch_size = check_positive_int(batch_size, "batch_size")
-        self.pipeline = bool(pipeline)
-        self.n_buffers = 2 if (double_buffer or self.pipeline) else 1
         self.name = f"serving:{getattr(network, 'name', 'network')}"
         self._init_execution(backend)
         self._stages: List[_LayerStage] = [
-            _LayerStage(layer, self._stage_backend(layer), self.batch_size, self.n_buffers)
+            _LayerStage(layer, self._stage_backend(layer), self.batch_size)
             for layer in network.hidden_layers
         ]
 
@@ -336,21 +310,13 @@ class StreamingPredictor(BackendExecutionMixin):
         return sum(stage.workspace_nbytes() for stage in self._stages)
 
     def _ensure_capacity(self, n_rows: int) -> None:
-        """Rebuild any stage whose engines no longer fit the layer/batch/backend."""
+        """Rebuild any stage whose engine no longer fits the layer/batch/backend."""
         for stage in self._stages:
             effective = self._stage_backend(stage.layer)
             if stage.stale(effective, n_rows):
-                stage.rebuild(effective, max(int(n_rows), self.batch_size), self.n_buffers)
+                stage.rebuild(effective, max(int(n_rows), self.batch_size))
 
     # ------------------------------------------------------------- dispatch
-    def _hidden_batch(self, x: np.ndarray, ordinal: int, n_layers=None) -> np.ndarray:
-        """The hidden representation of one batch (a workspace view)."""
-        representation = x
-        for stage in self._stages[:n_layers]:
-            representation = stage.layer.input_spec.validate_batch(representation)
-            representation = stage.forward(representation, ordinal)
-        return representation
-
     def hidden_tiles(self, source: Source, n_layers: Optional[int] = None):
         """Yield ``(batch, hidden)`` for every batch of ``source``, in order.
 
@@ -364,7 +330,10 @@ class StreamingPredictor(BackendExecutionMixin):
         """
         for batch in self._as_stream(source):
             self._ensure_capacity(batch.size)
-            yield batch, self._hidden_batch(batch.x, batch.ordinal, n_layers)
+            hidden = batch.x
+            for stage in self._stages[:n_layers]:
+                hidden = stage.forward(stage.layer.input_spec.validate_batch(hidden))
+            yield batch, hidden
 
     def _scatter_batch(
         self, out: np.ndarray, batch, representation: np.ndarray, proba: bool
@@ -375,38 +344,6 @@ class StreamingPredictor(BackendExecutionMixin):
             out[batch.indices] = row_softmax(decision)
         else:
             out[batch.indices] = np.argmax(decision, axis=1)
-
-    def _stream_into(self, out: np.ndarray, stream: BatchStream, proba: bool) -> np.ndarray:
-        """Drive one stream, scattering per-batch results into ``out``.
-
-        With ``pipeline=True`` the hidden stages of batch ``k`` run on a
-        background worker while the driver runs the head stage of batch
-        ``k-1`` — the double-buffered stage engines keep batch ``k-1``'s
-        representation valid while batch ``k`` computes into the sibling
-        workspaces.  The same kernels run on the same buffers either way,
-        so the outputs are bit-for-bit identical to the sequential loop.
-        """
-        if not self.pipeline:
-            for batch, hidden in self.hidden_tiles(stream):
-                self._scatter_batch(out, batch, hidden, proba)
-            return out
-        with PipelineWorker(name=f"{self.name}-pipeline") as worker:
-            pending = None
-            for batch in stream:
-                # Capacity is settled before submitting, and mid-stream
-                # batches never grow (BatchStream yields uniform batches
-                # with a possibly-smaller tail), so the worker's engines are
-                # stable while its task is in flight.
-                self._ensure_capacity(batch.size)
-                task = worker.submit(self._hidden_batch, batch.x, batch.ordinal)
-                if pending is not None:
-                    previous, previous_task = pending
-                    self._scatter_batch(out, previous, previous_task.result(), proba)
-                pending = (batch, task)
-            if pending is not None:
-                previous, previous_task = pending
-                self._scatter_batch(out, previous, previous_task.result(), proba)
-        return out
 
     # ------------------------------------------------------------ front end
     def _as_stream(self, source: Source) -> BatchStream:
@@ -437,10 +374,10 @@ class StreamingPredictor(BackendExecutionMixin):
 
     def _stream_local(self, source: Source, proba: bool) -> np.ndarray:
         stream = self._as_stream(source)
-        n = stream.n_samples
-        if n == 0:
-            return self._output(0, proba)
-        return self._stream_into(self._output(n, proba), stream, proba)
+        out = self._output(stream.n_samples, proba)
+        for batch, hidden in self.hidden_tiles(stream):
+            self._scatter_batch(out, batch, hidden, proba)
+        return out
 
     def _model_token(self) -> tuple:
         """Serving refresh token: changes whenever the model's parameters do.
@@ -527,7 +464,6 @@ class StreamingPredictor(BackendExecutionMixin):
                 self.batch_size,
                 backend_spec,
                 proba,
-                self.pipeline,
                 ship_blob,
                 model_token,
             )
@@ -542,7 +478,6 @@ class StreamingPredictor(BackendExecutionMixin):
                 self.batch_size,
                 backend_spec,
                 proba,
-                self.pipeline,
                 ship_blob,
                 model_token,
             )
@@ -606,20 +541,16 @@ class StreamingPredictor(BackendExecutionMixin):
 
 
 def predict_stream(
-    network, source: Source, batch_size: int = 1024, backend=None, comm=None, pipeline=False
+    network, source: Source, batch_size: int = 1024, backend=None, comm=None
 ) -> np.ndarray:
     """One-shot helper: hard predictions for ``source`` at O(batch) memory."""
-    predictor = StreamingPredictor(
-        network, batch_size=batch_size, backend=backend, comm=comm, pipeline=pipeline
-    )
+    predictor = StreamingPredictor(network, batch_size=batch_size, backend=backend, comm=comm)
     return predictor.predict_stream(source)
 
 
 def predict_proba_stream(
-    network, source: Source, batch_size: int = 1024, backend=None, comm=None, pipeline=False
+    network, source: Source, batch_size: int = 1024, backend=None, comm=None
 ) -> np.ndarray:
     """One-shot helper: class probabilities for ``source`` at O(batch) memory."""
-    predictor = StreamingPredictor(
-        network, batch_size=batch_size, backend=backend, comm=comm, pipeline=pipeline
-    )
+    predictor = StreamingPredictor(network, batch_size=batch_size, backend=backend, comm=comm)
     return predictor.predict_proba_stream(source)

@@ -114,12 +114,6 @@ class ModelRunner:
     backend:
         Optional backend name/instance forced onto the whole stack
         (default: each layer's own resolved backend).
-    comm:
-        Optional :class:`repro.comm.Communicator` or transport spec string
-        (``"process:4"``, ``"tcp://host:port?ranks=8"``): serving batches
-        are row-sharded across the ranks (see
-        :class:`StreamingPredictor`).  A spec string is resolved once here
-        and released by :meth:`close`; an instance stays caller-owned.
 
     Per-request overrides
     ---------------------
@@ -134,14 +128,10 @@ class ModelRunner:
         If the network's head (or any hidden layer) is not built.
     """
 
-    def __init__(self, network, batch_size: int = 64, backend=None, comm=None) -> None:
-        from repro.comm import resolve_comm
-
+    def __init__(self, network, batch_size: int = 64, backend=None) -> None:
         self._lock = threading.Lock()
         self._backend = backend
         self._batch_size = int(batch_size)
-        self._comm = resolve_comm(comm) if isinstance(comm, str) else comm
-        self._owns_comm = isinstance(comm, str) and self._comm is not None
         self.version = 0
         self.network = None
         self.n_features = 0
@@ -167,9 +157,7 @@ class ModelRunner:
         On *any* failure building the replacement the old model keeps
         serving untouched.
         """
-        predictor = StreamingPredictor(
-            network, batch_size=self._batch_size, backend=self._backend, comm=self._comm
-        )
+        predictor = StreamingPredictor(network, batch_size=self._batch_size, backend=self._backend)
         width = self._feature_width(network)
         with self._lock:
             self.network = network
@@ -189,7 +177,7 @@ class ModelRunner:
         predictor = self._override_predictors.get(backend)
         if predictor is None:
             predictor = StreamingPredictor(
-                self.network, batch_size=self._batch_size, backend=backend, comm=self._comm
+                self.network, batch_size=self._batch_size, backend=backend
             )
             self._override_predictors[backend] = predictor
         return predictor
@@ -216,13 +204,6 @@ class ModelRunner:
             probabilities=proba,
             model_version=version,
         )
-
-    def close(self) -> None:
-        """Release the communicator when this runner resolved it from a spec."""
-        if self._owns_comm and self._comm is not None:
-            self._comm.close()
-            self._comm = None
-            self._owns_comm = False
 
 
 class ServingMetrics:

@@ -112,5 +112,66 @@ def test_ambiguous_npz_rejected(tmp_path, saved_model, encoded_higgs):
         main_predict([str(features), "--model", saved_model, "--quiet"])
 
 
+def _save(path, matrix):
+    if path.suffix == ".npy":
+        np.save(path, matrix)
+    else:
+        np.savez(path, x=matrix)
+
+
+@pytest.mark.parametrize("suffix", [".npy", ".npz"])
+def test_uint8_archive_keeps_its_dtype(
+    tmp_path, saved_model, trained_network, encoded_higgs, suffix
+):
+    """A ``uint8`` one-hot archive is not widened up front: the loader returns
+    it as stored, and the tile loop's per-tile widening gives the labels of
+    float64 input."""
+    from repro.cli import _load_feature_matrix
+
+    x = encoded_higgs["x_test"][:300]
+    compact = tmp_path / f"compact{suffix}"
+    wide = tmp_path / f"wide{suffix}"
+    _save(compact, x.astype(np.uint8))
+    _save(wide, x.astype(np.float64))
+    loaded = _load_feature_matrix(str(compact))
+    assert loaded.dtype == np.uint8
+    labels = {}
+    for path in (compact, wide):
+        output = tmp_path / f"{path.stem}.csv"
+        assert main_predict([str(path), "--model", saved_model, "--output", str(output),
+                             "--quiet"]) == 0
+        labels[path] = read_numeric_csv(output, skip_header=True)[:, 0].astype(np.int64)
+    assert np.array_equal(labels[compact], labels[wide])
+    assert np.array_equal(labels[compact], trained_network.predict(x))
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.ones((4, 280)) * (1.0 + 0.5j),  # would have lost its imaginary part
+        np.full((4, 280), "0.5"),  # would have escaped as a bare ValueError
+    ],
+    ids=["complex", "string"],
+)
+@pytest.mark.parametrize("suffix", [".npy", ".npz"])
+def test_unwidenable_archive_exits_2(tmp_path, saved_model, capsys, matrix, suffix):
+    features = tmp_path / f"features{suffix}"
+    _save(features, matrix)
+    code = main(["predict", str(features), "--model", saved_model, "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(features) in err
+    assert f"unsupported dtype {matrix.dtype}" in err
+    assert "Traceback" not in err
+
+
+def test_one_inference_path(saved_model, tmp_path, capsys):
+    """``--pipeline`` (stage-pipelined inference) is gone: an argparse error."""
+    with pytest.raises(SystemExit) as exit_info:
+        main_predict([str(tmp_path / "x.npy"), "--model", saved_model, "--pipeline"])
+    assert exit_info.value.code == 2
+    assert "--pipeline" in capsys.readouterr().err
+
+
 def test_unknown_command():
     assert main(["frobnicate"]) == 2

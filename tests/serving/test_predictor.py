@@ -119,7 +119,7 @@ class TestBackends:
         x = encoded_higgs["x_test"]
         predictor = StreamingPredictor(network, batch_size=128)
         # The stage must dispatch on the layer's own lowprec backend instance.
-        assert predictor._stages[0].engines[0].backend is network.hidden_layers[0].backend
+        assert predictor._stages[0].engine.backend is network.hidden_layers[0].backend
         assert predictor.backend.name == "lowprec-float32"
         np.testing.assert_allclose(
             predictor.predict_proba_stream(x), network.predict_proba(x), atol=1e-12
@@ -159,14 +159,6 @@ class TestStreamingMemory:
         assert peak_large - peak_small < output_growth + 256 * 1024
         assert peak_large < 2 * 1024 * 1024
 
-    def test_double_buffering_is_optional(self, trained_network, encoded_higgs):
-        x = encoded_higgs["x_test"]
-        single = StreamingPredictor(trained_network, batch_size=128)  # the default
-        double = StreamingPredictor(trained_network, batch_size=128, double_buffer=True)
-        assert double.workspace_nbytes() == 2 * single.workspace_nbytes()
-        assert np.array_equal(single.predict_stream(x), double.predict_stream(x))
-
-
     def test_forward_only_stage_holds_two_batch_buffers(self, trained_network):
         # The lean workspace: a serving stage allocates the support and
         # activation buffers (plus, on a sparse layer, the gather scratch of
@@ -186,7 +178,7 @@ class TestHiddenTiles:
     def test_tiles_are_workspace_views_in_stream_order(self, trained_network, encoded_higgs):
         x = encoded_higgs["x_test"][:300]
         predictor = StreamingPredictor(trained_network, batch_size=128)
-        workspace = predictor._stages[-1].engines[0].workspace
+        workspace = predictor._stages[-1].engine.workspace
         rows = []
         for batch, hidden in predictor.hidden_tiles(x):
             assert np.shares_memory(hidden, workspace.activations)
@@ -296,6 +288,53 @@ class TestFacadesAndLifecycle:
         trained_network.predict_stream(x, batch_size=64)
         assert trained_network._serving_predictor is not first
 
+    @pytest.mark.parametrize("option", ["pipeline", "double_buffer"])
+    def test_one_execution_path(self, trained_network, option):
+        """The plain tile loop is the only schedule: no stage pipelining, no
+        second workspace per layer."""
+        with pytest.raises(TypeError, match=option):
+            StreamingPredictor(trained_network, batch_size=64, **{option: True})
+        with pytest.raises(TypeError, match=option):
+            predict_stream(trained_network, np.zeros((1, 280)), **{option: True})
+
+    def test_masked_cache_invalidated_by_retraining(self, encoded_higgs):
+        """Regression: a predictor's cached weights*mask product must not
+        survive in-place weight refreshes between predict calls.
+
+        Weights mutate in place during training (same ndarray object), so
+        the stage engines key their cache on the layer's refresh token; a
+        stale cache would silently serve pre-retraining predictions.
+        """
+        from repro.core import (
+            BCPNNClassifier,
+            BCPNNHyperParameters,
+            Network,
+            StructuralPlasticityLayer,
+            TrainingSchedule,
+        )
+
+        x = encoded_higgs["x_train"][:512]
+        y = encoded_higgs["y_train"][:512]
+        network = Network(seed=3, name="retrain-serving")
+        network.add(
+            StructuralPlasticityLayer(
+                2, 10, hyperparams=BCPNNHyperParameters(taupdt=0.05, density=0.5), seed=1
+            )
+        )
+        network.add(BCPNNClassifier(n_classes=2))
+        schedule = TrainingSchedule(hidden_epochs=1, classifier_epochs=1, batch_size=128)
+        network.fit(x, y, input_spec=encoded_higgs["spec"], schedule=schedule)
+        predictor = StreamingPredictor(network, batch_size=128)
+        predictor.predict_proba_stream(x)  # warm the masked-product caches
+        # Continue training WITHOUT rebuilding: weights refresh in place,
+        # the mask object is unchanged — only the token can invalidate.
+        layer = network.hidden_layers[0]
+        for _ in range(5):
+            layer.train_batch(x[:128])
+        np.testing.assert_array_equal(
+            predictor.predict_proba_stream(x), network.predict_proba(x)
+        )
+
     def test_unfitted_network_rejected(self):
         from repro.core import Network, SGDClassifier
 
@@ -310,7 +349,7 @@ class TestFacadesAndLifecycle:
         reference = predictor.predict_stream(x)
         predictor.backend = "float32"
         swapped = predictor.predict_stream(x)
-        assert predictor._stages[0].engines[0].backend is predictor.backend
+        assert predictor._stages[0].engine.backend is predictor.backend
         fresh = StreamingPredictor(trained_network, batch_size=128, backend="float32")
         assert np.array_equal(swapped, fresh.predict_stream(x))
         assert not np.array_equal(

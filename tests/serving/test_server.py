@@ -531,3 +531,30 @@ class TestCLIServe:
             conn.close()
         assert response.status == 200
         assert doc["predictions"] == trained_network.predict(rows).tolist()
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--batch-deadline-ms", "0"), ("--request-timeout-ms", "-5")]
+    )
+    def test_bad_deadline_exits_2_without_a_traceback(
+        self, tmp_path, trained_network, capsys, flag, value
+    ):
+        from repro.cli import main
+        from repro.core import save_network
+
+        model_path = save_network(trained_network, tmp_path / "model.npz")
+        code = main(["serve", "--model", str(model_path), "--port", "0", flag, value, "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be positive" in err
+        assert "Traceback" not in err
+
+    def test_serving_runs_in_the_server_process_only(self, trained_network, capsys):
+        """One inference path: no rank-sharded serving behind the endpoint."""
+        from repro.cli import main_serve
+
+        with pytest.raises(SystemExit) as exit_info:
+            main_serve(["--model", "model.npz", "--comm", "process:2"])
+        assert exit_info.value.code == 2
+        assert "--comm" in capsys.readouterr().err
+        with pytest.raises(TypeError, match="comm"):
+            ModelRunner(trained_network, batch_size=64, comm="thread:2")
