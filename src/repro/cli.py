@@ -34,8 +34,10 @@ JSON report.
 ``tcp://host:port?ranks=8`` (sockets, multi-host; ``process:4`` is 4 ranks
 on loopback tcp) or ``mpi`` — to run data-parallel training / rank-sharded
 bulk inference / the comm-throughput benchmark over a :mod:`repro.comm`
-transport.  ``serve`` has one path: every micro-batch runs the plain tile
-loop in the server process.
+transport.  ``predict --comm`` beats the plain loop only on tens of
+thousands of rows with ``OPENBLAS_NUM_THREADS=1`` (docs/serving.md).
+``serve`` has one path: every micro-batch runs the plain tile loop in the
+server process.
 ``--comm help`` prints the capability table (multihost / fault-tolerant /
 nonblocking per transport); the legacy ``--ranks N`` flag still works for
 bare transport names.  ``train`` also accepts ``--fault-tolerance``

@@ -14,18 +14,17 @@ equal the layers' own ``forward`` up to the backend's declared precision
 (bit-for-bit on the NumPy backend at equal tile boundaries —
 ``tests/serving`` and ``tests/core/test_network_memory.py`` enforce both).
 
-With ``comm=`` (a :class:`repro.comm.Communicator`) bulk inference is
-**multi-rank**:
-the rows are scattered over the communicator ranks through
-:meth:`~repro.comm.Communicator.scatter_rows`, every rank (worker
-threads/processes included; rank 0 is the driver, inline) streams its shard
-through its own replica, and the per-rank outputs are combined with a
-**single** ``allgather`` — one gather per call, independent of the number of
-batches.  On the tcp transport the model crosses the process boundary once
+With ``StreamingPredictor(comm=)`` (a :class:`repro.comm.Communicator`)
+bulk inference is **multi-rank**: the rows are scattered over the
+communicator ranks through :meth:`~repro.comm.Communicator.scatter_rows`,
+every rank (worker threads/processes included; rank 0 is the driver,
+inline) streams its shard through its own replica, and the per-rank outputs
+are combined with a **single** ``allgather`` — one gather per call,
+independent of the number of batches.  On the tcp transport the model crosses the process boundary once
 per model version as a broadcast npz blob (raw frames, no pickling of live
-layers).  Sharding pays only on large inputs whose ranks have cores that
-BLAS does not already use, e.g. one BLAS thread per rank; the measurements
-are in ``docs/serving.md`` ("Rank-sharded bulk inference").
+layers).  Sharding pays only on large inputs (about 20k rows and up) with
+one BLAS thread per rank; the measurements are in ``docs/serving.md``
+("Rank-sharded bulk inference").
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from repro.datasets.stream import BatchStream
 from repro.engine import ExecutionPlan, LayerEngine
 from repro.exceptions import DataError, NotFittedError
 from repro.utils.arrays import row_softmax
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_numeric_dtype, check_positive_int
 
 __all__ = ["StreamingPredictor", "predict_stream", "predict_proba_stream"]
 
@@ -49,10 +48,10 @@ Source = Union[np.ndarray, BatchStream]
 
 
 #: Worker-process-resident model replica: ``{"token": ..., "network": ...}``.
-#: ``TCPComm`` workers are persistent, so a replica rebuilt from one
-#: predict call's broadcast blob can serve every subsequent call until the
-#: driver's model actually changes (detected through the serving refresh
-#: token) — the blob then stops crossing the process boundary entirely.
+#: ``TCPComm`` workers are persistent, so a replica rebuilt from one sharded
+#: bulk call's broadcast blob can serve every later call until the driver's
+#: model actually changes (detected through the model token) — the blob then
+#: stops crossing the process boundary entirely.
 _REPLICA_CACHE: dict = {}
 
 
@@ -78,7 +77,7 @@ def _predict_shard_program(
     workspaces); tcp ranks receive it as a broadcast npz blob
     (``ship_model=True, ship_blob=True``) and rebuild a local replica —
     raw array frames, never pickled — which they then *cache* keyed on
-    the driver's serving refresh token, so repeat calls with an unchanged
+    the driver's model token, so repeat calls with an unchanged
     model skip the broadcast and the rebuild entirely
     (``ship_blob=False``).  The per-rank outputs are combined with one
     ragged ``allgather`` (no padding needed — shapes travel with the
@@ -380,7 +379,7 @@ class StreamingPredictor(BackendExecutionMixin):
         return out
 
     def _model_token(self) -> tuple:
-        """Serving refresh token: changes whenever the model's parameters do.
+        """Model token for sharded bulk calls: changes whenever the parameters do.
 
         Built from a per-network-instance nonce plus every layer's in-place
         refresh generation (``weights_token``), its mask generation
@@ -426,12 +425,13 @@ class StreamingPredictor(BackendExecutionMixin):
         Thread ranks read the driver's live network directly; tcp ranks
         receive it as a broadcast npz blob (a ``uint8`` array sent as raw
         frames, nothing layer-sized is pickled) — **once per model
-        version**: the blob broadcast is skipped whenever the serving
-        refresh token matches what this communicator's workers already hold
-        (they cache the rebuilt replica), so steady-state serving moves only
-        the rows and the predictions.  Each rank streams its contiguous
-        shard through a local predictor, and one ragged ``allgather``
-        recombines the results in rank order.
+        version**: the blob broadcast is skipped whenever the model token
+        matches what this communicator's workers already hold (they cache
+        the rebuilt replica), so repeat bulk calls move only the rows and
+        the predictions.  The rows travel in their stored dtype (one byte
+        per unit for a ``uint8`` one-hot matrix); each rank widens per tile
+        while it streams its contiguous shard through a local predictor,
+        and one ragged ``allgather`` recombines the results in rank order.
         """
         comm = self.comm
         # Transports whose worker ranks live in other processes (or on other
@@ -453,7 +453,7 @@ class StreamingPredictor(BackendExecutionMixin):
                 blob = np.frombuffer(network_to_bytes(self.network), dtype=np.uint8)
         backend_spec = resolve_backend_name(self._backend_spec, self._backend)
         shared_network = None if ship_model else self.network
-        x = np.ascontiguousarray(x, dtype=np.float64)
+        x = np.ascontiguousarray(check_numeric_dtype(x))
         rank_args: List[tuple] = [
             (
                 self,
@@ -540,17 +540,15 @@ class StreamingPredictor(BackendExecutionMixin):
         )
 
 
-def predict_stream(
-    network, source: Source, batch_size: int = 1024, backend=None, comm=None
-) -> np.ndarray:
+def predict_stream(network, source: Source, batch_size: int = 1024, backend=None) -> np.ndarray:
     """One-shot helper: hard predictions for ``source`` at O(batch) memory."""
-    predictor = StreamingPredictor(network, batch_size=batch_size, backend=backend, comm=comm)
+    predictor = StreamingPredictor(network, batch_size=batch_size, backend=backend)
     return predictor.predict_stream(source)
 
 
 def predict_proba_stream(
-    network, source: Source, batch_size: int = 1024, backend=None, comm=None
+    network, source: Source, batch_size: int = 1024, backend=None
 ) -> np.ndarray:
     """One-shot helper: class probabilities for ``source`` at O(batch) memory."""
-    predictor = StreamingPredictor(network, batch_size=batch_size, backend=backend, comm=comm)
+    predictor = StreamingPredictor(network, batch_size=batch_size, backend=backend)
     return predictor.predict_proba_stream(source)

@@ -33,11 +33,11 @@ Endpoints
     *between* micro-batches — an in-flight batch finishes on the version it
     started with, and every response reports the version that served it.
 
-The hot-swap rides the serving refresh machinery from the bulk path: a
-swap installs a freshly built :class:`StreamingPredictor` (new engines and
-workspaces), so no cached weights*mask product or sparse pack of the old
-model can leak into the new version, and the old version's in-flight batch
-keeps its own workspaces until it completes.
+The hot-swap needs no cache invalidation of its own: a swap installs a
+freshly built :class:`StreamingPredictor` (new engines and workspaces), so
+no cached weights*mask product or sparse pack of the old model can leak
+into the new version, and the old version's in-flight batch keeps its own
+workspaces until it completes.
 """
 
 from __future__ import annotations

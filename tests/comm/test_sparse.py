@@ -3,8 +3,8 @@
 * data-parallel training with the block-sparse plan stays rank-invariant on
   every transport (each replica compiles the same mask, so it takes the same
   plan as rank 0);
-* tcp-transport serving caches worker-resident model replicas keyed on
-  the serving refresh token: the npz blob is broadcast once per model
+* tcp-transport sharded bulk inference caches worker-resident model
+  replicas keyed on the model token: the npz blob is broadcast once per model
   version, not once per call, and a retrain invalidates the cache.
 """
 

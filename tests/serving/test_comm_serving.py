@@ -36,6 +36,36 @@ class TestCommSharding:
         predictor = StreamingPredictor(trained_network, batch_size=64, comm=tcp_pool)
         assert np.array_equal(predictor.predict_stream(inputs), expected)
 
+    @pytest.mark.parametrize("transport", ["thread", "tcp"])
+    def test_shards_keep_the_stored_dtype(
+        self, trained_network, inputs, tcp_pool, monkeypatch, transport
+    ):
+        """A ``uint8`` one-hot matrix is scattered one byte per unit; each
+        rank widens per tile, so the labels equal those of float64 input."""
+        assert inputs.dtype == np.uint8
+        seen = []
+        stream_local = StreamingPredictor._stream_local
+
+        def recording(predictor, source, proba):
+            seen.append(source.dtype)
+            return stream_local(predictor, source, proba)
+
+        monkeypatch.setattr(StreamingPredictor, "_stream_local", recording)
+        expected = trained_network.predict(inputs.astype(np.float64))
+        with ThreadComm(2) as thread_comm:
+            comm = thread_comm if transport == "thread" else tcp_pool
+            predictor = StreamingPredictor(trained_network, batch_size=64, comm=comm)
+            assert np.array_equal(predictor.predict_stream(inputs), expected)
+        # Thread ranks and the inline tcp rank 0 run in this process.
+        assert seen and all(dtype == np.uint8 for dtype in seen)
+
+    def test_unwidenable_rows_rejected_before_the_scatter(self, trained_network, inputs):
+        with ThreadComm(2) as comm:
+            predictor = StreamingPredictor(trained_network, batch_size=64, comm=comm)
+            with pytest.raises(DataError, match="complex"):
+                predictor.predict_stream(inputs.astype(np.complex128))
+            assert comm.collective_calls["scatter"] == 0
+
     def test_single_gather_per_call(self, trained_network, inputs):
         with ThreadComm(2) as comm:
             predictor = StreamingPredictor(trained_network, batch_size=32, comm=comm)

@@ -6,7 +6,7 @@ The central contracts:
   NumPy backend (and within each backend's declared precision elsewhere);
 * peak allocation while streaming is O(batch), independent of input length.
 
-Rank-sharded serving (``comm=``) is covered by ``test_comm_serving.py``.
+Rank-sharded bulk inference (``comm=``) is covered by ``test_comm_serving.py``.
 """
 
 import tracemalloc
@@ -288,14 +288,17 @@ class TestFacadesAndLifecycle:
         trained_network.predict_stream(x, batch_size=64)
         assert trained_network._serving_predictor is not first
 
-    @pytest.mark.parametrize("option", ["pipeline", "double_buffer"])
+    @pytest.mark.parametrize("option", ["pipeline", "double_buffer", "comm"])
     def test_one_execution_path(self, trained_network, option):
         """The plain tile loop is the only schedule: no stage pipelining, no
-        second workspace per layer."""
-        with pytest.raises(TypeError, match=option):
-            StreamingPredictor(trained_network, batch_size=64, **{option: True})
-        with pytest.raises(TypeError, match=option):
-            predict_stream(trained_network, np.zeros((1, 280)), **{option: True})
+        second workspace per layer, and rank sharding is opted into on a
+        ``StreamingPredictor`` only, never through the one-shot helpers."""
+        if option != "comm":
+            with pytest.raises(TypeError, match=option):
+                StreamingPredictor(trained_network, batch_size=64, **{option: True})
+        for helper in (predict_stream, predict_proba_stream):
+            with pytest.raises(TypeError, match=option):
+                helper(trained_network, np.zeros((1, 280)), **{option: True})
 
     def test_masked_cache_invalidated_by_retraining(self, encoded_higgs):
         """Regression: a predictor's cached weights*mask product must not
