@@ -688,6 +688,9 @@ class DistributedTrainer:
         statistics once the structural-plasticity mask is frozen for the
         remainder of the run, shrinking the reduced payload by roughly the
         mask density (see :func:`train_layer_program` for both contracts).
+        This is the only place either mode can be set: ``Network.fit``
+        always runs ``"auto"``, and ``"off"`` exists for the blocking side
+        of the A/B in :mod:`repro.instrumentation.overlap_bench`.
 
         ``on_epoch_end`` is invoked on the driver after the program
         completes (the callback cannot cross a process boundary), in epoch

@@ -7,7 +7,9 @@ Six entry points are installed (see ``pyproject.toml``):
                          layered defaults, dotted ``--set`` overrides,
                          optional hyperopt search and serving — see
                          ``docs/configs.md``.
-* ``repro-train``      — train one Higgs classifier and print accuracy/AUC.
+* ``repro-train``      — train one Higgs classifier and print accuracy/AUC;
+                         ``repro train --FLAG V`` runs what ``repro run
+                         --set PATH=V`` runs (:data:`TRAIN_FLAGS`).
 * ``repro-sweep``      — run a paper experiment sweep (capacity, receptive
                          field, related work, precision, distributed).
 * ``repro-benchmark``  — print the analytical BCPNN cost model and time the
@@ -34,13 +36,13 @@ JSON report.
 ``tcp://host:port?ranks=8`` (sockets, multi-host; ``process:4`` is 4 ranks
 on loopback tcp) or ``mpi`` — to run data-parallel training / rank-sharded
 bulk inference / the comm-throughput benchmark over a :mod:`repro.comm`
-transport.  ``predict --comm`` beats the plain loop only on tens of
-thousands of rows with ``OPENBLAS_NUM_THREADS=1`` (docs/serving.md).
+transport.  The rank count is part of the spec.  ``predict --comm`` beats
+the plain loop only on tens of thousands of rows with
+``OPENBLAS_NUM_THREADS=1`` (docs/serving.md).
 ``serve`` has one path: every micro-batch runs the plain tile loop in the
 server process.
 ``--comm help`` prints the capability table (multihost / fault-tolerant /
-nonblocking per transport); the legacy ``--ranks N`` flag still works for
-bare transport names.  ``train`` also accepts ``--fault-tolerance``
+nonblocking per transport).  ``train`` also accepts ``--fault-tolerance``
 (recover from crashed ranks mid-run on the tcp transport); crashes are
 injected through ``REPRO_FAULTS`` (see :mod:`repro.faults`).
 
@@ -48,7 +50,8 @@ injected through ``REPRO_FAULTS`` (see :mod:`repro.faults`).
 double-buffered training loop; identical results) and
 ``--weight-refresh-tol TOL`` (stale-weights caching: skip the per-batch
 ``traces_to_weights`` refresh while the accumulated taupdt-scaled trace
-drift stays under TOL; 0 = exact).
+drift stays under TOL; 0 = exact; under ``--comm``, TOL > 0 also overlaps
+each batch's allreduce with the next batch's forward).
 """
 
 from __future__ import annotations
@@ -64,15 +67,12 @@ import numpy as np
 from repro import kernels
 from repro.backend import get_backend, list_backends
 from repro.experiments import (
-    HiggsExperimentConfig,
     get_scale,
-    prepare_higgs_data,
     run_capacity_sweep,
     run_distributed_equivalence,
     run_precision_ablation,
     run_receptive_field_sweep,
     run_related_work_comparison,
-    train_and_evaluate,
 )
 from repro.instrumentation import BCPNNCostModel, RepeatTimer, format_table
 from repro.instrumentation.reports import dump_json_report
@@ -89,37 +89,25 @@ __all__ = [
 ]
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
+def _add_common(parser: argparse.ArgumentParser, seed: bool = True) -> None:
+    if seed:
+        parser.add_argument("--seed", type=int, default=0, help="random seed")
     parser.add_argument("--scale", choices=["small", "full"], default=None, help="experiment scale")
     parser.add_argument("--json", type=str, default=None, help="write results to this JSON file")
     parser.add_argument("--quiet", action="store_true", help="suppress progress logging")
 
 
+_COMM_HELP = (
+    "communicator transport spec for data-parallel execution: "
+    "'serial', 'thread:N', 'tcp://host:port?ranks=N' (multi-host "
+    "sockets), 'process:N' (loopback tcp) or 'mpi'; pass 'help' to "
+    "print the transport capability table and exit"
+)
+
+
 def _add_comm(parser: argparse.ArgumentParser) -> None:
-    """``--comm``/``--ranks``: select a repro.comm transport spec and size."""
-    parser.add_argument(
-        "--comm",
-        type=str,
-        default=None,
-        metavar="SPEC",
-        help=(
-            "communicator transport spec for data-parallel execution: "
-            "'serial', 'thread:N', 'tcp://host:port?ranks=N' (multi-host "
-            "sockets), 'process:N' (loopback tcp) or 'mpi'; pass 'help' to "
-            "print the transport capability table and exit"
-        ),
-    )
-    parser.add_argument(
-        "--ranks",
-        type=int,
-        default=None,
-        help=(
-            "legacy rank count for bare transport names (deprecated: embed "
-            "the count in --comm, e.g. 'thread:4'; N > 1 alone implies the "
-            "thread transport)"
-        ),
-    )
+    """``--comm``: select a repro.comm transport spec (rank count included)."""
+    parser.add_argument("--comm", type=str, default=None, metavar="SPEC", help=_COMM_HELP)
 
 
 def _print_comm_help() -> None:
@@ -145,67 +133,31 @@ def _print_comm_help() -> None:
     )
 
 
+_PIPELINE_HELP = (
+    "overlapped training loop: double-buffered engine workspaces, "
+    "prefetched batch gathers and off-thread monitoring reductions "
+    "(identical results, different work schedule)"
+)
+_TOL_HELP = (
+    "stale-weights tolerance: skip the per-batch traces_to_weights "
+    "refresh while the accumulated taupdt-scaled trace drift stays "
+    "under TOL (0 = refresh every batch, exact); under --comm, TOL > 0 "
+    "also overlaps each batch's allreduce with the next batch's forward"
+)
+
+
 def _add_pipeline(parser: argparse.ArgumentParser, default_tol: float = 0.0) -> None:
     """``--pipeline``/``--weight-refresh-tol``: pipelined training options."""
-    # Exact flag names only, so a prefix such as ``--sparse`` is an error
-    # rather than a silent ``--sparse-payload``.
+    # Exact flag names only: a prefix is an error, never a silent expansion.
     parser.allow_abbrev = False
-    parser.add_argument(
-        "--pipeline",
-        action="store_true",
-        help=(
-            "overlapped training loop: double-buffered engine workspaces, "
-            "prefetched batch gathers and off-thread monitoring reductions "
-            "(identical results, different work schedule)"
-        ),
-    )
+    parser.add_argument("--pipeline", action="store_true", help=_PIPELINE_HELP)
     parser.add_argument(
         "--weight-refresh-tol",
         type=float,
         default=default_tol,
         metavar="TOL",
-        help=(
-            "stale-weights tolerance: skip the per-batch traces_to_weights "
-            "refresh while the accumulated taupdt-scaled trace drift stays "
-            f"under TOL (0 = refresh every batch, exact; default {default_tol:g})"
-        ),
+        help=f"{_TOL_HELP} (default {default_tol:g})",
     )
-    parser.add_argument(
-        "--comm-overlap",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help=(
-            "overlap the per-batch statistics allreduce behind the next "
-            "batch's forward via nonblocking collectives (requires "
-            "--weight-refresh-tol > 0; at tol=0 every mode is the exact "
-            "blocking schedule; default auto)"
-        ),
-    )
-    parser.add_argument(
-        "--sparse-payload",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help=(
-            "pack only active-row outer-product statistics into the "
-            "allreduce once the plasticity mask is frozen for the rest of "
-            "the run (auto: frozen sub-unity-density masks only; default auto)"
-        ),
-    )
-
-
-def _build_comm(args: argparse.Namespace):
-    """Resolve the ``--comm``/``--ranks`` flags into a communicator (or None).
-
-    Delegates to :func:`repro.comm.factory.resolve_comm` — the same resolver
-    ``repro run`` applies to ``training.comm``/``training.ranks`` — so the
-    flag and config paths cannot diverge.  Returns ``None`` when neither
-    flag was given, keeping the historical single-process code paths
-    untouched; ``--ranks N`` without ``--comm`` defaults to the thread
-    transport.
-    """
-    from repro.comm.factory import resolve_comm
-
-    return resolve_comm(args.comm, args.ranks)
 
 
 def _finish(result: Dict[str, object], args: argparse.Namespace) -> int:
@@ -218,27 +170,47 @@ def _finish(result: Dict[str, object], args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------- training
-def main_train(argv: Optional[List[str]] = None) -> int:
-    """Train a single Higgs classifier from the command line."""
+#: ``repro train``'s settings flags: (flag, dotted schema path, help).  A flag
+#: takes its type from the schema field and has no default of its own, so
+#: ``repro train --FLAG V`` composes exactly what ``repro run --set PATH=V``
+#: does.  Boolean fields are switches that set ``true``.
+TRAIN_FLAGS = (
+    ("--hcus", "model.n_hypercolumns", "number of hidden hypercolumns"),
+    ("--mcus", "model.n_minicolumns", "minicolumns per hypercolumn"),
+    ("--density", "model.density", "receptive-field density"),
+    ("--head", "model.head", "classification head: sgd or bcpnn"),
+    ("--events", "dataset.n_events", "number of events"),
+    ("--higgs-path", "dataset.params.path", "path to a real HIGGS.csv[.gz]"),
+    ("--seed", "seed", "random seed"),
+    ("--epochs", "training.hidden_epochs", "hidden-layer epochs"),
+    ("--backend", "training.backend", f"compute backend ({', '.join(list_backends())})"),
+    ("--comm", "training.comm", _COMM_HELP),
+    ("--pipeline", "training.pipeline", _PIPELINE_HELP),
+    ("--weight-refresh-tol", "training.weight_refresh_tol", _TOL_HELP),
+    ("--fault-tolerance", "training.fault_tolerance", "recover crashed ranks (tcp, process:N)"),
+    ("--checkpoint-dir", "training.checkpoint_dir", "write durable checkpoints into this dir"),
+    ("--checkpoint-every", "training.checkpoint_every", "checkpoint every N epoch boundaries"),
+    ("--checkpoint-keep", "training.checkpoint_keep", "keep the newest N checkpoints"),
+    ("--resume", "training.resume", "resume bitwise from the latest checkpoint"),
+)
+
+
+def _train_parser() -> argparse.ArgumentParser:
+    from repro.config.schema import field_type
+
     parser = argparse.ArgumentParser(
-        prog="repro-train", description="Train a BCPNN Higgs classifier and report accuracy/AUC."
+        prog="repro-train",
+        description=(
+            "Train a BCPNN Higgs classifier and report accuracy/AUC.  Every "
+            "settings flag is a spelling of one config field (repro run --set "
+            "PATH=VALUE); unset fields keep the schema defaults."
+        ),
+        allow_abbrev=False,
     )
-    parser.add_argument("--hcus", type=int, default=1, help="number of hidden hypercolumns")
-    parser.add_argument("--mcus", type=int, default=150, help="minicolumns per hypercolumn")
-    parser.add_argument("--density", type=float, default=0.4, help="receptive-field density")
-    parser.add_argument(
-        "--head", choices=["sgd", "bcpnn"], default="sgd", help="classification head"
-    )
-    parser.add_argument(
-        "--events", type=int, default=None, help="number of events (default: scale)"
-    )
-    parser.add_argument("--epochs", type=int, default=None, help="hidden-layer epochs")
-    parser.add_argument(
-        "--backend", type=str, default="numpy", help=f"backend ({', '.join(list_backends())})"
-    )
-    parser.add_argument(
-        "--higgs-path", type=str, default=None, help="path to a real HIGGS.csv[.gz]"
-    )
+    for flag, path, help_text in TRAIN_FLAGS:
+        typ = field_type(path)
+        kind = {"action": "store_const", "const": True} if typ is bool else {"type": typ}
+        parser.add_argument(flag, default=argparse.SUPPRESS, help=f"{help_text} [{path}]", **kind)
     parser.add_argument(
         "--save-model",
         type=str,
@@ -246,99 +218,50 @@ def main_train(argv: Optional[List[str]] = None) -> int:
         metavar="PATH",
         help="save the trained network as a .npz archive (consumed by repro-predict)",
     )
-    parser.add_argument(
-        "--fault-tolerance",
-        action="store_true",
-        help=(
-            "recover from crashed ranks mid-training (fault-tolerant "
-            "transport: tcp, including process:N); the dead rank is respawned or "
-            "re-admitted and training resumes from the last epoch boundary"
-        ),
-    )
-    parser.add_argument(
-        "--checkpoint-dir",
-        type=str,
-        default=None,
-        metavar="DIR",
-        help=(
-            "durable training checkpoints: write an atomic, checksummed "
-            "checkpoint into DIR at epoch boundaries (see docs/reliability.md)"
-        ),
-    )
-    parser.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=1,
-        metavar="N",
-        help="checkpoint every N epoch boundaries (default 1)",
-    )
-    parser.add_argument(
-        "--checkpoint-keep",
-        type=int,
-        default=3,
-        metavar="N",
-        help="keep the newest N checkpoints, rotating older ones out (default 3)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "resume from the latest checkpoint in --checkpoint-dir; the run "
-            "continues bitwise-identically to an uninterrupted one at "
-            "--weight-refresh-tol 0 (hyperparameters must match — the "
-            "checkpoint's schedule fingerprint is verified)"
-        ),
-    )
-    _add_common(parser)
-    _add_comm(parser)
-    _add_pipeline(parser)
-    args = parser.parse_args(argv)
-    if args.comm == "help":
+    _add_common(parser, seed=False)
+    return parser
+
+
+def _train_config(args: argparse.Namespace):
+    """Compose the :class:`~repro.config.ExperimentConfig` a train invocation names.
+
+    Layers: schema defaults < the ``--scale`` sizes < the given flags.
+    """
+    from repro.config import compose_config
+
+    scale = get_scale(args.scale)
+    sizes = {
+        "dataset": {"n_events": scale.n_events},
+        "training": {
+            "hidden_epochs": scale.hidden_epochs,
+            "classifier_epochs": scale.classifier_epochs,
+            "batch_size": scale.batch_size,
+        },
+    }
+    overrides: Dict[str, object] = {}
+    for flag, path, _ in TRAIN_FLAGS:
+        dest = flag[2:].replace("-", "_")
+        if dest in args:
+            *sections, leaf = path.split(".")
+            node = overrides
+            for section in sections:
+                node = node.setdefault(section, {})
+            node[leaf] = getattr(args, dest)
+    return compose_config(sizes, overrides=overrides, source="repro train")
+
+
+def main_train(argv: Optional[List[str]] = None) -> int:
+    """Train a single Higgs classifier from the command line."""
+    from repro.config import run_experiment
+
+    args = _train_parser().parse_args(argv)
+    if getattr(args, "comm", None) == "help":
         _print_comm_help()
         return 0
     if not args.quiet:
         enable_console_logging()
-
-    scale = get_scale(args.scale)
-    config = HiggsExperimentConfig(
-        n_hypercolumns=args.hcus,
-        n_minicolumns=args.mcus,
-        density=args.density,
-        head=args.head,
-        n_events=args.events or scale.n_events,
-        hidden_epochs=args.epochs or scale.hidden_epochs,
-        classifier_epochs=scale.classifier_epochs,
-        batch_size=scale.batch_size,
-        backend=args.backend,
-        seed=args.seed,
-        pipeline=args.pipeline,
-        weight_refresh_tol=args.weight_refresh_tol,
-        comm_overlap=args.comm_overlap,
-        sparse_payload=args.sparse_payload,
-        fault_tolerance=args.fault_tolerance,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_keep=args.checkpoint_keep,
-        resume=args.resume,
-    )
-    data = prepare_higgs_data(
-        n_events=config.n_events, n_bins=config.n_bins, seed=args.seed, path=args.higgs_path
-    )
-    comm = _build_comm(args)
-    try:
-        result = train_and_evaluate(config, data=data, comm=comm)
-    finally:
-        if comm is not None:
-            comm.close()
-    ranks_note = ""
-    if comm is not None:
-        result["comm"] = {"transport": comm.transport, "ranks": int(comm.size)}
-        ranks_note = f"  ranks={comm.size} ({comm.transport})"
-    print(
-        f"accuracy={result['accuracy']:.4f}  auc={result['auc']:.4f}  "
-        f"log_loss={result['log_loss']:.4f}  train_time={result['train_seconds']:.1f}s"
-        + ranks_note
-    )
+    result = run_experiment(_train_config(args))
+    _summarize_run(result)
     if args.save_model:
         from repro.core import save_network
 
@@ -387,22 +310,19 @@ def main_sweep(argv: Optional[List[str]] = None) -> int:
         result = runner(scale=scale, seed=args.seed)
     elif args.experiment == "distributed":
         # The distributed sweep compares rank counts on one comm transport;
-        # --comm picks the transport (spec ranks / --ranks cap the sweep).
+        # --comm picks the transport (its rank count caps the sweep).
         from repro.comm import parse_transport_spec
 
         spec = parse_transport_spec(args.comm) if args.comm else None
         kwargs = {"transport": spec.name if spec else "thread"}
-        ranks = args.ranks if args.ranks is not None else (spec.ranks if spec else None)
-        if ranks is not None:
-            kwargs["rank_counts"] = (1, int(ranks))
+        if spec is not None and spec.ranks is not None:
+            kwargs["rank_counts"] = (1, int(spec.ranks))
         result = runner(
             scale=scale,
             seed=args.seed,
             backend=args.backend,
             pipeline=args.pipeline,
             weight_refresh_tol=args.weight_refresh_tol,
-            comm_overlap=args.comm_overlap,
-            sparse_payload=args.sparse_payload,
             **kwargs,
         )
     else:
@@ -557,15 +477,13 @@ def main_benchmark(argv: Optional[List[str]] = None) -> int:
         result["pipelined_training"] = pipelined
         result["table"] = result["table"] + "\n" + pipeline_table
 
-    # Per-transport collective throughput (opted in with --comm/--ranks):
-    # the payload is the trace matrix one data-parallel batch allreduces.
-    if args.comm is not None or args.ranks is not None:
+    # Per-transport collective throughput (opted in with --comm): the
+    # payload is the trace matrix one data-parallel batch allreduces.
+    if args.comm is not None:
         from repro.comm.benchmark import measure_comm_throughput
 
-        transports = (args.comm,) if args.comm else ("serial", "thread", "tcp")
         comm_result = measure_comm_throughput(
-            transports=transports,
-            ranks=int(args.ranks) if args.ranks else 2,
+            transports=(args.comm,),
             shape=(args.inputs + 1, n_hidden),
             repeats=args.repeats * 4,
         )
@@ -617,6 +535,7 @@ def _load_feature_matrix(path: str) -> np.ndarray:
 
 def main_predict(argv: Optional[List[str]] = None) -> int:
     """Streaming bulk inference: saved model + CSV/npz features -> predictions."""
+    from repro.comm.factory import resolve_comm
     from repro.core import load_network
     from repro.datasets.csvio import write_numeric_csv
     from repro.serving import StreamingPredictor
@@ -654,7 +573,7 @@ def main_predict(argv: Optional[List[str]] = None) -> int:
 
     network = load_network(args.model)
     x = _load_feature_matrix(args.input)
-    comm = _build_comm(args)
+    comm = resolve_comm(args.comm)
     predictor = StreamingPredictor(
         network, batch_size=args.batch_size, backend=args.backend, comm=comm
     )
@@ -860,9 +779,8 @@ def main_run(argv: Optional[List[str]] = None) -> int:
             "Run experiments described by declarative config files.  Each "
             "config layers built-in defaults < the scenario's defaults < the "
             "file < dotted --set overrides, is validated against the typed "
-            "schema, and then trains through exactly the same pipeline as "
-            "the repro-train flags (bitwise-identical results for equivalent "
-            "inputs).  JSON configs always load; YAML needs PyYAML "
+            "schema, and then trains (repro-train's flags are a spelling of "
+            "the same fields).  JSON configs always load; YAML needs PyYAML "
             "(pip install 'repro-bcpnn[yaml]').  See docs/configs.md."
         ),
     )

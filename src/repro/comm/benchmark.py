@@ -1,7 +1,7 @@
 """Per-transport collective throughput measurement.
 
 Used by ``benchmarks/bench_kernels.py`` (the ``comm_throughput`` section of
-``BENCH_kernels.json``) and by ``repro benchmark --comm ... --ranks ...`` so
+``BENCH_kernels.json``) and by ``repro benchmark --comm SPEC`` so
 the communicator subsystem lands with a tracked perf trajectory alongside
 the compute kernels.  The payload defaults to the Higgs-sized trace matrix
 (the array data-parallel training allreduces once per batch), so the figure

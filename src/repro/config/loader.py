@@ -93,9 +93,8 @@ def load_config_file(path: Union[str, Path]) -> Dict[str, Any]:
 def _parse_scalar(text: str) -> Any:
     """Interpret a ``--set`` value: JSON scalar if it parses, else a string.
 
-    JSON (not YAML) semantics on purpose: ``on``/``off`` stay strings — they
-    are mode names in this schema, and YAML 1.1's boolean coercion of them
-    is exactly the surprise this avoids.
+    JSON (not YAML) semantics on purpose: ``on``/``off`` stay strings, so a
+    string field never meets YAML 1.1's silent boolean coercion of them.
     """
     try:
         return json.loads(text)

@@ -1,11 +1,9 @@
 """Execute a validated :class:`~repro.config.schema.ExperimentConfig`.
 
-``run_experiment`` is the programmatic core of ``repro run``: resolve the
-scenario, prepare its data, train and evaluate — through *exactly* the same
-code path as the historical ``repro train`` flags (one shared comm resolver,
-one ``HiggsExperimentConfig``, one ``train_and_evaluate``), so a config file
-and the equivalent flag invocation produce bitwise-identical weights and
-predictions (test-enforced).
+``run_experiment`` is the programmatic core of ``repro run`` and ``repro
+train`` (whose flags are a spelling of the same config): resolve the
+scenario, prepare its data, train and evaluate through one shared comm
+resolver and one ``train_and_evaluate``.
 
 When ``hyperopt.enabled`` the single run is replaced by a search over the
 declared space (parameter names are dotted config paths applied as

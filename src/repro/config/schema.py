@@ -15,13 +15,13 @@ top-level ``seed``.  Every section is a frozen dataclass, and
   backend names ...) raise with the path and the legal domain;
 * **cross-field contradictions** — combinations that each validate alone but
   cannot mean anything together — raise naming the field that must change
-  (e.g. ``training.comm_overlap: on`` with a single-rank serial
-  communicator).
+  (e.g. ``training.fault_tolerance: true`` on a transport that cannot
+  recover a rank).
 
-The schema deliberately mirrors the ``repro train`` flag surface so that a
-config file and a flag invocation build byte-identical
-:class:`~repro.experiments.config.HiggsExperimentConfig` objects
-(test-enforced in ``tests/config/test_runner.py``).
+``repro train`` is a flag spelling of this schema: each of its settings
+flags names one dotted field here (``cli.TRAIN_FLAGS``) and takes its type
+from :func:`field_type`, so a flag invocation and the equivalent
+``repro run --set`` compose the same :class:`ExperimentConfig`.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ __all__ = [
     "ExperimentConfig",
     "build_config",
     "builtin_defaults",
+    "field_type",
 ]
 
-_MODES = ("auto", "on", "off")
 _HEADS = ("sgd", "bcpnn")
 _HYPEROPT_ALGORITHMS = ("random", "halton", "evolution")
 _HYPEROPT_METRICS = ("auc", "accuracy")
@@ -96,8 +96,6 @@ class TrainingSection:
     #: to 1 (``> 1`` without ``comm`` implies the thread transport).  Prefer
     #: embedding the count in the spec — the pair is deprecated.
     ranks: Optional[int] = None
-    comm_overlap: str = "auto"
-    sparse_payload: str = "auto"
     #: Recover from crashed ranks mid-training (fault-tolerant transports).
     fault_tolerance: bool = False
     #: Durable checkpoint directory for crash-safe training (null = off);
@@ -216,6 +214,30 @@ _OPTIONAL_TYPES: Dict[Tuple[str, str], type] = {
 
 _FREEFORM_MAPPINGS = {("dataset", "params"), ("hyperopt", "space")}
 
+_SECTIONS: Dict[str, type] = {
+    "dataset": DatasetSection,
+    "model": ModelSection,
+    "training": TrainingSection,
+    "serving": ServingSection,
+    "hyperopt": HyperoptSection,
+}
+
+
+def field_type(dotted: str) -> type:
+    """The scalar type the schema coerces ``dotted`` to (``model.density`` -> float).
+
+    ``seed`` is the top-level int; a key under a free-form mapping
+    (``dataset.params.path``) is a string.
+    """
+    if dotted == "seed":
+        return int
+    section, key = dotted.split(".", 1)
+    if (section, key.split(".", 1)[0]) in _FREEFORM_MAPPINGS:
+        return str
+    if (section, key) in _OPTIONAL_TYPES:
+        return _OPTIONAL_TYPES[(section, key)]
+    return type(_SECTIONS[section].__dataclass_fields__[key].default)
+
 
 def _build_section(cls: type, data: Mapping[str, Any], section: str) -> Any:
     """Instantiate one section dataclass from a mapping, typed and pathed."""
@@ -237,11 +259,7 @@ def _build_section(cls: type, data: Mapping[str, Any], section: str) -> Any:
         if value is None and (section, key) in _OPTIONAL_TYPES:
             kwargs[key] = None
             continue
-        typ = _OPTIONAL_TYPES.get((section, key))
-        if typ is None:
-            default = cls.__dataclass_fields__[key].default
-            typ = type(default)
-        kwargs[key] = _coerce(value, typ, path)
+        kwargs[key] = _coerce(value, field_type(path), path)
     return cls(**kwargs)
 
 
@@ -299,8 +317,6 @@ def _validate_fields(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             "training.weight_refresh_tol", f"must be non-negative, got {tr.weight_refresh_tol}"
         )
-    _check_choice(tr.comm_overlap, _MODES, "training.comm_overlap")
-    _check_choice(tr.sparse_payload, _MODES, "training.sparse_payload")
     if tr.comm is not None:
         # The one shared grammar: whatever parse_transport_spec accepts (and
         # only that) is a valid training.comm value.
@@ -362,13 +378,6 @@ def _validate_cross(cfg: ExperimentConfig) -> None:
     if parsed is not None and parsed.ranks is not None:
         ranks = parsed.ranks
 
-    if tr.comm_overlap == "on" and name in (None, "serial"):
-        raise ConfigError(
-            "training.comm_overlap",
-            "'on' requires a multi-rank communicator, but training.comm is "
-            f"{tr.comm!r}; set training.comm to thread/tcp/mpi or drop "
-            "the override",
-        )
     if name == "serial" and ranks > 1:
         raise ConfigError(
             "training.ranks",
@@ -418,7 +427,7 @@ def _validate_cross(cfg: ExperimentConfig) -> None:
             # would otherwise only fail deep inside trial evaluation.
             parts = str(name).split(".")
             if len(parts) != 2 or parts[1] not in {
-                f.name for f in dataclasses.fields(ModelSection if section == "model" else TrainingSection)
+                f.name for f in dataclasses.fields(_SECTIONS[section])
             }:
                 raise ConfigError(
                     f"hyperopt.space.{name}", f"no such configurable field {name!r}"
@@ -436,23 +445,16 @@ def build_config(data: Mapping[str, Any], source: str = "config") -> ExperimentC
     """
     if not isinstance(data, Mapping):
         raise ConfigError(source, f"the config must be a mapping, got {_type_name(data)}")
-    sections = {
-        "dataset": DatasetSection,
-        "model": ModelSection,
-        "training": TrainingSection,
-        "serving": ServingSection,
-        "hyperopt": HyperoptSection,
-    }
     kwargs: Dict[str, Any] = {}
     for key, value in data.items():
         if key == "seed":
             kwargs["seed"] = _coerce(value, int, "seed")
-        elif key in sections:
-            kwargs[key] = _build_section(sections[key], value, key)
+        elif key in _SECTIONS:
+            kwargs[key] = _build_section(_SECTIONS[key], value, key)
         else:
             raise ConfigError(
                 str(key),
-                f"unknown top-level key; valid keys: seed, {', '.join(sections)}",
+                f"unknown top-level key; valid keys: seed, {', '.join(_SECTIONS)}",
             )
     cfg = ExperimentConfig(**kwargs)
     _validate_fields(cfg)

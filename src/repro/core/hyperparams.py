@@ -9,7 +9,7 @@ backend and experiment referring to the same validated set of values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Dict
 
 from repro.exceptions import ConfigurationError
@@ -142,7 +142,9 @@ class TrainingSchedule:
 
     StreamBrain trains the hidden (unsupervised) layer for a number of
     epochs, then the classification head, optionally fine-tuning the head
-    with SGD (the paper's "BCPNN+SGD" hybrid reaching 69.15% accuracy).
+    with SGD (the paper's "BCPNN+SGD" hybrid reaching 69.15% accuracy).  The
+    head trains at its own ``learning_rate`` (a tenth of it in the
+    ``sgd_epochs`` fine-tuning epochs).
 
     ``pipeline`` switches the hidden phase to the overlapped training loop
     (:mod:`repro.engine.pipeline`): double-buffered engine workspaces, batch
@@ -154,100 +156,40 @@ class TrainingSchedule:
     per-batch ``traces_to_weights`` refresh is skipped while the accumulated
     ``taupdt``-scaled trace drift stays under the tolerance.  ``0`` (the
     default) refreshes every batch — exact training; ``> 0`` trades bounded
-    weight staleness for throughput.
+    weight staleness for throughput.  Under a communicator it also decides
+    the allreduce schedule: ``> 0`` overlaps each batch's statistics
+    allreduce with the next batch's forward, ``0`` blocks.
 
     Hidden layers whose mask density is at or below
     :data:`repro.kernels.SPARSE_DENSITY_THRESHOLD` run the block-sparse
     plan.  Under ``weight_refresh_tol > 0`` a mask swap repacks their
     weights from the current traces, so they are only ever *fresher* than
     the dense plan's stale buffer would be.
-
-    ``comm_overlap`` controls the communication-overlapped data-parallel
-    schedule when training through a communicator: the per-batch statistics
-    allreduce is issued nonblocking and applied one batch late, hiding the
-    reduction behind the next batch's forward.  Only engaged when
-    ``weight_refresh_tol > 0`` (one-batch-stale weights fall under the same
-    contract); at ``tol=0`` every mode is bit-for-bit the blocking schedule.
-    The decision is rank-count-independent so results stay rank-invariant.
-
-    ``sparse_payload`` shrinks those allreduce payloads once the
-    structural-plasticity mask can no longer rewire within the run: only
-    active-row outer-product statistics are packed (plus a mask-digest
-    token guarding against replica divergence).  ``"auto"`` engages for
-    frozen sub-unity-density masks, ``"on"`` whenever frozen, ``"off"``
-    never; dense packing resumes automatically in epochs where plasticity
-    may still rewire.  Predictions are unchanged bitwise — masked forwards
-    never read the silent weights the packing drops.
     """
 
     hidden_epochs: int = 5
     classifier_epochs: int = 5
     batch_size: int = 128
-    shuffle: bool = True
     sgd_epochs: int = 0
-    sgd_learning_rate: float = 0.05
-    sgd_momentum: float = 0.9
-    sgd_weight_decay: float = 0.0
-    #: Batches the BatchStream may gather ahead of the consumer (0 = off;
-    #: ``pipeline=True`` raises an effective floor of 2).
-    prefetch_batches: int = 0
     #: Overlapped hidden-phase training loop (double-buffered workspaces).
     pipeline: bool = False
     #: Stale-weights tolerance for the per-batch weight refresh (0 = exact).
     weight_refresh_tol: float = 0.0
-    #: Nonblocking-allreduce overlap for comm training ("auto"/"on"/"off").
-    comm_overlap: str = "auto"
-    #: Sparse-packed allreduce payloads on frozen masks ("auto"/"on"/"off").
-    sparse_payload: str = "auto"
     #: Recover from crashed ranks during comm training (fault-tolerant
     #: transports only): the dead rank is respawned/re-admitted and the run
     #: resumes from the last epoch boundary, bitwise-exact at ``tol=0``.
     fault_tolerance: bool = False
-    #: Recovery attempts per hidden-layer training call before giving up.
-    max_restarts: int = 2
 
     def __post_init__(self) -> None:
         check_positive_int(self.hidden_epochs, "hidden_epochs", minimum=0)
         check_positive_int(self.classifier_epochs, "classifier_epochs", minimum=0)
         check_positive_int(self.batch_size, "batch_size")
         check_positive_int(self.sgd_epochs, "sgd_epochs", minimum=0)
-        check_positive_int(self.prefetch_batches, "prefetch_batches", minimum=0)
-        check_positive_int(self.max_restarts, "max_restarts", minimum=0)
-        if self.sgd_learning_rate <= 0:
-            raise ConfigurationError("sgd_learning_rate must be positive")
-        if not 0.0 <= self.sgd_momentum < 1.0:
-            raise ConfigurationError("sgd_momentum must be in [0, 1)")
-        if self.sgd_weight_decay < 0:
-            raise ConfigurationError("sgd_weight_decay must be non-negative")
         if self.weight_refresh_tol < 0:
             raise ConfigurationError("weight_refresh_tol must be non-negative")
-        for knob, value in (
-            ("comm_overlap", self.comm_overlap),
-            ("sparse_payload", self.sparse_payload),
-        ):
-            if value not in ("auto", "on", "off"):
-                raise ConfigurationError(
-                    f"{knob} must be 'auto', 'on' or 'off', got {value!r}"
-                )
 
     def replace(self, **overrides) -> "TrainingSchedule":
         return replace(self, **overrides)
 
     def to_dict(self) -> Dict[str, float]:
-        return {
-            "hidden_epochs": self.hidden_epochs,
-            "classifier_epochs": self.classifier_epochs,
-            "batch_size": self.batch_size,
-            "shuffle": self.shuffle,
-            "sgd_epochs": self.sgd_epochs,
-            "sgd_learning_rate": self.sgd_learning_rate,
-            "sgd_momentum": self.sgd_momentum,
-            "sgd_weight_decay": self.sgd_weight_decay,
-            "prefetch_batches": self.prefetch_batches,
-            "pipeline": self.pipeline,
-            "weight_refresh_tol": self.weight_refresh_tol,
-            "comm_overlap": self.comm_overlap,
-            "sparse_payload": self.sparse_payload,
-            "fault_tolerance": self.fault_tolerance,
-            "max_restarts": self.max_restarts,
-        }
+        return asdict(self)

@@ -144,11 +144,6 @@ class Network:
         callbacks: Optional[List[TrainingCallback]] = None,
         verbose: bool = False,
         comm=None,
-        pipeline: Optional[bool] = None,
-        weight_refresh_tol: Optional[float] = None,
-        comm_overlap: Optional[str] = None,
-        sparse_payload: Optional[str] = None,
-        fault_tolerance: Optional[bool] = None,
         checkpoint_dir=None,
         checkpoint_every: int = 1,
         checkpoint_keep: int = 3,
@@ -170,17 +165,20 @@ class Network:
         competition modes.  The classification head is small and trains on
         the driver as usual.
 
-        ``pipeline`` / ``weight_refresh_tol`` override the corresponding
-        :class:`TrainingSchedule` fields: ``pipeline=True``
+        Every training knob comes from ``schedule``: ``pipeline=True``
         runs the hidden phase through the overlapped double-buffered loop
         (:mod:`repro.engine.pipeline`; identical results, different work
         schedule — also honoured by the data-parallel SPMD program),
         ``weight_refresh_tol > 0`` enables stale-weights caching (skip the
         per-batch ``traces_to_weights`` refresh while the accumulated
         ``taupdt``-scaled trace drift stays under the tolerance; ``0`` is
-        bit-for-bit exact).  Hidden layers whose mask density is at or
-        below :data:`repro.kernels.SPARSE_DENSITY_THRESHOLD` run the
-        block-sparse kernels (an execution choice — results unchanged).
+        bit-for-bit exact), and ``fault_tolerance`` recovers from crashed
+        ranks mid-fit on the fault-tolerant tcp transport (respawn or
+        re-admit the dead rank, resume from the last epoch boundary —
+        bitwise-exact at ``weight_refresh_tol=0``).  Hidden layers whose
+        mask density is at or below
+        :data:`repro.kernels.SPARSE_DENSITY_THRESHOLD` run the block-sparse
+        kernels (an execution choice — results unchanged).
 
         Parameters
         ----------
@@ -203,12 +201,6 @@ class Network:
         comm:
             Optional :class:`repro.comm.Communicator` or transport spec
             string for data-parallel hidden-layer training (see above).
-        fault_tolerance:
-            Override of the schedule's ``fault_tolerance`` flag: recover
-            from crashed ranks mid-fit on the fault-tolerant tcp
-            transport by respawning/re-admitting the dead rank and
-            resuming from the last epoch boundary — bitwise-exact at
-            ``weight_refresh_tol=0``.
         checkpoint_dir / checkpoint_every / checkpoint_keep / resume:
             Durable driver-side crash recovery (:mod:`repro.checkpoint`):
             with ``checkpoint_dir`` set, the full training state — every
@@ -226,10 +218,6 @@ class Network:
             ``resume=True`` simply starts fresh, so restart loops are
             idempotent.  Mid-layer resumes must use the same execution mode
             (serial vs ``comm``) the checkpoint was written under.
-        pipeline / weight_refresh_tol / comm_overlap / sparse_payload:
-            Per-call overrides of the matching schedule fields (see above
-            and :class:`TrainingSchedule`); ``None`` leaves the schedule's
-            value in force.
 
         Returns
         -------
@@ -248,19 +236,6 @@ class Network:
             A communicator rank or backend worker failed mid-training.
         """
         schedule = schedule or TrainingSchedule()
-        overrides = {}
-        if pipeline is not None:
-            overrides["pipeline"] = bool(pipeline)
-        if weight_refresh_tol is not None:
-            overrides["weight_refresh_tol"] = float(weight_refresh_tol)
-        if comm_overlap is not None:
-            overrides["comm_overlap"] = str(comm_overlap)
-        if sparse_payload is not None:
-            overrides["sparse_payload"] = str(sparse_payload)
-        if fault_tolerance is not None:
-            overrides["fault_tolerance"] = bool(fault_tolerance)
-        if overrides:
-            schedule = schedule.replace(**overrides)
         x = check_numeric_dtype(x)
         if x.ndim != 2:
             raise DataError("x must be a 2-D matrix")
@@ -463,19 +438,17 @@ class Network:
 
         Shares the network RNG with the stream so the per-epoch shuffle draws
         reproduce the legacy ``fit`` batch order exactly.  Pipelined
-        training wants the gather thread, so ``pipeline=True`` raises the
-        prefetch depth to at least 2 — on machines where a helper thread
-        can actually overlap (prefetching never changes the batch order:
-        the permutation is drawn before the thread starts).
+        training wants the gather thread, so ``pipeline=True`` prefetches two
+        batches ahead — on machines where a helper thread can actually
+        overlap (prefetching never changes the batch order: the permutation
+        is drawn before the thread starts).
         """
-        prefetch = schedule.prefetch_batches
-        if schedule.pipeline and helper_threads_available():
-            prefetch = max(prefetch, 2)
+        prefetch = 2 if schedule.pipeline and helper_threads_available() else 0
         return BatchStream(
             x,
             y=y,
             batch_size=schedule.batch_size,
-            shuffle=schedule.shuffle,
+            shuffle=True,
             rng=self._rng,
             prefetch=prefetch,
         )
@@ -668,15 +641,11 @@ class Network:
                 epochs=schedule.hidden_epochs,
                 batch_size=schedule.batch_size,
                 rng=shuffle_rng,
-                shuffle=schedule.shuffle,
                 on_epoch_end=record,
                 mode="competitive",
                 pipeline=schedule.pipeline,
                 weight_refresh_tol=schedule.weight_refresh_tol,
-                comm_overlap=schedule.comm_overlap,
-                sparse_payload=schedule.sparse_payload,
                 fault_tolerance=schedule.fault_tolerance,
-                max_restarts=schedule.max_restarts,
                 resume_state=resume_arg,
                 on_epoch_boundary=on_epoch_boundary,
             )
@@ -736,7 +705,7 @@ class Network:
             fine_tuning = epoch >= epochs
             for batch in stream:
                 if isinstance(head, SGDClassifier):
-                    lr = schedule.sgd_learning_rate * (0.1 if fine_tuning else 1.0)
+                    lr = head.learning_rate * (0.1 if fine_tuning else 1.0)
                     losses.append(head.train_batch(batch.x, batch.y, learning_rate=lr))
                 else:
                     head.train_batch(batch.x, batch.y)

@@ -49,7 +49,7 @@ __all__ = [
 
 
 def resolve_comm_overlap(mode: str, weight_refresh_tol: float, size: int) -> bool:
-    """Resolve the ``--comm-overlap`` knob to an on/off decision.
+    """Resolve ``DistributedTrainer.train_layer``'s ``comm_overlap`` to on/off.
 
     Communication overlap forwards batch ``k+1`` before batch ``k``'s
     reduction has been applied, i.e. it trains on one-batch-stale weights —

@@ -21,7 +21,7 @@ class ConfigError(ConfigurationError):
     """Raised by :mod:`repro.config` on invalid experiment configurations.
 
     Unlike the generic :class:`ConfigurationError` it always carries the
-    full dotted path to the offending field (``training.comm_overlap``,
+    full dotted path to the offending field (``training.weight_refresh_tol``,
     ``hyperopt.space.model.density.low`` ...), so tooling — and humans
     running ``repro run`` — can point at exactly one line of the config.
     """

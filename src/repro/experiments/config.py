@@ -111,10 +111,6 @@ class HiggsExperimentConfig:
     pipeline: bool = False
     #: Stale-weights tolerance for the per-batch weight refresh (0 = exact).
     weight_refresh_tol: float = 0.0
-    #: Nonblocking-allreduce overlap for comm training ("auto"/"on"/"off").
-    comm_overlap: str = "auto"
-    #: Sparse-packed allreduce payloads on frozen masks ("auto"/"on"/"off").
-    sparse_payload: str = "auto"
     #: Recover from crashed ranks during comm training (tcp).
     fault_tolerance: bool = False
     #: Durable checkpoint directory for crash-safe training (None = off).
@@ -139,14 +135,6 @@ class HiggsExperimentConfig:
             raise ConfigurationError("checkpoint_keep must be at least 1")
         if self.resume and self.checkpoint_dir is None:
             raise ConfigurationError("resume=True requires checkpoint_dir")
-        for knob, value in (
-            ("comm_overlap", self.comm_overlap),
-            ("sparse_payload", self.sparse_payload),
-        ):
-            if value not in ("auto", "on", "off"):
-                raise ConfigurationError(
-                    f"{knob} must be 'auto', 'on' or 'off', got {value!r}"
-                )
 
     def replace(self, **overrides) -> "HiggsExperimentConfig":
         return replace(self, **overrides)
@@ -161,8 +149,6 @@ class HiggsExperimentConfig:
             batch_size=self.batch_size,
             pipeline=self.pipeline,
             weight_refresh_tol=self.weight_refresh_tol,
-            comm_overlap=self.comm_overlap,
-            sparse_payload=self.sparse_payload,
             fault_tolerance=self.fault_tolerance,
         )
 
@@ -173,8 +159,8 @@ class HiggsExperimentConfig:
         Duck-typed on the section attributes rather than importing
         ``repro.config`` (which imports this module), mapping every knob the
         declarative schema shares with this runtime config.  The config path
-        of ``repro run`` and the flag path of ``repro train`` meet here, so
-        equivalent inputs produce identical training runs.
+        of ``repro run`` and ``repro train`` (a flag spelling of the same
+        schema) meet here.
         """
         model, dataset, training = config.model, config.dataset, config.training
         return cls(
@@ -192,13 +178,11 @@ class HiggsExperimentConfig:
             seed=config.seed,
             pipeline=training.pipeline,
             weight_refresh_tol=training.weight_refresh_tol,
-            comm_overlap=training.comm_overlap,
-            sparse_payload=training.sparse_payload,
-            fault_tolerance=getattr(training, "fault_tolerance", False),
-            checkpoint_dir=getattr(training, "checkpoint_dir", None),
-            checkpoint_every=getattr(training, "checkpoint_every", 1),
-            checkpoint_keep=getattr(training, "checkpoint_keep", 3),
-            resume=getattr(training, "resume", False),
+            fault_tolerance=training.fault_tolerance,
+            checkpoint_dir=training.checkpoint_dir,
+            checkpoint_every=training.checkpoint_every,
+            checkpoint_keep=training.checkpoint_keep,
+            resume=training.resume,
         )
 
     @classmethod

@@ -54,8 +54,6 @@ def run_distributed_equivalence(
     transport: str = "thread",
     pipeline: bool = False,
     weight_refresh_tol: float = 0.0,
-    comm_overlap: str = "auto",
-    sparse_payload: str = "auto",
 ) -> Dict[str, object]:
     """Compare serial vs. rank-sharded training of one hidden layer.
 
@@ -84,7 +82,6 @@ def run_distributed_equivalence(
             reference_layer, x, epochs=epochs, batch_size=batch_size,
             rng=as_rng(seed + 2), shuffle=True,
             pipeline=pipeline, weight_refresh_tol=weight_refresh_tol,
-            comm_overlap=comm_overlap, sparse_payload=sparse_payload,
         )
 
     rows: List[Dict[str, object]] = []
@@ -100,7 +97,6 @@ def run_distributed_equivalence(
                 layer, x, epochs=epochs, batch_size=batch_size,
                 rng=as_rng(seed + 2), shuffle=True,
                 pipeline=pipeline, weight_refresh_tol=weight_refresh_tol,
-                comm_overlap=comm_overlap, sparse_payload=sparse_payload,
             )
             max_dev = float(
                 max(

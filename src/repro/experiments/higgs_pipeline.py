@@ -108,7 +108,7 @@ def build_higgs_network(config: HiggsExperimentConfig, seed_offset: int = 0) -> 
     )
     if config.head == "sgd":
         network.add(
-            SGDClassifier(n_classes=2, learning_rate=0.1, seed=config.seed + seed_offset + 2)
+            SGDClassifier(n_classes=2, learning_rate=0.05, seed=config.seed + seed_offset + 2)
         )
     else:
         network.add(BCPNNClassifier(n_classes=2))

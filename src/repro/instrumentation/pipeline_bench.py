@@ -119,7 +119,7 @@ def measure_pipelined_training(
             layer.end_epoch(epoch)
         return time.perf_counter() - start
 
-    # The pipelined side mirrors exactly what Network.fit(pipeline=True)
+    # The pipelined side mirrors exactly what TrainingSchedule(pipeline=True)
     # ships: helper threads (prefetch, entropy worker, double buffering)
     # only where they can genuinely overlap, the degenerate inline schedule
     # on single-core machines — plus stale-weights caching either way.

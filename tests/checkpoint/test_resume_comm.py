@@ -52,7 +52,6 @@ def test_driver_kill_then_resume_is_bitwise_identical(tmp_path):
         input_spec=blocks,
         schedule=_schedule(),
         comm="tcp://127.0.0.1:0?ranks=2",
-        weight_refresh_tol=0.0,
     )
 
     baseline = _network()
@@ -78,9 +77,7 @@ def test_driver_kill_then_resume_is_bitwise_identical(tmp_path):
 def test_comm_resume_matches_thread_transport(tmp_path):
     """The cheap in-process transport gets the same resume guarantee."""
     x, y, blocks = _data()
-    kw = dict(
-        input_spec=blocks, schedule=_schedule(), comm="thread:2", weight_refresh_tol=0.0
-    )
+    kw = dict(input_spec=blocks, schedule=_schedule(), comm="thread:2")
     baseline = _network()
     baseline.fit(x, y, **kw)
 
@@ -109,9 +106,7 @@ class TestCrossModeGuards:
         return x, y, blocks
 
     def test_comm_checkpoint_refuses_serial_resume(self, tmp_path):
-        x, y, blocks = self._mid_hidden_checkpoint(
-            tmp_path, comm="thread:2", weight_refresh_tol=0.0
-        )
+        x, y, blocks = self._mid_hidden_checkpoint(tmp_path, comm="thread:2")
         with pytest.raises(ConfigurationError, match="execution mode"):
             _network().fit(
                 x, y, input_spec=blocks, schedule=_schedule(), checkpoint_dir=tmp_path,
@@ -123,5 +118,5 @@ class TestCrossModeGuards:
         with pytest.raises(ConfigurationError, match="serial"):
             _network().fit(
                 x, y, input_spec=blocks, schedule=_schedule(), checkpoint_dir=tmp_path,
-                resume=True, comm="thread:2", weight_refresh_tol=0.0,
+                resume=True, comm="thread:2",
             )

@@ -73,9 +73,9 @@ class TestSetOverrides:
         assert out["a"] == {"b": 3, "c": 0.5, "d": True, "e": None, "f": "hello"}
 
     def test_on_off_stay_strings(self):
-        # YAML 1.1 would coerce on/off to booleans; these are mode names here.
-        out = parse_set_overrides(["training.comm_overlap=on"])
-        assert out["training"]["comm_overlap"] == "on"
+        # YAML 1.1 would coerce on/off to booleans; a string stays a string.
+        out = parse_set_overrides(["model.head=on", "training.backend=off"])
+        assert out == {"model": {"head": "on"}, "training": {"backend": "off"}}
 
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="section.key=value"):

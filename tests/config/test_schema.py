@@ -31,13 +31,14 @@ class TestBuildConfig:
         cfg = build_config(
             {
                 "dataset": {"n_events": 2000, "params": {"signal_fraction": 0.3}},
-                "training": {"comm": "thread", "ranks": 2, "comm_overlap": "on"},
+                "training": {"comm": "thread", "ranks": 2, "pipeline": True},
             }
         )
         assert cfg.dataset.n_events == 2000
         assert cfg.dataset.params["signal_fraction"] == 0.3
         assert cfg.training.comm == "thread"
         assert cfg.training.ranks == 2
+        assert cfg.training.pipeline is True
 
     def test_dataset_seed_property(self):
         assert build_config({"seed": 5}).dataset_seed == 5
@@ -111,15 +112,12 @@ class TestErrorPaths:
 
 
 class TestCrossFieldValidation:
-    def test_comm_overlap_on_needs_multirank_comm(self):
-        with pytest.raises(ConfigError, match="training.comm_overlap: 'on' requires") as err:
-            build_config({"training": {"comm_overlap": "on"}})
-        assert err.value.path == "training.comm_overlap"
-        with pytest.raises(ConfigError, match="training.comm_overlap"):
-            build_config({"training": {"comm_overlap": "on", "comm": "serial"}})
-        # Fine with a real transport.
-        cfg = build_config({"training": {"comm_overlap": "on", "comm": "thread", "ranks": 2}})
-        assert cfg.training.comm_overlap == "on"
+    @pytest.mark.parametrize("key", ["comm_overlap", "sparse_payload"])
+    def test_removed_comm_modes_are_unknown_keys(self, key):
+        # weight_refresh_tol and the frozen mask decide both; no alias.
+        with pytest.raises(ConfigError, match=f"training.{key}: unknown key") as err:
+            build_config({"training": {key: "on", "comm": "thread:2"}})
+        assert err.value.path == f"training.{key}"
 
     @pytest.mark.parametrize(
         "comm, accepted",

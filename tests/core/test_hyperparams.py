@@ -65,9 +65,9 @@ class TestTrainingSchedule:
         "kwargs",
         [
             {"batch_size": 0},
-            {"sgd_learning_rate": 0.0},
-            {"sgd_momentum": 1.0},
-            {"sgd_weight_decay": -0.1},
+            {"sgd_epochs": -1},
+            {"weight_refresh_tol": -0.1},
+            {"classifier_epochs": -1},
             {"hidden_epochs": -1},
         ],
     )
@@ -75,7 +75,35 @@ class TestTrainingSchedule:
         with pytest.raises(ConfigurationError):
             TrainingSchedule(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "shuffle",
+            "prefetch_batches",
+            "max_restarts",
+            "sgd_learning_rate",
+            "sgd_momentum",
+            "sgd_weight_decay",
+            "comm_overlap",
+            "sparse_payload",
+        ],
+    )
+    def test_removed_field_rejected(self, field):
+        # The head owns its learning rate; the comm modes and the fields nothing
+        # set are gone rather than ignored.
+        with pytest.raises(TypeError, match=field):
+            TrainingSchedule(**{field: 1})
+
     def test_replace_and_dict(self):
         schedule = TrainingSchedule(batch_size=64)
         assert schedule.replace(batch_size=32).batch_size == 32
         assert schedule.to_dict()["batch_size"] == 64
+        assert set(schedule.to_dict()) == {
+            "hidden_epochs",
+            "classifier_epochs",
+            "batch_size",
+            "sgd_epochs",
+            "pipeline",
+            "weight_refresh_tol",
+            "fault_tolerance",
+        }

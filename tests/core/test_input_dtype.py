@@ -42,7 +42,7 @@ def one_hot(n, spec=SPEC, seed=0, dtype=np.uint8):
     return x
 
 
-def fit(x, density=0.3, head="sgd", **fit_options):
+def fit(x, density=0.3, head="sgd", pipeline=False, **fit_options):
     network = Network(seed=0)
     network.add(
         StructuralPlasticityLayer(
@@ -51,7 +51,9 @@ def fit(x, density=0.3, head="sgd", **fit_options):
     )
     network.add(SGDClassifier(n_classes=2, seed=2) if head == "sgd" else BCPNNClassifier(2))
     y = np.random.default_rng(1).integers(0, 2, len(x))
-    schedule = TrainingSchedule(hidden_epochs=3, classifier_epochs=2, batch_size=64)
+    schedule = TrainingSchedule(
+        hidden_epochs=3, classifier_epochs=2, batch_size=64, pipeline=pipeline
+    )
     network.fit(x, y, input_spec=SPEC, schedule=schedule, **fit_options)
     return network
 

@@ -70,6 +70,30 @@ class TestTraining:
         assert evaluation["auc"] > 0.6
         assert len(history) == 3 + 6
 
+    def test_head_trains_at_its_own_learning_rate(self):
+        # The head's learning_rate is the one declaration fit reads (a tenth
+        # of it in the sgd_epochs fine-tuning epochs).
+        rng = np.random.default_rng(0)
+        x = np.eye(4)[rng.integers(0, 4, size=(96, 3))].reshape(96, 12)
+        y = (x[:, 0] + x[:, 5] > 0).astype(int)
+
+        def head_weights(learning_rate):
+            net = Network(seed=0)
+            net.add(StructuralPlasticityLayer(1, 6, seed=1))
+            net.add(SGDClassifier(n_classes=2, learning_rate=learning_rate, seed=2))
+            net.fit(
+                x,
+                y,
+                input_spec=InputSpec([4, 4, 4]),
+                schedule=TrainingSchedule(
+                    hidden_epochs=1, classifier_epochs=1, sgd_epochs=1, batch_size=32
+                ),
+            )
+            return net.head.weights.copy()
+
+        assert not np.array_equal(head_weights(0.05), head_weights(0.2))
+        assert np.array_equal(head_weights(0.2), head_weights(0.2))
+
     def test_history_metrics_present(self, trained_network):
         history = trained_network.history
         assert all("mean_activation_entropy" in r.metrics for r in history.phase("hidden"))

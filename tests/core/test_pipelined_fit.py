@@ -2,11 +2,11 @@
 
 The contracts this file enforces (ISSUE 4 acceptance criteria):
 
-* ``fit(pipeline=True)`` is **bit-for-bit** identical to the serial path —
-  traces, weights, masks, history metrics and predictions;
-* ``fit(weight_refresh_tol=0)`` is bit-for-bit identical to the historical
-  refresh-every-batch training loop (enforced against an explicit
-  re-implementation of that loop, not just against today's default path);
+* ``TrainingSchedule(pipeline=True)`` is **bit-for-bit** identical to the
+  serial path — traces, weights, masks, history metrics and predictions;
+* ``TrainingSchedule(weight_refresh_tol=0)`` is bit-for-bit identical to the
+  historical refresh-every-batch training loop (enforced against an
+  explicit re-implementation of that loop, not just today's default path);
 * ``weight_refresh_tol > 0`` on the E9 configuration (deterministic softmax
   competition, Higgs-shaped data) stays within a small accuracy epsilon of
   exact training.
@@ -84,7 +84,7 @@ class TestPipelinedFitEquivalence:
         serial_history = serial.fit(x, y, input_spec=InputSpec(SIZES), schedule=schedule)
         piped = _network(head)
         piped_history = piped.fit(
-            x, y, input_spec=InputSpec(SIZES), schedule=schedule, pipeline=True
+            x, y, input_spec=InputSpec(SIZES), schedule=schedule.replace(pipeline=True)
         )
         for ls, lp in zip(serial.hidden_layers, piped.hidden_layers):
             np.testing.assert_array_equal(ls.traces.p_i, lp.traces.p_i)
@@ -105,7 +105,7 @@ class TestPipelinedFitEquivalence:
         x, y = dataset
         schedule = TrainingSchedule(hidden_epochs=3, classifier_epochs=2, batch_size=64)
         piped = _network("bcpnn")
-        piped.fit(x, y, input_spec=InputSpec(SIZES), schedule=schedule, pipeline=True)
+        piped.fit(x, y, input_spec=InputSpec(SIZES), schedule=schedule.replace(pipeline=True))
         monkeypatch.setenv("REPRO_PIPELINE_THREADS", "0")
         serial = _network("bcpnn")
         serial.fit(x, y, input_spec=InputSpec(SIZES), schedule=schedule)
@@ -114,27 +114,24 @@ class TestPipelinedFitEquivalence:
             np.testing.assert_array_equal(ls.weights, lp.weights)
         np.testing.assert_array_equal(serial.predict(x), piped.predict(x))
 
-    def test_pipeline_schedule_flag_equals_fit_kwarg(self, dataset):
+    @pytest.mark.parametrize(
+        "knob",
+        ["pipeline", "weight_refresh_tol", "comm_overlap", "sparse_payload", "fault_tolerance"],
+    )
+    def test_fit_takes_no_per_call_knob(self, dataset, knob):
+        # Every training knob has one home, the schedule.
         x, y = dataset
-        via_kwarg = _network("bcpnn")
-        via_kwarg.fit(x, y, input_spec=InputSpec(SIZES), pipeline=True,
-                      schedule=TrainingSchedule(hidden_epochs=2, classifier_epochs=1,
-                                                batch_size=64))
-        via_schedule = _network("bcpnn")
-        via_schedule.fit(x, y, input_spec=InputSpec(SIZES),
-                         schedule=TrainingSchedule(hidden_epochs=2, classifier_epochs=1,
-                                                   batch_size=64, pipeline=True))
-        np.testing.assert_array_equal(
-            via_kwarg.hidden_layers[0].traces.p_ij,
-            via_schedule.hidden_layers[0].traces.p_ij,
-        )
+        with pytest.raises(TypeError, match=knob):
+            _network("bcpnn").fit(x, y, input_spec=InputSpec(SIZES), **{knob: True})
 
     def test_engines_return_to_single_buffer_after_fit(self, dataset):
         x, y = dataset
         network = _network("bcpnn")
         network.fit(
-            x, y, input_spec=InputSpec(SIZES), pipeline=True,
-            schedule=TrainingSchedule(hidden_epochs=1, classifier_epochs=1, batch_size=64),
+            x, y, input_spec=InputSpec(SIZES),
+            schedule=TrainingSchedule(
+                hidden_epochs=1, classifier_epochs=1, batch_size=64, pipeline=True
+            ),
         )
         for layer in network.hidden_layers:
             assert layer._engine_options["n_buffers"] == 1
@@ -199,7 +196,7 @@ class TestTolZeroMatchesHistoricalLoop:
         default.fit(x, y, input_spec=InputSpec(SIZES), schedule=schedule)
         explicit = _network("bcpnn")
         explicit.fit(
-            x, y, input_spec=InputSpec(SIZES), schedule=schedule, weight_refresh_tol=0.0
+            x, y, input_spec=InputSpec(SIZES), schedule=schedule.replace(weight_refresh_tol=0.0)
         )
         for ld, le in zip(default.hidden_layers, explicit.hidden_layers):
             np.testing.assert_array_equal(ld.traces.p_ij, le.traces.p_ij)
@@ -227,9 +224,13 @@ class TestStaleWeightsAccuracy:
             higgs.x_train,
             higgs.y_train,
             input_spec=higgs.input_spec,
-            schedule=TrainingSchedule(hidden_epochs=2, classifier_epochs=2, batch_size=128),
-            pipeline=pipeline,
-            weight_refresh_tol=tol,
+            schedule=TrainingSchedule(
+                hidden_epochs=2,
+                classifier_epochs=2,
+                batch_size=128,
+                pipeline=pipeline,
+                weight_refresh_tol=tol,
+            ),
         )
         return network
 

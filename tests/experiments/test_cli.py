@@ -41,11 +41,97 @@ class TestTrainCli:
     def test_train_with_thread_comm(self, capsys):
         code = main_train(
             ["--mcus", "10", "--events", "1000", "--epochs", "1", "--quiet",
-             "--comm", "thread", "--ranks", "2"]
+             "--comm", "thread:2"]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "accuracy=" in out and "ranks=2 (thread)" in out
+
+    def test_zero_epochs_trains_no_hidden_epoch(self, monkeypatch):
+        # `--epochs 0` is a value, not "unset": the hidden phase must not run.
+        from repro.core import Network
+
+        histories = []
+        fit = Network.fit
+
+        def recording_fit(self, *args, **kwargs):
+            histories.append(fit(self, *args, **kwargs))
+            return histories[-1]
+
+        monkeypatch.delenv("REPRO_FULL", raising=False)
+        monkeypatch.setattr(Network, "fit", recording_fit)
+        code = main_train(["--mcus", "10", "--events", "600", "--epochs", "0", "--quiet"])
+        assert code == 0
+        [history] = histories
+        assert [r for r in history.records if r.phase == "hidden"] == []
+
+    def test_bad_value_exits_2_naming_the_schema_field(self, capsys):
+        code = cli.main(["train", "--density", "1.5", "--events", "600", "--quiet"])
+        assert code == 2
+        assert "model.density" in capsys.readouterr().err
+
+
+#: A legal value per ``repro train`` settings flag (None: a switch), plus the
+#: flags a cross-field check needs beside it.
+TRAIN_FLAG_VALUES = {
+    "--hcus": ("2", ()),
+    "--mcus": ("20", ()),
+    "--density": ("0.5", ()),
+    "--head": ("bcpnn", ()),
+    "--events": ("1000", ()),
+    "--higgs-path": ("/data/HIGGS.csv.gz", ()),
+    "--seed": ("3", ()),
+    "--epochs": ("0", ()),
+    "--backend": ("float32", ()),
+    "--comm": ("thread:2", ()),
+    "--pipeline": (None, ()),
+    "--weight-refresh-tol": ("0.02", ()),
+    "--fault-tolerance": (None, ("--comm", "process:2")),
+    "--checkpoint-dir": ("ckpt", ()),
+    "--checkpoint-every": ("2", ()),
+    "--checkpoint-keep": ("5", ()),
+    "--resume": (None, ("--checkpoint-dir", "ckpt")),
+}
+
+
+class TestTrainIsASpellingOfTheSchema:
+    """``repro train --FLAG V`` composes what ``repro run --set PATH=V`` does."""
+
+    def test_every_flag_has_a_case(self):
+        assert set(TRAIN_FLAG_VALUES) == {flag for flag, _, _ in cli.TRAIN_FLAGS}
+        assert len(cli.TRAIN_FLAGS) == 17
+
+    @pytest.mark.parametrize("flag", sorted(TRAIN_FLAG_VALUES))
+    def test_flag_composes_like_set(self, monkeypatch, flag):
+        from repro.config import compose_config, parse_set_overrides
+
+        monkeypatch.delenv("REPRO_FULL", raising=False)
+        paths = {f: path for f, path, _ in cli.TRAIN_FLAGS}
+        value, extra = TRAIN_FLAG_VALUES[flag]
+        given = [(flag, value), *zip(extra[::2], extra[1::2])]
+        argv = [part for f, v in given for part in ([f] if v is None else [f, v])]
+        via_flags = cli._train_config(cli._train_parser().parse_args(argv))
+        pairs = [f"{paths[f]}={'true' if v is None else v}" for f, v in given]
+        via_set = compose_config(overrides=parse_set_overrides(pairs))
+        assert via_flags.to_dict() == via_set.to_dict()
+        assert via_flags.to_dict() != compose_config().to_dict()
+
+    def test_small_scale_sizes_are_the_schema_defaults(self):
+        from repro.config import DatasetSection, TrainingSection
+        from repro.experiments import get_scale
+
+        small = get_scale("small")
+        assert small.n_events == DatasetSection().n_events
+        assert small.hidden_epochs == TrainingSection().hidden_epochs
+        assert small.classifier_epochs == TrainingSection().classifier_epochs
+        assert small.batch_size == TrainingSection().batch_size
+
+    def test_full_scale_sizes_sit_beneath_the_flags(self):
+        args = cli._train_parser().parse_args(["--scale", "full", "--epochs", "2"])
+        training = cli._train_config(args).training
+        assert cli._train_config(args).dataset.n_events == 200000
+        assert (training.hidden_epochs, training.classifier_epochs) == (2, 20)
+        assert training.batch_size == 256
 
 
 class TestBenchmarkCli:
@@ -75,8 +161,7 @@ class TestSweepCli:
     def test_distributed_sweep_with_comm_flags(self, capsys, tmp_path):
         json_path = tmp_path / "sweep.json"
         code = main_sweep(
-            ["distributed", "--quiet", "--comm", "thread", "--ranks", "2",
-             "--json", str(json_path)]
+            ["distributed", "--quiet", "--comm", "thread:2", "--json", str(json_path)]
         )
         assert code == 0
         report = json.loads(json_path.read_text())
@@ -116,6 +201,24 @@ class TestSparseFlagRetired:
         with pytest.raises(SystemExit):
             main(["--help"])
         assert re.search(r"--sparse(?!-payload)", capsys.readouterr().out) is None
+
+
+#: Flags deleted from every subcommand that had them: the rank count lives in
+#: ``--comm``, and weight_refresh_tol / the frozen mask decide the comm modes.
+REMOVED_FLAGS = [
+    (name, flag)
+    for name in ("train", "sweep", "benchmark")
+    for flag in ("--comm-overlap", "--sparse-payload", "--ranks")
+] + [("predict", "--ranks")]
+
+
+@pytest.mark.parametrize("name, flag", REMOVED_FLAGS)
+def test_removed_flag_is_an_argparse_error(capsys, name, flag):
+    main, required = SUBCOMMANDS[name]
+    with pytest.raises(SystemExit) as exc:
+        main(required + [flag, "2"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
 class TestRunCli:
@@ -163,7 +266,12 @@ class TestRunCli:
 
     @pytest.mark.parametrize(
         "override",
-        ["training.comn=thread", "training.sparse=on"]
+        [
+            "training.comn=thread",
+            "training.sparse=on",
+            "training.comm_overlap=on",
+            "training.sparse_payload=on",
+        ]
         # Retired backend names fail at the schema, never at run time.
         + [f"training.backend={name}" for name in RETIRED_BACKENDS],
     )
@@ -174,6 +282,8 @@ class TestRunCli:
         assert code == 2
         err = capsys.readouterr().err
         assert f"config error: {override.split('=')[0]}" in err
+        # Removed keys (no alias) and retired backends are unknown names.
+        assert ("unknown backend" if "backend" in override else "unknown key") in err
 
     def test_unknown_scenario_exits_2(self, capsys):
         from repro.cli import main_run

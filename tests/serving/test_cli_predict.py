@@ -93,7 +93,8 @@ def test_predict_comm_thread_round_trip(tmp_path, saved_model, trained_network, 
     np.save(features, x)
     output = tmp_path / "predictions.csv"
     code = main_predict(
-        [str(features), "--model", saved_model, "--output", str(output), "--ranks", "3", "--quiet"]
+        [str(features), "--model", saved_model, "--output", str(output), "--comm", "thread:3",
+         "--quiet"]
     )
     assert code == 0
     predictions = read_numeric_csv(output, skip_header=True)[:, 0].astype(np.int64)
