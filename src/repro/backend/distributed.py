@@ -168,6 +168,7 @@ def train_layer_program(
     layer,
     x: Optional[np.ndarray],
     options: Dict[str, object],
+    on_epoch_end: Optional[Callable[[Dict[str, object]], None]] = None,
 ) -> Dict[str, object]:
     """One rank's share of data-parallel hidden-layer training.
 
@@ -191,7 +192,7 @@ def train_layer_program(
       noise and are statistically, not bitwise, equivalent across rank
       counts.
 
-    Four engine-mirroring options keep the SPMD program aligned with the
+    Three engine-mirroring options keep the SPMD program aligned with the
     pipelined serial path:
 
     * ``options["weight_refresh_tol"]`` — stale-weights caching: the
@@ -201,11 +202,6 @@ def train_layer_program(
       are identical on every rank, so the refresh decisions — and therefore
       the training — stay rank-invariant.  ``0`` refreshes every batch
       (exact, the historical behaviour).
-    * ``options["pipeline"]`` — gather the *next* batch's local shard before
-      blocking on the current batch's allreduce, overlapping the gather with
-      the other ranks' compute skew.  Purely a scheduling change: the same
-      shards are reduced in the same order, so results are bitwise
-      unaffected.
     * ``options["comm_overlap"]`` (``"auto"``/``"on"``/``"off"``) — the
       software-pipelined communication schedule: batch ``k``'s packed
       statistics are published through a *nonblocking* ``iallreduce`` and
@@ -234,19 +230,18 @@ def train_layer_program(
       is used automatically in every epoch where plasticity may still
       rewire.
 
-    Three fault-tolerance options support crash-and-resume training on the
-    fault-tolerant transports (see :meth:`DistributedTrainer.train_layer`):
+    Restarts (see :meth:`DistributedTrainer.train_layer`):
 
-    * ``options["start_epoch"]`` — re-enter the epoch loop at an epoch
-      boundary.  Epoch indices stay *absolute* (schedules like
-      ``frozen_from`` and ``end_epoch`` are unaffected) and the shuffle
-      stream is fast-forwarded by discarding the completed epochs'
-      permutations, so a resumed run draws exactly the orders the
-      uninterrupted run would have — the resume is bitwise-exact.
-    * ``options["progress"]`` — a live dict rank 0 updates at every epoch
-      boundary with the completed-epoch count and a resume snapshot
-      (traces, mask, RNG state).  Rank 0 runs inline in the driver, so the
-      driver still holds the last consistent state after a crash.
+    * ``options["record"]`` — the epoch-boundary record the program enters
+      at: ``{shuffle_seed, epoch, batches, swaps, epoch_logs}``.  Epoch
+      indices stay *absolute* (schedules like ``frozen_from`` and
+      ``end_epoch`` are unaffected), the shuffle stream is fast-forwarded by
+      discarding the completed epochs' permutations, and the counters and
+      logs continue from the record's, so a restarted run is bitwise the
+      uninterrupted one.  A fresh start is the record at epoch 0.
+    * ``on_epoch_end`` (rank 0 only; it runs inline in the caller) receives
+      the next record at every epoch boundary, with the layer's
+      :func:`_layer_snapshot` under ``"snapshot"``.
     * ``options["fault_injection"]`` — ``{rank, epoch, batch}`` from the
       fault plan's ``worker.crash`` rule: the matching rank dies at the
       start of that global batch (a hard ``os._exit`` on multi-process
@@ -264,14 +259,14 @@ def train_layer_program(
     layer._rng.bit_generator.state = options["rng_layer_state"]
     _sync_replica(comm, layer)
 
-    shuffle_rng = np.random.default_rng(int(options["shuffle_seed"]))
+    record = options["record"]
+    shuffle_rng = np.random.default_rng(int(record["shuffle_seed"]))
     epochs = int(options["epochs"])
     batch_size = int(options["batch_size"])
     shuffle = bool(options["shuffle"])
     mode = str(options.get("mode", "rate"))
     competitive = mode == "competitive"
     tol = float(options.get("weight_refresh_tol", 0.0))
-    pipelined = bool(options.get("pipeline", False))
     overlap = resolve_comm_overlap(str(options.get("comm_overlap", "auto")), tol, size)
     payload_mode = str(options.get("sparse_payload", "auto"))
     if payload_mode not in ("auto", "on", "off"):
@@ -280,7 +275,7 @@ def train_layer_program(
         )
 
     n = x.shape[0]
-    start_epoch = int(options.get("start_epoch", 0))
+    start_epoch = int(record["epoch"])
     if not 0 <= start_epoch <= epochs:
         raise BackendError(f"start_epoch must be in [0, {epochs}], got {start_epoch}")
     if shuffle:
@@ -289,18 +284,17 @@ def train_layer_program(
         for _ in range(start_epoch):
             shuffle_rng.permutation(n)
     inject = options.get("fault_injection")
-    progress = options.get("progress") if rank == 0 else None
     taupdt = float(layer.hyperparams.taupdt)
     n_input = layer.traces.n_input
     n_hidden = layer.traces.n_hidden
     stats_head = 1 + n_input + n_hidden
     packed = np.empty(stats_head + n_input * n_hidden, dtype=np.float64)
     mean_entropy: List[float] = []
-    epoch_logs: List[Dict[str, float]] = []
-    # Resumed programs seed the cumulative counters with the completed work
-    # so logs and reports look like one uninterrupted run.
-    total_batches = int(options.get("batches_done", 0))
-    total_swaps = int(options.get("swaps_done", 0))
+    # Restarted programs continue the record's cumulative counters and logs
+    # so reports look like one uninterrupted run.
+    epoch_logs: List[Dict[str, float]] = list(record["epoch_logs"])
+    total_batches = int(record["batches"])
+    total_swaps = int(record["swaps"])
     # Accumulated taupdt-scaled marginal-trace drift since the last weight
     # refresh (_sync_replica just refreshed, so the weights start fresh).
     # Computed from reduced statistics only, hence identical on every rank.
@@ -447,7 +441,6 @@ def train_layer_program(
         started = time.perf_counter()
         order = shuffle_rng.permutation(n) if shuffle else np.arange(n)
         mean_entropy.clear()
-        pending_local: Optional[np.ndarray] = None
         ctx: Optional[Dict[str, object]] = None
         if payload_mode != "off" and epoch >= frozen_from:
             layout = layer.payload_layout()
@@ -467,8 +460,7 @@ def train_layer_program(
                 raise BackendError(
                     f"injected crash on rank {rank} at epoch {epoch}, batch {index}"
                 )
-            local = pending_local if pending_local is not None else gather_shard(order, start)
-            pending_local = None
+            local = gather_shard(order, start)
             if competitive and layer.batches_trained == 0:
                 # Global first-batch marginals for the trace calibration —
                 # one extra packed allreduce, only ever on the first batch
@@ -493,10 +485,6 @@ def train_layer_program(
             else:
                 activations = None
             buf = fill_statistics(local, activations, ctx)
-            if pipelined and index + 1 < len(starts):
-                # Pipelining: gather the next batch's shard before blocking
-                # on the allreduce, so the copy overlaps other ranks' skew.
-                pending_local = gather_shard(order, starts[index + 1])
             if overlap:
                 # Software pipeline: this batch's forward and statistics ran
                 # BEFORE waiting on the previous batch's reduction (the
@@ -548,37 +536,20 @@ def train_layer_program(
                 float(np.mean(mean_entropy)) if mean_entropy else 0.0
             )
         epoch_logs.append(log)
-        if progress is not None:
-            # Epoch boundaries are consistent resume points: the pipeline is
-            # drained, staleness flushed and plasticity applied, so the
-            # snapshot plus start_epoch=epoch+1 replays the remainder of the
-            # run bitwise-identically.
-            progress["epoch"] = epoch + 1
-            progress["global_batches"] = total_batches
-            progress["swaps"] = total_swaps
-            progress["epoch_logs"] = list(epoch_logs)
-            progress["snapshot"] = {
-                "p_i": layer.traces.p_i.copy(),
-                "p_j": layer.traces.p_j.copy(),
-                "p_ij": layer.traces.p_ij.copy(),
-                "mask": layer.plasticity.mask.copy(),
-                "rng_state": copy.deepcopy(layer._rng.bit_generator.state),
-                "batches_trained": int(layer.batches_trained),
-            }
-        if rank == 0:
-            # Driver-side epoch-boundary hook (rank 0 runs inline): the same
-            # consistent state the in-memory snapshot above captures, handed
-            # to the durable checkpoint layer.
-            hook = options.get("on_epoch_boundary")
-            if hook is not None:
-                hook(
-                    epoch,
-                    {
-                        "epoch_logs": [dict(log) for log in epoch_logs],
-                        "global_batches": total_batches,
-                        "swaps": total_swaps,
-                    },
-                )
+        if on_epoch_end is not None:
+            # Epoch boundaries are consistent restart points: the pipeline is
+            # drained, staleness flushed and plasticity applied, so this
+            # record replays the rest of the run bitwise-identically.
+            on_epoch_end(
+                {
+                    "shuffle_seed": int(record["shuffle_seed"]),
+                    "epoch": epoch + 1,
+                    "batches": total_batches,
+                    "swaps": total_swaps,
+                    "epoch_logs": list(epoch_logs),
+                    "snapshot": _layer_snapshot(layer),
+                }
+            )
 
     return {
         "rank": rank,
@@ -625,23 +596,23 @@ class DistributedTrainer:
     The trainer launches :func:`train_layer_program` through
     ``comm.run`` — rank 0 executes inline in the driver (training the
     caller's layer object in place), the transport supplies the other ranks
-    (threads, OS processes, or MPI ranks).  The trainer is duck-typed
-    against :class:`repro.core.layers.StructuralPlasticityLayer`: it
-    requires ``layer.forward_raw``, ``layer.traces``,
-    ``layer.refresh_weights``, ``layer.end_epoch`` and ``layer.hyperparams``.
+    (threads or OS processes).  The trainer is duck-typed against
+    :class:`repro.core.layers.StructuralPlasticityLayer`: it requires
+    ``layer.forward_raw``, ``layer.traces``, ``layer.refresh_weights``,
+    ``layer.end_epoch`` and ``layer.hyperparams``.
 
     Parameters
     ----------
     comm:
-        Any :class:`repro.comm.Communicator` (``SerialComm``, ``ThreadComm``,
-        ``TCPComm`` or ``MPIComm``).
+        Any :class:`repro.comm.Communicator` (``SerialComm``, ``ThreadComm``
+        or ``TCPComm``).
     """
 
     def __init__(self, comm: Communicator) -> None:
         if not isinstance(comm, Communicator):
             raise BackendError(
                 "DistributedTrainer requires a repro.comm.Communicator "
-                "(SerialComm, ThreadComm, TCPComm or MPIComm)"
+                "(SerialComm, ThreadComm or TCPComm)"
             )
         self.comm = comm
 
@@ -652,18 +623,15 @@ class DistributedTrainer:
         x: np.ndarray,
         epochs: int,
         batch_size: int,
-        rng: np.random.Generator,
+        rng: Optional[np.random.Generator],
         shuffle: bool = True,
-        on_epoch_end: Optional[Callable[[int, Dict[str, float]], None]] = None,
+        on_epoch_end: Optional[Callable[[Dict[str, object]], None]] = None,
         mode: str = "rate",
-        pipeline: bool = False,
         weight_refresh_tol: float = 0.0,
         comm_overlap: str = "auto",
         sparse_payload: str = "auto",
-        fault_tolerance: bool = False,
         max_restarts: int = 2,
-        resume_state: Optional[Dict[str, object]] = None,
-        on_epoch_boundary: Optional[Callable[[int, Dict[str, object]], None]] = None,
+        resume: Optional[Dict[str, object]] = None,
     ) -> DistributedEpochReport:
         """Train ``layer`` on ``x`` with rank-sharded batches.
 
@@ -673,11 +641,9 @@ class DistributedTrainer:
         numerically identical to serial training over the same global
         batches (up to floating-point summation order).
 
-        ``pipeline`` overlaps the next shard gather with the allreduce wait
-        (bitwise-neutral scheduling); ``weight_refresh_tol`` enables the
-        rank-invariant stale-weights caching (see
-        :func:`train_layer_program`), with ``0`` refreshing every batch
-        exactly as before.
+        ``weight_refresh_tol`` enables the rank-invariant stale-weights
+        caching (see :func:`train_layer_program`), with ``0`` refreshing
+        every batch exactly as before.
 
         ``comm_overlap`` (``"auto"``/``"on"``/``"off"``) software-pipelines
         the per-batch allreduce behind the next batch's forward via the
@@ -692,38 +658,29 @@ class DistributedTrainer:
         always runs ``"auto"``, and ``"off"`` exists for the blocking side
         of the A/B in :mod:`repro.instrumentation.overlap_bench`.
 
-        ``on_epoch_end`` is invoked on the driver after the program
-        completes (the callback cannot cross a process boundary), in epoch
-        order, with the rank-0 epoch logs.
-
-        ``resume_state`` re-enters an interrupted call exactly where a prior
-        one stopped (the on-disk twin of in-memory worker recovery; used by
-        :mod:`repro.checkpoint`): ``{"shuffle_seed", "start_epoch",
-        "batches_done", "swaps_done", "completed_logs"}``.  The stored
-        shuffle seed is reused instead of drawing from ``rng`` — the
-        caller's generator already advanced past that draw before the
-        checkpoint was taken — and the program fast-forwards the shuffle
-        stream to ``start_epoch``, so the resumed run is bitwise-identical
-        to an uninterrupted one at ``weight_refresh_tol=0``.
-        ``on_epoch_boundary(epoch, info)`` fires on the driver (rank 0 runs
-        inline) at every completed epoch boundary *during* the program —
-        the state is consistent there, which is what makes mid-layer
-        checkpoints possible; ``info`` carries the shuffle seed, cumulative
-        batch/swap counters and all completed epoch logs.
-
-        ``fault_tolerance`` arms crash recovery on transports that support
-        it (``comm.fault_tolerant``): when a rank dies mid-program, the
-        dead worker is respawned or re-admitted (tcp) through
-        ``comm.recover()``, the layer is restored from the last
-        completed-epoch snapshot, and training resumes at that epoch
-        boundary with the shuffle stream fast-forwarded — at
-        ``weight_refresh_tol=0`` the recovered run's final weights are
-        bitwise-identical to an uninterrupted run (test-enforced in
+        **Restarts.**  At every epoch boundary rank 0 emits one record —
+        ``{shuffle_seed, epoch, batches, swaps, epoch_logs, snapshot}``:
+        the shuffle seed, the next epoch, the cumulative batch and swap
+        counts and epoch logs, and the layer's :func:`_layer_snapshot`.
+        ``on_epoch_end(record)`` receives it in the caller, live, as each
+        epoch completes.  The trainer keeps the latest record, and every
+        attempt enters at it: when a rank dies on a transport that can
+        recover (``comm.fault_tolerant``: tcp, ``process:N`` included), the
+        dead worker is respawned or re-admitted through ``comm.recover()``,
+        the layer is restored from the record's snapshot and the program
+        re-enters at that boundary with the shuffle stream fast-forwarded —
+        at ``weight_refresh_tol=0`` the recovered run is bitwise-identical
+        to an uninterrupted one (test-enforced in
         ``tests/backend/test_fault_tolerance.py``).  ``max_restarts``
-        bounds the recovery attempts per call.  A ``worker.crash`` rule of
-        the active fault plan (:func:`repro.faults.crash_injection_from_plan`,
-        e.g. ``REPRO_FAULTS="worker.crash@rank=1,epoch=0,batch=2"``) kills
-        that rank at the start of that global batch.
+        bounds the recoveries per call; the thread and serial transports
+        raise the :class:`BackendError`.  ``resume`` re-enters a record the
+        same way — a checkpoint unit (:mod:`repro.checkpoint`) is a record
+        without the snapshot, whose layer the checkpoint itself restored.
+        A fresh call draws the shuffle seed from ``rng`` instead.  A
+        ``worker.crash`` rule of the active fault plan
+        (:func:`repro.faults.crash_injection_from_plan`, e.g.
+        ``REPRO_FAULTS="worker.crash@rank=1,epoch=0,batch=2"``) kills that
+        rank at the start of that global batch.
         """
         x = np.ascontiguousarray(check_numeric_dtype(x))  # broadcast in its stored dtype
         if x.ndim != 2:
@@ -754,31 +711,35 @@ class DistributedTrainer:
                 f"worker.crash rank {injection['rank']} out of range for "
                 f"{self.comm.size} ranks"
             )
-        n = x.shape[0]
         # Drawing the seed consumes the caller's generator, so repeated
-        # calls with one rng get fresh, still-deterministic shuffles.  A
-        # recovery restart reuses the SAME seed: the resumed program
-        # fast-forwards the stream instead of drawing a new one.  A
-        # checkpoint resume supplies the stored seed for the same reason —
-        # the caller's generator consumed the draw before the checkpoint.
-        if resume_state is not None:
-            shuffle_seed = int(resume_state["shuffle_seed"])
-            start_epoch = int(resume_state.get("start_epoch", 0))
-            batches_done = int(resume_state.get("batches_done", 0))
-            swaps_done = int(resume_state.get("swaps_done", 0))
-            completed_logs = [dict(log) for log in resume_state.get("completed_logs", [])]
-        else:
-            shuffle_seed = int(rng.integers(2**63))
-            start_epoch = 0
-            batches_done = 0
-            swaps_done = 0
-            completed_logs = []
+        # calls with one rng get fresh, still-deterministic shuffles.
+        latest: Dict[str, object] = (
+            dict(resume)
+            if resume is not None
+            else {
+                "shuffle_seed": int(rng.integers(2**63)),
+                "epoch": 0,
+                "batches": 0,
+                "swaps": 0,
+                "epoch_logs": [],
+            }
+        )
+
+        def keep(record: Dict[str, object]) -> None:
+            nonlocal latest
+            latest = record
+            if on_epoch_end is not None:
+                on_epoch_end(record)
+
         restarts = 0
         while True:
-            # The snapshot at attempt start covers crashes before the first
-            # epoch boundary of this attempt (rank 0 trains the caller's
-            # layer in place, so a mid-epoch crash leaves it partial).
-            attempt_state = _layer_snapshot(layer)
+            # Every attempt enters at the latest record: restore its snapshot
+            # (a crash leaves rank 0's in-place layer mid-epoch), or take one
+            # where the layer already stands at the record's boundary.
+            if "snapshot" in latest:
+                _restore_layer(layer, latest["snapshot"])
+            else:
+                latest["snapshot"] = _layer_snapshot(layer)
             spec = {
                 "n_hypercolumns": layer.n_hypercolumns,
                 "n_minicolumns": layer.n_minicolumns,
@@ -796,76 +757,36 @@ class DistributedTrainer:
                 "batch_size": int(batch_size),
                 "shuffle": bool(shuffle),
                 "mode": mode,
-                "pipeline": bool(pipeline),
                 "weight_refresh_tol": float(weight_refresh_tol),
                 "comm_overlap": comm_overlap,
                 "sparse_payload": sparse_payload,
-                "shuffle_seed": shuffle_seed,
+                "record": {k: v for k, v in latest.items() if k != "snapshot"},
                 "rng_layer_state": layer._rng.bit_generator.state,
-                "start_epoch": start_epoch,
-                "batches_done": batches_done,
-                "swaps_done": swaps_done,
             }
-            progress: Optional[Dict[str, object]] = None
-            if fault_tolerance:
-                progress = {
-                    "epoch": start_epoch,
-                    "global_batches": batches_done,
-                    "swaps": swaps_done,
-                    "epoch_logs": [],
-                    "snapshot": None,
-                }
-                options["progress"] = progress
             if injection is not None:
                 options["fault_injection"] = injection
-            # The boundary hook is a live driver-side closure, so it rides a
-            # rank-0-only shallow copy: worker ranks keep the original,
-            # picklable options dict (they share the same ``progress``
-            # object through the copy, which rank 0 mutates inline).
-            rank0_options = options
-            if on_epoch_boundary is not None:
-                prior_logs = [dict(log) for log in completed_logs]
-
-                def _boundary_hook(
-                    epoch: int, info: Dict[str, object], _prior=prior_logs
-                ) -> None:
-                    payload = dict(info)
-                    payload["shuffle_seed"] = shuffle_seed
-                    payload["epoch_logs"] = _prior + list(info["epoch_logs"])
-                    on_epoch_boundary(epoch, payload)
-
-                rank0_options = dict(options)
-                rank0_options["on_epoch_boundary"] = _boundary_hook
-            rank_args: List[tuple] = [(layer, x, rank0_options)]
+            rank_args: List[tuple] = [(layer, x, options, keep)]
             rank_args += [(None, None, options) for _ in range(1, self.comm.size)]
             try:
                 results = self.comm.run(train_layer_program, rank_args)
                 break
             except BackendError:
-                if not fault_tolerance:
-                    raise
                 restarts += 1
-                if restarts > int(max_restarts):
-                    raise
-                if not self.comm.recover():
+                if (
+                    not self.comm.fault_tolerant
+                    or restarts > int(max_restarts)
+                    or not self.comm.recover()
+                ):
                     raise
                 # A worker.crash rule with count=N re-arms until its budget
                 # is spent (how the chaos tests exceed max_restarts with
                 # genuine repeat crashes).
                 injection = faults.crash_injection_from_plan()
-                if progress is not None and progress.get("snapshot") is not None:
-                    start_epoch = int(progress["epoch"])
-                    batches_done = int(progress["global_batches"])
-                    swaps_done = int(progress["swaps"])
-                    completed_logs = list(completed_logs) + list(progress["epoch_logs"])
-                    _restore_layer(layer, progress["snapshot"])
-                else:
-                    _restore_layer(layer, attempt_state)
                 logger.warning(
                     "rank failure during distributed training; resuming layer "
                     "'%s' from epoch %d (restart %d/%d)",
                     layer.name,
-                    start_epoch,
+                    int(latest["epoch"]),
                     restarts,
                     int(max_restarts),
                 )
@@ -874,20 +795,16 @@ class DistributedTrainer:
             # refreshes defer (a no-op on dense layers).
             layer.flush_weights()
         report = results[0]
-        epoch_logs = completed_logs + list(report["epoch_logs"])
-        if on_epoch_end is not None:
-            for epoch, log in enumerate(epoch_logs):
-                on_epoch_end(epoch, dict(log))
         return DistributedEpochReport(
             epochs=epochs,
             global_batches=int(report["global_batches"]),
             ranks=self.comm.size,
-            samples=n,
+            samples=x.shape[0],
             allreduce_calls=self.comm.collective_calls["allreduce"],
             bytes_communicated=self.comm.bytes_communicated,
             swaps=int(report["swaps"]),
             extra={
-                "epoch_logs": epoch_logs,
+                "epoch_logs": list(report["epoch_logs"]),
                 "iallreduce_calls": int(report.get("iallreduce_calls", 0)),
                 "restarts": restarts,
             },

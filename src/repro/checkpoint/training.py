@@ -15,9 +15,10 @@ needs to fast-forward to an epoch boundary and continue bitwise-identically
   the uninterrupted run would have drawn next;
 * the recorded :class:`~repro.core.training.History`;
 * a **cursor** (``phase``/``layer_index``/``epochs_done``) locating the
-  boundary, plus per-unit extras for an in-progress data-parallel layer
-  (its shuffle seed and completed epoch logs — the same quantities worker
-  fault tolerance snapshots in memory, persisted);
+  boundary, plus the unit of an in-progress data-parallel layer: the
+  restart record :class:`~repro.backend.distributed.DistributedTrainer`
+  keeps in memory for crash recovery, without its layer snapshot (the
+  checkpoint holds the layer itself);
 * a **schedule fingerprint** guarding resumes: a checkpoint taken under
   different hyperparameters, architecture or data shape is refused with a
   pathed :class:`CheckpointError` instead of silently diverging.

@@ -34,7 +34,7 @@ JSON report.
 ``train``, ``predict``, ``sweep`` and ``benchmark`` additionally accept
 ``--comm SPEC`` — a transport spec such as ``serial``, ``thread:4``,
 ``tcp://host:port?ranks=8`` (sockets, multi-host; ``process:4`` is 4 ranks
-on loopback tcp) or ``mpi`` — to run data-parallel training / rank-sharded
+on loopback tcp) — to run data-parallel training / rank-sharded
 bulk inference / the comm-throughput benchmark over a :mod:`repro.comm`
 transport.  The rank count is part of the spec.  ``predict --comm`` beats
 the plain loop only on tens of thousands of rows with
@@ -42,9 +42,9 @@ the plain loop only on tens of thousands of rows with
 ``serve`` has one path: every micro-batch runs the plain tile loop in the
 server process.
 ``--comm help`` prints the capability table (multihost / fault-tolerant /
-nonblocking per transport).  ``train`` also accepts ``--fault-tolerance``
-(recover from crashed ranks mid-run on the tcp transport); crashes are
-injected through ``REPRO_FAULTS`` (see :mod:`repro.faults`).
+nonblocking per transport).  Training over a fault-tolerant transport (tcp,
+``process:N`` included) recovers from crashed ranks mid-run with no flag;
+crashes are injected through ``REPRO_FAULTS`` (see :mod:`repro.faults`).
 
 ``train``, ``sweep`` and ``benchmark`` accept ``--pipeline`` (overlapped
 double-buffered training loop; identical results) and
@@ -100,7 +100,7 @@ def _add_common(parser: argparse.ArgumentParser, seed: bool = True) -> None:
 _COMM_HELP = (
     "communicator transport spec for data-parallel execution: "
     "'serial', 'thread:N', 'tcp://host:port?ranks=N' (multi-host "
-    "sockets), 'process:N' (loopback tcp) or 'mpi'; pass 'help' to "
+    "sockets) or 'process:N' (loopback tcp); pass 'help' to "
     "print the transport capability table and exit"
 )
 
@@ -187,7 +187,6 @@ TRAIN_FLAGS = (
     ("--comm", "training.comm", _COMM_HELP),
     ("--pipeline", "training.pipeline", _PIPELINE_HELP),
     ("--weight-refresh-tol", "training.weight_refresh_tol", _TOL_HELP),
-    ("--fault-tolerance", "training.fault_tolerance", "recover crashed ranks (tcp, process:N)"),
     ("--checkpoint-dir", "training.checkpoint_dir", "write durable checkpoints into this dir"),
     ("--checkpoint-every", "training.checkpoint_every", "checkpoint every N epoch boundaries"),
     ("--checkpoint-keep", "training.checkpoint_keep", "keep the newest N checkpoints"),
@@ -321,7 +320,6 @@ def main_sweep(argv: Optional[List[str]] = None) -> int:
             scale=scale,
             seed=args.seed,
             backend=args.backend,
-            pipeline=args.pipeline,
             weight_refresh_tol=args.weight_refresh_tol,
             **kwargs,
         )

@@ -2,7 +2,7 @@
 
 The paper's data-parallel BCPNN needs exactly one allreduce of sufficient
 statistics per batch, so the whole distributed stack is written against a
-tiny MPI-shaped :class:`~repro.comm.base.Communicator` interface with four
+tiny MPI-shaped :class:`~repro.comm.base.Communicator` interface with three
 interchangeable transports:
 
 ============  ====================================================================
@@ -17,12 +17,10 @@ transport      implementation
                host (``process:N`` is the loopback spelling) or started on
                others.  Multi-host, fault tolerant (crashed workers are
                respawned or re-admitted) and genuinely nonblocking.
-``mpi``        :class:`MPIComm` — mpi4py adapter, available when mpi4py is
-               importable (``HAVE_MPI``).
 ============  ====================================================================
 
 Entry points: :func:`parse_transport_spec` parses spec strings ("thread:4",
-"process:4", "tcp://host:port?ranks=8", "mpi"); :func:`resolve_comm` /
+"process:4", "tcp://host:port?ranks=8"); :func:`resolve_comm` /
 :func:`get_communicator` turn them into communicators;
 :func:`transport_capabilities` reports each transport's ``multihost`` /
 ``fault_tolerant`` / ``nonblocking`` flags; :meth:`Communicator.run` launches
@@ -39,7 +37,6 @@ from repro.comm.factory import (
     resolve_comm,
     transport_capabilities,
 )
-from repro.comm.mpi import HAVE_MPI, MPIComm
 from repro.comm.serial import SerialComm
 from repro.comm.tcp import TCPComm
 from repro.comm.thread import ThreadComm
@@ -51,8 +48,6 @@ __all__ = [
     "SerialComm",
     "ThreadComm",
     "TCPComm",
-    "MPIComm",
-    "HAVE_MPI",
     "REDUCE_OPS",
     "split_ranks",
     "TransportSpec",

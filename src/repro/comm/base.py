@@ -109,18 +109,18 @@ class Communicator(ABC):
 
     The object handed to user code *is* rank 0's view (the driver).  Inside
     :meth:`run`, each rank receives its own view with the same interface, so
-    SPMD programs read identically across the serial, thread, tcp and
-    mpi4py transports.
+    SPMD programs read identically across the serial, thread and tcp
+    transports.
     """
 
-    #: Transport name ("serial", "thread", "tcp", "mpi").
+    #: Transport name ("serial", "thread", "tcp").
     transport: str = "abstract"
 
     #: Capability flags (class attributes, surfaced by
     #: :func:`repro.comm.factory.transport_capabilities`):
     #:
-    #: * ``multihost`` — ranks may live on different machines (socket/MPI
-    #:   transports); the in-process transports are pinned to one host.
+    #: * ``multihost`` — ranks may live on different machines (the socket
+    #:   transport); the in-process transports are pinned to one host.
     #: * ``fault_tolerant`` — :meth:`recover` can restore the communicator
     #:   after a failed rank (respawn or re-admission), so the driver may
     #:   retry a program instead of failing the job.
@@ -240,10 +240,10 @@ class Communicator(ABC):
     def _iallreduce_array(self, array: np.ndarray, op: str) -> CommRequest:
         """Default nonblocking allreduce: complete eagerly on call.
 
-        Transports with a genuinely split-phase path (tcp rounds, MPI
-        requests) override this; everything else reduces inline and
-        returns a :class:`CompletedRequest`, which is semantically identical
-        — the overlap window is just empty.  The call is re-labelled from
+        Transports with a genuinely split-phase path (tcp rounds) override
+        this; everything else reduces inline and returns a
+        :class:`CompletedRequest`, which is semantically identical — the
+        overlap window is just empty.  The call is re-labelled from
         ``allreduce`` to ``iallreduce`` in ``collective_calls`` so the
         benchmark tables count the nonblocking path separately.
         """

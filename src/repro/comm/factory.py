@@ -11,7 +11,6 @@ spec                            meaning
 ``thread:4``                    4 in-process ranks on daemon threads
 ``tcp://host:port?ranks=8``     8 ranks over sockets (multi-host capable)
 ``process:4``                   ``tcp://127.0.0.1:0?ranks=4``: 4 local ranks
-``mpi``                         mpi4py adapter; size comes from ``mpirun``
 ==============================  ==============================================
 
 ``process:N`` is only a spelling: it parses to the loopback tcp spec, so
@@ -38,7 +37,6 @@ from typing import Any, Dict, List, Optional, Type, Union
 from urllib.parse import urlsplit, parse_qsl
 
 from repro.comm.base import Communicator
-from repro.comm.mpi import HAVE_MPI, MPIComm
 from repro.comm.serial import SerialComm
 from repro.comm.tcp import TCPComm
 from repro.comm.thread import ThreadComm
@@ -55,13 +53,12 @@ __all__ = [
 
 CommSpec = Union[str, Communicator, None]
 
-#: Transport registry: name -> communicator class.  ``serial`` and ``mpi``
-#: ignore a rank count (size 1 and mpirun-determined respectively).
+#: Transport registry: name -> communicator class.  ``serial`` ignores a
+#: rank count (it is always size 1).
 _TRANSPORT_CLASSES: Dict[str, Type[Communicator]] = {
     "serial": SerialComm,
     "thread": ThreadComm,
     "tcp": TCPComm,
-    "mpi": MPIComm,
 }
 _TCP_QUERY_KEYS = ("ranks", "timeout", "chunk_bytes", "spawn")
 
@@ -154,10 +151,6 @@ def parse_transport_spec(spec: str) -> TransportSpec:
         return TransportSpec(name)
     if name == "serial":
         raise BackendError("the serial transport is single-rank; drop the ':N' suffix")
-    if name == "mpi":
-        raise BackendError(
-            "the mpi transport takes its size from mpirun/mpiexec; drop the ':N' suffix"
-        )
     return TransportSpec(name, _positive_int(count, f"{name} rank count"))
 
 
@@ -207,7 +200,7 @@ def get_communicator(spec: CommSpec = None, ranks: int = 1, **kwargs) -> Communi
     spec:
         ``None``/"serial" (rank-0 no-op), a spec string from the grammar in
         the module docstring ("thread:4", "process:4",
-        "tcp://host:port?ranks=8", "mpi"), or an existing
+        "tcp://host:port?ranks=8"), or an existing
         :class:`Communicator` instance (returned unchanged; ``ranks`` must
         then agree or be 1).
     ranks:
@@ -249,18 +242,13 @@ def get_communicator(spec: CommSpec = None, ranks: int = 1, **kwargs) -> Communi
                 "or 'tcp://host:port?ranks=N'"
             )
         return SerialComm()
-    if parsed.name == "mpi":
-        return MPIComm(**kwargs)
     options = {**parsed.options, **kwargs}
     return _TRANSPORT_CLASSES[parsed.name](size, **options)
 
 
 def list_transports() -> List[str]:
     """Names of the constructible transports in this environment."""
-    names = ["serial", "thread", "tcp"]
-    if HAVE_MPI:  # pragma: no cover - mpi4py absent in CI
-        names.append("mpi")
-    return names
+    return list(_TRANSPORT_CLASSES)
 
 
 def transport_capabilities() -> Dict[str, Dict[str, object]]:
@@ -273,7 +261,6 @@ def transport_capabilities() -> Dict[str, Dict[str, object]]:
         "serial": "serial",
         "thread": "thread:4",
         "tcp": "tcp://127.0.0.1:0?ranks=4",
-        "mpi": "mpi",
     }
     table: Dict[str, Dict[str, object]] = {}
     for name in list_transports():

@@ -15,8 +15,7 @@ top-level ``seed``.  Every section is a frozen dataclass, and
   backend names ...) raise with the path and the legal domain;
 * **cross-field contradictions** — combinations that each validate alone but
   cannot mean anything together — raise naming the field that must change
-  (e.g. ``training.fault_tolerance: true`` on a transport that cannot
-  recover a rank).
+  (e.g. ``training.resume: true`` with no ``training.checkpoint_dir``).
 
 ``repro train`` is a flag spelling of this schema: each of its settings
 flags names one dotted field here (``cli.TRAIN_FLAGS``) and takes its type
@@ -88,16 +87,15 @@ class TrainingSection:
     weight_refresh_tol: float = 0.0
     #: Communicator transport spec for data-parallel training: a string from
     #: the :func:`repro.comm.parse_transport_spec` grammar (``"thread:4"``,
-    #: ``"tcp://host:port?ranks=8"``, ``"process:4"`` for loopback tcp,
-    #: ``"mpi"``).  ``None`` keeps the single-process path (exactly like
-    #: omitting ``--comm``).
+    #: ``"tcp://host:port?ranks=8"``, ``"process:4"`` for loopback tcp).
+    #: ``None`` keeps the single-process path (exactly like omitting
+    #: ``--comm``).  A fault-tolerant transport (tcp) also recovers a
+    #: crashed rank mid-run.
     comm: Optional[str] = None
     #: Legacy communicator size for bare transport names; ``None`` defaults
     #: to 1 (``> 1`` without ``comm`` implies the thread transport).  Prefer
     #: embedding the count in the spec — the pair is deprecated.
     ranks: Optional[int] = None
-    #: Recover from crashed ranks mid-training (fault-tolerant transports).
-    fault_tolerance: bool = False
     #: Durable checkpoint directory for crash-safe training (null = off);
     #: see ``docs/reliability.md``.
     checkpoint_dir: Optional[str] = None
@@ -384,17 +382,6 @@ def _validate_cross(cfg: ExperimentConfig) -> None:
             f"the serial transport is single-rank but ranks={ranks}; "
             "use training.comm: thread:N or tcp://host:port?ranks=N",
         )
-    if tr.fault_tolerance:
-        from repro.comm import transport_capabilities
-
-        caps = transport_capabilities().get(name) if name is not None else None
-        if caps is None or not caps["fault_tolerant"]:
-            raise ConfigError(
-                "training.fault_tolerance",
-                "requires a fault-tolerant transport, but training.comm is "
-                f"{tr.comm!r}; use tcp://host:port?ranks=N (or process:N, its "
-                "loopback spelling)",
-            )
     if tr.resume and tr.checkpoint_dir is None:
         raise ConfigError(
             "training.resume",

@@ -150,7 +150,9 @@ class TrainingSchedule:
     (:mod:`repro.engine.pipeline`): double-buffered engine workspaces, batch
     gathers prefetched on a background thread, and the per-batch entropy
     reduction running off the critical path.  Bit-for-bit identical results
-    (test-enforced) — only the schedule of the work changes.
+    (test-enforced) — only the schedule of the work changes.  Under a
+    communicator the hidden phase has one schedule, and ``pipeline`` only
+    prefetches the head phase's batches.
 
     ``weight_refresh_tol`` enables the engine's stale-weights caching: the
     per-batch ``traces_to_weights`` refresh is skipped while the accumulated
@@ -175,10 +177,6 @@ class TrainingSchedule:
     pipeline: bool = False
     #: Stale-weights tolerance for the per-batch weight refresh (0 = exact).
     weight_refresh_tol: float = 0.0
-    #: Recover from crashed ranks during comm training (fault-tolerant
-    #: transports only): the dead rank is respawned/re-admitted and the run
-    #: resumes from the last epoch boundary, bitwise-exact at ``tol=0``.
-    fault_tolerance: bool = False
 
     def __post_init__(self) -> None:
         check_positive_int(self.hidden_epochs, "hidden_epochs", minimum=0)

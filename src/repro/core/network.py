@@ -153,7 +153,7 @@ class Network:
 
         ``comm`` (a :class:`repro.comm.Communicator` or a transport spec
         string — ``"thread:4"``, ``"process:4"``,
-        ``"tcp://host:port?ranks=8"``, ``"mpi"``; see
+        ``"tcp://host:port?ranks=8"``; see
         :func:`repro.comm.resolve_comm`; spec-created communicators are
         closed when ``fit`` returns) switches the hidden
         layers to data-parallel training: every rank holds an identical
@@ -162,23 +162,21 @@ class Network:
         :class:`repro.backend.distributed.DistributedTrainer`).  Training is
         rank-invariant across the serial/thread/tcp transports (bit for
         bit up to floating-point summation order) for deterministic
-        competition modes.  The classification head is small and trains on
-        the driver as usual.
+        competition modes.  The classification head is small and trains in
+        this process as usual.  On a transport that can recover a rank
+        (``comm.fault_tolerant``: tcp, ``process:N`` included) a crashed
+        rank is respawned or re-admitted and the layer resumes from its
+        last epoch boundary — bitwise-exact at ``weight_refresh_tol=0``.
 
         Every training knob comes from ``schedule``: ``pipeline=True``
-        runs the hidden phase through the overlapped double-buffered loop
-        (:mod:`repro.engine.pipeline`; identical results, different work
-        schedule — also honoured by the data-parallel SPMD program),
-        ``weight_refresh_tol > 0`` enables stale-weights caching (skip the
-        per-batch ``traces_to_weights`` refresh while the accumulated
-        ``taupdt``-scaled trace drift stays under the tolerance; ``0`` is
-        bit-for-bit exact), and ``fault_tolerance`` recovers from crashed
-        ranks mid-fit on the fault-tolerant tcp transport (respawn or
-        re-admit the dead rank, resume from the last epoch boundary —
-        bitwise-exact at ``weight_refresh_tol=0``).  Hidden layers whose
-        mask density is at or below
-        :data:`repro.kernels.SPARSE_DENSITY_THRESHOLD` run the block-sparse
-        kernels (an execution choice — results unchanged).
+        runs the serial hidden phase through the overlapped double-buffered
+        loop (:mod:`repro.engine.pipeline`; identical results, different
+        work schedule), and ``weight_refresh_tol > 0`` enables stale-weights
+        caching (skip the per-batch ``traces_to_weights`` refresh while the
+        accumulated ``taupdt``-scaled trace drift stays under the tolerance;
+        ``0`` is bit-for-bit exact).  Hidden layers whose mask density is at
+        or below :data:`repro.kernels.SPARSE_DENSITY_THRESHOLD` run the
+        block-sparse kernels (an execution choice — results unchanged).
 
         Parameters
         ----------
@@ -217,7 +215,9 @@ class Network:
             uninterrupted run.  An empty checkpoint directory with
             ``resume=True`` simply starts fresh, so restart loops are
             idempotent.  Mid-layer resumes must use the same execution mode
-            (serial vs ``comm``) the checkpoint was written under.
+            (serial vs ``comm``) the checkpoint was written under; a comm
+            resume re-enters the layer through the same restart path as a
+            recovered rank crash.
 
         Returns
         -------
@@ -379,6 +379,14 @@ class Network:
                 representation = self._tiled(x, n_layers=index)
                 layer_start = hidden_start_epoch if index == start_layer else 0
                 layer_unit = unit_extras if index == start_layer else None
+                # Only a data-parallel layer checkpoints a unit (its restart
+                # record), so a mid-layer resume must keep the execution mode.
+                if layer_start > 0 and (layer_unit is not None) != (comm is not None):
+                    written = "data-parallel (comm)" if layer_unit is not None else "serial"
+                    raise ConfigurationError(
+                        f"the checkpoint was written mid-layer under {written} "
+                        "training; resume with the same execution mode"
+                    )
                 if comm is not None:
                     self._train_hidden_layer_comm(
                         layer,
@@ -388,17 +396,10 @@ class Network:
                         callback_list,
                         verbose,
                         layer_index=index,
-                        start_epoch=layer_start,
                         resume_unit=layer_unit,
                         boundary=boundary,
                     )
                 else:
-                    if layer_unit is not None:
-                        raise ConfigurationError(
-                            "the checkpoint was written mid-layer under "
-                            "data-parallel (comm) training; resume with the "
-                            "same execution mode"
-                        )
                     self._train_hidden_layer(
                         layer,
                         representation,
@@ -473,42 +474,7 @@ class Network:
             weight_refresh_tol=schedule.weight_refresh_tol,
         )
         stream = self._batch_stream(x, None, schedule)
-
-        def emit(epoch: int, duration: float, entropy: float, swaps: int) -> None:
-            metrics = {
-                "mean_activation_entropy": float(entropy),
-                "mask_swaps": float(swaps),
-                "density": float(layer.hyperparams.density),
-            }
-            record = EpochResult("hidden", layer.name, epoch, duration, metrics)
-            self.history.append(record)
-            callbacks.on_epoch_end(
-                {
-                    "phase": "hidden",
-                    "layer": layer,
-                    "layer_name": layer.name,
-                    "epoch": epoch,
-                    "network": self,
-                    "metrics": metrics,
-                }
-            )
-            if verbose:  # pragma: no cover - console convenience
-                print(
-                    f"[hidden:{layer.name}] epoch {epoch + 1}/{schedule.hidden_epochs} "
-                    f"entropy={metrics['mean_activation_entropy']:.3f} swaps={swaps} "
-                    f"({duration:.2f}s)"
-                )
-            if boundary is not None:
-                # The network RNG has drawn this epoch's permutation and the
-                # record is appended, so a checkpoint here resumes exactly at
-                # the next epoch.
-                boundary(
-                    {
-                        "phase": "hidden",
-                        "layer_index": layer_index,
-                        "epochs_done": epoch + 1,
-                    }
-                )
+        emit = self._hidden_epoch_end(layer, layer_index, schedule, callbacks, verbose, boundary)
 
         try:
             # One loop for both schedules: when overlapping, the entropy of
@@ -519,12 +485,7 @@ class Network:
                 layer,
                 stream,
                 schedule.hidden_epochs,
-                on_epoch_end=lambda epoch, logs: emit(
-                    epoch,
-                    logs["seconds"],
-                    logs["mean_activation_entropy"],
-                    int(logs["swaps"]),
-                ),
+                on_epoch_end=emit,
                 offload=overlap,
                 start_epoch=start_epoch,
             )
@@ -549,7 +510,6 @@ class Network:
         callbacks: CallbackList,
         verbose: bool,
         layer_index: int = 0,
-        start_epoch: int = 0,
         resume_unit=None,
         boundary=None,
     ) -> None:
@@ -558,24 +518,66 @@ class Network:
         Delegates to :class:`~repro.backend.distributed.DistributedTrainer`
         in ``"competitive"`` mode (first-batch calibration + the configured
         competition rule — the same semantics as the serial
-        ``train_batch`` path).  Epoch callbacks fire on the driver after the
-        SPMD program completes, in epoch order.
+        ``train_batch`` path).  Each epoch boundary record the trainer
+        emits is recorded like a serial epoch, and checkpointed without its
+        snapshot as the unit a resume re-enters (``resume_unit``).
         """
         from repro.backend.distributed import DistributedTrainer
 
-        trainer = DistributedTrainer(comm)
+        emit = self._hidden_epoch_end(layer, layer_index, schedule, callbacks, verbose, boundary)
 
-        def record(epoch: int, logs: Dict[str, float]) -> None:
+        def on_epoch_end(record: Dict[str, object]) -> None:
+            emit(
+                int(record["epoch"]) - 1,
+                record["epoch_logs"][-1],
+                ranks=comm.size,
+                unit={k: v for k, v in record.items() if k != "snapshot"},
+            )
+
+        # Derive a per-phase shuffle stream from the network RNG (advancing
+        # it, so stacked layers do not reuse one permutation sequence).  A
+        # checkpoint resume into this layer reuses the unit's seed instead:
+        # the restored network RNG state was captured after the draw, so
+        # drawing again would desynchronise every later layer's stream.
+        shuffle_rng = None if resume_unit is not None else as_rng(int(self._rng.integers(2**63)))
+        try:
+            DistributedTrainer(comm).train_layer(
+                layer,
+                x,
+                epochs=schedule.hidden_epochs,
+                batch_size=schedule.batch_size,
+                rng=shuffle_rng,
+                on_epoch_end=on_epoch_end,
+                mode="competitive",
+                weight_refresh_tol=schedule.weight_refresh_tol,
+                resume=resume_unit,
+            )
+        finally:
+            # Phase boundary: settle the dense weight matrix the sparse
+            # plan's packed refreshes may have deferred (a no-op otherwise),
+            # and drop any engine an earlier serial fit left on the layer.
+            layer.flush_weights()
+            layer._reset_engine()
+
+    def _hidden_epoch_end(self, layer, layer_index, schedule, callbacks, verbose, boundary):
+        """The one per-epoch record of hidden-layer training, serial or comm.
+
+        Returns ``emit(epoch, logs, ranks=None, unit=None)``: appends the
+        :class:`EpochResult`, fires the callbacks, prints the verbose line
+        and passes the boundary to the checkpointer.  The comm route adds
+        the rank count and its checkpoint unit.
+        """
+
+        def emit(epoch: int, logs: Dict[str, float], ranks=None, unit=None) -> None:
             metrics = {
                 "mean_activation_entropy": float(logs.get("mean_activation_entropy", 0.0)),
-                "mask_swaps": float(logs.get("swaps", 0.0)),
+                "mask_swaps": float(logs["swaps"]),
                 "density": float(layer.hyperparams.density),
-                "ranks": float(comm.size),
             }
-            record_ = EpochResult(
-                "hidden", layer.name, epoch, float(logs.get("seconds", 0.0)), metrics
-            )
-            self.history.append(record_)
+            if ranks is not None:
+                metrics["ranks"] = float(ranks)
+            duration = float(logs["seconds"])
+            self.history.append(EpochResult("hidden", layer.name, epoch, duration, metrics))
             callbacks.on_epoch_end(
                 {
                     "phase": "hidden",
@@ -590,71 +592,20 @@ class Network:
                 print(
                     f"[hidden:{layer.name}] epoch {epoch + 1}/{schedule.hidden_epochs} "
                     f"entropy={metrics['mean_activation_entropy']:.3f} "
-                    f"swaps={int(metrics['mask_swaps'])} ranks={comm.size} "
-                    f"({logs.get('seconds', 0.0):.2f}s)"
+                    f"swaps={int(metrics['mask_swaps'])}"
+                    + (f" ranks={ranks}" if ranks is not None else "")
+                    + f" ({duration:.2f}s)"
                 )
-
-        # Derive a per-phase shuffle stream from the network RNG (advancing
-        # it, so stacked layers do not reuse one permutation sequence).  A
-        # checkpoint resume into this layer reuses the *stored* seed instead:
-        # the restored network RNG state was captured after the draw, so
-        # drawing again would desynchronise every later layer's stream.
-        resume_arg = None
-        if resume_unit is not None:
-            resume_arg = {
-                "shuffle_seed": int(resume_unit["shuffle_seed"]),
-                "start_epoch": int(start_epoch),
-                "batches_done": int(resume_unit.get("batches", 0)),
-                "swaps_done": int(resume_unit.get("swaps", 0)),
-                "completed_logs": list(resume_unit.get("epoch_logs", [])),
-            }
-            shuffle_rng = None
-        elif start_epoch > 0:
-            raise ConfigurationError(
-                "the checkpoint was written mid-layer under serial training; "
-                "resume with the same execution mode"
-            )
-        else:
-            shuffle_rng = as_rng(int(self._rng.integers(2**63)))
-        on_epoch_boundary = None
-        if boundary is not None:
-
-            def on_epoch_boundary(epoch: int, info: Dict[str, object]) -> None:
+            if boundary is not None:
+                # The network RNG has drawn this epoch's permutation and the
+                # record is appended, so a checkpoint here resumes exactly at
+                # the next epoch.
                 boundary(
-                    {
-                        "phase": "hidden",
-                        "layer_index": layer_index,
-                        "epochs_done": epoch + 1,
-                    },
-                    unit={
-                        "shuffle_seed": int(info["shuffle_seed"]),
-                        "epoch_logs": list(info["epoch_logs"]),
-                        "batches": int(info["global_batches"]),
-                        "swaps": int(info["swaps"]),
-                    },
+                    {"phase": "hidden", "layer_index": layer_index, "epochs_done": epoch + 1},
+                    unit=unit,
                 )
 
-        try:
-            trainer.train_layer(
-                layer,
-                x,
-                epochs=schedule.hidden_epochs,
-                batch_size=schedule.batch_size,
-                rng=shuffle_rng,
-                on_epoch_end=record,
-                mode="competitive",
-                pipeline=schedule.pipeline,
-                weight_refresh_tol=schedule.weight_refresh_tol,
-                fault_tolerance=schedule.fault_tolerance,
-                resume_state=resume_arg,
-                on_epoch_boundary=on_epoch_boundary,
-            )
-        finally:
-            # Phase boundary: settle the dense weight matrix the sparse
-            # plan's packed refreshes may have deferred (a no-op otherwise),
-            # and drop any engine an earlier serial fit left on the layer.
-            layer.flush_weights()
-            layer._reset_engine()
+        return emit
 
     def _train_head(
         self,

@@ -111,8 +111,6 @@ class HiggsExperimentConfig:
     pipeline: bool = False
     #: Stale-weights tolerance for the per-batch weight refresh (0 = exact).
     weight_refresh_tol: float = 0.0
-    #: Recover from crashed ranks during comm training (tcp).
-    fault_tolerance: bool = False
     #: Durable checkpoint directory for crash-safe training (None = off).
     checkpoint_dir: Optional[str] = None
     #: Save a checkpoint every N epoch boundaries (1 = every boundary).
@@ -149,7 +147,6 @@ class HiggsExperimentConfig:
             batch_size=self.batch_size,
             pipeline=self.pipeline,
             weight_refresh_tol=self.weight_refresh_tol,
-            fault_tolerance=self.fault_tolerance,
         )
 
     @classmethod
@@ -178,7 +175,6 @@ class HiggsExperimentConfig:
             seed=config.seed,
             pipeline=training.pipeline,
             weight_refresh_tol=training.weight_refresh_tol,
-            fault_tolerance=training.fault_tolerance,
             checkpoint_dir=training.checkpoint_dir,
             checkpoint_every=training.checkpoint_every,
             checkpoint_keep=training.checkpoint_keep,

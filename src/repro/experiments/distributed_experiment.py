@@ -52,7 +52,6 @@ def run_distributed_equivalence(
     seed: int = 0,
     backend: str = "numpy",
     transport: str = "thread",
-    pipeline: bool = False,
     weight_refresh_tol: float = 0.0,
 ) -> Dict[str, object]:
     """Compare serial vs. rank-sharded training of one hidden layer.
@@ -64,10 +63,10 @@ def run_distributed_equivalence(
     shard arithmetic; ``transport`` selects the :mod:`repro.comm` transport
     carrying the per-batch allreduce ("serial" is only valid for one rank,
     "thread" runs in-process ranks, "tcp" (or "process") OS processes).
-    ``pipeline``/``weight_refresh_tol`` exercise the pipelined shard gather
-    and the rank-invariant stale-weights caching — every run (including the
-    serial reference) uses the same options, so the equivalence check also
-    validates that the refresh decisions are rank-invariant.
+    ``weight_refresh_tol`` exercises the rank-invariant stale-weights
+    caching — every run (including the serial reference) uses the same
+    tolerance, so the equivalence check also validates that the refresh
+    decisions are rank-invariant.
     """
     scale = scale or get_scale()
     if data is None:
@@ -80,8 +79,7 @@ def run_distributed_equivalence(
     with get_communicator("serial") as reference_comm:
         DistributedTrainer(reference_comm).train_layer(
             reference_layer, x, epochs=epochs, batch_size=batch_size,
-            rng=as_rng(seed + 2), shuffle=True,
-            pipeline=pipeline, weight_refresh_tol=weight_refresh_tol,
+            rng=as_rng(seed + 2), shuffle=True, weight_refresh_tol=weight_refresh_tol,
         )
 
     rows: List[Dict[str, object]] = []
@@ -95,8 +93,7 @@ def run_distributed_equivalence(
             trainer = DistributedTrainer(comm)
             report = trainer.train_layer(
                 layer, x, epochs=epochs, batch_size=batch_size,
-                rng=as_rng(seed + 2), shuffle=True,
-                pipeline=pipeline, weight_refresh_tol=weight_refresh_tol,
+                rng=as_rng(seed + 2), shuffle=True, weight_refresh_tol=weight_refresh_tol,
             )
             max_dev = float(
                 max(

@@ -1,12 +1,13 @@
 """Fault-tolerant training: an injected crash must not change the result.
 
-The guarantee under test (``DistributedTrainer.train_layer`` with
-``fault_tolerance=True``): when a worker rank dies mid-epoch, the failed
-rank is respawned or re-admitted (tcp transport), the layer is restored
-from the last completed epoch boundary, and the run converges to
-*bitwise-identical* final weights, traces and mask as the uninterrupted run
-at ``weight_refresh_tol=0`` — same shuffle stream, same RNG state, same
-batch count.
+The guarantee under test (``DistributedTrainer.train_layer`` on a transport
+that can recover, ``comm.fault_tolerant``): when a worker rank dies
+mid-epoch, the failed rank is respawned or re-admitted (tcp transport), the
+layer is restored from the last completed epoch boundary, and the run
+converges to *bitwise-identical* final weights, traces and mask as the
+uninterrupted run at ``weight_refresh_tol=0`` — same shuffle stream, same
+RNG state, same batch count.  No flag arms it; the thread and serial
+transports cannot recover and raise.
 """
 
 import numpy as np
@@ -44,7 +45,7 @@ def _make_data() -> np.ndarray:
     return np.tile(x, (4, 1))
 
 
-def _train(comm, crash=None, fault_tolerance=False, competition="softmax"):
+def _train(comm, crash=None, competition="softmax", max_restarts=2):
     """Train three epochs; ``crash`` ("rank=r,epoch=e,batch=b") installs a
     ``worker.crash`` fault plan, the trainer's only source of crashes."""
     if crash is not None:
@@ -58,7 +59,7 @@ def _train(comm, crash=None, fault_tolerance=False, competition="softmax"):
         batch_size=64,
         rng=as_rng(5),
         shuffle=True,
-        fault_tolerance=fault_tolerance,
+        max_restarts=max_restarts,
     )
     return layer, report
 
@@ -81,7 +82,6 @@ def test_mid_epoch_crash_is_bitwise_invisible(competition):
         ft_layer, ft_report = _train(
             comm,
             crash="rank=1,epoch=1,batch=2",
-            fault_tolerance=True,
             competition=competition,
         )
     finally:
@@ -97,11 +97,22 @@ def test_mid_epoch_crash_is_bitwise_invisible(competition):
     assert np.array_equal(ft_layer.plasticity.mask, base_layer.plasticity.mask)
 
 
-def test_crash_without_fault_tolerance_raises():
-    """fault_tolerance=False keeps the historical contract: a hard error."""
-    with ThreadComm(2) as comm:
+@pytest.mark.parametrize(
+    "make_comm, max_restarts",
+    [
+        (lambda: ThreadComm(2), 2),  # the thread transport cannot respawn a rank
+        (lambda: TCPComm(2, timeout=60.0), 0),  # tcp can, but not past max_restarts
+    ],
+    ids=["thread", "tcp-max_restarts=0"],
+)
+def test_unrecoverable_crash_raises(make_comm, max_restarts):
+    """A crash the transport cannot (or may no longer) recover is a hard error."""
+    comm = make_comm()
+    try:
         with pytest.raises(BackendError):
-            _train(comm, crash="rank=0,epoch=0,batch=0")
+            _train(comm, crash="rank=1,epoch=0,batch=1", max_restarts=max_restarts)
+    finally:
+        comm.close()
 
 
 def test_injection_validation():
@@ -125,7 +136,6 @@ def test_injection_validation():
                 epochs=1,
                 batch_size=64,
                 rng=as_rng(5),
-                fault_tolerance=True,
                 max_restarts=-1,
             )
 
@@ -140,9 +150,7 @@ class TestEdges:
             base_layer, base_report = _train(comm)
         comm = TCPComm(3, timeout=60.0)
         try:
-            ft_layer, ft_report = _train(
-                comm, crash="rank=1,epoch=0,batch=0", fault_tolerance=True
-            )
+            ft_layer, ft_report = _train(comm, crash="rank=1,epoch=0,batch=0")
         finally:
             comm.close()
         assert ft_report.extra["restarts"] == 1
@@ -169,7 +177,6 @@ class TestEdges:
                     batch_size=64,
                     rng=as_rng(5),
                     shuffle=True,
-                    fault_tolerance=True,
                     max_restarts=1,
                 )
         finally:
@@ -186,9 +193,7 @@ class TestEdges:
             base_comm.close()
         comm = TCPComm(3, timeout=60.0, chunk_bytes=256)
         try:
-            ft_layer, ft_report = _train(
-                comm, crash="rank=1,epoch=1,batch=2", fault_tolerance=True
-            )
+            ft_layer, ft_report = _train(comm, crash="rank=1,epoch=1,batch=2")
         finally:
             comm.close()
         assert ft_report.extra["restarts"] == 1
@@ -197,11 +202,46 @@ class TestEdges:
 
 
 def test_uninjected_fault_tolerant_run_matches_plain_run():
-    """fault_tolerance=True on a healthy run changes nothing (thread transport)."""
+    """Armed recovery on a healthy tcp run changes nothing (vs threads)."""
     with ThreadComm(3) as comm:
         plain_layer, plain_report = _train(comm)
-    with ThreadComm(3) as comm:
-        ft_layer, ft_report = _train(comm, fault_tolerance=True)
+    comm = TCPComm(3, timeout=60.0)
+    try:
+        ft_layer, ft_report = _train(comm)
+    finally:
+        comm.close()
     assert ft_report.extra["restarts"] == 0
     assert np.array_equal(ft_layer.weights, plain_layer.weights)
     assert np.array_equal(ft_layer.traces.p_ij, plain_layer.traces.p_ij)
+
+
+def _history_key(history):
+    return [(r.phase, r.layer_name, r.epoch, sorted(r.metrics.items())) for r in history.records]
+
+
+@pytest.mark.parametrize("competition", ["softmax", "sample"])
+def test_fit_recovers_a_crashed_rank_without_a_flag(caplog, competition):
+    """``Network.fit`` over tcp recovers a dead rank with no flag set; the
+    network's weights and history equal the crash-free fit bitwise."""
+    from repro.core import Network, SGDClassifier, TrainingSchedule
+
+    x = _make_data()
+    y = np.random.default_rng(3).integers(0, 2, x.shape[0])
+
+    def fit():
+        net = Network(seed=2)
+        net.add(_make_layer(competition=competition))
+        net.add(SGDClassifier(n_classes=2, seed=4))
+        schedule = TrainingSchedule(hidden_epochs=3, classifier_epochs=2, batch_size=64)
+        net.fit(x, y, input_spec=InputSpec.uniform(4, 3), schedule=schedule,
+                comm="tcp://127.0.0.1:0?ranks=2")
+        return net
+
+    base = fit()
+    faults.install_plan(faults.FaultPlan("worker.crash@rank=1,epoch=1,batch=2"))
+    recovered = fit()
+    assert "from epoch 1 (restart 1/2)" in caplog.text
+
+    assert np.array_equal(recovered.hidden_layers[0].weights, base.hidden_layers[0].weights)
+    assert np.array_equal(recovered.head.weights, base.head.weights)
+    assert _history_key(recovered.history) == _history_key(base.history)

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from repro import faults
-from repro.core import Network, SGDClassifier, StructuralPlasticityLayer, TrainingSchedule
+from repro.core import (
+    BCPNNHyperParameters,
+    Network,
+    SGDClassifier,
+    StructuralPlasticityLayer,
+    TrainingSchedule,
+)
 from repro.exceptions import ConfigurationError, FaultInjected
 
 
@@ -31,9 +37,14 @@ def _data(seed=0, n=96, blocks=(3, 4, 5)):
     return np.hstack(cols), rng.integers(0, 2, n), list(blocks)
 
 
-def _network(seed=7):
+def _network(seed=7, competition="softmax"):
     net = Network(seed=seed)
-    net.add(StructuralPlasticityLayer(n_hypercolumns=2, n_minicolumns=3, seed=seed + 1))
+    hyperparams = BCPNNHyperParameters(competition=competition)
+    net.add(
+        StructuralPlasticityLayer(
+            n_hypercolumns=2, n_minicolumns=3, hyperparams=hyperparams, seed=seed + 1
+        )
+    )
     net.add(SGDClassifier(n_classes=2, seed=seed + 2))
     return net
 
@@ -70,6 +81,34 @@ def test_driver_kill_then_resume_is_bitwise_identical(tmp_path):
     la, lc = baseline.hidden_layers[0], resumed.hidden_layers[0]
     assert np.array_equal(la.traces.p_ij, lc.traces.p_ij)
     assert np.array_equal(la.plasticity.mask, lc.plasticity.mask)
+    assert np.array_equal(baseline.predict(x), resumed.predict(x))
+    assert _history_key(hist_a) == _history_key(hist_c)
+
+
+@pytest.mark.parametrize("competition", ["softmax", "sample"])
+def test_rank_crash_inside_a_resumed_fit_is_bitwise_invisible(tmp_path, caplog, competition):
+    """Checkpoint resume and crash recovery are one restart path: a rank that
+    dies inside the resumed program is recovered from the resumed boundary,
+    and the run still ends bitwise-equal to the uninterrupted fit."""
+    x, y, blocks = _data()
+    kw = dict(input_spec=blocks, schedule=_schedule(), comm="tcp://127.0.0.1:0?ranks=2")
+
+    baseline = _network(competition=competition)
+    hist_a = baseline.fit(x, y, **kw)
+
+    faults.install_plan(faults.FaultPlan("driver.kill@epoch=1,mode=raise"))
+    with pytest.raises(FaultInjected):
+        _network(competition=competition).fit(x, y, checkpoint_dir=tmp_path, **kw)
+    faults.install_plan(faults.FaultPlan("worker.crash@rank=1,epoch=2,batch=1"))
+    resumed = _network(competition=competition)
+    hist_c = resumed.fit(x, y, checkpoint_dir=tmp_path, resume=True, **kw)
+    # Recovered in the resumed epoch, from the boundary the resume entered at.
+    assert "from epoch 2 (restart 1/2)" in caplog.text
+
+    la, lc = baseline.hidden_layers[0], resumed.hidden_layers[0]
+    assert np.array_equal(la.weights, lc.weights)
+    assert np.array_equal(la.plasticity.mask, lc.plasticity.mask)
+    assert np.array_equal(baseline.head.weights, resumed.head.weights)
     assert np.array_equal(baseline.predict(x), resumed.predict(x))
     assert _history_key(hist_a) == _history_key(hist_c)
 

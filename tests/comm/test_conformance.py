@@ -409,12 +409,9 @@ class TestFaultPoints:
 
 class TestCapabilities:
     def test_list_transports_is_honest(self):
-        from repro.comm import HAVE_MPI
-
         names = list_transports()
-        assert {"serial", "thread", "tcp"} <= set(names)
+        assert names == ["serial", "thread", "tcp"]
         assert "process" not in names  # a spelling of tcp, not a transport
-        assert ("mpi" in names) == HAVE_MPI
 
     def test_capability_flags_match_classes(self, comm):
         caps = transport_capabilities()[comm.transport]
@@ -450,6 +447,7 @@ class TestSpecParsing:
             "tcp:4",
             "serial:2",
             "mpi:3",
+            "mpi",  # the retired mpi4py adapter
             "thread:0",
             "warp-drive",
             "tcp://h:p?ranks=x",

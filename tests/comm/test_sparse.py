@@ -86,7 +86,8 @@ class TestSparseRankInvariance:
         assert np.array_equal(sparse.plasticity.mask, dense.plasticity.mask)
 
     def test_pipelined_stale_weights_sparse_stays_rank_invariant(self, data):
-        """sparse + pipeline + weight_refresh_tol > 0, threads vs serial."""
+        """sparse + the overlapped schedule of weight_refresh_tol > 0,
+        threads vs serial."""
 
         def train(comm):
             hyperparams = BCPNNHyperParameters(
@@ -96,7 +97,7 @@ class TestSparseRankInvariance:
             layer.build(InputSpec(SIZES))
             DistributedTrainer(comm).train_layer(
                 layer, data, epochs=2, batch_size=64, rng=as_rng(5), shuffle=True,
-                mode="competitive", pipeline=True, weight_refresh_tol=0.02,
+                mode="competitive", weight_refresh_tol=0.02,
             )
             return layer
 

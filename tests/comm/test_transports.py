@@ -107,13 +107,6 @@ class TestFactory:
         with pytest.raises(BackendError):
             get_communicator(existing, ranks=5)
 
-    def test_mpi_gated(self):
-        from repro.comm import HAVE_MPI, MPIComm
-
-        if not HAVE_MPI:
-            with pytest.raises(BackendError):
-                MPIComm()
-
     def test_interface_is_abstract(self):
         with pytest.raises(TypeError):
             Communicator()

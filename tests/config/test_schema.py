@@ -99,7 +99,7 @@ class TestErrorPaths:
         with pytest.raises(ConfigError, match="training: expected a mapping"):
             build_config({"training": [1, 2]})
 
-    @pytest.mark.parametrize("comm", ["process:0", "local:2", "warp-drive"])
+    @pytest.mark.parametrize("comm", ["process:0", "local:2", "warp-drive", "mpi"])
     def test_unparseable_comm_names_its_path(self, comm):
         with pytest.raises(ConfigError, match="training.comm: ") as err:
             build_config({"training": {"comm": comm}})
@@ -118,25 +118,6 @@ class TestCrossFieldValidation:
         with pytest.raises(ConfigError, match=f"training.{key}: unknown key") as err:
             build_config({"training": {key: "on", "comm": "thread:2"}})
         assert err.value.path == f"training.{key}"
-
-    @pytest.mark.parametrize(
-        "comm, accepted",
-        [
-            (None, False),
-            ("serial", False),
-            ("thread:2", False),
-            ("process:2", True),  # loopback tcp
-            ("tcp://127.0.0.1:0?ranks=2", True),
-        ],
-    )
-    def test_fault_tolerance_needs_a_fault_tolerant_transport(self, comm, accepted):
-        raw = {"training": {"fault_tolerance": True, "comm": comm}}
-        if accepted:
-            assert build_config(raw).training.fault_tolerance
-        else:
-            with pytest.raises(ConfigError, match="training.fault_tolerance: requires") as err:
-                build_config(raw)
-            assert err.value.path == "training.fault_tolerance"
 
     def test_serial_comm_rejects_multiple_ranks(self):
         with pytest.raises(ConfigError, match="training.ranks: the serial transport"):

@@ -105,5 +105,4 @@ class TestTrainingSchedule:
             "sgd_epochs",
             "pipeline",
             "weight_refresh_tol",
-            "fault_tolerance",
         }

@@ -86,7 +86,6 @@ TRAIN_FLAG_VALUES = {
     "--comm": ("thread:2", ()),
     "--pipeline": (None, ()),
     "--weight-refresh-tol": ("0.02", ()),
-    "--fault-tolerance": (None, ("--comm", "process:2")),
     "--checkpoint-dir": ("ckpt", ()),
     "--checkpoint-every": ("2", ()),
     "--checkpoint-keep": ("5", ()),
@@ -99,7 +98,7 @@ class TestTrainIsASpellingOfTheSchema:
 
     def test_every_flag_has_a_case(self):
         assert set(TRAIN_FLAG_VALUES) == {flag for flag, _, _ in cli.TRAIN_FLAGS}
-        assert len(cli.TRAIN_FLAGS) == 17
+        assert len(cli.TRAIN_FLAGS) == 16
 
     @pytest.mark.parametrize("flag", sorted(TRAIN_FLAG_VALUES))
     def test_flag_composes_like_set(self, monkeypatch, flag):
@@ -204,12 +203,13 @@ class TestSparseFlagRetired:
 
 
 #: Flags deleted from every subcommand that had them: the rank count lives in
-#: ``--comm``, and weight_refresh_tol / the frozen mask decide the comm modes.
+#: ``--comm``, weight_refresh_tol / the frozen mask decide the comm modes, and
+#: the transport decides whether a crashed rank is recovered.
 REMOVED_FLAGS = [
     (name, flag)
     for name in ("train", "sweep", "benchmark")
     for flag in ("--comm-overlap", "--sparse-payload", "--ranks")
-] + [("predict", "--ranks")]
+] + [("predict", "--ranks"), ("train", "--fault-tolerance")]
 
 
 @pytest.mark.parametrize("name, flag", REMOVED_FLAGS)
@@ -271,6 +271,7 @@ class TestRunCli:
             "training.sparse=on",
             "training.comm_overlap=on",
             "training.sparse_payload=on",
+            "training.fault_tolerance=true",
         ]
         # Retired backend names fail at the schema, never at run time.
         + [f"training.backend={name}" for name in RETIRED_BACKENDS],
