@@ -82,8 +82,12 @@ def training_fingerprint(network, schedule, x_shape) -> str:
     spec = network.input_spec
     if spec is None and network.hidden_layers:
         spec = network.hidden_layers[0].input_spec
+    # ``pipeline`` only reorders the hidden phase's work and changes no
+    # number, so a run may resume with it flipped.
+    schedule_fields = schedule.to_dict()
+    del schedule_fields["pipeline"]
     digest_input = {
-        "schedule": schedule.to_dict(),
+        "schedule": schedule_fields,
         "layers": layers,
         "head": head_spec,
         "input_sizes": list(spec.hypercolumn_sizes) if spec is not None else None,

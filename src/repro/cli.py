@@ -31,16 +31,13 @@ All are also reachable as ``python -m repro.cli <command>``, and all except
 ``serve`` accept ``--json PATH`` to additionally write the results as a
 JSON report.
 
-``train``, ``predict``, ``sweep`` and ``benchmark`` additionally accept
-``--comm SPEC`` — a transport spec such as ``serial``, ``thread:4``,
+``train``, ``sweep`` and ``benchmark`` additionally accept ``--comm SPEC``
+— a transport spec such as ``serial``, ``thread:4``,
 ``tcp://host:port?ranks=8`` (sockets, multi-host; ``process:4`` is 4 ranks
-on loopback tcp) — to run data-parallel training / rank-sharded
-bulk inference / the comm-throughput benchmark over a :mod:`repro.comm`
-transport.  The rank count is part of the spec.  ``predict --comm`` beats
-the plain loop only on tens of thousands of rows with
-``OPENBLAS_NUM_THREADS=1`` (docs/serving.md).
-``serve`` has one path: every micro-batch runs the plain tile loop in the
-server process.
+on loopback tcp) — to run data-parallel training / the comm-throughput
+benchmark over a :mod:`repro.comm` transport.  The rank count is part of
+the spec.  ``predict`` and ``serve`` have one path each: the plain tile
+loop in the calling process.
 ``--comm help`` prints the capability table (multihost / fault-tolerant /
 nonblocking per transport).  Training over a fault-tolerant transport (tcp,
 ``process:N`` included) recovers from crashed ranks mid-run with no flag;
@@ -533,7 +530,6 @@ def _load_feature_matrix(path: str) -> np.ndarray:
 
 def main_predict(argv: Optional[List[str]] = None) -> int:
     """Streaming bulk inference: saved model + CSV/npz features -> predictions."""
-    from repro.comm.factory import resolve_comm
     from repro.core import load_network
     from repro.datasets.csvio import write_numeric_csv
     from repro.serving import StreamingPredictor
@@ -561,32 +557,21 @@ def main_predict(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--batch-size", type=int, default=1024, help="rows per streamed batch")
     parser.add_argument("--proba", action="store_true", help="also emit class probabilities")
     _add_common(parser)
-    _add_comm(parser)
     args = parser.parse_args(argv)
-    if args.comm == "help":
-        _print_comm_help()
-        return 0
     if not args.quiet:
         enable_console_logging()
 
     network = load_network(args.model)
     x = _load_feature_matrix(args.input)
-    comm = resolve_comm(args.comm)
-    predictor = StreamingPredictor(
-        network, batch_size=args.batch_size, backend=args.backend, comm=comm
-    )
+    predictor = StreamingPredictor(network, batch_size=args.batch_size, backend=args.backend)
 
     start = time.perf_counter()
-    try:
-        if args.proba:
-            proba = predictor.predict_proba_stream(x)
-            predictions = np.argmax(proba, axis=1)
-        else:
-            proba = None
-            predictions = predictor.predict_stream(x)
-    finally:
-        if comm is not None:
-            comm.close()
+    if args.proba:
+        proba = predictor.predict_proba_stream(x)
+        predictions = np.argmax(proba, axis=1)
+    else:
+        proba = None
+        predictions = predictor.predict_stream(x)
     elapsed = time.perf_counter() - start
 
     if args.output:
@@ -599,12 +584,11 @@ def main_predict(argv: Optional[List[str]] = None) -> int:
         write_numeric_csv(args.output, matrix, header=header)
 
     rows_per_second = x.shape[0] / max(elapsed, 1e-9)
-    comm_note = f", ranks={comm.size} ({comm.transport})" if comm is not None else ""
     print(
         f"predicted {x.shape[0]} rows in {elapsed:.3f}s "
         f"({rows_per_second:,.0f} rows/s, batch_size={args.batch_size}, "
         f"backend={predictor.backend.name}, "
-        f"workspace={predictor.workspace_nbytes() / 1e6:.2f} MB{comm_note})"
+        f"workspace={predictor.workspace_nbytes() / 1e6:.2f} MB)"
         + (f"; wrote {args.output}" if args.output else "")
     )
     result: Dict[str, object] = {
@@ -619,8 +603,6 @@ def main_predict(argv: Optional[List[str]] = None) -> int:
         },
         "output": args.output,
     }
-    if comm is not None:
-        result["comm"] = {"transport": comm.transport, "ranks": int(comm.size)}
     return _finish(result, args)
 
 

@@ -5,11 +5,9 @@ collectives — one allreduce of sufficient statistics per batch — so the whol
 distributed stack can be written against a tiny MPI-like surface and remain
 transport-agnostic.  This module defines that surface:
 
-* **SPMD collectives** (``allreduce``, ``allgather``, ``bcast``, ``barrier``,
-  ``scatter_rows``): called symmetrically by every rank from inside a
-  :meth:`Communicator.run` program, exactly like their mpi4py counterparts.
-  ``allgather`` supports ragged per-rank shapes (the header travels with the
-  payload), so callers never pad.
+* **SPMD collectives** (``allreduce``, ``bcast``, ``barrier``): called
+  symmetrically by every rank from inside a :meth:`Communicator.run`
+  program, exactly like their mpi4py counterparts.
 * **nonblocking collectives** (``iallreduce``): returns a
   :class:`CommRequest` immediately so the caller can overlap local compute
   with the reduction and collect the result with :meth:`CommRequest.wait`.
@@ -136,10 +134,8 @@ class Communicator(ABC):
         self.collective_calls: Dict[str, int] = {
             "allreduce": 0,
             "iallreduce": 0,
-            "allgather": 0,
             "bcast": 0,
             "barrier": 0,
-            "scatter": 0,
             "run": 0,
         }
         self.bytes_communicated = 0
@@ -159,10 +155,6 @@ class Communicator(ABC):
     @abstractmethod
     def _allreduce_array(self, array: np.ndarray, op: str) -> np.ndarray:
         """Combine this rank's ``array`` with every other rank's."""
-
-    @abstractmethod
-    def _allgather_array(self, array: np.ndarray) -> List[np.ndarray]:
-        """Every rank receives ``[rank0's array, ..., rankN-1's array]``."""
 
     @abstractmethod
     def bcast(self, array: Optional[np.ndarray], root: int = 0) -> np.ndarray:
@@ -197,31 +189,6 @@ class Communicator(ABC):
             The rendezvous timed out (a rank crashed or wedged) — a broken
             barrier surfaces as an error within the comm timeout, never a
             hang.
-        """
-
-    @abstractmethod
-    def scatter_rows(self, x: Optional[np.ndarray], root: int = 0) -> np.ndarray:
-        """Block-partition the root's 2-D row matrix across the ranks.
-
-        Parameters
-        ----------
-        x:
-            On the root rank: the ``(n_samples, n_features)`` matrix to
-            shard.  Non-roots pass ``None``.
-        root:
-            Rank holding the full matrix (default 0).
-
-        Returns
-        -------
-        numpy.ndarray
-            This rank's contiguous row shard — possibly 0 rows when
-            ``n_samples < size``.  Shard boundaries depend only on
-            ``(n_samples, size)``, so every rank computes the same split.
-
-        Raises
-        ------
-        BackendError
-            The rendezvous timed out, or ``x`` is not 2-D on the root.
         """
 
     # --------------------------------------------------------- program launch
@@ -286,27 +253,6 @@ class Communicator(ABC):
         request (SPMD programs do so by construction).
         """
         return self._iallreduce_array(np.asarray(value), op)
-
-    def allgather(self, value):
-        """SPMD allgather of one array.
-
-        Parameters
-        ----------
-        value:
-            This rank's contribution (arrays may be ragged across ranks —
-            e.g. uneven prediction shards).
-
-        Returns
-        -------
-        list[numpy.ndarray]
-            ``[rank0's array, ..., rankN-1's array]`` on every rank.
-
-        Raises
-        ------
-        BackendError
-            A transport rendezvous timeout.
-        """
-        return self._allgather_array(np.asarray(value))
 
     # -------------------------------------------------------------- lifecycle
     def recover(self) -> bool:

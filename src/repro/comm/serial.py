@@ -44,11 +44,6 @@ class SerialComm(Communicator):
         self.bytes_communicated += array.nbytes
         return _reduce_in_rank_order([array], op)
 
-    def _allgather_array(self, array: np.ndarray) -> List[np.ndarray]:
-        self.collective_calls["allgather"] += 1
-        self.bytes_communicated += array.nbytes
-        return [np.array(array, copy=True)]
-
     def bcast(self, array: Optional[np.ndarray], root: int = 0) -> np.ndarray:
         if root != 0:
             raise BackendError(f"root {root} out of range for size 1")
@@ -61,18 +56,6 @@ class SerialComm(Communicator):
 
     def barrier(self) -> None:
         self.collective_calls["barrier"] += 1
-
-    def scatter_rows(self, x: Optional[np.ndarray], root: int = 0) -> np.ndarray:
-        if root != 0:
-            raise BackendError(f"root {root} out of range for size 1")
-        if x is None:
-            raise BackendError("scatter_rows root must provide a matrix")
-        x = np.asarray(x)
-        if x.ndim != 2:
-            raise BackendError(f"scatter_rows expects a 2-D matrix, got shape {x.shape}")
-        self.collective_calls["scatter"] += 1
-        self.bytes_communicated += x.nbytes
-        return np.array(x, copy=True)
 
     # --------------------------------------------------------- program launch
     def run(self, fn: Callable, rank_args: Optional[Sequence[tuple]] = None) -> List[object]:

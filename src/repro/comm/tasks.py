@@ -37,31 +37,29 @@ def echo_rank(comm) -> Dict[str, int]:
     return {"rank": comm.rank, "size": comm.size, "pid": os.getpid()}
 
 
-def collective_checks(comm, n_rows: int = 10, n_cols: int = 3) -> Dict[str, object]:
-    """Exercise every collective; return what this rank observed.
+def collective_checks(comm, n_cols: int = 3) -> Dict[str, object]:
+    """Exercise every blocking collective; return what this rank observed.
 
     Each rank contributes arrays derived from its rank number so the driver
-    can assert exact expected values for any transport and any size.
+    can assert exact expected values for any transport and any size.  The
+    last broadcast comes from the last rank and carries ``int64`` values, so
+    a non-zero root and a non-float dtype cross the wire too.
     """
     rank, size = comm.rank, comm.size
     reduced = comm.allreduce(np.full(n_cols, float(rank)), op="sum")
     maxed = comm.allreduce(np.full(n_cols, float(rank)), op="max")
-    gathered = comm.allgather(np.arange(rank + 1, dtype=np.float64))  # ragged on purpose
     payload = np.arange(n_cols, dtype=np.float64) if rank == 0 else None
     broadcast = comm.bcast(payload, root=0)
-    matrix = np.arange(n_rows * n_cols, dtype=np.float64).reshape(n_rows, n_cols)
-    shard = comm.scatter_rows(matrix if rank == 0 else None, root=0)
     comm.barrier()
-    ints = comm.allgather(np.array([rank], dtype=np.int64))
+    last = size - 1
+    ranks = comm.bcast(np.arange(size, dtype=np.int64) if rank == last else None, root=last)
     return {
         "rank": rank,
         "size": size,
         "reduced": reduced,
         "maxed": maxed,
-        "gathered_sizes": [int(g.shape[0]) for g in gathered],
         "broadcast": broadcast,
-        "shard": shard,
-        "int_ranks": [int(g[0]) for g in ints],
+        "int_ranks": [int(r) for r in ranks],
     }
 
 

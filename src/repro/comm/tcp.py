@@ -64,7 +64,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 import numpy as np
 
 from repro import faults
-from repro.comm.base import REDUCE_OPS, CommRequest, Communicator, split_ranks
+from repro.comm.base import REDUCE_OPS, CommRequest, Communicator
 from repro.exceptions import BackendError
 
 __all__ = ["TCPComm"]
@@ -293,31 +293,16 @@ class _TCPRankView(Communicator):
         self.collective_calls["iallreduce"] += 1
         return request
 
-    def _allgather_array(self, array: np.ndarray) -> List[np.ndarray]:
-        parts = self._await(self._post("allgather", array))
-        self.collective_calls["allgather"] += 1
-        self.bytes_communicated += sum(p.nbytes for p in parts)
-        return parts
-
-    def _from_root(self, op: str, array: Optional[np.ndarray], root: int) -> np.ndarray:
-        """bcast/scatter: only the root contributes, every rank gets one array."""
+    def bcast(self, array: Optional[np.ndarray], root: int = 0) -> np.ndarray:
         if not 0 <= root < self._size:
             raise BackendError(f"root {root} out of range for size {self._size}")
-        contribution = np.asarray(array) if self._rank == root else None
-        out = self._await(self._post(op, contribution, root=int(root)))[0]
-        self.collective_calls[op] += 1
-        self.bytes_communicated += out.nbytes
-        return out
-
-    def bcast(self, array: Optional[np.ndarray], root: int = 0) -> np.ndarray:
         if self._rank == root and array is None:
             raise BackendError("bcast root must provide an array")
-        return self._from_root("bcast", array, root)
-
-    def scatter_rows(self, x: Optional[np.ndarray], root: int = 0) -> np.ndarray:
-        if self._rank == root and np.ndim(x) != 2:
-            raise BackendError("scatter_rows root must provide a 2-D matrix")
-        return self._from_root("scatter", x, root)
+        contribution = np.asarray(array) if self._rank == root else None
+        out = self._await(self._post("bcast", contribution, root=int(root)))[0]
+        self.collective_calls["bcast"] += 1
+        self.bytes_communicated += out.nbytes
+        return out
 
     def barrier(self) -> None:
         self._await(self._post("barrier"))
@@ -630,8 +615,6 @@ class _Hub:
             if reduce == "mean":
                 out /= float(size)
             replies = [[out]] * size
-        elif op == "allgather":
-            replies = [parts] * size
         elif op == "bcast":
             root = parts[int(headers[0]["root"])]
             if root is None:
@@ -639,12 +622,6 @@ class _Hub:
             replies = [[root]] * size
         elif op == "barrier":
             replies = [[]] * size
-        elif op == "scatter":
-            x = parts[int(headers[0]["root"])]
-            if x is None or x.ndim != 2:
-                raise BackendError("scatter_rows root must provide a 2-D matrix")
-            replies = [[x[lo:hi]] for lo, hi in split_ranks(x.shape[0], size)]
-            replies[0] = [replies[0][0].copy()]  # rank 0's shard must be caller-owned
         else:
             raise BackendError(f"unknown collective op {op!r}")
         reply = {"kind": "reply", "task": task, "seq": seq, "op": op}
@@ -898,10 +875,7 @@ class TCPComm(_TCPRankView):
     # ------------------------------------------------- in-process hub link
     def _submit(self, header: Dict[str, Any], arrays: List[np.ndarray]) -> None:
         header["arrays"] = _describe(arrays)
-        if arrays and header["op"] == "scatter":
-            # Blocking and read-only: the hub slices the caller's matrix.
-            arrays = [np.asarray(arrays[0], order="C")]
-        elif arrays:
+        if arrays:
             # One snapshot, so the caller's buffer is free on return (the
             # iallreduce contract) and the round's result is caller-owned;
             # for allreduce it is also the hub's float64 accumulator.

@@ -27,7 +27,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.comm.base import Communicator, _reduce_in_rank_order, split_ranks
+from repro.comm.base import Communicator, _reduce_in_rank_order
 from repro.exceptions import BackendError
 
 __all__ = ["ThreadComm"]
@@ -92,12 +92,6 @@ class _ThreadCollectives:
         self.bytes_communicated += array.nbytes * self._shared.size
         return out
 
-    def _allgather_array(self, array: np.ndarray) -> List[np.ndarray]:
-        parts = self._exchange(array, lambda parts: [np.array(p, copy=True) for p in parts])
-        self.collective_calls["allgather"] += 1
-        self.bytes_communicated += sum(p.nbytes for p in parts)
-        return parts
-
     def bcast(self, array: Optional[np.ndarray], root: int = 0) -> np.ndarray:
         if not 0 <= root < self._shared.size:
             raise BackendError(f"root {root} out of range for size {self._shared.size}")
@@ -115,22 +109,6 @@ class _ThreadCollectives:
     def barrier(self) -> None:
         self.collective_calls["barrier"] += 1
         self._wait()
-
-    def scatter_rows(self, x: Optional[np.ndarray], root: int = 0) -> np.ndarray:
-        if not 0 <= root < self._shared.size:
-            raise BackendError(f"root {root} out of range for size {self._shared.size}")
-
-        def consume(parts):
-            full = parts[root]
-            if full is None or full.ndim != 2:
-                raise BackendError("scatter_rows root must provide a 2-D matrix")
-            lo, hi = split_ranks(full.shape[0], self._shared.size)[self._rank]
-            return np.array(full[lo:hi], copy=True)
-
-        out = self._exchange(np.asarray(x) if self._rank == root else None, consume)
-        self.collective_calls["scatter"] += 1
-        self.bytes_communicated += out.nbytes
-        return out
 
 
 class _ThreadRankView(_ThreadCollectives, Communicator):

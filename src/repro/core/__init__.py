@@ -17,13 +17,7 @@ from repro.core.layers import InputSpec, StructuralPlasticityLayer
 from repro.core.heads import BCPNNClassifier, SGDClassifier
 from repro.core.network import Network
 from repro.core.training import History, TrainingCallback, EpochResult
-from repro.core.serialization import (
-    load_network,
-    network_from_bytes,
-    network_to_bytes,
-    save_network,
-)
-from repro.core import schedules
+from repro.core.serialization import load_network, save_network
 
 __all__ = [
     "BCPNNHyperParameters",
@@ -40,7 +34,4 @@ __all__ = [
     "EpochResult",
     "save_network",
     "load_network",
-    "network_to_bytes",
-    "network_from_bytes",
-    "schedules",
 ]

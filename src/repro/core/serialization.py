@@ -20,7 +20,7 @@ from repro.core.layers import StructuralPlasticityLayer
 from repro.core.network import Network
 from repro.exceptions import SerializationError
 
-__all__ = ["save_network", "load_network", "network_to_bytes", "network_from_bytes"]
+__all__ = ["save_network", "load_network"]
 
 _FORMAT_VERSION = 1
 
@@ -85,18 +85,6 @@ def save_network(network: Network, path: Union[str, Path]) -> Path:
     return path
 
 
-def network_to_bytes(network: Network) -> bytes:
-    """Serialise a network to an in-memory npz blob.
-
-    Used by the process-transport serving path to broadcast a model to
-    worker ranks through shared memory (as a ``uint8`` array) instead of
-    pickling live layer objects across the process boundary.
-    """
-    buffer = io.BytesIO()
-    np.savez_compressed(buffer, **_network_payload(network))
-    return buffer.getvalue()
-
-
 def _json_default(value):
     if isinstance(value, (np.integer,)):
         return int(value)
@@ -124,18 +112,6 @@ def load_network(path: Union[str, Path]) -> Network:
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         raise SerializationError(f"failed to read {path}: {exc}") from exc
     return _network_from_state(header, arrays, source=str(path))
-
-
-def network_from_bytes(blob: bytes) -> Network:
-    """Reconstruct a network from a :func:`network_to_bytes` blob."""
-    try:
-        with np.load(io.BytesIO(bytes(blob)), allow_pickle=False) as archive:
-            header_bytes = bytes(archive["header"].tobytes())
-            header = json.loads(header_bytes.decode("utf-8"))
-            arrays = {key: archive[key] for key in archive.files if key != "header"}
-    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
-        raise SerializationError(f"failed to read network blob: {exc}") from exc
-    return _network_from_state(header, arrays, source="<bytes>")
 
 
 def _network_from_state(

@@ -7,12 +7,9 @@ large inputs at O(batch) memory — every hidden layer runs through one
 preallocated :class:`~repro.engine.LayerWorkspace`, so bulk prediction
 performs zero per-batch layer-sized allocations.
 
-For bulk calls only, passing ``comm=`` (a :class:`repro.comm.Communicator`)
-shards each call over *real* ranks — worker threads or OS processes — via
-``scatter_rows`` + one ragged ``allgather``; the model reaches process
-ranks once per model version as a broadcast npz blob.  It pays only when
-each rank has a core BLAS does not already use (``docs/serving.md``); the
-online server never shards.
+Communicators are for training only: bulk inference is the one tile loop
+in the calling process (BLAS threads give it the cores), and the online
+server never shards either.
 
 The *online* half lives in :mod:`repro.serving.server`: an asyncio
 HTTP/JSON endpoint (``repro serve``) whose concurrent single-row requests

@@ -86,6 +86,29 @@ class TestSerialResume:
         _assert_identical(baseline, resumed, x)
         assert _history_key(hist_a) == _history_key(hist_c)
 
+    def test_pipeline_toggle_does_not_block_resume(self, tmp_path):
+        """``pipeline`` reorders the hidden phase and changes no number, so a
+        run checkpointed with it on resumes with it off, bit for bit."""
+        x, y, blocks = _data()
+        baseline = _network()
+        hist_a = baseline.fit(x, y, input_spec=blocks, schedule=_schedule())
+
+        faults.install_plan(faults.FaultPlan("driver.kill@epoch=1,mode=raise"))
+        interrupted = _network()
+        with pytest.raises(FaultInjected):
+            interrupted.fit(
+                x, y, input_spec=blocks, schedule=_schedule().replace(pipeline=True),
+                checkpoint_dir=tmp_path,
+            )
+        faults.install_plan(None)
+
+        resumed = _network()
+        hist_c = resumed.fit(
+            x, y, input_spec=blocks, schedule=_schedule(), checkpoint_dir=tmp_path, resume=True
+        )
+        _assert_identical(baseline, resumed, x)
+        assert _history_key(hist_a) == _history_key(hist_c)
+
     def test_bcpnn_head_resume(self, tmp_path):
         """The BCPNN head's first-batch calibration must not re-fire on resume."""
         x, y, blocks = _data()

@@ -70,17 +70,14 @@ class TestCollectiveConformance:
         assert all(r["size"] == comm.size for r in results)
 
     def test_collective_semantics_identical(self, comm):
-        """allreduce/allgather/bcast/barrier/scatter_rows agree on every transport."""
+        """allreduce/bcast/barrier agree on every transport."""
         results = comm.run(tasks.collective_checks)
         expected_sum = float(sum(range(comm.size)))
         for r in results:
             assert np.allclose(r["reduced"], expected_sum)
             assert np.allclose(r["maxed"], comm.size - 1)
-            assert r["gathered_sizes"] == [k + 1 for k in range(comm.size)]
             assert np.allclose(r["broadcast"], [0.0, 1.0, 2.0])
             assert r["int_ranks"] == list(range(comm.size))
-        stitched = np.concatenate([r["shard"] for r in results], axis=0)
-        assert np.allclose(stitched, np.arange(30).reshape(10, 3))
 
     def test_iallreduce_capture_and_idempotency(self, comm):
         """Nonblocking reductions capture at call time; wait() is idempotent."""
@@ -207,15 +204,12 @@ class TestRawFrames:
     """
 
     def test_every_collective_at_three_ranks(self, tcp3_comm):
-        results = tcp3_comm.run(tasks.collective_checks, [(40, 30)] * 3)
+        results = tcp3_comm.run(tasks.collective_checks, [(40,)] * 3)
         for r in results:
-            assert np.array_equal(r["reduced"], np.full(30, 3.0))
-            assert np.array_equal(r["maxed"], np.full(30, 2.0))
-            assert r["gathered_sizes"] == [1, 2, 3]
-            assert np.array_equal(r["broadcast"], np.arange(30.0))
+            assert np.array_equal(r["reduced"], np.full(40, 3.0))
+            assert np.array_equal(r["maxed"], np.full(40, 2.0))
+            assert np.array_equal(r["broadcast"], np.arange(40.0))
             assert r["int_ranks"] == [0, 1, 2]
-        stitched = np.concatenate([r["shard"] for r in results], axis=0)
-        assert np.array_equal(stitched, np.arange(1200.0).reshape(40, 30))
         TestChunking._check(tcp3_comm)
         for r in tcp3_comm.run(tasks.iallreduce_checks, [(300, 4)] * 3):
             assert [x["value"] for x in r["rounds"]] == [6.0, 12.0, 18.0, 24.0]
@@ -242,12 +236,8 @@ class TestRawFrames:
                 assert entry["reduced"].dtype == np.float64
                 total = sum(make(r).astype(np.float64) for r in range(3))
                 assert np.array_equal(entry["reduced"], total)
-                for r, part in enumerate(entry["gathered"]):
-                    self._same(part, make(r))
-                self._same(entry["broadcast"], make(1))
-                if "shard" in entry:
-                    lo, hi = [(0, 2), (2, 3), (3, 4)][rank]
-                    self._same(entry["shard"], make(2)[lo:hi])
+                for root, part in enumerate(entry["broadcasts"]):
+                    self._same(part, make(root))
                 for key, value in entry.items():
                     for a, b in zip(np.atleast_1d(value), np.atleast_1d(want[name][key])):
                         self._same(np.asarray(a), np.asarray(b))
@@ -314,18 +304,17 @@ class TestRawFrames:
 
     def test_complex_payloads_cross_the_wire(self, tcp3_comm):
         """Frames carry any fixed-size dtype's raw memory, complex included."""
-        for r in tcp3_comm.run(_complex_round_trip):
-            assert [part.dtype for part in r["gathered"]] == [np.dtype(np.complex128)] * 3
-            assert np.array_equal(np.stack(r["gathered"]), _complex_rows(3))
-            assert np.array_equal(r["broadcast"], _complex_rows(3)[2])
+        for broadcasts in tcp3_comm.run(_complex_round_trip):
+            assert [part.dtype for part in broadcasts] == [np.dtype(np.complex128)] * 3
+            assert np.array_equal(np.stack(broadcasts), _complex_rows(3))
 
     def test_object_arrays_are_rejected(self, tcp_comm):
         with pytest.raises(BackendError, match="object arrays"):
-            tcp_comm.run(_allgather_objects)
+            tcp_comm.run(_allreduce_objects)
 
 
-def _allgather_objects(comm):
-    return comm.allgather(np.array([{"rank": comm.rank}], dtype=object))
+def _allreduce_objects(comm):
+    return comm.allreduce(np.array([{"rank": comm.rank}], dtype=object))
 
 
 def _complex_rows(size):
@@ -334,10 +323,7 @@ def _complex_rows(size):
 
 def _complex_round_trip(comm):
     mine = _complex_rows(comm.size)[comm.rank]
-    return {
-        "gathered": comm.allgather(mine),
-        "broadcast": comm.bcast(mine if comm.rank == 2 else None, root=2),
-    }
+    return [comm.bcast(mine if comm.rank == root else None, root=root) for root in range(comm.size)]
 
 
 class TestTimeouts:
@@ -391,9 +377,9 @@ class TestFaultPoints:
             comm.run(tasks.collective_checks)
             faults.install_plan(None)
         # Hub frames to the one worker: the task, then one reply per collective.
-        assert [f["site"] for f in plan.fired] == ["tcp.delay"] * 8
+        assert [f["site"] for f in plan.fired] == ["tcp.delay"] * 6
         sizes = [f["bytes"] for f in plan.fired[1:]]
-        assert sizes == [24, 24, 8 + 16, 24, 5 * 3 * 8, 0, 8 + 8]
+        assert sizes == [24, 24, 24, 0, 2 * 8]
 
     def test_drop_swallows_exactly_one_frame(self):
         with TCPComm(2, timeout=2.0) as comm:
@@ -418,6 +404,11 @@ class TestCapabilities:
         assert caps["multihost"] == comm.multihost
         assert caps["fault_tolerant"] == comm.fault_tolerant
         assert caps["nonblocking"] == comm.nonblocking
+
+    @pytest.mark.parametrize("cls", [SerialComm, ThreadComm, TCPComm])
+    def test_public_surface_is_what_training_uses(self, cls):
+        public = {n for n in dir(cls) if not n.startswith("_") and callable(getattr(cls, n))}
+        assert public == {"allreduce", "iallreduce", "bcast", "barrier", "run", "recover", "close"}
 
     def test_tcp_capability_flags(self):
         caps = transport_capabilities()["tcp"]
@@ -467,7 +458,6 @@ class TestSpecParsing:
             assert not comm._workers
             [result] = comm.run(tasks.collective_checks)
             assert np.array_equal(result["reduced"], np.zeros(3))
-            assert np.array_equal(result["shard"], np.arange(30.0).reshape(10, 3))
             assert result["int_ranks"] == [0]
 
     def test_get_communicator_accepts_specs(self):

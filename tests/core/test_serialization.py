@@ -1,6 +1,5 @@
 """Tests for model save/load."""
 
-import io
 import json
 
 import numpy as np
@@ -16,7 +15,7 @@ from repro.core import (
     load_network,
     save_network,
 )
-from repro.core.serialization import _instantiate_layer, _network_payload, network_from_bytes
+from repro.core.serialization import _instantiate_layer, _network_payload
 from repro.exceptions import SerializationError
 
 
@@ -66,7 +65,7 @@ class TestSaveLoad:
             _instantiate_layer("MysteryLayer", {})
 
     @pytest.mark.parametrize("mode", ["auto", "on", "off"])
-    def test_saved_sparse_key_is_ignored(self, mode):
+    def test_saved_sparse_key_is_ignored(self, mode, tmp_path):
         """Models saved while the ``sparse`` option existed carry it in the
         layer header; it loads, and the mask alone picks the plan."""
         net, x = _tiny_fitted_network()
@@ -74,9 +73,9 @@ class TestSaveLoad:
         header = json.loads(payload["header"].tobytes().decode("utf-8"))
         header["layers"][0]["sparse"] = mode
         payload["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
-        buffer = io.BytesIO()
-        np.savez(buffer, **payload)
-        restored = network_from_bytes(buffer.getvalue())
+        path = tmp_path / "legacy.npz"
+        np.savez(path, **payload)
+        restored = load_network(path)
         layer = net.hidden_layers[0]
         assert restored.hidden_layers[0].sparse_active == layer.sparse_active
         assert np.array_equal(restored.predict_proba(x), net.predict_proba(x))
@@ -124,14 +123,6 @@ class TestTruncatedModels:
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(SerializationError):
             load_network(path)
-
-    def test_truncated_blob_rejected(self, tmp_path):
-        from repro.core.serialization import network_to_bytes
-
-        net, _ = _tiny_fitted_network()
-        blob = network_to_bytes(net)
-        with pytest.raises(SerializationError):
-            network_from_bytes(blob[: len(blob) // 2])
 
 
 class TestCrashSafeSave:

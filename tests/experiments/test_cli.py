@@ -203,13 +203,14 @@ class TestSparseFlagRetired:
 
 
 #: Flags deleted from every subcommand that had them: the rank count lives in
-#: ``--comm``, weight_refresh_tol / the frozen mask decide the comm modes, and
-#: the transport decides whether a crashed rank is recovered.
+#: ``--comm``, weight_refresh_tol / the frozen mask decide the comm modes, the
+#: transport decides whether a crashed rank is recovered, and bulk inference
+#: runs on no communicator.
 REMOVED_FLAGS = [
     (name, flag)
     for name in ("train", "sweep", "benchmark")
     for flag in ("--comm-overlap", "--sparse-payload", "--ranks")
-] + [("predict", "--ranks"), ("train", "--fault-tolerance")]
+] + [("predict", "--ranks"), ("predict", "--comm"), ("train", "--fault-tolerance")]
 
 
 @pytest.mark.parametrize("name, flag", REMOVED_FLAGS)

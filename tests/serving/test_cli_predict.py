@@ -64,43 +64,6 @@ def test_predict_from_npy(tmp_path, saved_model, trained_network, encoded_higgs)
     assert code == 0
 
 
-def test_predict_comm_process_round_trip(tmp_path, saved_model, trained_network, encoded_higgs):
-    """Acceptance: ``repro predict --comm process:2`` through the CLI.
-
-    The spec spins up a 2-rank loopback tcp communicator (one OS-process
-    worker), scatters the rows, and the recombined predictions must match
-    the in-process reference.
-    """
-    x = encoded_higgs["x_test"][:200]
-    features = tmp_path / "features.npy"
-    np.save(features, x)
-    output = tmp_path / "predictions.csv"
-    report = tmp_path / "report.json"
-    code = main(
-        ["predict", str(features), "--model", saved_model, "--output", str(output),
-         "--comm", "process:2", "--quiet", "--json", str(report)]
-    )
-    assert code == 0
-    predictions = read_numeric_csv(output, skip_header=True)[:, 0].astype(np.int64)
-    assert np.array_equal(predictions, trained_network.predict(x))
-    payload = json.loads(report.read_text())
-    assert payload["comm"] == {"transport": "tcp", "ranks": 2}
-
-
-def test_predict_comm_thread_round_trip(tmp_path, saved_model, trained_network, encoded_higgs):
-    x = encoded_higgs["x_test"][:150]
-    features = tmp_path / "features.npy"
-    np.save(features, x)
-    output = tmp_path / "predictions.csv"
-    code = main_predict(
-        [str(features), "--model", saved_model, "--output", str(output), "--comm", "thread:3",
-         "--quiet"]
-    )
-    assert code == 0
-    predictions = read_numeric_csv(output, skip_header=True)[:, 0].astype(np.int64)
-    assert np.array_equal(predictions, trained_network.predict(x))
-
-
 def test_missing_input_rejected(tmp_path, saved_model):
     with pytest.raises(DataError):
         main_predict([str(tmp_path / "nope.csv"), "--model", saved_model, "--quiet"])

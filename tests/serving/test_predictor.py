@@ -5,8 +5,6 @@ The central contracts:
 * ``predict_stream`` matches ``Network.predict`` **bit-for-bit** on the
   NumPy backend (and within each backend's declared precision elsewhere);
 * peak allocation while streaming is O(batch), independent of input length.
-
-Rank-sharded bulk inference (``comm=``) is covered by ``test_comm_serving.py``.
 """
 
 import tracemalloc
@@ -291,11 +289,10 @@ class TestFacadesAndLifecycle:
     @pytest.mark.parametrize("option", ["pipeline", "double_buffer", "comm"])
     def test_one_execution_path(self, trained_network, option):
         """The plain tile loop is the only schedule: no stage pipelining, no
-        second workspace per layer, and rank sharding is opted into on a
-        ``StreamingPredictor`` only, never through the one-shot helpers."""
-        if option != "comm":
-            with pytest.raises(TypeError, match=option):
-                StreamingPredictor(trained_network, batch_size=64, **{option: True})
+        second workspace per layer and no rank sharding, on the predictor and
+        the one-shot helpers alike."""
+        with pytest.raises(TypeError, match=option):
+            StreamingPredictor(trained_network, batch_size=64, **{option: True})
         for helper in (predict_stream, predict_proba_stream):
             with pytest.raises(TypeError, match=option):
                 helper(trained_network, np.zeros((1, 280)), **{option: True})
