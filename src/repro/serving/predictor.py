@@ -26,7 +26,7 @@ from repro.datasets.stream import BatchStream
 from repro.engine import ExecutionPlan, LayerEngine
 from repro.exceptions import DataError, NotFittedError
 from repro.utils.arrays import row_softmax
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_numeric_dtype, check_positive_int
 
 __all__ = ["StreamingPredictor", "predict_stream", "predict_proba_stream"]
 
@@ -221,7 +221,7 @@ class StreamingPredictor(BackendExecutionMixin):
                     "tail rows would never receive a prediction"
                 )
             return source
-        x = np.asarray(source)
+        x = check_numeric_dtype(source)
         if x.ndim != 2:
             raise DataError(f"predict_stream expects a 2-D matrix, got shape {x.shape}")
         return BatchStream(x, batch_size=self.batch_size)
@@ -260,7 +260,7 @@ class StreamingPredictor(BackendExecutionMixin):
         ------
         DataError
             Rows do not match the first hidden layer's input spec, or
-            ``source`` is not 2-D.
+            ``source`` is not a 2-D real-valued matrix.
         BackendError
             A backend worker failed mid-stream.
         """

@@ -66,6 +66,18 @@ class TestSplitRanks:
         with pytest.raises(BackendError):
             split_ranks(10, 0)
 
+    @pytest.mark.parametrize("n_rows, n_ranks", [(0, 2), (1, 3), (2, 3), (5, 8)])
+    def test_fewer_rows_than_ranks(self, n_rows, n_ranks):
+        """Each rank trains on a contiguous slice of the global batch in rank
+        order; with fewer rows than ranks the trailing ranks get none."""
+        chunks = split_ranks(n_rows, n_ranks)
+        assert len(chunks) == n_ranks
+        assert chunks[0][0] == 0 and chunks[-1][1] == n_rows
+        assert all(hi == lo for (_, hi), (lo, _) in zip(chunks, chunks[1:]))
+        sizes = [hi - lo for lo, hi in chunks]
+        assert sizes == sorted(sizes, reverse=True) and max(sizes) <= 1
+        assert sizes[-1] == 0
+
 
 def _make_layer(spec, seed=0):
     hyperparams = BCPNNHyperParameters(taupdt=0.05, density=0.5, competition="softmax")

@@ -5,6 +5,8 @@ with ``resume=True``, and the final weights, predictions and history are
 bitwise-identical to a run that was never interrupted (tol=0).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,14 @@ from repro.checkpoint import (
     network_from_checkpoint,
     training_fingerprint,
 )
-from repro.core import Network, SGDClassifier, StructuralPlasticityLayer, TrainingSchedule
+from repro.core import (
+    BCPNNHyperParameters,
+    InputSpec,
+    Network,
+    SGDClassifier,
+    StructuralPlasticityLayer,
+    TrainingSchedule,
+)
 from repro.core.heads import BCPNNClassifier
 from repro.exceptions import CheckpointError, ConfigurationError, FaultInjected
 
@@ -247,6 +256,68 @@ class TestGuards:
                 x, y, input_spec=blocks, schedule=_schedule(), checkpoint_dir=tmp_path,
                 resume=True,
             )
+
+
+#: One perturbation per ``TrainingSchedule`` field that changes a fit's numbers.
+NUMBER_CHANGING_FIELDS = {
+    "hidden_epochs": 5,
+    "classifier_epochs": 4,
+    "batch_size": 16,
+    "sgd_epochs": 1,
+    "weight_refresh_tol": 1e-3,
+}
+
+
+def _sized_network(n_hypercolumns=2, n_minicolumns=3, hyperparams=None, learning_rate=0.05):
+    net = Network(seed=7)
+    net.add(
+        StructuralPlasticityLayer(n_hypercolumns, n_minicolumns, hyperparams=hyperparams, seed=8)
+    )
+    net.add(SGDClassifier(n_classes=2, learning_rate=learning_rate, seed=9))
+    return net
+
+
+#: One change to the architecture or the data shape per entry:
+#: ``(network, input block sizes, x_shape)``.
+ARCHITECTURE_VARIANTS = {
+    "n_minicolumns": lambda: (_sized_network(n_minicolumns=4), [3, 4, 5], (96, 12)),
+    "n_hypercolumns": lambda: (_sized_network(n_hypercolumns=3), [3, 4, 5], (96, 12)),
+    "hidden_hyperparams": lambda: (
+        _sized_network(hyperparams=BCPNNHyperParameters(taupdt=0.02)), [3, 4, 5], (96, 12)
+    ),
+    "head_kind": lambda: (_network(head="bcpnn"), [3, 4, 5], (96, 12)),
+    "head_learning_rate": lambda: (_sized_network(learning_rate=0.1), [3, 4, 5], (96, 12)),
+    "input_block_sizes": lambda: (_sized_network(), [4, 4, 4], (96, 12)),
+    "n_rows": lambda: (_sized_network(), [3, 4, 5], (97, 12)),
+}
+
+
+def _fingerprint(net=None, blocks=(3, 4, 5), x_shape=(96, 12), schedule=None):
+    net = net if net is not None else _sized_network()
+    net.hidden_layers[0].build(InputSpec(list(blocks)))
+    return training_fingerprint(net, schedule or _schedule(), x_shape)
+
+
+class TestFingerprint:
+    """A resume must agree on every input that changes a number, and only on those."""
+
+    @pytest.mark.parametrize("field, value", sorted(NUMBER_CHANGING_FIELDS.items()))
+    def test_number_changing_schedule_field_is_digested(self, field, value):
+        changed = _schedule().replace(**{field: value})
+        assert _fingerprint(schedule=changed) != _fingerprint()
+
+    def test_pipeline_is_not_digested(self):
+        assert _fingerprint(schedule=_schedule().replace(pipeline=True)) == _fingerprint()
+
+    def test_every_schedule_field_is_classified(self):
+        """A new schedule field is listed above as digested, or beside ``pipeline``."""
+        names = {field.name for field in dataclasses.fields(TrainingSchedule)}
+        assert names == set(NUMBER_CHANGING_FIELDS) | {"pipeline"}
+
+    @pytest.mark.parametrize("variant", sorted(ARCHITECTURE_VARIANTS))
+    def test_architecture_and_data_shape_are_digested(self, variant):
+        net, blocks, x_shape = ARCHITECTURE_VARIANTS[variant]()
+        assert _fingerprint(net, blocks, x_shape) != _fingerprint()
 
 
 class TestCheckpointAsModel:

@@ -103,6 +103,30 @@ class TestCollectiveConformance:
             assert r["rejected"] == expected_reject
             assert r["value"] == float(sum(range(comm.size)))
 
+    def test_dtype_and_shape_fidelity(self, comm):
+        """0-d, empty, strided, Fortran-order, bool and integer arrays come
+        back from ``allreduce`` and every root's ``bcast`` exactly as sent."""
+        base = np.arange(24, dtype=np.float64).reshape(4, 6)
+        sent = {
+            "float32": lambda r: (base + r).astype(np.float32),
+            "int64": lambda r: (base + r).astype(np.int64),
+            "bool": lambda r: (base + r) % 2 == 0,
+            "zero_d": lambda r: np.asarray(r + 0.5),
+            "empty": lambda r: np.empty((0, 3)),
+            "strided": lambda r: (base + r)[:, ::2],
+            "fortran": lambda r: base + r,
+        }
+        for got in comm.run(programs.dtype_shape_checks):
+            for name, make in sent.items():
+                total = sum(make(r).astype(np.float64) for r in range(comm.size))
+                assert got[name]["reduced"].dtype == np.float64
+                assert np.array_equal(got[name]["reduced"], total)
+                for root, part in enumerate(got[name]["broadcasts"]):
+                    want = make(root)
+                    assert part.dtype == want.dtype and part.shape == want.shape
+                    assert np.array_equal(part, want)
+                    assert part.flags.writeable
+
     def test_results_are_caller_owned(self, comm):
         """Call k's result survives call k+1; contributions are captured.
 

@@ -182,6 +182,22 @@ class TestUnsupportedDtypesAreRefusedAtTheEntryPoints:
             with pytest.raises(DataError, match=named):
                 getattr(network, method)(x)
 
+    def test_streamed_inference(self, kind):
+        from repro.serving import StreamingPredictor
+
+        network = fit(one_hot(128))
+        predictor = StreamingPredictor(network, batch_size=32)
+        x, named = BAD_INPUTS[kind]
+        calls = (
+            network.predict_stream,
+            network.predict_proba_stream,
+            predictor.predict_stream,
+            predictor.predict_proba_stream,
+        )
+        for call in calls:
+            with pytest.raises(DataError, match=named):
+                call(x)
+
     def test_spmd_trainer(self, kind):
         layer = StructuralPlasticityLayer(2, 6, seed=3)
         layer.build(SPEC)

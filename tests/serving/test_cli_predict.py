@@ -129,6 +129,46 @@ def test_unwidenable_archive_exits_2(tmp_path, saved_model, capsys, matrix, suff
     assert "Traceback" not in err
 
 
+def test_json_report_describes_the_one_inference_path(
+    tmp_path, saved_model, trained_network, encoded_higgs
+):
+    x = encoded_higgs["x_test"][:200]
+    features = tmp_path / "features.npy"
+    np.save(features, x)
+    report = tmp_path / "report.json"
+    code = main_predict(
+        [str(features), "--model", saved_model, "--batch-size", "64", "--quiet",
+         "--json", str(report)]
+    )
+    assert code == 0
+    payload = json.loads(report.read_text())
+    assert set(payload) == {
+        "n_rows", "seconds", "rows_per_second", "batch_size", "backend",
+        "workspace_bytes", "class_counts", "output",
+    }
+    assert payload["n_rows"] == 200 and payload["batch_size"] == 64
+    labels, counts = np.unique(trained_network.predict(x), return_counts=True)
+    assert payload["class_counts"] == {str(c): int(n) for c, n in zip(labels, counts)}
+
+
+def test_csv_bytes_do_not_depend_on_stored_dtype_or_tile_size(
+    tmp_path, saved_model, encoded_higgs
+):
+    x = encoded_higgs["x_test"]
+    written = []
+    for dtype, batch_size in [(np.uint8, 1024), (np.float64, 1024), (np.uint8, 37)]:
+        features = tmp_path / f"features-{np.dtype(dtype).name}-{batch_size}.npy"
+        np.save(features, x.astype(dtype))
+        output = tmp_path / f"{features.stem}.csv"
+        code = main_predict(
+            [str(features), "--model", saved_model, "--output", str(output),
+             "--batch-size", str(batch_size), "--quiet"]
+        )
+        assert code == 0
+        written.append(output.read_bytes())
+    assert written[0] == written[1] == written[2]
+
+
 def test_one_inference_path(saved_model, tmp_path, capsys):
     """``--pipeline`` (stage-pipelined inference) is gone: an argparse error."""
     with pytest.raises(SystemExit) as exit_info:

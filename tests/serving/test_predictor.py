@@ -221,6 +221,19 @@ class TestHiddenTiles:
         # as float64 would be 10.8 MB.
         assert peak < 1024 * 1024
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.bool_, np.float32])
+    def test_tiles_carry_the_stored_dtype(self, trained_network, encoded_higgs, dtype):
+        """Rows reach each tile in the dtype they are stored in; the first
+        layer widens one tile at a time, so the labels equal float64 input's."""
+        x = encoded_higgs["x_test"][:300]
+        stored = x.astype(dtype)
+        predictor = StreamingPredictor(trained_network, batch_size=128)
+        raw = [tile for _, tile in predictor.hidden_tiles(stored, n_layers=0)]
+        assert [tile.dtype for tile in raw] == [np.dtype(dtype)] * 3
+        assert np.array_equal(
+            predictor.predict_stream(stored), trained_network.predict(x.astype(np.float64))
+        )
+
     def test_network_bulk_calls_use_a_throwaway_predictor(self, trained_network, encoded_higgs):
         # predict/evaluate must not park tile workspaces on the network: only
         # predict_stream caches its predictor.
@@ -253,6 +266,14 @@ class TestSources:
         predictor = StreamingPredictor(trained_network, batch_size=64)
         with pytest.raises(DataError):
             predictor.predict_stream(stream)
+
+    def test_fewer_rows_than_a_tile(self, trained_network, encoded_higgs):
+        x = encoded_higgs["x_test"][:3]
+        predictor = StreamingPredictor(trained_network, batch_size=64)
+        assert np.array_equal(predictor.predict_stream(x), trained_network.predict(x))
+        np.testing.assert_array_equal(
+            predictor.predict_proba_stream(x), trained_network.predict_proba(x)
+        )
 
     def test_one_dimensional_input_rejected(self, trained_network):
         predictor = StreamingPredictor(trained_network, batch_size=64)
@@ -355,3 +376,78 @@ class TestFacadesAndLifecycle:
         assert not np.array_equal(
             predictor.predict_proba_stream(x), trained_network.predict_proba(x)
         )
+
+
+def _small_network(encoded_higgs, seed=3):
+    from repro.core import BCPNNClassifier, Network, StructuralPlasticityLayer, TrainingSchedule
+
+    x = encoded_higgs["x_train"][:256]
+    y = encoded_higgs["y_train"][:256]
+    network = Network(seed=seed)
+    network.add(StructuralPlasticityLayer(2, 5, density=0.4, seed=seed + 1))
+    network.add(BCPNNClassifier(n_classes=2))
+    network.fit(
+        x, y, input_spec=encoded_higgs["spec"],
+        schedule=TrainingSchedule(hidden_epochs=1, classifier_epochs=1, batch_size=64),
+    )
+    return network, x, y
+
+
+class TestCachedPredictor:
+    """``Network.predict_stream`` keeps one predictor across calls; it must
+    only ever serve the network's current model."""
+
+    def test_labels_and_probabilities_share_the_cached_predictor(self, encoded_higgs):
+        network, x, _ = _small_network(encoded_higgs)
+        labels = network.predict_stream(x, batch_size=64)
+        cached = network._serving_predictor
+        proba = network.predict_proba_stream(x, batch_size=64)
+        assert network._serving_predictor is cached
+        assert np.array_equal(labels, network.predict(x))
+        np.testing.assert_allclose(proba, network.predict_proba(x), atol=1e-12)
+
+    def test_refit_refreshes_the_cached_predictor(self, encoded_higgs):
+        from repro.core import TrainingSchedule
+
+        network, x, y = _small_network(encoded_higgs)
+        before = network.predict_proba_stream(x, batch_size=64)
+        network.fit(
+            x, y, input_spec=encoded_higgs["spec"],
+            schedule=TrainingSchedule(hidden_epochs=2, classifier_epochs=1, batch_size=64),
+        )
+        after = network.predict_proba_stream(x, batch_size=64)
+        assert not np.array_equal(before, after)
+        np.testing.assert_allclose(after, network.predict_proba(x), atol=1e-12)
+
+    def test_mask_change_refreshes_the_cached_predictor(self, encoded_higgs):
+        """``set_density`` swaps the mask without retraining; the next
+        streamed call must serve the new receptive field."""
+        network, x, _ = _small_network(encoded_higgs)
+        before = network.predict_proba_stream(x, batch_size=64)
+        network.hidden_layers[0].set_density(0.8)
+        after = network.predict_proba_stream(x, batch_size=64)
+        assert not np.array_equal(before, after)
+        np.testing.assert_allclose(after, network.predict_proba(x), atol=1e-12)
+
+    def test_two_loaded_models_never_share_cached_weights(self, encoded_higgs, tmp_path):
+        """Two models loaded from disk start from identical refresh
+        counters; each must still serve its own weights."""
+        from repro.core import load_network, save_network
+
+        network_a, x, _ = _small_network(encoded_higgs, seed=3)
+        network_b, _, _ = _small_network(encoded_higgs, seed=9)
+        loaded_a = load_network(save_network(network_a, tmp_path / "a.npz"))
+        loaded_b = load_network(save_network(network_b, tmp_path / "b.npz"))
+        out_a = loaded_a.predict_proba_stream(x, batch_size=64)
+        out_b = loaded_b.predict_proba_stream(x, batch_size=64)
+        assert not np.array_equal(out_a, out_b)
+        np.testing.assert_allclose(out_a, network_a.predict_proba(x), atol=1e-12)
+        np.testing.assert_allclose(out_b, network_b.predict_proba(x), atol=1e-12)
+
+    def test_failed_call_leaves_the_predictor_usable(self, encoded_higgs):
+        network, x, _ = _small_network(encoded_higgs)
+        expected = network.predict(x)
+        network.predict_stream(x, batch_size=64)
+        with pytest.raises(DataError, match="columns"):
+            network.predict_stream(np.ones((8, 3)), batch_size=64)
+        assert np.array_equal(network.predict_stream(x, batch_size=64), expected)
