@@ -20,7 +20,6 @@ check this).
 
 from __future__ import annotations
 
-import copy
 import os
 import pickle
 import time
@@ -32,7 +31,7 @@ import numpy as np
 
 from repro import faults, kernels
 from repro.comm import CommRequest, Communicator, split_ranks
-from repro.engine.pipeline import mean_activation_entropy, resolve_comm_overlap
+from repro.engine.pipeline import mean_activation_entropy
 from repro.exceptions import BackendError, DataError
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_numeric_dtype
@@ -174,11 +173,13 @@ def train_layer_program(
 
     Every rank holds an identical layer replica (rank 0: the driver's live
     layer, in place; workers: rebuilt from ``options["spec"]`` and
-    synchronised by broadcast).  Each global batch is block-partitioned over
-    the ranks; each rank computes the sufficient statistics of its shard
-    and the packed statistics vector ``[count, Σx, Σa, Σ(xᵀa)]`` is combined
-    with **one allreduce per batch** — communication scales with the trace
-    size, never with the batch.  The reduced update is applied identically
+    synchronised by broadcast) and runs the serial learning step on its
+    shard of each global batch, through the layer's own engine: the forward
+    and the competition (:meth:`StructuralPlasticityLayer.shard_activity`),
+    then the shard's sufficient statistics packed as ``[count, Σx, Σa,
+    Σ(xᵀa)]`` and combined with **one allreduce per batch** —
+    communication scales with the trace size, never with the batch.  The
+    reduced means go through :meth:`repro.engine.LayerEngine.apply_means`
     on every rank, so the replicas never drift.
 
     ``options["mode"]``:
@@ -196,12 +197,14 @@ def train_layer_program(
     pipelined serial path:
 
     * ``options["weight_refresh_tol"]`` — stale-weights caching: the
-      per-batch ``traces_to_weights`` refresh is skipped while the
+      per-batch ``traces_to_weights`` refresh is skipped while the engine's
       accumulated ``taupdt``-scaled marginal-trace drift stays under the
-      tolerance.  The drift is computed from the *reduced* statistics, which
-      are identical on every rank, so the refresh decisions — and therefore
-      the training — stay rank-invariant.  ``0`` refreshes every batch
-      (exact, the historical behaviour).
+      tolerance (:meth:`repro.engine.LayerEngine.should_refresh_weights`,
+      the gate ``train_batch`` uses).  The drift is computed from the
+      *reduced* statistics, which are identical on every rank, and every
+      rank enters with its engine built and its drift account zeroed by
+      the replica sync, so the refresh decisions — and therefore the training
+      — stay rank-invariant.  ``0`` refreshes every batch (exact).
     * ``options["comm_overlap"]`` (``"auto"``/``"on"``/``"off"``) — the
       software-pipelined communication schedule: batch ``k``'s packed
       statistics are published through a *nonblocking* ``iallreduce`` and
@@ -209,11 +212,11 @@ def train_layer_program(
       ``k``'s reduction, hiding the collective's latency behind local
       compute.  Batch ``k+1`` therefore forwards on one-batch-stale
       weights, which is only admissible under the stale-weights contract —
-      overlap engages only when ``weight_refresh_tol > 0`` (see
-      :func:`repro.engine.pipeline.resolve_comm_overlap`); at ``tol=0``
-      every mode keeps today's blocking schedule bit-for-bit.  The schedule
-      stays rank-invariant: the drift accounting runs on reduced statistics
-      in the same order on every rank.
+      overlap engages only when ``weight_refresh_tol > 0``; at ``tol=0``
+      every mode keeps the blocking schedule bit-for-bit.  The decision
+      does not depend on the rank count: the reduced statistics of a global
+      batch are the same for every rank count, so a deferred apply keeps
+      the training bitwise rank-count-invariant.
     * ``options["sparse_payload"]`` (``"auto"``/``"on"``/``"off"``) — once
       the structural-plasticity mask can no longer rewire inside this
       program (after the last in-program plasticity step, or always when
@@ -257,24 +260,27 @@ def train_layer_program(
     # shares the layer's generator) makes every replica's draw stream match
     # rank 0's exactly — calibration jitter and mask swaps stay identical.
     layer._rng.bit_generator.state = options["rng_layer_state"]
-    _sync_replica(comm, layer)
 
     record = options["record"]
     shuffle_rng = np.random.default_rng(int(record["shuffle_seed"]))
     epochs = int(options["epochs"])
     batch_size = int(options["batch_size"])
     shuffle = bool(options["shuffle"])
-    mode = str(options.get("mode", "rate"))
-    competitive = mode == "competitive"
+    competitive = options.get("mode", "rate") == "competitive"
     tol = float(options.get("weight_refresh_tol", 0.0))
-    overlap = resolve_comm_overlap(str(options.get("comm_overlap", "auto")), tol, size)
-    payload_mode = str(options.get("sparse_payload", "auto"))
-    if payload_mode not in ("auto", "on", "off"):
-        raise BackendError(
-            f"sparse_payload must be 'auto', 'on' or 'off', got {payload_mode!r}"
-        )
+    overlap = options.get("comm_overlap", "auto") != "off" and tol > 0.0
+    payload_mode = options.get("sparse_payload", "auto")
 
     n = x.shape[0]
+    # Build the engine for the largest shard (a full batch's first) before
+    # the sync: the sync's weight refresh then zeroes its drift account on
+    # every rank alike (a fresh engine starts infinitely stale, which would
+    # add a refresh).
+    layer.configure_execution(weight_refresh_tol=tol)
+    lo, hi = split_ranks(min(batch_size, n), size)[0]
+    engine = layer.engine_for(hi - lo)
+    _sync_replica(comm, layer)
+
     start_epoch = int(record["epoch"])
     if not 0 <= start_epoch <= epochs:
         raise BackendError(f"start_epoch must be in [0, {epochs}], got {start_epoch}")
@@ -295,10 +301,6 @@ def train_layer_program(
     epoch_logs: List[Dict[str, float]] = list(record["epoch_logs"])
     total_batches = int(record["batches"])
     total_swaps = int(record["swaps"])
-    # Accumulated taupdt-scaled marginal-trace drift since the last weight
-    # refresh (_sync_replica just refreshed, so the weights start fresh).
-    # Computed from reduced statistics only, hence identical on every rank.
-    staleness = 0.0
     starts = list(range(0, n, batch_size))
 
     # First epoch from which the mask can no longer rewire inside this
@@ -333,8 +335,8 @@ def train_layer_program(
                 stats_head + 1 + layout.packed_size, dtype=np.float64
             )
             # Pre-zeroed dense mean-outer buffer the reduced active entries
-            # scatter into; silent entries stay exactly 0.0 forever, so
-            # apply_statistics decays the silent traces and nothing else.
+            # scatter into; silent entries stay exactly 0.0 forever, so the
+            # trace update decays the silent traces and nothing else.
             sp_state["outer"] = np.zeros((n_input, n_hidden), dtype=np.float64)
         return sp_state
 
@@ -390,10 +392,9 @@ def train_layer_program(
 
     def apply_reduction(reduced: np.ndarray, ctx) -> None:
         """Apply one reduced statistics vector + the drift-gated refresh."""
-        nonlocal staleness
         count = reduced[0]
-        mean_x_red = reduced[1 : 1 + n_input] / count
-        mean_a_red = reduced[1 + n_input : stats_head] / count
+        mean_x = reduced[1 : 1 + n_input] / count
+        mean_a = reduced[1 + n_input : stats_head] / count
         if ctx is None:
             # Caller-owned on every transport, so the mean is formed in place.
             mean_outer = reduced[stats_head:].reshape(n_input, n_hidden)
@@ -413,23 +414,9 @@ def train_layer_program(
                         layout.block_starts[h] : layout.block_starts[h + 1]
                     ].reshape(idx.size, hi - lo)
                     mean_outer[idx, lo:hi] = slab / count
-        layer.traces.apply_statistics(mean_x_red, mean_a_red, mean_outer, taupdt)
-        if tol > 0.0 and taupdt < 1.0:
-            # Stale-weights caching, rank-invariant by construction: the
-            # drift is derived from the reduced (identical-everywhere)
-            # means and the post-update traces.  The applied max-norm
-            # marginal step is taupdt/(1-taupdt) * max|mean - p_new|.
-            drift = max(
-                float(np.max(np.abs(mean_x_red - layer.traces.p_i))),
-                float(np.max(np.abs(mean_a_red - layer.traces.p_j))),
-            )
-            staleness += drift * taupdt / (1.0 - taupdt)
-            if staleness > tol:
-                layer.refresh_weights()
-                staleness = 0.0
-        else:
+        engine.apply_means(layer.traces, mean_x, mean_a, mean_outer, taupdt)
+        if engine.should_refresh_weights():
             layer.refresh_weights()
-            staleness = 0.0
 
     # The in-flight nonblocking reduction of the overlapped schedule: at
     # most ONE request is outstanding at any time (the tcp transport's
@@ -470,18 +457,15 @@ def train_layer_program(
                 head[0] = float(local.shape[0])
                 head[1:] = local.sum(axis=0) if local.shape[0] else 0.0
                 reduced_head = comm.allreduce(head, op="sum")
-                layer.traces.calibrate_marginals(
-                    mean_x=reduced_head[1:] / reduced_head[0], jitter=0.02, rng=layer._rng
-                )
-                layer.refresh_weights()
+                layer.calibrate_prior(reduced_head[1:] / reduced_head[0])
             if local.shape[0] > 0:
-                activations = layer.forward_raw(local)
+                forward, activations = layer.shard_activity(local, compete=competitive)
                 if competitive:
                     # Entropy of the forward activations, as the plain loop
-                    # records it: the competition output is one-hot in
-                    # ``sample`` mode, whose entropy is identically zero.
-                    mean_entropy.append(mean_activation_entropy(activations))
-                    activations = layer._training_activity(activations)
+                    # records it (the competition never writes them): the
+                    # competition output is one-hot in ``sample`` mode,
+                    # whose entropy is identically zero.
+                    mean_entropy.append(mean_activation_entropy(forward))
             else:
                 activations = None
             buf = fill_statistics(local, activations, ctx)
@@ -503,16 +487,14 @@ def train_layer_program(
             total_batches += 1
         if pending is not None:
             # Drain the pipeline: plasticity and the epoch-boundary weight
-            # flush must observe every applied batch.
+            # refresh must observe every applied batch.
             request, request_ctx = pending
             pending = None
             apply_reduction(request.wait(), request_ctx)
-        if staleness > 0.0:
+        if engine.weights_stale:
             # The epoch boundary publishes weights (mask plasticity reads
-            # traces, but callbacks and the caller observe the layer), so
-            # flush any accumulated staleness here.
+            # traces, but callbacks and the caller observe the layer).
             layer.refresh_weights()
-            staleness = 0.0
         swaps = layer.end_epoch(epoch)
         total_swaps += int(swaps)
         if competitive:
@@ -538,7 +520,7 @@ def train_layer_program(
         epoch_logs.append(log)
         if on_epoch_end is not None:
             # Epoch boundaries are consistent restart points: the pipeline is
-            # drained, staleness flushed and plasticity applied, so this
+            # drained, the weights fresh and plasticity applied, so this
             # record replays the rest of the run bitwise-identically.
             on_epoch_end(
                 {
@@ -556,38 +538,12 @@ def train_layer_program(
         "global_batches": total_batches,
         "swaps": total_swaps,
         "epoch_logs": epoch_logs,
-        "allreduce_calls": int(comm.collective_calls["allreduce"]),
-        "iallreduce_calls": int(comm.collective_calls["iallreduce"]),
-        "bytes_communicated": int(comm.bytes_communicated),
     }
 
 
 def _layer_snapshot(layer) -> Dict[str, object]:
-    """Everything needed to restore a layer to a consistent resume point."""
-    snapshot: Dict[str, object] = {
-        "p_i": layer.traces.p_i.copy(),
-        "p_j": layer.traces.p_j.copy(),
-        "p_ij": layer.traces.p_ij.copy(),
-        "rng_state": copy.deepcopy(layer._rng.bit_generator.state),
-        "batches_trained": int(layer.batches_trained),
-    }
-    plasticity = getattr(layer, "plasticity", None)
-    if plasticity is not None:
-        snapshot["mask"] = plasticity.mask.copy()
-    return snapshot
-
-
-def _restore_layer(layer, snapshot: Dict[str, object]) -> None:
-    """In-place inverse of :func:`_layer_snapshot` (weights re-derived)."""
-    layer.traces.p_i[:] = snapshot["p_i"]
-    layer.traces.p_j[:] = snapshot["p_j"]
-    layer.traces.p_ij[:] = snapshot["p_ij"]
-    if "mask" in snapshot:
-        layer.plasticity.mask[:] = snapshot["mask"]
-        layer._refresh_mask()
-    layer._rng.bit_generator.state = copy.deepcopy(snapshot["rng_state"])
-    layer.batches_trained = int(snapshot["batches_trained"])
-    layer.refresh_weights()
+    """The layer's state codec plus its generator state: a resume point."""
+    return dict(layer.state_dict(), rng_state=layer._rng.bit_generator.state)
 
 
 class DistributedTrainer:
@@ -598,8 +554,10 @@ class DistributedTrainer:
     caller's layer object in place), the transport supplies the other ranks
     (threads or OS processes).  The trainer is duck-typed against
     :class:`repro.core.layers.StructuralPlasticityLayer`: it requires
-    ``layer.forward_raw``, ``layer.traces``, ``layer.refresh_weights``,
-    ``layer.end_epoch`` and ``layer.hyperparams``.
+    the per-rank step (``shard_activity``, ``calibrate_prior``,
+    ``engine_for``, ``configure_execution``, ``refresh_weights``,
+    ``end_epoch``, ``traces``, ``hyperparams``) and the restart snapshot
+    (``state_dict``, ``load_state_dict`` and the ``_rng`` generator).
 
     Parameters
     ----------
@@ -643,7 +601,10 @@ class DistributedTrainer:
 
         ``weight_refresh_tol`` enables the rank-invariant stale-weights
         caching (see :func:`train_layer_program`), with ``0`` refreshing
-        every batch exactly as before.
+        every batch exactly as before.  The layer's engine runs at this
+        tolerance for the call, and the layer gets its previous execution
+        options back when the call returns.  The report counts this call's
+        traffic only, whatever the communicator carried before.
 
         ``comm_overlap`` (``"auto"``/``"on"``/``"off"``) software-pipelines
         the per-batch allreduce behind the next batch's forward via the
@@ -661,7 +622,8 @@ class DistributedTrainer:
         **Restarts.**  At every epoch boundary rank 0 emits one record —
         ``{shuffle_seed, epoch, batches, swaps, epoch_logs, snapshot}``:
         the shuffle seed, the next epoch, the cumulative batch and swap
-        counts and epoch logs, and the layer's :func:`_layer_snapshot`.
+        counts and epoch logs, and the layer's :func:`_layer_snapshot`
+        (its ``state_dict`` plus its generator state).
         ``on_epoch_end(record)`` receives it in the caller, live, as each
         epoch completes.  The trainer keeps the latest record, and every
         attempt enters at it: when a rank dies on a transport that can
@@ -669,8 +631,8 @@ class DistributedTrainer:
         dead worker is respawned or re-admitted through ``comm.recover()``,
         the layer is restored from the record's snapshot and the program
         re-enters at that boundary with the shuffle stream fast-forwarded —
-        at ``weight_refresh_tol=0`` the recovered run is bitwise-identical
-        to an uninterrupted one (test-enforced in
+        the recovered run is bitwise-identical to an uninterrupted one, with
+        or without stale-weights caching (test-enforced in
         ``tests/backend/test_fault_tolerance.py``).  ``max_restarts``
         bounds the recoveries per call; the thread and serial transports
         raise the :class:`BackendError`.  ``resume`` re-enters a record the
@@ -731,13 +693,19 @@ class DistributedTrainer:
             if on_epoch_end is not None:
                 on_epoch_end(record)
 
+        # The communicator's counters live as long as it does; the report
+        # books this call's traffic only.
+        calls = self.comm.collective_calls
+        before = (calls["allreduce"], calls["iallreduce"], self.comm.bytes_communicated)
+        previous_options = dict(layer._engine_options)
         restarts = 0
         while True:
             # Every attempt enters at the latest record: restore its snapshot
             # (a crash leaves rank 0's in-place layer mid-epoch), or take one
             # where the layer already stands at the record's boundary.
             if "snapshot" in latest:
-                _restore_layer(layer, latest["snapshot"])
+                layer.load_state_dict(latest["snapshot"])  # rebuilds: consumes draws
+                layer._rng.bit_generator.state = latest["snapshot"]["rng_state"]
             else:
                 latest["snapshot"] = _layer_snapshot(layer)
             spec = {
@@ -790,22 +758,23 @@ class DistributedTrainer:
                     restarts,
                     int(max_restarts),
                 )
-        if hasattr(layer, "flush_weights"):
-            # Settle the dense weight matrix the sparse plan's packed
-            # refreshes defer (a no-op on dense layers).
-            layer.flush_weights()
+        # Settle the dense weight matrix the sparse plan's packed refreshes
+        # defer (a no-op on dense layers), then hand back the options the
+        # program's engine replaced.
+        layer.flush_weights()
+        layer.configure_execution(**previous_options)
         report = results[0]
         return DistributedEpochReport(
             epochs=epochs,
             global_batches=int(report["global_batches"]),
             ranks=self.comm.size,
             samples=x.shape[0],
-            allreduce_calls=self.comm.collective_calls["allreduce"],
-            bytes_communicated=self.comm.bytes_communicated,
+            allreduce_calls=calls["allreduce"] - before[0],
+            bytes_communicated=self.comm.bytes_communicated - before[2],
             swaps=int(report["swaps"]),
             extra={
                 "epoch_logs": list(report["epoch_logs"]),
-                "iallreduce_calls": int(report.get("iallreduce_calls", 0)),
+                "iallreduce_calls": calls["iallreduce"] - before[1],
                 "restarts": restarts,
             },
         )

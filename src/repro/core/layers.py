@@ -251,13 +251,13 @@ class StructuralPlasticityLayer(BackendExecutionMixin):
         self._refresh_sparse_layout()
 
     # ------------------------------------------------------------- forward
-    def forward_raw(self, x: np.ndarray) -> np.ndarray:
-        """Hidden activations for a validated batch (no input validation copy)."""
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Hidden activations (softmax per HCU) for an input batch."""
         self._require_built()
+        x = self.input_spec.validate_batch(x)
         # ``_weights`` (not the property): a sparse dispatch reads the packed
         # slabs, so materialising the dense matrix here would throw away the
-        # sparse plan's refresh saving; dense dispatches keep the historical
-        # in-place-refreshed buffer semantics.
+        # sparse plan's refresh saving.
         return self.backend.forward(
             x,
             self._weights,
@@ -267,12 +267,6 @@ class StructuralPlasticityLayer(BackendExecutionMixin):
             self.hyperparams.bias_gain,
             sparse=self.sparse_context(),
         )
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Hidden activations (softmax per HCU) for an input batch."""
-        self._require_built()
-        x = self.input_spec.validate_batch(x)
-        return self.forward_raw(x)
 
     # -------------------------------------------------------------- training
     def _training_activity(self, activations: np.ndarray, scratch=None):
@@ -297,6 +291,40 @@ class StructuralPlasticityLayer(BackendExecutionMixin):
             scratch=scratch,
         )
 
+    def calibrate_prior(self, mean_x: np.ndarray) -> None:
+        """Re-anchor the trace prior to the first batch's input mean ``mean_x``.
+
+        Structural plasticity's mutual-information scores are then not biased
+        by the uniform prior when the data marginals are far from uniform (see
+        :meth:`repro.core.traces.ProbabilityTraces.calibrate_marginals`).
+        """
+        self.traces.calibrate_marginals(mean_x=mean_x, jitter=0.02, rng=self._rng)
+        self.refresh_weights()
+
+    def shard_activity(self, x: np.ndarray, compete: bool = True):
+        """Forward + competition for a validated batch, through the engine.
+
+        The first half of :meth:`train_batch`'s fused dispatch, for a caller
+        that forms and applies the statistics itself (the data-parallel
+        program reduces them over the ranks first).  Returns ``(activations,
+        activity)``: the forward activations and the competition's training
+        activity (the activations themselves when ``compete`` is false),
+        both valid until the next engine dispatch on this layer.
+        """
+        engine = self.engine_for(x.shape[0])
+        scratch = engine.workspace
+        activations = engine.forward(
+            x,
+            self._weights,
+            self.bias,
+            self._mask_expanded,
+            self.hyperparams.bias_gain,
+            sparse=self.sparse_context(),
+        )
+        if not compete:
+            return activations, activations
+        return activations, self._training_activity(activations, scratch=scratch)
+
     def train_batch(self, x: np.ndarray, taupdt: Optional[float] = None) -> np.ndarray:
         """One unsupervised learning step on a batch; returns the activations.
 
@@ -305,21 +333,14 @@ class StructuralPlasticityLayer(BackendExecutionMixin):
         on this layer and are overwritten then.  Callers that retain
         per-batch activations across batches must copy them.
 
-        On the very first batch the trace prior is re-anchored to the
-        observed input marginals (see
-        :meth:`repro.core.traces.ProbabilityTraces.calibrate_marginals`), so
-        structural plasticity's mutual-information scores are not biased by
-        the uniform-prior initialisation when the data marginals are far from
-        uniform (e.g. mostly-blank image pixels).
+        The very first batch calibrates the trace prior
+        (:meth:`calibrate_prior`).
         """
         self._require_built()
         x = self.input_spec.validate_batch(x)
         taupdt = self.hyperparams.taupdt if taupdt is None else float(taupdt)
         if self.batches_trained == 0:
-            self.traces.calibrate_marginals(
-                mean_x=x.mean(axis=0), jitter=0.02, rng=self._rng
-            )
-            self.refresh_weights()
+            self.calibrate_prior(x.mean(axis=0))
         # One fused dispatch: forward + competition + statistics + trace
         # update, streamed through the engine's preallocated workspace.  The
         # returned activations are a workspace view, valid until the next

@@ -5,8 +5,8 @@ averages ``p_i`` (input marginals), ``p_j`` (hidden marginals) and ``p_ij``
 (joint co-activations).  The local learning rule is a single in-place update
 per batch followed by a conversion to weights/biases — no gradients flow
 backwards, which is the property that makes BCPNN attractive on HPC systems
-(Section II-B of the paper): traces from independently trained shards can
-simply be averaged, which the distributed trainer exploits.
+(Section II-B of the paper): the batch statistics of independent shards sum,
+so the data-parallel trainer reduces them with one allreduce per batch.
 """
 
 from __future__ import annotations
@@ -145,29 +145,6 @@ class ProbabilityTraces:
         self.p_ij += taupdt * mean_outer.astype(self.dtype, copy=False)
         self.updates_seen += 1
 
-    def apply_statistics(
-        self,
-        mean_x: np.ndarray,
-        mean_a: np.ndarray,
-        mean_outer: np.ndarray,
-        taupdt: float,
-    ) -> None:
-        """Apply pre-computed batch statistics (used by the distributed trainer)."""
-        if not 0.0 < taupdt <= 1.0:
-            raise DataError(f"taupdt must be in (0, 1], got {taupdt}")
-        if mean_x.shape != (self.n_input,) or mean_a.shape != (self.n_hidden,):
-            raise DataError("statistic shapes do not match the trace dimensions")
-        if mean_outer.shape != (self.n_input, self.n_hidden):
-            raise DataError("mean_outer shape does not match the trace dimensions")
-        decay = 1.0 - taupdt
-        self.p_i *= decay
-        self.p_i += taupdt * mean_x.astype(self.dtype, copy=False)
-        self.p_j *= decay
-        self.p_j += taupdt * mean_a.astype(self.dtype, copy=False)
-        self.p_ij *= decay
-        self.p_ij += taupdt * mean_outer.astype(self.dtype, copy=False)
-        self.updates_seen += 1
-
     # ------------------------------------------------------------- weights
     def to_weights(self, trace_floor: float = 1e-12) -> Tuple[np.ndarray, np.ndarray]:
         """Convert the current traces into ``(weights, bias)``."""
@@ -178,31 +155,6 @@ class ProbabilityTraces:
         return kernels.mutual_information_scores(
             self.p_i, self.p_j, self.p_ij, self.input_sizes, self.hidden_sizes, trace_floor
         )
-
-    # ------------------------------------------------------------ averaging
-    def merge_(
-        self, others: Sequence["ProbabilityTraces"], weights: Sequence[float] = None
-    ) -> None:
-        """In-place weighted average of this trace set with ``others``.
-
-        This is the allreduce operation of data-parallel BCPNN training: each
-        rank accumulates traces on its shard and the results are averaged.
-        """
-        group = [self, *others]
-        if weights is None:
-            weights = [1.0 / len(group)] * len(group)
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape[0] != len(group):
-            raise DataError("one weight per trace set is required")
-        if np.any(weights < 0) or not np.isclose(weights.sum(), 1.0):
-            raise DataError("weights must be non-negative and sum to 1")
-        for other in others:
-            if other.n_input != self.n_input or other.n_hidden != self.n_hidden:
-                raise DataError("cannot merge traces with different dimensions")
-        self.p_i[:] = sum(w * t.p_i for w, t in zip(weights, group))
-        self.p_j[:] = sum(w * t.p_j for w, t in zip(weights, group))
-        self.p_ij[:] = sum(w * t.p_ij for w, t in zip(weights, group))
-        self.updates_seen = max(t.updates_seen for t in group)
 
     # ---------------------------------------------------------- diagnostics
     def check_consistency(self, atol: float = 1e-6) -> bool:

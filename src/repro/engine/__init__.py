@@ -27,7 +27,6 @@ from repro.engine.pipeline import (
     PipelineTask,
     PipelineWorker,
     mean_activation_entropy,
-    resolve_comm_overlap,
     train_layer_pipelined,
 )
 from repro.engine.plan import ExecutionPlan, LayerEngine
@@ -40,6 +39,5 @@ __all__ = [
     "PipelineTask",
     "PipelineWorker",
     "mean_activation_entropy",
-    "resolve_comm_overlap",
     "train_layer_pipelined",
 ]

@@ -43,52 +43,23 @@ __all__ = [
     "PipelineTask",
     "helper_threads_available",
     "mean_activation_entropy",
-    "resolve_comm_overlap",
     "train_layer_pipelined",
 ]
-
-
-def resolve_comm_overlap(mode: str, weight_refresh_tol: float, size: int) -> bool:
-    """Resolve ``DistributedTrainer.train_layer``'s ``comm_overlap`` to on/off.
-
-    Communication overlap forwards batch ``k+1`` before batch ``k``'s
-    reduction has been applied, i.e. it trains on one-batch-stale weights —
-    which is only admissible under the stale-weights contract, so overlap
-    always requires ``weight_refresh_tol > 0``.  At ``tol=0`` every mode
-    degrades to the blocking schedule (bit-for-bit the historical
-    behaviour).  ``"off"`` never overlaps; ``"auto"`` and ``"on"`` overlap
-    whenever the tolerance permits.
-
-    The decision deliberately does NOT depend on ``size``: the overlapped
-    schedule defers *applying* each reduction by one batch, and because the
-    reduced statistics of a global batch are identical for every rank
-    count, keeping the schedule size-independent keeps training results
-    bitwise rank-count-invariant (test-enforced across serial, thread and
-    process transports).  A size-1 run has no peer skew to hide, but its
-    eagerly-completing ``iallreduce`` makes the deferred apply free — the
-    same floats in the same order as any multi-rank run.  ``size`` stays in
-    the signature to document that invariance contract at the call sites.
-    """
-    if mode not in ("auto", "on", "off"):
-        raise BackendError(f"comm_overlap must be 'auto', 'on' or 'off', got {mode!r}")
-    del size  # deliberately unused — see docstring
-    return mode != "off" and float(weight_refresh_tol) > 0.0
 
 
 def helper_threads_available() -> bool:
     """Whether overlap helper threads can actually overlap on this machine.
 
-    On a single-core machine the prefetch and pipeline-worker threads can
+    With one usable CPU the prefetch and pipeline-worker threads can
     only time-slice against the driver, so they add synchronisation
     overhead without overlapping any work; the pipelined entry points then
     degrade gracefully to their inline schedules.  Results are bit-for-bit
     identical either way — this predicate only picks the faster schedule.
-    Override with ``REPRO_PIPELINE_THREADS=1`` (force on) or ``=0`` (force
-    off) for benchmarking either schedule.
+    It counts the CPUs this process may run on (its affinity mask, which
+    ``taskset`` or a cpuset narrows), not the host's.
     """
-    override = os.environ.get("REPRO_PIPELINE_THREADS", "").strip()
-    if override in ("0", "1"):
-        return override == "1"
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
     return (os.cpu_count() or 1) > 1
 
 

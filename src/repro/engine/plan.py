@@ -35,6 +35,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.backend.base import Backend
 from repro.engine.workspace import LayerWorkspace
 from repro.exceptions import ConfigurationError
@@ -192,14 +193,15 @@ class LayerEngine:
         self._staleness = 0.0
         self._weights_version += 1
 
-    def _note_trace_update(self, ws: LayerWorkspace, traces, taupdt: float) -> None:
-        """Accumulate the drift one trace update applied.
+    def _note_trace_update(self, mean_x, mean_a, traces, taupdt: float) -> None:
+        """Count one trace update and accumulate the drift it applied.
 
-        After ``kernels.ema_update`` the workspace's ``mean_x``/``mean_a``
-        buffers hold the *taupdt-scaled* batch means and the traces hold the
-        post-update values, so the applied max-norm marginal drift is
+        ``kernels.ema_update`` leaves ``mean_x``/``mean_a`` holding the
+        *taupdt-scaled* batch means and the traces holding the post-update
+        values, so the applied max-norm marginal drift is
         ``max|scaled_mean - taupdt * p_new| / (1 - taupdt)``.
         """
+        traces.updates_seen += 1
         if self.weight_refresh_tol <= 0.0:
             # Exact mode: no accounting needed beyond "an update happened".
             self._staleness = float("inf")
@@ -208,8 +210,8 @@ class LayerEngine:
         if t >= 1.0:
             self._staleness = float("inf")
             return
-        drift_x = float(np.max(np.abs(ws.mean_x - t * traces.p_i)))
-        drift_a = float(np.max(np.abs(ws.mean_a - t * traces.p_j)))
+        drift_x = float(np.max(np.abs(mean_x - t * traces.p_i)))
+        drift_a = float(np.max(np.abs(mean_a - t * traces.p_j)))
         self._staleness += max(drift_x, drift_a) / (1.0 - t)
 
     # ----------------------------------------------------------- dispatch
@@ -330,8 +332,7 @@ class LayerEngine:
             workspace=ws,
             sparse=sparse,
         )
-        traces.updates_seen += 1
-        self._note_trace_update(ws, traces, taupdt)
+        self._note_trace_update(ws.mean_x, ws.mean_a, traces, taupdt)
         return activations
 
     def update_traces(self, x: np.ndarray, a: np.ndarray, traces, taupdt: float) -> None:
@@ -344,8 +345,18 @@ class LayerEngine:
         self.backend.update_traces(
             x, a, traces.p_i, traces.p_j, traces.p_ij, taupdt, workspace=ws
         )
-        traces.updates_seen += 1
-        self._note_trace_update(ws, traces, taupdt)
+        self._note_trace_update(ws.mean_x, ws.mean_a, traces, taupdt)
+
+    def apply_means(self, traces, mean_x, mean_a, mean_outer, taupdt: float) -> None:
+        """Trace update from batch means computed elsewhere.
+
+        The data-parallel path: the means come out of the allreduce of every
+        rank's shard statistics, and the update, the counter and the drift
+        accounting are the ones :meth:`fused_update` applies.  The means are
+        scratch — ``kernels.ema_update`` scales them in place.
+        """
+        kernels.ema_update(traces.p_i, traces.p_j, traces.p_ij, mean_x, mean_a, mean_outer, taupdt)
+        self._note_trace_update(mean_x, mean_a, traces, taupdt)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

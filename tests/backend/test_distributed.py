@@ -5,14 +5,26 @@ covers the reduction operators and driver-side guards the trainer relies on
 and the SPMD :class:`~repro.backend.distributed.DistributedTrainer`.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.backend.distributed import DistributedTrainer, split_ranks
 from repro.comm import SerialComm, ThreadComm
-from repro.core import BCPNNHyperParameters, StructuralPlasticityLayer
+from repro.core import BCPNNHyperParameters, InputSpec, StructuralPlasticityLayer
 from repro.exceptions import BackendError, DataError
 from repro.utils.rng import as_rng
+
+
+def _one_hot(n, f, m, seed):
+    """``n`` rows of ``f`` one-hot hypercolumns of ``m`` units."""
+    x = np.zeros((n, f * m))
+    winners = np.random.default_rng(seed).integers(0, m, size=(n, f))
+    for b in range(f):
+        x[np.arange(n), b * m + winners[:, b]] = 1.0
+    return x
 
 
 def _reduce_rank_values(comm, values, op):
@@ -132,6 +144,63 @@ class TestDistributedTrainer:
         assert report.bytes_communicated > 0
         assert epochs_seen == [0, 1, 2]
 
+    @pytest.mark.parametrize("weight_refresh_tol", [0.0, 0.02])
+    def test_report_books_this_calls_traffic(self, small_input_spec, data, weight_refresh_tol):
+        """Two identical calls on one communicator report equal traffic:
+        the report counts the call, not the communicator's lifetime."""
+        reports = []
+        with SerialComm() as comm:
+            for _ in range(2):
+                reports.append(
+                    DistributedTrainer(comm).train_layer(
+                        _make_layer(small_input_spec, seed=4), data, epochs=2,
+                        batch_size=64, rng=as_rng(6), mode="competitive",
+                        weight_refresh_tol=weight_refresh_tol,
+                    )
+                )
+            assert comm.collective_calls["allreduce"] == 2 * reports[0].allreduce_calls
+        first, second = reports
+        assert second.allreduce_calls == first.allreduce_calls
+        assert second.bytes_communicated == first.bytes_communicated > 0
+        assert second.extra["iallreduce_calls"] == first.extra["iallreduce_calls"]
+        assert (first.extra["iallreduce_calls"] > 0) == (weight_refresh_tol > 0)
+
+    def test_execution_options_are_restored(self, small_input_spec, data):
+        """The program runs the layer's engine at the call's tolerance and
+        hands the layer back with the options it came with."""
+        layer = _make_layer(small_input_spec, seed=5)
+        layer.configure_execution(n_buffers=2, weight_refresh_tol=0.0)
+        with SerialComm() as comm:
+            DistributedTrainer(comm).train_layer(
+                layer, data, epochs=1, batch_size=64, rng=as_rng(1), weight_refresh_tol=0.05
+            )
+        assert layer._engine_options == {"n_buffers": 2, "weight_refresh_tol": 0.0}
+
+    def test_epoch_boundaries_publish_fresh_weights(self, small_input_spec, data):
+        """Stale-weights caching defers refreshes inside an epoch only: every
+        boundary record sees weights and bias that match the traces (rate
+        mode, where no replica sync refreshes them as a side effect)."""
+        hyperparams = BCPNNHyperParameters(taupdt=0.05, density=1.0)
+        layer = StructuralPlasticityLayer(2, 6, hyperparams=hyperparams, seed=8)
+        layer.build(small_input_spec)
+        fresh = []
+
+        def check(record):
+            t = layer.traces
+            weights, bias = kernels.traces_to_weights(
+                t.p_i, t.p_j, t.p_ij, layer.hyperparams.trace_floor
+            )
+            fresh.append(
+                np.array_equal(layer.weights, weights) and np.array_equal(layer.bias, bias)
+            )
+
+        with SerialComm() as comm:
+            DistributedTrainer(comm).train_layer(
+                layer, data, epochs=3, batch_size=32, rng=as_rng(4),
+                weight_refresh_tol=10.0, on_epoch_end=check,
+            )
+        assert fresh == [True, True, True]
+
     def test_one_allreduce_per_batch(self, small_input_spec, data):
         layer = _make_layer(small_input_spec, seed=3)
         comm = ThreadComm(2)
@@ -217,3 +286,58 @@ class TestDistributedTrainer:
     def test_requires_communicator(self):
         with pytest.raises(BackendError):
             DistributedTrainer("not-a-comm")
+
+
+class TestProgramAllocations:
+    """Each rank forwards through its layer's engine workspace, so a batch
+    allocates nothing ``(B, H)``-sized between two allreduces.  Rate mode:
+    competitive mode adds the entropy monitor's temporaries, which the
+    serial route computes the same way."""
+
+    @pytest.mark.parametrize("weight_refresh_tol", [0.0, 0.02])
+    @pytest.mark.parametrize("density", [0.5, 1.0])
+    def test_no_batch_by_hidden_allocation_between_allreduces(
+        self, density, weight_refresh_tol
+    ):
+        batch, n_hidden, per_epoch = 256, 100, 4
+        x = _one_hot(per_epoch * batch, 4, 5, seed=1)  # few input units: 20
+        hyperparams = BCPNNHyperParameters(
+            taupdt=0.05, density=density, mask_update_period=10_000
+        )
+        layer = StructuralPlasticityLayer(4, 25, hyperparams=hyperparams, seed=2)
+        layer.build(InputSpec.uniform(4, 5))
+        transients = []
+        held = []
+        with SerialComm() as comm:
+
+            def probed(collective):
+                def call(array, op="sum"):
+                    current, peak = tracemalloc.get_traced_memory()
+                    if held:
+                        transients.append(peak - held[-1])
+                    tracemalloc.reset_peak()
+                    held.append(current)
+                    return collective(array, op=op)
+
+                return call
+
+            comm.allreduce = probed(comm.allreduce)
+            comm.iallreduce = probed(comm.iallreduce)
+            tracemalloc.start()
+            try:
+                DistributedTrainer(comm).train_layer(
+                    layer, x, epochs=3, batch_size=batch, rng=as_rng(3),
+                    weight_refresh_tol=weight_refresh_tol,
+                )
+            finally:
+                tracemalloc.stop()
+        assert len(transients) == 3 * per_epoch - 1
+        # Interval i runs from batch i's reduction to batch i + 1's: skip the
+        # first epoch (workspace warm-up) and the intervals that span an
+        # epoch boundary (plasticity, the replica sync).
+        steady = [
+            peak for i, peak in enumerate(transients)
+            if i >= per_epoch and (i + 1) % per_epoch != 0
+        ]
+        assert steady
+        assert max(steady) < batch * n_hidden * 8

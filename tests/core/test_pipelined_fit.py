@@ -101,12 +101,12 @@ class TestPipelinedFitEquivalence:
         even on single-core machines, where fit would otherwise pick the
         degenerate inline schedule — the bitwise guarantee must hold for
         the full machinery, not just the degenerate path."""
-        monkeypatch.setenv("REPRO_PIPELINE_THREADS", "1")
+        monkeypatch.setattr("repro.core.network.helper_threads_available", lambda: True)
         x, y = dataset
         schedule = TrainingSchedule(hidden_epochs=3, classifier_epochs=2, batch_size=64)
         piped = _network("bcpnn")
         piped.fit(x, y, input_spec=InputSpec(SIZES), schedule=schedule.replace(pipeline=True))
-        monkeypatch.setenv("REPRO_PIPELINE_THREADS", "0")
+        monkeypatch.setattr("repro.core.network.helper_threads_available", lambda: False)
         serial = _network("bcpnn")
         serial.fit(x, y, input_spec=InputSpec(SIZES), schedule=schedule)
         for ls, lp in zip(serial.hidden_layers, piped.hidden_layers):

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
+from repro.backend import get_backend
 from repro.core import ProbabilityTraces
+from repro.engine import ExecutionPlan, LayerEngine
 from repro.exceptions import DataError
 from repro.utils.arrays import blockwise_softmax, one_hot
 
@@ -72,15 +75,56 @@ class TestUpdate:
         with pytest.raises(DataError):
             traces.update(np.ones((2, 3)) / 3, np.ones((2, 2)) / 2, taupdt=0.1)
 
-    def test_apply_statistics_equivalent_to_update(self):
+    def test_engine_apply_means_equivalent_to_update(self):
+        """The data-parallel trace update (reduced means through the
+        engine) is the serial learning-rule step, and counts as one."""
         rng = np.random.default_rng(2)
         x = _one_hot_batch(rng, 30, [3, 3])
         a = blockwise_softmax(rng.normal(size=(30, 4)), [4])
         t1 = ProbabilityTraces([3, 3], [4])
         t2 = ProbabilityTraces([3, 3], [4])
         t1.update(x, a, 0.2)
-        t2.apply_statistics(x.mean(axis=0), a.mean(axis=0), (x.T @ a) / 30, 0.2)
+        engine = LayerEngine(get_backend("numpy"), ExecutionPlan.for_traces(t2, 30))
+        engine.apply_means(t2, x.mean(axis=0), a.mean(axis=0), (x.T @ a) / 30, 0.2)
+        assert np.allclose(t1.p_i, t2.p_i)
+        assert np.allclose(t1.p_j, t2.p_j)
         assert np.allclose(t1.p_ij, t2.p_ij)
+        assert t2.updates_seen == 1
+        assert engine.weights_stale and engine.should_refresh_weights()
+
+    def test_engine_apply_means_books_what_update_traces_books(self):
+        """Given the same batch means, the reduced-means entry updates the
+        traces and the stale-weights account exactly as the engine's own
+        statistics dispatch does, refresh decision included."""
+        rng = np.random.default_rng(4)
+        plan = ExecutionPlan.for_traces(ProbabilityTraces([3, 3], [4]), 30)
+        engines, traces = [], []
+        for _ in range(2):
+            engines.append(LayerEngine(get_backend("numpy"), plan, weight_refresh_tol=0.05))
+            engines[-1].note_weights_refreshed()
+            traces.append(ProbabilityTraces([3, 3], [4]))
+        decisions = []
+        for _ in range(20):
+            x = _one_hot_batch(rng, 30, [3, 3])
+            a = blockwise_softmax(rng.normal(size=(30, 4)), [4])
+            engines[0].update_traces(x, a, traces[0], 0.1)
+            engines[1].apply_means(traces[1], *kernels.batch_outer_product(x, a), 0.1)
+            assert np.array_equal(traces[0].p_ij, traces[1].p_ij)
+            assert engines[0]._staleness == engines[1]._staleness
+            decisions.append(engines[1].should_refresh_weights())
+            assert engines[0].should_refresh_weights() == decisions[-1]
+            if decisions[-1]:
+                for engine in engines:
+                    engine.note_weights_refreshed()
+        assert any(decisions) and not all(decisions)
+
+    def test_engine_apply_means_validates_shapes(self):
+        traces = ProbabilityTraces([2], [2])
+        engine = LayerEngine(get_backend("numpy"), ExecutionPlan.for_traces(traces, 4))
+        with pytest.raises(DataError):
+            engine.apply_means(traces, np.ones(3), np.ones(2), np.ones((2, 2)), 0.1)
+        with pytest.raises(DataError):
+            engine.apply_means(traces, np.ones(2), np.ones(2), np.ones((2, 2)), 0.0)
 
 
 class TestWeightsAndMI:
@@ -108,31 +152,6 @@ class TestMergeAndCopy:
         clone = traces.copy()
         clone.p_ij[0, 0] = 0.9
         assert traces.p_ij[0, 0] != 0.9
-
-    def test_merge_average(self):
-        a = ProbabilityTraces([2], [2])
-        b = ProbabilityTraces([2], [2])
-        a.p_ij[:] = 0.1
-        b.p_ij[:] = 0.3
-        a.merge_([b])
-        assert np.allclose(a.p_ij, 0.2)
-
-    def test_merge_weighted(self):
-        a = ProbabilityTraces([2], [2])
-        b = ProbabilityTraces([2], [2])
-        a.p_i[:] = 0.0
-        b.p_i[:] = 1.0
-        a.merge_([b], weights=[0.25, 0.75])
-        assert np.allclose(a.p_i, 0.75)
-
-    def test_merge_validation(self):
-        a = ProbabilityTraces([2], [2])
-        b = ProbabilityTraces([3], [2])
-        with pytest.raises(DataError):
-            a.merge_([b])
-        c = ProbabilityTraces([2], [2])
-        with pytest.raises(DataError):
-            a.merge_([c], weights=[0.5, 0.6])
 
     def test_memory_bytes_positive(self):
         assert ProbabilityTraces([4], [4]).memory_bytes() > 0

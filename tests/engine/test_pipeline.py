@@ -6,6 +6,8 @@ dispatch must never clobber batch ``k``'s returned view), the stale-weights
 caching accounting, and the masked-weights product cache.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.engine import (
     mean_activation_entropy,
     train_layer_pipelined,
 )
+from repro.engine.pipeline import helper_threads_available
 from repro.exceptions import BackendError, ConfigurationError
 
 
@@ -73,6 +76,26 @@ class TestPipelineWorker:
         worker.close()
         with pytest.raises(BackendError):
             worker.submit(lambda: 2)
+
+
+class TestHelperThreadsAvailable:
+    """The predicate counts the CPUs this process may run on."""
+
+    def test_one_cpu_affinity_means_no_helper_threads(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert helper_threads_available() is False
+
+    def test_two_cpu_affinity_means_helper_threads(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert helper_threads_available() is True
+
+    def test_falls_back_to_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert helper_threads_available() is False
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert helper_threads_available() is True
 
 
 class TestDoubleBuffering:
@@ -253,7 +276,7 @@ class TestStaleWeights:
         engine = layer._engine
         ws = engine.workspaces[0]
         assert ws.masked_valid  # cache warm under stale weights
-        reference = layer.forward_raw(x).copy()
+        reference = layer.forward(x)
         # Simulate a structural-plasticity swap: new expanded mask object.
         layer._refresh_mask()
         fresh = engine.forward(
