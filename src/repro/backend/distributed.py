@@ -9,9 +9,10 @@ algorithm onto the :class:`~repro.comm.Communicator` interface.
 :class:`DistributedTrainer` launches an SPMD program
 (:func:`train_layer_program`) through ``comm.run`` where every rank owns an
 identical layer replica, computes the sufficient statistics of its shard of
-each global batch, and applies the update from **one packed allreduce per
-batch**.  Rank 0 runs inline in the driver, so the caller's layer object is
-trained in place.  Because the reduction is exact, training with ``R`` ranks
+each global batch (or, under ``sample`` competition on {0,1} inputs, only
+its winners) and applies the update from **one allreduce per batch**.
+Rank 0 runs inline in the driver, so the caller's layer object is trained
+in place.  Because the reduction is exact, training with ``R`` ranks
 produces bit-for-bit (up to floating point summation order) the same traces
 as the serial run — on the serial, thread and tcp transports alike (the
 invariance tests in ``tests/backend/test_distributed.py`` and ``tests/comm``
@@ -20,6 +21,7 @@ check this).
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 import time
@@ -132,6 +134,17 @@ def _payload_token(mask: np.ndarray) -> float:
     return float(zlib.crc32(np.ascontiguousarray(mask).tobytes()) % (1 << 20))
 
 
+def _winner_payload(layer, x: np.ndarray, mode: str) -> bool:
+    """Whether the ranks reduce winners, not statistics (``sample``, {0,1} x)."""
+    rows = max(1, (1 << 20) // max(1, x.shape[1]))  # ~1 MB blocks: no x-sized temporary
+    blocks = (x[i : i + rows] for i in range(0, x.shape[0], rows))
+    return (
+        mode == "competitive"
+        and layer.hyperparams.competition == "sample"
+        and all(np.count_nonzero(b == 1) == np.count_nonzero(b) for b in blocks)
+    )
+
+
 def _sync_replica(comm: Communicator, layer) -> None:
     """Make every rank's replica bit-identical to rank 0's layer.
 
@@ -176,11 +189,14 @@ def train_layer_program(
     synchronised by broadcast) and runs the serial learning step on its
     shard of each global batch, through the layer's own engine: the forward
     and the competition (:meth:`StructuralPlasticityLayer.shard_activity`),
-    then the shard's sufficient statistics packed as ``[count, Σx, Σa,
-    Σ(xᵀa)]`` and combined with **one allreduce per batch** —
-    communication scales with the trace size, never with the batch.  The
-    reduced means go through :meth:`repro.engine.LayerEngine.apply_means`
-    on every rank, so the replicas never drift.
+    then **one allreduce per batch**: the shard's sufficient statistics
+    packed as ``[count, Σx, Σa, Σ(xᵀa)]`` (trace-sized), or — under
+    ``sample`` competition on {0,1}-valued ``x`` (:func:`_winner_payload`)
+    — its rows of the batch's ``(B, n_hcu)`` winner matrix, from which
+    every rank counts the global batch's statistics: exact integers, so bit
+    for bit what the statistics payload reduces.  The reduced means go
+    through :meth:`repro.engine.LayerEngine.apply_means` on every rank, so
+    the replicas never drift.
 
     ``options["mode"]``:
 
@@ -231,7 +247,8 @@ def train_layer_program(
       to the dense payload (the gathered per-block ``Σxᵀa`` GEMM performs
       the same length-``B`` contractions as the dense one).  Dense packing
       is used automatically in every epoch where plasticity may still
-      rewire.
+      rewire.  A winner payload keeps the rule in the same epochs by
+      zeroing the silent means.
 
     Restarts (see :meth:`DistributedTrainer.train_layer`):
 
@@ -294,7 +311,8 @@ def train_layer_program(
     n_input = layer.traces.n_input
     n_hidden = layer.traces.n_hidden
     stats_head = 1 + n_input + n_hidden
-    packed = np.empty(stats_head + n_input * n_hidden, dtype=np.float64)
+    winner_payload = bool(options.get("winner_payload", False))
+    packed = np.empty(0 if winner_payload else stats_head + n_input * n_hidden)
     mean_entropy: List[float] = []
     # Restarted programs continue the record's cumulative counters and logs
     # so reports look like one uninterrupted run.
@@ -340,35 +358,19 @@ def train_layer_program(
             sp_state["outer"] = np.zeros((n_input, n_hidden), dtype=np.float64)
         return sp_state
 
-    def gather_shard(order: np.ndarray, start: int) -> np.ndarray:
-        batch_idx = order[start : start + batch_size]
-        lo, hi = split_ranks(batch_idx.shape[0], size)[rank]
-        return x[batch_idx[lo:hi]].astype(np.float64, copy=False)
-
     def fill_statistics(local: np.ndarray, activations, ctx) -> np.ndarray:
         """Pack this rank's shard statistics; returns the payload to reduce."""
         buf = packed if ctx is None else ctx["packed"]
         if local.shape[0] > 0:
-            counts = None
             if isinstance(activations, kernels.OneHotActivity):
-                # One-hot shard x one-hot winners: the sums below are integer
-                # co-activation counts, formed from the indices bit for bit
-                # (real-valued inputs densify and take the GEMMs).
-                counts = activations.counts(local)
-                if counts is None:
-                    activations = activations.dense()
+                activations = activations.dense()  # real-valued x: the GEMMs
             buf[0] = float(local.shape[0])
             buf[1 : 1 + n_input] = local.sum(axis=0)
-            buf[1 + n_input : stats_head] = (
-                activations.sum(axis=0) if counts is None else counts[0]
-            )
+            buf[1 + n_input : stats_head] = activations.sum(axis=0)
             if ctx is None:
+                # ``local.T @ activations``, written straight into the payload.
                 outer = buf[stats_head:].reshape(n_input, n_hidden)
-                if counts is None:
-                    # ``local.T @ activations``, written straight into the payload.
-                    np.matmul(local.T, activations, out=outer)
-                else:
-                    outer[:] = counts[1]
+                np.matmul(local.T, activations, out=outer)
             else:
                 layout = ctx["layout"]
                 body = buf[stats_head + 1 :]
@@ -377,20 +379,22 @@ def train_layer_program(
                         slab = body[
                             layout.block_starts[h] : layout.block_starts[h + 1]
                         ].reshape(idx.size, hi - lo)
-                        if counts is None:
-                            # Same length-B contraction as the dense (F,B)@(B,H)
-                            # GEMM restricted to active entries, so the reduced
-                            # active statistics are bitwise-identical.
-                            np.matmul(local[:, idx].T, activations[:, lo:hi], out=slab)
-                        else:
-                            slab[:] = counts[1][idx, lo:hi]
+                        # Same length-B contraction as the dense (F,B)@(B,H)
+                        # GEMM restricted to active entries, so the reduced
+                        # active statistics are bitwise-identical.
+                        np.matmul(local[:, idx].T, activations[:, lo:hi], out=slab)
         else:
             buf[:] = 0.0
         if ctx is not None:
             buf[stats_head] = ctx["token"]
         return buf
 
-    def apply_reduction(reduced: np.ndarray, ctx) -> None:
+    def apply_means(mean_x, mean_a, mean_outer) -> None:
+        engine.apply_means(layer.traces, mean_x, mean_a, mean_outer, taupdt)
+        if engine.should_refresh_weights():
+            layer.refresh_weights()
+
+    def apply_reduction(ctx, reduced: np.ndarray) -> None:
         """Apply one reduced statistics vector + the drift-gated refresh."""
         count = reduced[0]
         mean_x = reduced[1 : 1 + n_input] / count
@@ -414,20 +418,37 @@ def train_layer_program(
                         layout.block_starts[h] : layout.block_starts[h + 1]
                     ].reshape(idx.size, hi - lo)
                     mean_outer[idx, lo:hi] = slab / count
-        engine.apply_means(layer.traces, mean_x, mean_a, mean_outer, taupdt)
-        if engine.should_refresh_weights():
-            layer.refresh_weights()
+        apply_means(mean_x, mean_a, mean_outer)
+
+    def apply_winners(ctx, batch: np.ndarray, reduced: np.ndarray) -> None:
+        """Form the global batch's counts from its reduced winners and apply."""
+        activity = kernels.OneHotActivity(reduced.astype(np.intp), n_hidden)
+        counts = activity.counts(batch)
+        if counts is None:  # a batch under ONE_HOT_COUNT_MIN_ROWS rows
+            dense = activity.dense()
+            counts = dense.sum(axis=0), batch.T @ dense
+        # The same ``/ count`` as apply_reduction: the sums are the same
+        # exact integers, so the means are the same bits.
+        count = float(batch.shape[0])
+        mean_outer = counts[1]
+        mean_outer /= count
+        if ctx is not None:
+            # The frozen-mask tail keeps the sparse payload's rule: silent
+            # statistics are 0, so their traces decay.
+            mean_outer *= layer.mask_expanded
+        apply_means(batch.sum(axis=0) / count, counts[0] / count, mean_outer)
 
     # The in-flight nonblocking reduction of the overlapped schedule: at
     # most ONE request is outstanding at any time (the tcp transport's
     # contract), and it never crosses an epoch boundary (drained before
     # end_epoch reads the traces).
-    pending: Optional[Tuple[CommRequest, Optional[Dict[str, object]]]] = None
+    pending: Optional[Tuple[CommRequest, Callable[[np.ndarray], None]]] = None
 
     for epoch in range(start_epoch, epochs):
         started = time.perf_counter()
         order = shuffle_rng.permutation(n) if shuffle else np.arange(n)
         mean_entropy.clear()
+        payload_floats = 0  # the epoch's largest payload: a full batch's
         ctx: Optional[Dict[str, object]] = None
         if payload_mode != "off" and epoch >= frozen_from:
             layout = layer.payload_layout()
@@ -447,17 +468,23 @@ def train_layer_program(
                 raise BackendError(
                     f"injected crash on rank {rank} at epoch {epoch}, batch {index}"
                 )
-            local = gather_shard(order, start)
+            # The global batch in x's stored dtype; only the shard widens.
+            batch = x[order[start : start + batch_size]]
+            lo, hi = split_ranks(batch.shape[0], size)[rank]
+            local = batch[lo:hi].astype(np.float64, copy=False)
             if competitive and layer.batches_trained == 0:
-                # Global first-batch marginals for the trace calibration —
-                # one extra packed allreduce, only ever on the first batch
-                # of the whole program (so never with a reduction in
-                # flight).
-                head = np.empty(1 + n_input, dtype=np.float64)
-                head[0] = float(local.shape[0])
-                head[1:] = local.sum(axis=0) if local.shape[0] else 0.0
-                reduced_head = comm.allreduce(head, op="sum")
-                layer.calibrate_prior(reduced_head[1:] / reduced_head[0])
+                # Global first-batch marginals for the trace calibration.  A
+                # winner payload's {0,1} batch sums exactly in any order, so
+                # every rank forms them itself; otherwise the shard sums are
+                # reduced (one extra allreduce, on the program's first batch
+                # only, so never with a reduction in flight).
+                if winner_payload:
+                    mean_x = batch.mean(axis=0, dtype=np.float64)
+                else:
+                    head = np.concatenate(([local.shape[0]], local.sum(axis=0)))
+                    head = comm.allreduce(head, op="sum")
+                    mean_x = head[1:] / head[0]
+                layer.calibrate_prior(mean_x)
             if local.shape[0] > 0:
                 forward, activations = layer.shard_activity(local, compete=competitive)
                 if competitive:
@@ -468,7 +495,17 @@ def train_layer_program(
                     mean_entropy.append(mean_activation_entropy(forward))
             else:
                 activations = None
-            buf = fill_statistics(local, activations, ctx)
+            if winner_payload:
+                # This rank's rows of the batch's (B, n_hcu) winner matrix;
+                # the other ranks' rows stay 0, so the sum is the matrix.
+                buf = np.zeros((batch.shape[0], layer.n_hypercolumns))
+                if activations is not None:
+                    buf[lo:hi] = activations.winners
+                finish = functools.partial(apply_winners, ctx, batch)
+            else:
+                buf = fill_statistics(local, activations, ctx)
+                finish = functools.partial(apply_reduction, ctx)
+            payload_floats = max(payload_floats, buf.size)
             if overlap:
                 # Software pipeline: this batch's forward and statistics ran
                 # BEFORE waiting on the previous batch's reduction (the
@@ -476,21 +513,21 @@ def train_layer_program(
                 # weights — admissible because tol > 0.  The contribution is
                 # captured at iallreduce time, so ``buf`` is free for reuse.
                 if pending is not None:
-                    request, request_ctx = pending
+                    request, pending_finish = pending
                     pending = None
-                    apply_reduction(request.wait(), request_ctx)
-                pending = (comm.iallreduce(buf, op="sum"), ctx)
+                    pending_finish(request.wait())
+                pending = (comm.iallreduce(buf, op="sum"), finish)
             else:
-                apply_reduction(comm.allreduce(buf, op="sum"), ctx)
+                finish(comm.allreduce(buf, op="sum"))
             if competitive:
                 layer.batches_trained += 1
             total_batches += 1
         if pending is not None:
             # Drain the pipeline: plasticity and the epoch-boundary weight
             # refresh must observe every applied batch.
-            request, request_ctx = pending
+            request, pending_finish = pending
             pending = None
-            apply_reduction(request.wait(), request_ctx)
+            pending_finish(request.wait())
         if engine.weights_stale:
             # The epoch boundary publishes weights (mask plasticity reads
             # traces, but callbacks and the caller observe the layer).
@@ -508,10 +545,9 @@ def train_layer_program(
             "swaps": float(swaps),
             "batches": float(total_batches),
             "seconds": time.perf_counter() - started,
-            "sparse_payload": 1.0 if ctx is not None else 0.0,
-            "payload_floats": float(
-                (ctx["packed"].size if ctx is not None else packed.size)
-            ),
+            "sparse_payload": float(ctx is not None and not winner_payload),
+            "winner_payload": float(winner_payload),
+            "payload_floats": float(payload_floats),
         }
         if competitive:
             log["mean_activation_entropy"] = (
@@ -606,18 +642,12 @@ class DistributedTrainer:
         options back when the call returns.  The report counts this call's
         traffic only, whatever the communicator carried before.
 
-        ``comm_overlap`` (``"auto"``/``"on"``/``"off"``) software-pipelines
-        the per-batch allreduce behind the next batch's forward via the
-        transport's nonblocking ``iallreduce`` — only engaged when
-        ``weight_refresh_tol > 0`` (one-batch-stale weights fall under the
-        same contract); at ``tol=0`` every mode is bit-for-bit the blocking
-        schedule.  ``sparse_payload`` packs only active-row outer-product
-        statistics once the structural-plasticity mask is frozen for the
-        remainder of the run, shrinking the reduced payload by roughly the
-        mask density (see :func:`train_layer_program` for both contracts).
-        This is the only place either mode can be set: ``Network.fit``
-        always runs ``"auto"``, and ``"off"`` exists for the blocking side
-        of the A/B in :mod:`repro.instrumentation.overlap_bench`.
+        ``comm_overlap`` and ``sparse_payload`` (``"auto"``/``"on"``/
+        ``"off"``) set the overlapped schedule and the sparse-packed payload
+        (:func:`train_layer_program` states both contracts).  This is the
+        only place either mode can be set: ``Network.fit`` always runs
+        ``"auto"``, and ``"off"`` exists for the blocking side of the A/B in
+        :mod:`repro.instrumentation.overlap_bench`.
 
         **Restarts.**  At every epoch boundary rank 0 emits one record —
         ``{shuffle_seed, epoch, batches, swaps, epoch_logs, snapshot}``:
@@ -698,6 +728,7 @@ class DistributedTrainer:
         calls = self.comm.collective_calls
         before = (calls["allreduce"], calls["iallreduce"], self.comm.bytes_communicated)
         previous_options = dict(layer._engine_options)
+        winner_payload = _winner_payload(layer, x, mode)
         restarts = 0
         while True:
             # Every attempt enters at the latest record: restore its snapshot
@@ -728,6 +759,7 @@ class DistributedTrainer:
                 "weight_refresh_tol": float(weight_refresh_tol),
                 "comm_overlap": comm_overlap,
                 "sparse_payload": sparse_payload,
+                "winner_payload": winner_payload,
                 "record": {k: v for k, v in latest.items() if k != "snapshot"},
                 "rng_layer_state": layer._rng.bit_generator.state,
             }

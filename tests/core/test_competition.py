@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
+from repro.backend import distributed
 from repro.backend.distributed import DistributedTrainer
 from repro.comm import SerialComm
 from repro.core import BCPNNHyperParameters, InputSpec, StructuralPlasticityLayer
@@ -325,18 +326,24 @@ class TestTrainingRoutes:
             )
         return layer, report
 
-    def test_spmd_index_statistics_equal_the_gemm_statistics(self):
-        """``fill_statistics`` on winners == on the dense matrix, both payloads."""
+    def test_spmd_index_statistics_equal_the_gemm_statistics(self, monkeypatch):
+        """Counts from the reduced winners == the GEMMs of the trace-shaped
+        payload over the dense one-hot matrix, under both payloads' rules."""
         x = _one_hot_input(192, [10] * 4, seed=2)
         for payload in ("off", "on"):
-            subject, _ = self._spmd(x, payload)
-            reference, _ = self._spmd(x, payload, dense_oracle=True)
+            subject, report = self._spmd(x, payload)
+            assert report.extra["epoch_logs"][-1]["winner_payload"] == 1.0
+            with monkeypatch.context() as patch:
+                patch.setattr(distributed, "_winner_payload", lambda *args: False)
+                reference, _ = self._spmd(x, payload, dense_oracle=True)
             assert np.array_equal(subject.traces.p_i, reference.traces.p_i)
             assert np.array_equal(subject.traces.p_j, reference.traces.p_j)
             assert np.array_equal(subject.traces.p_ij, reference.traces.p_ij)
             assert np.array_equal(subject.plasticity.mask, reference.plasticity.mask)
 
-    def test_spmd_dense_and_sparse_payloads_agree_on_active_entries(self):
+    def test_spmd_dense_and_sparse_payloads_agree_on_active_entries(self, monkeypatch):
+        """The trace-shaped payloads, pinned on (``sample`` reduces winners)."""
+        monkeypatch.setattr(distributed, "_winner_payload", lambda *args: False)
         x = _one_hot_input(192, [10] * 4, seed=2)
         dense, _ = self._spmd(x, "off")
         sparse, report = self._spmd(x, "auto")
