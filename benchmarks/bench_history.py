@@ -95,11 +95,6 @@ def extract_record(
     comm = _comm_seconds(bench)
     for transport, seconds in comm.items():
         record[f"comm_{transport}_allreduce_s"] = seconds
-    for row in bench.get("comm_overlap", {}).get("payload_sweep", []):
-        if isinstance(row, dict) and "density" in row and "payload_ratio" in row:
-            record[f"comm_payload_ratio_d{row['density']:g}"] = float(
-                row["payload_ratio"]
-            )
     return record
 
 

@@ -17,7 +17,7 @@ off-thread entropy, stale-weights caching; see
 per-transport allreduce throughput of the :mod:`repro.comm` communicator
 subsystem (``comm_throughput``), measures *communication-overlapped*
 data-parallel training against the blocking schedule at two tcp ranks
-plus the dense-vs-sparse allreduce payload sweep (``comm_overlap`` — see
+(``comm_overlap`` — see
 :func:`repro.instrumentation.measure_comm_overlap`), sweeps the *block-sparse execution plan*
 against the dense fused path across mask densities
 (``sparse_density_sweep`` — gather-GEMM + packed-slab refresh vs dense
@@ -40,15 +40,14 @@ use.  The CI perf gate runs the *full* configuration — the same one the
 committed JSON publishes — with ``--check-speedup X`` (fused-vs-unfused
 training-step speedup), ``--check-pipelined Y`` (pipelined-vs-serial
 training speedup), ``--check-sparse Z`` (block-sparse training AND
-serving speedups at density 0.3) and ``--check-overlap W``
-(overlapped-vs-blocking comm training speedup AND the sparse payload
-staying at or under half the dense payload at density 0.3) and
-``--check-latency MS`` (saturated-phase p99 request latency at or under
-MS milliseconds AND zero failed requests), each exiting non-zero below its
-threshold, plus ``--check-committed PATH`` which fails when the committed
-JSON's speedup ratios drift more than ``--drift-tol`` (default ±50%) from
-the runner's fresh measurement — a stale or hand-edited committed JSON
-cannot land.
+serving speedups at density 0.3) and ``--check-latency MS``
+(saturated-phase p99 request latency at or under MS milliseconds AND zero
+failed requests), each exiting non-zero below its threshold, plus
+``--check-committed PATH`` which fails when the committed JSON's speedup
+ratios drift more than ``--drift-tol`` (default ±50%) from the runner's
+fresh measurement — a stale or hand-edited committed JSON cannot land.
+The ``comm_overlap`` section has no threshold of its own: it is recorded,
+and only ``--check-committed`` holds it.
 """
 
 import argparse
@@ -668,10 +667,9 @@ def test_comm_throughput_measured_on_every_transport():
 def test_comm_overlap_measured():
     """Overlapped comm training must run and be timed against blocking.
 
-    Asserts structure plus the payload contract (the sparse-packed payload
-    at density 0.3 must be at most half the dense payload — that bound is
-    layout arithmetic, not a timing, so it cannot flake); the hard speedup
-    threshold lives in the CI perf-gate job's ``--check-overlap``.
+    Asserts structure only: every overlapped batch is reduced by one
+    ``iallreduce``.  No gate holds the speedup; ``--check-committed``
+    holds the recorded ``comm_overlap`` section within ``--drift-tol``.
     """
     from repro.instrumentation import measure_comm_overlap
 
@@ -680,9 +678,6 @@ def test_comm_overlap_measured():
     assert outcome["overlapped_seconds_per_batch"] > 0
     assert outcome["speedup"] > 0
     assert outcome["overlapped_iallreduce_calls"] == outcome["batches"]
-    by_density = {row["density"]: row for row in outcome["payload_sweep"]}
-    assert by_density[0.3]["payload_ratio"] <= 0.5
-    assert by_density[0.3]["sparse_engaged"] == 1.0
 
 
 def test_streaming_inference_throughput_recorded():
@@ -829,17 +824,6 @@ def main(argv=None):
         ),
     )
     parser.add_argument(
-        "--check-overlap",
-        type=float,
-        default=None,
-        metavar="W",
-        help=(
-            "exit non-zero when the overlapped-vs-blocking comm training "
-            "speedup at two tcp ranks is below W, or when the sparse "
-            "payload at density 0.3 exceeds half the dense payload"
-        ),
-    )
-    parser.add_argument(
         "--check-latency",
         type=float,
         default=None,
@@ -959,24 +943,6 @@ def main(argv=None):
                 print(
                     f"PERF REGRESSION: sparse serving speedup {row['serving_speedup']:.3f}x "
                     f"at density 0.3 is below the {args.check_sparse:.2f}x gate"
-                )
-                failed = True
-    if args.check_overlap is not None:
-        if overlap["speedup"] < args.check_overlap:
-            print(
-                f"PERF REGRESSION: overlapped-vs-blocking comm training speedup "
-                f"{overlap['speedup']:.3f}x is below the {args.check_overlap:.2f}x gate"
-            )
-            failed = True
-        gate_rows = [r for r in overlap["payload_sweep"] if r["density"] == 0.3]
-        if not gate_rows:
-            print("PERF REGRESSION: payload sweep did not measure density 0.3")
-            failed = True
-        for row in gate_rows:
-            if row["payload_ratio"] > 0.5:
-                print(
-                    f"PERF REGRESSION: sparse payload ratio {row['payload_ratio']:.3f} "
-                    f"at density 0.3 exceeds the 0.5x dense bound"
                 )
                 failed = True
     if args.check_latency is not None:

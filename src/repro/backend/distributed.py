@@ -8,15 +8,16 @@ algorithm onto the :class:`~repro.comm.Communicator` interface.
 
 :class:`DistributedTrainer` launches an SPMD program
 (:func:`train_layer_program`) through ``comm.run`` where every rank owns an
-identical layer replica, computes the sufficient statistics of its shard of
-each global batch (or, under ``sample`` competition on {0,1} inputs, only
-its winners) and applies the update from **one allreduce per batch**.
-Rank 0 runs inline in the driver, so the caller's layer object is trained
-in place.  Because the reduction is exact, training with ``R`` ranks
-produces bit-for-bit (up to floating point summation order) the same traces
-as the serial run — on the serial, thread and tcp transports alike (the
-invariance tests in ``tests/backend/test_distributed.py`` and ``tests/comm``
-check this).
+identical layer replica, runs the layer's own learning step (forward,
+competition) on its shard of each global batch, and applies the update from
+**one allreduce per batch** of the shard's sufficient statistics (or, under
+``sample`` competition on {0,1} inputs, only its winners).  Rank 0 runs
+inline in the driver, so the caller's layer object is trained in place.
+Because the reduction is exact, training with ``R`` ranks produces
+bit-for-bit (up to floating point summation order) the same traces as the
+serial ``train_batch`` loop — on the serial, thread and tcp transports alike
+(the invariance tests in ``tests/backend/test_distributed.py`` and
+``tests/comm`` check this).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import functools
 import os
 import pickle
 import time
-import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -122,26 +122,12 @@ def _replica_from_spec(spec: Dict[str, object], rng: np.random.Generator):
     return layer
 
 
-def _payload_token(mask: np.ndarray) -> float:
-    """Small integer digest of a plasticity mask, exact in float64.
-
-    Travels inside the sparse-packed statistics vector so ranks can verify
-    they packed against the same mask layout: the sum-reduction of ``size``
-    identical tokens must equal ``size * token`` exactly (tokens stay far
-    below 2**53, so the float64 sum is exact; any disagreement — a diverged
-    replica mask — makes the equality fail for every possible rank count).
-    """
-    return float(zlib.crc32(np.ascontiguousarray(mask).tobytes()) % (1 << 20))
-
-
-def _winner_payload(layer, x: np.ndarray, mode: str) -> bool:
+def _winner_payload(layer, x: np.ndarray) -> bool:
     """Whether the ranks reduce winners, not statistics (``sample``, {0,1} x)."""
     rows = max(1, (1 << 20) // max(1, x.shape[1]))  # ~1 MB blocks: no x-sized temporary
     blocks = (x[i : i + rows] for i in range(0, x.shape[0], rows))
-    return (
-        mode == "competitive"
-        and layer.hyperparams.competition == "sample"
-        and all(np.count_nonzero(b == 1) == np.count_nonzero(b) for b in blocks)
+    return layer.hyperparams.competition == "sample" and all(
+        np.count_nonzero(b == 1) == np.count_nonzero(b) for b in blocks
     )
 
 
@@ -186,30 +172,24 @@ def train_layer_program(
 
     Every rank holds an identical layer replica (rank 0: the driver's live
     layer, in place; workers: rebuilt from ``options["spec"]`` and
-    synchronised by broadcast) and runs the serial learning step on its
-    shard of each global batch, through the layer's own engine: the forward
-    and the competition (:meth:`StructuralPlasticityLayer.shard_activity`),
-    then **one allreduce per batch**: the shard's sufficient statistics
-    packed as ``[count, Σx, Σa, Σ(xᵀa)]`` (trace-sized), or — under
-    ``sample`` competition on {0,1}-valued ``x`` (:func:`_winner_payload`)
-    — its rows of the batch's ``(B, n_hcu)`` winner matrix, from which
-    every rank counts the global batch's statistics: exact integers, so bit
-    for bit what the statistics payload reduces.  The reduced means go
-    through :meth:`repro.engine.LayerEngine.apply_means` on every rank, so
-    the replicas never drift.
+    synchronised by broadcast) and runs the serial learning step
+    (``StructuralPlasticityLayer.train_batch``) on its shard of each global
+    batch, through the layer's own engine: first-batch marginal calibration
+    from the *global* batch mean, the forward and the configured competition
+    (:meth:`StructuralPlasticityLayer.shard_activity`), then **one allreduce
+    per batch**: the shard's sufficient statistics packed as
+    ``[count, Σx, Σa, Σ(xᵀa)]`` (trace-sized), or — under ``sample``
+    competition on {0,1}-valued ``x`` (:func:`_winner_payload`) — its rows
+    of the batch's ``(B, n_hcu)`` winner matrix, from which every rank
+    counts the global batch's statistics: exact integers, so bit for bit
+    what the statistics payload reduces.  The reduced means go through
+    :meth:`repro.engine.LayerEngine.apply_means` on every rank, so the
+    replicas never drift.  Deterministic competition ("softmax") is
+    rank-invariant; stochastic modes draw shard-shaped noise and are
+    statistically, not bitwise, equivalent across rank counts (the replica
+    sync at every epoch boundary bounds their divergence to one epoch).
 
-    ``options["mode"]``:
-
-    * ``"rate"`` — statistics of the raw rate activations (the historical
-      :class:`DistributedTrainer` semantics, used by experiment E9);
-    * ``"competitive"`` — mirrors ``StructuralPlasticityLayer.train_batch``:
-      first-batch marginal calibration (from the *global* batch mean) plus
-      the configured competition rule.  Deterministic competition modes
-      ("softmax") are rank-invariant; stochastic modes draw shard-shaped
-      noise and are statistically, not bitwise, equivalent across rank
-      counts.
-
-    Three engine-mirroring options keep the SPMD program aligned with the
+    Two engine-mirroring options keep the SPMD program aligned with the
     pipelined serial path:
 
     * ``options["weight_refresh_tol"]`` — stale-weights caching: the
@@ -222,43 +202,27 @@ def train_layer_program(
       the replica sync, so the refresh decisions — and therefore the training
       — stay rank-invariant.  ``0`` refreshes every batch (exact).
     * ``options["comm_overlap"]`` (``"auto"``/``"on"``/``"off"``) — the
-      software-pipelined communication schedule: batch ``k``'s packed
-      statistics are published through a *nonblocking* ``iallreduce`` and
-      batch ``k+1``'s forward + local statistics run **before** waiting on
-      ``k``'s reduction, hiding the collective's latency behind local
-      compute.  Batch ``k+1`` therefore forwards on one-batch-stale
-      weights, which is only admissible under the stale-weights contract —
-      overlap engages only when ``weight_refresh_tol > 0``; at ``tol=0``
-      every mode keeps the blocking schedule bit-for-bit.  The decision
-      does not depend on the rank count: the reduced statistics of a global
-      batch are the same for every rank count, so a deferred apply keeps
-      the training bitwise rank-count-invariant.
-    * ``options["sparse_payload"]`` (``"auto"``/``"on"``/``"off"``) — once
-      the structural-plasticity mask can no longer rewire inside this
-      program (after the last in-program plasticity step, or always when
-      plasticity is inert), the ``Σxᵀa`` block of the payload is packed to
-      the **active entries only** using the mask's
-      :class:`~repro.kernels.SparseLayout` (plus a mask-digest token each
-      rank verifies after the reduction), cutting the allreduce payload by
-      the density factor.  Silent joint-trace entries then decay toward
-      zero instead of tracking co-activations — exactly the statistics the
-      mutual-information scoring would never read again in this program —
-      while active traces, marginals, masks and predictions are identical
-      to the dense payload (the gathered per-block ``Σxᵀa`` GEMM performs
-      the same length-``B`` contractions as the dense one).  Dense packing
-      is used automatically in every epoch where plasticity may still
-      rewire.  A winner payload keeps the rule in the same epochs by
-      zeroing the silent means.
+      software-pipelined communication schedule: batch ``k``'s payload is
+      published through a *nonblocking* ``iallreduce`` and batch ``k+1``'s
+      forward + local statistics run **before** waiting on ``k``'s
+      reduction, hiding the collective's latency behind local compute.
+      Batch ``k+1`` therefore forwards on one-batch-stale weights, which is
+      only admissible under the stale-weights contract — overlap engages
+      only when ``weight_refresh_tol > 0``; at ``tol=0`` every mode keeps
+      the blocking schedule bit-for-bit.  The decision does not depend on
+      the rank count: the reduced statistics of a global batch are the same
+      for every rank count, so a deferred apply keeps the training bitwise
+      rank-count-invariant.
 
     Restarts (see :meth:`DistributedTrainer.train_layer`):
 
     * ``options["record"]`` — the epoch-boundary record the program enters
       at: ``{shuffle_seed, epoch, batches, swaps, epoch_logs}``.  Epoch
-      indices stay *absolute* (schedules like ``frozen_from`` and
-      ``end_epoch`` are unaffected), the shuffle stream is fast-forwarded by
-      discarding the completed epochs' permutations, and the counters and
-      logs continue from the record's, so a restarted run is bitwise the
-      uninterrupted one.  A fresh start is the record at epoch 0.
+      indices stay *absolute* (the ``end_epoch`` plasticity cadence is
+      unaffected), the shuffle stream is fast-forwarded by discarding the
+      completed epochs' permutations, and the counters and logs continue
+      from the record's, so a restarted run is bitwise the uninterrupted
+      one.  A fresh start is the record at epoch 0.
     * ``on_epoch_end`` (rank 0 only; it runs inline in the caller) receives
       the next record at every epoch boundary, with the layer's
       :func:`_layer_snapshot` under ``"snapshot"``.
@@ -283,10 +247,8 @@ def train_layer_program(
     epochs = int(options["epochs"])
     batch_size = int(options["batch_size"])
     shuffle = bool(options["shuffle"])
-    competitive = options.get("mode", "rate") == "competitive"
     tol = float(options.get("weight_refresh_tol", 0.0))
     overlap = options.get("comm_overlap", "auto") != "off" and tol > 0.0
-    payload_mode = options.get("sparse_payload", "auto")
 
     n = x.shape[0]
     # Build the engine for the largest shard (a full batch's first) before
@@ -321,106 +283,37 @@ def train_layer_program(
     total_swaps = int(record["swaps"])
     starts = list(range(0, n, batch_size))
 
-    # First epoch from which the mask can no longer rewire inside this
-    # program: structural plasticity fires at the end of epoch e when
-    # (e + 1) % mask_update_period == 0, so everything after the last such
-    # epoch is a frozen-mask phase.  The schedule depends only on shipped
-    # options and synchronised hyper-parameters, hence is identical on every
-    # rank.  Sparse payloads are admissible exactly there: the silent-trace
-    # statistics they drop are never read by the mutual-information scoring
-    # again in this program, and masked forwards never see silent weights.
-    period = int(layer.hyperparams.mask_update_period)
-    plasticity = getattr(layer, "plasticity", None)
-    plasticity_inert = plasticity is None or plasticity.connections_per_hcu in (
-        0,
-        plasticity.n_input_hypercolumns,
-    )
-    if plasticity_inert:
-        frozen_from = 0
-    else:
-        swap_epochs = [e for e in range(epochs) if (e + 1) % period == 0]
-        frozen_from = (swap_epochs[-1] + 1) if swap_epochs else 0
-
-    # Per-layout sparse-payload state, rebuilt only when the mask layout
-    # changes (between plasticity steps the cached buffers are reused).
-    sp_state: Dict[str, object] = {}
-
-    def sparse_context(layout) -> Dict[str, object]:
-        if sp_state.get("layout") is not layout:
-            sp_state["layout"] = layout
-            sp_state["token"] = _payload_token(layer.plasticity.mask)
-            sp_state["packed"] = np.empty(
-                stats_head + 1 + layout.packed_size, dtype=np.float64
-            )
-            # Pre-zeroed dense mean-outer buffer the reduced active entries
-            # scatter into; silent entries stay exactly 0.0 forever, so the
-            # trace update decays the silent traces and nothing else.
-            sp_state["outer"] = np.zeros((n_input, n_hidden), dtype=np.float64)
-        return sp_state
-
-    def fill_statistics(local: np.ndarray, activations, ctx) -> np.ndarray:
+    def fill_statistics(local: np.ndarray, activations) -> np.ndarray:
         """Pack this rank's shard statistics; returns the payload to reduce."""
-        buf = packed if ctx is None else ctx["packed"]
         if local.shape[0] > 0:
             if isinstance(activations, kernels.OneHotActivity):
                 activations = activations.dense()  # real-valued x: the GEMMs
-            buf[0] = float(local.shape[0])
-            buf[1 : 1 + n_input] = local.sum(axis=0)
-            buf[1 + n_input : stats_head] = activations.sum(axis=0)
-            if ctx is None:
-                # ``local.T @ activations``, written straight into the payload.
-                outer = buf[stats_head:].reshape(n_input, n_hidden)
-                np.matmul(local.T, activations, out=outer)
-            else:
-                layout = ctx["layout"]
-                body = buf[stats_head + 1 :]
-                for h, idx, lo, hi in layout.iter_blocks():
-                    if idx.size:
-                        slab = body[
-                            layout.block_starts[h] : layout.block_starts[h + 1]
-                        ].reshape(idx.size, hi - lo)
-                        # Same length-B contraction as the dense (F,B)@(B,H)
-                        # GEMM restricted to active entries, so the reduced
-                        # active statistics are bitwise-identical.
-                        np.matmul(local[:, idx].T, activations[:, lo:hi], out=slab)
+            packed[0] = float(local.shape[0])
+            packed[1 : 1 + n_input] = local.sum(axis=0)
+            packed[1 + n_input : stats_head] = activations.sum(axis=0)
+            # ``local.T @ activations``, written straight into the payload.
+            outer = packed[stats_head:].reshape(n_input, n_hidden)
+            np.matmul(local.T, activations, out=outer)
         else:
-            buf[:] = 0.0
-        if ctx is not None:
-            buf[stats_head] = ctx["token"]
-        return buf
+            packed[:] = 0.0
+        return packed
 
     def apply_means(mean_x, mean_a, mean_outer) -> None:
         engine.apply_means(layer.traces, mean_x, mean_a, mean_outer, taupdt)
         if engine.should_refresh_weights():
             layer.refresh_weights()
 
-    def apply_reduction(ctx, reduced: np.ndarray) -> None:
+    def apply_reduction(reduced: np.ndarray) -> None:
         """Apply one reduced statistics vector + the drift-gated refresh."""
         count = reduced[0]
         mean_x = reduced[1 : 1 + n_input] / count
         mean_a = reduced[1 + n_input : stats_head] / count
-        if ctx is None:
-            # Caller-owned on every transport, so the mean is formed in place.
-            mean_outer = reduced[stats_head:].reshape(n_input, n_hidden)
-            mean_outer /= count
-        else:
-            if reduced[stats_head] != size * ctx["token"]:
-                raise BackendError(
-                    "sparse-packed allreduce mask tokens disagree across ranks "
-                    "(replica masks diverged mid-program)"
-                )
-            layout = ctx["layout"]
-            body = reduced[stats_head + 1 :]
-            mean_outer = ctx["outer"]
-            for h, idx, lo, hi in layout.iter_blocks():
-                if idx.size:
-                    slab = body[
-                        layout.block_starts[h] : layout.block_starts[h + 1]
-                    ].reshape(idx.size, hi - lo)
-                    mean_outer[idx, lo:hi] = slab / count
+        # Caller-owned on every transport, so the mean is formed in place.
+        mean_outer = reduced[stats_head:].reshape(n_input, n_hidden)
+        mean_outer /= count
         apply_means(mean_x, mean_a, mean_outer)
 
-    def apply_winners(ctx, batch: np.ndarray, reduced: np.ndarray) -> None:
+    def apply_winners(batch: np.ndarray, reduced: np.ndarray) -> None:
         """Form the global batch's counts from its reduced winners and apply."""
         activity = kernels.OneHotActivity(reduced.astype(np.intp), n_hidden)
         counts = activity.counts(batch)
@@ -432,10 +325,6 @@ def train_layer_program(
         count = float(batch.shape[0])
         mean_outer = counts[1]
         mean_outer /= count
-        if ctx is not None:
-            # The frozen-mask tail keeps the sparse payload's rule: silent
-            # statistics are 0, so their traces decay.
-            mean_outer *= layer.mask_expanded
         apply_means(batch.sum(axis=0) / count, counts[0] / count, mean_outer)
 
     # The in-flight nonblocking reduction of the overlapped schedule: at
@@ -449,11 +338,6 @@ def train_layer_program(
         order = shuffle_rng.permutation(n) if shuffle else np.arange(n)
         mean_entropy.clear()
         payload_floats = 0  # the epoch's largest payload: a full batch's
-        ctx: Optional[Dict[str, object]] = None
-        if payload_mode != "off" and epoch >= frozen_from:
-            layout = layer.payload_layout()
-            if layout is not None and (payload_mode == "on" or layout.density < 1.0):
-                ctx = sparse_context(layout)
         for index, start in enumerate(starts):
             if (
                 inject is not None
@@ -472,7 +356,7 @@ def train_layer_program(
             batch = x[order[start : start + batch_size]]
             lo, hi = split_ranks(batch.shape[0], size)[rank]
             local = batch[lo:hi].astype(np.float64, copy=False)
-            if competitive and layer.batches_trained == 0:
+            if layer.batches_trained == 0:
                 # Global first-batch marginals for the trace calibration.  A
                 # winner payload's {0,1} batch sums exactly in any order, so
                 # every rank forms them itself; otherwise the shard sums are
@@ -486,13 +370,12 @@ def train_layer_program(
                     mean_x = head[1:] / head[0]
                 layer.calibrate_prior(mean_x)
             if local.shape[0] > 0:
-                forward, activations = layer.shard_activity(local, compete=competitive)
-                if competitive:
-                    # Entropy of the forward activations, as the plain loop
-                    # records it (the competition never writes them): the
-                    # competition output is one-hot in ``sample`` mode,
-                    # whose entropy is identically zero.
-                    mean_entropy.append(mean_activation_entropy(forward))
+                forward, activations = layer.shard_activity(local)
+                # Entropy of the forward activations, as the plain loop
+                # records it (the competition never writes them): the
+                # competition output is one-hot in ``sample`` mode, whose
+                # entropy is identically zero.
+                mean_entropy.append(mean_activation_entropy(forward))
             else:
                 activations = None
             if winner_payload:
@@ -501,10 +384,10 @@ def train_layer_program(
                 buf = np.zeros((batch.shape[0], layer.n_hypercolumns))
                 if activations is not None:
                     buf[lo:hi] = activations.winners
-                finish = functools.partial(apply_winners, ctx, batch)
+                finish = functools.partial(apply_winners, batch)
             else:
-                buf = fill_statistics(local, activations, ctx)
-                finish = functools.partial(apply_reduction, ctx)
+                buf = fill_statistics(local, activations)
+                finish = apply_reduction
             payload_floats = max(payload_floats, buf.size)
             if overlap:
                 # Software pipeline: this batch's forward and statistics ran
@@ -519,8 +402,7 @@ def train_layer_program(
                 pending = (comm.iallreduce(buf, op="sum"), finish)
             else:
                 finish(comm.allreduce(buf, op="sum"))
-            if competitive:
-                layer.batches_trained += 1
+            layer.batches_trained += 1
             total_batches += 1
         if pending is not None:
             # Drain the pipeline: plasticity and the epoch-boundary weight
@@ -528,32 +410,28 @@ def train_layer_program(
             request, pending_finish = pending
             pending = None
             pending_finish(request.wait())
-        if engine.weights_stale:
-            # The epoch boundary publishes weights (mask plasticity reads
-            # traces, but callbacks and the caller observe the layer).
-            layer.refresh_weights()
         swaps = layer.end_epoch(epoch)
         total_swaps += int(swaps)
-        if competitive:
-            # Stochastic competition modes draw shard-shaped noise, which
-            # desynchronises the shared layer generator across ranks and can
-            # make the epoch-boundary mask swaps diverge.  Re-imposing rank
-            # 0's traces/mask here bounds any divergence to a single epoch
-            # (deterministic modes broadcast already-identical state).
-            _sync_replica(comm, layer)
-        log: Dict[str, float] = {
-            "swaps": float(swaps),
-            "batches": float(total_batches),
-            "seconds": time.perf_counter() - started,
-            "sparse_payload": float(ctx is not None and not winner_payload),
-            "winner_payload": float(winner_payload),
-            "payload_floats": float(payload_floats),
-        }
-        if competitive:
-            log["mean_activation_entropy"] = (
-                float(np.mean(mean_entropy)) if mean_entropy else 0.0
-            )
-        epoch_logs.append(log)
+        # Stochastic competition modes draw shard-shaped noise, which
+        # desynchronises the shared layer generator across ranks and can
+        # make the epoch-boundary mask swaps diverge.  Re-imposing rank 0's
+        # traces/mask here bounds any divergence to a single epoch
+        # (deterministic modes broadcast already-identical state); its
+        # weight refresh publishes the boundary's weights to callbacks and
+        # the caller.
+        _sync_replica(comm, layer)
+        epoch_logs.append(
+            {
+                "swaps": float(swaps),
+                "batches": float(total_batches),
+                "seconds": time.perf_counter() - started,
+                "winner_payload": float(winner_payload),
+                "payload_floats": float(payload_floats),
+                "mean_activation_entropy": (
+                    float(np.mean(mean_entropy)) if mean_entropy else 0.0
+                ),
+            }
+        )
         if on_epoch_end is not None:
             # Epoch boundaries are consistent restart points: the pipeline is
             # drained, the weights fresh and plasticity applied, so this
@@ -620,20 +498,18 @@ class DistributedTrainer:
         rng: Optional[np.random.Generator],
         shuffle: bool = True,
         on_epoch_end: Optional[Callable[[Dict[str, object]], None]] = None,
-        mode: str = "rate",
         weight_refresh_tol: float = 0.0,
         comm_overlap: str = "auto",
-        sparse_payload: str = "auto",
         max_restarts: int = 2,
         resume: Optional[Dict[str, object]] = None,
     ) -> DistributedEpochReport:
         """Train ``layer`` on ``x`` with rank-sharded batches.
 
         Every global batch is partitioned into ``comm.size`` shards; each
-        rank computes its shard's sufficient statistics and the packed
-        statistics are combined with a single allreduce per batch —
-        numerically identical to serial training over the same global
-        batches (up to floating-point summation order).
+        rank runs the layer's learning step on its shard and the shard
+        payloads are combined with a single allreduce per batch —
+        numerically identical to the serial ``train_batch`` loop over the
+        same global batches (up to floating-point summation order).
 
         ``weight_refresh_tol`` enables the rank-invariant stale-weights
         caching (see :func:`train_layer_program`), with ``0`` refreshing
@@ -642,12 +518,11 @@ class DistributedTrainer:
         options back when the call returns.  The report counts this call's
         traffic only, whatever the communicator carried before.
 
-        ``comm_overlap`` and ``sparse_payload`` (``"auto"``/``"on"``/
-        ``"off"``) set the overlapped schedule and the sparse-packed payload
-        (:func:`train_layer_program` states both contracts).  This is the
-        only place either mode can be set: ``Network.fit`` always runs
-        ``"auto"``, and ``"off"`` exists for the blocking side of the A/B in
-        :mod:`repro.instrumentation.overlap_bench`.
+        ``comm_overlap`` (``"auto"``/``"on"``/``"off"``) sets the
+        overlapped schedule (:func:`train_layer_program` states its
+        contract).  This is the only place it can be set: ``Network.fit``
+        always runs ``"auto"``, and ``"off"`` exists for the blocking side
+        of the A/B in :mod:`repro.instrumentation.overlap_bench`.
 
         **Restarts.**  At every epoch boundary rank 0 emits one record —
         ``{shuffle_seed, epoch, batches, swaps, epoch_logs, snapshot}``:
@@ -683,17 +558,11 @@ class DistributedTrainer:
             raise DataError("epochs must be non-negative")
         if batch_size <= 0:
             raise DataError("batch_size must be positive")
-        if mode not in ("rate", "competitive"):
-            raise DataError(f"unknown training mode '{mode}'")
         if float(weight_refresh_tol) < 0.0:
             raise DataError("weight_refresh_tol must be non-negative")
         if comm_overlap not in ("auto", "on", "off"):
             raise DataError(
                 f"comm_overlap must be 'auto', 'on' or 'off', got {comm_overlap!r}"
-            )
-        if sparse_payload not in ("auto", "on", "off"):
-            raise DataError(
-                f"sparse_payload must be 'auto', 'on' or 'off', got {sparse_payload!r}"
             )
         if int(max_restarts) < 0:
             raise DataError("max_restarts must be non-negative")
@@ -728,7 +597,7 @@ class DistributedTrainer:
         calls = self.comm.collective_calls
         before = (calls["allreduce"], calls["iallreduce"], self.comm.bytes_communicated)
         previous_options = dict(layer._engine_options)
-        winner_payload = _winner_payload(layer, x, mode)
+        winner_payload = _winner_payload(layer, x)
         restarts = 0
         while True:
             # Every attempt enters at the latest record: restore its snapshot
@@ -755,10 +624,8 @@ class DistributedTrainer:
                 "epochs": int(epochs),
                 "batch_size": int(batch_size),
                 "shuffle": bool(shuffle),
-                "mode": mode,
                 "weight_refresh_tol": float(weight_refresh_tol),
                 "comm_overlap": comm_overlap,
-                "sparse_payload": sparse_payload,
                 "winner_payload": winner_payload,
                 "record": {k: v for k, v in latest.items() if k != "snapshot"},
                 "rng_layer_state": layer._rng.bit_generator.state,

@@ -75,9 +75,6 @@ class BackendExecutionMixin:
         self._packed_blocks = None
         self._packed_stale = True
         self._sparse_bundle = None
-        # (mask_token, SparseLayout) of the last payload_layout() call —
-        # communication payload packing keyed on the mask generation.
-        self._payload_layout_cache = None
         self._dense_stale = False
         self._weights: Optional[np.ndarray] = None
         # Serialises the lazy repack: thread-transport serving runs one
@@ -245,28 +242,6 @@ class BackendExecutionMixin:
     def sparse_layout(self):
         """The compiled mask layout (``None`` when the plan is inactive)."""
         return self._sparse_layout
-
-    def payload_layout(self):
-        """A :class:`~repro.kernels.SparseLayout` of the *current* mask.
-
-        Unlike :attr:`sparse_layout` this is independent of the execution
-        plan: communication payload packing (sparse-packed allreduce in
-        :func:`repro.backend.distributed.train_layer_program`) wants the
-        mask's index structure even when execution stays dense.  Cached on
-        the mask generation token, so repeated calls between structural-
-        plasticity steps are free.  Returns ``None`` for hosts without a
-        mask.
-        """
-        source = self._sparse_source()
-        if source is None:
-            return None
-        token = getattr(self, "mask_token", None)
-        cached = self._payload_layout_cache
-        if cached is not None and token is not None and cached[0] == token:
-            return cached[1]
-        layout = kernels.SparseLayout(*source)
-        self._payload_layout_cache = (token, layout)
-        return layout
 
     def sparse_context(self):
         """The :class:`~repro.kernels.SparseWeights` bundle for a dispatch.

@@ -148,20 +148,7 @@ class StructuralPlasticityLayer(BackendExecutionMixin):
         self.weights: Optional[np.ndarray] = None
         self.bias: Optional[np.ndarray] = None
         self._mask_expanded: Optional[np.ndarray] = None
-        self._mask_token = 0
         self.batches_trained = 0
-
-    @property
-    def mask_token(self) -> int:
-        """Generation counter of the receptive-field mask.
-
-        Bumped on every mask (re)expansion — build, structural-plasticity
-        swaps, ``set_density``, state loads — so consumers that cache
-        mask-derived artifacts (e.g. serving replicas keyed on the model
-        token) can detect in-place mask mutations that no weight refresh
-        accompanies.
-        """
-        return self._mask_token
 
     # ----------------------------------------------------------------- meta
     @property
@@ -244,7 +231,6 @@ class StructuralPlasticityLayer(BackendExecutionMixin):
         self._mask_expanded = kernels.expand_mask(
             self.plasticity.mask, self.input_spec.hypercolumn_sizes, self.hidden_sizes
         )
-        self._mask_token += 1
         # Recompile the block-CSC layout: a fresh layout object invalidates
         # every engine cache keyed on it, and the packed slabs re-pack
         # lazily on the next sparse dispatch.
@@ -301,15 +287,14 @@ class StructuralPlasticityLayer(BackendExecutionMixin):
         self.traces.calibrate_marginals(mean_x=mean_x, jitter=0.02, rng=self._rng)
         self.refresh_weights()
 
-    def shard_activity(self, x: np.ndarray, compete: bool = True):
+    def shard_activity(self, x: np.ndarray):
         """Forward + competition for a validated batch, through the engine.
 
         The first half of :meth:`train_batch`'s fused dispatch, for a caller
         that forms and applies the statistics itself (the data-parallel
         program reduces them over the ranks first).  Returns ``(activations,
         activity)``: the forward activations and the competition's training
-        activity (the activations themselves when ``compete`` is false),
-        both valid until the next engine dispatch on this layer.
+        activity, both valid until the next engine dispatch on this layer.
         """
         engine = self.engine_for(x.shape[0])
         scratch = engine.workspace
@@ -321,8 +306,6 @@ class StructuralPlasticityLayer(BackendExecutionMixin):
             self.hyperparams.bias_gain,
             sparse=self.sparse_context(),
         )
-        if not compete:
-            return activations, activations
         return activations, self._training_activity(activations, scratch=scratch)
 
     def train_batch(self, x: np.ndarray, taupdt: Optional[float] = None) -> np.ndarray:

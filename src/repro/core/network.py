@@ -548,7 +548,6 @@ class Network:
                 batch_size=schedule.batch_size,
                 rng=shuffle_rng,
                 on_epoch_end=on_epoch_end,
-                mode="competitive",
                 weight_refresh_tol=schedule.weight_refresh_tol,
                 resume=resume_unit,
             )

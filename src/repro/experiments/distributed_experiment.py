@@ -2,8 +2,9 @@
 
 BCPNN's local learning means data-parallel training only exchanges
 probability-trace statistics (one packed allreduce per batch).  This
-experiment trains the same hidden layer serially and with 2/4/8 ranks on a
-selectable :mod:`repro.comm` transport — in-process threads or OS
+experiment trains the same hidden layer — the learning step ``Network.fit``
+runs, with deterministic ``softmax`` competition — serially and with 2/4/8
+ranks on a selectable :mod:`repro.comm` transport — in-process threads or OS
 processes over tcp — and verifies that (a) the learned traces are numerically
 equivalent and (b) the communication volume grows with the trace size, not
 with the batch size — the property the paper uses to argue BCPNN "scales
@@ -57,7 +58,8 @@ def run_distributed_equivalence(
     """Compare serial vs. rank-sharded training of one hidden layer.
 
     The competition rule is forced to the deterministic ``"softmax"`` mode so
-    runs are comparable.  Returns per-rank-count rows with the maximum trace
+    runs are comparable (the stochastic modes draw shard-shaped noise).
+    Returns per-rank-count rows with the maximum trace
     deviation from the serial reference and the communication volume.
     ``backend`` selects the *compute* backend each rank uses for its local
     shard arithmetic; ``transport`` selects the :mod:`repro.comm` transport

@@ -1,29 +1,21 @@
 """Measurement of communication-overlapped data-parallel training.
 
 Shared by ``benchmarks/bench_kernels.py`` (which records the result in the
-``comm_overlap`` section of ``BENCH_kernels.json`` and gates CI on it via
-``--check-overlap``).  Two measurements:
-
-* **blocking vs overlapped** — the same Higgs-sized hidden layer trained
-  through :class:`~repro.backend.distributed.DistributedTrainer` at two
-  ranks on the tcp transport, once with the historical blocking
-  schedule (``comm_overlap="off"``, dense payloads) and once with the
-  software-pipelined schedule (``comm_overlap="on"`` + sparse-packed
-  payloads on the frozen mask).  Both sides run the same stale-weights
-  tolerance, so the comparison isolates the communication schedule;
-* **dense vs sparse payload sweep** — the per-batch allreduce payload size
-  with and without sparse packing at several mask densities, read from the
-  training epoch logs (payload size is schedule-independent, so the sweep
-  runs on the serial transport).
-
-The mask is frozen for the whole run (``mask_update_period`` larger than
-the epoch count), the regime sparse payloads are specified for.
+``comm_overlap`` section of ``BENCH_kernels.json``; ``--check-committed``
+holds it against drift).  The same Higgs-sized hidden layer is trained
+through :class:`~repro.backend.distributed.DistributedTrainer` at two
+ranks on the tcp transport, in the competitive mode ``Network.fit`` trains,
+once with the blocking schedule (``comm_overlap="off"``) and once with the
+software-pipelined schedule (``comm_overlap="on"``).  The layer competes
+with the deterministic ``softmax`` rule, so both sides reduce the same
+trace-sized statistics payload, and both run the same stale-weights
+tolerance: the comparison isolates the communication schedule.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -40,7 +32,6 @@ def _train_once(
     batch_size: int,
     weight_refresh_tol: float,
     comm_overlap: str,
-    sparse_payload: str,
     seed: int,
     backend: Optional[str],
 ):
@@ -49,7 +40,7 @@ def _train_once(
     from repro.core.layers import StructuralPlasticityLayer
 
     hyperparams = BCPNNHyperParameters(
-        taupdt=0.01, density=float(density), mask_update_period=10_000
+        taupdt=0.01, density=float(density), competition="softmax"
     )
     layer = StructuralPlasticityLayer(
         1, int(n_minicolumns), hyperparams=hyperparams, backend=backend, seed=seed
@@ -66,7 +57,6 @@ def _train_once(
         shuffle=True,
         weight_refresh_tol=float(weight_refresh_tol),
         comm_overlap=comm_overlap,
-        sparse_payload=sparse_payload,
     )
     return time.perf_counter() - start, report
 
@@ -82,20 +72,17 @@ def measure_comm_overlap(
     repeats: int = 3,
     ranks: int = 2,
     weight_refresh_tol: float = 0.01,
-    payload_densities: Sequence[float] = (1.0, 0.3),
     seed: int = 0,
     backend: Optional[str] = "numpy",
     timeout: float = 120.0,
 ) -> Dict[str, object]:
     """Best-of-``repeats`` seconds: blocking vs overlapped comm training.
 
-    The blocking side is the historical schedule (synchronous dense
-    allreduce every batch); the overlapped side issues the reduction
-    nonblocking, computes the next batch before waiting, and packs only
-    active-row statistics (the mask is frozen for the whole run).  Both
-    sides run the identical stale-weights tolerance and the tcp
-    transport at ``ranks`` ranks, so the speedup isolates the
-    communication schedule + payload packing.
+    The blocking side waits on a synchronous allreduce every batch; the
+    overlapped side issues the reduction nonblocking and computes the next
+    batch before waiting.  Both sides run the identical stale-weights
+    tolerance, payload and tcp transport at ``ranks`` ranks, so the
+    speedup isolates the communication schedule.
     """
     from repro.comm import TCPComm
     from repro.core.layers import InputSpec
@@ -120,54 +107,20 @@ def measure_comm_overlap(
             density=density, epochs=epochs, batch_size=batch_size,
             weight_refresh_tol=weight_refresh_tol, seed=seed, backend=backend,
         )
-        _train_once(comm, comm_overlap="off", sparse_payload="off", **common)
-        _train_once(comm, comm_overlap="on", sparse_payload="auto", **common)
+        _train_once(comm, comm_overlap="off", **common)
+        _train_once(comm, comm_overlap="on", **common)
         blocking_times: List[float] = []
         overlapped_times: List[float] = []
         overlapped_report = None
         for _ in range(int(repeats)):
-            elapsed, _ = _train_once(
-                comm, comm_overlap="off", sparse_payload="off", **common
-            )
+            elapsed, _ = _train_once(comm, comm_overlap="off", **common)
             blocking_times.append(elapsed)
-            elapsed, overlapped_report = _train_once(
-                comm, comm_overlap="on", sparse_payload="auto", **common
-            )
+            elapsed, overlapped_report = _train_once(comm, comm_overlap="on", **common)
             overlapped_times.append(elapsed)
     finally:
         comm.close()
     blocking_seconds = min(blocking_times)
     overlapped_seconds = min(overlapped_times)
-
-    # Payload sweep: the packed allreduce length is schedule- and
-    # transport-independent, so read it from serial-transport epoch logs.
-    from repro.comm import SerialComm
-
-    payload_rows: List[Dict[str, float]] = []
-    for sweep_density in payload_densities:
-        with SerialComm() as serial_comm:
-            sweep = dict(common)
-            sweep.update(density=sweep_density, epochs=1)
-            _, dense_report = _train_once(
-                serial_comm, comm_overlap="off", sparse_payload="off", **sweep
-            )
-        with SerialComm() as serial_comm:
-            _, sparse_report = _train_once(
-                serial_comm, comm_overlap="off", sparse_payload="on", **sweep
-            )
-        dense_floats = float(dense_report.extra["epoch_logs"][0]["payload_floats"])
-        sparse_floats = float(sparse_report.extra["epoch_logs"][0]["payload_floats"])
-        payload_rows.append(
-            {
-                "density": float(sweep_density),
-                "dense_payload_floats": dense_floats,
-                "sparse_payload_floats": sparse_floats,
-                "payload_ratio": sparse_floats / max(dense_floats, 1.0),
-                "sparse_engaged": float(
-                    sparse_report.extra["epoch_logs"][0]["sparse_payload"]
-                ),
-            }
-        )
 
     return {
         "config": {
@@ -180,6 +133,7 @@ def measure_comm_overlap(
             "ranks": int(ranks),
             "density": float(density),
             "weight_refresh_tol": float(weight_refresh_tol),
+            "competition": "softmax",
             "transport": "tcp",
             "backend": backend or "numpy",
         },
@@ -190,5 +144,4 @@ def measure_comm_overlap(
             overlapped_report.extra["iallreduce_calls"]
         ),
         "batches": n_batches,
-        "payload_sweep": payload_rows,
     }

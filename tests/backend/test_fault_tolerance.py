@@ -60,7 +60,6 @@ def _train(comm, crash=None, competition="softmax", max_restarts=2, weight_refre
         batch_size=64,
         rng=as_rng(5),
         shuffle=True,
-        mode="competitive",
         weight_refresh_tol=weight_refresh_tol,
         max_restarts=max_restarts,
     )

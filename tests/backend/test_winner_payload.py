@@ -57,8 +57,7 @@ def _train(comm, x, competition="sample", batch_size=48, tol=0.0, period=1):
     layer = StructuralPlasticityLayer(N_HCU, N_MCU, hyperparams=hyperparams, seed=5)
     layer.build(InputSpec(INPUT_SIZES))
     report = DistributedTrainer(comm).train_layer(
-        layer, x, epochs=3, batch_size=batch_size, rng=as_rng(3),
-        mode="competitive", weight_refresh_tol=tol,
+        layer, x, epochs=3, batch_size=batch_size, rng=as_rng(3), weight_refresh_tol=tol,
     )
     return layer, report
 

@@ -35,8 +35,7 @@ def _train_sparse(comm, x, seed=7):
     layer = StructuralPlasticityLayer(2, 6, hyperparams=hyperparams, seed=seed)
     layer.build(InputSpec(SIZES))
     DistributedTrainer(comm).train_layer(
-        layer, x, epochs=2, batch_size=64, rng=as_rng(5), shuffle=True,
-        mode="competitive",
+        layer, x, epochs=2, batch_size=64, rng=as_rng(5), shuffle=True
     )
     return layer
 
@@ -86,7 +85,7 @@ class TestSparseRankInvariance:
             layer.build(InputSpec(SIZES))
             DistributedTrainer(comm).train_layer(
                 layer, data, epochs=2, batch_size=64, rng=as_rng(5), shuffle=True,
-                mode="competitive", weight_refresh_tol=0.02,
+                weight_refresh_tol=0.02,
             )
             return layer
 

@@ -36,17 +36,21 @@ def _one_hot(n, sizes, seed):
     return x
 
 
-def _train(comm, x, mode, seed=7):
-    hyperparams = BCPNNHyperParameters(taupdt=0.05, density=0.5, competition="softmax")
+def _train(comm, x, competition, seed=7):
+    hyperparams = BCPNNHyperParameters(taupdt=0.05, density=0.5, competition=competition)
     layer = StructuralPlasticityLayer(2, 6, hyperparams=hyperparams, seed=seed)
     layer.build(InputSpec([4, 4, 4]))
     DistributedTrainer(comm).train_layer(
-        layer, x, epochs=2, batch_size=64, rng=as_rng(5), shuffle=True, mode=mode
+        layer, x, epochs=2, batch_size=64, rng=as_rng(5), shuffle=True
     )
     return layer
 
 
 class TestTrainerInvariance:
+    """Deterministic ``softmax`` competition matches the serial run at any
+    rank count; the default ``sample`` rule draws shard-shaped noise, so it
+    is bitwise across transports at an equal rank count."""
+
     @pytest.fixture(scope="class")
     def data(self):
         return _one_hot(256, [4, 4, 4], seed=0)
@@ -54,24 +58,28 @@ class TestTrainerInvariance:
     @pytest.fixture(scope="class")
     def reference(self, data):
         with SerialComm() as comm:
-            return {mode: _train(comm, data, mode) for mode in ("rate", "competitive")}
+            return _train(comm, data, "softmax")
 
-    @pytest.mark.parametrize("mode", ["rate", "competitive"])
-    def test_thread_matches_serial(self, data, reference, mode):
+    def test_thread_matches_serial(self, data, reference):
         with ThreadComm(3) as comm:
-            layer = _train(comm, data, mode)
-        ref = reference[mode]
-        assert np.allclose(layer.traces.p_ij, ref.traces.p_ij, atol=ATOL)
-        assert np.allclose(layer.traces.p_i, ref.traces.p_i, atol=ATOL)
-        assert np.array_equal(layer.plasticity.mask, ref.plasticity.mask)
+            layer = _train(comm, data, "softmax")
+        assert np.allclose(layer.traces.p_ij, reference.traces.p_ij, atol=ATOL)
+        assert np.allclose(layer.traces.p_i, reference.traces.p_i, atol=ATOL)
+        assert np.array_equal(layer.plasticity.mask, reference.plasticity.mask)
 
-    @pytest.mark.parametrize("mode", ["rate", "competitive"])
-    def test_tcp_matches_serial(self, data, reference, mode, tcp_pool):
-        layer = _train(tcp_pool, data, mode)
-        ref = reference[mode]
-        assert np.allclose(layer.traces.p_ij, ref.traces.p_ij, atol=ATOL)
-        assert np.allclose(layer.traces.p_i, ref.traces.p_i, atol=ATOL)
-        assert np.array_equal(layer.plasticity.mask, ref.plasticity.mask)
+    def test_tcp_matches_serial(self, data, reference, tcp_pool):
+        layer = _train(tcp_pool, data, "softmax")
+        assert np.allclose(layer.traces.p_ij, reference.traces.p_ij, atol=ATOL)
+        assert np.allclose(layer.traces.p_i, reference.traces.p_i, atol=ATOL)
+        assert np.array_equal(layer.plasticity.mask, reference.plasticity.mask)
+
+    def test_sample_is_bitwise_across_transports_at_equal_rank_count(self, data, tcp_pool):
+        with ThreadComm(2) as comm:
+            threaded = _train(comm, data, "sample")
+        socketed = _train(tcp_pool, data, "sample")
+        for name in ("p_i", "p_j", "p_ij"):
+            assert np.array_equal(getattr(threaded.traces, name), getattr(socketed.traces, name))
+        assert np.array_equal(threaded.plasticity.mask, socketed.plasticity.mask)
 
 
 @pytest.fixture(scope="module")

@@ -315,42 +315,26 @@ class TestTrainingRoutes:
         finally:
             tracemalloc.stop()
 
-    def _spmd(self, x, sparse_payload, dense_oracle=False):
+    def _spmd(self, x, dense_oracle=False):
         layer = _layer(mask_update_period=2)
         if dense_oracle:
             layer._training_activity = _dense_oracle_activity(layer)
         with SerialComm() as comm:
             report = DistributedTrainer(comm).train_layer(
-                layer, x, epochs=3, batch_size=48, rng=np.random.default_rng(3),
-                mode="competitive", sparse_payload=sparse_payload,
+                layer, x, epochs=3, batch_size=48, rng=np.random.default_rng(3)
             )
         return layer, report
 
     def test_spmd_index_statistics_equal_the_gemm_statistics(self, monkeypatch):
         """Counts from the reduced winners == the GEMMs of the trace-shaped
-        payload over the dense one-hot matrix, under both payloads' rules."""
+        payload over the dense one-hot matrix."""
         x = _one_hot_input(192, [10] * 4, seed=2)
-        for payload in ("off", "on"):
-            subject, report = self._spmd(x, payload)
-            assert report.extra["epoch_logs"][-1]["winner_payload"] == 1.0
-            with monkeypatch.context() as patch:
-                patch.setattr(distributed, "_winner_payload", lambda *args: False)
-                reference, _ = self._spmd(x, payload, dense_oracle=True)
-            assert np.array_equal(subject.traces.p_i, reference.traces.p_i)
-            assert np.array_equal(subject.traces.p_j, reference.traces.p_j)
-            assert np.array_equal(subject.traces.p_ij, reference.traces.p_ij)
-            assert np.array_equal(subject.plasticity.mask, reference.plasticity.mask)
-
-    def test_spmd_dense_and_sparse_payloads_agree_on_active_entries(self, monkeypatch):
-        """The trace-shaped payloads, pinned on (``sample`` reduces winners)."""
-        monkeypatch.setattr(distributed, "_winner_payload", lambda *args: False)
-        x = _one_hot_input(192, [10] * 4, seed=2)
-        dense, _ = self._spmd(x, "off")
-        sparse, report = self._spmd(x, "auto")
-        assert report.extra["epoch_logs"][-1]["sparse_payload"] == 1.0
-        assert np.array_equal(dense.plasticity.mask, sparse.plasticity.mask)
-        assert np.array_equal(dense.traces.p_j, sparse.traces.p_j)
-        active = kernels.expand_mask(
-            sparse.plasticity.mask, [10] * 4, sparse.hidden_sizes
-        ).astype(bool)
-        assert np.array_equal(dense.traces.p_ij[active], sparse.traces.p_ij[active])
+        subject, report = self._spmd(x)
+        assert report.extra["epoch_logs"][-1]["winner_payload"] == 1.0
+        with monkeypatch.context() as patch:
+            patch.setattr(distributed, "_winner_payload", lambda *args: False)
+            reference, _ = self._spmd(x, dense_oracle=True)
+        assert np.array_equal(subject.traces.p_i, reference.traces.p_i)
+        assert np.array_equal(subject.traces.p_j, reference.traces.p_j)
+        assert np.array_equal(subject.traces.p_ij, reference.traces.p_ij)
+        assert np.array_equal(subject.plasticity.mask, reference.plasticity.mask)
