@@ -201,14 +201,14 @@ def train_layer_program(
       rank enters with its engine built and its drift account zeroed by
       the replica sync, so the refresh decisions — and therefore the training
       — stay rank-invariant.  ``0`` refreshes every batch (exact).
-    * ``options["comm_overlap"]`` (``"auto"``/``"on"``/``"off"``) — the
-      software-pipelined communication schedule: batch ``k``'s payload is
+    * ``options["comm_overlap"]`` (bool) — allows the software-pipelined
+      communication schedule: batch ``k``'s payload is
       published through a *nonblocking* ``iallreduce`` and batch ``k+1``'s
       forward + local statistics run **before** waiting on ``k``'s
       reduction, hiding the collective's latency behind local compute.
       Batch ``k+1`` therefore forwards on one-batch-stale weights, which is
       only admissible under the stale-weights contract — overlap engages
-      only when ``weight_refresh_tol > 0``; at ``tol=0`` every mode keeps
+      only when ``weight_refresh_tol > 0``; at ``tol=0`` either value keeps
       the blocking schedule bit-for-bit.  The decision does not depend on
       the rank count: the reduced statistics of a global batch are the same
       for every rank count, so a deferred apply keeps the training bitwise
@@ -248,7 +248,7 @@ def train_layer_program(
     batch_size = int(options["batch_size"])
     shuffle = bool(options["shuffle"])
     tol = float(options.get("weight_refresh_tol", 0.0))
-    overlap = options.get("comm_overlap", "auto") != "off" and tol > 0.0
+    overlap = options["comm_overlap"] and tol > 0.0
 
     n = x.shape[0]
     # Build the engine for the largest shard (a full batch's first) before
@@ -499,7 +499,7 @@ class DistributedTrainer:
         shuffle: bool = True,
         on_epoch_end: Optional[Callable[[Dict[str, object]], None]] = None,
         weight_refresh_tol: float = 0.0,
-        comm_overlap: str = "auto",
+        comm_overlap: bool = True,
         max_restarts: int = 2,
         resume: Optional[Dict[str, object]] = None,
     ) -> DistributedEpochReport:
@@ -518,11 +518,11 @@ class DistributedTrainer:
         options back when the call returns.  The report counts this call's
         traffic only, whatever the communicator carried before.
 
-        ``comm_overlap`` (``"auto"``/``"on"``/``"off"``) sets the
-        overlapped schedule (:func:`train_layer_program` states its
+        ``comm_overlap`` allows the overlapped schedule, which engages when
+        ``weight_refresh_tol > 0`` (:func:`train_layer_program` states its
         contract).  This is the only place it can be set: ``Network.fit``
-        always runs ``"auto"``, and ``"off"`` exists for the blocking side
-        of the A/B in :mod:`repro.instrumentation.overlap_bench`.
+        always runs ``True``, and ``False`` exists for the blocking side of
+        the A/B in :mod:`repro.instrumentation.overlap_bench`.
 
         **Restarts.**  At every epoch boundary rank 0 emits one record —
         ``{shuffle_seed, epoch, batches, swaps, epoch_logs, snapshot}``:
@@ -560,10 +560,8 @@ class DistributedTrainer:
             raise DataError("batch_size must be positive")
         if float(weight_refresh_tol) < 0.0:
             raise DataError("weight_refresh_tol must be non-negative")
-        if comm_overlap not in ("auto", "on", "off"):
-            raise DataError(
-                f"comm_overlap must be 'auto', 'on' or 'off', got {comm_overlap!r}"
-            )
+        if not isinstance(comm_overlap, bool):
+            raise BackendError(f"comm_overlap must be a bool, got {comm_overlap!r}")
         if int(max_restarts) < 0:
             raise DataError("max_restarts must be non-negative")
         injection = faults.crash_injection_from_plan()

@@ -18,17 +18,25 @@ from repro.exceptions import BackendError
 
 __all__ = ["measure_comm_throughput", "E2E_PAYLOAD_FLOATS"]
 
-#: The packed statistics vectors ``[count, sum x, sum a, sum x^T a]`` the
-#: ``benchmarks/e2e`` workloads allreduce once per batch (280 inputs into
-#: 1x150 and 4x300 hidden units): what a training run really pays.
+#: The ``(batch, n_hypercolumns)`` winner matrices the ``benchmarks/e2e``
+#: comm workloads allreduce once per batch (``sample`` competition on
+#: one-hot inputs): what a training run really pays, 256 B and 8 KB.
 E2E_PAYLOAD_FLOATS = {
-    "narrow_tcp2": 1 + 280 + 150 + 280 * 150,
-    "wide_process2": 1 + 280 + 1200 + 280 * 1200,
+    "narrow_tcp2": 32 * 1,
+    "wide_process2": 256 * 4,
 }
 
 
-def _mbytes_per_second(nbytes: float, n_ranks: int, seconds: float) -> float:
-    return nbytes * n_ranks / max(seconds, 1e-12) / 1e6
+def _allreduce_row(comm, shape: Sequence[int], repeats: int, warmup: int) -> Dict[str, float]:
+    """Rank 0's blocking-allreduce figures for one payload shape."""
+    timed = comm.run(tasks.allreduce_loop, [(tuple(shape), repeats, warmup)] * comm.size)[0]
+    seconds, nbytes = float(timed["seconds_per_call"]), float(timed["nbytes"])
+    return {
+        "seconds_per_allreduce": seconds,
+        "p50_seconds_per_allreduce": float(timed["p50_seconds_per_call"]),
+        "payload_mbytes": nbytes / 1e6,
+        "mbytes_per_second": nbytes * comm.size / max(seconds, 1e-12) / 1e6,
+    }
 
 
 def measure_comm_throughput(
@@ -39,7 +47,7 @@ def measure_comm_throughput(
     warmup: int = 3,
     timeout: Optional[float] = None,
 ) -> Dict[str, object]:
-    """Best-case allreduce latency/bandwidth for each transport.
+    """Allreduce latency (best and median call) and bandwidth per transport.
 
     Every transport runs the same SPMD loop (:func:`repro.comm.tasks.allreduce_loop`)
     over a ``shape`` float64 payload at ``ranks`` ranks (the serial transport
@@ -77,44 +85,23 @@ def measure_comm_throughput(
             rows.append({"transport": parsed.name, "ranks": n_ranks, "error": str(exc)})
             continue
         try:
-            results = comm.run(
-                tasks.allreduce_loop,
-                [(tuple(shape), repeats, warmup)] * comm.size,
-            )
-            nb_results = comm.run(
-                tasks.iallreduce_loop,
-                [(tuple(shape), repeats, warmup)] * comm.size,
-            )
-            for name, floats in E2E_PAYLOAD_FLOATS.items():
-                timed = comm.run(tasks.allreduce_loop, [((floats,), repeats, warmup)] * comm.size)
-                e2e_seconds = float(timed[0]["seconds_per_call"])
-                e2e_rows.append(
-                    {
-                        "payload": name,
-                        "transport": parsed.name,
-                        "ranks": n_ranks,
-                        "seconds_per_allreduce": e2e_seconds,
-                        "payload_mbytes": floats * 8 / 1e6,
-                        "mbytes_per_second": _mbytes_per_second(floats * 8, n_ranks, e2e_seconds),
-                    }
-                )
-            rank0 = results[0]
-            nb_rank0 = nb_results[0]
-            seconds = float(rank0["seconds_per_call"])
-            nbytes = float(rank0["nbytes"])
+            blocking = _allreduce_row(comm, shape, repeats, warmup)
+            nb_args = [(tuple(shape), repeats, warmup)] * comm.size
+            nb_rank0 = comm.run(tasks.iallreduce_loop, nb_args)[0]
             nb_seconds = float(nb_rank0["seconds_per_call"])
-            nb_issue = float(nb_rank0["issue_seconds"])
+            window = max(nb_seconds - float(nb_rank0["issue_seconds"]), 0.0)
             rows.append(
                 {
                     "transport": parsed.name,
                     "ranks": n_ranks,
-                    "seconds_per_allreduce": seconds,
-                    "payload_mbytes": nbytes / 1e6,
-                    "mbytes_per_second": _mbytes_per_second(nbytes, n_ranks, seconds),
+                    **blocking,
                     "seconds_per_iallreduce": nb_seconds,
-                    "overlap_window_seconds": max(nb_seconds - nb_issue, 0.0),
+                    "overlap_window_seconds": window,
                 }
             )
+            for name, floats in E2E_PAYLOAD_FLOATS.items():
+                row = _allreduce_row(comm, (floats,), repeats, warmup)
+                e2e_rows.append({"payload": name, "transport": parsed.name, "ranks": n_ranks} | row)
         except BackendError as exc:  # pragma: no cover - constrained sandboxes
             rows.append({"transport": parsed.name, "ranks": n_ranks, "error": str(exc)})
         finally:

@@ -171,22 +171,27 @@ def allreduce_loop(
 ) -> Dict[str, float]:
     """Time ``repeats`` allreduces of one ``shape`` array on this rank.
 
-    Returns the best per-call wall time observed on this rank; the driver
-    reads rank 0's figure (all ranks are barrier-synchronised, so rank 0's
-    time is the collective's time).
+    Returns the best and the median per-call wall time observed on this
+    rank; the driver reads rank 0's figures (all ranks are
+    barrier-synchronised, so rank 0's time is the collective's time).
     """
     arr = np.full(shape, float(comm.rank + 1), dtype=np.dtype(dtype))
     expected = float(sum(range(1, comm.size + 1)))
     for _ in range(warmup):
         out = comm.allreduce(arr, op="sum")
-    best = float("inf")
+    seconds = []
     for _ in range(repeats):
         start = time.perf_counter()
         out = comm.allreduce(arr, op="sum")
-        best = min(best, time.perf_counter() - start)
+        seconds.append(time.perf_counter() - start)
     if not np.allclose(out, expected):  # correctness guard on every rank
         raise AssertionError(f"allreduce produced {out.flat[0]!r}, expected {expected!r}")
-    return {"rank": comm.rank, "seconds_per_call": best, "nbytes": float(arr.nbytes)}
+    return {
+        "rank": comm.rank,
+        "seconds_per_call": min(seconds),
+        "p50_seconds_per_call": float(np.median(seconds)),
+        "nbytes": float(arr.nbytes),
+    }
 
 
 def iallreduce_loop(

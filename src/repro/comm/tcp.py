@@ -5,23 +5,22 @@ are not pinned to one machine.  The topology is a **hub**: the driver
 process (rank 0) owns a listening *rendezvous* socket and every worker rank
 holds one connection to it; rank 0 itself joins the hub in-process (no
 loopback socket).  A collective is a **round**: each rank posts one tagged
-contribution, and whichever thread delivers the round's *last* one — a
-worker's reader thread or rank 0's own — completes it: checks the ranks
-agree, reduces strictly in rank order into one accumulator (deterministic,
-bit-identical to the other transports), sends that one reply buffer to every
-worker and hands it to rank 0.
+contribution.  Rank 0 reads its workers' sockets in its own thread while it
+is inside a collective or collecting results, and completes the round where
+the last contribution lands: check the ranks agree, reduce strictly in rank
+order into one accumulator (deterministic, bit-identical to the other
+transports), send that one reply buffer to every worker and keep it.
 
-* **Raw-buffer frames** — a ``>IQ`` prefix (header bytes, payload bytes), a
-  small pickled header, then the payload as ``>I``-prefixed chunks of at
-  most ``chunk_bytes``.  Array frames list ``(dtype, shape)`` per array in
-  the header (``arrays``) and carry the arrays' own memory: one gather
-  ``sendmsg`` straight from the array, ``recv_into`` straight into the
-  destination.  Only headers and ``task``/``result`` payloads are pickled.
-  The framing is self-describing, so peers may use different chunk sizes.
-* **Crash/timeout -> BackendError, never a hang** — a lost connection (or
-  a worker's failed result) is seen by the hub's per-worker reader thread
-  the moment it arrives, and every wait (a worker's socket read, rank 0's
-  in-process wait, every hub-side send) is bounded by ``timeout``.  Either
+* **Fixed-header frames** — ``coll``, ``reply`` and ``abort`` frames open
+  with one ``struct`` header (kind, op, reduce, task, seq, rank, root, dtype
+  code, ndim, shape, chunk size, payload bytes); the payload is the array's
+  own memory, sent with the header in one gather ``sendmsg`` and received
+  with ``recv_into`` straight into its destination, in ``>I``-prefixed
+  chunks above the sender's ``chunk_bytes``.  Only the handshake, ``task``,
+  ``result`` and ``shutdown`` frames pickle a header.
+* **Crash/timeout -> BackendError, never a hang** — a lost connection or a
+  worker's failed result is seen when rank 0 next reads (at the latest in
+  its next collective), and every wait is bounded by ``timeout``.  Either
   way the hub broadcasts an ``abort`` frame and every surviving rank raises
   :class:`~repro.exceptions.BackendError` from its next or pending collective.
 * **Nonblocking collectives** — ``iallreduce`` is genuinely split-phase:
@@ -31,10 +30,7 @@ worker and hands it to rank 0.
 * **Fault tolerance** — the rendezvous listener stays open for the
   communicator's whole life.  :meth:`TCPComm.recover` respawns locally
   spawned workers (or waits for an external worker to reconnect and claim
-  its old rank), so a driver can roll back to its last model snapshot and
-  re-launch the SPMD program after a crash.  A spawned worker that exits
-  before joining the rendezvous fails the wait at once, naming its rank
-  and exit code.
+  its old rank), so a driver can roll back and re-launch after a crash.
 
 Workers are locally spawned by default (``spawn_workers=True``); the spec
 ``process:N`` is shorthand for exactly that on loopback,
@@ -48,7 +44,6 @@ Workers that omit ``--rank`` are assigned the lowest free rank by the hub.
 
 from __future__ import annotations
 
-import itertools
 import math
 import pickle
 import select
@@ -57,9 +52,9 @@ import struct
 import threading
 import time
 import traceback
-from collections import deque
+from collections import deque, namedtuple
 from multiprocessing import get_context
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -70,11 +65,33 @@ from repro.exceptions import BackendError
 __all__ = ["TCPComm"]
 
 _PICKLE_PROTOCOL = 4
-_PREFIX = struct.Struct(">IQ")  # header bytes, payload bytes
+# Wire codes index these tables; a control frame's payload is a pickled (header, blob).
+_KINDS = ("control", "coll", "reply", "abort")
+_OPS = ("", "allreduce", "bcast", "barrier")
+_REDUCES = ("",) + REDUCE_OPS
+_DTYPES = (None,) + tuple(np.dtype(c) for c in "?bBhHiIqQefdFD")  # code 0: no array
+_KIND_CODE, _OP_CODE, _REDUCE_CODE = (
+    {name: code for code, name in enumerate(table)} for table in (_KINDS, _OPS, _REDUCES)
+)
+_DTYPE_CODE = {dtype: code for code, dtype in enumerate(_DTYPES) if code}
+_MAX_NDIM = 8
+_NO_DIMS = (0,) * _MAX_NDIM
+# kind op reduce dtype ndim | task seq rank root | chunk bytes, payload bytes | shape
+_HEAD = struct.Struct(f"<5B3xQQiiQQ{_MAX_NDIM}Q")
 _CHUNK = struct.Struct(">I")  # bytes in the chunk that follows
 _IOV_BATCH = 512  # buffers per sendmsg call (IOV_MAX is 1024 on Linux)
 _JOIN_POLL = 0.1  # seconds between liveness checks of spawned workers that have not joined
 _COMBINE = {"sum": np.add, "mean": np.add, "max": np.maximum, "min": np.minimum}
+
+
+#: A collective frame's fixed header, decoded; ``dtype`` is its wire code.
+_Head = namedtuple("_Head", "op reduce task seq rank root dtype shape")
+_NO_HEAD = _Head("", "", 0, 0, 0, 0, 0, ())
+
+
+class _Malformed(Exception):
+    """A frame read whole whose header names no known code or does not
+    describe its payload: the stream is still in step, the task is not."""
 
 
 # ------------------------------------------------------------------ framing
@@ -82,14 +99,24 @@ def _dumps(obj: Any) -> bytes:
     return pickle.dumps(obj, protocol=_PICKLE_PROTOCOL)
 
 
-def _describe(arrays: Sequence[np.ndarray]) -> List[Tuple[np.dtype, Tuple[int, ...]]]:
-    """The ``arrays`` header field: what a raw payload holds."""
-    return [(a.dtype, a.shape) for a in arrays]
+def _control(header: Dict[str, Any], blob: bytes = b"") -> bytes:
+    """A control frame's payload: its header dict and an opaque blob."""
+    return _dumps((header, blob))
 
 
 def _raw(array: np.ndarray) -> memoryview:
     """A C-contiguous array's own memory as a flat byte view (no copy)."""
     return memoryview(array.reshape(-1).view(np.uint8))
+
+
+def _bound(sock: socket.socket, timeout: float) -> None:
+    """Blocking mode, every send and receive bounded by ``timeout`` in the
+    kernel: one system call each, a ``BlockingIOError`` when it runs out."""
+    sock.settimeout(None)
+    micros = max(round(timeout * 1e6), 1)
+    limit = struct.pack("ll", micros // 1_000_000, micros % 1_000_000)
+    for option in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO):
+        sock.setsockopt(socket.SOL_SOCKET, option, limit)
 
 
 def _recv_into(sock: socket.socket, view: memoryview) -> None:
@@ -101,115 +128,135 @@ def _recv_into(sock: socket.socket, view: memoryview) -> None:
         view = view[got:]
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytearray:
-    buf = bytearray(n)
-    _recv_into(sock, memoryview(buf))
-    return buf
-
-
-def _send_all(sock: socket.socket, pieces: Iterator[Union[bytes, memoryview]]) -> None:
-    """Gather-send every piece with ``sendmsg``, finishing partial sends."""
-    while True:
-        batch = list(itertools.islice(pieces, _IOV_BATCH))
-        if not batch:
-            return
-        while batch:
-            sent = sock.sendmsg(batch)
-            done = 0
-            while done < len(batch) and sent >= len(batch[done]):
-                sent -= len(batch[done])
-                done += 1
-            del batch[:done]
-            if sent:
-                batch[0] = memoryview(batch[0])[sent:]
+def _send_all(sock: socket.socket, buffers: List[Union[bytes, memoryview]]) -> None:
+    """Gather-send every buffer with ``sendmsg``, finishing partial sends."""
+    while buffers:
+        sent = sock.sendmsg(buffers[:_IOV_BATCH])
+        done = 0
+        while done < len(buffers) and sent >= len(buffers[done]):
+            sent -= len(buffers[done])
+            done += 1
+        del buffers[:done]
+        if sent:
+            buffers[0] = memoryview(buffers[0])[sent:]
 
 
 def _send_frame(
     sock: socket.socket,
-    header: Dict[str, Any],
-    payload: Union[bytes, Sequence[np.ndarray]],
+    kind: str,
+    head: _Head,
+    payload: Union[np.ndarray, bytes],
     chunk_bytes: int,
 ) -> None:
-    """One frame: prefix + pickled header, then the payload in chunks.
+    """One frame: the fixed header, then the payload.
 
-    ``payload`` is either a list of C-contiguous arrays — described in the
-    header and sent from their own memory, never copied or pickled — or an
-    opaque ``bytes`` blob (pickled task/result, or empty).  Each array (or
-    the blob) travels as length-prefixed chunks of at most ``chunk_bytes``,
-    so the receiver can validate progress chunk by chunk.
+    ``payload`` is the C-contiguous array ``head`` describes — sent from its
+    own memory, never copied or pickled — or opaque bytes (a control
+    frame's pickle, an abort's reason, or empty).  A payload larger than
+    ``chunk_bytes`` travels as ``>I``-prefixed chunks of that size.
 
     Every frame passes through the deterministic fault-injection hooks
     ``tcp.delay`` (sleep before sending) and ``tcp.drop`` (swallow the frame
     entirely — the peer observes a stall/timeout, exactly like a lossy
     link); see :mod:`repro.faults`.
     """
-    if isinstance(payload, bytes):
-        buffers = [payload]
-    else:
-        header = dict(header, arrays=_describe(payload))
-        buffers = [_raw(a) for a in payload]
-    total = sum(len(b) for b in buffers)
+    data = _raw(payload) if isinstance(payload, np.ndarray) else memoryview(payload)
+    total = len(data)
     rule = faults.fault_point("tcp.delay", bytes=total)
     if rule is not None:
         time.sleep(rule.param_float("seconds", 0.05))
     if faults.fault_point("tcp.drop", bytes=total) is not None:
         return
-    head = _dumps(header)
+    op, reduce, task, seq, rank, root, dtype, shape = head
+    ndim = len(shape)
+    buffers: List[Union[bytes, memoryview]] = [
+        _HEAD.pack(
+            _KIND_CODE[kind], _OP_CODE[op], _REDUCE_CODE[reduce], dtype, ndim,
+            task, seq, rank, root, chunk_bytes, total, *shape, *_NO_DIMS[ndim:],
+        ),
+        data,
+    ]
+    if total > chunk_bytes:
+        del buffers[1:]
+        for lo in range(0, total, chunk_bytes):
+            piece = data[lo : lo + chunk_bytes]
+            buffers += (_CHUNK.pack(len(piece)), piece)
+    _send_all(sock, buffers)
 
-    def pieces() -> Iterator[Union[bytes, memoryview]]:
-        yield _PREFIX.pack(len(head), total) + head
-        for buf in buffers:
-            for lo in range(0, len(buf), chunk_bytes):
-                piece = buf[lo : lo + chunk_bytes]
-                yield _CHUNK.pack(len(piece))
-                yield piece
 
-    _send_all(sock, pieces())
+def _recv_payload(sock: socket.socket, view: memoryview, chunk: int) -> None:
+    """Fill ``view`` with a payload sent at chunk size ``chunk``; chunk
+    prefixes are re-validated."""
+    if len(view) <= chunk:
+        _recv_into(sock, view)
+        return
+    prefix = bytearray(_CHUNK.size)
+    while len(view):
+        _recv_into(sock, memoryview(prefix))
+        (n,) = _CHUNK.unpack(prefix)
+        if n != min(chunk, len(view)):
+            raise ConnectionError(f"corrupt chunk framing ({n} bytes)")
+        _recv_into(sock, view[:n])
+        view = view[n:]
 
 
-def _recv_frame(sock: socket.socket) -> Tuple[Dict[str, Any], Union[bytearray, List[np.ndarray]]]:
-    """Inverse of :func:`_send_frame`; chunk prefixes are re-validated.
+def _recv_frame(sock: socket.socket, head_buf: memoryview) -> Tuple[str, Any, Any]:
+    """Inverse of :func:`_send_frame` into the reader's header buffer:
+    ``(kind, header, payload)``, a control frame's header being its dict.
 
-    Arrays land directly in fresh (hence caller-owned) destinations.
+    Array payloads land in fresh (hence caller-owned) arrays.  Raises
+    :class:`_Malformed` once it has read the payload of a frame whose header
+    does not describe it, ``ConnectionError`` when the stream breaks.
     """
-    head_len, total = _PREFIX.unpack(_recv_exact(sock, _PREFIX.size))
-    header = pickle.loads(_recv_exact(sock, head_len))
-    specs = header.get("arrays")
-    if specs is None:
-        payload = bytearray(total)
-        targets = [memoryview(payload)]
-    else:
-        if sum(np.dtype(d).itemsize * math.prod(s) for d, s in specs) != total:
-            raise ConnectionError("frame header does not describe its payload")
-        payload = [np.empty(s, dtype=d) for d, s in specs]
-        targets = [_raw(a) for a in payload]
-    for view in targets:
-        while len(view):
-            (n,) = _CHUNK.unpack(_recv_exact(sock, _CHUNK.size))
-            if n == 0 or n > len(view):
-                raise ConnectionError(f"corrupt chunk framing ({n} bytes)")
-            _recv_into(sock, view[:n])
-            view = view[n:]
-    return header, payload
+    _recv_into(sock, head_buf)
+    kind, op, reduce, code, ndim, task, seq, rank, root, chunk, total, *dims = (
+        _HEAD.unpack_from(head_buf)
+    )
+    if total and not chunk:
+        raise ConnectionError("frame header names no chunk size")
+    try:
+        name, dtype = _KINDS[kind], _DTYPES[code]
+        head = _Head(_OPS[op], _REDUCES[reduce], task, seq, rank, root, code, tuple(dims[:ndim]))
+        size = math.prod(head.shape) * dtype.itemsize if code else 0
+        if ndim > _MAX_NDIM or (name in ("coll", "reply") and size != total):
+            raise ValueError
+    except (IndexError, ValueError):
+        _recv_payload(sock, memoryview(bytearray(total)), chunk)
+        fields = (kind, op, reduce, code, tuple(dims[:ndim]))
+        raise _Malformed(
+            f"(kind, op, reduce, dtype, shape) = {fields} names an unknown code "
+            f"or does not describe its {total}-byte payload"
+        ) from None
+    if name == "coll" or name == "reply":
+        payload = np.empty(head.shape, dtype) if code else None
+        if code:
+            _recv_payload(sock, _raw(payload), chunk)
+        return name, head, payload
+    blob = bytearray(total)
+    _recv_payload(sock, memoryview(blob), chunk)
+    if name == "abort":
+        return name, head, blob.decode(errors="replace")
+    header, blob = pickle.loads(blob)
+    return str(header["kind"]), header, blob
 
 
-def _shutdown(sock: socket.socket) -> None:
-    """Wake the reader blocked on ``sock``.  Only that reader closes it: a
-    descriptor freed under its ``select`` could be reused by another socket."""
+def _discard(sock: socket.socket) -> None:
+    """Shut ``sock`` down (the peer sees EOF at once) and close it."""
     try:
         sock.shutdown(socket.SHUT_RDWR)
     except OSError:
         pass
+    sock.close()
 
 
 # ---------------------------------------------------------------- rank view
 class _TCPRankView(Communicator):
     """One rank's collectives; subclasses supply the link to the hub.
 
-    The link is three methods: ``_submit(header, arrays)`` delivers this
+    The link is three methods: ``_submit(head, array)`` delivers this
     rank's contribution to a round, ``_await(seq)`` blocks (bounded by
-    ``timeout``) for that round's reply arrays, and ``_ready(seq)`` probes
-    for it without blocking.
+    ``timeout``) for that round's reply, and ``_ready(seq)`` probes for it
+    without blocking.
     """
 
     transport = "tcp"
@@ -253,26 +300,34 @@ class _TCPRankView(Communicator):
         self._seq = 0
         self._nb_pending = None
 
-    def _post(self, op: str, array: Optional[np.ndarray] = None, **extra: Any) -> int:
+    def _post(
+        self, op: str, array: Optional[np.ndarray] = None, reduce: str = "", root: int = 0
+    ) -> int:
         """Contribute to this rank's next round; returns its sequence."""
         if not self._in_program and self._size > 1:
             raise BackendError(
                 "SPMD collectives on a size>1 communicator must be called from "
                 "inside run()"
             )
-        if array is not None and array.dtype.hasobject:
-            raise BackendError("tcp collectives carry raw array memory, not object arrays")
+        code, shape = 0, ()
+        if array is not None:
+            array = np.asarray(array, order="C")
+            code, shape = _DTYPE_CODE.get(array.dtype, 0), array.shape  # native byte order only
+            if not code or array.ndim > _MAX_NDIM:
+                raise BackendError(
+                    f"tcp collectives carry raw array memory (numbers, at most {_MAX_NDIM} "
+                    f"dimensions), not {array.dtype} arrays of {array.ndim} dimensions"
+                )
         seq = self._seq
         self._seq += 1
-        header = {"kind": "coll", "op": op, "task": self._task, "seq": seq, "rank": self._rank}
-        self._submit({**header, **extra}, [] if array is None else [array])
+        self._submit(_Head(op, reduce, self._task, seq, self._rank, root, code, shape), array)
         return seq
 
     # ------------------------------------------------------ SPMD collectives
     def _allreduce_array(self, array: np.ndarray, op: str) -> np.ndarray:
         if op not in REDUCE_OPS:
             raise BackendError(f"unknown reduction '{op}'; available: {sorted(REDUCE_OPS)}")
-        out = self._await(self._post("allreduce", array, reduce=op))[0]
+        out = self._await(self._post("allreduce", array, reduce=op))
         self.collective_calls["allreduce"] += 1
         self.bytes_communicated += array.nbytes * self._size
         return out
@@ -299,7 +354,7 @@ class _TCPRankView(Communicator):
         if self._rank == root and array is None:
             raise BackendError("bcast root must provide an array")
         contribution = np.asarray(array) if self._rank == root else None
-        out = self._await(self._post("bcast", contribution, root=int(root)))[0]
+        out = self._await(self._post("bcast", contribution, root=int(root)))
         self.collective_calls["bcast"] += 1
         self.bytes_communicated += out.nbytes
         return out
@@ -329,7 +384,7 @@ class _TCPRequest(CommRequest):
     def wait(self) -> np.ndarray:
         if self._done:
             return self._result
-        self._result = self._view._await(self._seq)[0]
+        self._result = self._view._await(self._seq)
         self._done = True
         self._view._nb_pending = None
         self._view.bytes_communicated += self._nbytes * self._view._size
@@ -347,45 +402,48 @@ class _WorkerView(_TCPRankView):
     ) -> None:
         _TCPRankView.__init__(self, rank, size, timeout, chunk_bytes)
         self._sock = sock
-        self._replies: Dict[int, List[np.ndarray]] = {}
+        self._head = memoryview(bytearray(_HEAD.size))
+        self._replies: Dict[int, Optional[np.ndarray]] = {}
         self._aborted: Optional[str] = None
-        sock.settimeout(self._timeout)
+        _bound(sock, self._timeout)
 
     def _begin_task(self, task: int) -> None:
         _TCPRankView._begin_task(self, task)
         self._replies.clear()
         self._aborted = None
 
-    def _submit(self, header: Dict[str, Any], arrays: List[np.ndarray]) -> None:
+    def _submit(self, head: _Head, array: Optional[np.ndarray]) -> None:
         if self._nb_pending is not None:
-            # The hub thread sending us that reply may be this rank's reader:
-            # were we to block in a send while it blocks in one, neither side
-            # would read.  So take the reply off the wire before sending.
+            # Rank 0 sends that reply only once it has read this rank's
+            # contribution; were we to block in a send while it blocks in
+            # one, neither side would read.  So take the reply off the wire
+            # before sending.
             self._fill(self._nb_pending._seq)
-        arrays = [np.asarray(a, order="C") for a in arrays]
         try:
-            _send_frame(self._sock, header, arrays, self._chunk)
+            payload = b"" if array is None else array
+            _send_frame(self._sock, "coll", head, payload, self._chunk)
         except OSError as exc:
             raise BackendError(f"tcp hub connection lost while sending: {exc}") from exc
 
     def _read_frame(self) -> None:
         """Read and route one frame from the hub (reply/abort; stale dropped)."""
         try:
-            header, payload = _recv_frame(self._sock)
-        except socket.timeout as exc:
+            kind, head, payload = _recv_frame(self._sock, self._head)
+        except BlockingIOError as exc:  # the kernel's receive timeout ran out
             raise BackendError(
                 f"tcp collective timed out after {self._timeout}s "
                 "(a rank crashed or stalled)"
             ) from exc
+        except _Malformed as exc:
+            raise BackendError(f"tcp hub sent a malformed frame: {exc}") from exc
         except (OSError, EOFError) as exc:
             raise BackendError(f"tcp hub connection lost: {exc}") from exc
-        kind = header.get("kind")
-        if header.get("task") != self._task:
+        if kind not in ("reply", "abort") or head.task != self._task:
             return  # stale frame from a finished or aborted task
         if kind == "abort":
-            self._aborted = str(header.get("reason", "aborted"))
-        elif kind == "reply":
-            self._replies[int(header["seq"])] = payload
+            self._aborted = payload or "aborted"
+        else:
+            self._replies[head.seq] = payload
 
     def _fill(self, seq: int, block: bool = True) -> bool:
         """Read frames until the reply for ``seq`` is buffered (order-tolerant).
@@ -403,7 +461,7 @@ class _WorkerView(_TCPRankView):
             self._read_frame()
         return True
 
-    def _await(self, seq: int) -> List[np.ndarray]:
+    def _await(self, seq: int) -> Optional[np.ndarray]:
         self._fill(seq)
         return self._replies.pop(seq)
 
@@ -412,7 +470,8 @@ class _WorkerView(_TCPRankView):
 
     def _send_result(self, task: int, ok: bool, result: Any) -> None:
         header = {"kind": "result", "task": int(task), "rank": self._rank, "ok": bool(ok)}
-        _send_frame(self._sock, header, _dumps(result), self._chunk)
+        result = _control(header, _dumps(result))
+        _send_frame(self._sock, "control", _NO_HEAD, result, self._chunk)
 
 
 # --------------------------------------------------------------- handshake
@@ -425,32 +484,35 @@ def _handshake(
     multi-host rendezvous mode).
     """
     host, port = address
+    wait = max(float(timeout), 10.0)
     try:
-        sock = socket.create_connection((host, int(port)), timeout=max(float(timeout), 10.0))
+        sock = socket.create_connection((host, int(port)), timeout=wait)
     except OSError as exc:
         raise BackendError(f"could not reach the tcp rendezvous at {host}:{port}: {exc}") from exc
     try:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(max(float(timeout), 10.0))
-        _send_frame(sock, {"kind": "hello", "rank": rank}, b"", chunk_bytes)
-        header, _ = _recv_frame(sock)
-    except OSError as exc:
+        hello = _control({"kind": "hello", "rank": rank})
+        _send_frame(sock, "control", _NO_HEAD, hello, chunk_bytes)
+        kind, header, _ = _recv_frame(sock, memoryview(bytearray(_HEAD.size)))
+    except (OSError, _Malformed) as exc:
         sock.close()
         raise BackendError(f"tcp rendezvous handshake failed: {exc}") from exc
-    if header.get("kind") != "welcome":
-        reason = header.get("reason", header)
+    if kind != "welcome":
         sock.close()
+        reason = header.get("reason", header) if kind == "reject" else f"a {kind} frame"
         raise BackendError(f"tcp rendezvous rejected the connection: {reason}")
-    chunk_bytes = int(header.get("chunk_bytes", chunk_bytes))
-    return sock, int(header["rank"]), int(header["size"]), chunk_bytes
+    return sock, int(header["rank"]), int(header["size"]), int(header["chunk_bytes"])
 
 
 # --------------------------------------------------------------------- hub
 class _Hub:
-    """Driver-side rendezvous: listener, per-worker readers, round engine.
+    """Driver-side rendezvous: the listener, and rank 0's round engine.
 
-    Rank 0 is the driver itself and has no connection: it :meth:`post`\\ s
-    its contributions and :meth:`await_local`\\ s its replies in-process.
+    Rank 0 is the driver itself and has no connection.  Its thread is the
+    only one that reads or writes worker sockets: it reads them inside a
+    collective (:meth:`await_local`, :meth:`local_ready`), in
+    :meth:`collect` and in :meth:`poll`.  The accept thread (and one
+    short-lived thread per handshake) only admits connections.
     """
 
     def __init__(self, size: int, host: str, port: int, timeout: float, chunk_bytes: int) -> None:
@@ -461,13 +523,13 @@ class _Hub:
         self._listener.settimeout(0.5)
         bound_host, bound_port = self._listener.getsockname()[:2]
         self.address: Tuple[str, int] = (host if host else bound_host, int(bound_port))
-        self._cond = threading.Condition()
+        self._cond = threading.Condition()  # membership: _conns and _dead
         self._conns: List[Optional[socket.socket]] = [None] * self._size  # [0]: never set
-        self._send_locks = [threading.Lock() for _ in range(self._size)]
-        self._queues: List[deque] = [deque() for _ in range(self._size)]
-        self._local: Dict[int, List[np.ndarray]] = {}  # rank 0's replies by seq
-        self._results: Dict[Tuple[int, int], Tuple[bool, Any]] = {}  # by (task, rank)
         self._dead: set = set()
+        self._head = memoryview(bytearray(_HEAD.size))
+        self._queues: List[deque] = [deque() for _ in range(self._size)]
+        self._local: Dict[int, Optional[np.ndarray]] = {}  # rank 0's replies by seq
+        self._results: Dict[int, Tuple[bool, Any]] = {}  # the current task's, by rank
         self._failed: Optional[str] = None
         self._task = 0
         self._closed = False
@@ -491,8 +553,8 @@ class _Hub:
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.settimeout(max(self._timeout, 10.0))
-            header, _ = _recv_frame(sock)
-            if header.get("kind") != "hello":
+            kind, header, _ = _recv_frame(sock, memoryview(bytearray(_HEAD.size)))
+            if kind != "hello":
                 raise ConnectionError("expected a hello frame")
             rank = header.get("rank")
             with self._cond:
@@ -503,67 +565,76 @@ class _Hub:
                     rank = free[0]
                 if rank not in free:
                     reason = f"rank {rank} is not free (free worker ranks of {self._size}: {free})"
-                    _send_frame(sock, {"kind": "reject", "reason": reason}, b"", self._chunk)
+                    reject = _control({"kind": "reject", "reason": reason})
+                    _send_frame(sock, "control", _NO_HEAD, reject, self._chunk)
                     raise ConnectionError(reason)
                 welcome = {"kind": "welcome", "rank": rank, "size": self._size}
-                _send_frame(sock, dict(welcome, chunk_bytes=self._chunk), b"", self._chunk)
-                # The socket timeout bounds every hub-side send and every read
-                # *within* a frame; the reader's idle wait between frames is
-                # not bounded (a quiet worker is not an error).
-                sock.settimeout(self._timeout)
+                welcome = _control(dict(welcome, chunk_bytes=self._chunk))
+                _send_frame(sock, "control", _NO_HEAD, welcome, self._chunk)
+                _bound(sock, self._timeout)
                 self._conns[rank] = sock
                 self._dead.discard(rank)
-                threading.Thread(
-                    target=self._reader, args=(rank, sock), name=f"tcp-hub-read{rank}", daemon=True
-                ).start()
                 self._cond.notify_all()
-        except (OSError, EOFError, pickle.UnpicklingError):
+        except (OSError, EOFError, ValueError, pickle.UnpicklingError, _Malformed):
             sock.close()
 
-    def _reader(self, rank: int, sock: socket.socket) -> None:
-        """Route one worker's frames: collectives into rounds, results up."""
+    def _pump(self, done: Callable[[], bool], timeout: float) -> bool:
+        """Read and route worker frames until ``done()``.
+
+        Returns ``False`` once ``timeout`` seconds pass first; ``timeout=0``
+        reads only what is already on the wire.
+        """
+        deadline = time.monotonic() + timeout
+        while not done():
+            wait = deadline - time.monotonic()
+            live = [sock for sock in self._conns if sock is not None]
+            ready = select.select(live, [], [], max(wait, 0.0))[0]
+            if not ready and wait <= 0.0:
+                return False
+            for sock in ready:
+                if sock in self._conns:  # not dropped by an earlier frame
+                    self._read(self._conns.index(sock), sock)
+        return True
+
+    def _read(self, rank: int, sock: socket.socket) -> None:
+        """Route one frame of worker ``rank``: collectives into rounds, results up."""
         try:
-            while True:
-                select.select([sock], [], [])  # idle between frames is not a timeout
-                header, payload = _recv_frame(sock)
-                if header.get("kind") == "coll":
-                    self.post(rank, header, payload, sock)
-                elif header.get("kind") == "result":
-                    result = (bool(header["ok"]), pickle.loads(payload))
-                    task = int(header["task"])
-                    with self._cond:
-                        self._results[(task, rank)] = result
-                        self._cond.notify_all()
-                        current = task == self._task
-                    if current and not result[0]:
-                        # Its peers may be waiting on a collective it will never post.
-                        self.fail(f"rank {rank} raised an exception")
+            kind, head, payload = _recv_frame(sock, self._head)
+            if kind == "result":
+                task, result = int(head["task"]), (bool(head["ok"]), pickle.loads(payload))
+        except _Malformed as exc:
+            self.fail(f"rank {rank} sent a malformed frame: {exc}")
+            return
         except (OSError, EOFError, ValueError, pickle.UnpicklingError):
-            pass
-        finally:
             self._drop(rank, sock, f"rank {rank} lost its connection")
-            sock.close()
+            return
+        if kind == "coll":
+            self.post(rank, head, payload)
+        elif kind == "result" and task == self._task:
+            self._results[rank] = result
+            if not result[0]:
+                # Its peers may be waiting on a collective it will never post.
+                self.fail(f"rank {rank} raised an exception")
 
     def _drop(self, rank: int, sock: socket.socket, reason: str) -> None:
-        """Shut ``sock`` down; if it was ``rank``'s live connection, fail the task."""
+        """Close ``sock``; if it was ``rank``'s live connection, fail the task."""
         with self._cond:
             current = self._conns[rank] is sock
             if current:
                 self._conns[rank] = None
                 self._dead.add(rank)
                 self._cond.notify_all()
-        _shutdown(sock)
+        _discard(sock)
         if current:
             self.fail(reason)
 
-    def send(self, rank: int, header: Dict[str, Any], payload: Any) -> None:
+    def send(self, rank: int, kind: str, head: _Head, payload: Any) -> None:
         """One frame to worker ``rank``; a failed or timed-out send drops it."""
         conn = self._conns[rank]
         if conn is None:
             raise BackendError(f"rank {rank} is not connected")
         try:
-            with self._send_locks[rank]:  # frames from concurrent rounds must not interleave
-                _send_frame(conn, header, payload, self._chunk)
+            _send_frame(conn, kind, head, payload, self._chunk)
         except OSError as exc:
             # A partial frame poisons the stream, and a worker that stopped
             # reading (full socket buffers) would block every later send too.
@@ -572,135 +643,113 @@ class _Hub:
             raise BackendError(reason) from exc
 
     # ---------------------------------------------------------- round engine
-    def post(
-        self,
-        rank: int,
-        header: Dict[str, Any],
-        arrays: List[np.ndarray],
-        conn: Optional[socket.socket] = None,
-    ) -> None:
+    def post(self, rank: int, head: _Head, array: Optional[np.ndarray]) -> None:
         """Queue one contribution; a round's last arrival completes it here."""
-        with self._cond:
-            stale = header.get("task") != self._task or self._conns[rank] is not conn
-            if stale or self._failed is not None:
-                return  # finished task, superseded connection, or poisoned task
-            self._queues[rank].append((header, arrays))
-            if not all(self._queues):
-                return
-            frames = [queue.popleft() for queue in self._queues]
+        if head.task != self._task or self._failed is not None:
+            return  # a finished task, or a poisoned one
+        self._queues[rank].append((head, array))
+        if not all(self._queues):
+            return
         try:
-            self._complete(frames)
+            self._complete([queue.popleft() for queue in self._queues])
         except Exception as exc:  # noqa: BLE001 - surfaced as an abort
             self.fail(f"collective round failed: {exc}")
 
-    def _complete(self, frames: List[Tuple[Dict[str, Any], List[np.ndarray]]]) -> None:
+    def _complete(self, frames: List[Tuple[_Head, Optional[np.ndarray]]]) -> None:
         """Check agreement, compute the round's result, fan the replies out."""
-        headers = [h for h, _ in frames]
-        issued = {(str(h.get("op")), str(h.get("seq"))) for h in headers}
-        if len(issued) != 1:
-            raise BackendError(f"ranks issued mismatched collectives (op, seq): {sorted(issued)}")
-        op, seq, task = headers[0]["op"], int(headers[0]["seq"]), int(headers[0]["task"])
-        size = self._size
-        parts = [arrays[0] if arrays else None for _, arrays in frames]
-        if op == "allreduce":
-            posted = [(h.get("reduce"), h["arrays"]) for h in headers]
-            if any(p != posted[0] for p in posted):
+        heads = [head for head, _ in frames]
+        first = heads[0]
+        if any(head.op != first.op or head.seq != first.seq for head in heads):
+            issued = sorted({(head.op, head.seq) for head in heads})
+            raise BackendError(f"ranks issued mismatched collectives (op, seq): {issued}")
+        parts = [array for _, array in frames]
+        if first.op == "allreduce":
+            agreed = (first.reduce, first.dtype, first.shape)
+            if any((head.reduce, head.dtype, head.shape) != agreed for head in heads):
+                posted = [(head.reduce, str(_DTYPES[head.dtype]), head.shape) for head in heads]
                 raise BackendError(f"ranks posted mismatched allreduce contributions: {posted}")
             # Rank 0's contribution is its private float64 snapshot, taken
             # at post time: it doubles as the accumulator and the reply.
-            out = parts[0]
-            reduce = headers[0]["reduce"]
+            reply = parts[0]
             for part in parts[1:]:
-                _COMBINE[reduce](out, part, out=out)
-            if reduce == "mean":
-                out /= float(size)
-            replies = [[out]] * size
-        elif op == "bcast":
-            root = parts[int(headers[0]["root"])]
-            if root is None:
+                _COMBINE[first.reduce](reply, part, out=reply)
+            if first.reduce == "mean":
+                reply /= float(self._size)
+        elif first.op == "bcast":
+            reply = parts[first.root]
+            if reply is None:
                 raise BackendError("bcast root provided no array")
-            replies = [[root]] * size
-        elif op == "barrier":
-            replies = [[]] * size
+        elif first.op == "barrier":
+            reply = None
         else:
-            raise BackendError(f"unknown collective op {op!r}")
-        reply = {"kind": "reply", "task": task, "seq": seq, "op": op}
-        for rank in range(1, size):
-            self.send(rank, reply, replies[rank])
+            raise BackendError(f"unknown collective op {first.op!r}")
+        code, shape = (0, ()) if reply is None else (_DTYPE_CODE[reply.dtype], reply.shape)
+        head = _Head(first.op, "", first.task, first.seq, 0, 0, code, shape)
+        for rank in range(1, self._size):
+            self.send(rank, "reply", head, b"" if reply is None else reply)
         # Rank 0 last: it owns (and may mutate) the buffer the workers were sent.
-        with self._cond:
-            if task == self._task and self._failed is None:
-                self._local[seq] = replies[0]
-                self._cond.notify_all()
+        self._local[first.seq] = reply
 
-    def await_local(self, seq: int) -> List[np.ndarray]:
+    def await_local(self, seq: int) -> Optional[np.ndarray]:
         """Rank 0's bounded wait for the reply to its round ``seq``."""
-
-        def ready() -> bool:
-            if seq not in self._local and self._failed is not None:
-                raise BackendError(f"tcp collective aborted: {self._failed}")
-            return seq in self._local
-
-        with self._cond:
-            if not self._cond.wait_for(ready, self._timeout):
-                raise BackendError(
-                    f"tcp collective timed out after {self._timeout}s "
-                    "(a rank crashed or stalled)"
-                )
-            return self._local.pop(seq)
+        if not self._pump(lambda: seq in self._local or self._failed is not None, self._timeout):
+            raise BackendError(
+                f"tcp collective timed out after {self._timeout}s (a rank crashed or stalled)"
+            )
+        if seq not in self._local:
+            raise BackendError(f"tcp collective aborted: {self._failed}")
+        return self._local.pop(seq)
 
     def local_ready(self, seq: int) -> bool:
-        with self._cond:
-            return seq in self._local or self._failed is not None
+        return self._pump(lambda: seq in self._local or self._failed is not None, 0.0)
 
     def fail(self, reason: str) -> None:
         """Poison the current task and tell every live worker."""
-        with self._cond:
-            if self._failed is not None or self._closed:
-                return
-            self._failed = reason
-            for queue in self._queues:
-                queue.clear()
-            abort = {"kind": "abort", "task": self._task, "reason": reason}
-            self._cond.notify_all()
-        self.tell_workers(abort)
+        if self._failed is not None or self._closed:
+            return
+        self._failed = reason
+        for queue in self._queues:
+            queue.clear()
+        self.tell_workers("abort", _NO_HEAD._replace(task=self._task), reason.encode())
 
-    def tell_workers(self, header: Dict[str, Any]) -> None:
-        """Best-effort control frame to every connected worker."""
+    def tell_workers(self, kind: str, head: _Head, payload: bytes) -> None:
+        """Best-effort frame to every connected worker."""
         for rank in range(1, self._size):
             try:
-                self.send(rank, header, b"")
+                self.send(rank, kind, head, payload)
             except BackendError:  # not connected, or just dropped
                 pass
 
     # ------------------------------------------------------------- task API
     def begin_task(self, task: int) -> None:
-        with self._cond:
-            self._task = int(task)
-            self._failed = None
-            self._local.clear()
-            self._results.clear()
-            for queue in self._queues:
-                queue.clear()
+        self._task = int(task)
+        self._failed = None
+        self._local.clear()
+        self._results.clear()
+        for queue in self._queues:
+            queue.clear()
 
-    def collect(self, task: int, deadline: float) -> Dict[int, Tuple[bool, Any]]:
-        """Every worker's ``(ok, result)`` for ``task``, by rank."""
+    def collect(self, deadline: float) -> Dict[int, Tuple[bool, Any]]:
+        """Every worker's ``(ok, result)`` for the current task, by rank."""
         workers = range(1, self._size)
 
-        def ready() -> bool:
-            lost = sorted(r for r in self._dead if (task, r) not in self._results)
+        def done() -> bool:
+            lost = sorted(set(self._dead) - set(self._results))
             if lost:
                 raise BackendError(
                     f"worker rank(s) lost their connection without reporting a result: {lost}"
                 )
-            return all((task, r) in self._results for r in workers)
+            return all(r in self._results for r in workers)
 
-        with self._cond:
-            if not self._cond.wait_for(ready, deadline):
-                raise BackendError(f"timed out after {deadline}s waiting for worker results")
-            return {r: self._results.pop((task, r)) for r in workers}
+        if not self._pump(done, deadline):
+            raise BackendError(f"timed out after {deadline}s waiting for worker results")
+        return {r: self._results.pop(r) for r in workers}
 
     # ------------------------------------------------------------ membership
+    def poll(self) -> None:
+        """Take in what arrived while rank 0 was not reading: an EOF drops its rank."""
+        self._pump(lambda: False, 0.0)
+
     def missing_ranks(self) -> List[int]:
         with self._cond:
             return [r for r in range(1, self._size) if self._conns[r] is None]
@@ -737,7 +786,7 @@ class _Hub:
         except OSError:
             pass
         for conn in conns:
-            _shutdown(conn)
+            _discard(conn)
 
 
 # ------------------------------------------------------------------ workers
@@ -747,10 +796,11 @@ def _worker_loop(view: _WorkerView) -> None:
     while True:
         try:
             select.select([sock], [], [])  # idle between tasks is not a timeout
-            header, payload = _recv_frame(sock)
+            kind, header, payload = _recv_frame(sock, view._head)
+        except _Malformed:
+            continue
         except (OSError, EOFError):
             return
-        kind = header.get("kind")
         if kind == "shutdown":
             return
         if kind != "task":
@@ -873,17 +923,16 @@ class TCPComm(_TCPRankView):
                 )
 
     # ------------------------------------------------- in-process hub link
-    def _submit(self, header: Dict[str, Any], arrays: List[np.ndarray]) -> None:
-        header["arrays"] = _describe(arrays)
-        if arrays:
+    def _submit(self, head: _Head, array: Optional[np.ndarray]) -> None:
+        if array is not None:
             # One snapshot, so the caller's buffer is free on return (the
             # iallreduce contract) and the round's result is caller-owned;
             # for allreduce it is also the hub's float64 accumulator.
-            dtype = np.float64 if header["op"] == "allreduce" else None
-            arrays = [np.array(arrays[0], dtype=dtype, order="C")]
-        self._hub.post(0, header, arrays)
+            dtype = np.float64 if head.op == "allreduce" else None
+            array = np.array(array, dtype=dtype, order="C")
+        self._hub.post(0, head, array)
 
-    def _await(self, seq: int) -> List[np.ndarray]:
+    def _await(self, seq: int) -> Optional[np.ndarray]:
         return self._hub.await_local(seq)
 
     def _ready(self, seq: int) -> bool:
@@ -898,6 +947,7 @@ class TCPComm(_TCPRankView):
             rank_args = [()] * size
         if len(rank_args) != size:
             raise BackendError(f"run expected {size} per-rank arg tuples, got {len(rank_args)}")
+        self._hub.poll()
         missing = self._hub.missing_ranks()
         if missing:
             raise BackendError(
@@ -910,8 +960,8 @@ class TCPComm(_TCPRankView):
         self._hub.begin_task(task_id)
         self._begin_task(task_id)
         for rank in range(1, size):
-            task = _dumps((fn, tuple(rank_args[rank])))
-            self._hub.send(rank, {"kind": "task", "task": task_id}, task)
+            task = _control({"kind": "task", "task": task_id}, _dumps((fn, tuple(rank_args[rank]))))
+            self._hub.send(rank, "control", _NO_HEAD, task)
 
         local_error: Optional[BaseException] = None
         local_result: object = None
@@ -926,7 +976,7 @@ class TCPComm(_TCPRankView):
 
         remote: Dict[int, Tuple[bool, Any]] = {}
         if size > 1:
-            remote = self._hub.collect(task_id, deadline=self._timeout + 5.0)
+            remote = self._hub.collect(deadline=self._timeout + 5.0)
         failures = {rank: payload for rank, (ok, payload) in remote.items() if not ok}
         if local_error is not None and not isinstance(local_error, BackendError):
             raise local_error
@@ -951,6 +1001,7 @@ class TCPComm(_TCPRankView):
         """
         if self._closed:
             return False
+        self._hub.poll()
         for rank in self._hub.missing_ranks():
             proc = self._workers.get(rank)
             if proc is not None:
@@ -970,7 +1021,7 @@ class TCPComm(_TCPRankView):
         self._closed = True
         hub = getattr(self, "_hub", None)
         if hub is not None:
-            hub.tell_workers({"kind": "shutdown"})
+            hub.tell_workers("control", _NO_HEAD, _control({"kind": "shutdown"}))
         for proc in self._workers.values():
             _reap(proc, grace=5.0)
         if hub is not None:

@@ -5,8 +5,8 @@ Shared by ``benchmarks/bench_kernels.py`` (which records the result in the
 holds it against drift).  The same Higgs-sized hidden layer is trained
 through :class:`~repro.backend.distributed.DistributedTrainer` at two
 ranks on the tcp transport, in the competitive mode ``Network.fit`` trains,
-once with the blocking schedule (``comm_overlap="off"``) and once with the
-software-pipelined schedule (``comm_overlap="on"``).  The layer competes
+once with the blocking schedule (``comm_overlap=False``) and once with the
+software-pipelined schedule (``comm_overlap=True``).  The layer competes
 with the deterministic ``softmax`` rule, so both sides reduce the same
 trace-sized statistics payload, and both run the same stale-weights
 tolerance: the comparison isolates the communication schedule.
@@ -31,7 +31,7 @@ def _train_once(
     epochs: int,
     batch_size: int,
     weight_refresh_tol: float,
-    comm_overlap: str,
+    comm_overlap: bool,
     seed: int,
     backend: Optional[str],
 ):
@@ -107,15 +107,15 @@ def measure_comm_overlap(
             density=density, epochs=epochs, batch_size=batch_size,
             weight_refresh_tol=weight_refresh_tol, seed=seed, backend=backend,
         )
-        _train_once(comm, comm_overlap="off", **common)
-        _train_once(comm, comm_overlap="on", **common)
+        _train_once(comm, comm_overlap=False, **common)
+        _train_once(comm, comm_overlap=True, **common)
         blocking_times: List[float] = []
         overlapped_times: List[float] = []
         overlapped_report = None
         for _ in range(int(repeats)):
-            elapsed, _ = _train_once(comm, comm_overlap="off", **common)
+            elapsed, _ = _train_once(comm, comm_overlap=False, **common)
             blocking_times.append(elapsed)
-            elapsed, overlapped_report = _train_once(comm, comm_overlap="on", **common)
+            elapsed, overlapped_report = _train_once(comm, comm_overlap=True, **common)
             overlapped_times.append(elapsed)
     finally:
         comm.close()

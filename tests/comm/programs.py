@@ -147,3 +147,55 @@ def freeze_rank(comm, victim: int = 1, n_elems: int = 1 << 23) -> float:
         comm.iallreduce(arr, op="sum")
         os.kill(os.getpid(), signal.SIGSTOP)
     return float(comm.allreduce(arr, op="sum")[0])
+
+
+FRAME_DTYPES = ("float64", "float32", "int64", "uint8", "bool")
+FRAME_SHAPES = ((), (0,), (5,), (3, 4), (2, 3, 4))
+
+
+def frame_matrix(comm) -> Dict[str, Dict[str, object]]:
+    """Every dtype collectives carry x every shape kind, through both
+    ``allreduce`` and each root's ``bcast``; returns what came back."""
+    out: Dict[str, Dict[str, object]] = {}
+    for dtype in FRAME_DTYPES:
+        for shape in FRAME_SHAPES:
+            arr = (np.arange(int(np.prod(shape))).reshape(shape) + comm.rank) % 3
+            arr = arr.astype(dtype)
+            out[f"{dtype}{shape}"] = {
+                "reduced": comm.allreduce(arr, op="sum"),
+                "broadcasts": [
+                    comm.bcast(arr if comm.rank == root else None, root=root)
+                    for root in range(comm.size)
+                ],
+            }
+    return out
+
+
+def malformed_frame(comm, what: str) -> None:
+    """Rank 1 writes one collective frame whose fixed header lies — an
+    unknown op or dtype code, or a shape that is not its payload — then
+    every rank enters a barrier, which must raise ``BackendError``."""
+    if comm.rank == 1:
+        from repro.comm import tcp
+
+        op, dtype, dims = 1, tcp._DTYPE_CODE[np.dtype(np.float64)], (4,)
+        if what == "op":
+            op = 99
+        elif what == "dtype":
+            dtype = 99
+        else:
+            dims = (5,)  # 40 bytes of float64, but the payload is 32
+        fields = (1, op, 1, dtype, 1, comm._task, comm._seq, 1, 0, 1 << 20, 32, *dims)
+        head = tcp._HEAD.pack(*fields, *tcp._NO_DIMS[1:])
+        comm._sock.sendall(head + bytes(32))
+    comm.barrier()
+
+
+def die_between_collectives(comm, pause: float) -> None:
+    """Rank 1 dies right after a collective while rank 0 computes for
+    ``pause`` s; rank 0's next collective must fail at once."""
+    comm.allreduce(np.ones(4), op="sum")
+    if comm.rank == 1:
+        os._exit(17)
+    time.sleep(pause)
+    comm.allreduce(np.ones(4), op="sum")

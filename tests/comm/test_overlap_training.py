@@ -2,7 +2,7 @@
 
 Contracts under test:
 
-* at ``weight_refresh_tol=0`` every ``comm_overlap`` mode degrades to the
+* at ``weight_refresh_tol=0`` either ``comm_overlap`` value keeps the
   blocking schedule, bit-for-bit (no ``iallreduce`` issued);
 * at ``tol > 0`` the overlapped schedule is transport-invariant — equal
   rank counts produce bitwise-identical traces on thread and tcp
@@ -17,7 +17,7 @@ import pytest
 from repro.backend.distributed import DistributedTrainer
 from repro.comm import SerialComm, TCPComm, ThreadComm
 from repro.core import BCPNNHyperParameters, InputSpec, StructuralPlasticityLayer
-from repro.exceptions import DataError
+from repro.exceptions import BackendError
 
 INPUT_SIZES = [4, 4, 4]
 # epochs=5 with mask_update_period=2 swaps after epochs 1 and 3.
@@ -36,7 +36,7 @@ def tcp_pool():
     comm.close()
 
 
-def _train(comm, x, tol, comm_overlap="auto"):
+def _train(comm, x, tol, comm_overlap=True):
     hyperparams = BCPNNHyperParameters(
         taupdt=0.05, density=0.5, competition="softmax", mask_update_period=2
     )
@@ -55,19 +55,18 @@ def _train(comm, x, tol, comm_overlap="auto"):
 
 
 class TestOverlapSchedule:
-    def test_tol_zero_is_bitwise_blocking_on_every_mode(self, dataset):
+    def test_tol_zero_is_bitwise_blocking_either_way(self, dataset):
         with SerialComm() as comm:
-            reference, _ = _train(comm, dataset, tol=0.0, comm_overlap="off")
-        for mode in ("auto", "on"):
-            with SerialComm() as comm:
-                layer, report = _train(comm, dataset, tol=0.0, comm_overlap=mode)
-            assert np.array_equal(reference.traces.p_ij, layer.traces.p_ij)
-            assert np.array_equal(reference.plasticity.mask, layer.plasticity.mask)
-            assert report.extra["iallreduce_calls"] == 0
+            reference, _ = _train(comm, dataset, tol=0.0, comm_overlap=False)
+        with SerialComm() as comm:
+            layer, report = _train(comm, dataset, tol=0.0, comm_overlap=True)
+        assert np.array_equal(reference.traces.p_ij, layer.traces.p_ij)
+        assert np.array_equal(reference.plasticity.mask, layer.plasticity.mask)
+        assert report.extra["iallreduce_calls"] == 0
 
     def test_overlap_issues_nonblocking_reductions(self, dataset):
         with SerialComm() as comm:
-            _, report = _train(comm, dataset, tol=0.05, comm_overlap="on")
+            _, report = _train(comm, dataset, tol=0.05, comm_overlap=True)
         assert report.extra["iallreduce_calls"] == report.global_batches
 
     def test_equal_rank_counts_are_bitwise_across_transports(self, dataset, tcp_pool):
@@ -93,7 +92,8 @@ class TestOverlapSchedule:
             assert np.array_equal(serial.plasticity.mask, other.plasticity.mask)
             assert np.allclose(serial.forward(probe), other.forward(probe), atol=1e-9)
 
-    def test_invalid_modes_are_rejected(self, dataset):
+    @pytest.mark.parametrize("value", ["on", "off", "auto", 1, None])
+    def test_non_bool_values_are_rejected(self, dataset, value):
         with SerialComm() as comm:
-            with pytest.raises(DataError):
-                _train(comm, dataset, tol=0.0, comm_overlap="yes")
+            with pytest.raises(BackendError, match="comm_overlap must be a bool"):
+                _train(comm, dataset, tol=0.0, comm_overlap=value)

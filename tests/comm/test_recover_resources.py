@@ -4,7 +4,7 @@ Fault-tolerant training may respawn workers many times in one long run.
 Each :meth:`TCPComm.recover` replaces the dead rank's process and
 connection — these tests pin down that the *old* resources are actually
 released: the driver's file-descriptor and hub-thread counts stay flat over
-N cycles instead of growing by a socket or a reader per respawn.
+N cycles instead of growing by a socket or a thread per respawn.
 """
 
 import os
@@ -36,10 +36,11 @@ class TestRecoverResources:
             comm.run(tasks.echo_rank)
 
             baseline_fds = _fd_count()
-            # Rank 0 is in-process: no loopback socket, no reader for it and
-            # no round thread — the listener's accept loop plus one reader
-            # (and one socket) per worker is all the hub ever holds.
-            assert hub_threads() == ["tcp-hub-accept", "tcp-hub-read1"]
+            # Rank 0 is in-process and reads its workers' sockets in its own
+            # thread: no loopback socket and no reader or round thread — the
+            # listener's accept loop plus one socket per worker is all the
+            # hub ever holds.
+            assert hub_threads() == ["tcp-hub-accept"]
 
             for _ in range(CYCLES):
                 with pytest.raises(BackendError):
@@ -48,7 +49,7 @@ class TestRecoverResources:
                 results = comm.run(tasks.echo_rank)
                 assert [r["rank"] for r in results] == [0, 1]
 
-            assert hub_threads() == ["tcp-hub-accept", "tcp-hub-read1"]
+            assert hub_threads() == ["tcp-hub-accept"]
             assert _fd_count() <= baseline_fds + 1
 
     def test_pool_still_healthy_after_cycles(self):
