@@ -48,11 +48,6 @@ METRICS = {
         ("fused_training_backends", "backends", "numpy", "batches_per_second"),
         True,
     ),
-    "comm_overlap_speedup": (("comm_overlap", "speedup"), True),
-    "comm_overlapped_seconds_per_batch": (
-        ("comm_overlap", "overlapped_seconds_per_batch"),
-        False,
-    ),
     "checkpoint_overhead": (("checkpoint_overhead", "overhead"), False),
 }
 

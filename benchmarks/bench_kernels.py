@@ -15,10 +15,7 @@ off-thread entropy, stale-weights caching; see
 :func:`repro.instrumentation.measure_pipelined_training`), times the
 *streaming inference* path (:mod:`repro.serving`) per backend, measures
 per-transport allreduce throughput of the :mod:`repro.comm` communicator
-subsystem (``comm_throughput``), measures *communication-overlapped*
-data-parallel training against the blocking schedule at two tcp ranks
-(``comm_overlap`` — see
-:func:`repro.instrumentation.measure_comm_overlap`), sweeps the *block-sparse execution plan*
+subsystem (``comm_throughput``), sweeps the *block-sparse execution plan*
 against the dense fused path across mask densities
 (``sparse_density_sweep`` — gather-GEMM + packed-slab refresh vs dense
 masked GEMM + full refresh; see
@@ -46,8 +43,6 @@ failed requests), each exiting non-zero below its threshold, plus
 ``--check-committed PATH`` which fails when the committed JSON's speedup
 ratios drift more than ``--drift-tol`` (default ±50%) from the runner's
 fresh measurement — a stale or hand-edited committed JSON cannot land.
-The ``comm_overlap`` section has no threshold of its own: it is recorded,
-and only ``--check-committed`` holds it.
 """
 
 import argparse
@@ -664,22 +659,6 @@ def test_comm_throughput_measured_on_every_transport():
     }
 
 
-def test_comm_overlap_measured():
-    """Overlapped comm training must run and be timed against blocking.
-
-    Asserts structure only: every overlapped batch is reduced by one
-    ``iallreduce``.  No gate holds the speedup; ``--check-committed``
-    holds the recorded ``comm_overlap`` section within ``--drift-tol``.
-    """
-    from repro.instrumentation import measure_comm_overlap
-
-    outcome = measure_comm_overlap(n_samples=1024, epochs=1, repeats=1, timeout=60.0)
-    assert outcome["blocking_seconds_per_batch"] > 0
-    assert outcome["overlapped_seconds_per_batch"] > 0
-    assert outcome["speedup"] > 0
-    assert outcome["overlapped_iallreduce_calls"] == outcome["batches"]
-
-
 def test_streaming_inference_throughput_recorded():
     """The serving path must stream every backend.
 
@@ -745,9 +724,6 @@ def _committed_speedups(payload):
     pipelined = payload.get("pipelined_training")
     if pipelined:
         metrics["pipelined_training.speedup"] = float(pipelined["speedup"])
-    overlap = payload.get("comm_overlap")
-    if overlap:
-        metrics["comm_overlap.speedup"] = float(overlap["speedup"])
     compact = payload.get("streaming_inference", {}).get("backends", {}).get("numpy_uint8_input")
     if compact:
         metrics["streaming_inference.uint8_vs_float64_input"] = float(compact["vs_float64_input"])
@@ -873,7 +849,6 @@ def main(argv=None):
 
     from repro.comm.benchmark import measure_comm_throughput
     from repro.instrumentation import (
-        measure_comm_overlap,
         measure_pipelined_training,
         measure_serving_latency,
         measure_sparse_density_sweep,
@@ -885,7 +860,6 @@ def main(argv=None):
         pipelined = measure_pipelined_training(n_samples=2048, epochs=2, repeats=2)
         serving = measure_streaming_inference(n_samples=4096, repeats=2)
         comm = measure_comm_throughput(ranks=2, repeats=10, warmup=2)
-        overlap = measure_comm_overlap(n_samples=2048, epochs=1, repeats=2)
         sparse = measure_sparse_density_sweep(repeats=3, inner=15, serve_samples=4096)
         latency = measure_serving_latency(n_clients=4, rows_per_request=2, duration=1.0)
         checkpoint = measure_checkpoint_overhead(n_samples=2048, epochs=2, repeats=2)
@@ -895,7 +869,6 @@ def main(argv=None):
         pipelined = measure_pipelined_training()
         serving = measure_streaming_inference()
         comm = measure_comm_throughput(ranks=2, repeats=30, warmup=5)
-        overlap = measure_comm_overlap()
         sparse = measure_sparse_density_sweep()
         latency = measure_serving_latency()
         checkpoint = measure_checkpoint_overhead()
@@ -906,7 +879,6 @@ def main(argv=None):
         "pipelined_training": pipelined,
         "streaming_inference": serving,
         "comm_throughput": comm,
-        "comm_overlap": overlap,
         "sparse_density_sweep": sparse,
         "serving_latency": latency,
         "checkpoint_overhead": checkpoint,

@@ -22,17 +22,16 @@ serial ``train_batch`` loop — on the serial, thread and tcp transports alike
 
 from __future__ import annotations
 
-import functools
 import os
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro import faults, kernels
-from repro.comm import CommRequest, Communicator, split_ranks
+from repro.comm import Communicator, split_ranks
 from repro.engine.pipeline import mean_activation_entropy
 from repro.exceptions import BackendError, DataError
 from repro.utils.logging import get_logger
@@ -189,30 +188,16 @@ def train_layer_program(
     statistically, not bitwise, equivalent across rank counts (the replica
     sync at every epoch boundary bounds their divergence to one epoch).
 
-    Two engine-mirroring options keep the SPMD program aligned with the
-    pipelined serial path:
-
-    * ``options["weight_refresh_tol"]`` — stale-weights caching: the
-      per-batch ``traces_to_weights`` refresh is skipped while the engine's
-      accumulated ``taupdt``-scaled marginal-trace drift stays under the
-      tolerance (:meth:`repro.engine.LayerEngine.should_refresh_weights`,
-      the gate ``train_batch`` uses).  The drift is computed from the
-      *reduced* statistics, which are identical on every rank, and every
-      rank enters with its engine built and its drift account zeroed by
-      the replica sync, so the refresh decisions — and therefore the training
-      — stay rank-invariant.  ``0`` refreshes every batch (exact).
-    * ``options["comm_overlap"]`` (bool) — allows the software-pipelined
-      communication schedule: batch ``k``'s payload is
-      published through a *nonblocking* ``iallreduce`` and batch ``k+1``'s
-      forward + local statistics run **before** waiting on ``k``'s
-      reduction, hiding the collective's latency behind local compute.
-      Batch ``k+1`` therefore forwards on one-batch-stale weights, which is
-      only admissible under the stale-weights contract — overlap engages
-      only when ``weight_refresh_tol > 0``; at ``tol=0`` either value keeps
-      the blocking schedule bit-for-bit.  The decision does not depend on
-      the rank count: the reduced statistics of a global batch are the same
-      for every rank count, so a deferred apply keeps the training bitwise
-      rank-count-invariant.
+    ``options["weight_refresh_tol"]`` mirrors the engine's stale-weights
+    caching: the per-batch ``traces_to_weights`` refresh is skipped while
+    the engine's accumulated ``taupdt``-scaled marginal-trace drift stays
+    under the tolerance (:meth:`repro.engine.LayerEngine.should_refresh_weights`,
+    the gate ``train_batch`` uses).  The drift is computed from the
+    *reduced* statistics, which are identical on every rank, and every rank
+    enters with its engine built and its drift account zeroed by the replica
+    sync, so the refresh decisions — and therefore the training — stay
+    rank-invariant.  ``0`` refreshes every batch (exact).  Either way each
+    batch blocks on its own reduction before the next batch's forward.
 
     Restarts (see :meth:`DistributedTrainer.train_layer`):
 
@@ -248,7 +233,6 @@ def train_layer_program(
     batch_size = int(options["batch_size"])
     shuffle = bool(options["shuffle"])
     tol = float(options.get("weight_refresh_tol", 0.0))
-    overlap = options["comm_overlap"] and tol > 0.0
 
     n = x.shape[0]
     # Build the engine for the largest shard (a full batch's first) before
@@ -327,12 +311,6 @@ def train_layer_program(
         mean_outer /= count
         apply_means(batch.sum(axis=0) / count, counts[0] / count, mean_outer)
 
-    # The in-flight nonblocking reduction of the overlapped schedule: at
-    # most ONE request is outstanding at any time (the tcp transport's
-    # contract), and it never crosses an epoch boundary (drained before
-    # end_epoch reads the traces).
-    pending: Optional[Tuple[CommRequest, Callable[[np.ndarray], None]]] = None
-
     for epoch in range(start_epoch, epochs):
         started = time.perf_counter()
         order = shuffle_rng.permutation(n) if shuffle else np.arange(n)
@@ -384,32 +362,13 @@ def train_layer_program(
                 buf = np.zeros((batch.shape[0], layer.n_hypercolumns))
                 if activations is not None:
                     buf[lo:hi] = activations.winners
-                finish = functools.partial(apply_winners, batch)
+                apply_winners(batch, comm.allreduce(buf, op="sum"))
             else:
                 buf = fill_statistics(local, activations)
-                finish = apply_reduction
+                apply_reduction(comm.allreduce(buf, op="sum"))
             payload_floats = max(payload_floats, buf.size)
-            if overlap:
-                # Software pipeline: this batch's forward and statistics ran
-                # BEFORE waiting on the previous batch's reduction (the
-                # overlap window), so the forward used one-batch-stale
-                # weights — admissible because tol > 0.  The contribution is
-                # captured at iallreduce time, so ``buf`` is free for reuse.
-                if pending is not None:
-                    request, pending_finish = pending
-                    pending = None
-                    pending_finish(request.wait())
-                pending = (comm.iallreduce(buf, op="sum"), finish)
-            else:
-                finish(comm.allreduce(buf, op="sum"))
             layer.batches_trained += 1
             total_batches += 1
-        if pending is not None:
-            # Drain the pipeline: plasticity and the epoch-boundary weight
-            # refresh must observe every applied batch.
-            request, pending_finish = pending
-            pending = None
-            pending_finish(request.wait())
         swaps = layer.end_epoch(epoch)
         total_swaps += int(swaps)
         # Stochastic competition modes draw shard-shaped noise, which
@@ -433,8 +392,8 @@ def train_layer_program(
             }
         )
         if on_epoch_end is not None:
-            # Epoch boundaries are consistent restart points: the pipeline is
-            # drained, the weights fresh and plasticity applied, so this
+            # Epoch boundaries are consistent restart points: every batch is
+            # applied, plasticity has run and the weights are fresh, so this
             # record replays the rest of the run bitwise-identically.
             on_epoch_end(
                 {
@@ -499,7 +458,6 @@ class DistributedTrainer:
         shuffle: bool = True,
         on_epoch_end: Optional[Callable[[Dict[str, object]], None]] = None,
         weight_refresh_tol: float = 0.0,
-        comm_overlap: bool = True,
         max_restarts: int = 2,
         resume: Optional[Dict[str, object]] = None,
     ) -> DistributedEpochReport:
@@ -517,12 +475,6 @@ class DistributedTrainer:
         tolerance for the call, and the layer gets its previous execution
         options back when the call returns.  The report counts this call's
         traffic only, whatever the communicator carried before.
-
-        ``comm_overlap`` allows the overlapped schedule, which engages when
-        ``weight_refresh_tol > 0`` (:func:`train_layer_program` states its
-        contract).  This is the only place it can be set: ``Network.fit``
-        always runs ``True``, and ``False`` exists for the blocking side of
-        the A/B in :mod:`repro.instrumentation.overlap_bench`.
 
         **Restarts.**  At every epoch boundary rank 0 emits one record —
         ``{shuffle_seed, epoch, batches, swaps, epoch_logs, snapshot}``:
@@ -560,8 +512,6 @@ class DistributedTrainer:
             raise DataError("batch_size must be positive")
         if float(weight_refresh_tol) < 0.0:
             raise DataError("weight_refresh_tol must be non-negative")
-        if not isinstance(comm_overlap, bool):
-            raise BackendError(f"comm_overlap must be a bool, got {comm_overlap!r}")
         if int(max_restarts) < 0:
             raise DataError("max_restarts must be non-negative")
         injection = faults.crash_injection_from_plan()
@@ -593,7 +543,7 @@ class DistributedTrainer:
         # The communicator's counters live as long as it does; the report
         # books this call's traffic only.
         calls = self.comm.collective_calls
-        before = (calls["allreduce"], calls["iallreduce"], self.comm.bytes_communicated)
+        before = (calls["allreduce"], self.comm.bytes_communicated)
         previous_options = dict(layer._engine_options)
         winner_payload = _winner_payload(layer, x)
         restarts = 0
@@ -623,7 +573,6 @@ class DistributedTrainer:
                 "batch_size": int(batch_size),
                 "shuffle": bool(shuffle),
                 "weight_refresh_tol": float(weight_refresh_tol),
-                "comm_overlap": comm_overlap,
                 "winner_payload": winner_payload,
                 "record": {k: v for k, v in latest.items() if k != "snapshot"},
                 "rng_layer_state": layer._rng.bit_generator.state,
@@ -667,11 +616,10 @@ class DistributedTrainer:
             ranks=self.comm.size,
             samples=x.shape[0],
             allreduce_calls=calls["allreduce"] - before[0],
-            bytes_communicated=self.comm.bytes_communicated - before[2],
+            bytes_communicated=self.comm.bytes_communicated - before[1],
             swaps=int(report["swaps"]),
             extra={
                 "epoch_logs": list(report["epoch_logs"]),
-                "iallreduce_calls": calls["iallreduce"] - before[1],
                 "restarts": restarts,
             },
         )

@@ -38,8 +38,8 @@ on loopback tcp) — to run data-parallel training / the comm-throughput
 benchmark over a :mod:`repro.comm` transport.  The rank count is part of
 the spec.  ``predict`` and ``serve`` have one path each: the plain tile
 loop in the calling process.
-``--comm help`` prints the capability table (multihost / fault-tolerant /
-nonblocking per transport).  Training over a fault-tolerant transport (tcp,
+``--comm help`` prints the capability table (multihost / fault-tolerant
+per transport).  Training over a fault-tolerant transport (tcp,
 ``process:N`` included) recovers from crashed ranks mid-run with no flag;
 crashes are injected through ``REPRO_FAULTS`` (see :mod:`repro.faults`).
 
@@ -47,8 +47,7 @@ crashes are injected through ``REPRO_FAULTS`` (see :mod:`repro.faults`).
 double-buffered training loop; identical results) and
 ``--weight-refresh-tol TOL`` (stale-weights caching: skip the per-batch
 ``traces_to_weights`` refresh while the accumulated taupdt-scaled trace
-drift stays under TOL; 0 = exact; under ``--comm``, TOL > 0 also overlaps
-each batch's allreduce with the next batch's forward).
+drift stays under TOL; 0 = exact).
 """
 
 from __future__ import annotations
@@ -119,7 +118,6 @@ def _print_comm_help() -> None:
                 "example_spec": caps["spec"],
                 "multihost": "yes" if caps["multihost"] else "no",
                 "fault_tolerant": "yes" if caps["fault_tolerant"] else "no",
-                "nonblocking": "yes" if caps["nonblocking"] else "no",
             }
         )
     print(format_table(rows, title="Available comm transports"))
@@ -138,8 +136,7 @@ _PIPELINE_HELP = (
 _TOL_HELP = (
     "stale-weights tolerance: skip the per-batch traces_to_weights "
     "refresh while the accumulated taupdt-scaled trace drift stays "
-    "under TOL (0 = refresh every batch, exact); under --comm, TOL > 0 "
-    "also overlaps each batch's allreduce with the next batch's forward"
+    "under TOL (0 = refresh every batch, exact)"
 )
 
 

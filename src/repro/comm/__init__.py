@@ -15,20 +15,20 @@ transport      implementation
 ``tcp``        :class:`TCPComm` — socket collectives through a driver-side
                rendezvous hub; worker ranks are OS processes spawned on this
                host (``process:N`` is the loopback spelling) or started on
-               others.  Multi-host, fault tolerant (crashed workers are
-               respawned or re-admitted) and genuinely nonblocking.
+               others.  Multi-host and fault tolerant (crashed workers are
+               respawned or re-admitted).
 ============  ====================================================================
 
 Entry points: :func:`parse_transport_spec` parses spec strings ("thread:4",
 "process:4", "tcp://host:port?ranks=8"); :func:`resolve_comm` /
 :func:`get_communicator` turn them into communicators;
 :func:`transport_capabilities` reports each transport's ``multihost`` /
-``fault_tolerant`` / ``nonblocking`` flags; :meth:`Communicator.run` launches
+``fault_tolerant`` flags; :meth:`Communicator.run` launches
 an SPMD program (rank 0 runs inline in the driver); :mod:`repro.comm.tasks`
 holds reusable module-level SPMD programs.
 """
 
-from repro.comm.base import CommRequest, CompletedRequest, Communicator, REDUCE_OPS, split_ranks
+from repro.comm.base import Communicator, REDUCE_OPS, split_ranks
 from repro.comm.factory import (
     TransportSpec,
     get_communicator,
@@ -43,8 +43,6 @@ from repro.comm.thread import ThreadComm
 
 __all__ = [
     "Communicator",
-    "CommRequest",
-    "CompletedRequest",
     "SerialComm",
     "ThreadComm",
     "TCPComm",

@@ -8,13 +8,6 @@ transport-agnostic.  This module defines that surface:
 * **SPMD collectives** (``allreduce``, ``bcast``, ``barrier``): called
   symmetrically by every rank from inside a :meth:`Communicator.run`
   program, exactly like their mpi4py counterparts.
-* **nonblocking collectives** (``iallreduce``): returns a
-  :class:`CommRequest` immediately so the caller can overlap local compute
-  with the reduction and collect the result with :meth:`CommRequest.wait`.
-  The contribution is *captured at call time* on every transport (reduced
-  eagerly, snapshotted, or put on the wire), so the caller may
-  reuse its buffer as soon as ``iallreduce`` returns — the property the
-  software-pipelined training loop relies on.
 * **rank-0 program launch** (:meth:`Communicator.run`): the driver process is
   rank 0 and executes the program inline; the transport supplies the other
   ranks (threads, OS processes, or nothing for the serial transport).  This
@@ -35,7 +28,7 @@ import numpy as np
 from repro.exceptions import BackendError
 from repro.utils.arrays import split_into_chunks
 
-__all__ = ["Communicator", "CommRequest", "CompletedRequest", "REDUCE_OPS", "split_ranks"]
+__all__ = ["Communicator", "REDUCE_OPS", "split_ranks"]
 
 #: Reduction operators every transport's ``allreduce`` accepts.
 REDUCE_OPS: Tuple[str, ...] = ("sum", "mean", "max", "min")
@@ -61,45 +54,9 @@ def _reduce_in_rank_order(parts: Sequence[np.ndarray], op: str) -> np.ndarray:
     return out
 
 
-class CommRequest(ABC):
-    """Handle for one in-flight nonblocking collective (MPI Request-shaped).
-
-    ``wait()`` blocks until the collective completes and returns its result;
-    calling it again returns the same result without further communication.
-    ``test()`` is a non-blocking completion probe: ``True`` means ``wait()``
-    would return promptly (the result is ready, or every peer has reached
-    the rendezvous).  Requests are single-collective: they are created by
-    ``iallreduce`` and never reused.
-    """
-
-    @abstractmethod
-    def wait(self) -> np.ndarray:
-        """Block until the collective completes; return the reduced array."""
-
-    @abstractmethod
-    def test(self) -> bool:
-        """Whether :meth:`wait` would return without blocking."""
-
-
-class CompletedRequest(CommRequest):
-    """An already-finished request wrapping an eagerly computed result.
-
-    The serial and thread transports (and any transport without a genuinely
-    asynchronous path) complete nonblocking collectives on call and hand the
-    result back through this wrapper, so SPMD programs written against the
-    nonblocking API run unchanged — the overlap window is simply empty.
-    """
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value: np.ndarray) -> None:
-        self._value = value
-
-    def wait(self) -> np.ndarray:
-        return self._value
-
-    def test(self) -> bool:
-        return True
+# Kept bare only because benchmarks/e2e/tracepass.py imports it: delete the two together.
+class CommRequest:
+    pass
 
 
 class Communicator(ABC):
@@ -122,18 +79,12 @@ class Communicator(ABC):
     #: * ``fault_tolerant`` — :meth:`recover` can restore the communicator
     #:   after a failed rank (respawn or re-admission), so the driver may
     #:   retry a program instead of failing the job.
-    #: * ``nonblocking`` — ``iallreduce`` is genuinely split-phase (the
-    #:   overlap window is real); transports without it complete eagerly via
-    #:   :class:`CompletedRequest`, which is semantically identical but
-    #:   hides no latency.
     multihost: bool = False
     fault_tolerant: bool = False
-    nonblocking: bool = False
 
     def __init__(self) -> None:
         self.collective_calls: Dict[str, int] = {
             "allreduce": 0,
-            "iallreduce": 0,
             "bcast": 0,
             "barrier": 0,
             "run": 0,
@@ -204,21 +155,6 @@ class Communicator(ABC):
         boundary by reference).
         """
 
-    def _iallreduce_array(self, array: np.ndarray, op: str) -> CommRequest:
-        """Default nonblocking allreduce: complete eagerly on call.
-
-        Transports with a genuinely split-phase path (tcp rounds) override
-        this; everything else reduces inline and returns a
-        :class:`CompletedRequest`, which is semantically identical — the
-        overlap window is just empty.  The call is re-labelled from
-        ``allreduce`` to ``iallreduce`` in ``collective_calls`` so the
-        benchmark tables count the nonblocking path separately.
-        """
-        out = self._allreduce_array(array, op)
-        self.collective_calls["allreduce"] -= 1
-        self.collective_calls["iallreduce"] += 1
-        return CompletedRequest(out)
-
     # ------------------------------------------------------------ dispatchers
     def allreduce(self, value, op: str = "sum"):
         """SPMD allreduce of one array.
@@ -243,16 +179,6 @@ class Communicator(ABC):
             Unknown ``op`` or a transport rendezvous timeout.
         """
         return self._allreduce_array(np.asarray(value), op)
-
-    def iallreduce(self, value, op: str = "sum") -> CommRequest:
-        """Nonblocking SPMD allreduce; returns a :class:`CommRequest`.
-
-        The contribution is captured at call time, so ``value``'s buffer may
-        be reused immediately.  All ranks must issue their nonblocking
-        collectives in the same order and eventually ``wait()`` on each
-        request (SPMD programs do so by construction).
-        """
-        return self._iallreduce_array(np.asarray(value), op)
 
     # -------------------------------------------------------------- lifecycle
     def recover(self) -> bool:

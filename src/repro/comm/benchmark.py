@@ -56,15 +56,8 @@ def measure_comm_throughput(
     with spawned workers; ``"tcp://host:port?ranks=N"`` works too); a spec's
     embedded rank count wins over ``ranks``.
 
-    Each row also reports the nonblocking path
-    (:func:`repro.comm.tasks.iallreduce_loop`): ``seconds_per_iallreduce``
-    is issue + wait, and ``overlap_window_seconds`` is the part of that
-    latency a training loop can hide behind compute — the time between
-    ``iallreduce`` returning and ``wait()`` completing.
-
     ``e2e_payloads`` holds one more row per transport and payload the
-    end-to-end workloads really reduce (:data:`E2E_PAYLOAD_FLOATS`, blocking
-    allreduce only).
+    end-to-end workloads really reduce (:data:`E2E_PAYLOAD_FLOATS`).
     """
     rows: List[Dict[str, object]] = []
     e2e_rows: List[Dict[str, object]] = []
@@ -85,20 +78,8 @@ def measure_comm_throughput(
             rows.append({"transport": parsed.name, "ranks": n_ranks, "error": str(exc)})
             continue
         try:
-            blocking = _allreduce_row(comm, shape, repeats, warmup)
-            nb_args = [(tuple(shape), repeats, warmup)] * comm.size
-            nb_rank0 = comm.run(tasks.iallreduce_loop, nb_args)[0]
-            nb_seconds = float(nb_rank0["seconds_per_call"])
-            window = max(nb_seconds - float(nb_rank0["issue_seconds"]), 0.0)
-            rows.append(
-                {
-                    "transport": parsed.name,
-                    "ranks": n_ranks,
-                    **blocking,
-                    "seconds_per_iallreduce": nb_seconds,
-                    "overlap_window_seconds": window,
-                }
-            )
+            row = _allreduce_row(comm, shape, repeats, warmup)
+            rows.append({"transport": parsed.name, "ranks": n_ranks} | row)
             for name, floats in E2E_PAYLOAD_FLOATS.items():
                 row = _allreduce_row(comm, (floats,), repeats, warmup)
                 e2e_rows.append({"payload": name, "transport": parsed.name, "ranks": n_ranks} | row)

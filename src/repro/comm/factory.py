@@ -25,7 +25,7 @@ The tcp spec accepts query options: ``ranks``, ``timeout`` (seconds),
 instead of spawning local ones).
 
 :func:`transport_capabilities` reports each constructible transport's
-capability flags (``multihost``, ``fault_tolerant``, ``nonblocking``) so
+capability flags (``multihost``, ``fault_tolerant``) so
 callers — the CLI's ``--comm help`` table, the config validator, serving —
 can reason about what a spec supports without constructing it.
 """
@@ -254,8 +254,7 @@ def list_transports() -> List[str]:
 def transport_capabilities() -> Dict[str, Dict[str, object]]:
     """Capability flags per constructible transport, for tables and validators.
 
-    Returns a mapping ``name -> {multihost, fault_tolerant, nonblocking,
-    spec}`` where ``spec`` is an example spec string sized at 4 ranks.
+    Returns a mapping ``name -> {multihost, fault_tolerant, spec}`` where ``spec`` is an example spec string sized at 4 ranks.
     """
     examples = {
         "serial": "serial",
@@ -268,7 +267,6 @@ def transport_capabilities() -> Dict[str, Dict[str, object]]:
         table[name] = {
             "multihost": bool(cls.multihost),
             "fault_tolerant": bool(cls.fault_tolerant),
-            "nonblocking": bool(cls.nonblocking),
             "spec": examples[name],
         }
     return table

@@ -4,10 +4,6 @@ Every collective returns (a copy of) the caller's own contribution, so the
 same SPMD program that scales over threads or processes runs unchanged —
 and bit-for-bit identically — on a single rank.  This is the reference
 against which the rank-invariance tests compare the parallel transports.
-
-Nonblocking collectives complete on call (the base-class eager default):
-with a single rank there is nothing to overlap, so ``iallreduce`` returns
-an already-finished :class:`~repro.comm.base.CompletedRequest`.
 """
 
 from __future__ import annotations

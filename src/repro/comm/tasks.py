@@ -21,10 +21,7 @@ import numpy as np
 __all__ = [
     "echo_rank",
     "collective_checks",
-    "iallreduce_checks",
-    "iallreduce_outstanding_error",
     "allreduce_loop",
-    "iallreduce_loop",
     "chunked_allreduce_checks",
     "crash_rank",
     "crash_rank_chunked",
@@ -63,43 +60,8 @@ def collective_checks(comm, n_cols: int = 3) -> Dict[str, object]:
     }
 
 
-def iallreduce_checks(comm, n_cols: int = 5, rounds: int = 4) -> Dict[str, object]:
-    """Exercise the nonblocking allreduce path; return what this rank saw.
-
-    Issues ``rounds`` back-to-back ``iallreduce`` calls, overwrites the local
-    contribution buffer *after* each call returns (the capture-at-call-time
-    contract), and checks ``wait()`` idempotency plus ``test()`` after
-    completion.
-    """
-    rank, size = comm.rank, comm.size
-    results = []
-    buf = np.empty(n_cols, dtype=np.float64)
-    for round_no in range(rounds):
-        buf[:] = float(rank + 1) * (round_no + 1)
-        request = comm.iallreduce(buf, op="sum")
-        buf[:] = -1.0  # caller may reuse the buffer immediately
-        out = request.wait()
-        again = request.wait()  # idempotent: same result, no extra rendezvous
-        results.append(
-            {
-                "value": float(out[0]),
-                "same": bool(np.array_equal(out, again)),
-                "done": bool(request.test()),
-            }
-        )
-    maxed = comm.iallreduce(np.full(n_cols, float(rank)), op="max").wait()
-    return {
-        "rank": rank,
-        "size": size,
-        "rounds": results,
-        "maxed": float(maxed[0]),
-        "iallreduce_calls": comm.collective_calls["iallreduce"],
-        "allreduce_calls": comm.collective_calls["allreduce"],
-    }
-
-
 def chunked_allreduce_checks(comm, n_elems: int = 23) -> Dict[str, object]:
-    """Round-trip blocking + nonblocking allreduces sized around the chunk cap.
+    """Round-trip allreduces sized around the chunk cap.
 
     Meant to run on a ``TCPComm`` constructed with a tiny ``chunk_bytes`` so
     payloads of ``n_elems`` float64s travel as many chunks (including a
@@ -113,44 +75,14 @@ def chunked_allreduce_checks(comm, n_elems: int = 23) -> Dict[str, object]:
     )
     empty = comm.allreduce(np.empty(0, dtype=np.float64), op="sum")
     single = comm.allreduce(np.array([float(rank)], dtype=np.float64), op="sum")
-    nonblocking = comm.iallreduce(big, op="sum").wait()
     return {
         "rank": rank,
         "reduced": reduced,
         "matrix_max": float(matrix[0, 0]),
         "empty_size": int(empty.size),
         "single": float(single[0]),
-        "nonblocking_matches": bool(np.array_equal(nonblocking, reduced)),
         "expected": np.arange(n_elems, dtype=np.float64) * size
         + float(sum(range(size))),
-    }
-
-
-def iallreduce_outstanding_error(comm, n_cols: int = 4) -> Dict[str, object]:
-    """Check the one-outstanding-request contract of the tcp transport.
-
-    Issues a second ``iallreduce`` while the first is still in flight.  On
-    the tcp transport that must raise immediately (exactly one outstanding
-    reduction per rank); the eagerly-completing transports accept it.
-    Every rank then waits the pending request(s), keeping the rendezvous
-    schedule aligned.
-    """
-    from repro.exceptions import BackendError
-
-    first = comm.iallreduce(np.full(n_cols, float(comm.rank)), op="sum")
-    rejected = False
-    second = None
-    try:
-        second = comm.iallreduce(np.ones(n_cols, dtype=np.float64), op="sum")
-    except BackendError:
-        rejected = True
-    out = first.wait()
-    if second is not None:
-        second.wait()
-    return {
-        "rank": comm.rank,
-        "rejected": rejected,
-        "value": float(out[0]),
     }
 
 
@@ -190,40 +122,6 @@ def allreduce_loop(
         "rank": comm.rank,
         "seconds_per_call": min(seconds),
         "p50_seconds_per_call": float(np.median(seconds)),
-        "nbytes": float(arr.nbytes),
-    }
-
-
-def iallreduce_loop(
-    comm, shape, repeats: int = 20, warmup: int = 3, dtype: str = "float64"
-) -> Dict[str, float]:
-    """Time ``repeats`` nonblocking allreduces of one ``shape`` array.
-
-    Reports two figures per call: the *issue* time (how long ``iallreduce``
-    takes to return — the latency the training loop pays inside its compute
-    window) and the *total* time (issue + ``wait``).  The gap between the
-    two is the overlap window the nonblocking path opens up.
-    """
-    arr = np.full(shape, float(comm.rank + 1), dtype=np.dtype(dtype))
-    expected = float(sum(range(1, comm.size + 1)))
-    for _ in range(warmup):
-        out = comm.iallreduce(arr, op="sum").wait()
-    best_issue = float("inf")
-    best_total = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        request = comm.iallreduce(arr, op="sum")
-        issued = time.perf_counter()
-        out = request.wait()
-        done = time.perf_counter()
-        best_issue = min(best_issue, issued - start)
-        best_total = min(best_total, done - start)
-    if not np.allclose(out, expected):  # correctness guard on every rank
-        raise AssertionError(f"iallreduce produced {out.flat[0]!r}, expected {expected!r}")
-    return {
-        "rank": comm.rank,
-        "seconds_per_call": best_total,
-        "issue_seconds": best_issue,
         "nbytes": float(arr.nbytes),
     }
 

@@ -23,10 +23,6 @@ transports), send that one reply buffer to every worker and keep it.
   its next collective), and every wait is bounded by ``timeout``.  Either
   way the hub broadcasts an ``abort`` frame and every surviving rank raises
   :class:`~repro.exceptions.BackendError` from its next or pending collective.
-* **Nonblocking collectives** — ``iallreduce`` is genuinely split-phase:
-  the contribution is captured at call time (a worker's goes on the wire,
-  rank 0's is snapshotted) and ``wait()`` collects the reply; at most one
-  request may be outstanding per rank.
 * **Fault tolerance** — the rendezvous listener stays open for the
   communicator's whole life.  :meth:`TCPComm.recover` respawns locally
   spawned workers (or waits for an external worker to reconnect and claim
@@ -59,7 +55,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import faults
-from repro.comm.base import REDUCE_OPS, CommRequest, Communicator
+from repro.comm.base import REDUCE_OPS, Communicator
 from repro.exceptions import BackendError
 
 __all__ = ["TCPComm"]
@@ -253,16 +249,14 @@ def _discard(sock: socket.socket) -> None:
 class _TCPRankView(Communicator):
     """One rank's collectives; subclasses supply the link to the hub.
 
-    The link is three methods: ``_submit(head, array)`` delivers this
-    rank's contribution to a round, ``_await(seq)`` blocks (bounded by
-    ``timeout``) for that round's reply, and ``_ready(seq)`` probes for it
-    without blocking.
+    The link is two methods: ``_submit(head, array)`` delivers this rank's
+    contribution to a round, and ``_await(seq)`` blocks (bounded by
+    ``timeout``) for that round's reply.
     """
 
     transport = "tcp"
     multihost = True
     fault_tolerant = True
-    nonblocking = True
 
     #: Worker views always run inside a program; the driver (TCPComm)
     #: toggles this in :meth:`TCPComm.run`, so a driver-side SPMD collective
@@ -280,7 +274,6 @@ class _TCPRankView(Communicator):
         # aborted task can never be confused with the current one.
         self._task = 0
         self._seq = 0
-        self._nb_pending: Optional["_TCPRequest"] = None
 
     # ------------------------------------------------------------- identity
     @property
@@ -298,7 +291,6 @@ class _TCPRankView(Communicator):
     def _begin_task(self, task: int) -> None:
         self._task = int(task)
         self._seq = 0
-        self._nb_pending = None
 
     def _post(
         self, op: str, array: Optional[np.ndarray] = None, reduce: str = "", root: int = 0
@@ -332,22 +324,6 @@ class _TCPRankView(Communicator):
         self.bytes_communicated += array.nbytes * self._size
         return out
 
-    def _iallreduce_array(self, array: np.ndarray, op: str) -> CommRequest:
-        if op not in REDUCE_OPS:
-            raise BackendError(f"unknown reduction '{op}'; available: {sorted(REDUCE_OPS)}")
-        if self._nb_pending is not None:
-            raise BackendError(
-                "a nonblocking collective is already outstanding on this rank; "
-                "wait() on it before issuing the next one"
-            )
-        # Genuinely split-phase: the contribution is captured now (on the
-        # wire, or snapshotted on rank 0), the reply is collected in wait()
-        # — local compute overlaps the reduction.
-        request = _TCPRequest(self, self._post("allreduce", array, reduce=op), array.nbytes)
-        self._nb_pending = request
-        self.collective_calls["iallreduce"] += 1
-        return request
-
     def bcast(self, array: Optional[np.ndarray], root: int = 0) -> np.ndarray:
         if not 0 <= root < self._size:
             raise BackendError(f"root {root} out of range for size {self._size}")
@@ -362,36 +338,6 @@ class _TCPRankView(Communicator):
     def barrier(self) -> None:
         self._await(self._post("barrier"))
         self.collective_calls["barrier"] += 1
-
-
-class _TCPRequest(CommRequest):
-    """In-flight nonblocking allreduce on the tcp transport.
-
-    The contribution was captured at ``iallreduce`` time (a worker's is on
-    the wire, rank 0's was snapshotted), so the caller's buffer is
-    immediately reusable; ``wait()`` collects the hub's reply.
-    """
-
-    __slots__ = ("_view", "_seq", "_nbytes", "_result", "_done")
-
-    def __init__(self, view: _TCPRankView, seq: int, nbytes: int) -> None:
-        self._view = view
-        self._seq = seq
-        self._nbytes = int(nbytes)
-        self._result: Optional[np.ndarray] = None
-        self._done = False
-
-    def wait(self) -> np.ndarray:
-        if self._done:
-            return self._result
-        self._result = self._view._await(self._seq)
-        self._done = True
-        self._view._nb_pending = None
-        self._view.bytes_communicated += self._nbytes * self._view._size
-        return self._result
-
-    def test(self) -> bool:
-        return self._done or self._view._ready(self._seq)
 
 
 class _WorkerView(_TCPRankView):
@@ -413,12 +359,6 @@ class _WorkerView(_TCPRankView):
         self._aborted = None
 
     def _submit(self, head: _Head, array: Optional[np.ndarray]) -> None:
-        if self._nb_pending is not None:
-            # Rank 0 sends that reply only once it has read this rank's
-            # contribution; were we to block in a send while it blocks in
-            # one, neither side would read.  So take the reply off the wire
-            # before sending.
-            self._fill(self._nb_pending._seq)
         try:
             payload = b"" if array is None else array
             _send_frame(self._sock, "coll", head, payload, self._chunk)
@@ -445,28 +385,13 @@ class _WorkerView(_TCPRankView):
         else:
             self._replies[head.seq] = payload
 
-    def _fill(self, seq: int, block: bool = True) -> bool:
-        """Read frames until the reply for ``seq`` is buffered (order-tolerant).
-
-        ``block=False`` only drains what is already on the wire and reports
-        whether ``_await`` would return promptly — an abort counts: it raises.
-        """
+    def _await(self, seq: int) -> Optional[np.ndarray]:
+        """Read frames until the reply for ``seq`` arrives (order-tolerant)."""
         while seq not in self._replies:
             if self._aborted is not None:
-                if block:
-                    raise BackendError(f"tcp collective aborted: {self._aborted}")
-                return True
-            if not block and not select.select([self._sock], [], [], 0)[0]:
-                return False
+                raise BackendError(f"tcp collective aborted: {self._aborted}")
             self._read_frame()
-        return True
-
-    def _await(self, seq: int) -> Optional[np.ndarray]:
-        self._fill(seq)
         return self._replies.pop(seq)
-
-    def _ready(self, seq: int) -> bool:
-        return self._fill(seq, block=False)
 
     def _send_result(self, task: int, ok: bool, result: Any) -> None:
         header = {"kind": "result", "task": int(task), "rank": self._rank, "ok": bool(ok)}
@@ -510,8 +435,8 @@ class _Hub:
 
     Rank 0 is the driver itself and has no connection.  Its thread is the
     only one that reads or writes worker sockets: it reads them inside a
-    collective (:meth:`await_local`, :meth:`local_ready`), in
-    :meth:`collect` and in :meth:`poll`.  The accept thread (and one
+    collective (:meth:`await_local`), in :meth:`collect` and in
+    :meth:`poll`.  The accept thread (and one
     short-lived thread per handshake) only admits connections.
     """
 
@@ -699,9 +624,6 @@ class _Hub:
         if seq not in self._local:
             raise BackendError(f"tcp collective aborted: {self._failed}")
         return self._local.pop(seq)
-
-    def local_ready(self, seq: int) -> bool:
-        return self._pump(lambda: seq in self._local or self._failed is not None, 0.0)
 
     def fail(self, reason: str) -> None:
         """Poison the current task and tell every live worker."""
@@ -925,18 +847,14 @@ class TCPComm(_TCPRankView):
     # ------------------------------------------------- in-process hub link
     def _submit(self, head: _Head, array: Optional[np.ndarray]) -> None:
         if array is not None:
-            # One snapshot, so the caller's buffer is free on return (the
-            # iallreduce contract) and the round's result is caller-owned;
-            # for allreduce it is also the hub's float64 accumulator.
+            # One snapshot, so the round's result is caller-owned; for
+            # allreduce it is also the hub's float64 accumulator.
             dtype = np.float64 if head.op == "allreduce" else None
             array = np.array(array, dtype=dtype, order="C")
         self._hub.post(0, head, array)
 
     def _await(self, seq: int) -> Optional[np.ndarray]:
         return self._hub.await_local(seq)
-
-    def _ready(self, seq: int) -> bool:
-        return self._hub.local_ready(seq)
 
     # --------------------------------------------------------- program launch
     def run(self, fn: Callable, rank_args: Optional[Sequence[tuple]] = None) -> List[object]:

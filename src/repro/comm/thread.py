@@ -11,13 +11,6 @@ the fast CI-friendly middle rung of the serial → thread → tcp ladder.
 
 Reduction is performed independently by every rank in rank order, so all
 ranks observe identical, deterministic results.
-
-Nonblocking collectives complete on call (the base-class eager default):
-the contribution slots are shared and recycled at the next collective, so a
-reduction must finish inside its own exchange window — splitting the phases
-would buy nothing because the ranks already overlap through the GIL-free
-BLAS kernels.  ``iallreduce`` therefore reduces inline and returns a
-finished :class:`~repro.comm.base.CompletedRequest`.
 """
 
 from __future__ import annotations

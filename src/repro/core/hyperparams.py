@@ -158,9 +158,8 @@ class TrainingSchedule:
     per-batch ``traces_to_weights`` refresh is skipped while the accumulated
     ``taupdt``-scaled trace drift stays under the tolerance.  ``0`` (the
     default) refreshes every batch — exact training; ``> 0`` trades bounded
-    weight staleness for throughput.  Under a communicator it also decides
-    the allreduce schedule: ``> 0`` overlaps each batch's statistics
-    allreduce with the next batch's forward, ``0`` blocks.
+    weight staleness for throughput.  It gates only the weight refresh:
+    under a communicator every batch still blocks on its own allreduce.
 
     Hidden layers whose mask density is at or below
     :data:`repro.kernels.SPARSE_DENSITY_THRESHOLD` run the block-sparse

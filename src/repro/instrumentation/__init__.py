@@ -2,7 +2,6 @@
 
 from repro.instrumentation.timers import Timer, RepeatTimer, TimingStatistics
 from repro.instrumentation.flops import BCPNNCostModel, CostBreakdown
-from repro.instrumentation.overlap_bench import measure_comm_overlap
 from repro.instrumentation.pipeline_bench import measure_pipelined_training
 from repro.instrumentation.reports import format_table, format_comparison, dump_json_report
 from repro.instrumentation.serving_bench import measure_serving_latency
@@ -17,7 +16,6 @@ __all__ = [
     "format_table",
     "format_comparison",
     "dump_json_report",
-    "measure_comm_overlap",
     "measure_pipelined_training",
     "measure_serving_latency",
     "measure_sparse_density_sweep",

@@ -161,8 +161,6 @@ class TestDistributedTrainer:
         first, second = reports
         assert second.allreduce_calls == first.allreduce_calls
         assert second.bytes_communicated == first.bytes_communicated > 0
-        assert second.extra["iallreduce_calls"] == first.extra["iallreduce_calls"]
-        assert (first.extra["iallreduce_calls"] > 0) == (weight_refresh_tol > 0)
 
     def test_execution_options_are_restored(self, small_input_spec, data):
         """The program runs the layer's engine at the call's tolerance and
@@ -285,11 +283,24 @@ class TestDistributedTrainer:
             DistributedTrainer("not-a-comm")
 
 
+# At a tolerance large enough for the drift gate to skip refreshes at an epoch
+# boundary, the program's engine enters already refreshed by the replica sync
+# (the serial loop's fresh engine forces one more refresh after its first
+# batch) and the per-epoch sync refreshes the weights (the serial loop's
+# ``end_epoch`` does not), so the two forward on different weights.
+_BOUNDARY_REFRESH = pytest.mark.xfail(
+    strict=True,
+    reason="the program's epoch-boundary weight refreshes differ from the serial loop's",
+)
+TOLERANCES = [0.0, 1e-4, pytest.param(0.02, marks=_BOUNDARY_REFRESH)]
+
+
 class TestFrozenMaskMatchesSerial:
     """With the mask frozen for the whole run (``mask_update_period`` beyond
     the epoch count) the SPMD program trains what the serial loop trains,
-    silent joint-trace entries included: the message-passing version
-    computes what the sequential algorithm computes."""
+    silent joint-trace entries included, with or without stale-weights
+    caching: the message-passing version computes what the sequential
+    algorithm computes."""
 
     EPOCHS, BATCH = 3, 32
 
@@ -301,36 +312,39 @@ class TestFrozenMaskMatchesSerial:
         layer.build(InputSpec.uniform(10, 4))
         return layer
 
-    def _serial(self, competition, x):
+    def _serial(self, competition, x, tol):
         layer = self._layer(competition)
+        layer.configure_execution(weight_refresh_tol=tol)
         for epoch in range(self.EPOCHS):
             for start in range(0, x.shape[0], self.BATCH):
                 layer.train_batch(x[start : start + self.BATCH])
             layer.end_epoch(epoch)
         return layer
 
-    def _spmd(self, competition, x, comm):
+    def _spmd(self, competition, x, comm, tol):
         layer = self._layer(competition)
         with comm:
             DistributedTrainer(comm).train_layer(
                 layer, x, epochs=self.EPOCHS, batch_size=self.BATCH, rng=as_rng(0),
-                shuffle=False,
+                shuffle=False, weight_refresh_tol=tol,
             )
         return layer
 
+    @pytest.mark.parametrize("tol", TOLERANCES)
     @pytest.mark.parametrize("competition", ["sample", "softmax"])
-    def test_one_rank_equals_the_serial_loop(self, competition):
+    def test_one_rank_equals_the_serial_loop(self, competition, tol):
         x = _one_hot(128, 10, 4, seed=3)
-        serial = self._serial(competition, x)
-        spmd = self._spmd(competition, x, SerialComm())
+        serial = self._serial(competition, x, tol)
+        spmd = self._spmd(competition, x, SerialComm(), tol)
         assert 0.0 < serial.plasticity.mask.mean() < 1.0
         for name in ("p_i", "p_j", "p_ij"):
             assert np.array_equal(getattr(spmd.traces, name), getattr(serial.traces, name))
 
-    def test_two_softmax_ranks_match_the_serial_loop(self):
+    @pytest.mark.parametrize("tol", TOLERANCES)
+    def test_two_softmax_ranks_match_the_serial_loop(self, tol):
         x = _one_hot(128, 10, 4, seed=3)
-        serial = self._serial("softmax", x)
-        spmd = self._spmd("softmax", x, ThreadComm(2))
+        serial = self._serial("softmax", x, tol)
+        spmd = self._spmd("softmax", x, ThreadComm(2), tol)
         for name in ("p_i", "p_j", "p_ij"):
             assert np.allclose(
                 getattr(spmd.traces, name), getattr(serial.traces, name), atol=1e-9
@@ -374,7 +388,6 @@ class TestProgramAllocations:
                 return call
 
             comm.allreduce = probed(comm.allreduce)
-            comm.iallreduce = probed(comm.iallreduce)
             tracemalloc.start()
             try:
                 DistributedTrainer(comm).train_layer(

@@ -7,7 +7,7 @@ Contracts under test:
   trace-shaped statistics payload (the reference: the same run with the
   payload decision patched off) — on every transport, for remainder
   batches, batches under the counting threshold, batches with fewer rows
-  than ranks, the overlapped ``iallreduce`` schedule and crash recovery;
+  than ranks, stale-weights caching and crash recovery;
 * real-valued inputs and the other competition modes keep the statistics
   payload;
 * the traffic of a fit is the fixed broadcasts plus ``B * n_hcu`` floats
@@ -94,7 +94,7 @@ CELLS = {
     "remainder": dict(n=230, batch_size=48),
     "under-count-threshold": dict(n=100, batch_size=20),
     "fewer-rows-than-ranks": dict(n=7, batch_size=1),
-    "overlapped": dict(n=192, batch_size=48, tol=0.02),
+    "stale-weights": dict(n=192, batch_size=48, tol=0.02),
     "frozen-mask-tail": dict(n=192, batch_size=48, period=2),
 }
 
@@ -114,8 +114,6 @@ def test_winner_payload_equals_the_statistics_payload(monkeypatch, request, tran
     subject = train()
     reference = _dense_reference(monkeypatch, train)
     _assert_same_fit(subject, reference, x)
-    if options.get("tol"):
-        assert subject[1].extra["iallreduce_calls"] == subject[1].global_batches
 
 
 @pytest.mark.parametrize("tol", [0.0, 0.02])

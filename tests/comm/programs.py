@@ -46,13 +46,11 @@ def dtype_shape_checks(comm) -> Dict[str, Dict[str, object]]:
 
 
 def ownership_checks(comm, n_elems: int = 4096) -> Dict[str, bool]:
-    """Results are caller-owned and inputs are captured, never aliased.
+    """Results are caller-owned and inputs are never aliased.
 
     A later collective must not change an earlier result (even when the
-    caller scribbles on the later one), a root's input must not alias its
-    result (whether the root is rank 0 or a worker), and a contribution
-    overwritten right after ``iallreduce`` returns must still reduce to the
-    value it held at call time.
+    caller scribbles on the later one), and a root's input must not alias
+    its result (whether the root is rank 0 or a worker).
     """
     rank, size = comm.rank, comm.size
     mine = np.full(n_elems, float(rank + 1))
@@ -76,17 +74,40 @@ def ownership_checks(comm, n_elems: int = 4096) -> Dict[str, bool]:
     comm.bcast(own * 5.0 if rank == last else None, root=last)[:] = -1.0
     relayed_ok = bool(np.all(relayed == float(size))) and not np.shares_memory(relayed, own)
 
-    buf = mine.copy()
-    request = comm.iallreduce(buf, op="sum")
-    buf[:] = -1.0  # free on return, on rank 0 as much as on the workers
-    capture_ok = bool(np.all(request.wait() == total))
-
     return {
         "allreduce": allreduce_ok,
         "bcast": bcast_ok,
         "bcast_from_last": relayed_ok,
-        "capture": capture_ok,
         "input_untouched": bool(np.all(mine == rank + 1.0)),
+    }
+
+
+def array_like_checks(comm) -> Dict[str, object]:
+    """Lists and Python scalars are a rank's contribution, as arrays are."""
+    rank = comm.rank
+    return {
+        "list": comm.allreduce([float(rank), 1.0], op="sum"),
+        "scalar": comm.allreduce(float(rank), op="max"),
+        "bcast": comm.bcast([1.0, 2.0] if rank == 0 else None, root=0),
+    }
+
+
+def reused_buffer_rounds(comm, n_elems: int = 300, rounds: int = 4) -> Dict[str, object]:
+    """Back-to-back allreduces from one contribution buffer.
+
+    Round ``r`` contributes ``(rank + 1) * (r + 1)`` and overwrites the buffer
+    as soon as the call returns, so every round must reduce the value it held
+    at call time and no round's result may change under a later one.
+    """
+    buf = np.empty(n_elems, dtype=np.float64)
+    results = []
+    for round_no in range(rounds):
+        buf[:] = float(comm.rank + 1) * (round_no + 1)
+        results.append(comm.allreduce(buf, op="sum"))
+        buf[:] = -1.0
+    return {
+        "values": [float(r[0]) for r in results],
+        "flat": [bool(np.all(r == r[0])) for r in results],
     }
 
 
@@ -144,7 +165,7 @@ def freeze_rank(comm, victim: int = 1, n_elems: int = 1 << 23) -> float:
     """
     arr = np.ones(n_elems, dtype=np.float64)
     if comm.rank == victim:
-        comm.iallreduce(arr, op="sum")
+        comm._post("allreduce", arr, reduce="sum")  # on the wire; the reply is never read
         os.kill(os.getpid(), signal.SIGSTOP)
     return float(comm.allreduce(arr, op="sum")[0])
 

@@ -1,8 +1,7 @@
 """Transport-conformance suite: one contract, every transport.
 
 Every :class:`~repro.comm.Communicator` must present *identical* collective
-semantics, honour the one-outstanding ``iallreduce`` contract, survive
-chunked payloads at tiny chunk caps, and turn a crashed rank into a
+semantics, survive chunked payloads at tiny chunk caps, and turn a crashed rank into a
 :class:`~repro.exceptions.BackendError` instead of a hang.  The suite runs
 the same SPMD programs (:mod:`repro.comm.tasks`) over serial, thread and
 tcp, so a new transport passes or fails the whole matrix at once.
@@ -79,30 +78,6 @@ class TestCollectiveConformance:
             assert np.allclose(r["broadcast"], [0.0, 1.0, 2.0])
             assert r["int_ranks"] == list(range(comm.size))
 
-    def test_iallreduce_capture_and_idempotency(self, comm):
-        """Nonblocking reductions capture at call time; wait() is idempotent."""
-        results = comm.run(tasks.iallreduce_checks)
-        rank_sum = float(sum(range(1, comm.size + 1)))
-        for r in results:
-            for round_no, round_result in enumerate(r["rounds"]):
-                assert round_result["value"] == rank_sum * (round_no + 1)
-                assert round_result["same"] and round_result["done"]
-            assert r["maxed"] == float(comm.size - 1)
-
-    def test_iallreduce_one_outstanding_contract(self, comm):
-        """A second in-flight iallreduce either completes or raises — never corrupts.
-
-        The rendezvous transport (tcp) supports exactly one outstanding
-        reduction per rank and must reject the second *call*; the
-        eagerly-completing transports accept it.  Either way the first
-        request's value must be exact on every rank.
-        """
-        results = comm.run(tasks.iallreduce_outstanding_error)
-        expected_reject = comm.transport == "tcp"
-        for r in results:
-            assert r["rejected"] == expected_reject
-            assert r["value"] == float(sum(range(comm.size)))
-
     def test_dtype_and_shape_fidelity(self, comm):
         """0-d, empty, strided, Fortran-order, bool and integer arrays come
         back from ``allreduce`` and every root's ``bcast`` exactly as sent."""
@@ -128,13 +103,27 @@ class TestCollectiveConformance:
                     assert part.flags.writeable
 
     def test_results_are_caller_owned(self, comm):
-        """Call k's result survives call k+1; contributions are captured.
+        """Call k's result survives call k+1; inputs are never aliased.
 
         Data-parallel training divides the reduced statistics in place, so
         every transport must hand back memory nobody else reads.
         """
         for r in comm.run(programs.ownership_checks):
             assert all(r.values()), r
+
+    def test_array_likes_are_contributions(self, comm):
+        for r in comm.run(programs.array_like_checks):
+            assert np.array_equal(r["list"], [float(sum(range(comm.size))), float(comm.size)])
+            assert np.array_equal(r["scalar"], float(comm.size - 1))
+            assert np.array_equal(r["bcast"], [1.0, 2.0])
+
+    def test_reused_buffer_reduces_each_round_exactly(self, comm):
+        """A training loop refills one buffer per batch: each round reduces
+        what the buffer held at call time."""
+        rank_sum = float(sum(range(1, comm.size + 1)))
+        for r in comm.run(programs.reused_buffer_rounds):
+            assert r["values"] == [rank_sum * (k + 1) for k in range(4)]
+            assert all(r["flat"])
 
 
 class TestChunking:
@@ -152,7 +141,6 @@ class TestChunking:
             assert r["matrix_max"] == float(comm.size)
             assert r["empty_size"] == 0
             assert r["single"] == float(sum(range(comm.size)))
-            assert r["nonblocking_matches"]
 
 
 class TestCrashSemantics:
@@ -235,9 +223,9 @@ class TestRawFrames:
             assert np.array_equal(r["broadcast"], np.arange(40.0))
             assert r["int_ranks"] == [0, 1, 2]
         TestChunking._check(tcp3_comm)
-        for r in tcp3_comm.run(tasks.iallreduce_checks, [(300, 4)] * 3):
-            assert [x["value"] for x in r["rounds"]] == [6.0, 12.0, 18.0, 24.0]
-            assert all(x["same"] and x["done"] for x in r["rounds"])
+        for r in tcp3_comm.run(programs.reused_buffer_rounds):
+            assert r["values"] == [6.0, 12.0, 18.0, 24.0]
+            assert all(r["flat"])
 
     def test_dtype_and_shape_fidelity(self, tcp3_comm):
         """Dtypes, shapes and values survive the wire; same answers as thread."""
@@ -427,16 +415,15 @@ class TestCapabilities:
         caps = transport_capabilities()[comm.transport]
         assert caps["multihost"] == comm.multihost
         assert caps["fault_tolerant"] == comm.fault_tolerant
-        assert caps["nonblocking"] == comm.nonblocking
 
     @pytest.mark.parametrize("cls", [SerialComm, ThreadComm, TCPComm])
     def test_public_surface_is_what_training_uses(self, cls):
         public = {n for n in dir(cls) if not n.startswith("_") and callable(getattr(cls, n))}
-        assert public == {"allreduce", "iallreduce", "bcast", "barrier", "run", "recover", "close"}
+        assert public == {"allreduce", "bcast", "barrier", "run", "recover", "close"}
 
     def test_tcp_capability_flags(self):
         caps = transport_capabilities()["tcp"]
-        assert caps["multihost"] and caps["fault_tolerant"] and caps["nonblocking"]
+        assert caps["multihost"] and caps["fault_tolerant"]
 
 
 class TestSpecParsing:

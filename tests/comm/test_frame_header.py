@@ -4,7 +4,9 @@ Collective frames describe their payload in one ``struct`` header (op,
 reduce, dtype code, shape, ...).  Every dtype and shape kind collectives
 carry must round-trip exactly as on the thread transport; a header that
 lies about its payload must end the task with a ``BackendError`` on every
-rank, within ``timeout``, and leave the connection usable.
+rank, within ``timeout``, and leave the connection usable.  Payloads above
+``chunk_bytes`` travel as chunks: tiny caps make multi-chunk (and ragged
+final chunk) round-trips run even for small payloads.
 """
 
 import time
@@ -65,3 +67,25 @@ def test_worker_killed_between_collectives_fails_the_next_one():
         assert time.monotonic() - started < pause + 1.0
         assert comm.recover()
         assert [r["rank"] for r in comm.run(tasks.echo_rank)] == [0, 1]
+
+
+class TestChunkedTCPCollectives:
+    @pytest.mark.parametrize("chunk_bytes", [8, 64])
+    def test_chunked_round_trips(self, chunk_bytes):
+        """Ragged final chunks, zero-length and 1-element payloads all
+        round-trip at chunk caps down to one float64 per chunk."""
+        with TCPComm(2, timeout=60.0, chunk_bytes=chunk_bytes) as comm:
+            results = comm.run(tasks.chunked_allreduce_checks, [(23,)] * comm.size)
+            for r in results:
+                assert np.array_equal(r["reduced"], r["expected"])
+                assert r["matrix_max"] == float(comm.size)
+                assert r["empty_size"] == 0
+                assert r["single"] == float(sum(range(comm.size)))
+
+    def test_chunking_books_one_call_per_collective(self):
+        with TCPComm(2, timeout=60.0, chunk_bytes=64) as comm:
+            before = dict(comm.collective_calls)
+            comm.run(tasks.chunked_allreduce_checks, [(23,)] * comm.size)
+            # 4 allreduces per rank-program, one booking each however many
+            # chunks their frames took.
+            assert comm.collective_calls["allreduce"] == before["allreduce"] + 4
