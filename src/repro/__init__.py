@@ -22,49 +22,33 @@ Quick start::
     print(net.evaluate(encoder.transform(splits.test.features), splits.test.labels))
 """
 
-from repro.version import __version__
-from repro import (
-    backend,
-    baselines,
-    comm,
-    core,
-    datasets,
-    engine,
-    experiments,
-    hyperopt,
-    instrumentation,
-    metrics,
-    serving,
-    visualization,
-)
-from repro.core import (
-    BCPNNClassifier,
-    BCPNNHyperParameters,
-    InputSpec,
-    Network,
-    SGDClassifier,
-    StructuralPlasticityLayer,
-    TrainingSchedule,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "__version__",
-    "backend",
-    "baselines",
-    "core",
-    "datasets",
-    "engine",
-    "experiments",
-    "hyperopt",
-    "instrumentation",
-    "metrics",
-    "serving",
-    "visualization",
-    "BCPNNClassifier",
-    "BCPNNHyperParameters",
-    "InputSpec",
-    "Network",
-    "SGDClassifier",
-    "StructuralPlasticityLayer",
-    "TrainingSchedule",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "version": ["__version__"],
+        "core": [
+            "BCPNNClassifier",
+            "BCPNNHyperParameters",
+            "InputSpec",
+            "Network",
+            "SGDClassifier",
+            "StructuralPlasticityLayer",
+            "TrainingSchedule",
+        ],
+    },
+    submodules=[
+        "backend",
+        "baselines",
+        "core",
+        "datasets",
+        "engine",
+        "experiments",
+        "hyperopt",
+        "instrumentation",
+        "metrics",
+        "serving",
+        "visualization",
+    ],
+)

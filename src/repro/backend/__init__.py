@@ -17,20 +17,15 @@ this package provides:
 Backends are obtained by name through :func:`get_backend`.
 """
 
-from repro.backend.base import Backend, KernelStatistics
-from repro.backend.numpy_backend import NumpyBackend
-from repro.backend.lowprec import LowPrecisionBackend, posit_round
-from repro.backend.registry import get_backend, list_backends
-from repro.backend.distributed import DistributedTrainer, split_ranks
+from repro._lazy import attach
 
-__all__ = [
-    "Backend",
-    "KernelStatistics",
-    "NumpyBackend",
-    "LowPrecisionBackend",
-    "posit_round",
-    "get_backend",
-    "list_backends",
-    "DistributedTrainer",
-    "split_ranks",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "base": ["Backend", "KernelStatistics"],
+        "numpy_backend": ["NumpyBackend"],
+        "lowprec": ["LowPrecisionBackend", "posit_round"],
+        "registry": ["get_backend", "list_backends"],
+        "distributed": ["DistributedTrainer", "split_ranks"],
+    },
+)

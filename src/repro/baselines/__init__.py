@@ -7,21 +7,15 @@ regenerate that comparison on the same split, from-scratch NumPy
 implementations of those baselines live here.
 """
 
-from repro.baselines.base import BaselineClassifier
-from repro.baselines.logistic import LogisticRegressionBaseline
-from repro.baselines.mlp import MLPBaseline, relu, relu_grad, tanh_act, tanh_grad
-from repro.baselines.trees import DecisionTreeBaseline, DecisionStump
-from repro.baselines.boosting import GradientBoostingBaseline
+from repro._lazy import attach
 
-__all__ = [
-    "BaselineClassifier",
-    "LogisticRegressionBaseline",
-    "MLPBaseline",
-    "DecisionTreeBaseline",
-    "DecisionStump",
-    "GradientBoostingBaseline",
-    "relu",
-    "relu_grad",
-    "tanh_act",
-    "tanh_grad",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "base": ["BaselineClassifier"],
+        "logistic": ["LogisticRegressionBaseline"],
+        "mlp": ["MLPBaseline", "relu", "relu_grad", "tanh_act", "tanh_grad"],
+        "trees": ["DecisionTreeBaseline", "DecisionStump"],
+        "boosting": ["GradientBoostingBaseline"],
+    },
+)

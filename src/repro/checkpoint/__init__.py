@@ -13,24 +13,18 @@ Layers of the subsystem (each usable on its own):
   bitwise-exact resume (see ``docs/reliability.md``).
 """
 
-from repro.checkpoint.atomic import atomic_write_bytes, fsync_directory
-from repro.checkpoint.manager import FORMAT_VERSION, MAGIC, MANIFEST_NAME, CheckpointManager
-from repro.checkpoint.training import (
-    ResumeState,
-    TrainingCheckpointer,
-    network_from_checkpoint,
-    training_fingerprint,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "atomic_write_bytes",
-    "fsync_directory",
-    "CheckpointManager",
-    "MAGIC",
-    "FORMAT_VERSION",
-    "MANIFEST_NAME",
-    "ResumeState",
-    "TrainingCheckpointer",
-    "network_from_checkpoint",
-    "training_fingerprint",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "atomic": ["atomic_write_bytes", "fsync_directory"],
+        "manager": ["CheckpointManager", "MAGIC", "FORMAT_VERSION", "MANIFEST_NAME"],
+        "training": [
+            "ResumeState",
+            "TrainingCheckpointer",
+            "network_from_checkpoint",
+            "training_fingerprint",
+        ],
+    },
+)

@@ -60,18 +60,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro import kernels
-from repro.backend import get_backend, list_backends
-from repro.experiments import (
-    get_scale,
-    run_capacity_sweep,
-    run_distributed_equivalence,
-    run_precision_ablation,
-    run_receptive_field_sweep,
-    run_related_work_comparison,
-)
-from repro.instrumentation import BCPNNCostModel, RepeatTimer, format_table
-from repro.instrumentation.reports import dump_json_report
 from repro.utils.logging import enable_console_logging
 
 __all__ = [
@@ -106,9 +94,17 @@ def _add_comm(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--comm", type=str, default=None, metavar="SPEC", help=_COMM_HELP)
 
 
+def _backend_names() -> str:
+    """The registered backends, for help texts."""
+    from repro.backend import list_backends
+
+    return ", ".join(list_backends())
+
+
 def _print_comm_help() -> None:
     """The real transport table behind ``--comm help``."""
     from repro.comm import transport_capabilities
+    from repro.instrumentation import format_table
 
     rows = []
     for name, caps in transport_capabilities().items():
@@ -156,6 +152,8 @@ def _add_pipeline(parser: argparse.ArgumentParser, default_tol: float = 0.0) -> 
 
 def _finish(result: Dict[str, object], args: argparse.Namespace) -> int:
     if args.json:
+        from repro.instrumentation import dump_json_report
+
         sanitised = {
             k: v for k, v in result.items() if k not in ("network", "masks", "mask_evolution")
         }
@@ -177,7 +175,7 @@ TRAIN_FLAGS = (
     ("--higgs-path", "dataset.params.path", "path to a real HIGGS.csv[.gz]"),
     ("--seed", "seed", "random seed"),
     ("--epochs", "training.hidden_epochs", "hidden-layer epochs"),
-    ("--backend", "training.backend", f"compute backend ({', '.join(list_backends())})"),
+    ("--backend", "training.backend", "compute backend"),
     ("--comm", "training.comm", _COMM_HELP),
     ("--pipeline", "training.pipeline", _PIPELINE_HELP),
     ("--weight-refresh-tol", "training.weight_refresh_tol", _TOL_HELP),
@@ -201,6 +199,8 @@ def _train_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     for flag, path, help_text in TRAIN_FLAGS:
+        if path == "training.backend":
+            help_text = f"{help_text} ({_backend_names()})"
         typ = field_type(path)
         kind = {"action": "store_const", "const": True} if typ is bool else {"type": typ}
         parser.add_argument(flag, default=argparse.SUPPRESS, help=f"{help_text} [{path}]", **kind)
@@ -221,6 +221,7 @@ def _train_config(args: argparse.Namespace):
     Layers: schema defaults < the ``--scale`` sizes < the given flags.
     """
     from repro.config import compose_config
+    from repro.experiments import get_scale
 
     scale = get_scale(args.scale)
     sizes = {
@@ -245,14 +246,14 @@ def _train_config(args: argparse.Namespace):
 
 def main_train(argv: Optional[List[str]] = None) -> int:
     """Train a single Higgs classifier from the command line."""
-    from repro.config import run_experiment
-
     args = _train_parser().parse_args(argv)
     if getattr(args, "comm", None) == "help":
         _print_comm_help()
         return 0
     if not args.quiet:
         enable_console_logging()
+    from repro.config import run_experiment
+
     result = run_experiment(_train_config(args))
     _summarize_run(result)
     if args.save_model:
@@ -265,12 +266,13 @@ def main_train(argv: Optional[List[str]] = None) -> int:
 
 
 # -------------------------------------------------------------------- sweeps
+#: ``repro sweep`` experiments: the :mod:`repro.experiments` function each runs.
 _SWEEPS = {
-    "capacity": run_capacity_sweep,
-    "receptive-field": run_receptive_field_sweep,
-    "related-work": run_related_work_comparison,
-    "precision": run_precision_ablation,
-    "distributed": run_distributed_equivalence,
+    "capacity": "run_capacity_sweep",
+    "receptive-field": "run_receptive_field_sweep",
+    "related-work": "run_related_work_comparison",
+    "precision": "run_precision_ablation",
+    "distributed": "run_distributed_equivalence",
 }
 
 
@@ -284,7 +286,7 @@ def main_sweep(argv: Optional[List[str]] = None) -> int:
         "--backend",
         type=str,
         default="numpy",
-        help=f"compute backend for the sweep ({', '.join(list_backends())})",
+        help=f"compute backend for the sweep ({_backend_names()})",
     )
     _add_common(parser)
     _add_comm(parser)
@@ -295,8 +297,10 @@ def main_sweep(argv: Optional[List[str]] = None) -> int:
         return 0
     if not args.quiet:
         enable_console_logging()
-    scale = get_scale(args.scale)
-    runner = _SWEEPS[args.experiment]
+    from repro import experiments
+
+    scale = experiments.get_scale(args.scale)
+    runner = getattr(experiments, _SWEEPS[args.experiment])
     if args.experiment == "precision":
         # The precision ablation *is* a backend sweep; --backend is ignored
         # (and it measures numerics, so the pipeline flags do not apply).
@@ -356,6 +360,10 @@ def main_benchmark(argv: Optional[List[str]] = None) -> int:
         return 0
     if not args.quiet:
         enable_console_logging()
+    from repro import kernels
+    from repro.backend import get_backend
+    from repro.engine import ExecutionPlan, LayerEngine
+    from repro.instrumentation import BCPNNCostModel, RepeatTimer, format_table
 
     model = BCPNNCostModel(
         n_input_units=args.inputs,
@@ -392,8 +400,6 @@ def main_benchmark(argv: Optional[List[str]] = None) -> int:
     print(table)
 
     # Fused streaming path vs the allocate-per-batch composition (engine win).
-    from repro.engine import ExecutionPlan, LayerEngine
-
     plan = ExecutionPlan(
         n_input=args.inputs, hidden_sizes=tuple([args.mcus] * args.hcus), batch_size=args.batch
     )
@@ -527,10 +533,6 @@ def _load_feature_matrix(path: str) -> np.ndarray:
 
 def main_predict(argv: Optional[List[str]] = None) -> int:
     """Streaming bulk inference: saved model + CSV/npz features -> predictions."""
-    from repro.core import load_network
-    from repro.datasets.csvio import write_numeric_csv
-    from repro.serving import StreamingPredictor
-
     parser = argparse.ArgumentParser(
         prog="repro-predict",
         description=(
@@ -547,7 +549,7 @@ def main_predict(argv: Optional[List[str]] = None) -> int:
         type=str,
         default=None,
         help=(
-            f"force one compute backend for the whole stack ({', '.join(list_backends())}); "
+            f"force one compute backend for the whole stack ({_backend_names()}); "
             "default: each layer's own resolved backend (the NumPy reference for loaded models)"
         ),
     )
@@ -557,6 +559,9 @@ def main_predict(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if not args.quiet:
         enable_console_logging()
+    from repro.core import load_network
+    from repro.datasets.csvio import write_numeric_csv
+    from repro.serving import StreamingPredictor
 
     network = load_network(args.model)
     x = _load_feature_matrix(args.input)
@@ -634,9 +639,6 @@ def _serve_until_interrupted(server, banner: str) -> None:
 
 def main_serve(argv: Optional[List[str]] = None) -> int:
     """Serve a saved model over HTTP with micro-batched request coalescing."""
-    from repro.core import load_network
-    from repro.serving import ModelRunner, PredictionServer
-
     parser = argparse.ArgumentParser(
         prog="repro-serve",
         description=(
@@ -684,7 +686,7 @@ def main_serve(argv: Optional[List[str]] = None) -> int:
         type=str,
         default=None,
         help=(
-            f"force one compute backend for the whole stack ({', '.join(list_backends())}); "
+            f"force one compute backend for the whole stack ({_backend_names()}); "
             "default: each layer's own resolved backend"
         ),
     )
@@ -692,6 +694,8 @@ def main_serve(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if not args.quiet:
         enable_console_logging()
+    from repro.core import load_network
+    from repro.serving import ModelRunner, PredictionServer
 
     network = load_network(args.model)
     runner = ModelRunner(network, batch_size=args.batch_size, backend=args.backend)
@@ -740,16 +744,6 @@ def _summarize_run(result: Dict[str, object]) -> None:
 
 def main_run(argv: Optional[List[str]] = None) -> int:
     """Run experiments from declarative config files (``repro run``)."""
-    from repro.config import (
-        build_prediction_server,
-        compose_config,
-        load_config_file,
-        parse_set_overrides,
-        run_experiment,
-    )
-    from repro.datasets.registry import scenario_catalog
-    from repro.exceptions import ConfigError
-
     parser = argparse.ArgumentParser(
         prog="repro-run",
         description=(
@@ -801,6 +795,16 @@ def main_run(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--json", type=str, default=None, help="write results to this JSON file")
     parser.add_argument("--quiet", action="store_true", help="suppress progress logging")
     args = parser.parse_args(argv)
+    from repro.config import (
+        build_prediction_server,
+        compose_config,
+        load_config_file,
+        parse_set_overrides,
+        run_experiment,
+    )
+    from repro.datasets.registry import scenario_catalog
+    from repro.exceptions import ConfigError
+    from repro.instrumentation import format_table
 
     if args.list_scenarios:
         for entry in scenario_catalog():
@@ -895,6 +899,8 @@ def main_run(argv: Optional[List[str]] = None) -> int:
         print(format_table(summary_rows, title=f"repro run: {len(results)}/{len(sources)} ok"))
 
     if args.json:
+        from repro.instrumentation import dump_json_report
+
         sanitised = [
             {k: v for k, v in r.items() if k not in ("network", "masks", "mask_evolution")}
             for r in results

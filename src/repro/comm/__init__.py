@@ -28,30 +28,22 @@ an SPMD program (rank 0 runs inline in the driver); :mod:`repro.comm.tasks`
 holds reusable module-level SPMD programs.
 """
 
-from repro.comm.base import Communicator, REDUCE_OPS, split_ranks
-from repro.comm.factory import (
-    TransportSpec,
-    get_communicator,
-    list_transports,
-    parse_transport_spec,
-    resolve_comm,
-    transport_capabilities,
-)
-from repro.comm.serial import SerialComm
-from repro.comm.tcp import TCPComm
-from repro.comm.thread import ThreadComm
+from repro._lazy import attach
 
-__all__ = [
-    "Communicator",
-    "SerialComm",
-    "ThreadComm",
-    "TCPComm",
-    "REDUCE_OPS",
-    "split_ranks",
-    "TransportSpec",
-    "parse_transport_spec",
-    "get_communicator",
-    "resolve_comm",
-    "transport_capabilities",
-    "list_transports",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "base": ["Communicator", "REDUCE_OPS", "split_ranks"],
+        "factory": [
+            "TransportSpec",
+            "get_communicator",
+            "list_transports",
+            "parse_transport_spec",
+            "resolve_comm",
+            "transport_capabilities",
+        ],
+        "serial": ["SerialComm"],
+        "tcp": ["TCPComm"],
+        "thread": ["ThreadComm"],
+    },
+)

@@ -14,44 +14,30 @@ always a typed :class:`~repro.exceptions.ConfigError` carrying the dotted
 path to the offending field.
 """
 
-from repro.config.schema import (
-    ConfigError,
-    DatasetSection,
-    ModelSection,
-    TrainingSection,
-    ServingSection,
-    HyperoptSection,
-    ExperimentConfig,
-    build_config,
-    builtin_defaults,
-)
-from repro.config.loader import (
-    HAVE_YAML,
-    load_config_file,
-    parse_set_overrides,
-    deep_merge,
-    compose_config,
-    compose_from_files,
-)
-from repro.config.runner import run_experiment, run_hyperopt, build_prediction_server
+from repro._lazy import attach
 
-__all__ = [
-    "ConfigError",
-    "DatasetSection",
-    "ModelSection",
-    "TrainingSection",
-    "ServingSection",
-    "HyperoptSection",
-    "ExperimentConfig",
-    "build_config",
-    "builtin_defaults",
-    "HAVE_YAML",
-    "load_config_file",
-    "parse_set_overrides",
-    "deep_merge",
-    "compose_config",
-    "compose_from_files",
-    "run_experiment",
-    "run_hyperopt",
-    "build_prediction_server",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "schema": [
+            "ConfigError",
+            "DatasetSection",
+            "ModelSection",
+            "TrainingSection",
+            "ServingSection",
+            "HyperoptSection",
+            "ExperimentConfig",
+            "build_config",
+            "builtin_defaults",
+        ],
+        "loader": [
+            "HAVE_YAML",
+            "load_config_file",
+            "parse_set_overrides",
+            "deep_merge",
+            "compose_config",
+            "compose_from_files",
+        ],
+        "runner": ["run_experiment", "run_hyperopt", "build_prediction_server"],
+    },
+)

@@ -10,28 +10,18 @@ The public surface mirrors StreamBrain's Keras-inspired API:
 >>> accuracy = net.evaluate(x_test, y_test)["accuracy"]  # doctest: +SKIP
 """
 
-from repro.core.hyperparams import BCPNNHyperParameters, TrainingSchedule
-from repro.core.traces import ProbabilityTraces
-from repro.core.plasticity import StructuralPlasticity
-from repro.core.layers import InputSpec, StructuralPlasticityLayer
-from repro.core.heads import BCPNNClassifier, SGDClassifier
-from repro.core.network import Network
-from repro.core.training import History, TrainingCallback, EpochResult
-from repro.core.serialization import load_network, save_network
+from repro._lazy import attach
 
-__all__ = [
-    "BCPNNHyperParameters",
-    "TrainingSchedule",
-    "ProbabilityTraces",
-    "StructuralPlasticity",
-    "InputSpec",
-    "StructuralPlasticityLayer",
-    "BCPNNClassifier",
-    "SGDClassifier",
-    "Network",
-    "History",
-    "TrainingCallback",
-    "EpochResult",
-    "save_network",
-    "load_network",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "hyperparams": ["BCPNNHyperParameters", "TrainingSchedule"],
+        "traces": ["ProbabilityTraces"],
+        "plasticity": ["StructuralPlasticity"],
+        "layers": ["InputSpec", "StructuralPlasticityLayer"],
+        "heads": ["BCPNNClassifier", "SGDClassifier"],
+        "network": ["Network"],
+        "training": ["History", "TrainingCallback", "EpochResult"],
+        "serialization": ["load_network", "save_network"],
+    },
+)

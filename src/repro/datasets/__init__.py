@@ -8,60 +8,34 @@ it is present (see DESIGN.md, substitution table).  A procedural MNIST-like
 digit generator backs the receptive-field illustration experiments.
 """
 
-from repro.datasets.base import Dataset, DatasetSplits
-from repro.datasets.higgs import (
-    HIGGS_FEATURE_NAMES,
-    HIGGS_LOW_LEVEL,
-    HIGGS_HIGH_LEVEL,
-    SyntheticHiggsGenerator,
-    load_higgs,
-    make_higgs_splits,
-)
-from repro.datasets.mnist import SyntheticDigits, load_digits
-from repro.datasets.preprocessing import (
-    QuantileOneHotEncoder,
-    balanced_subsample,
-    standardize,
-)
-from repro.datasets.splits import train_test_split, stratified_kfold
-from repro.datasets.registry import (
-    register_dataset,
-    get_dataset,
-    list_datasets,
-    SplitSpec,
-    ScenarioSpec,
-    register_scenario,
-    get_scenario,
-    list_scenarios,
-    scenario_catalog,
-)
-from repro.datasets.stream import Batch, BatchStream
+from repro._lazy import attach
 
-__all__ = [
-    "Dataset",
-    "DatasetSplits",
-    "Batch",
-    "BatchStream",
-    "HIGGS_FEATURE_NAMES",
-    "HIGGS_LOW_LEVEL",
-    "HIGGS_HIGH_LEVEL",
-    "SyntheticHiggsGenerator",
-    "load_higgs",
-    "make_higgs_splits",
-    "SyntheticDigits",
-    "load_digits",
-    "QuantileOneHotEncoder",
-    "balanced_subsample",
-    "standardize",
-    "train_test_split",
-    "stratified_kfold",
-    "register_dataset",
-    "get_dataset",
-    "list_datasets",
-    "SplitSpec",
-    "ScenarioSpec",
-    "register_scenario",
-    "get_scenario",
-    "list_scenarios",
-    "scenario_catalog",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "base": ["Dataset", "DatasetSplits"],
+        "higgs": [
+            "HIGGS_FEATURE_NAMES",
+            "HIGGS_LOW_LEVEL",
+            "HIGGS_HIGH_LEVEL",
+            "SyntheticHiggsGenerator",
+            "load_higgs",
+            "make_higgs_splits",
+        ],
+        "mnist": ["SyntheticDigits", "load_digits"],
+        "preprocessing": ["QuantileOneHotEncoder", "balanced_subsample", "standardize"],
+        "splits": ["train_test_split", "stratified_kfold"],
+        "registry": [
+            "register_dataset",
+            "get_dataset",
+            "list_datasets",
+            "SplitSpec",
+            "ScenarioSpec",
+            "register_scenario",
+            "get_scenario",
+            "list_scenarios",
+            "scenario_catalog",
+        ],
+        "stream": ["Batch", "BatchStream"],
+    },
+)

@@ -23,21 +23,18 @@ neutral ``repro.kernels``); ``repro.core`` depends on the engine.  Backends
 never import the engine — workspaces are duck-typed.
 """
 
-from repro.engine.pipeline import (
-    PipelineTask,
-    PipelineWorker,
-    mean_activation_entropy,
-    train_layer_pipelined,
-)
-from repro.engine.plan import ExecutionPlan, LayerEngine
-from repro.engine.workspace import LayerWorkspace
+from repro._lazy import attach
 
-__all__ = [
-    "ExecutionPlan",
-    "LayerEngine",
-    "LayerWorkspace",
-    "PipelineTask",
-    "PipelineWorker",
-    "mean_activation_entropy",
-    "train_layer_pipelined",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "pipeline": [
+            "PipelineTask",
+            "PipelineWorker",
+            "mean_activation_entropy",
+            "train_layer_pipelined",
+        ],
+        "plan": ["ExecutionPlan", "LayerEngine"],
+        "workspace": ["LayerWorkspace"],
+    },
+)

@@ -6,36 +6,25 @@ definitions live in the library (importable, testable) rather than in the
 benchmark scripts.  See DESIGN.md for the experiment index (E1-E10).
 """
 
-from repro.experiments.config import ExperimentScale, HiggsExperimentConfig, get_scale
-from repro.experiments.higgs_pipeline import (
-    HiggsData,
-    prepare_higgs_data,
-    build_higgs_network,
-    train_and_evaluate,
-    repeated_runs,
-)
-from repro.experiments.capacity import run_capacity_sweep
-from repro.experiments.receptive_field import run_receptive_field_sweep
-from repro.experiments.related_work import run_related_work_comparison
-from repro.experiments.insitu import run_insitu_experiment
-from repro.experiments.mnist_fields import run_mnist_receptive_fields
-from repro.experiments.distributed_experiment import run_distributed_equivalence
-from repro.experiments.precision import run_precision_ablation
+from repro._lazy import attach
 
-__all__ = [
-    "ExperimentScale",
-    "HiggsExperimentConfig",
-    "get_scale",
-    "HiggsData",
-    "prepare_higgs_data",
-    "build_higgs_network",
-    "train_and_evaluate",
-    "repeated_runs",
-    "run_capacity_sweep",
-    "run_receptive_field_sweep",
-    "run_related_work_comparison",
-    "run_insitu_experiment",
-    "run_mnist_receptive_fields",
-    "run_distributed_equivalence",
-    "run_precision_ablation",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "config": ["ExperimentScale", "HiggsExperimentConfig", "get_scale"],
+        "higgs_pipeline": [
+            "HiggsData",
+            "prepare_higgs_data",
+            "build_higgs_network",
+            "train_and_evaluate",
+            "repeated_runs",
+        ],
+        "capacity": ["run_capacity_sweep"],
+        "receptive_field": ["run_receptive_field_sweep"],
+        "related_work": ["run_related_work_comparison"],
+        "insitu": ["run_insitu_experiment"],
+        "mnist_fields": ["run_mnist_receptive_fields"],
+        "distributed_experiment": ["run_distributed_equivalence"],
+        "precision": ["run_precision_ablation"],
+    },
+)

@@ -13,37 +13,27 @@ provides the same *roles* with self-contained implementations:
 * :class:`ExperimentJournal` — persistent trial log (JSONL).
 """
 
-from repro.hyperopt.space import (
-    SearchSpace,
-    FloatParameter,
-    LogFloatParameter,
-    IntParameter,
-    CategoricalParameter,
-)
-from repro.hyperopt.samplers import halton_sequence, scrambled_halton
-from repro.hyperopt.search import (
-    Trial,
-    SearchResult,
-    RandomSearch,
-    HaltonSearch,
-    EvolutionarySearch,
-    SuccessiveHalving,
-)
-from repro.hyperopt.journal import ExperimentJournal
+from repro._lazy import attach
 
-__all__ = [
-    "SearchSpace",
-    "FloatParameter",
-    "LogFloatParameter",
-    "IntParameter",
-    "CategoricalParameter",
-    "halton_sequence",
-    "scrambled_halton",
-    "Trial",
-    "SearchResult",
-    "RandomSearch",
-    "HaltonSearch",
-    "EvolutionarySearch",
-    "SuccessiveHalving",
-    "ExperimentJournal",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "space": [
+            "SearchSpace",
+            "FloatParameter",
+            "LogFloatParameter",
+            "IntParameter",
+            "CategoricalParameter",
+        ],
+        "samplers": ["halton_sequence", "scrambled_halton"],
+        "search": [
+            "Trial",
+            "SearchResult",
+            "RandomSearch",
+            "HaltonSearch",
+            "EvolutionarySearch",
+            "SuccessiveHalving",
+        ],
+        "journal": ["ExperimentJournal"],
+    },
+)

@@ -284,6 +284,13 @@ def sparse_beneficial(layout: Optional[SparseLayout]) -> bool:
     return layout is not None and layout.density <= SPARSE_DENSITY_THRESHOLD
 
 
+#: ``ndarray.__array_interface__`` (read below and by ``as_strided``) interns
+#: each key of the dict it builds.  While no live object holds these strings,
+#: every call interns and drops them again, and the churn makes CPython rebuild
+#: its interned-string table (~2 MB) every few thousand calls, mid-batch.
+_ARRAY_INTERFACE_KEYS = ("data", "descr", "shape", "strides", "typestr", "version")
+
+
 def _stack_slabs(blocks: Sequence[np.ndarray]) -> Tuple[np.ndarray, bool]:
     """3-D stack of equal-shape 2-D slabs; zero-copy when they are adjacent.
 

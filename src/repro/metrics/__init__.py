@@ -6,39 +6,21 @@ All three, plus the usual confusion-matrix derived scores and calibration
 diagnostics, live here.
 """
 
-from repro.metrics.classification import (
-    accuracy,
-    balanced_accuracy,
-    confusion_matrix,
-    precision_recall_f1,
-    classification_report,
-    log_loss,
-)
-from repro.metrics.roc import (
-    roc_curve,
-    roc_auc,
-    rank_auc,
-    precision_recall_curve,
-    average_precision,
-)
-from repro.metrics.ams import ams_score, best_ams_threshold
-from repro.metrics.calibration import calibration_curve, expected_calibration_error, brier_score
+from repro._lazy import attach
 
-__all__ = [
-    "accuracy",
-    "balanced_accuracy",
-    "confusion_matrix",
-    "precision_recall_f1",
-    "classification_report",
-    "log_loss",
-    "roc_curve",
-    "roc_auc",
-    "rank_auc",
-    "precision_recall_curve",
-    "average_precision",
-    "ams_score",
-    "best_ams_threshold",
-    "calibration_curve",
-    "expected_calibration_error",
-    "brier_score",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "classification": [
+            "accuracy",
+            "balanced_accuracy",
+            "confusion_matrix",
+            "precision_recall_f1",
+            "classification_report",
+            "log_loss",
+        ],
+        "roc": ["roc_curve", "roc_auc", "rank_auc", "precision_recall_curve", "average_precision"],
+        "ams": ["ams_score", "best_ams_threshold"],
+        "calibration": ["calibration_curve", "expected_calibration_error", "brier_score"],
+    },
+)

@@ -33,35 +33,21 @@ Entry points:
   :class:`MicroBatcher`.
 """
 
-from repro.serving.batcher import (
-    BatchResult,
-    DeadlineExceededError,
-    DispatchError,
-    MicroBatcher,
-    QueueFullError,
-    RequestSlice,
-    ServingClosedError,
-)
-from repro.serving.predictor import (
-    StreamingPredictor,
-    predict_proba_stream,
-    predict_stream,
-)
-from repro.serving.server import ModelRunner, PredictionServer, ServerThread, ServingMetrics
+from repro._lazy import attach
 
-__all__ = [
-    "BatchResult",
-    "DeadlineExceededError",
-    "DispatchError",
-    "MicroBatcher",
-    "ModelRunner",
-    "PredictionServer",
-    "QueueFullError",
-    "RequestSlice",
-    "ServerThread",
-    "ServingClosedError",
-    "ServingMetrics",
-    "StreamingPredictor",
-    "predict_proba_stream",
-    "predict_stream",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "batcher": [
+            "BatchResult",
+            "DeadlineExceededError",
+            "DispatchError",
+            "MicroBatcher",
+            "QueueFullError",
+            "RequestSlice",
+            "ServingClosedError",
+        ],
+        "predictor": ["StreamingPredictor", "predict_proba_stream", "predict_stream"],
+        "server": ["ModelRunner", "PredictionServer", "ServerThread", "ServingMetrics"],
+    },
+)

@@ -15,26 +15,15 @@ recorder (:mod:`~repro.visualization.history`).  The VTI files produced are
 readable by any ParaView installation.
 """
 
-from repro.visualization.vti import write_vti, ImageDataSpec
-from repro.visualization.images import array_to_pgm, ascii_render, normalize_to_unit
-from repro.visualization.fields import (
-    masks_to_image_grid,
-    mask_to_square_image,
-    receptive_field_summary,
-)
-from repro.visualization.catalyst import CoProcessor, CatalystAdaptor
-from repro.visualization.history import TrainingCurveRecorder
+from repro._lazy import attach
 
-__all__ = [
-    "write_vti",
-    "ImageDataSpec",
-    "array_to_pgm",
-    "ascii_render",
-    "normalize_to_unit",
-    "masks_to_image_grid",
-    "mask_to_square_image",
-    "receptive_field_summary",
-    "CoProcessor",
-    "CatalystAdaptor",
-    "TrainingCurveRecorder",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "vti": ["write_vti", "ImageDataSpec"],
+        "images": ["array_to_pgm", "ascii_render", "normalize_to_unit"],
+        "fields": ["masks_to_image_grid", "mask_to_square_image", "receptive_field_summary"],
+        "catalyst": ["CoProcessor", "CatalystAdaptor"],
+        "history": ["TrainingCurveRecorder"],
+    },
+)

@@ -293,7 +293,10 @@ class TestRawFrames:
             except OSError:
                 time.sleep(0.05)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-        join = [sys.executable, "-m", "repro.comm.tcp", "--connect", f"127.0.0.1:{port}"]
+        # A RuntimeWarning (runpy finding repro.comm.tcp already imported by
+        # its package) would mean the worker runs a second copy of the module.
+        join = [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.comm.tcp"]
+        join += ["--connect", f"127.0.0.1:{port}"]
         workers = [
             subprocess.Popen(join + ["--rank", "2", "--timeout", "60"], env=env),
             subprocess.Popen(join + ["--timeout", "60", "--chunk-bytes", "64"], env=env),
