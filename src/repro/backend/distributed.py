@@ -298,31 +298,27 @@ def train_layer_program(
         apply_means(mean_x, mean_a, mean_outer)
 
     def apply_winners(batch: np.ndarray, reduced: np.ndarray) -> None:
-        """Form the global batch's counts from its reduced winners and apply."""
-        activity = kernels.OneHotActivity(reduced.astype(np.intp), n_hidden)
-        counts = activity.counts(batch)
-        if counts is None:  # a batch under ONE_HOT_COUNT_MIN_ROWS rows
-            dense = activity.dense()
-            counts = dense.sum(axis=0), batch.T @ dense
+        """Count the batch's co-active pairs from its reduced winners and apply."""
+        sum_x, sum_a, flat, hits = kernels.one_hot_counts(batch, reduced.astype(np.intp), n_hidden)
         # The same ``/ count`` as apply_reduction: the sums are the same
         # exact integers, so the means are the same bits.
         count = float(batch.shape[0])
-        mean_outer = counts[1]
-        mean_outer /= count
-        apply_means(batch.sum(axis=0) / count, counts[0] / count, mean_outer)
+        apply_means(sum_x / count, sum_a / count, (flat, hits / count))
 
+    # This rank's shard of a batch, by the batch's row count: a full batch's
+    # and the ragged tail's.
+    shard = {rows: split_ranks(rows, size)[rank] for rows in (min(batch_size, n), n - starts[-1])}
+    # One (B, n_hcu) winner buffer; a ragged tail uses its first rows.
+    winner_buf = np.zeros((min(batch_size, n), layer.n_hypercolumns))
     for epoch in range(start_epoch, epochs):
         started = time.perf_counter()
         order = shuffle_rng.permutation(n) if shuffle else np.arange(n)
         mean_entropy.clear()
         payload_floats = 0  # the epoch's largest payload: a full batch's
+        crash = inject is not None and (epoch, rank) == (inject["epoch"], inject["rank"])
+        crash_batch = int(inject["batch"]) if crash else -1
         for index, start in enumerate(starts):
-            if (
-                inject is not None
-                and epoch == int(inject["epoch"])
-                and index == int(inject["batch"])
-                and rank == int(inject["rank"])
-            ):
+            if index == crash_batch:
                 if rank != 0 and comm.transport == "tcp":
                     # A hard kill, not an exception: exercises the real
                     # dead-worker detection and respawn/re-admission path.
@@ -332,7 +328,7 @@ def train_layer_program(
                 )
             # The global batch in x's stored dtype; only the shard widens.
             batch = x[order[start : start + batch_size]]
-            lo, hi = split_ranks(batch.shape[0], size)[rank]
+            lo, hi = shard[batch.shape[0]]
             local = batch[lo:hi].astype(np.float64, copy=False)
             if layer.batches_trained == 0:
                 # Global first-batch marginals for the trace calibration.  A
@@ -359,7 +355,8 @@ def train_layer_program(
             if winner_payload:
                 # This rank's rows of the batch's (B, n_hcu) winner matrix;
                 # the other ranks' rows stay 0, so the sum is the matrix.
-                buf = np.zeros((batch.shape[0], layer.n_hypercolumns))
+                buf = winner_buf[: batch.shape[0]]
+                buf.fill(0.0)
                 if activations is not None:
                     buf[lo:hi] = activations.winners
                 apply_winners(batch, comm.allreduce(buf, op="sum"))

@@ -458,7 +458,10 @@ class _Hub:
         self._failed: Optional[str] = None
         self._task = 0
         self._closed = False
-        threading.Thread(target=self._accept_loop, name="tcp-hub-accept", daemon=True).start()
+        self._acceptor = threading.Thread(
+            target=self._accept_loop, name="tcp-hub-accept", daemon=True
+        )
+        self._acceptor.start()
 
     # ------------------------------------------------------------ rendezvous
     def _accept_loop(self) -> None:
@@ -703,10 +706,9 @@ class _Hub:
             self._closed = True
             conns = [conn for conn in self._conns if conn is not None]
             self._cond.notify_all()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        _discard(self._listener)  # shutdown wakes the accept loop's blocked accept()
+        if threading.current_thread() is not self._acceptor:
+            self._acceptor.join()
         for conn in conns:
             _discard(conn)
 

@@ -129,20 +129,11 @@ class ProbabilityTraces:
     def update(self, x: np.ndarray, a: np.ndarray, taupdt: float) -> None:
         """One learning-rule step from a batch of (input, hidden) activations.
 
-        ``p <- (1 - taupdt) * p + taupdt * batch_mean``, in place.
+        ``p <- (1 - taupdt) * p + taupdt * batch_mean``, in place, through
+        the kernels every backend uses (``a`` may be an ``OneHotActivity``).
         """
-        if not 0.0 < taupdt <= 1.0:
-            raise DataError(f"taupdt must be in (0, 1], got {taupdt}")
         mean_x, mean_a, mean_outer = kernels.batch_outer_product(x, a)
-        if mean_x.shape[0] != self.n_input or mean_a.shape[0] != self.n_hidden:
-            raise DataError("batch width does not match the trace dimensions")
-        decay = 1.0 - taupdt
-        self.p_i *= decay
-        self.p_i += taupdt * mean_x.astype(self.dtype, copy=False)
-        self.p_j *= decay
-        self.p_j += taupdt * mean_a.astype(self.dtype, copy=False)
-        self.p_ij *= decay
-        self.p_ij += taupdt * mean_outer.astype(self.dtype, copy=False)
+        kernels.ema_update(self.p_i, self.p_j, self.p_ij, mean_x, mean_a, mean_outer, taupdt)
         self.updates_seen += 1
 
     # ------------------------------------------------------------- weights

@@ -70,10 +70,14 @@ def mean_activation_entropy(activations: np.ndarray) -> float:
     specialised minicolumns).  This is the exact expression the serial
     training loop has always used — both paths call this helper so the
     recorded history is bit-for-bit identical with and without pipelining.
+    Per row ``-sum(a * log(clip(a, 1e-12, 1)))``, in one ``(B, H)`` buffer.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ent = -np.sum(activations * np.log(np.clip(activations, 1e-12, 1.0)), axis=1)
-    return float(np.mean(ent))
+    terms = np.maximum(activations, 1e-12)
+    np.minimum(terms, 1.0, out=terms)
+    np.log(terms, out=terms)
+    terms *= activations
+    ent = -terms.sum(axis=1)
+    return float(ent.sum() / ent.shape[0])  # np.mean's sum and division
 
 
 class PipelineTask:

@@ -19,7 +19,8 @@ step of the update that is *not* a GEMM — the training-time competition —
 is a kernel here as well (:func:`compete_into`); under its default
 ``sample`` rule it hands :func:`batch_outer_product` the winner indices
 (:class:`OneHotActivity`), whose statistics are counts rather than a
-product of two one-hot matrices.
+product of two one-hot matrices, and :func:`ema_update` scatters only the
+entries of ``p_ij`` a batch touches.
 
 Notation
 --------
@@ -43,13 +44,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import DataError
-from repro.utils.arrays import EPS, blockwise_softmax, block_offsets, stable_log
+from repro.utils.arrays import EPS, block_layout, block_offsets, blockwise_softmax, stable_log
 
 __all__ = [
     "expand_mask",
     "compute_support",
     "hidden_activations",
     "OneHotActivity",
+    "one_hot_counts",
     "compete_into",
     "batch_outer_product",
     "traces_to_weights",
@@ -586,14 +588,6 @@ def hidden_activations(
     return blockwise_softmax(support, hidden_sizes, out=out)
 
 
-#: Batch rows from which counting the co-activations of a one-hot activity
-#: beats the GEMM over its dense matrix.  Counting costs O(N_in * N_hid)
-#: whatever the batch (zero-fill + scaling of the count matrix), the GEMM
-#: O(B * N_in * N_hid): measured break-even between 16 and 32 rows at 280
-#: inputs for 150 and for 1200 hidden units (16-row shards: 39 vs 61 us).
-ONE_HOT_COUNT_MIN_ROWS = 32
-
-
 class OneHotActivity:
     """Winner-take-all training activity: one active unit per row and block.
 
@@ -601,9 +595,9 @@ class OneHotActivity:
     on row ``b``; ``width`` is the number of hidden units.  This is the
     value :func:`compete_into` returns in ``sample`` mode instead of a
     zero-filled ``(B, width)`` float matrix: the statistics of a one-hot
-    activity are co-activation *counts*, which :meth:`counts` forms without
-    a GEMM.  :meth:`dense` materialises the matrix for consumers that want
-    one.
+    activity are co-activation *counts* (:func:`one_hot_counts`), formed
+    without a GEMM.  :meth:`dense` materialises the matrix for consumers
+    that want one.
     """
 
     __slots__ = ("winners", "width")
@@ -616,6 +610,13 @@ class OneHotActivity:
             raise DataError(f"winner columns must lie in [0, {width})")
         self.winners = winners.astype(np.intp, copy=False)
         self.width = int(width)
+
+    @classmethod
+    def _wrap(cls, winners: np.ndarray, width: int) -> "OneHotActivity":
+        """Wrap ``intp`` winners known to lie in ``[0, width)``, unchecked."""
+        activity = object.__new__(cls)
+        activity.winners, activity.width = winners, width
+        return activity
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -633,35 +634,26 @@ class OneHotActivity:
         out[np.arange(out.shape[0])[:, None], self.winners] = 1.0
         return out
 
-    def counts(self, x: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Sufficient statistics ``(sum_b a, sum_b x^T a)`` of a batch, by counting.
 
-        Only defined when ``x`` is exactly {0,1}-valued, decided by one pass
-        before any index work, and only worth it from
-        :data:`ONE_HOT_COUNT_MIN_ROWS` rows; returns ``None`` otherwise (the
-        caller then densifies and takes the GEMM, whose result is bit for
-        bit the same).  ``sum_outer[i, j]`` counts the rows
-        where input unit ``i`` is on and unit ``j`` won — every entry of the
-        dense ``(n_input, width)`` matrix is produced, silent connections
-        included.  The counts equal what the float GEMM over the dense
-        matrices computes *exactly*: both are sums of at most ``B`` ones,
-        and integers up to 2**53 are exact in float64 in any summation
-        order.  ``sum_outer`` is accumulated in float64 (unit weights) so
-        callers can scale it in place; both arrays are fresh.
-        """
-        if x.shape[0] < ONE_HOT_COUNT_MIN_ROWS:
-            return None
-        ones = x == 1.0
-        if np.count_nonzero(ones) != np.count_nonzero(x):
-            return None
-        n_input = x.shape[1]
-        rows, cols = np.nonzero(ones)
-        pairs = (cols[:, None] * self.width + self.winners[rows]).ravel()
-        sum_outer = np.bincount(
-            pairs, weights=np.ones(pairs.shape[0]), minlength=n_input * self.width
-        ).astype(np.float64, copy=False)  # an all-zero x has no pairs: int zeros
-        sum_a = np.bincount(self.winners.ravel(), minlength=self.width)
-        return sum_a, sum_outer.reshape(n_input, self.width)
+def one_hot_counts(
+    x: np.ndarray, winners: np.ndarray, width: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Integer counts ``(sum_x, sum_a, flat, hits)`` of a {0,1} batch, by index.
+
+    ``x`` must be exactly {0,1}-valued (not checked); ``winners`` are the
+    ``(B, n_hcu)`` columns of an :class:`OneHotActivity` of ``width`` units.
+    ``sum_x`` and ``sum_a`` count the rows each input unit is on and each
+    hidden unit won; ``x^T a`` is ``hits`` at the sorted unique flat indices
+    ``flat`` of an ``(n_input, width)`` matrix and 0 elsewhere.  Only the
+    pairs a batch touches are formed, and counts are exact in any order.
+    """
+    # 1-D nonzero over a bool mask is numpy's fast path (2-D is several x slower).
+    rows, cols = np.divmod(np.flatnonzero(x != 0), x.shape[1])
+    pairs = (cols[:, None] * width + winners[rows]).ravel()
+    flat, hits = np.unique(pairs, return_counts=True)
+    sum_x = np.bincount(cols, minlength=x.shape[1])
+    sum_a = np.bincount(winners.ravel(), minlength=width)
+    return sum_x, sum_a, flat, hits
 
 
 #: Competition rules of the unsupervised training step (see
@@ -711,10 +703,10 @@ def compete_into(
         raise DataError(f"activations must be 2-D, got shape {activations.shape}")
     if mode not in COMPETITION_MODES:
         raise DataError(f"competition mode must be one of {COMPETITION_MODES}, got {mode!r}")
-    offsets = block_offsets(hidden_sizes)
+    starts, stops, uniform = block_layout(tuple(hidden_sizes))
     n, width = activations.shape
-    if width != offsets[-1]:
-        raise DataError(f"activations have {width} columns, hidden sizes sum to {offsets[-1]}")
+    if width != stops[-1]:
+        raise DataError(f"activations have {width} columns, hidden sizes sum to {stops[-1]}")
     if scratch is None:
         logits = np.empty((n, width), dtype=np.float64)
     else:
@@ -744,10 +736,9 @@ def compete_into(
     # (view, hypercolumn slice) pairs; every view is (B, k, m) with one
     # hypercolumn along its last axis: a single cube over all k = n_blocks
     # hypercolumns when they share a size, else one k = 1 view per block.
-    starts, stops = offsets[:-1], offsets[1:]
     n_blocks = starts.shape[0]
     m = int(stops[0])
-    if np.all(stops - starts == m):
+    if uniform:
         blocks = [(logits.reshape(n, n_blocks, m), slice(None))]
     else:
         blocks = [
@@ -774,7 +765,7 @@ def compete_into(
         picks = block.sum(axis=-1)
         np.minimum(picks, block.shape[-1] - 1, out=winners[:, cols], casting="unsafe")
     winners += starts
-    return OneHotActivity(winners, width)
+    return OneHotActivity._wrap(winners, width)
 
 
 def batch_outer_product(
@@ -783,7 +774,7 @@ def batch_outer_product(
     out_x: Optional[np.ndarray] = None,
     out_a: Optional[np.ndarray] = None,
     out_outer: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, object]:
     """Batch-mean marginals and co-activation matrix.
 
     Returns ``(mean_x, mean_a, mean_outer)`` where ``mean_outer[i, j]`` is the
@@ -792,18 +783,13 @@ def batch_outer_product(
     stream statistics into a preallocated workspace.
 
     ``a`` may be an :class:`OneHotActivity`.  When ``x`` is then exactly
-    {0,1}-valued (the one-hot Higgs encoding) both operands of that GEMM are
-    one-hot and it only *counts* co-activations, so the counts are formed
-    from the indices (:meth:`OneHotActivity.counts`) and scaled by the very
-    operations the GEMM path applies — ``/ B`` for ``mean_a`` (``np.mean``
-    divides) and ``* (1/B)`` for ``mean_outer`` — which makes the result bit
-    for bit the GEMM's.  ``mean_outer`` is then the count array itself,
-    scaled in place (``np.bincount`` owns its result, and copying it into
-    ``out_outer`` would cost a second pass over the matrix): as with any
-    ``out=``-less call, use the returned arrays.  Real-valued ``x``
-    (complementary-coded images, stacked layers) and batches too small for
-    counting to pay take the GEMM on the densified activity, into
-    ``out_outer``.
+    {0,1}-valued (the one-hot Higgs encoding) the GEMM would only count
+    co-activations, so they are counted by index (:func:`one_hot_counts`)
+    and scaled by the GEMM path's own operations — ``/ B`` for the marginals
+    (``np.mean`` divides), ``* (1/B)`` for the joint — and ``mean_outer`` is
+    the sparse ``(flat_index, values)`` pair :func:`ema_update` scatters
+    (``out_outer`` unused): bit for bit the GEMM's entries, the rest its
+    exact zeros.  Real-valued ``x`` takes the GEMM on the dense activity.
     """
     x = np.asarray(x, dtype=np.float64)
     one_hot = isinstance(a, OneHotActivity)
@@ -814,15 +800,14 @@ def batch_outer_product(
     if x.shape[0] == 0:
         raise DataError("cannot compute batch statistics of an empty batch")
     inv_b = 1.0 / x.shape[0]
-    mean_x = np.mean(x, axis=0, out=out_x)
     if one_hot:
-        counts = a.counts(x)
-        if counts is not None:
-            mean_a = np.true_divide(counts[0], x.shape[0], out=out_a)
-            mean_outer = counts[1]
-            mean_outer *= inv_b
-            return mean_x, mean_a, mean_outer
+        if np.count_nonzero(x == 1.0) == np.count_nonzero(x):
+            sum_x, sum_a, flat, hits = one_hot_counts(x, a.winners, a.width)
+            mean_x = np.true_divide(sum_x, x.shape[0], out=out_x)
+            mean_a = np.true_divide(sum_a, x.shape[0], out=out_a)
+            return mean_x, mean_a, (flat, hits * inv_b)
         a = a.dense()
+    mean_x = np.mean(x, axis=0, out=out_x)
     mean_a = np.mean(a, axis=0, out=out_a)
     if out_outer is None:
         mean_outer = (x.T @ a) * inv_b
@@ -878,7 +863,7 @@ def ema_update(
     p_ij: np.ndarray,
     mean_x: np.ndarray,
     mean_a: np.ndarray,
-    mean_outer: np.ndarray,
+    mean_outer,
     taupdt: float,
 ) -> None:
     """In-place trace update ``p <- (1 - taupdt) * p + taupdt * mean``.
@@ -887,12 +872,21 @@ def ema_update(
     arrays are treated as scratch (they are scaled by ``taupdt`` in place) so
     the update allocates nothing — callers pass workspace buffers or freshly
     computed statistics they no longer need.
+
+    ``mean_outer`` is the dense joint mean or a sparse ``(flat_index,
+    values)`` pair (unique indices into a C-contiguous ``p_ij``, 0
+    elsewhere), applied as ``p_ij *= decay`` plus a scatter-add of ``values
+    * taupdt``: the dense operations at every touched entry and ``p * decay
+    == p * decay + 0.0`` at the others, so both forms give the same bits.
     """
     if not 0.0 < taupdt <= 1.0:
         raise DataError(f"taupdt must be in (0, 1], got {taupdt}")
     if mean_x.shape != p_i.shape or mean_a.shape != p_j.shape:
         raise DataError("statistic shapes do not match the trace dimensions")
-    if mean_outer.shape != p_ij.shape:
+    sparse = isinstance(mean_outer, tuple)
+    if sparse and not p_ij.flags.c_contiguous:
+        raise DataError("a (flat_index, values) joint mean needs a C-contiguous p_ij")
+    if not sparse and mean_outer.shape != p_ij.shape:
         raise DataError("mean_outer shape does not match the trace dimensions")
     decay = 1.0 - taupdt
     p_i *= decay
@@ -902,8 +896,13 @@ def ema_update(
     mean_a *= taupdt
     p_j += mean_a
     p_ij *= decay
-    mean_outer *= taupdt
-    p_ij += mean_outer
+    if sparse:
+        flat, values = mean_outer
+        values *= taupdt
+        p_ij.reshape(-1)[flat] += values
+    else:
+        mean_outer *= taupdt
+        p_ij += mean_outer
 
 
 def mutual_information_scores(

@@ -8,6 +8,7 @@ quadratic.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "stable_log",
     "batch_slices",
     "block_offsets",
+    "block_layout",
     "normalize_blocks",
 ]
 
@@ -77,6 +79,15 @@ def block_offsets(block_sizes: Sequence[int]) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(sizes)])
 
 
+@lru_cache(maxsize=64)
+def block_layout(block_sizes: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """Cached ``(starts, stops, all sizes equal)`` of a block layout (read-only)."""
+    offsets = block_offsets(block_sizes)
+    offsets.flags.writeable = False
+    starts, stops = offsets[:-1], offsets[1:]
+    return starts, stops, bool(np.all(stops - starts == stops[0]))
+
+
 def blockwise_softmax(
     support: np.ndarray, block_sizes: Sequence[int], out: np.ndarray = None
 ) -> np.ndarray:
@@ -93,8 +104,8 @@ def blockwise_softmax(
     support = np.asarray(support, dtype=np.float64)
     if support.ndim != 2:
         raise DataError(f"support must be 2-D, got shape {support.shape}")
-    sizes = np.asarray(block_sizes, dtype=np.int64)
-    total = int(sizes.sum())
+    starts, stops, uniform = block_layout(tuple(block_sizes))
+    total = int(stops[-1])
     if support.shape[1] != total:
         raise DataError(
             f"support has {support.shape[1]} columns, block sizes sum to {total}"
@@ -103,10 +114,10 @@ def blockwise_softmax(
         raise DataError(
             f"out has shape {out.shape}, expected {support.shape}"
         )
-    if np.all(sizes == sizes[0]):
+    if uniform:
         n, _ = support.shape
-        h = sizes.shape[0]
-        m = int(sizes[0])
+        h = starts.shape[0]
+        m = int(stops[0])
         cube = support.reshape(n, h, m)
         if out is None:
             return row_softmax(cube).reshape(n, total)
@@ -115,11 +126,9 @@ def blockwise_softmax(
         np.exp(ocube, out=ocube)
         ocube /= ocube.sum(axis=-1, keepdims=True)
         return out
-    offsets = block_offsets(sizes)
     if out is None:
         out = np.empty_like(support)
-    for b in range(sizes.shape[0]):
-        lo, hi = offsets[b], offsets[b + 1]
+    for lo, hi in zip(starts, stops):
         out[:, lo:hi] = row_softmax(support[:, lo:hi])
     return out
 
@@ -130,17 +139,13 @@ def blockwise_argmax(activations: np.ndarray, block_sizes: Sequence[int]) -> np.
     Output shape is ``(n_samples, n_blocks)`` with local indices.
     """
     activations = np.asarray(activations)
-    sizes = np.asarray(block_sizes, dtype=np.int64)
-    offsets = block_offsets(sizes)
-    if activations.shape[1] != offsets[-1]:
+    starts, stops, uniform = block_layout(tuple(block_sizes))
+    if activations.shape[1] != stops[-1]:
         raise DataError("activations width does not match block sizes")
-    if np.all(sizes == sizes[0]):
+    if uniform:
         n = activations.shape[0]
-        return activations.reshape(n, sizes.shape[0], int(sizes[0])).argmax(axis=2)
-    cols = []
-    for b in range(sizes.shape[0]):
-        lo, hi = offsets[b], offsets[b + 1]
-        cols.append(activations[:, lo:hi].argmax(axis=1))
+        return activations.reshape(n, starts.shape[0], int(stops[0])).argmax(axis=2)
+    cols = [activations[:, lo:hi].argmax(axis=1) for lo, hi in zip(starts, stops)]
     return np.stack(cols, axis=1)
 
 
@@ -181,16 +186,14 @@ def batch_slices(n_samples: int, batch_size: int) -> Iterator[slice]:
 def normalize_blocks(values: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
     """Normalise each block of each row to sum to one (safe for zero blocks)."""
     values = np.asarray(values, dtype=np.float64)
-    sizes = np.asarray(block_sizes, dtype=np.int64)
-    offsets = block_offsets(sizes)
+    starts, stops, _ = block_layout(tuple(block_sizes))
     if values.ndim == 1:
         values = values[None, :]
         squeeze = True
     else:
         squeeze = False
     out = values.copy()
-    for b in range(sizes.shape[0]):
-        lo, hi = offsets[b], offsets[b + 1]
+    for lo, hi in zip(starts, stops):
         sums = out[:, lo:hi].sum(axis=1, keepdims=True)
         sums[sums <= 0.0] = 1.0
         out[:, lo:hi] /= sums

@@ -351,12 +351,54 @@ class TestFrozenMaskMatchesSerial:
             )
 
 
+def _allreduce_transients(layer, x, batch, epochs, weight_refresh_tol):
+    """Peak ``tracemalloc`` growth over each interval between two allreduces
+    of a one-rank program run."""
+    transients = []
+    held = []
+    with SerialComm() as comm:
+
+        def probed(collective):
+            def call(array, op="sum"):
+                current, peak = tracemalloc.get_traced_memory()
+                if held:
+                    transients.append(peak - held[-1])
+                tracemalloc.reset_peak()
+                held.append(current)
+                return collective(array, op=op)
+
+            return call
+
+        comm.allreduce = probed(comm.allreduce)
+        tracemalloc.start()
+        try:
+            DistributedTrainer(comm).train_layer(
+                layer, x, epochs=epochs, batch_size=batch, rng=as_rng(3),
+                weight_refresh_tol=weight_refresh_tol,
+            )
+        finally:
+            tracemalloc.stop()
+    return transients
+
+
+def _steady(transients, per_epoch):
+    """Interval i runs from batch i's reduction to batch i + 1's: skip the
+    first epoch (workspace warm-up) and the intervals that span an epoch
+    boundary (plasticity, the replica sync)."""
+    steady = [
+        peak for i, peak in enumerate(transients)
+        if i >= per_epoch and (i + 1) % per_epoch != 0
+    ]
+    assert steady
+    return steady
+
+
 class TestProgramAllocations:
     """Each rank forwards through its layer's engine workspace, so a batch
     allocates little ``(B, H)``-sized between two allreduces: the entropy
-    monitor's two float64 temporaries (2.00 x B·H·8, the serial route
-    computes them the same way) plus less than half a ``(B, H)`` of
-    anything else, the rest being trace-sized or ``(B, n_hcu)``."""
+    monitor's one float64 buffer (1.00 x B·H·8, the serial route computes
+    it the same way) plus less than half a ``(B, H)`` of anything else, the
+    rest being trace-sized or ``(B, n_hcu)``."""
 
     @pytest.mark.parametrize("weight_refresh_tol", [0.0, 0.02])
     @pytest.mark.parametrize("density", [0.5, 1.0])
@@ -372,40 +414,31 @@ class TestProgramAllocations:
         )
         layer = StructuralPlasticityLayer(4, 25, hyperparams=hyperparams, seed=2)
         layer.build(InputSpec.uniform(4, 5))
-        transients = []
-        held = []
-        with SerialComm() as comm:
-
-            def probed(collective):
-                def call(array, op="sum"):
-                    current, peak = tracemalloc.get_traced_memory()
-                    if held:
-                        transients.append(peak - held[-1])
-                    tracemalloc.reset_peak()
-                    held.append(current)
-                    return collective(array, op=op)
-
-                return call
-
-            comm.allreduce = probed(comm.allreduce)
-            tracemalloc.start()
-            try:
-                DistributedTrainer(comm).train_layer(
-                    layer, x, epochs=3, batch_size=batch, rng=as_rng(3),
-                    weight_refresh_tol=weight_refresh_tol,
-                )
-            finally:
-                tracemalloc.stop()
+        transients = _allreduce_transients(layer, x, batch, 3, weight_refresh_tol)
         # The statistics payload adds the first batch's calibration allreduce.
         calibration = 1 if competition == "softmax" else 0
         transients = transients[calibration:]
         assert len(transients) == 3 * per_epoch - 1
-        # Interval i runs from batch i's reduction to batch i + 1's: skip the
-        # first epoch (workspace warm-up) and the intervals that span an
-        # epoch boundary (plasticity, the replica sync).
-        steady = [
-            peak for i, peak in enumerate(transients)
-            if i >= per_epoch and (i + 1) % per_epoch != 0
-        ]
-        assert steady
-        assert max(steady) < 2.5 * batch * n_hidden * 8
+        assert max(_steady(transients, per_epoch)) < 2.5 * batch * n_hidden * 8
+
+    @pytest.mark.parametrize("weight_refresh_tol", [0.0, 0.02])
+    @pytest.mark.parametrize("density", [0.3, 1.0])
+    def test_winner_path_allocates_nothing_trace_sized(self, density, weight_refresh_tol):
+        """``sample`` on {0,1} x at the narrow shape (280 inputs, 1 x 150
+        hidden, 32-row batches): every rank counts only the pairs a batch
+        touches and scatters them into ``p_ij``, so no interval between two
+        allreduces allocates as much as one ``(n_input, n_hidden)`` float64
+        matrix (a dense count matrix would be exactly that)."""
+        batch, per_epoch = 32, 4
+        x = _one_hot(per_epoch * batch, 28, 10, seed=1)
+        hyperparams = BCPNNHyperParameters(
+            taupdt=0.05, density=density, competition="sample",
+            mask_update_period=10_000,
+        )
+        layer = StructuralPlasticityLayer(1, 150, hyperparams=hyperparams, seed=2)
+        layer.build(InputSpec.uniform(28, 10))
+        transients = _allreduce_transients(layer, x, batch, 3, weight_refresh_tol)
+        assert len(transients) == 3 * per_epoch - 1
+        trace_bytes = layer.traces.p_ij.nbytes
+        assert trace_bytes == 280 * 150 * 8
+        assert max(_steady(transients, per_epoch)) < trace_bytes

@@ -6,7 +6,8 @@ Contracts under test:
   statistics themselves, and the result is ``np.array_equal`` to the
   trace-shaped statistics payload (the reference: the same run with the
   payload decision patched off) — on every transport, for remainder
-  batches, batches under the counting threshold, batches with fewer rows
+  batches, small batches (20 rows, under the 32 rows from which the
+  winners were once counted into a dense matrix), batches with fewer rows
   than ranks, stale-weights caching and crash recovery;
 * real-valued inputs and the other competition modes keep the statistics
   payload;

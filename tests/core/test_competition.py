@@ -4,7 +4,8 @@
 (``tests/core/competition_oracle.py``) — outputs and the generator state
 after every call, because the count and order of the draws is the
 reproducibility contract — and the index path of ``batch_outer_product``
-must be bit for bit the GEMM over the dense one-hot matrices.
+must be bit for bit the GEMM over the dense one-hot matrices, at every batch
+size (its sparse joint mean scattered into a zero matrix).
 """
 
 import tracemalloc
@@ -192,24 +193,36 @@ def _binary_batches(draw):
     return x, kernels.OneHotActivity(winners, sum(sizes))
 
 
+def _scattered(joint, shape):
+    """The dense joint mean a sparse ``(flat_index, values)`` pair stands for."""
+    flat, values = joint
+    assert np.all(np.diff(flat) > 0) and np.all(values > 0)
+    dense = np.zeros(shape)
+    dense.reshape(-1)[flat] = values
+    return dense
+
+
 class TestOneHotStatisticsAreExact:
     @settings(max_examples=150, deadline=None)
     @given(_binary_batches())
     def test_index_path_equals_gemm_path_bit_for_bit(self, batch):
         x, activity = batch
         dense = activity.dense()
-        took_index_path = activity.counts(x) is not None
-        assert took_index_path == (x.shape[0] >= kernels.ONE_HOT_COUNT_MIN_ROWS)
         expected = oracle.batch_statistics(x, dense)
-        for actual, reference in zip(kernels.batch_outer_product(x, activity), expected):
-            assert np.array_equal(actual, reference)
+        mean_x, mean_a, joint = kernels.batch_outer_product(x, activity)
+        # The index path engages for {0,1} inputs at every batch size: the
+        # joint mean comes back as the sparse pair ema_update scatters.
+        assert isinstance(joint, tuple)
+        assert np.array_equal(mean_x, expected[0])
+        assert np.array_equal(mean_a, expected[1])
+        assert np.array_equal(_scattered(joint, expected[2].shape), expected[2])
         # The workspace form: mean_x / mean_a land in the buffers handed in.
         out_x, out_a = np.empty(x.shape[1]), np.empty(dense.shape[1])
         out_outer = np.empty(expected[2].shape)
         returned = kernels.batch_outer_product(x, activity, out_x, out_a, out_outer)
         assert returned[0] is out_x and returned[1] is out_a
-        for actual, reference in zip(returned, expected):
-            assert np.array_equal(actual, reference)
+        assert np.array_equal(out_x, expected[0]) and np.array_equal(out_a, expected[1])
+        assert np.array_equal(_scattered(returned[2], expected[2].shape), expected[2])
 
     @pytest.mark.parametrize("n_rows", [112, 256])
     def test_higgs_shaped_batches(self, n_rows):
@@ -219,11 +232,11 @@ class TestOneHotStatisticsAreExact:
             _activations(n_rows, [30] * 4, seed=1), [30] * 4, "sample", 0.1, None, 0.0,
             np.random.default_rng(2),
         )
-        for expected, actual in zip(
-            oracle.batch_statistics(x, activity.dense()),
-            kernels.batch_outer_product(x, activity),
-        ):
-            assert np.array_equal(actual, expected)
+        expected = oracle.batch_statistics(x, activity.dense())
+        actual = kernels.batch_outer_product(x, activity)
+        assert np.array_equal(actual[0], expected[0])
+        assert np.array_equal(actual[1], expected[1])
+        assert np.array_equal(_scattered(actual[2], expected[2].shape), expected[2])
 
     @pytest.mark.parametrize("spoiler", [0.5, 2.0, -1.0, np.nan])
     def test_real_valued_input_falls_back_to_the_gemm(self, spoiler):
@@ -231,11 +244,9 @@ class TestOneHotStatisticsAreExact:
         x[17, 5] = spoiler
         winners = np.random.default_rng(1).integers(0, 6, size=(40, 1))
         activity = kernels.OneHotActivity(winners, 6)
-        assert activity.counts(x) is None
-        for expected, actual in zip(
-            oracle.batch_statistics(x, activity.dense()),
-            kernels.batch_outer_product(x, activity),
-        ):
+        returned = kernels.batch_outer_product(x, activity)
+        assert isinstance(returned[2], np.ndarray)  # the dense GEMM, not a pair
+        for expected, actual in zip(oracle.batch_statistics(x, activity.dense()), returned):
             assert np.array_equal(actual, expected, equal_nan=True)
 
     def test_empty_and_mismatched_batches_raise(self):
