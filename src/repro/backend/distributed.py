@@ -23,7 +23,6 @@ serial ``train_batch`` loop — on the serial, thread and tcp transports alike
 from __future__ import annotations
 
 import os
-import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
@@ -35,6 +34,7 @@ from repro.comm import Communicator, split_ranks
 from repro.engine.pipeline import mean_activation_entropy
 from repro.exceptions import BackendError, DataError
 from repro.utils.logging import get_logger
+from repro.utils.rng import generator_state, set_generator_state
 from repro.utils.validation import check_numeric_dtype
 
 logger = get_logger(__name__)
@@ -65,13 +65,6 @@ class DistributedEpochReport:
 # The SPMD training program (runs on every rank through ``comm.run``).
 # --------------------------------------------------------------------------
 
-def _generator_from_state(state: Dict[str, object]) -> np.random.Generator:
-    """Rebuild a NumPy generator from a shipped ``bit_generator.state``."""
-    bit_generator = getattr(np.random, str(state["bit_generator"]))()
-    bit_generator.state = state
-    return np.random.Generator(bit_generator)
-
-
 def resolve_backend_name(spec, backend) -> Optional[str]:
     """A registry-resolvable name for a backend choice, or ``None``.
 
@@ -99,11 +92,11 @@ def resolve_backend_name(spec, backend) -> Optional[str]:
 def _replica_from_spec(spec: Dict[str, object], rng: np.random.Generator):
     """Construct a worker-rank layer replica from a config-only spec.
 
-    Only small configuration crosses the process boundary; the layer-sized
-    trace/mask arrays are broadcast afterwards (see
-    :func:`train_layer_program`).  ``rng`` must use
-    the same bit-generator type as rank 0's layer so the subsequent in-place
-    state synchronisation is well defined.
+    ``spec`` is the non-array fields of rank 0's layer snapshot plus the
+    backend name: only small configuration crosses the process boundary;
+    the layer-sized trace/mask arrays are broadcast afterwards (see
+    :func:`train_layer_program`).  ``rng`` must be a PCG64 generator, the
+    one bit generator the state codec re-imposes in place.
     """
     from repro.core.hyperparams import BCPNNHyperParameters
     from repro.core.layers import InputSpec, StructuralPlasticityLayer
@@ -147,15 +140,9 @@ def _sync_replica(comm: Communicator, layer) -> None:
     layer.traces.p_j[:] = comm.bcast(layer.traces.p_j, root=0)
     layer.traces.p_ij[:] = comm.bcast(layer.traces.p_ij, root=0)
     layer.plasticity.mask[:] = comm.bcast(layer.plasticity.mask, root=0)
-    # PCG64 state holds 128-bit integers, so it ships as a pickled blob
-    # rather than a fixed-width array.  Rank 0 round-trips its own state
-    # (a no-op); every other rank adopts it in place — never a new
-    # Generator object, the plasticity rule shares this one.
-    blob = comm.bcast(
-        np.frombuffer(pickle.dumps(layer._rng.bit_generator.state), dtype=np.uint8),
-        root=0,
-    )
-    layer._rng.bit_generator.state = pickle.loads(blob.tobytes())
+    # Rank 0 round-trips its own generator state (a no-op); every other
+    # rank adopts it in place.
+    set_generator_state(layer._rng, comm.bcast(generator_state(layer._rng), root=0))
     layer._refresh_mask()
     layer.refresh_weights()
 
@@ -210,7 +197,7 @@ def train_layer_program(
       one.  A fresh start is the record at epoch 0.
     * ``on_epoch_end`` (rank 0 only; it runs inline in the caller) receives
       the next record at every epoch boundary, with the layer's
-      :func:`_layer_snapshot` under ``"snapshot"``.
+      ``state_dict(training=True)`` under ``"snapshot"``.
     * ``options["fault_injection"]`` — ``{rank, epoch, batch}`` from the
       fault plan's ``worker.crash`` rule: the matching rank dies at the
       start of that global batch (a hard ``os._exit`` on multi-process
@@ -219,13 +206,9 @@ def train_layer_program(
     rank, size = comm.rank, comm.size
     x = comm.bcast(x, root=0)
     if layer is None:
-        layer = _replica_from_spec(
-            options["spec"], _generator_from_state(options["rng_layer_state"])
-        )
-    # In-place state reset (never a new Generator object: the plasticity rule
-    # shares the layer's generator) makes every replica's draw stream match
-    # rank 0's exactly — calibration jitter and mask swaps stay identical.
-    layer._rng.bit_generator.state = options["rng_layer_state"]
+        # Any PCG64 generator: the replica sync below re-imposes rank 0's
+        # state in place, before the first draw.
+        layer = _replica_from_spec(options["spec"], np.random.default_rng())
 
     record = options["record"]
     shuffle_rng = np.random.default_rng(int(record["shuffle_seed"]))
@@ -399,7 +382,7 @@ def train_layer_program(
                     "batches": total_batches,
                     "swaps": total_swaps,
                     "epoch_logs": list(epoch_logs),
-                    "snapshot": _layer_snapshot(layer),
+                    "snapshot": layer.state_dict(training=True),
                 }
             )
 
@@ -409,11 +392,6 @@ def train_layer_program(
         "swaps": total_swaps,
         "epoch_logs": epoch_logs,
     }
-
-
-def _layer_snapshot(layer) -> Dict[str, object]:
-    """The layer's state codec plus its generator state: a resume point."""
-    return dict(layer.state_dict(), rng_state=layer._rng.bit_generator.state)
 
 
 class DistributedTrainer:
@@ -427,7 +405,8 @@ class DistributedTrainer:
     the per-rank step (``shard_activity``, ``calibrate_prior``,
     ``engine_for``, ``configure_execution``, ``refresh_weights``,
     ``end_epoch``, ``traces``, ``hyperparams``) and the restart snapshot
-    (``state_dict``, ``load_state_dict`` and the ``_rng`` generator).
+    (``state_dict(training=True)``, ``load_state_dict`` and the ``_rng``
+    generator the replica sync broadcasts).
 
     Parameters
     ----------
@@ -476,8 +455,8 @@ class DistributedTrainer:
         **Restarts.**  At every epoch boundary rank 0 emits one record —
         ``{shuffle_seed, epoch, batches, swaps, epoch_logs, snapshot}``:
         the shuffle seed, the next epoch, the cumulative batch and swap
-        counts and epoch logs, and the layer's :func:`_layer_snapshot`
-        (its ``state_dict`` plus its generator state).
+        counts and epoch logs, and the layer's ``state_dict(training=True)``
+        (its model state plus its generator).
         ``on_epoch_end(record)`` receives it in the caller, live, as each
         epoch completes.  The trainer keeps the latest record, and every
         attempt enters at it: when a rank dies on a transport that can
@@ -549,21 +528,14 @@ class DistributedTrainer:
             # (a crash leaves rank 0's in-place layer mid-epoch), or take one
             # where the layer already stands at the record's boundary.
             if "snapshot" in latest:
-                layer.load_state_dict(latest["snapshot"])  # rebuilds: consumes draws
-                layer._rng.bit_generator.state = latest["snapshot"]["rng_state"]
+                layer.load_state_dict(latest["snapshot"])
             else:
-                latest["snapshot"] = _layer_snapshot(layer)
-            spec = {
-                "n_hypercolumns": layer.n_hypercolumns,
-                "n_minicolumns": layer.n_minicolumns,
-                "hyperparams": layer.hyperparams.to_dict(),
-                "input_sizes": list(layer.input_spec.hypercolumn_sizes),
-                "name": layer.name,
-                "batches_trained": int(layer.batches_trained),
-                # Worker replicas must compute their shards on the same compute
-                # backend as rank 0, or the reduction mixes precisions.
-                "backend": resolve_backend_name(layer._backend_spec, layer.backend),
-            }
+                latest["snapshot"] = layer.state_dict(training=True)
+            snapshot = latest["snapshot"]
+            spec = {k: v for k, v in snapshot.items() if not isinstance(v, np.ndarray)}
+            # Worker replicas must compute their shards on the same compute
+            # backend as rank 0, or the reduction mixes precisions.
+            spec["backend"] = resolve_backend_name(layer._backend_spec, layer.backend)
             options = {
                 "spec": spec,
                 "epochs": int(epochs),
@@ -572,7 +544,6 @@ class DistributedTrainer:
                 "weight_refresh_tol": float(weight_refresh_tol),
                 "winner_payload": winner_payload,
                 "record": {k: v for k, v in latest.items() if k != "snapshot"},
-                "rng_layer_state": layer._rng.bit_generator.state,
             }
             if injection is not None:
                 options["fault_injection"] = injection

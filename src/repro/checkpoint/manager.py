@@ -182,7 +182,7 @@ class CheckpointManager:
                 path, "checksum mismatch (truncated or corrupt checkpoint)"
             )
         try:
-            with np.load(io.BytesIO(data), allow_pickle=False) as archive:
+            with np.load(io.BytesIO(data)) as archive:  # refuses object arrays
                 if "meta" not in archive.files:
                     raise CheckpointError(path, "archive has no metadata record")
                 meta = json.loads(bytes(archive["meta"].tobytes()).decode("utf-8"))

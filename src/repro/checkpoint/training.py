@@ -2,17 +2,17 @@
 
 One checkpoint holds everything :meth:`repro.core.network.Network.fit`
 needs to fast-forward to an epoch boundary and continue bitwise-identically
-(at ``weight_refresh_tol=0``) to an uninterrupted run:
+(at ``weight_refresh_tol=0``) to an uninterrupted run.  It is a saved model
+plus a cursor:
 
-* the model state of **every** layer, in the same flattened form as
-  :mod:`repro.core.serialization` (so a checkpoint doubles as a loadable
-  model — see :func:`network_from_checkpoint`, used by serving ``/reload``);
-* the training extras serialisation deliberately drops: per-layer RNG
-  states, the SGD head's momentum velocities and weights token, the BCPNN
-  head's batch counter;
-* the network-level RNG state — the shuffle stream: restoring it makes the
-  :class:`~repro.datasets.stream.BatchStream` draw exactly the permutations
-  the uninterrupted run would have drawn next;
+* the model payload of :func:`repro.core.serialization.network_state` at
+  ``training=True`` — every layer's state codec with the training extras
+  each layer owns (generators, the SGD head's velocities and weights token,
+  the BCPNN head's batch counter), so a checkpoint doubles as a loadable
+  model (see :func:`network_from_checkpoint`, used by serving ``/reload``);
+* the network generator (the shuffle stream) as the ``network.rng`` array:
+  restoring it makes the :class:`~repro.datasets.stream.BatchStream` draw
+  exactly the permutations the uninterrupted run would have drawn next;
 * the recorded :class:`~repro.core.training.History`;
 * a **cursor** (``phase``/``layer_index``/``epochs_done``) locating the
   boundary, plus the unit of an in-progress data-parallel layer: the
@@ -21,32 +21,37 @@ needs to fast-forward to an epoch boundary and continue bitwise-identically
   checkpoint holds the layer itself);
 * a **schedule fingerprint** guarding resumes: a checkpoint taken under
   different hyperparameters, architecture or data shape is refused with a
-  pathed :class:`CheckpointError` instead of silently diverging.
+  pathed :class:`CheckpointError` instead of silently diverging;
+* its ``format_version`` (:data:`TRAINING_FORMAT_VERSION`).  Checkpoints
+  written before the one codec carry none (version 1: per-layer extras
+  in a ``layers_extra`` list) and are refused for resume by name.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-import numpy as np
-
 from repro.checkpoint.manager import CheckpointManager
-from repro.core.heads import BCPNNClassifier, SGDClassifier
-from repro.core.layers import StructuralPlasticityLayer
-from repro.core.serialization import _ARRAY_KEYS, _json_default, _network_from_state
+from repro.core.heads import SGDClassifier
+from repro.core.serialization import (
+    _json_default,
+    _network_from_state,
+    layer_states,
+    network_state,
+)
 from repro.core.training import EpochResult
 from repro.exceptions import CheckpointError
+from repro.utils.rng import generator_state, set_generator_state
 
 __all__ = ["ResumeState", "TrainingCheckpointer", "training_fingerprint", "network_from_checkpoint"]
 
-
-def _rng_state(generator) -> Dict[str, object]:
-    return generator.bit_generator.state
+#: The training-state layout this version writes and resumes.
+TRAINING_FORMAT_VERSION = 2
 
 
 def training_fingerprint(network, schedule, x_shape) -> str:
@@ -97,88 +102,7 @@ def training_fingerprint(network, schedule, x_shape) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _capture_network(network, fitted: bool):
-    """Flatten every layer into (model header, arrays, training extras)."""
-    layer_metas: List[Dict[str, object]] = []
-    extras: List[Dict[str, object]] = []
-    arrays: Dict[str, np.ndarray] = {}
-    for index, layer in enumerate(network.layers):
-        state = layer.state_dict()
-        kind = state["kind"]
-        meta: Dict[str, object] = {}
-        for key, value in state.items():
-            if key in _ARRAY_KEYS.get(kind, []):
-                arrays[f"layer{index}.{key}"] = np.asarray(value)
-            else:
-                meta[key] = value
-        layer_metas.append(meta)
-        if isinstance(layer, StructuralPlasticityLayer):
-            extras.append({"rng_state": _rng_state(layer._rng)})
-        elif isinstance(layer, SGDClassifier):
-            extras.append(
-                {
-                    "rng_state": _rng_state(layer._rng),
-                    "weights_token": int(layer._weights_token),
-                }
-            )
-            arrays[f"layer{index}.vel_w"] = layer._vel_w.copy()
-            arrays[f"layer{index}.vel_b"] = layer._vel_b.copy()
-        elif isinstance(layer, BCPNNClassifier):
-            extras.append({"batches_trained": int(layer._batches_trained)})
-        else:  # pragma: no cover - no other layer kinds exist
-            extras.append({})
-    model = {
-        "format_version": 1,
-        "network_name": network.name,
-        "fitted": bool(fitted),
-        "layers": layer_metas,
-    }
-    return model, arrays, extras
-
-
-def _restore_network(network, meta: Dict[str, object], arrays: Dict[str, np.ndarray]) -> None:
-    """In-place inverse of :func:`_capture_network` on a built network."""
-    layer_metas = meta["model"]["layers"]
-    extras = meta["layers_extra"]
-    if len(layer_metas) != len(network.layers):
-        raise CheckpointError(
-            meta.get("source", "<checkpoint>"),
-            f"checkpoint has {len(layer_metas)} layers, network has {len(network.layers)}",
-        )
-    for index, layer in enumerate(network.layers):
-        state = dict(layer_metas[index])
-        for key in _ARRAY_KEYS.get(state["kind"], []):
-            state[key] = arrays[f"layer{index}.{key}"]
-        layer.load_state_dict(state)
-        extra = extras[index]
-        if isinstance(layer, StructuralPlasticityLayer):
-            # load_state_dict rebuilt the layer (consuming generator draws);
-            # re-imposing the saved state makes the remaining draw stream —
-            # competition noise, calibration jitter, plasticity — exact.
-            layer._rng.bit_generator.state = extra["rng_state"]
-        elif isinstance(layer, SGDClassifier):
-            layer._rng.bit_generator.state = extra["rng_state"]
-            layer._vel_w = np.array(arrays[f"layer{index}.vel_w"], dtype=np.float64)
-            layer._vel_b = np.array(arrays[f"layer{index}.vel_b"], dtype=np.float64)
-            layer._weights_token = int(extra["weights_token"])
-        elif isinstance(layer, BCPNNClassifier):
-            # Not part of state_dict, but it gates the first-batch marginal
-            # calibration — resuming mid-head-phase must not recalibrate.
-            layer._batches_trained = int(extra["batches_trained"])
-    network._rng.bit_generator.state = meta["network_rng"]
-    network.history.records = [
-        EpochResult(
-            phase=str(r["phase"]),
-            layer_name=str(r["layer_name"]),
-            epoch=int(r["epoch"]),
-            duration_seconds=float(r["duration_seconds"]),
-            metrics=dict(r["metrics"]),
-        )
-        for r in meta["history"]
-    ]
-
-
-@dataclass
+@dataclasses.dataclass
 class ResumeState:
     """Where a restored run should re-enter training."""
 
@@ -232,22 +156,13 @@ class TrainingCheckpointer:
         """Persist the network + cursor at the current epoch boundary."""
         self.flush()
         self._step += 1
-        fitted = cursor.get("phase") == "done" or self.network.is_fitted
-        model, arrays, extras = _capture_network(self.network, fitted)
+        model, arrays = network_state(self.network, training=True)
+        model["fitted"] = model["fitted"] or cursor.get("phase") == "done"
+        arrays["network.rng"] = generator_state(self.network._rng)
         meta = {
+            "format_version": TRAINING_FORMAT_VERSION,
             "model": model,
-            "layers_extra": extras,
-            "network_rng": _rng_state(self.network._rng),
-            "history": [
-                {
-                    "phase": r.phase,
-                    "layer_name": r.layer_name,
-                    "epoch": r.epoch,
-                    "duration_seconds": r.duration_seconds,
-                    "metrics": dict(r.metrics),
-                }
-                for r in self.network.history.records
-            ],
+            "history": [dataclasses.asdict(r) for r in self.network.history.records],
             "cursor": dict(cursor),
             "unit": dict(unit) if unit is not None else None,
             "fingerprint": self.fingerprint,
@@ -303,15 +218,22 @@ class TrainingCheckpointer:
 
         Returns ``None`` when the directory holds no checkpoint yet (a
         ``--resume`` run that crashed before its first boundary simply
-        starts fresh).  A fingerprint mismatch — resuming under changed
-        hyperparameters, architecture or data shape — raises a pathed
-        :class:`CheckpointError`.
+        starts fresh).  Another training-state format version, or a
+        fingerprint mismatch — resuming under changed hyperparameters,
+        architecture or data shape — raises a pathed :class:`CheckpointError`.
         """
         self.flush()
         loaded = self.manager.load_latest()
         if loaded is None:
             return None
         path, meta, arrays = loaded
+        version = meta.get("format_version", 1)
+        if version != TRAINING_FORMAT_VERSION:
+            raise CheckpointError(
+                path,
+                f"training-state format version {version!r} cannot be resumed "
+                f"(this version resumes {TRAINING_FORMAT_VERSION}); restart the run",
+            )
         if meta.get("fingerprint") != self.fingerprint:
             raise CheckpointError(
                 path,
@@ -319,7 +241,12 @@ class TrainingCheckpointer:
                 "under different hyperparameters, architecture or data; "
                 "refusing to resume",
             )
-        _restore_network(self.network, meta, arrays)
+        # The fingerprint pins the architecture, so the layers line up.
+        network = self.network
+        for layer, state in zip(network.layers, layer_states(meta["model"], arrays)):
+            layer.load_state_dict(state)
+        set_generator_state(network._rng, arrays["network.rng"])
+        network.history.records = [EpochResult(**r) for r in meta["history"]]
         self._step = int(meta.get("step", 0))
         return ResumeState(
             path=path,

@@ -25,7 +25,7 @@ from repro.core.layers import InputSpec
 from repro.core.traces import ProbabilityTraces
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
 from repro.utils.arrays import one_hot, row_softmax
-from repro.utils.rng import as_rng
+from repro.utils.rng import as_rng, generator_state, set_generator_state
 from repro.utils.validation import check_labels, check_positive_int
 
 __all__ = ["BCPNNClassifier", "SGDClassifier"]
@@ -119,9 +119,11 @@ class BCPNNClassifier(BackendExecutionMixin):
         return np.argmax(self.decision_function(hidden), axis=1)
 
     # ----------------------------------------------------------------- state
-    def state_dict(self) -> Dict[str, object]:
+    def state_dict(self, training: bool = False) -> Dict[str, object]:
+        """The head's state codec; ``training=True`` adds the batch counter,
+        which gates the first-batch marginal calibration."""
         self._require_built()
-        return {
+        state = {
             "kind": "BCPNNClassifier",
             "name": self.name,
             "n_classes": self.n_classes,
@@ -133,6 +135,9 @@ class BCPNNClassifier(BackendExecutionMixin):
             "p_j": self.traces.p_j.copy(),
             "p_ij": self.traces.p_ij.copy(),
         }
+        if training:
+            state["batches_trained"] = self._batches_trained
+        return state
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
         self.taupdt = float(state["taupdt"])
@@ -142,6 +147,7 @@ class BCPNNClassifier(BackendExecutionMixin):
         self.traces.p_i[:] = np.asarray(state["p_i"])
         self.traces.p_j[:] = np.asarray(state["p_j"])
         self.traces.p_ij[:] = np.asarray(state["p_ij"])
+        self._batches_trained = int(state.get("batches_trained", 0))
         self.refresh_weights()
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -253,9 +259,11 @@ class SGDClassifier:
         return np.argmax(self.decision_function(hidden), axis=1)
 
     # ----------------------------------------------------------------- state
-    def state_dict(self) -> Dict[str, object]:
+    def state_dict(self, training: bool = False) -> Dict[str, object]:
+        """The head's state codec; ``training=True`` adds the generator, the
+        momentum velocities and the weights token."""
         self._require_built()
-        return {
+        state = {
             "kind": "SGDClassifier",
             "name": self.name,
             "n_classes": self.n_classes,
@@ -266,6 +274,12 @@ class SGDClassifier:
             "weights": self.weights.copy(),
             "bias": self.bias.copy(),
         }
+        if training:
+            state["rng"] = generator_state(self._rng)
+            state["vel_w"] = self._vel_w.copy()
+            state["vel_b"] = self._vel_b.copy()
+            state["weights_token"] = self._weights_token
+        return state
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
         self.learning_rate = float(state["learning_rate"])
@@ -274,8 +288,11 @@ class SGDClassifier:
         self.build(InputSpec([int(s) for s in state["input_sizes"]]))
         self.weights[:] = np.asarray(state["weights"])
         self.bias[:] = np.asarray(state["bias"])
-        self._vel_w = np.zeros_like(self.weights)
-        self._vel_b = np.zeros_like(self.bias)
+        if "rng" in state:  # a training state: continue the step exactly
+            set_generator_state(self._rng, state["rng"])
+            self._vel_w[:] = np.asarray(state["vel_w"])
+            self._vel_b[:] = np.asarray(state["vel_b"])
+            self._weights_token = int(state["weights_token"])
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

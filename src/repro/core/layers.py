@@ -19,7 +19,7 @@ from repro.core.hyperparams import BCPNNHyperParameters
 from repro.core.plasticity import StructuralPlasticity
 from repro.core.traces import ProbabilityTraces
 from repro.exceptions import ConfigurationError, DataError
-from repro.utils.rng import as_rng
+from repro.utils.rng import as_rng, generator_state, set_generator_state
 from repro.utils.validation import check_fraction, check_positive_int
 
 __all__ = ["InputSpec", "StructuralPlasticityLayer", "complementary_encode"]
@@ -380,10 +380,16 @@ class StructuralPlasticityLayer(BackendExecutionMixin):
         self._require_built()
         return self.plasticity.mask.T.copy()
 
-    def state_dict(self) -> Dict[str, object]:
-        """Serialisable state (used by :mod:`repro.core.serialization`)."""
+    def state_dict(self, training: bool = False) -> Dict[str, object]:
+        """The layer's state codec (see :mod:`repro.core.serialization`).
+
+        ``training=True`` adds the generator (:func:`generator_state`), the
+        one piece of training state the model leaves out: restoring it makes
+        the remaining draw stream — competition noise, calibration jitter,
+        plasticity — exact.
+        """
         self._require_built()
-        return {
+        state = {
             "kind": "StructuralPlasticityLayer",
             "name": self.name,
             "n_hypercolumns": self.n_hypercolumns,
@@ -396,23 +402,27 @@ class StructuralPlasticityLayer(BackendExecutionMixin):
             "mask": self.plasticity.mask.copy(),
             "batches_trained": self.batches_trained,
         }
+        if training:
+            state["rng"] = generator_state(self._rng)
+        return state
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
         """Restore a layer previously exported with :meth:`state_dict`.
 
         A ``"sparse"`` key written by older versions is ignored: the
-        restored mask alone decides the execution plan.
+        restored mask alone decides the execution plan.  A training state's
+        generator is re-imposed after the rebuild (which draws from it).
         """
         input_spec = InputSpec([int(s) for s in state["input_sizes"]])
-        self.hyperparams = BCPNNHyperParameters.from_dict(
-            {k: v for k, v in dict(state["hyperparams"]).items()}
-        )
+        self.hyperparams = BCPNNHyperParameters.from_dict(state["hyperparams"])
         self.build(input_spec)
         self.traces.p_i[:] = np.asarray(state["p_i"])
         self.traces.p_j[:] = np.asarray(state["p_j"])
         self.traces.p_ij[:] = np.asarray(state["p_ij"])
         self.plasticity.mask[:] = np.asarray(state["mask"])
         self.batches_trained = int(state["batches_trained"])
+        if "rng" in state:
+            set_generator_state(self._rng, state["rng"])
         self._refresh_mask()
         self.refresh_weights()
 

@@ -1,8 +1,12 @@
 """Model persistence: save/load trained networks as ``.npz`` archives.
 
-The format stores every layer's ``state_dict`` flattened into namespaced
-arrays plus a small JSON header, so a trained Higgs classifier can be
-shipped, reloaded and evaluated without retraining.
+One flattener serves model files and training checkpoints alike
+(:func:`network_state`): every layer's ``state_dict`` becomes namespaced
+``layer{i}.{key}`` arrays for its ndarray values and one JSON header entry
+for the rest, so a trained Higgs classifier can be shipped, reloaded and
+evaluated without retraining.  A model file is the codec at
+``training=False``; a checkpoint (:mod:`repro.checkpoint.training`) is the
+same payload at ``training=True`` plus its cursor.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import io
 import json
 import zipfile
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -24,16 +28,12 @@ __all__ = ["save_network", "load_network"]
 
 _FORMAT_VERSION = 1
 
-_ARRAY_KEYS = {
-    "StructuralPlasticityLayer": ["p_i", "p_j", "p_ij", "mask"],
-    "BCPNNClassifier": ["p_i", "p_j", "p_ij"],
-    "SGDClassifier": ["weights", "bias"],
-}
 
-
-def _network_payload(network: Network) -> Dict[str, np.ndarray]:
-    """Flatten a network into the npz keyword payload (header + arrays)."""
-    layer_states: List[Dict[str, object]] = []
+def network_state(
+    network: Network, training: bool = False
+) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
+    """Flatten every layer's state codec into ``(header, arrays)``."""
+    metas: List[Dict[str, object]] = []
     arrays: Dict[str, np.ndarray] = {}
     for index, layer in enumerate(network.layers):
         if not getattr(layer, "is_built", False):
@@ -41,25 +41,33 @@ def _network_payload(network: Network) -> Dict[str, np.ndarray]:
                 f"layer {getattr(layer, 'name', index)} is not built; "
                 "train or build the network first"
             )
-        state = layer.state_dict()
-        kind = state["kind"]
         meta = {}
-        for key, value in state.items():
-            if key in _ARRAY_KEYS.get(kind, []):
-                arrays[f"layer{index}.{key}"] = np.asarray(value)
+        for key, value in layer.state_dict(training=training).items():
+            if isinstance(value, np.ndarray):
+                arrays[f"layer{index}.{key}"] = value
             else:
                 meta[key] = value
-        layer_states.append(meta)
+        metas.append(meta)
     header = {
         "format_version": _FORMAT_VERSION,
         "network_name": network.name,
         "fitted": bool(network.is_fitted),
-        "layers": layer_states,
+        "layers": metas,
     }
-    arrays["header"] = np.frombuffer(
-        json.dumps(header, default=_json_default).encode("utf-8"), dtype=np.uint8
-    )
-    return arrays
+    return header, arrays
+
+
+def layer_states(
+    header: Dict[str, object], arrays: Dict[str, np.ndarray]
+) -> List[Dict[str, object]]:
+    """The inverse of :func:`network_state`: one state dict per layer."""
+    states = []
+    for index, meta in enumerate(header["layers"]):
+        prefix = f"layer{index}."
+        state = dict(meta)
+        state.update((k[len(prefix) :], v) for k, v in arrays.items() if k.startswith(prefix))
+        states.append(state)
+    return states
 
 
 def save_network(network: Network, path: Union[str, Path]) -> Path:
@@ -76,8 +84,12 @@ def save_network(network: Network, path: Union[str, Path]) -> Path:
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_suffix(".npz")
+    header, arrays = network_state(network)
+    arrays["header"] = np.frombuffer(
+        json.dumps(header, default=_json_default).encode("utf-8"), dtype=np.uint8
+    )
     buffer = io.BytesIO()
-    np.savez_compressed(buffer, **_network_payload(network))
+    np.savez_compressed(buffer, **arrays)
     try:
         atomic_write_bytes(path, buffer.getvalue())
     except CheckpointError as exc:
@@ -101,7 +113,7 @@ def load_network(path: Union[str, Path]) -> Network:
     if not path.is_file():
         raise SerializationError(f"model file not found: {path}")
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        with np.load(path) as archive:  # refuses object arrays
             header_bytes = bytes(archive["header"].tobytes())
             header = json.loads(header_bytes.decode("utf-8"))
             arrays = {key: archive[key] for key in archive.files if key != "header"}
@@ -117,42 +129,38 @@ def load_network(path: Union[str, Path]) -> Network:
 def _network_from_state(
     header: Dict[str, object], arrays: Dict[str, np.ndarray], source: str
 ) -> Network:
-    if header.get("format_version") != _FORMAT_VERSION:
-        raise SerializationError(
-            f"unsupported model format version {header.get('format_version')!r}"
-        )
-    network = Network(name=header.get("network_name", "bcpnn-network"))
-    for index, meta in enumerate(header["layers"]):
-        kind = meta["kind"]
-        state = dict(meta)
-        for key in _ARRAY_KEYS.get(kind, []):
-            array_key = f"layer{index}.{key}"
-            if array_key not in arrays:
-                raise SerializationError(f"missing array {array_key} in {source}")
-            state[key] = arrays[array_key]
-        layer = _instantiate_layer(kind, state)
-        layer.load_state_dict(state)
-        network.add(layer)
-    # Restore the input spec from the first layer so predict() works directly.
-    first = network.layers[0]
-    network.input_spec = first.input_spec
+    """Rebuild a network from its flattened state; ``source`` names the file.
+
+    A header or array that does not describe a network — an unknown
+    version, a missing field, an array of the wrong shape — raises a
+    :class:`SerializationError` naming ``source``.
+    """
+    try:
+        version = header.get("format_version")
+        if version != _FORMAT_VERSION:
+            raise SerializationError(f"unsupported model format version {version!r}")
+        network = Network(name=header.get("network_name", "bcpnn-network"))
+        for state in layer_states(header, arrays):
+            layer = _instantiate_layer(state["kind"], state)
+            layer.load_state_dict(state)
+            network.add(layer)
+        # Restore the input spec from the first layer so predict() works directly.
+        network.input_spec = network.layers[0].input_spec
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        reason = exc if isinstance(exc, SerializationError) else repr(exc)
+        raise SerializationError(f"{source}: {reason}") from exc
     network._fitted = bool(header.get("fitted", False))
     return network
 
 
+_LAYER_KINDS = {
+    cls.__name__: cls for cls in (StructuralPlasticityLayer, BCPNNClassifier, SGDClassifier)
+}
+
+
 def _instantiate_layer(kind: str, state: Dict[str, object]):
-    if kind == "StructuralPlasticityLayer":
-        return StructuralPlasticityLayer(
-            n_hypercolumns=int(state["n_hypercolumns"]),
-            n_minicolumns=int(state["n_minicolumns"]),
-            name=str(state.get("name", "hidden")),
-        )
-    if kind == "BCPNNClassifier":
-        return BCPNNClassifier(
-            n_classes=int(state["n_classes"]), name=str(state.get("name", "bcpnn-head"))
-        )
-    if kind == "SGDClassifier":
-        return SGDClassifier(
-            n_classes=int(state["n_classes"]), name=str(state.get("name", "sgd-head"))
-        )
-    raise SerializationError(f"unknown layer kind {kind!r} in model file")
+    """An unbuilt layer of ``kind``, shaped and named as ``state`` says."""
+    if kind not in _LAYER_KINDS:
+        raise SerializationError(f"unknown layer kind {kind!r} in model file")
+    shape = ("n_hypercolumns", "n_minicolumns", "n_classes", "name")
+    return _LAYER_KINDS[kind](**{key: state[key] for key in shape if key in state})

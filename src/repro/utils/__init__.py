@@ -5,7 +5,7 @@ from repro._lazy import attach
 __getattr__, __dir__, __all__ = attach(
     __name__,
     {
-        "rng": ["as_rng", "derive_rng", "spawn_rngs"],
+        "rng": ["as_rng"],
         "validation": [
             "check_array",
             "check_fraction",

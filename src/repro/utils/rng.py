@@ -3,21 +3,26 @@
 Every stochastic component in the library accepts either ``None``, an
 integer seed, or a :class:`numpy.random.Generator`.  Components never call
 the global NumPy RNG; instead they normalise their argument through
-:func:`as_rng` so that experiments are reproducible and independent
-components can be given independent streams via :func:`derive_rng` /
-:func:`spawn_rngs` (which use NumPy's ``SeedSequence`` spawning so streams
-do not overlap).
+:func:`as_rng` so that experiments are reproducible.
+
+A generator that must cross a boundary — into a checkpoint, or to another
+rank — travels as :func:`generator_state`'s fixed-width ``uint64`` array and
+is re-imposed in place by :func:`set_generator_state`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Union
+from typing import Union
 
 import numpy as np
 
+from repro.exceptions import BackendError
+
 RandomState = Union[None, int, np.random.Generator, np.random.SeedSequence]
 
-__all__ = ["RandomState", "as_rng", "derive_rng", "spawn_rngs", "rng_state_signature"]
+__all__ = ["RandomState", "as_rng", "generator_state", "set_generator_state"]
+
+_WORD = (1 << 64) - 1
 
 
 def as_rng(seed: RandomState = None) -> np.random.Generator:
@@ -49,91 +54,42 @@ def as_rng(seed: RandomState = None) -> np.random.Generator:
     )
 
 
-def derive_rng(rng: np.random.Generator, *keys: Union[int, str]) -> np.random.Generator:
-    """Derive a child generator from ``rng`` keyed by ``keys``.
+def _pcg64(generator: np.random.Generator) -> np.random.PCG64:
+    bit_generator = generator.bit_generator
+    if not isinstance(bit_generator, np.random.PCG64):
+        raise BackendError(
+            f"generator state codec supports PCG64 only, not {type(bit_generator).__name__}"
+        )
+    return bit_generator
 
-    The child stream is a deterministic function of the parent's *current*
-    state and the key material, so two different keys give statistically
-    independent streams while remaining reproducible.
+
+def generator_state(generator: np.random.Generator) -> np.ndarray:
+    """A PCG64 generator's full state as six ``uint64`` words.
+
+    ``[state hi, state lo, inc hi, inc lo, has_uint32, uinteger]``: the
+    128-bit LCG state and increment split into words, plus the buffered
+    half of a 64-bit draw that a ``uint32`` draw leaves behind.  Any other
+    bit generator is refused with a :class:`BackendError` naming it.
     """
-    if not isinstance(rng, np.random.Generator):
-        raise TypeError("derive_rng expects a numpy.random.Generator")
-    material: List[int] = []
-    for key in keys:
-        if isinstance(key, str):
-            material.extend(key.encode("utf-8"))
-        else:
-            material.append(int(key) & 0xFFFFFFFF)
-    # Pull one word from the parent so repeated calls with the same key
-    # still advance, then build a SeedSequence from it plus the key material.
-    word = int(rng.integers(0, 2**32, dtype=np.uint64))
-    seq = np.random.SeedSequence([word, *material] if material else [word])
-    return np.random.default_rng(seq)
+    state = _pcg64(generator).state
+    lcg, inc = state["state"]["state"], state["state"]["inc"]
+    words = [lcg >> 64, lcg & _WORD, inc >> 64, inc & _WORD]
+    return np.array(words + [state["has_uint32"], state["uinteger"]], dtype=np.uint64)
 
 
-def spawn_rngs(seed: RandomState, count: int) -> List[np.random.Generator]:
-    """Create ``count`` independent generators from one seed.
+def set_generator_state(generator: np.random.Generator, words: np.ndarray) -> None:
+    """Re-impose :func:`generator_state`'s words on ``generator`` in place.
 
-    Uses ``SeedSequence.spawn`` which guarantees non-overlapping streams;
-    used by the multiprocessing backend to give each worker its own RNG.
+    In place, never a new object: a layer's plasticity rule shares its
+    generator, so the restored stream must reach every holder.
     """
-    if count <= 0:
-        raise ValueError(f"count must be positive, got {count}")
-    if isinstance(seed, np.random.Generator):
-        # Generators do not expose their SeedSequence portably; derive
-        # children by drawing entropy words from the parent.
-        entropy = [int(v) for v in seed.integers(0, 2**32, size=4, dtype=np.uint64)]
-        base = np.random.SeedSequence(entropy)
-    elif isinstance(seed, np.random.SeedSequence):
-        base = seed
-    elif seed is None:
-        base = np.random.SeedSequence()
-    else:
-        base = np.random.SeedSequence(int(seed))
-    return [np.random.default_rng(child) for child in base.spawn(count)]
-
-
-def rng_state_signature(rng: np.random.Generator) -> int:
-    """Return a small integer fingerprint of the generator state.
-
-    Useful in tests to assert that a code path did (or did not) consume
-    randomness.  The fingerprint is derived from the serialised bit
-    generator state and is stable across calls that do not draw.
-    """
-    state = rng.bit_generator.state
-    return hash(repr(sorted(state.items(), key=lambda kv: kv[0]))) & 0x7FFFFFFF
-
-
-def check_independent(rngs: Sequence[np.random.Generator], draws: int = 16) -> bool:
-    """Heuristic check that generators produce distinct streams.
-
-    Draws ``draws`` uint32 values from a *copy* of each generator's state and
-    verifies no two sequences are identical.  Primarily a test helper.
-    """
-    seen = set()
-    for rng in rngs:
-        clone = np.random.default_rng()
-        clone.bit_generator.state = rng.bit_generator.state
-        key = tuple(int(v) for v in clone.integers(0, 2**32, size=draws, dtype=np.uint64))
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
-
-
-def iter_batches_shuffled(
-    rng: np.random.Generator, n_samples: int, batch_size: int
-) -> Iterable[np.ndarray]:
-    """Yield arrays of shuffled indices covering ``range(n_samples)``.
-
-    The final batch may be smaller than ``batch_size``.  This is the single
-    shuffling primitive used by trainers so that shuffling behaviour is
-    consistent between backends.
-    """
-    if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    order = rng.permutation(n_samples)
-    for start in range(0, n_samples, batch_size):
-        yield order[start : start + batch_size]
+    bit_generator = _pcg64(generator)
+    words = [int(w) for w in np.asarray(words, dtype=np.uint64).reshape(-1)]
+    if len(words) != 6:
+        raise BackendError(f"a PCG64 state is 6 uint64 words, got {len(words)}")
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": words[0] << 64 | words[1], "inc": words[2] << 64 | words[3]},
+        "has_uint32": words[4],
+        "uinteger": words[5],
+    }

@@ -1,6 +1,7 @@
 """Tests for model save/load."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from repro.core import (
     load_network,
     save_network,
 )
-from repro.core.serialization import _instantiate_layer, _network_payload
+from repro.cli import main
+from repro.core.serialization import _instantiate_layer, network_state
 from repro.exceptions import SerializationError
 
 
@@ -69,16 +71,20 @@ class TestSaveLoad:
         """Models saved while the ``sparse`` option existed carry it in the
         layer header; it loads, and the mask alone picks the plan."""
         net, x = _tiny_fitted_network()
-        payload = _network_payload(net)
-        header = json.loads(payload["header"].tobytes().decode("utf-8"))
+        header, arrays = network_state(net)
         header["layers"][0]["sparse"] = mode
-        payload["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
-        path = tmp_path / "legacy.npz"
-        np.savez(path, **payload)
+        path = _write_model(tmp_path / "legacy.npz", header, arrays)
         restored = load_network(path)
         layer = net.hidden_layers[0]
         assert restored.hidden_layers[0].sparse_active == layer.sparse_active
         assert np.array_equal(restored.predict_proba(x), net.predict_proba(x))
+
+
+def _write_model(path, header, arrays):
+    """A model file with a hand-edited header, as ``save_network`` lays it out."""
+    header_bytes = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, header=header_bytes, **arrays)
+    return path
 
 
 def _tiny_fitted_network():
@@ -143,3 +149,78 @@ class TestCrashSafeSave:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz"]
         restored = load_network(path)
         assert np.array_equal(restored.predict(x), expected)
+
+
+def _drop_layers(header, arrays):
+    del header["layers"]
+
+
+def _drop_learning_rate(header, arrays):
+    del header["layers"][1]["learning_rate"]
+
+
+def _misshape_weights(header, arrays):
+    arrays["layer1.weights"] = arrays["layer1.weights"][:-1]
+
+
+def _version_zero(header, arrays):
+    header["format_version"] = 0
+
+
+class TestMalformedModels:
+    """A valid archive whose header does not describe a network is refused
+    with a SerializationError naming the file, never a raw exception."""
+
+    CASES = {
+        "no-layers": (_drop_layers, "'layers'"),
+        "sgd-without-learning-rate": (_drop_learning_rate, "'learning_rate'"),
+        "weights-wrong-shape": (_misshape_weights, "broadcast"),
+        "version-0": (_version_zero, "unsupported model format version 0"),
+    }
+
+    def _malformed(self, tmp_path, case):
+        edit, reason = self.CASES[case]
+        net, x = _tiny_fitted_network()
+        header, arrays = network_state(net)
+        edit(header, arrays)
+        return _write_model(tmp_path / f"{case}.npz", header, arrays), reason, x
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_load_network_names_the_file(self, tmp_path, case):
+        path, reason, _ = self._malformed(tmp_path, case)
+        with pytest.raises(SerializationError) as excinfo:
+            load_network(path)
+        message = str(excinfo.value)
+        assert message.startswith(f"{path}: ") and reason in message
+
+    def test_repro_predict_exits_2_with_the_path(self, tmp_path, capsys):
+        path, reason, x = self._malformed(tmp_path, "sgd-without-learning-rate")
+        features = tmp_path / "features.npy"
+        np.save(features, x)
+        code = main(["predict", str(features), "--model", str(path), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {path}: ") and reason in err
+        assert "Traceback" not in err
+
+
+class TestParentModelFiles:
+    """Model files written before the one state codec still load.
+
+    ``tests/core/data/legacy_*.npz`` were written by the commit before the
+    codec (``1889a90``): ``git archive 1889a90 | tar -x -C parent``, then
+    ``cd parent && PYTHONPATH=src python <this repo>/tests/core/data/make_legacy_models.py
+    <this repo>/tests/core/data``.  ``legacy_expected.npz`` holds the rows
+    they were asked to predict and what they answered there.
+    """
+
+    DATA = Path(__file__).parent / "data"
+
+    @pytest.mark.parametrize("head", ["sgd", "bcpnn"])
+    def test_parent_model_predicts_as_recorded(self, head):
+        network = load_network(self.DATA / f"legacy_{head}.npz")
+        with np.load(self.DATA / "legacy_expected.npz") as expected:
+            x = expected["x"]
+            assert np.array_equal(network.predict(x), expected[f"{head}_predict"])
+            assert np.array_equal(network.predict_proba(x), expected[f"{head}_proba"])
+        assert network.is_fitted

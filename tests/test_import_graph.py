@@ -165,7 +165,7 @@ PUBLIC = {
     "repro.serving": "BatchResult DeadlineExceededError DispatchError MicroBatcher ModelRunner "
     "PredictionServer QueueFullError RequestSlice ServerThread ServingClosedError "
     "ServingMetrics StreamingPredictor predict_proba_stream predict_stream",
-    "repro.utils": "as_rng derive_rng spawn_rngs check_array check_fraction check_positive_int "
+    "repro.utils": "as_rng check_array check_fraction check_positive_int "
     "check_probability_matrix check_one_hot batch_slices one_hot row_softmax "
     "blockwise_softmax moving_average_update stable_log get_logger",
     "repro.visualization": "write_vti ImageDataSpec array_to_pgm ascii_render normalize_to_unit "

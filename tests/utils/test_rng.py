@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import (
-    as_rng,
-    check_independent,
-    derive_rng,
-    iter_batches_shuffled,
-    rng_state_signature,
-    spawn_rngs,
-)
+from repro.exceptions import BackendError
+from repro.utils.rng import as_rng, generator_state, set_generator_state
 
 
 class TestAsRng:
@@ -44,58 +38,51 @@ class TestAsRng:
             as_rng("seed")
 
 
-class TestDeriveAndSpawn:
-    def test_derive_requires_generator(self):
-        with pytest.raises(TypeError):
-            derive_rng(42)
-
-    def test_derive_produces_distinct_streams(self):
-        parent = as_rng(3)
-        children = [derive_rng(parent, k) for k in ("a", "b", "c")]
-        assert check_independent(children)
-
-    def test_spawn_count_validation(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, 0)
-
-    def test_spawn_deterministic_from_int_seed(self):
-        a = [g.integers(0, 10**9) for g in spawn_rngs(5, 3)]
-        b = [g.integers(0, 10**9) for g in spawn_rngs(5, 3)]
-        assert a == b
-
-    def test_spawn_streams_independent(self):
-        assert check_independent(spawn_rngs(9, 6))
-
-    def test_spawn_from_generator(self):
-        gens = spawn_rngs(np.random.default_rng(0), 4)
-        assert len(gens) == 4
-        assert check_independent(gens)
+def _mixed_draws(gen, n=1000):
+    """``n`` draws cycling through dtypes that consume 32 and 64 bits."""
+    out = []
+    for i in range(n):
+        kind = i % 5
+        if kind == 0:
+            out.append(int(gen.integers(0, 2**32, dtype=np.uint32)))
+        elif kind == 1:
+            out.append(int(gen.integers(0, 2**63, dtype=np.int64)))
+        elif kind == 2:
+            out.append(float(gen.random()))
+        elif kind == 3:
+            out.append(float(gen.random(dtype=np.float32)))
+        else:
+            out.append(float(gen.standard_normal()))
+    return out
 
 
-class TestStateSignature:
-    def test_signature_stable_without_draws(self):
-        gen = as_rng(1)
-        assert rng_state_signature(gen) == rng_state_signature(gen)
+class TestGeneratorCodec:
+    def test_mid_stream_state_round_trips(self):
+        source = as_rng(11)
+        source.random(7)
+        source.integers(0, 2**32, dtype=np.uint32)  # leaves half a word buffered
+        words = generator_state(source)
+        assert words.dtype == np.uint64 and words.shape == (6,)
+        assert words[4] == 1  # has_uint32
+        target = np.random.default_rng(999)
+        set_generator_state(target, words)
+        assert target.bit_generator.state == source.bit_generator.state
+        assert _mixed_draws(target) == _mixed_draws(source)
 
-    def test_signature_changes_after_draw(self):
-        gen = as_rng(1)
-        before = rng_state_signature(gen)
-        gen.random()
-        assert rng_state_signature(gen) != before
+    def test_state_is_set_in_place(self):
+        source, target = as_rng(1), as_rng(2)
+        bit_generator = target.bit_generator
+        set_generator_state(target, generator_state(source))
+        assert target.bit_generator is bit_generator
+        assert target.random() == source.random()
 
+    def test_other_bit_generators_refused(self):
+        foreign = np.random.Generator(np.random.Philox(0))
+        with pytest.raises(BackendError, match="Philox"):
+            generator_state(foreign)
+        with pytest.raises(BackendError, match="Philox"):
+            set_generator_state(foreign, generator_state(as_rng(0)))
 
-class TestIterBatches:
-    def test_covers_all_indices_once(self):
-        batches = list(iter_batches_shuffled(as_rng(0), 103, 20))
-        joined = np.concatenate(batches)
-        assert sorted(joined.tolist()) == list(range(103))
-
-    def test_final_batch_may_be_smaller(self):
-        batches = list(iter_batches_shuffled(as_rng(0), 10, 4))
-        assert [len(b) for b in batches] == [4, 4, 2]
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            list(iter_batches_shuffled(as_rng(0), 0, 4))
-        with pytest.raises(ValueError):
-            list(iter_batches_shuffled(as_rng(0), 4, 0))
+    def test_wrong_width_refused(self):
+        with pytest.raises(BackendError, match="6 uint64 words"):
+            set_generator_state(as_rng(0), np.zeros(4, dtype=np.uint64))
