@@ -9,6 +9,7 @@ up to its declared precision — a property the test-suite enforces.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -19,6 +20,10 @@ from repro.exceptions import BackendError
 
 __all__ = ["Backend", "KernelStatistics"]
 
+#: Serialises forward counts: bulk inference dispatches one backend from
+#: several tile lanes at once.
+_FORWARD_COUNT_LOCK = threading.Lock()
+
 
 @dataclass
 class KernelStatistics:
@@ -28,6 +33,12 @@ class KernelStatistics:
     statistics_calls: int = 0
     weight_updates: int = 0
     elements_processed: int = 0
+
+    def count_forward(self, n_rows: int, n_hidden: int) -> None:
+        """Count one forward dispatch of ``n_rows`` rows into ``n_hidden`` units."""
+        with _FORWARD_COUNT_LOCK:
+            self.forward_calls += 1
+            self.elements_processed += int(n_rows) * int(n_hidden)
 
 
 class Backend:

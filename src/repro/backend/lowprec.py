@@ -148,11 +148,8 @@ class LowPrecisionBackend(Backend):
             workspace=workspace,
             sparse=sparse,
         )
-        self.stats.forward_calls += 1
-        n_hidden = int(
-            sparse.layout.n_hidden if sparse is not None else np.asarray(weights).shape[1]
-        )
-        self.stats.elements_processed += int(np.asarray(x).shape[0]) * n_hidden
+        n_hidden = sparse.layout.n_hidden if sparse is not None else np.asarray(weights).shape[1]
+        self.stats.count_forward(np.asarray(x).shape[0], n_hidden)
         # Re-normalise after quantisation so each hypercolumn still sums to 1.
         quantised = self.quantize(activations)
         if out is not None and quantised is not out:

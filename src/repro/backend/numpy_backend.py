@@ -49,8 +49,7 @@ class NumpyBackend(Backend):
         x = self._require_2d(x, "x")
         support = kernels.compute_support(x, weights, bias, mask_expanded, bias_gain)
         activations = kernels.hidden_activations(support, hidden_sizes)
-        self.stats.forward_calls += 1
-        self.stats.elements_processed += int(x.shape[0]) * int(weights.shape[1])
+        self.stats.count_forward(x.shape[0], weights.shape[1])
         return activations
 
     def forward_into(
@@ -79,8 +78,7 @@ class NumpyBackend(Backend):
                 out=support_buf, gather=gather,
             )
             activations = kernels.hidden_activations(support, hidden_sizes, out=out)
-            self.stats.forward_calls += 1
-            self.stats.elements_processed += int(n_rows) * int(sparse.layout.n_hidden)
+            self.stats.count_forward(n_rows, sparse.layout.n_hidden)
             return activations
         support_buf = None
         masked_buf = None
@@ -100,8 +98,7 @@ class NumpyBackend(Backend):
         if masked_buf is not None:
             workspace.masked_valid = True
         activations = kernels.hidden_activations(support, hidden_sizes, out=out)
-        self.stats.forward_calls += 1
-        self.stats.elements_processed += int(n_rows) * int(weights.shape[1])
+        self.stats.count_forward(n_rows, weights.shape[1])
         return activations
 
     def batch_statistics(

@@ -702,7 +702,7 @@ class Network:
 
         Every bulk forward is this loop: at most ``TILE_ROWS`` rows at a time
         go through :meth:`~repro.serving.StreamingPredictor.hidden_tiles`
-        (the loop ``predict_stream`` runs) and then through ``head_stage`` (a
+        (lane 0 of ``predict_stream``) and then through ``head_stage`` (a
         head method returning ``(rows, *tail)`` of ``dtype``) when one is
         given.  The returned ``(n_samples, ...)`` array is the only
         allocation that grows with the input (none for zero layers).  The

@@ -14,8 +14,6 @@ connections" (Section III-B).
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 from repro.exceptions import ConfigurationError, DataError
@@ -82,8 +80,6 @@ class StructuralPlasticity:
         self.mask = np.zeros(
             (self.n_input_hypercolumns, self.n_hidden_hypercolumns), dtype=np.float64
         )
-        self.n_updates = 0
-        self.total_swaps = 0
         self._initialise_masks()
 
     # ---------------------------------------------------------------- masks
@@ -140,7 +136,6 @@ class StructuralPlasticity:
             )
         if self.connections_per_hcu in (0, self.n_input_hypercolumns):
             # Nothing to rearrange for empty or full receptive fields.
-            self.n_updates += 1
             return 0
 
         max_swaps = max(1, int(round(self.swap_fraction * self.connections_per_hcu)))
@@ -163,8 +158,6 @@ class StructuralPlasticity:
                     swaps_done += 1
                 else:
                     break  # candidates are sorted; no further swap can qualify
-        self.n_updates += 1
-        self.total_swaps += swaps_done
         return swaps_done
 
     # ----------------------------------------------------------- resizing
@@ -189,17 +182,6 @@ class StructuralPlasticity:
                 add = self._rng.choice(silent, size=new_count - active.size, replace=False)
                 self.mask[add, h] = 1.0
         self.connections_per_hcu = new_count
-
-    # -------------------------------------------------------------- export
-    def snapshot(self) -> Dict[str, object]:
-        """A serialisable snapshot used by the in-situ visualization module."""
-        return {
-            "mask": self.mask.copy(),
-            "density": self.density,
-            "connections_per_hcu": self.connections_per_hcu,
-            "n_updates": self.n_updates,
-            "total_swaps": self.total_swaps,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -39,9 +39,8 @@ __all__ = ["LayerWorkspace"]
 class LayerWorkspace:
     """Reusable buffers for one ``(n_input, n_hidden, batch_size)`` shape set.
 
-    Only ``support`` and ``activations`` — what every dispatch needs — are
-    allocated up front.  The rest is allocated on first use, so a
-    forward-only engine (serving stage, bulk-inference tile) holds its two
+    Only ``support`` — what every dispatch needs — is allocated up front.
+    The rest is allocated on first use, so a forward-only engine holds its
     ``(batch_size, n_hidden)`` buffers and nothing else.
 
     Attributes
@@ -51,7 +50,10 @@ class LayerWorkspace:
         the per-hypercolumn softmax.  Smaller (remainder) batches use leading
         row slices of the same buffers.  ``support`` is free again once the
         forward has produced ``activations``; the training step's competition
-        (:func:`repro.kernels.compete_into`) then runs in place in it.
+        (:func:`repro.kernels.compete_into`) then runs in place in it.  An
+        owner that never competes (a serving stage) may bind ``activations``
+        to ``support`` before the first dispatch: the softmax then runs in
+        place and the workspace holds one batch buffer.
     masked_weights:
         ``(n_input, n_hidden)`` scratch for the ``weights * mask`` product
         (lazy: a sparse dispatch never reads it).
@@ -71,7 +73,6 @@ class LayerWorkspace:
         self.n_hidden = int(n_hidden)
         self.batch_size = int(batch_size)
         self.support = np.empty((self.batch_size, self.n_hidden), dtype=np.float64)
-        self.activations = np.empty((self.batch_size, self.n_hidden), dtype=np.float64)
         #: Whether ``masked_weights`` currently holds the full weights*mask
         #: product (dense multiply or sparse scatter) for the weight/mask
         #: pair the owning engine last saw.
@@ -84,6 +85,10 @@ class LayerWorkspace:
         #: competition so heads, serving engines and ``softmax`` layers pay
         #: nothing.
         self._noise: np.ndarray = None
+
+    @cached_property
+    def activations(self) -> np.ndarray:
+        return np.empty((self.batch_size, self.n_hidden), dtype=np.float64)
 
     @cached_property
     def masked_weights(self) -> np.ndarray:
@@ -125,9 +130,11 @@ class LayerWorkspace:
 
     def nbytes(self) -> int:
         """Total bytes held by the workspace (for memory reports)."""
-        lazy = ("masked_weights", "mean_x", "mean_a", "mean_outer", "_gather", "_noise")
-        held = [self.support, self.activations] + [vars(self).get(name) for name in lazy]
-        return int(sum(buffer.nbytes for buffer in held if buffer is not None))
+        lazy = ("activations", "masked_weights", "mean_x", "mean_a", "mean_outer")
+        held = [self.support, self._gather, self._noise] + [vars(self).get(name) for name in lazy]
+        # ``activations`` may be bound to ``support``: count each buffer once.
+        unique = {id(buffer): buffer for buffer in held if buffer is not None}
+        return int(sum(buffer.nbytes for buffer in unique.values()))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

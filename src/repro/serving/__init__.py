@@ -8,8 +8,8 @@ preallocated :class:`~repro.engine.LayerWorkspace`, so bulk prediction
 performs zero per-batch layer-sized allocations.
 
 Communicators are for training only: bulk inference is the one tile loop
-in the calling process (BLAS threads give it the cores), and the online
-server never shards either.
+in the calling process (its tiles run on one lane per core the BLAS pool
+leaves free), and the online server never shards either.
 
 The *online* half lives in :mod:`repro.serving.server`: an asyncio
 HTTP/JSON endpoint (``repro serve``) whose concurrent single-row requests

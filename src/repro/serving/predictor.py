@@ -5,18 +5,22 @@
 :class:`~repro.engine.LayerEngine.forward` with one preallocated
 :class:`~repro.engine.LayerWorkspace` per hidden layer, so inference
 over any input length runs at O(batch) memory and the steady-state loop
-performs zero layer-sized allocations.  Its tile loop
-(:meth:`StreamingPredictor.hidden_tiles`) is the only bulk forward in the
+performs zero layer-sized allocations.  Its tile body
+(:meth:`StreamingPredictor._tile`) is the only bulk forward in the
 repo: ``Network.predict`` / ``predict_proba`` / ``transform`` / ``evaluate``
 and the between-phase transforms of ``Network.fit`` run on a throw-away
-predictor, ``Network.predict_stream`` on a cached one.  Per-backend numerics
-equal the layers' own ``forward`` up to the backend's declared precision
-(bit-for-bit on the NumPy backend at equal tile boundaries —
-``tests/serving`` and ``tests/core/test_network_memory.py`` enforce both).
+predictor, ``Network.predict_stream`` on a cached one.  ``predict_stream``
+and ``predict_proba_stream`` run their tiles on one lane per free core, at
+most two (:func:`_lane_count`); every other caller runs on one.
+Per-backend numerics equal the layers' own ``forward`` up to the backend's
+declared precision (bit-for-bit on the NumPy backend at equal tile
+boundaries — ``tests/serving`` and ``tests/core/test_network_memory.py`` enforce both).
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from typing import List, Optional, Union
 
 import numpy as np
@@ -32,11 +36,51 @@ __all__ = ["StreamingPredictor", "predict_stream", "predict_proba_stream"]
 
 Source = Union[np.ndarray, BatchStream]
 
+#: numpy's OpenBLAS pool size, read at the first multi-tile call (the pool
+#: is per process, so is this cache).
+_blas_threads: Optional[int] = None
+
+#: Most lanes a stream runs on: lanes kept on a predictor stay allocated, and
+#: more than two were never measured to pay for their workspaces.
+_MAX_LANES = 2
+
+
+def _openblas_threads() -> int:
+    """numpy's bundled OpenBLAS pool size (read, never set); 0 on another BLAS."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*")):
+        try:
+            get_num_threads = ctypes.CDLL(path).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_num_threads.argtypes, get_num_threads.restype = [], ctypes.c_int
+        return int(get_num_threads())
+    return 0
+
+
+def _lanes_for(cores: int, blas: int) -> int:
+    """One tile lane per ``blas`` cores, at most ``_MAX_LANES``; one lane on an
+    unknown BLAS (``0``)."""
+    return min(_MAX_LANES, max(1, cores // blas)) if blas > 0 else 1
+
+
+def _lane_count() -> int:
+    """Lanes a multi-tile stream runs on: the cores the BLAS pool leaves free."""
+    global _blas_threads
+    if _blas_threads is None:
+        _blas_threads = _openblas_threads()
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return _lanes_for(cores, _blas_threads)
+
 
 class _LayerStage:
     """One hidden layer bound to its streaming engine.
 
-    The engine owns one workspace: the tile loop consumes each batch's
+    The engine owns one workspace, its softmax in place over the support
+    buffer (a stage never competes): the tile loop consumes each batch's
     activations before the next batch overwrites them.
     """
 
@@ -46,6 +90,8 @@ class _LayerStage:
 
     def rebuild(self, backend, batch_size: int) -> None:
         self.engine = LayerEngine(backend, ExecutionPlan.for_traces(self.layer.traces, batch_size))
+        workspace = self.engine.workspace
+        workspace.activations = workspace.support
 
     def stale(self, backend, n_rows: int) -> bool:
         traces = self.layer.traces
@@ -77,9 +123,6 @@ class _LayerStage:
             weights_token=getattr(layer, "weights_token", None),
             sparse=sparse,
         )
-
-    def workspace_nbytes(self) -> int:
-        return self.engine.workspace.nbytes()
 
 
 class StreamingPredictor(BackendExecutionMixin):
@@ -123,10 +166,10 @@ class StreamingPredictor(BackendExecutionMixin):
         self.batch_size = check_positive_int(batch_size, "batch_size")
         self.name = f"serving:{getattr(network, 'name', 'network')}"
         self._init_execution(backend)
-        self._stages: List[_LayerStage] = [
-            _LayerStage(layer, self._stage_backend(layer), self.batch_size)
-            for layer in network.hidden_layers
-        ]
+        #: One stage list per tile lane, built on first use; lane 0's is
+        #: ``_stages``, the one :meth:`hidden_tiles` runs on.
+        self._lanes: List[List[_LayerStage]] = [self._new_lane()]
+        self._stages = self._lanes[0]
 
     # ------------------------------------------------------------- backend
     def _stage_backend(self, layer):
@@ -174,33 +217,36 @@ class StreamingPredictor(BackendExecutionMixin):
     # ------------------------------------------------------------- capacity
     def workspace_nbytes(self) -> int:
         """Total preallocated workspace bytes — independent of input length."""
-        return sum(stage.workspace_nbytes() for stage in self._stages)
+        return sum(stage.engine.workspace.nbytes() for lane in self._lanes for stage in lane)
 
-    def _ensure_capacity(self, n_rows: int) -> None:
-        """Rebuild any stage whose engine no longer fits the layer/batch/backend."""
-        for stage in self._stages:
+    def _new_lane(self) -> List[_LayerStage]:
+        layers = self.network.hidden_layers
+        return [_LayerStage(layer, self._stage_backend(layer), self.batch_size) for layer in layers]
+
+    def _tile(self, stages: List[_LayerStage], batch, n_layers: Optional[int] = None):
+        """``batch`` through a lane's first ``n_layers`` stages, rebuilding any
+        that no longer fits; a view of the lane's last workspace."""
+        hidden = batch.x
+        for stage in stages[:n_layers]:
             effective = self._stage_backend(stage.layer)
-            if stage.stale(effective, n_rows):
-                stage.rebuild(effective, max(int(n_rows), self.batch_size))
+            if stage.stale(effective, batch.size):
+                stage.rebuild(effective, max(int(batch.size), self.batch_size))
+            hidden = stage.forward(stage.layer.input_spec.validate_batch(hidden))
+        return hidden
 
     # ------------------------------------------------------------- dispatch
     def hidden_tiles(self, source: Source, n_layers: Optional[int] = None):
         """Yield ``(batch, hidden)`` for every batch of ``source``, in order.
 
-        The one tile loop behind every bulk forward: ``predict_stream`` and
-        ``predict_proba_stream`` here, and ``Network.predict`` /
-        ``predict_proba`` / ``decision_function`` / ``transform`` / the
-        between-phase transform of ``Network.fit``.  ``hidden`` is the output
+        The one-lane tile loop behind ``Network.predict`` / ``predict_proba``
+        / ``decision_function`` / ``transform`` / the between-phase transform
+        of ``Network.fit``.  ``hidden`` is the output
         of the first ``n_layers`` hidden layers (default: all of them) — a
         workspace view that the next tile overwrites, so consume or copy it
         before advancing.  Non-float64 rows are converted per tile.
         """
         for batch in self._as_stream(source):
-            self._ensure_capacity(batch.size)
-            hidden = batch.x
-            for stage in self._stages[:n_layers]:
-                hidden = stage.forward(stage.layer.input_spec.validate_batch(hidden))
-            yield batch, hidden
+            yield batch, self._tile(self._stages, batch, n_layers)
 
     def _scatter_batch(
         self, out: np.ndarray, batch, representation: np.ndarray, proba: bool
@@ -232,10 +278,44 @@ class StreamingPredictor(BackendExecutionMixin):
         return np.empty(n_rows, dtype=np.int64)
 
     def _stream(self, source: Source, proba: bool) -> np.ndarray:
+        """Fill ``out`` from lanes that pull whole tiles off one stream.
+
+        The caller's thread is lane 0; helper lanes live for this call (a
+        one-tile stream has none).  The first failure is re-raised once every
+        lane has stopped at its next tile.
+        """
         stream = self._as_stream(source)
         out = self._output(stream.n_samples, proba)
-        for batch, hidden in self.hidden_tiles(stream):
-            self._scatter_batch(out, batch, hidden, proba)
+        n_lanes = 1 if len(stream) < 2 else min(len(stream), _lane_count())
+        while len(self._lanes) < n_lanes:
+            self._lanes.append(self._new_lane())
+        tiles = iter(stream)
+        lock = threading.Lock()
+        failures: List[BaseException] = []
+
+        def run(stages: List[_LayerStage]) -> None:
+            try:
+                while not failures:
+                    with lock:
+                        batch = next(tiles, None)
+                    if batch is None:
+                        return
+                    self._scatter_batch(out, batch, self._tile(stages, batch), proba)
+            except BaseException as exc:  # re-raised in the caller
+                failures.append(exc)
+
+        helpers = [
+            threading.Thread(target=run, args=(stages,), name="repro-predict-lane", daemon=True)
+            for stages in self._lanes[1:n_lanes]
+        ]
+        for thread in helpers:
+            thread.start()
+        run(self._stages)
+        for thread in helpers:
+            thread.join()
+        getattr(tiles, "close", lambda: None)()  # stops a prefetch thread early
+        if failures:
+            raise failures.pop(0)  # popped: the traceback's frame does not hold it
         return out
 
     def predict_stream(self, source: Source) -> np.ndarray:

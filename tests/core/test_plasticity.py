@@ -71,11 +71,6 @@ class TestUpdate:
         with pytest.raises(DataError):
             plasticity.update(np.zeros((5, 2)))
 
-    def test_update_counts_tracked(self):
-        plasticity = StructuralPlasticity(8, 2, density=0.5, seed=0)
-        plasticity.update(np.random.default_rng(1).random((8, 2)))
-        assert plasticity.n_updates == 1
-
 
 class TestSetDensityAndDiagnostics:
     def test_grow_and_shrink(self):
@@ -98,12 +93,6 @@ class TestSetDensityAndDiagnostics:
         assert field.dtype == bool and field.sum() == 3
         with pytest.raises(DataError):
             plasticity.receptive_field(5)
-
-    def test_snapshot_is_copy(self):
-        plasticity = StructuralPlasticity(10, 2, density=0.3, seed=7)
-        snap = plasticity.snapshot()
-        snap["mask"][:] = 0
-        assert plasticity.mask.sum() > 0
 
 
 @given(

@@ -163,15 +163,15 @@ class TestWorkspaceReuse:
         )
         assert ws.nbytes() == expected
 
-    def test_forward_only_workspace_holds_two_batch_buffers(self):
-        # Everything but support/activations is allocated on first use, and
-        # nbytes() counts exactly what has been.
+    def test_workspace_allocates_on_first_use(self):
+        # Everything but support is allocated on first use, and nbytes()
+        # counts exactly what has been.
         x, weights, bias, mask, p_i, p_j, p_ij = _problem(seed=11)
         engine = LayerEngine(get_backend("numpy"), ExecutionPlan(N_INPUT, HIDDEN_SIZES, BATCH))
         ws = engine.workspace
-        batch_buffers = 2 * BATCH * N_HIDDEN * 8
-        assert ws.nbytes() == batch_buffers
+        assert ws.nbytes() == BATCH * N_HIDDEN * 8
         engine.forward(x, weights, bias, None)
+        batch_buffers = 2 * BATCH * N_HIDDEN * 8
         assert ws.nbytes() == batch_buffers
         engine.forward(x, weights, bias, mask)  # the dense masked product
         assert ws.nbytes() == batch_buffers + N_INPUT * N_HIDDEN * 8
@@ -191,7 +191,22 @@ class TestWorkspaceReuse:
         mask[:5] = 1
         wider = kernels.SparseLayout(mask, input_sizes, HIDDEN_SIZES)
         assert ws.gather_scratch(wider).size == BATCH * 20 * len(HIDDEN_SIZES)
-        assert ws.nbytes() == 2 * BATCH * N_HIDDEN * 8 + BATCH * 20 * len(HIDDEN_SIZES) * 8
+        assert ws.nbytes() == BATCH * N_HIDDEN * 8 + BATCH * 20 * len(HIDDEN_SIZES) * 8
+
+    def test_in_place_softmax_matches_and_holds_one_buffer(self):
+        # A workspace whose activations are bound to its support (a serving
+        # stage) counts that buffer once and computes the same activations.
+        x, weights, bias, mask, *_ = _problem(seed=12)
+        backend = get_backend("numpy")
+        plan = ExecutionPlan(N_INPUT, HIDDEN_SIZES, BATCH)
+        reference = LayerEngine(backend, plan).forward(x, weights, bias, mask).copy()
+        engine = LayerEngine(backend, plan)
+        ws = engine.workspace
+        ws.activations = ws.support
+        activations = engine.forward(x, weights, bias, mask)
+        assert np.shares_memory(activations, ws.support)
+        assert np.array_equal(activations, reference)
+        assert ws.nbytes() == BATCH * N_HIDDEN * 8 + N_INPUT * N_HIDDEN * 8
 
     def test_invalid_plan_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -157,14 +157,17 @@ class TestStreamingMemory:
         assert peak_large - peak_small < output_growth + 256 * 1024
         assert peak_large < 2 * 1024 * 1024
 
-    def test_forward_only_stage_holds_two_batch_buffers(self, trained_network):
-        # The lean workspace: a serving stage allocates the support and
-        # activation buffers (plus, on a sparse layer, the gather scratch of
-        # its layout) and none of the training-side statistics buffers.
+    def test_forward_only_stage_holds_one_batch_buffer(self, trained_network):
+        # The lean workspace: a serving stage's softmax runs in place over its
+        # support buffer, so it holds that one buffer (plus, on a sparse
+        # layer, the gather scratch of its layout) and none of the
+        # training-side activation or statistics buffers.
         predictor = StreamingPredictor(trained_network, batch_size=128)
         layer = trained_network.hidden_layers[0]
-        batch_buffers = 2 * 128 * layer.n_hidden_units * 8
+        batch_buffers = 128 * layer.n_hidden_units * 8
         assert predictor.workspace_nbytes() == batch_buffers
+        workspace = predictor._stages[0].engine.workspace
+        assert workspace.activations is workspace.support
         predictor.predict_stream(np.zeros((128, layer.input_spec.n_units)))
         gather = 128 * sum(layer.sparse_layout.n_active_units) * 8
         assert predictor.workspace_nbytes() == batch_buffers + gather
