@@ -514,10 +514,12 @@ def _load_feature_matrix(path: str) -> np.ndarray:
     p = Path(path)
     if not p.is_file():
         raise DataError(f"input file not found: {path}")
+    # The handles are opened here: np.load leaks one it opens on a torn file.
     if p.suffix == ".npy":
-        return check_numeric_dtype(np.load(p, allow_pickle=False), name=path)
+        with open(p, "rb") as handle:
+            return check_numeric_dtype(np.load(handle, allow_pickle=False), name=path)
     if p.suffix == ".npz":
-        with np.load(p, allow_pickle=False) as archive:
+        with open(p, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
             if "x" in archive.files:
                 key = "x"
             elif len(archive.files) == 1:

@@ -77,15 +77,21 @@ class InputSpec:
         """Build the spec from a fitted :class:`QuantileOneHotEncoder`."""
         return cls(encoder.hypercolumn_sizes)
 
-    def validate_batch(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+    def validate_batch(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``x`` as a checked float64 batch; other dtypes are converted into a
+        fresh array, or into the leading rows of the float64 buffer ``out``."""
+        x = np.asarray(x)
         if x.ndim != 2:
             raise DataError(f"input batch must be 2-D, got shape {x.shape}")
         if x.shape[1] != self.n_units:
             raise DataError(
                 f"input batch has {x.shape[1]} columns, expected {self.n_units}"
             )
-        return x
+        if x.dtype == np.float64 or out is None:
+            return x.astype(np.float64, copy=False)
+        out = out[: x.shape[0]]
+        np.copyto(out, x, casting="unsafe")
+        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, InputSpec):
@@ -255,7 +261,7 @@ class StructuralPlasticityLayer(BackendExecutionMixin):
         )
 
     # -------------------------------------------------------------- training
-    def _training_activity(self, activations: np.ndarray, scratch=None):
+    def _training_activity(self, activations: np.ndarray, scratch=None, noise=None):
         """The configured competition rule applied to rate-based activations.
 
         A thin binding of the layer's hyper-parameters, bias and generator
@@ -263,7 +269,8 @@ class StructuralPlasticityLayer(BackendExecutionMixin):
         the draw-order contract).  The occupancy bias is re-weighted to
         ``competition_bias_gain`` (0 by default — the conscience mechanism
         that prevents a single minicolumn from monopolising its HCU).
-        ``scratch`` is the workspace whose forward produced ``activations``.
+        ``scratch`` is the workspace whose forward produced ``activations``;
+        ``noise`` (see :meth:`train_batch`) is called here, at the draw.
         """
         hp = self.hyperparams
         return kernels.compete_into(
@@ -275,7 +282,18 @@ class StructuralPlasticityLayer(BackendExecutionMixin):
             hp.competition_bias_gain - hp.bias_gain,
             self._rng,
             scratch=scratch,
+            noise=None if noise is None else noise(),
         )
+
+    def noise_draw(self, n_rows: int):
+        """The next ``n_rows``-row dispatch's normals as a closure any thread may
+        run between the generator's previous draw and its next one (``None``
+        if the competition draws none); it fills that dispatch's noise buffer."""
+        hp = self.hyperparams
+        if kernels.competition_noise_scale(hp.competition, hp.competition_noise) is None:
+            return None
+        noise = self.engine_for(n_rows).workspace.noise_scratch()[:n_rows]
+        return partial(self._rng.standard_normal, out=noise)
 
     def calibrate_prior(self, mean_x: np.ndarray) -> None:
         """Re-anchor the trace prior to the first batch's input mean ``mean_x``.
@@ -308,7 +326,7 @@ class StructuralPlasticityLayer(BackendExecutionMixin):
         )
         return activations, self._training_activity(activations, scratch=scratch)
 
-    def train_batch(self, x: np.ndarray, taupdt: Optional[float] = None) -> np.ndarray:
+    def train_batch(self, x: np.ndarray, taupdt: Optional[float] = None, noise=None) -> np.ndarray:
         """One unsupervised learning step on a batch; returns the activations.
 
         The returned activations are a view into the layer's streaming
@@ -317,7 +335,8 @@ class StructuralPlasticityLayer(BackendExecutionMixin):
         per-batch activations across batches must copy them.
 
         The very first batch calibrates the trace prior
-        (:meth:`calibrate_prior`).
+        (:meth:`calibrate_prior`).  ``noise`` returns this batch's normals drawn
+        ahead by :meth:`noise_draw`; the competition calls it where it draws.
         """
         self._require_built()
         x = self.input_spec.validate_batch(x)
@@ -340,7 +359,7 @@ class StructuralPlasticityLayer(BackendExecutionMixin):
             self.traces,
             taupdt,
             # engine.workspace is the one this dispatch streams through.
-            activity_fn=partial(self._training_activity, scratch=engine.workspace),
+            activity_fn=partial(self._training_activity, scratch=engine.workspace, noise=noise),
             sparse=self.sparse_context(),
         )
         # Stale-weights caching: the engine tracks the accumulated

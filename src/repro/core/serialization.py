@@ -113,7 +113,9 @@ def load_network(path: Union[str, Path]) -> Network:
     if not path.is_file():
         raise SerializationError(f"model file not found: {path}")
     try:
-        with np.load(path) as archive:  # refuses object arrays
+        # np.load leaks the descriptor it opens when the zip layer refuses
+        # the file: open it here, so a torn file closes it too.
+        with open(path, "rb") as handle, np.load(handle) as archive:  # refuses object arrays
             header_bytes = bytes(archive["header"].tobytes())
             header = json.loads(header_bytes.decode("utf-8"))
             arrays = {key: archive[key] for key in archive.files if key != "header"}

@@ -17,9 +17,11 @@ closures strictly in FIFO order.  :func:`train_layer_pipelined` uses it to
 run batch ``k``'s entropy reduction while batch ``k+1``'s gather and fused
 dispatch execute on the driver — which requires the layer's engine to be
 double-buffered (``n_buffers=2``) so batch ``k``'s activations stay valid
-while batch ``k+1`` computes.  Combined with the engine's stale-weights
-caching (``weight_refresh_tol``), this is the pipelined training path
-benchmarked in the ``pipelined_training`` section of ``BENCH_kernels.json``.
+while batch ``k+1`` computes — and, on every schedule, to draw batch
+``k+1``'s competition noise while batch ``k`` finishes.  Combined with the
+engine's stale-weights caching (``weight_refresh_tol``), this is the
+pipelined training path benchmarked in the ``pipelined_training`` section
+of ``BENCH_kernels.json``.
 
 Every quantity is computed with exactly the same floating-point operations
 as the serial loop, so pipelined training with ``weight_refresh_tol=0`` is
@@ -45,6 +47,11 @@ __all__ = [
     "mean_activation_entropy",
     "train_layer_pipelined",
 ]
+
+
+#: Fewest normals drawn ahead: a smaller draw costs less than the hand-off
+#: (4 800 normals, 1 x 150 units at B = 32, trained 5 % slower on 2 vCPUs).
+LOOK_AHEAD_MIN_NORMALS = 16384
 
 
 def helper_threads_available() -> bool:
@@ -178,11 +185,20 @@ def train_layer_pipelined(
     single-core machine the worker cannot overlap anything, so the entropy
     reduces inline (same floats, same results — only the schedule differs).
 
-    The layer is duck-typed: ``train_batch``, ``end_epoch`` and an
-    engine-backed activations view are all that is required.  Returns one
-    metrics dict per epoch (``seconds``, ``mean_activation_entropy``,
-    ``swaps``, ``batches``); ``on_epoch_end(epoch, metrics)`` fires on the
-    driver at every epoch boundary, exactly as in the serial loop.
+    Whatever ``offload`` says, where helper threads are available the
+    worker draws batch ``k+1``'s competition normals (``layer.noise_draw``)
+    while batch ``k`` finishes, for the batches between an epoch's first and
+    last, so no look-ahead spans calibration, plasticity or a checkpoint;
+    the generator makes the same calls in the same order, one thread at a
+    time.  Draws below :data:`LOOK_AHEAD_MIN_NORMALS` normals stay inline.
+
+    The layer is duck-typed: ``train_batch``, ``noise_draw``,
+    ``n_hidden_units``, ``end_epoch`` and an engine-backed activations view
+    are all that is required (a stream without ``len`` draws inline).
+    Returns one metrics dict per epoch (``seconds``,
+    ``mean_activation_entropy``, ``swaps``, ``batches``);
+    ``on_epoch_end(epoch, metrics)`` fires on the driver at every epoch
+    boundary, exactly as in the serial loop.
     """
     if epochs < 0:
         raise BackendError("epochs must be non-negative")
@@ -190,10 +206,15 @@ def train_layer_pipelined(
         raise BackendError(f"start_epoch must be in [0, {epochs}], got {start_epoch}")
     if offload is None:
         offload = helper_threads_available()
+    rows = getattr(stream, "batch_size", 0)
+    look_ahead = (
+        hasattr(stream, "__len__")
+        and rows * layer.n_hidden_units >= LOOK_AHEAD_MIN_NORMALS
+        and helper_threads_available()
+    )
+    name = f"repro-pipeline-{getattr(layer, 'name', 'layer')}"
     results: List[Dict[str, float]] = []
-    worker: Optional[PipelineWorker] = None
-    if offload:
-        worker = PipelineWorker(name=f"repro-pipeline-{getattr(layer, 'name', 'layer')}")
+    worker: Optional[PipelineWorker] = PipelineWorker(name=name) if offload else None
     try:
         # Resumed runs re-enter at an absolute epoch index: schedules keyed
         # on the epoch number (plasticity cadence) are unaffected, and the
@@ -202,10 +223,21 @@ def train_layer_pipelined(
             start = time.perf_counter()
             entropies: List[float] = []
             pending: Optional[PipelineTask] = None
+            noise: Optional[Callable[[], np.ndarray]] = None
+            # Batch k+1 is drawn ahead for k < n - 2: batches 1 .. n-2, all
+            # full, so ``rows`` is their row count.
+            ahead_until = len(stream) - 2 if look_ahead else 0
             batches = 0
             for batch in stream:
-                activations = layer.train_batch(batch.x)
-                if worker is not None:
+                activations = layer.train_batch(batch.x, noise=noise)
+                noise = None
+                draw = layer.noise_draw(rows) if batches < ahead_until else None
+                if draw is not None:
+                    # Submitted before batch k's entropy: batch k+1's
+                    # competition waits for it.
+                    worker = worker or PipelineWorker(name=name)
+                    noise = worker.submit(draw).result
+                if offload:
                     # Collect batch k-1's entropy (it overlapped this
                     # dispatch), then hand batch k's activations to the
                     # worker so the reduction overlaps batch k+1's gather +

@@ -52,6 +52,7 @@ __all__ = [
     "hidden_activations",
     "OneHotActivity",
     "one_hot_counts",
+    "competition_noise_scale",
     "compete_into",
     "batch_outer_product",
     "traces_to_weights",
@@ -64,7 +65,6 @@ __all__ = [
     "sparse_beneficial",
     "pack_traces_to_weights",
     "compute_support_sparse",
-    "scatter_packed",
 ]
 
 # --------------------------------------------------------------------------
@@ -83,11 +83,7 @@ __all__ = [
 #   log-heavy conversion on silent connections entirely;
 # * :func:`compute_support_sparse` runs one gather-GEMM per hidden block —
 #   ``x[:, active] @ packed`` — touching only the FLOPs the connectivity
-#   actually requires;
-# * :func:`scatter_packed` re-expands the packed slabs into the dense
-#   ``weights * mask`` product (the always-correct fallback used by
-#   backends without a sparse fast path, and by consumers that need the
-#   dense effective matrix).
+#   actually requires.
 #
 # The *trace update* deliberately stays dense: the joint trace ``p_ij``
 # must keep statistics for silent connections too, because the structural
@@ -478,30 +474,6 @@ def compute_support_sparse(
     return out
 
 
-def scatter_packed(
-    packed_blocks: List[np.ndarray],
-    layout: SparseLayout,
-    out: np.ndarray,
-) -> np.ndarray:
-    """Re-expand packed slabs into the dense ``weights * mask`` product.
-
-    Silent entries are exactly ``0.0`` — elementwise the same effective
-    matrix the dense path's ``weights * mask`` multiply produces — so a
-    dense GEMM over the scattered matrix is the always-correct fallback for
-    backends without a sparse fast path.
-    """
-    if out.shape != (layout.n_input, layout.n_hidden):
-        raise DataError(
-            f"out shape {out.shape} does not match layout "
-            f"({layout.n_input}, {layout.n_hidden})"
-        )
-    out[:] = 0.0
-    for h, idx, lo, hi in layout.iter_blocks():
-        if idx.size:
-            out[idx, lo:hi] = packed_blocks[h]
-    return out
-
-
 def expand_mask(
     mask: np.ndarray,
     input_sizes: Sequence[int],
@@ -661,6 +633,15 @@ def one_hot_counts(
 COMPETITION_MODES = ("softmax", "noisy_softmax", "sample")
 
 
+def competition_noise_scale(mode: str, noise_scale: float) -> Optional[float]:
+    """Scale of the normals a ``mode`` competition adds; ``None`` if it draws none."""
+    if mode == "noisy_softmax":
+        return noise_scale
+    if mode == "sample" and noise_scale > 0:
+        return 0.1 * noise_scale
+    return None
+
+
 def compete_into(
     activations: np.ndarray,
     hidden_sizes: Sequence[int],
@@ -670,6 +651,7 @@ def compete_into(
     bias_delta: float,
     rng: np.random.Generator,
     scratch=None,
+    noise: Optional[np.ndarray] = None,
 ):
     """Training-time competition over rate-based activations.
 
@@ -687,8 +669,9 @@ def compete_into(
     the forward produced ``activations``, and ``noise_scratch()``); every
     ``(B, H)`` intermediate is then computed in place in its buffers — the
     dense activity returned is a view of ``scratch.support``, valid until
-    the next dispatch — and nothing layer-sized is allocated.  Without it
-    the buffers are allocated per call.  ``activations`` is never written.
+    the next dispatch — and the only layer-sized allocation is the
+    ``sample`` pick's one-byte comparison.  Without it the buffers are
+    allocated per call.  ``activations`` is never written.
 
     **Draw-order contract.**  The generator is consumed in a fixed order
     and count, which is what makes training reproducible from a seed (and
@@ -696,7 +679,11 @@ def compete_into(
     nothing; ``noisy_softmax`` draws ``B*H`` normals (also at scale 0);
     ``sample`` draws ``B*H`` normals iff ``noise_scale > 0`` (applied at a
     tenth of the scale, so exactly-tied columns still split), then
-    ``B*n_hypercolumns`` uniforms.
+    ``B*n_hypercolumns`` uniforms.  ``noise`` is the ``(B, H)`` buffer of
+    that call's normals already drawn (``rng.standard_normal(out=noise)``,
+    possibly on another thread): the kernel then draws only the uniforms,
+    and scales ``noise`` in place.  Passing it to a mode that draws no
+    normals is an error.
     """
     activations = np.asarray(activations, dtype=np.float64)
     if activations.ndim != 2:
@@ -720,17 +707,18 @@ def compete_into(
     np.log(logits, out=logits)
     if bias_delta != 0.0 and bias is not None:
         logits += bias_delta * bias[None, :]
-    if mode == "noisy_softmax":
-        scale = noise_scale
-    elif mode == "sample" and noise_scale > 0:
-        scale = 0.1 * noise_scale
-    else:
-        scale = None
+    scale = competition_noise_scale(mode, noise_scale)
+    if noise is not None and (scale is None or noise.shape != (n, width)):
+        raise DataError(
+            f"a drawn noise buffer {noise.shape} does not fit a {mode!r} competition "
+            f"over {(n, width)} activations"
+        )
     if scale is not None:
         # ``standard_normal(out=) * scale`` is draw for draw and bit for bit
         # ``Generator.normal(0.0, scale, size)`` without its fresh array.
-        noise = np.empty_like(logits) if scratch is None else scratch.noise_scratch()[:n]
-        rng.standard_normal(out=noise)
+        if noise is None:
+            noise = np.empty_like(logits) if scratch is None else scratch.noise_scratch()[:n]
+            rng.standard_normal(out=noise)
         noise *= scale
         logits += noise
     # (view, hypercolumn slice) pairs; every view is (B, k, m) with one
@@ -754,16 +742,17 @@ def compete_into(
     u = rng.random((n, n_blocks))
     winners = np.empty((n, n_blocks), dtype=np.intp)
     for block, cols in blocks:
-        # Inverse-cdf pick: the winner is the number of cdf entries the
-        # uniform exceeds, all in place (the comparison lands as 0.0/1.0 in
-        # the probability buffer, whose row sums are then exact counts).
+        # Inverse-cdf pick: the winner is the first column whose cdf reaches
+        # the uniform — the number of entries the uniform exceeds, as the
+        # cdf is non-decreasing — or the last column where rounding left the
+        # whole cdf below it.
         norm = block.sum(axis=-1, keepdims=True)
         norm[norm <= 0.0] = 1.0
         block /= norm
         np.cumsum(block, axis=-1, out=block)
-        np.greater(u[:, cols, None], block, out=block)
-        picks = block.sum(axis=-1)
-        np.minimum(picks, block.shape[-1] - 1, out=winners[:, cols], casting="unsafe")
+        picks = winners[:, cols]
+        np.argmax(block >= u[:, cols, None], axis=-1, out=picks)
+        picks[block[..., -1] < u[:, cols]] = block.shape[-1] - 1
     winners += starts
     return OneHotActivity._wrap(winners, width)
 

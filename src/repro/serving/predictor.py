@@ -93,6 +93,12 @@ class _LayerStage:
         workspace = self.engine.workspace
         workspace.activations = workspace.support
 
+    def reserve(self) -> None:
+        """Allocate the gather scratch of the layer's sparse layout now."""
+        layout = self.layer.sparse_layout
+        if layout is not None:
+            self.engine.workspace.gather_scratch(layout)
+
     def stale(self, backend, n_rows: int) -> bool:
         traces = self.layer.traces
         engine = self.engine
@@ -223,15 +229,17 @@ class StreamingPredictor(BackendExecutionMixin):
         layers = self.network.hidden_layers
         return [_LayerStage(layer, self._stage_backend(layer), self.batch_size) for layer in layers]
 
-    def _tile(self, stages: List[_LayerStage], batch, n_layers: Optional[int] = None):
+    def _tile(self, stages: List[_LayerStage], batch, n_layers: Optional[int] = None, rows=None):
         """``batch`` through a lane's first ``n_layers`` stages, rebuilding any
-        that no longer fits; a view of the lane's last workspace."""
+        that no longer fits; a view of the lane's last workspace.  Non-float64
+        rows are converted into ``rows`` when given, else into a fresh array."""
         hidden = batch.x
         for stage in stages[:n_layers]:
             effective = self._stage_backend(stage.layer)
             if stage.stale(effective, batch.size):
                 stage.rebuild(effective, max(int(batch.size), self.batch_size))
-            hidden = stage.forward(stage.layer.input_spec.validate_batch(hidden))
+            hidden = stage.forward(stage.layer.input_spec.validate_batch(hidden, out=rows))
+            rows = None
         return hidden
 
     # ------------------------------------------------------------- dispatch
@@ -281,36 +289,45 @@ class StreamingPredictor(BackendExecutionMixin):
         """Fill ``out`` from lanes that pull whole tiles off one stream.
 
         The caller's thread is lane 0; helper lanes live for this call (a
-        one-tile stream has none).  The first failure is re-raised once every
-        lane has stopped at its next tile.
+        one-tile stream has none).  Each lane converts non-float64 rows into
+        a buffer of its own.  The caller allocates what a helper lane holds
+        — its stages, their gather scratch, that buffer — because a helper
+        thread's allocations would come from its own glibc arena.  The first
+        failure is re-raised once every lane has stopped at its next tile.
         """
         stream = self._as_stream(source)
         out = self._output(stream.n_samples, proba)
         n_lanes = 1 if len(stream) < 2 else min(len(stream), _lane_count())
         while len(self._lanes) < n_lanes:
             self._lanes.append(self._new_lane())
+        for lane in self._lanes[1:n_lanes]:
+            for stage in lane:
+                stage.reserve()
+        shape = (stream.batch_size, stream.x.shape[1])
+        convert = stream.x.dtype != np.float64
+        rows = [np.empty(shape) if convert else None for _ in range(n_lanes)]
         tiles = iter(stream)
         lock = threading.Lock()
         failures: List[BaseException] = []
 
-        def run(stages: List[_LayerStage]) -> None:
+        def run(stages: List[_LayerStage], rows: Optional[np.ndarray]) -> None:
             try:
                 while not failures:
                     with lock:
                         batch = next(tiles, None)
                     if batch is None:
                         return
-                    self._scatter_batch(out, batch, self._tile(stages, batch), proba)
+                    self._scatter_batch(out, batch, self._tile(stages, batch, rows=rows), proba)
             except BaseException as exc:  # re-raised in the caller
                 failures.append(exc)
 
         helpers = [
-            threading.Thread(target=run, args=(stages,), name="repro-predict-lane", daemon=True)
-            for stages in self._lanes[1:n_lanes]
+            threading.Thread(target=run, args=lane, name="repro-predict-lane", daemon=True)
+            for lane in zip(self._lanes[1:n_lanes], rows[1:])
         ]
         for thread in helpers:
             thread.start()
-        run(self._stages)
+        run(self._stages, rows[0])
         for thread in helpers:
             thread.join()
         getattr(tiles, "close", lambda: None)()  # stops a prefetch thread early

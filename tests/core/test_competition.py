@@ -156,6 +156,103 @@ class TestCompeteIntoIsTheOracle:
         assert workspace.nbytes() == before + activations.nbytes
 
 
+class _ChosenUniforms:
+    """A generator whose uniforms are chosen: ``sample`` at noise 0 draws only those."""
+
+    def __init__(self, u):
+        self.u = u
+        self.sizes = []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self.u.copy()
+
+
+#: Uniforms on and next to the cdf steps of tied probabilities, and just below 1.
+_EDGE_UNIFORMS = [0.0, 0.25, 0.5, 0.75, 1 / 3, 2 / 3, np.nextafter(1.0, 0.0), 1.0 - 2.0**-52]
+
+
+@st.composite
+def _pick_cases(draw):
+    sizes = draw(st.sampled_from([UNIFORM, RAGGED, [4, 4], [1, 3, 1, 2]]))
+    n_rows = draw(st.integers(1, 9))
+    width, n_blocks = sum(sizes), len(sizes)
+    # Repeated levels tie; a 0 activation is floored at EPS, not zeroed.
+    levels = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    activations = np.array(draw(st.lists(levels, min_size=n_rows * width, max_size=n_rows * width)))
+    # A -1e4 bias underflows a column's probability to exactly 0.
+    bias = np.array(draw(st.lists(st.sampled_from([0.0, -1e4]), min_size=width, max_size=width)))
+    uniforms = st.one_of(st.sampled_from(_EDGE_UNIFORMS), st.floats(0.0, 1.0, exclude_max=True))
+    u = np.array(draw(st.lists(uniforms, min_size=n_rows * n_blocks, max_size=n_rows * n_blocks)))
+    return activations.reshape(n_rows, width), sizes, bias, u.reshape(n_rows, n_blocks)
+
+
+class TestFirstCrossingPick:
+    """The pick is the first column whose cdf reaches the uniform: the oracle's count."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_pick_cases())
+    def test_ties_zeros_and_uniforms_near_one_pick_what_the_oracle_picks(self, case):
+        activations, sizes, bias, u = case
+        expected_rng, actual_rng = _ChosenUniforms(u), _ChosenUniforms(u)
+        expected = oracle.training_activity(
+            activations, sizes, "sample", 0.0, bias, 1.0, expected_rng
+        )
+        actual = kernels.compete_into(activations, sizes, "sample", 0.0, bias, 1.0, actual_rng)
+        assert np.array_equal(actual.dense(), expected)
+        assert actual_rng.sizes == expected_rng.sizes
+
+    def test_a_cdf_ending_below_the_uniform_picks_the_last_column(self):
+        # 21 tied columns: rounding ends their cdf 7 ulps below 1, under the
+        # largest uniform, which then reaches no entry.
+        activations = np.full((1, 21), 0.5)
+        probs = blockwise_softmax(np.log(activations), [21])
+        u = np.array([[np.nextafter(1.0, 0.0)]])
+        assert np.cumsum(probs / probs.sum())[-1] < u[0, 0]
+        activity = kernels.compete_into(
+            activations, [21], "sample", 0.0, None, 0.0, _ChosenUniforms(u)
+        )
+        expected = oracle.training_activity(
+            activations, [21], "sample", 0.0, None, 0.0, _ChosenUniforms(u)
+        )
+        assert activity.winners.tolist() == [[20]]
+        assert np.array_equal(activity.dense(), expected)
+
+
+class TestDrawnNoise:
+    """``compete_into(noise=)``: normals drawn ahead, the uniforms drawn inline."""
+
+    @pytest.mark.parametrize("sizes", [UNIFORM, RAGGED], ids=["uniform", "ragged"])
+    @pytest.mark.parametrize(
+        "mode, noise", [("noisy_softmax", 0.1), ("noisy_softmax", 0.0), ("sample", 0.1)]
+    )
+    def test_a_buffer_drawn_ahead_is_the_inline_draw(self, mode, noise, sizes):
+        activations = _activations(7, sizes, seed=2)
+        inline_rng, ahead_rng = np.random.default_rng(5), np.random.default_rng(5)
+        expected = kernels.compete_into(activations, sizes, mode, noise, None, 0.0, inline_rng)
+        drawn = ahead_rng.standard_normal(out=np.empty(activations.shape))
+        actual = kernels.compete_into(
+            activations, sizes, mode, noise, None, 0.0, ahead_rng, noise=drawn
+        )
+        assert np.array_equal(_dense(actual), _dense(expected))
+        assert ahead_rng.bit_generator.state == inline_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "mode, noise, rows",
+        [("softmax", 0.1, 7), ("sample", 0.0, 7), ("sample", 0.1, 6), ("noisy_softmax", 0.1, 8)],
+    )
+    def test_a_buffer_the_competition_cannot_use_is_refused(self, mode, noise, rows):
+        activations = _activations(7, UNIFORM, seed=2)
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(DataError, match="noise buffer"):
+            kernels.compete_into(
+                activations, UNIFORM, mode, noise, None, 0.0, rng,
+                noise=np.zeros((rows, sum(UNIFORM))),
+            )
+        assert rng.bit_generator.state == state
+
+
 class TestOneHotActivity:
     def test_dense_round_trip_and_out_buffer(self):
         activity = kernels.OneHotActivity(np.array([[1, 3], [0, 4]]), 5)
@@ -272,7 +369,8 @@ def _dense_oracle_activity(layer):
     """The layer's competition as the allocating dense composition."""
     hp = layer.hyperparams
 
-    def activity(activations, scratch=None):
+    def activity(activations, scratch=None, noise=None):
+        assert noise is None  # the oracle draws its own normals
         return oracle.training_activity(
             activations, layer.hidden_sizes, hp.competition, hp.competition_noise,
             layer.bias, hp.competition_bias_gain - hp.bias_gain, layer._rng,

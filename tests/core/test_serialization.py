@@ -1,6 +1,8 @@
 """Tests for model save/load."""
 
+import gc
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +131,18 @@ class TestTruncatedModels:
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(SerializationError):
             load_network(path)
+
+    @pytest.mark.parametrize("keep", [10, 200])
+    def test_torn_file_closes_its_descriptor(self, tmp_path, keep):
+        net, _ = _tiny_fitted_network()
+        path = save_network(net, tmp_path / "model.npz")
+        path.write_bytes(path.read_bytes()[:keep])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(SerializationError):
+                load_network(path)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestCrashSafeSave:

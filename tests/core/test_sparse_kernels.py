@@ -4,8 +4,6 @@ The numerical contract, enforced here at the kernel level:
 
 * packed weight slabs are **bitwise identical** to gathering the dense
   ``traces_to_weights`` output (identical scalar operations per entry);
-* :func:`~repro.kernels.scatter_packed` re-expands them into exactly the
-  dense path's ``weights * mask`` product;
 * the gather-GEMM support equals the dense masked support — bitwise on the
   benchmark configuration (single hidden hypercolumn, batch >= 128, whole-
   hypercolumn index blocks: adding exact zeros does not perturb BLAS's
@@ -113,20 +111,6 @@ class TestPackAndScatter:
         assert np.array_equal(bias, dense_b)
         for h, idx, lo, hi in layout.iter_blocks():
             assert np.array_equal(blocks[h], dense_w[np.ix_(idx, np.arange(lo, hi))])
-
-    def test_scatter_reproduces_masked_product(self):
-        _, mask, layout, hidden_sizes, p_i, p_j, p_ij, _ = _problem(0.3, 2)
-        dense_w, _ = kernels.traces_to_weights(p_i, p_j, p_ij)
-        blocks, _ = kernels.pack_traces_to_weights(p_i, p_j, p_ij, layout)
-        out = np.empty((layout.n_input, layout.n_hidden))
-        kernels.scatter_packed(blocks, layout, out)
-        # Silent entries are exactly zero and active entries are exactly the
-        # dense weights, so the scattered matrix equals weights * mask up to
-        # the sign of zero (which a GEMM cannot observe).
-        assert np.array_equal(out != 0.0, (dense_w * mask) != 0.0) or np.array_equal(
-            out, dense_w * mask
-        )
-        assert np.array_equal(out[out != 0.0], (dense_w * mask)[out != 0.0])
 
     def test_pack_streams_into_preallocated_buffers(self):
         _, _, layout, _, p_i, p_j, p_ij, _ = _problem(0.3)

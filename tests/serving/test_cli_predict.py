@@ -1,6 +1,9 @@
 """Tests for the ``repro predict`` CLI subcommand (streaming inference)."""
 
+import gc
 import json
+import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -74,6 +77,22 @@ def test_ambiguous_npz_rejected(tmp_path, saved_model, encoded_higgs):
     np.savez(features, a=encoded_higgs["x_test"], b=encoded_higgs["x_test"])
     with pytest.raises(DataError):
         main_predict([str(features), "--model", saved_model, "--quiet"])
+
+
+@pytest.mark.parametrize("suffix", [".npy", ".npz"])
+def test_torn_archive_closes_its_descriptor(tmp_path, suffix):
+    from repro.cli import _load_feature_matrix
+
+    whole = tmp_path / "whole.npz"
+    np.savez(whole, x=np.ones((4, 280)))
+    torn = tmp_path / f"features{suffix}"
+    torn.write_bytes(whole.read_bytes()[:200])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(zipfile.BadZipFile):
+            _load_feature_matrix(str(torn))
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def _save(path, matrix):

@@ -144,6 +144,27 @@ class TestLaneThreads:
         assert started == [LANE_THREAD]
         assert _lane_threads() == []
 
+    def test_helper_lanes_allocate_nothing_per_tile(
+        self, monkeypatch, stacked_network, encoded_higgs
+    ):
+        """A helper thread's allocations would come from its own glibc arena:
+        the caller reserves a helper lane's sparse gather scratch and the
+        buffer the lane converts compact rows into."""
+        _force_lanes(monkeypatch, 2)
+        seen = []
+        forward = predictor_module._LayerStage.forward
+
+        def watched(stage, x):
+            if threading.current_thread().name == LANE_THREAD:
+                reserved = stage.engine.workspace._gather is not None
+                seen.append((reserved or not stage.layer.sparse_active, x.base is not None))
+            return forward(stage, x)
+
+        monkeypatch.setattr(predictor_module._LayerStage, "forward", watched)
+        x = encoded_higgs["x_test"][:512].astype(np.uint8)
+        StreamingPredictor(stacked_network, batch_size=64).predict_stream(x)
+        assert seen and all(reserved and view for reserved, view in seen)
+
     def test_stream_iterator_without_close(self, monkeypatch, trained_network, encoded_higgs):
         """A wrapped stream iterator (a profiler's timing wrapper) need not
         be a generator."""
