@@ -415,19 +415,29 @@ def measure_checkpoint_overhead(n_samples=32768, epochs=3, repeats=8, batch_size
     """Wall-clock cost of durable checkpointing at ``checkpoint_every=1``.
 
     Times the same ``Network.fit`` with and without a checkpoint directory
-    (every epoch boundary then pays an npz serialise + fsync + rename +
-    manifest rewrite).  Each repeat runs the two variants back-to-back —
-    pairing cancels the slow machine drift that dominates two
-    separately-timed blocks — and the order *alternates* between pairs
-    because the second fit of a pair measures systematically ~1-2% slower
-    than the first even for identical work.  ``overhead`` is the median of
-    per-pair ratios, which also rejects a single outlier pair.  The CI
-    gate (``--check-checkpoint``) pins this at <= 1.05x: durability must
-    stay in the noise of a training epoch, not compete with it.
+    (every epoch boundary then pays a snapshot + npz serialise on the
+    training thread; fsync + rename + manifest rewrite run on the writer
+    thread).  ``overhead`` is measured *inside* each checkpointed fit: the
+    seconds the training thread spends in ``TrainingCheckpointer.save`` and
+    ``flush`` (snapshot, serialise, any wait for the previous commit) plus
+    the seconds the writer thread spends in ``CheckpointManager.commit``
+    are all taken out of that same fit, and ``fit / (fit - checkpoint
+    seconds)`` is the ratio.  Counting the writer's time as if it never
+    overlapped training makes it an upper bound on the cost, and one fit
+    gives both sides, so drift between two fits cannot move it.  The median
+    over ``repeats`` fits is gated: the CI gate (``--check-checkpoint``)
+    pins it at <= 1.05x, so durability stays in the noise of a training
+    epoch instead of competing with it.
+
+    ``paired_overhead`` is the older figure, reported beside it: the median
+    ratio of back-to-back checkpointed/plain fit pairs (alternating order).
+    On a 2-vCPU box the median of 8 such pairs spread over 1.00-1.07 on
+    unchanged code, so it cannot resolve a 5 % bar.
     """
     import shutil
     import tempfile
 
+    from repro.checkpoint import CheckpointManager, TrainingCheckpointer
     from repro.core import (
         Network,
         SGDClassifier,
@@ -447,8 +457,33 @@ def measure_checkpoint_overhead(n_samples=32768, epochs=3, repeats=8, batch_size
         network.add(SGDClassifier(n_classes=2, seed=2))
         return network
 
+    # Checkpoint seconds of the current fit: the training thread's (save
+    # and flush) and the writer thread's (commit), each in its own slot.
+    spent = {"training": 0.0, "writer": 0.0}
+    originals = [
+        (TrainingCheckpointer, "save", "training"),
+        (TrainingCheckpointer, "flush", "training"),
+        (CheckpointManager, "commit", "writer"),
+    ]
+    methods = [getattr(owner, name) for owner, name, _ in originals]
+
+    def counted(method, slot):
+        def timed(self, *args, **kwargs):
+            if getattr(self, "_bench_inside", False):  # save() calls flush() itself
+                return method(self, *args, **kwargs)
+            self._bench_inside = True
+            start = time.perf_counter()
+            try:
+                return method(self, *args, **kwargs)
+            finally:
+                spent[slot] += time.perf_counter() - start
+                self._bench_inside = False
+
+        return timed
+
     def timed_fit(checkpoint_dir=None):
         network = build()
+        spent.update(training=0.0, writer=0.0)
         start = time.perf_counter()
         network.fit(
             x, y, input_spec=INPUT_SIZES, schedule=schedule,
@@ -456,20 +491,27 @@ def measure_checkpoint_overhead(n_samples=32768, epochs=3, repeats=8, batch_size
         )
         return time.perf_counter() - start
 
-    plain_timings, ckpt_timings, ratios = [], [], []
+    plain_timings, ckpt_timings, ratios, in_fit = [], [], [], []
     tmp = tempfile.mkdtemp(prefix="bench-ckpt-")
     try:
+        for (owner, name, slot), method in zip(originals, methods):
+            setattr(owner, name, counted(method, slot))
         timed_fit()  # warm-up: page in data, settle BLAS threads
         for pair in range(repeats):
             if pair % 2 == 0:
                 plain_timings.append(timed_fit())
                 ckpt_timings.append(timed_fit(checkpoint_dir=tmp))
+                own = spent["training"] + spent["writer"]
             else:
                 ckpt_timings.append(timed_fit(checkpoint_dir=tmp))
+                own = spent["training"] + spent["writer"]
                 plain_timings.append(timed_fit())
             ratios.append(ckpt_timings[-1] / max(plain_timings[-1], 1e-12))
+            in_fit.append(ckpt_timings[-1] / max(ckpt_timings[-1] - own, 1e-12))
         n_checkpoints = len(list(Path(tmp).glob("ckpt-*.npz")))
     finally:
+        for (owner, name, _), method in zip(originals, methods):
+            setattr(owner, name, method)
         shutil.rmtree(tmp, ignore_errors=True)
     return {
         "config": {
@@ -483,7 +525,8 @@ def measure_checkpoint_overhead(n_samples=32768, epochs=3, repeats=8, batch_size
         "plain_seconds": float(min(plain_timings)),
         "checkpointed_seconds": float(min(ckpt_timings)),
         "checkpoints_retained": int(n_checkpoints),
-        "overhead": float(np.median(ratios)),
+        "overhead": float(np.median(in_fit)),
+        "paired_overhead": float(np.median(ratios)),
     }
 
 

@@ -101,11 +101,12 @@ class Backend:
     # ----------------------------------------------------- fused primitives
     #
     # The streaming execution engine (:mod:`repro.engine`) drives training
-    # through these three entry points.  ``workspace`` is duck-typed: any
+    # through ``update_traces`` and ``fused_update`` and inference through
+    # the subclasses' ``forward_into``.  ``workspace`` is duck-typed: any
     # object exposing the preallocated buffers of
     # :class:`repro.engine.LayerWorkspace` (``support``, ``activations``,
     # ``masked_weights``, ``mean_x``, ``mean_a``, ``mean_outer``) works.
-    # The base implementations compose the three abstract kernels, so every
+    # The base implementations compose the abstract kernels, so every
     # backend gets a numerically-faithful fused path for free; subclasses
     # override them to exploit buffer reuse (NumPy).
     #
@@ -124,31 +125,6 @@ class Backend:
     #   (``kernels.ema_update`` scales its inputs in place); the engine's
     #   stale-weights accounting reads them to accumulate the applied trace
     #   drift.
-
-    def forward_into(
-        self,
-        x: np.ndarray,
-        weights: np.ndarray,
-        bias: np.ndarray,
-        mask_expanded: np.ndarray,
-        hidden_sizes: Sequence[int],
-        bias_gain: float = 1.0,
-        out: Optional[np.ndarray] = None,
-        workspace=None,
-        sparse=None,
-    ) -> np.ndarray:
-        """``out=``-style forward: hidden activations written into ``out``.
-
-        The default implementation delegates to :meth:`forward` and copies;
-        workspace-aware backends override it to compute in place.
-        """
-        activations = self.forward(
-            x, weights, bias, mask_expanded, hidden_sizes, bias_gain, sparse=sparse
-        )
-        if out is None:
-            return activations
-        np.copyto(out, activations)
-        return out
 
     def pack_weights(
         self,
@@ -240,10 +216,6 @@ class Backend:
         activity = activations if activity_fn is None else activity_fn(activations)
         self.update_traces(x, activity, p_i, p_j, p_ij, taupdt, workspace=workspace)
         return activations
-
-    # --------------------------------------------------------------- misc
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"{type(self).__name__}(name={self.name!r}, precision={self.precision!r})"
 
     # ------------------------------------------------------------- helpers
     def _require_2d(self, array: np.ndarray, name: str) -> np.ndarray:

@@ -14,8 +14,7 @@ __getattr__, __dir__, __all__ = attach(
     {
         "base": ["BaselineClassifier"],
         "logistic": ["LogisticRegressionBaseline"],
-        "mlp": ["MLPBaseline", "relu", "relu_grad", "tanh_act", "tanh_grad"],
-        "trees": ["DecisionTreeBaseline", "DecisionStump"],
+        "mlp": ["MLPBaseline", "relu", "relu_grad"],
         "boosting": ["GradientBoostingBaseline"],
     },
 )

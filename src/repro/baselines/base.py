@@ -50,16 +50,6 @@ class BaselineClassifier:
         proba = self._predict_proba(X)
         return np.asarray(proba, dtype=np.float64)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.argmax(self.predict_proba(X), axis=1)
-
-    def decision_scores(self, X: np.ndarray) -> np.ndarray:
-        """Positive-class probability for binary problems (used for AUC)."""
-        proba = self.predict_proba(X)
-        if proba.shape[1] != 2:
-            raise DataError("decision_scores is only defined for binary classifiers")
-        return proba[:, 1]
-
     def evaluate(self, X: np.ndarray, y: np.ndarray) -> Dict[str, float]:
         """Accuracy, log-loss and (binary) AUC on a labelled set."""
         y = check_labels(y, name="y")
@@ -82,6 +72,3 @@ class BaselineClassifier:
 
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"{type(self).__name__}(fitted={self.n_classes_ is not None})"

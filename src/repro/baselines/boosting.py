@@ -171,7 +171,3 @@ class GradientBoostingBaseline(BaselineClassifier):
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
         prob = _sigmoid(self.decision_function(X))
         return np.stack([1.0 - prob, prob], axis=1)
-
-    @property
-    def n_trees_(self) -> int:
-        return len(self.trees_)

@@ -3,7 +3,7 @@
 Baldi et al. trained a one-hidden-layer network ("shallow NN", ~81.6% AUC on
 the real HIGGS set) and a five-hidden-layer network ("DNN", ~88% AUC).
 :class:`MLPBaseline` reproduces both shapes depending on ``hidden_layers``.
-The implementation is plain NumPy: dense layers, ReLU/tanh activations,
+The implementation is plain NumPy: dense layers, ReLU activations,
 softmax cross-entropy loss, mini-batch SGD with momentum, optional dropout.
 """
 
@@ -18,7 +18,7 @@ from repro.exceptions import ConfigurationError
 from repro.utils.arrays import one_hot, row_softmax
 from repro.utils.rng import as_rng
 
-__all__ = ["MLPBaseline", "relu", "relu_grad", "tanh_act", "tanh_grad"]
+__all__ = ["MLPBaseline", "relu", "relu_grad"]
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -31,17 +31,7 @@ def relu_grad(pre: np.ndarray) -> np.ndarray:
     return (pre > 0).astype(np.float64)
 
 
-def tanh_act(x: np.ndarray) -> np.ndarray:
-    """Hyperbolic tangent activation."""
-    return np.tanh(x)
-
-
-def tanh_grad(pre: np.ndarray) -> np.ndarray:
-    """Derivative of tanh with respect to its pre-activation."""
-    return 1.0 - np.tanh(pre) ** 2
-
-
-_ACTIVATIONS = {"relu": (relu, relu_grad), "tanh": (tanh_act, tanh_grad)}
+_ACTIVATIONS = {"relu": (relu, relu_grad)}
 
 
 class MLPBaseline(BaselineClassifier):
@@ -53,7 +43,7 @@ class MLPBaseline(BaselineClassifier):
         Sizes of the hidden layers, e.g. ``(300,)`` for the shallow baseline
         or ``(300, 300, 300, 300, 300)`` for the deep one.
     activation:
-        ``"relu"`` or ``"tanh"``.
+        ``"relu"`` (the one activation the baselines use).
     dropout:
         Dropout probability applied to hidden activations during training.
     epochs, batch_size, learning_rate, momentum, weight_decay:

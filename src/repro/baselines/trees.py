@@ -1,13 +1,8 @@
-"""Decision-tree regressors/classifiers built from scratch.
+"""Regression trees built from scratch.
 
-Two pieces live here:
-
-* :class:`RegressionTree` — a CART-style regression tree on a squared-error
-  criterion, used as the weak learner inside
-  :class:`repro.baselines.boosting.GradientBoostingBaseline`.
-* :class:`DecisionTreeBaseline` — a standalone classification tree (Gini
-  impurity), useful as a cheap interpretable baseline and as a component of
-  the tests that validate the boosting machinery.
+:class:`RegressionTree` is a CART-style regression tree on a squared-error
+criterion, used as the weak learner inside
+:class:`repro.baselines.boosting.GradientBoostingBaseline`.
 
 The split search is vectorised per feature: candidate thresholds come from
 quantiles of the feature values at the node, and the split quality for all
@@ -22,12 +17,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.base import BaselineClassifier
 from repro.exceptions import ConfigurationError
-from repro.utils.arrays import one_hot
-from repro.utils.rng import as_rng
 
-__all__ = ["RegressionTree", "DecisionTreeBaseline", "DecisionStump"]
+__all__ = ["RegressionTree"]
 
 
 @dataclass
@@ -165,58 +157,3 @@ class RegressionTree:
             stack.append((node.left, rows[mask]))
             stack.append((node.right, rows[~mask]))
         return out
-
-    @property
-    def depth(self) -> int:
-        def _depth(node: Optional[_Node]) -> int:
-            if node is None or node.is_leaf:
-                return 0
-            return 1 + max(_depth(node.left), _depth(node.right))
-
-        return _depth(self.root_)
-
-
-class DecisionStump(RegressionTree):
-    """A depth-1 regression tree (classic boosting weak learner)."""
-
-    def __init__(self, min_samples_leaf: int = 10, max_thresholds: int = 16) -> None:
-        super().__init__(
-            max_depth=1, min_samples_leaf=min_samples_leaf, max_thresholds=max_thresholds
-        )
-
-
-class DecisionTreeBaseline(BaselineClassifier):
-    """Classification tree: fits a regression tree to one-hot targets.
-
-    Fitting squared error on one-hot targets is equivalent to minimising the
-    Gini impurity for the induced partition, so this reuses
-    :class:`RegressionTree` directly and normalises leaf values into class
-    probabilities at prediction time.
-    """
-
-    name = "decision-tree"
-
-    def __init__(
-        self, max_depth: int = 6, min_samples_leaf: int = 20, max_thresholds: int = 16, seed=None
-    ) -> None:
-        super().__init__()
-        self.max_depth = int(max_depth)
-        self.min_samples_leaf = int(min_samples_leaf)
-        self.max_thresholds = int(max_thresholds)
-        self._rng = as_rng(seed)
-        self._tree: Optional[RegressionTree] = None
-
-    def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        targets = one_hot(y, self.n_classes_)
-        self._tree = RegressionTree(
-            max_depth=self.max_depth,
-            min_samples_leaf=self.min_samples_leaf,
-            max_thresholds=self.max_thresholds,
-        ).fit(X, targets)
-
-    def _predict_proba(self, X: np.ndarray) -> np.ndarray:
-        raw = self._tree.predict(X)
-        raw = np.clip(raw, 0.0, None)
-        sums = raw.sum(axis=1, keepdims=True)
-        sums[sums <= 0] = 1.0
-        return raw / sums

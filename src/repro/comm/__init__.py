@@ -24,8 +24,7 @@ Entry points: :func:`parse_transport_spec` parses spec strings ("thread:4",
 :func:`get_communicator` turn them into communicators;
 :func:`transport_capabilities` reports each transport's ``multihost`` /
 ``fault_tolerant`` flags; :meth:`Communicator.run` launches
-an SPMD program (rank 0 runs inline in the driver); :mod:`repro.comm.tasks`
-holds reusable module-level SPMD programs.
+an SPMD program (rank 0 runs inline in the driver).
 """
 
 from repro._lazy import attach

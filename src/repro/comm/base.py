@@ -201,6 +201,3 @@ class Communicator(ABC):
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"{type(self).__name__}(transport={self.transport!r}, size={self.size})"

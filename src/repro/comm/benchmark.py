@@ -10,9 +10,11 @@ is directly the per-batch communication cost of each transport.
 
 from __future__ import annotations
 
+import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.comm import tasks
+import numpy as np
+
 from repro.comm.factory import get_communicator, parse_transport_spec
 from repro.exceptions import BackendError
 
@@ -27,9 +29,37 @@ E2E_PAYLOAD_FLOATS = {
 }
 
 
+def allreduce_loop(
+    comm, shape, repeats: int = 20, warmup: int = 3, dtype: str = "float64"
+) -> Dict[str, float]:
+    """Time ``repeats`` allreduces of one ``shape`` array on this rank.
+
+    Returns the best and the median per-call wall time observed on this
+    rank; the driver reads rank 0's figures (all ranks are
+    barrier-synchronised, so rank 0's time is the collective's time).
+    """
+    arr = np.full(shape, float(comm.rank + 1), dtype=np.dtype(dtype))
+    expected = float(sum(range(1, comm.size + 1)))
+    for _ in range(warmup):
+        out = comm.allreduce(arr, op="sum")
+    seconds = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        out = comm.allreduce(arr, op="sum")
+        seconds.append(time.perf_counter() - start)
+    if not np.allclose(out, expected):  # correctness guard on every rank
+        raise AssertionError(f"allreduce produced {out.flat[0]!r}, expected {expected!r}")
+    return {
+        "rank": comm.rank,
+        "seconds_per_call": min(seconds),
+        "p50_seconds_per_call": float(np.median(seconds)),
+        "nbytes": float(arr.nbytes),
+    }
+
+
 def _allreduce_row(comm, shape: Sequence[int], repeats: int, warmup: int) -> Dict[str, float]:
     """Rank 0's blocking-allreduce figures for one payload shape."""
-    timed = comm.run(tasks.allreduce_loop, [(tuple(shape), repeats, warmup)] * comm.size)[0]
+    timed = comm.run(allreduce_loop, [(tuple(shape), repeats, warmup)] * comm.size)[0]
     seconds, nbytes = float(timed["seconds_per_call"]), float(timed["nbytes"])
     return {
         "seconds_per_allreduce": seconds,
@@ -49,7 +79,7 @@ def measure_comm_throughput(
 ) -> Dict[str, object]:
     """Allreduce latency (best and median call) and bandwidth per transport.
 
-    Every transport runs the same SPMD loop (:func:`repro.comm.tasks.allreduce_loop`)
+    Every transport runs the same SPMD loop (:func:`allreduce_loop`)
     over a ``shape`` float64 payload at ``ranks`` ranks (the serial transport
     is always measured at one rank — it has no peers by construction).
     Entries are transport *specs* (``"tcp"`` measures a loopback rendezvous

@@ -71,14 +71,6 @@ class TransportSpec:
     ranks: Optional[int] = None
     options: Dict[str, Any] = field(default_factory=dict)
 
-    def __str__(self) -> str:
-        if self.name == "tcp":
-            host = self.options.get("host", "127.0.0.1")
-            port = self.options.get("port", 0)
-            suffix = f"?ranks={self.ranks}" if self.ranks is not None else ""
-            return f"tcp://{host}:{port}{suffix}"
-        return self.name if self.ranks is None else f"{self.name}:{self.ranks}"
-
 
 def _positive_int(text: str, what: str) -> int:
     try:

@@ -28,7 +28,6 @@ __getattr__, __dir__, __all__ = attach(
             "HyperoptSection",
             "ExperimentConfig",
             "build_config",
-            "builtin_defaults",
         ],
         "loader": [
             "HAVE_YAML",
@@ -36,7 +35,6 @@ __getattr__, __dir__, __all__ = attach(
             "parse_set_overrides",
             "deep_merge",
             "compose_config",
-            "compose_from_files",
         ],
         "runner": ["run_experiment", "run_hyperopt", "build_prediction_server"],
     },

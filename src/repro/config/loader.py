@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, Mapping, Optional, Sequence, Union
 
 from repro.config.schema import DatasetSection, ExperimentConfig, build_config
 from repro.exceptions import ConfigError
@@ -34,7 +34,6 @@ __all__ = [
     "parse_set_overrides",
     "deep_merge",
     "compose_config",
-    "compose_from_files",
 ]
 
 try:  # pragma: no cover - exercised both ways across CI jobs
@@ -213,18 +212,3 @@ def compose_config(
     if quick:
         merged = _quick_caps(merged)
     return build_config(merged, source=source)
-
-
-def compose_from_files(
-    paths: Sequence[Union[str, Path]],
-    overrides: Optional[Mapping[str, Any]] = None,
-    quick: bool = False,
-) -> List[ExperimentConfig]:
-    """Load and compose several config files with one shared override set."""
-    configs: List[ExperimentConfig] = []
-    for path in paths:
-        data = load_config_file(path)
-        configs.append(
-            compose_config(data, overrides=overrides, quick=quick, source=str(path))
-        )
-    return configs

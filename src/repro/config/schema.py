@@ -40,7 +40,6 @@ __all__ = [
     "HyperoptSection",
     "ExperimentConfig",
     "build_config",
-    "builtin_defaults",
     "field_type",
 ]
 
@@ -447,8 +446,3 @@ def build_config(data: Mapping[str, Any], source: str = "config") -> ExperimentC
     _validate_fields(cfg)
     _validate_cross(cfg)
     return cfg
-
-
-def builtin_defaults() -> Dict[str, Any]:
-    """The lowest-precedence layer: the schema's own defaults as a dict."""
-    return ExperimentConfig().to_dict()

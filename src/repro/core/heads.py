@@ -150,9 +150,6 @@ class BCPNNClassifier(BackendExecutionMixin):
         self._batches_trained = int(state.get("batches_trained", 0))
         self.refresh_weights()
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"BCPNNClassifier(n_classes={self.n_classes}, taupdt={self.taupdt})"
-
 
 class SGDClassifier:
     """Multinomial logistic-regression head trained with mini-batch SGD.
@@ -188,15 +185,6 @@ class SGDClassifier:
         self.bias: Optional[np.ndarray] = None
         self._vel_w: Optional[np.ndarray] = None
         self._vel_b: Optional[np.ndarray] = None
-        # Monotonic parameter generation (the SGD twin of the BCPNN layers'
-        # ``weights_token``): serving-side replica caches key on it to
-        # detect that the head was retrained between predict calls.
-        self._weights_token = 0
-
-    @property
-    def weights_token(self) -> int:
-        """Parameter-update generation of the in-place-mutated weights."""
-        return self._weights_token
 
     # ----------------------------------------------------------------- meta
     @property
@@ -216,7 +204,6 @@ class SGDClassifier:
         self.bias = np.zeros(self.n_classes)
         self._vel_w = np.zeros_like(self.weights)
         self._vel_b = np.zeros_like(self.bias)
-        self._weights_token += 1
         return self
 
     # -------------------------------------------------------------- training
@@ -243,7 +230,6 @@ class SGDClassifier:
         self._vel_b = self.momentum * self._vel_b - lr * grad_b
         self.weights += self._vel_w
         self.bias += self._vel_b
-        self._weights_token += 1
         return loss
 
     # ------------------------------------------------------------ inference
@@ -278,7 +264,6 @@ class SGDClassifier:
             state["rng"] = generator_state(self._rng)
             state["vel_w"] = self._vel_w.copy()
             state["vel_b"] = self._vel_b.copy()
-            state["weights_token"] = self._weights_token
         return state
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
@@ -292,10 +277,3 @@ class SGDClassifier:
             set_generator_state(self._rng, state["rng"])
             self._vel_w[:] = np.asarray(state["vel_w"])
             self._vel_b[:] = np.asarray(state["vel_b"])
-            self._weights_token = int(state["weights_token"])
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"SGDClassifier(n_classes={self.n_classes}, lr={self.learning_rate}, "
-            f"momentum={self.momentum})"
-        )

@@ -185,8 +185,5 @@ class TrainingSchedule:
         if self.weight_refresh_tol < 0:
             raise ConfigurationError("weight_refresh_tol must be non-negative")
 
-    def replace(self, **overrides) -> "TrainingSchedule":
-        return replace(self, **overrides)
-
     def to_dict(self) -> Dict[str, float]:
         return asdict(self)

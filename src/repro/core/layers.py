@@ -93,16 +93,6 @@ class InputSpec:
         np.copyto(out, x, casting="unsafe")
         return out
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, InputSpec):
-            return NotImplemented
-        return self.hypercolumn_sizes == other.hypercolumn_sizes
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        if len(set(self.hypercolumn_sizes)) == 1:
-            return f"InputSpec({self.n_hypercolumns} x {self.hypercolumn_sizes[0]})"
-        return f"InputSpec(sizes={self.hypercolumn_sizes})"
-
 
 class StructuralPlasticityLayer(BackendExecutionMixin):
     """Unsupervised BCPNN hidden layer with a trainable receptive field.
@@ -173,11 +163,6 @@ class StructuralPlasticityLayer(BackendExecutionMixin):
     def output_spec(self) -> InputSpec:
         """The hypercolumn layout this layer produces (input spec of the next layer)."""
         return InputSpec.uniform(self.n_hypercolumns, self.n_minicolumns)
-
-    @property
-    def mask(self) -> np.ndarray:
-        self._require_built()
-        return self.plasticity.mask
 
     @property
     def mask_expanded(self) -> Optional[np.ndarray]:
@@ -386,13 +371,6 @@ class StructuralPlasticityLayer(BackendExecutionMixin):
             self._refresh_mask()
         return swaps
 
-    def set_density(self, density: float) -> None:
-        """Change the receptive-field density in place (used by sweeps)."""
-        self._require_built()
-        self.plasticity.set_density(density)
-        self.hyperparams = self.hyperparams.replace(density=check_fraction(density, "density"))
-        self._refresh_mask()
-
     # ----------------------------------------------------------- diagnostics
     def receptive_field_masks(self) -> np.ndarray:
         """Masks as an ``(H, F)`` array (one row per HCU) for visualisation."""
@@ -444,9 +422,3 @@ class StructuralPlasticityLayer(BackendExecutionMixin):
             set_generator_state(self._rng, state["rng"])
         self._refresh_mask()
         self.refresh_weights()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"StructuralPlasticityLayer(H={self.n_hypercolumns}, M={self.n_minicolumns}, "
-            f"density={self.hyperparams.density:.2f}, backend={self.backend.name})"
-        )

@@ -73,11 +73,6 @@ class Network:
         self._serving_predictor = None
         self._serving_key = None
 
-    @property
-    def backend(self) -> Optional[Backend]:
-        """The network-level backend instance (``None`` = per-layer default)."""
-        return self._backend
-
     # ------------------------------------------------------------ assembly
     def add(self, layer) -> "Network":
         """Append a hidden layer or set the classification head."""
@@ -249,7 +244,6 @@ class Network:
 
         callback_list = CallbackList(callbacks)
         self.history = History()
-        self.history.start()
 
         # --------------------------------------- durable checkpoint/resume
         checkpointer = None
@@ -343,7 +337,6 @@ class Network:
         if checkpointer is not None:
             checkpointer.flush()
 
-        self.history.finish()
         callback_list.on_train_end(self)
         self._fitted = True
         return self.history
@@ -756,10 +749,6 @@ class Network:
         self._require_fitted()
         return self._tiled(x, self.head.predict_proba, (self.head.n_classes,))
 
-    def decision_function(self, x: np.ndarray) -> np.ndarray:
-        self._require_fitted()
-        return self._tiled(x, self.head.decision_function, (self.head.n_classes,))
-
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Hard class predictions for encoded inputs.
 
@@ -844,16 +833,6 @@ class Network:
         self._require_fitted()
         return self._streaming_predictor(batch_size, backend).predict_stream(x)
 
-    def predict_proba_stream(self, x, batch_size: int = 1024, backend=None) -> np.ndarray:
-        """Class-probability matrix, streamed at O(batch) memory.
-
-        Same contract as :meth:`predict_stream` (parameters, raises, memory
-        behaviour) but returns the ``(n_samples, n_classes)``
-        row-stochastic probability matrix instead of hard labels.
-        """
-        self._require_fitted()
-        return self._streaming_predictor(batch_size, backend).predict_proba_stream(x)
-
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> Dict[str, float]:
         """Accuracy / AUC (binary) / log-loss on a labelled set."""
         self._require_fitted()
@@ -892,9 +871,3 @@ class Network:
             lines.append("  <no classification head>")
         lines.append("=" * 60)
         return "\n".join(lines)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"Network(name={self.name!r}, hidden={len(self.hidden_layers)}, "
-            f"fitted={self._fitted})"
-        )

@@ -94,26 +94,6 @@ class StructuralPlasticity:
             )
             self.mask[chosen, h] = 1.0
 
-    def active_counts(self) -> np.ndarray:
-        """Number of active connections per HCU (should be constant)."""
-        return self.mask.sum(axis=0).astype(np.int64)
-
-    def receptive_field(self, hcu: int) -> np.ndarray:
-        """Boolean receptive field of one HCU over input hypercolumns."""
-        if not 0 <= hcu < self.n_hidden_hypercolumns:
-            raise DataError(f"hcu index {hcu} out of range")
-        return self.mask[:, hcu].astype(bool)
-
-    def coverage(self) -> float:
-        """Fraction of input hypercolumns observed by at least one HCU."""
-        if self.n_hidden_hypercolumns == 0:
-            return 0.0
-        return float(np.mean(self.mask.max(axis=1) > 0))
-
-    def overlap_matrix(self) -> np.ndarray:
-        """Pairwise receptive-field overlap counts between HCUs ``(H, H)``."""
-        return (self.mask.T @ self.mask).astype(np.int64)
-
     # --------------------------------------------------------------- update
     def update(self, scores: np.ndarray) -> int:
         """Swap low-information active connections for high-information silent ones.
@@ -159,33 +139,3 @@ class StructuralPlasticity:
                 else:
                     break  # candidates are sorted; no further swap can qualify
         return swaps_done
-
-    # ----------------------------------------------------------- resizing
-    def set_density(self, density: float) -> None:
-        """Change the receptive-field density, growing or shrinking the masks.
-
-        Growth adds random silent connections; shrinkage removes random
-        active connections.  Used by experiments that sweep the receptive
-        field without retraining from scratch.
-        """
-        density = check_fraction(density, "density")
-        self.density = density
-        new_count = 0 if density == 0.0 else max(1, int(round(density * self.n_input_hypercolumns)))
-        new_count = min(new_count, self.n_input_hypercolumns)
-        for h in range(self.n_hidden_hypercolumns):
-            active = np.nonzero(self.mask[:, h] > 0.5)[0]
-            if active.size > new_count:
-                drop = self._rng.choice(active, size=active.size - new_count, replace=False)
-                self.mask[drop, h] = 0.0
-            elif active.size < new_count:
-                silent = np.nonzero(self.mask[:, h] <= 0.5)[0]
-                add = self._rng.choice(silent, size=new_count - active.size, replace=False)
-                self.mask[add, h] = 1.0
-        self.connections_per_hcu = new_count
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"StructuralPlasticity(F={self.n_input_hypercolumns}, "
-            f"H={self.n_hidden_hypercolumns}, density={self.density:.2f}, "
-            f"per_hcu={self.connections_per_hcu})"
-        )

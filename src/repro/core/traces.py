@@ -11,7 +11,7 @@ so the data-parallel trainer reduces them with one allreduce per batch.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -69,16 +69,6 @@ class ProbabilityTraces:
         self.p_ij[:] = np.outer(p_i, p_j)
         self.updates_seen = 0
 
-    def copy(self) -> "ProbabilityTraces":
-        clone = ProbabilityTraces(
-            self.input_sizes, self.hidden_sizes, self.initial_counts, self.dtype
-        )
-        clone.p_i[:] = self.p_i
-        clone.p_j[:] = self.p_j
-        clone.p_ij[:] = self.p_ij
-        clone.updates_seen = self.updates_seen
-        return clone
-
     # ------------------------------------------------------------ calibration
     def calibrate_marginals(
         self,
@@ -125,66 +115,8 @@ class ProbabilityTraces:
                 raise DataError("a rng is required when jitter > 0")
             self.p_ij *= rng.uniform(1.0 - jitter, 1.0 + jitter, size=self.p_ij.shape)
 
-    # --------------------------------------------------------------- update
-    def update(self, x: np.ndarray, a: np.ndarray, taupdt: float) -> None:
-        """One learning-rule step from a batch of (input, hidden) activations.
-
-        ``p <- (1 - taupdt) * p + taupdt * batch_mean``, in place, through
-        the kernels every backend uses (``a`` may be an ``OneHotActivity``).
-        """
-        mean_x, mean_a, mean_outer = kernels.batch_outer_product(x, a)
-        kernels.ema_update(self.p_i, self.p_j, self.p_ij, mean_x, mean_a, mean_outer, taupdt)
-        self.updates_seen += 1
-
-    # ------------------------------------------------------------- weights
-    def to_weights(self, trace_floor: float = 1e-12) -> Tuple[np.ndarray, np.ndarray]:
-        """Convert the current traces into ``(weights, bias)``."""
-        return kernels.traces_to_weights(self.p_i, self.p_j, self.p_ij, trace_floor)
-
     def mutual_information(self, trace_floor: float = 1e-12) -> np.ndarray:
         """Hypercolumn-level mutual information matrix ``(F, H)``."""
         return kernels.mutual_information_scores(
             self.p_i, self.p_j, self.p_ij, self.input_sizes, self.hidden_sizes, trace_floor
-        )
-
-    # ---------------------------------------------------------- diagnostics
-    def check_consistency(self, atol: float = 1e-6) -> bool:
-        """Verify the probabilistic invariants of the traces.
-
-        * each input hypercolumn of ``p_i`` sums to ~1,
-        * each hidden hypercolumn of ``p_j`` sums to ~1,
-        * summing ``p_ij`` over one side recovers (approximately) the
-          marginal of the other side times the number of hypercolumns on the
-          summed side (because each hypercolumn contributes probability 1).
-        """
-        sums_i = [
-            float(np.sum(self.p_i[lo:hi]))
-            for lo, hi in zip(
-                np.concatenate([[0], np.cumsum(self.input_sizes)])[:-1],
-                np.cumsum(self.input_sizes),
-            )
-        ]
-        sums_j = [
-            float(np.sum(self.p_j[lo:hi]))
-            for lo, hi in zip(
-                np.concatenate([[0], np.cumsum(self.hidden_sizes)])[:-1],
-                np.cumsum(self.hidden_sizes),
-            )
-        ]
-        if not all(abs(s - 1.0) < 1e-3 for s in sums_i):
-            return False
-        if not all(abs(s - 1.0) < 1e-3 for s in sums_j):
-            return False
-        total = float(self.p_ij.sum())
-        expected = len(self.input_sizes) * len(self.hidden_sizes)
-        return abs(total - expected) < max(1e-2 * expected, atol)
-
-    def memory_bytes(self) -> int:
-        """Bytes consumed by the trace arrays (used in cost reports)."""
-        return int(self.p_i.nbytes + self.p_j.nbytes + self.p_ij.nbytes)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"ProbabilityTraces(n_input={self.n_input}, n_hidden={self.n_hidden}, "
-            f"updates_seen={self.updates_seen})"
         )

@@ -8,13 +8,12 @@ current receptive fields.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
-__all__ = ["EpochResult", "History", "TrainingCallback", "CallbackList", "LambdaCallback"]
+__all__ = ["EpochResult", "History", "TrainingCallback", "CallbackList"]
 
 
 @dataclass
@@ -27,61 +26,21 @@ class EpochResult:
     duration_seconds: float
     metrics: Dict[str, float] = field(default_factory=dict)
 
-    def as_dict(self) -> Dict[str, object]:
-        record: Dict[str, object] = {
-            "phase": self.phase,
-            "layer": self.layer_name,
-            "epoch": self.epoch,
-            "duration_seconds": self.duration_seconds,
-        }
-        record.update(self.metrics)
-        return record
-
 
 class History:
     """Accumulates :class:`EpochResult` records during a training run."""
 
     def __init__(self) -> None:
         self.records: List[EpochResult] = []
-        self.started_at: Optional[float] = None
-        self.finished_at: Optional[float] = None
-
-    def start(self) -> None:
-        self.started_at = time.perf_counter()
-
-    def finish(self) -> None:
-        self.finished_at = time.perf_counter()
-
-    @property
-    def total_seconds(self) -> float:
-        if self.started_at is None:
-            return 0.0
-        end = self.finished_at if self.finished_at is not None else time.perf_counter()
-        return end - self.started_at
 
     def append(self, record: EpochResult) -> None:
         self.records.append(record)
-
-    def phase(self, phase: str) -> List[EpochResult]:
-        """All records belonging to one training phase."""
-        return [r for r in self.records if r.phase == phase]
-
-    def metric(self, name: str, phase: Optional[str] = None) -> List[float]:
-        """The trajectory of one metric across epochs (NaN when missing)."""
-        records = self.records if phase is None else self.phase(phase)
-        return [float(r.metrics.get(name, np.nan)) for r in records]
 
     def last_metric(self, name: str, default: float = np.nan) -> float:
         for record in reversed(self.records):
             if name in record.metrics:
                 return float(record.metrics[name])
         return default
-
-    def as_table(self) -> List[Dict[str, object]]:
-        return [r.as_dict() for r in self.records]
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 class TrainingCallback:
@@ -101,35 +60,11 @@ class TrainingCallback:
         """Called once after all phases finish."""
 
 
-class LambdaCallback(TrainingCallback):
-    """Adapter turning plain callables into a callback."""
-
-    def __init__(self, on_train_begin=None, on_epoch_end=None, on_train_end=None) -> None:
-        self._begin = on_train_begin
-        self._epoch = on_epoch_end
-        self._end = on_train_end
-
-    def on_train_begin(self, network) -> None:
-        if self._begin is not None:
-            self._begin(network)
-
-    def on_epoch_end(self, context: Dict[str, object]) -> None:
-        if self._epoch is not None:
-            self._epoch(context)
-
-    def on_train_end(self, network) -> None:
-        if self._end is not None:
-            self._end(network)
-
-
 class CallbackList(TrainingCallback):
     """Dispatch to an ordered list of callbacks."""
 
     def __init__(self, callbacks: Optional[List[TrainingCallback]] = None) -> None:
         self.callbacks = list(callbacks or [])
-
-    def append(self, callback: TrainingCallback) -> None:
-        self.callbacks.append(callback)
 
     def on_train_begin(self, network) -> None:
         for cb in self.callbacks:

@@ -22,13 +22,10 @@ __getattr__, __dir__, __all__ = attach(
             "load_higgs",
             "make_higgs_splits",
         ],
-        "mnist": ["SyntheticDigits", "load_digits"],
-        "preprocessing": ["QuantileOneHotEncoder", "balanced_subsample", "standardize"],
-        "splits": ["train_test_split", "stratified_kfold"],
+        "mnist": ["SyntheticDigits"],
+        "preprocessing": ["QuantileOneHotEncoder", "balanced_subsample"],
+        "splits": ["train_test_split"],
         "registry": [
-            "register_dataset",
-            "get_dataset",
-            "list_datasets",
             "SplitSpec",
             "ScenarioSpec",
             "register_scenario",

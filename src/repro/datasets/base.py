@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -85,28 +85,6 @@ class Dataset:
             metadata=dict(self.metadata, parent=self.name, subset_size=int(idx.size)),
         )
 
-    def shuffled(self, rng: np.random.Generator, name: Optional[str] = None) -> "Dataset":
-        """Return a row-shuffled copy."""
-        order = rng.permutation(self.n_samples)
-        return self.subset(order, name=name or self.name)
-
-    def head(self, n: int) -> "Dataset":
-        """First ``n`` rows (useful for smoke tests and benchmarks)."""
-        n = min(int(n), self.n_samples)
-        return self.subset(np.arange(n))
-
-    def describe(self) -> Dict[str, object]:
-        """Summary statistics used by the CLI and reports."""
-        return {
-            "name": self.name,
-            "n_samples": self.n_samples,
-            "n_features": self.n_features,
-            "n_classes": self.n_classes,
-            "class_counts": self.class_counts().tolist(),
-            "feature_mean": self.features.mean(axis=0).round(4).tolist(),
-            "feature_std": self.features.std(axis=0).round(4).tolist(),
-        }
-
 
 @dataclass
 class DatasetSplits:
@@ -122,15 +100,3 @@ class DatasetSplits:
             widths.add(self.validation.n_features)
         if len(widths) != 1:
             raise DataError("all splits must share the same number of features")
-
-    @property
-    def sizes(self) -> Tuple[int, int, int]:
-        val = self.validation.n_samples if self.validation is not None else 0
-        return self.train.n_samples, val, self.test.n_samples
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "train": self.train.describe(),
-            "validation": self.validation.describe() if self.validation else None,
-            "test": self.test.describe(),
-        }

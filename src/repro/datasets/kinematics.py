@@ -30,7 +30,6 @@ __all__ = [
     "invariant_mass",
     "two_body_decay",
     "boost",
-    "delta_phi",
 ]
 
 
@@ -92,12 +91,6 @@ def invariant_mass(*vectors: np.ndarray) -> np.ndarray:
     for vec in vectors:
         total = total + np.asarray(vec, dtype=np.float64)
     return mass(total)
-
-
-def delta_phi(phi1: np.ndarray, phi2: np.ndarray) -> np.ndarray:
-    """Azimuthal separation wrapped into ``(-pi, pi]``."""
-    d = np.asarray(phi1, dtype=np.float64) - np.asarray(phi2, dtype=np.float64)
-    return np.mod(d + np.pi, 2 * np.pi) - np.pi
 
 
 def boost(p4: np.ndarray, beta: np.ndarray) -> np.ndarray:

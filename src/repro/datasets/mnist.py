@@ -7,15 +7,12 @@ renders 28x28 digit images procedurally: each digit class is a set of
 line/arc strokes on a canonical 20x20 glyph, randomly translated, scaled,
 thickened and corrupted with pixel noise.  What matters for the experiment —
 that information concentrates in the image centre while the fringes are
-blank — is preserved by construction, and a loader for real IDX files is
-included for completeness.
+blank — is preserved by construction.
 """
 
 from __future__ import annotations
 
-import struct
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,7 +20,7 @@ from repro.datasets.base import Dataset
 from repro.exceptions import DataError
 from repro.utils.rng import as_rng
 
-__all__ = ["SyntheticDigits", "load_digits", "read_idx_images", "read_idx_labels"]
+__all__ = ["SyntheticDigits"]
 
 IMAGE_SIZE = 28
 GLYPH_SIZE = 20
@@ -135,51 +132,3 @@ class SyntheticDigits:
             name="digits-synthetic",
             metadata={"synthetic": True, "image_shape": (IMAGE_SIZE, IMAGE_SIZE), "digits": digits},
         )
-
-
-def read_idx_images(path: Union[str, Path]) -> np.ndarray:
-    """Read an MNIST IDX image file into ``(n, rows*cols)`` float [0, 1]."""
-    path = Path(path)
-    with open(path, "rb") as handle:
-        magic, count, rows, cols = struct.unpack(">IIII", handle.read(16))
-        if magic != 2051:
-            raise DataError(f"{path} is not an IDX image file (magic={magic})")
-        data = np.frombuffer(handle.read(count * rows * cols), dtype=np.uint8)
-    return data.reshape(count, rows * cols).astype(np.float64) / 255.0
-
-
-def read_idx_labels(path: Union[str, Path]) -> np.ndarray:
-    """Read an MNIST IDX label file."""
-    path = Path(path)
-    with open(path, "rb") as handle:
-        magic, count = struct.unpack(">II", handle.read(8))
-        if magic != 2049:
-            raise DataError(f"{path} is not an IDX label file (magic={magic})")
-        data = np.frombuffer(handle.read(count), dtype=np.uint8)
-    return data.astype(np.int64)
-
-
-def load_digits(
-    n_samples: int = 2000,
-    digits: Sequence[int] = tuple(range(10)),
-    images_path: Optional[Union[str, Path]] = None,
-    labels_path: Optional[Union[str, Path]] = None,
-    seed=None,
-) -> Dataset:
-    """Load real MNIST IDX files when provided, otherwise synthesise digits."""
-    if images_path is not None and labels_path is not None:
-        images = read_idx_images(images_path)
-        labels = read_idx_labels(labels_path)
-        if images.shape[0] != labels.shape[0]:
-            raise DataError("IDX image and label files disagree on sample count")
-        keep = np.isin(labels, list(digits))
-        images, labels = images[keep][:n_samples], labels[keep][:n_samples]
-        remap = {d: i for i, d in enumerate(sorted(set(digits)))}
-        labels = np.asarray([remap[int(lab)] for lab in labels], dtype=np.int64)
-        return Dataset(
-            features=images,
-            labels=labels,
-            name="mnist",
-            metadata={"synthetic": False},
-        )
-    return SyntheticDigits(seed=seed).sample(n_samples, digits=digits)

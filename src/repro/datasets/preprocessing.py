@@ -9,12 +9,12 @@ the BCPNN input layer expects.
 
 :class:`QuantileOneHotEncoder` implements that transformation (fit on train,
 apply to any split), :func:`balanced_subsample` the class balancing, and
-:func:`standardize` the conventional z-scoring used by the baselines.
+:class:`Standardizer` the conventional z-scoring used by the baselines.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from repro.exceptions import DataError, NotFittedError
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_array, check_positive_int
 
-__all__ = ["QuantileOneHotEncoder", "balanced_subsample", "standardize", "Standardizer"]
+__all__ = ["QuantileOneHotEncoder", "balanced_subsample", "Standardizer"]
 
 
 class QuantileOneHotEncoder:
@@ -64,29 +64,15 @@ class QuantileOneHotEncoder:
         return self
 
     @property
-    def is_fitted(self) -> bool:
-        return self._edges is not None
-
-    @property
     def n_features(self) -> int:
         if self._n_features is None:
             raise NotFittedError("encoder has not been fitted")
         return self._n_features
 
     @property
-    def edges(self) -> np.ndarray:
-        if self._edges is None:
-            raise NotFittedError("encoder has not been fitted")
-        return self._edges
-
-    @property
     def hypercolumn_sizes(self) -> List[int]:
         """The BCPNN input layout: one hypercolumn of ``n_bins`` units per feature."""
         return [self.n_bins] * self.n_features
-
-    @property
-    def n_output_units(self) -> int:
-        return self.n_features * self.n_bins
 
     # ----------------------------------------------------------- transform
     def bin_indices(self, features: np.ndarray) -> np.ndarray:
@@ -114,37 +100,6 @@ class QuantileOneHotEncoder:
         out[rows, cols.ravel()] = 1
         return out
 
-    def fit_transform(self, features: np.ndarray) -> np.ndarray:
-        return self.fit(features).transform(features)
-
-    def inverse_transform_indices(self, encoded: np.ndarray) -> np.ndarray:
-        """Recover bin indices from an encoded (or soft probability) matrix."""
-        if self._edges is None:
-            raise NotFittedError("encoder must be fitted")
-        X = check_array(encoded, name="encoded", ndim=2, dtype=None)
-        if X.shape[1] != self.n_output_units:
-            raise DataError(
-                f"expected {self.n_output_units} encoded columns, got {X.shape[1]}"
-            )
-        cube = X.reshape(X.shape[0], self.n_features, self.n_bins)
-        return cube.argmax(axis=2)
-
-    def bin_representative_values(self) -> np.ndarray:
-        """A representative raw value per (feature, bin): the edge midpoints.
-
-        For the outer bins the nearest interior edge is used.  Only meaningful
-        for diagnostics / visualisation, not an exact inverse.
-        """
-        if self._edges is None:
-            raise NotFittedError("encoder must be fitted")
-        edges = self._edges
-        reps = np.empty((self.n_features, self.n_bins), dtype=np.float64)
-        reps[:, 0] = edges[:, 0]
-        reps[:, -1] = edges[:, -1]
-        for b in range(1, self.n_bins - 1):
-            reps[:, b] = 0.5 * (edges[:, b - 1] + edges[:, b])
-        return reps
-
 
 class Standardizer:
     """Column-wise z-scoring with stored statistics (used by baselines)."""
@@ -168,15 +123,6 @@ class Standardizer:
         if X.shape[1] != self.mean_.shape[0]:
             raise DataError("feature width changed between fit and transform")
         return (X - self.mean_) / self.std_
-
-    def fit_transform(self, features: np.ndarray) -> np.ndarray:
-        return self.fit(features).transform(features)
-
-
-def standardize(train: np.ndarray, *others: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """Convenience wrapper: fit a :class:`Standardizer` on ``train`` and apply everywhere."""
-    scaler = Standardizer().fit(train)
-    return tuple([scaler.transform(train)] + [scaler.transform(o) for o in others])
 
 
 def balanced_subsample(dataset: Dataset, rng=None, max_per_class: Optional[int] = None) -> Dataset:

@@ -1,9 +1,6 @@
-"""Named dataset *and scenario* registries.
+"""The named scenario registry.
 
-The dataset half mirrors StreamBrain's built-in loaders: request MNIST or
-HIGGS by name, or register a private factory without modifying the library.
-
-The scenario half is what ``repro run`` consumes (Ludwig's
+It is what ``repro run`` consumes (Ludwig's
 ``datasets/configs/*.yaml`` + per-dataset default model configs, applied to
 this stack): a :class:`ScenarioSpec` bundles a seeded synthetic generator, a
 *declarative* split (:class:`SplitSpec`) and a per-scenario
@@ -22,54 +19,13 @@ from repro.datasets.base import Dataset
 from repro.exceptions import ConfigError, ConfigurationError
 
 __all__ = [
-    "register_dataset",
-    "get_dataset",
-    "list_datasets",
-    "unregister_dataset",
     "SplitSpec",
     "ScenarioSpec",
     "register_scenario",
     "get_scenario",
     "list_scenarios",
-    "unregister_scenario",
     "scenario_catalog",
 ]
-
-DatasetFactory = Callable[..., Dataset]
-
-_REGISTRY: Dict[str, DatasetFactory] = {}
-
-
-def register_dataset(name: str, factory: DatasetFactory, overwrite: bool = False) -> None:
-    """Register ``factory`` under ``name`` (case-insensitive)."""
-    if not isinstance(name, str) or not name:
-        raise ConfigurationError("dataset name must be a non-empty string")
-    if not callable(factory):
-        raise ConfigurationError("dataset factory must be callable")
-    key = name.lower()
-    if key in _REGISTRY and not overwrite:
-        raise ConfigurationError(f"dataset '{name}' is already registered")
-    _REGISTRY[key] = factory
-
-
-def unregister_dataset(name: str) -> None:
-    """Remove a registration; unknown names are ignored."""
-    _REGISTRY.pop(name.lower(), None)
-
-
-def get_dataset(name: str, **kwargs) -> Dataset:
-    """Instantiate the dataset registered as ``name`` with ``kwargs``."""
-    key = name.lower()
-    if key not in _REGISTRY:
-        raise ConfigurationError(
-            f"unknown dataset '{name}'; available: {sorted(_REGISTRY)}"
-        )
-    return _REGISTRY[key](**kwargs)
-
-
-def list_datasets() -> List[str]:
-    """Names of all registered datasets."""
-    return sorted(_REGISTRY)
 
 
 # ------------------------------------------------------------- scenarios
@@ -132,11 +88,6 @@ def register_scenario(spec: ScenarioSpec, overwrite: bool = False) -> None:
     _SCENARIOS[key] = spec
 
 
-def unregister_scenario(name: str) -> None:
-    """Remove a scenario registration; unknown names are ignored."""
-    _SCENARIOS.pop(name.lower(), None)
-
-
 def get_scenario(name: str) -> ScenarioSpec:
     """Look up a scenario, raising a pathed :class:`ConfigError` on misses."""
     if not isinstance(name, str) or not name:
@@ -174,19 +125,6 @@ def scenario_catalog() -> List[Dict[str, object]]:
             }
         )
     return out
-
-
-def _register_builtin() -> None:
-    # Imported lazily to avoid a circular import at package load time.
-    from repro.datasets.higgs import load_higgs
-    from repro.datasets.mnist import load_digits
-
-    if "higgs" not in _REGISTRY:
-        register_dataset("higgs", load_higgs)
-    if "digits" not in _REGISTRY:
-        register_dataset("digits", load_digits)
-    if "mnist" not in _REGISTRY:
-        register_dataset("mnist", load_digits)
 
 
 def _register_builtin_scenarios() -> None:
@@ -269,5 +207,4 @@ def _register_builtin_scenarios() -> None:
             register_scenario(spec)
 
 
-_register_builtin()
 _register_builtin_scenarios()

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -10,7 +10,7 @@ from repro.datasets.base import Dataset
 from repro.exceptions import DataError
 from repro.utils.rng import as_rng
 
-__all__ = ["train_test_split", "stratified_kfold"]
+__all__ = ["train_test_split"]
 
 
 def train_test_split(
@@ -64,29 +64,3 @@ def train_test_split(
         dataset.subset(train_indices, name=f"{dataset.name}-train"),
         dataset.subset(test_indices, name=f"{dataset.name}-test"),
     )
-
-
-def stratified_kfold(
-    dataset: Dataset, n_folds: int, rng=None
-) -> Iterator[Tuple[Dataset, Dataset]]:
-    """Yield ``(train, validation)`` dataset pairs for stratified K-fold CV."""
-    if n_folds < 2:
-        raise DataError("n_folds must be at least 2")
-    rng = as_rng(rng)
-    fold_assignment = np.empty(dataset.n_samples, dtype=np.int64)
-    for cls in range(dataset.n_classes):
-        cls_idx = np.nonzero(dataset.labels == cls)[0]
-        if cls_idx.size and cls_idx.size < n_folds:
-            raise DataError(
-                f"class {cls} has only {cls_idx.size} samples for {n_folds} folds"
-            )
-        cls_idx = rng.permutation(cls_idx)
-        fold_assignment[cls_idx] = np.arange(cls_idx.size) % n_folds
-    for fold in range(n_folds):
-        val_mask = fold_assignment == fold
-        train_idx = np.nonzero(~val_mask)[0]
-        val_idx = np.nonzero(val_mask)[0]
-        yield (
-            dataset.subset(train_idx, name=f"{dataset.name}-fold{fold}-train"),
-            dataset.subset(val_idx, name=f"{dataset.name}-fold{fold}-val"),
-        )

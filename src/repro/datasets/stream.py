@@ -182,9 +182,3 @@ class BatchStream:
         if self.prefetch > 0:
             return self._iter_prefetch(order)
         return self._iter_sync(order)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"BatchStream(n={self.n_samples}, batch_size={self.batch_size}, "
-            f"shuffle={self.shuffle}, prefetch={self.prefetch})"
-        )

@@ -155,10 +155,6 @@ class LayerEngine:
         """The workspace the *next* dispatch will write into."""
         return self.workspaces[self._cursor]
 
-    def workspace_nbytes(self) -> int:
-        """Total bytes across every workspace in the ring."""
-        return sum(ws.nbytes() for ws in self.workspaces)
-
     def accommodates(self, n_rows: int) -> bool:
         return self.workspaces[0].accommodates(n_rows)
 
@@ -357,9 +353,3 @@ class LayerEngine:
         """
         kernels.ema_update(traces.p_i, traces.p_j, traces.p_ij, mean_x, mean_a, mean_outer, taupdt)
         self._note_trace_update(mean_x, mean_a, traces, taupdt)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"LayerEngine(backend={self.backend.name}, plan={self.plan}, "
-            f"n_buffers={self.n_buffers}, weight_refresh_tol={self.weight_refresh_tol})"
-        )

@@ -135,9 +135,3 @@ class LayerWorkspace:
         # ``activations`` may be bound to ``support``: count each buffer once.
         unique = {id(buffer): buffer for buffer in held if buffer is not None}
         return int(sum(buffer.nbytes for buffer in unique.values()))
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"LayerWorkspace(n_input={self.n_input}, n_hidden={self.n_hidden}, "
-            f"batch_size={self.batch_size}, {self.nbytes() / 1e6:.2f} MB)"
-        )

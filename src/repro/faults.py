@@ -113,9 +113,6 @@ class FaultRule:
     def param_str(self, key: str, default: str) -> str:
         return str(self.params.get(key, default))
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"FaultRule({self.site!r}, {self.params!r}, remaining={self.remaining})"
-
 
 def parse_spec(spec: str) -> List[FaultRule]:
     """Parse a ``site@k=v,...;site2...`` spec string into rules."""
@@ -177,9 +174,6 @@ class FaultPlan:
         for pos in positions:
             buf[int(pos)] ^= 0xFF
         return bytes(buf)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"FaultPlan(spec={self.spec!r}, seed={self.seed})"
 
 
 # The module-level active plan.  ``_loaded`` distinguishes "not yet read

@@ -9,7 +9,6 @@ provides the same *roles* with self-contained implementations:
 * :class:`RandomSearch` / :class:`HaltonSearch` — (quasi-)random sampling,
 * :class:`EvolutionarySearch` — a (mu + lambda) evolution strategy in the
   spirit of Nevergrad's default optimisers,
-* :class:`SuccessiveHalving` — budget-aware racing of configurations,
 * :class:`ExperimentJournal` — persistent trial log (JSONL).
 """
 
@@ -32,7 +31,6 @@ __getattr__, __dir__, __all__ = attach(
             "RandomSearch",
             "HaltonSearch",
             "EvolutionarySearch",
-            "SuccessiveHalving",
         ],
         "journal": ["ExperimentJournal"],
     },

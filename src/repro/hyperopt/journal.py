@@ -130,25 +130,20 @@ class ExperimentJournal:
 
     def completed_trials(
         self, experiment: Optional[str] = None
-    ) -> Dict[Tuple[int, str, Optional[float]], Dict[str, object]]:
-        """Finished trials keyed by ``(index, canonical-config, budget)``.
+    ) -> Dict[Tuple[int, str], Dict[str, object]]:
+        """Finished trials keyed by ``(index, canonical-config)``.
 
         The key a resumed search driver uses to recognise a trial it already
         ran: the config is compared structurally (canonical sorted-key JSON),
         so a resumed sweep that generates the same deterministic trial
         sequence skips straight past the finished prefix.
         """
-        table: Dict[Tuple[int, str, Optional[float]], Dict[str, object]] = {}
+        table: Dict[Tuple[int, str], Dict[str, object]] = {}
         for record in self.load_resumable(experiment):
             if "index" not in record or "config" not in record:
                 continue
-            budget = record.get("budget")
-            key = (
-                int(record["index"]),
-                json.dumps(record["config"], sort_keys=True, default=_default),
-                float(budget) if budget is not None else None,
-            )
-            table[key] = record
+            config = json.dumps(record["config"], sort_keys=True, default=_default)
+            table[(int(record["index"]), config)] = record
         return table
 
     def best(self, experiment: Optional[str] = None) -> Optional[Dict[str, object]]:

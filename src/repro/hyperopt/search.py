@@ -30,7 +30,6 @@ __all__ = [
     "RandomSearch",
     "HaltonSearch",
     "EvolutionarySearch",
-    "SuccessiveHalving",
 ]
 
 Objective = Callable[[Dict[str, object]], float]
@@ -44,7 +43,6 @@ class Trial:
     config: Dict[str, object]
     score: float
     duration_seconds: float
-    budget: Optional[float] = None
     failed: bool = False
 
     def as_dict(self) -> Dict[str, object]:
@@ -53,7 +51,6 @@ class Trial:
             "config": dict(self.config),
             "score": self.score,
             "duration_seconds": self.duration_seconds,
-            "budget": self.budget,
             "failed": self.failed,
         }
 
@@ -78,13 +75,6 @@ class SearchResult:
     @property
     def best_score(self) -> float:
         return self.best_trial.score
-
-    def scores(self) -> List[float]:
-        return [t.score for t in self.trials]
-
-    def top(self, k: int) -> List[Trial]:
-        valid = [t for t in self.trials if not t.failed]
-        return sorted(valid, key=lambda t: t.score, reverse=True)[:k]
 
     def __len__(self) -> int:
         return len(self.trials)
@@ -127,21 +117,15 @@ class _BaseSearch:
                     journal.path,
                 )
 
-    def _replay(
-        self, config: Dict[str, object], index: int, budget: Optional[float]
-    ) -> Optional[Trial]:
-        """The journaled trial matching ``(index, config, budget)``, if any."""
+    def _replay(self, config: Dict[str, object], index: int) -> Optional[Trial]:
+        """The journaled trial matching ``(index, config)``, if any."""
         if not self._completed:
             return None
         import json as _json
 
         from repro.hyperopt.journal import _default as _journal_default
 
-        key = (
-            int(index),
-            _json.dumps(config, sort_keys=True, default=_journal_default),
-            float(budget) if budget is not None else None,
-        )
+        key = (int(index), _json.dumps(config, sort_keys=True, default=_journal_default))
         record = self._completed.get(key)
         if record is None:
             return None
@@ -150,28 +134,18 @@ class _BaseSearch:
             config=dict(config),
             score=float(record.get("score", -math.inf)),
             duration_seconds=float(record.get("duration_seconds", 0.0)),
-            budget=budget,
             failed=bool(record.get("failed", False)),
         )
 
-    def _evaluate(
-        self,
-        objective: Objective,
-        config: Dict[str, object],
-        index: int,
-        budget: Optional[float] = None,
-    ) -> Trial:
-        replayed = self._replay(config, index, budget)
+    def _evaluate(self, objective: Objective, config: Dict[str, object], index: int) -> Trial:
+        replayed = self._replay(config, index)
         if replayed is not None:
             logger.info("trial %d replayed from journal (score=%s)", index, replayed.score)
             return replayed
         start = time.perf_counter()
         failed = False
         try:
-            if budget is None:
-                score = float(objective(config))
-            else:
-                score = float(objective(dict(config, budget=budget)))
+            score = float(objective(config))
         except Exception as exc:  # noqa: BLE001 - failure policy is explicit
             if not self.ignore_failures:
                 raise
@@ -184,7 +158,6 @@ class _BaseSearch:
             config=dict(config),
             score=score,
             duration_seconds=duration,
-            budget=budget,
             failed=failed,
         )
         if self.journal is not None:
@@ -287,62 +260,4 @@ class EvolutionarySearch(_BaseSearch):
             population = sorted(
                 parents + offspring, key=lambda t: (not t.failed, t.score), reverse=True
             )[: self.population_size]
-        return result
-
-
-class SuccessiveHalving(_BaseSearch):
-    """Budget-aware racing: evaluate many configs cheaply, promote the best.
-
-    The objective receives the current budget through a ``budget`` key added
-    to the configuration (e.g. number of training epochs or samples), so the
-    caller decides what "budget" means.
-    """
-
-    def __init__(
-        self,
-        space: SearchSpace,
-        min_budget: float = 1.0,
-        max_budget: float = 8.0,
-        reduction_factor: int = 2,
-        seed=None,
-        ignore_failures: bool = False,
-        journal=None,
-        resume: bool = False,
-    ) -> None:
-        super().__init__(
-            space, seed=seed, ignore_failures=ignore_failures, journal=journal, resume=resume
-        )
-        if min_budget <= 0 or max_budget < min_budget:
-            raise SearchError("budgets must satisfy 0 < min_budget <= max_budget")
-        if reduction_factor < 2:
-            raise SearchError("reduction_factor must be >= 2")
-        self.min_budget = float(min_budget)
-        self.max_budget = float(max_budget)
-        self.reduction_factor = int(reduction_factor)
-
-    def optimize(self, objective: Objective, n_trials: int) -> SearchResult:
-        """``n_trials`` is the size of the initial rung."""
-        if n_trials <= 0:
-            raise SearchError("n_trials must be positive")
-        result = SearchResult()
-        configs = [self.space.sample(self._rng) for _ in range(n_trials)]
-        budget = self.min_budget
-        index = 0
-        rung = 0
-        while configs:
-            rung_trials: List[Trial] = []
-            for config in configs:
-                trial = self._evaluate(objective, config, index, budget=budget)
-                rung_trials.append(trial)
-                result.trials.append(trial)
-                index += 1
-            rung += 1
-            survivors = sorted(
-                [t for t in rung_trials if not t.failed], key=lambda t: t.score, reverse=True
-            )
-            keep = max(1, len(survivors) // self.reduction_factor)
-            if budget >= self.max_budget or len(survivors) <= 1:
-                break
-            configs = [dict(t.config) for t in survivors[:keep]]
-            budget = min(budget * self.reduction_factor, self.max_budget)
         return result

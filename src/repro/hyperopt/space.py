@@ -2,14 +2,14 @@
 
 A :class:`SearchSpace` is an ordered mapping from parameter names to
 parameter descriptions.  Every parameter knows how to sample itself from a
-uniform value in [0, 1) (which lets quasi-random sequences drive the space),
-how to mutate an existing value (for evolutionary search) and how to clip
-arbitrary values back into its domain.
+uniform value in [0, 1) (which lets quasi-random sequences drive the space)
+and how to mutate an existing value (for evolutionary search) without
+leaving its domain.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
@@ -37,14 +37,6 @@ class Parameter:
         """Locally perturb ``value`` (evolution-strategy mutation)."""
         raise NotImplementedError
 
-    def clip(self, value):
-        """Project an arbitrary value back into the domain."""
-        raise NotImplementedError
-
-    def to_dict(self) -> Dict[str, object]:
-        """Declarative spec (round-trips through :func:`parameter_from_dict`)."""
-        raise NotImplementedError
-
 
 class FloatParameter(Parameter):
     """Uniform continuous parameter on ``[low, high]``."""
@@ -64,12 +56,6 @@ class FloatParameter(Parameter):
 
     def clip(self, value) -> float:
         return float(np.clip(float(value), self.low, self.high))
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"type": "float", "low": self.low, "high": self.high}
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"FloatParameter({self.low}, {self.high})"
 
 
 class LogFloatParameter(Parameter):
@@ -95,12 +81,6 @@ class LogFloatParameter(Parameter):
     def clip(self, value) -> float:
         return float(np.clip(float(value), self.low, self.high))
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"type": "logfloat", "low": self.low, "high": self.high}
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"LogFloatParameter({self.low}, {self.high})"
-
 
 class IntParameter(Parameter):
     """Uniform integer parameter on ``[low, high]`` inclusive."""
@@ -124,12 +104,6 @@ class IntParameter(Parameter):
     def clip(self, value) -> int:
         return int(np.clip(int(round(float(value))), self.low, self.high))
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"type": "int", "low": self.low, "high": self.high}
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"IntParameter({self.low}, {self.high})"
-
 
 class CategoricalParameter(Parameter):
     """Unordered categorical parameter over a finite list of choices."""
@@ -150,17 +124,6 @@ class CategoricalParameter(Parameter):
             return value
         return others[int(rng.integers(0, len(others)))]
 
-    def clip(self, value):
-        if value in self.choices:
-            return value
-        raise SearchError(f"value {value!r} is not a valid choice")
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"type": "categorical", "choices": list(self.choices)}
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"CategoricalParameter({self.choices})"
-
 
 _PARAMETER_TYPES = {
     "float": FloatParameter,
@@ -171,7 +134,7 @@ _PARAMETER_TYPES = {
 
 
 def parameter_from_dict(spec: Mapping) -> Parameter:
-    """Rebuild a :class:`Parameter` from its :meth:`~Parameter.to_dict` spec.
+    """Build a :class:`Parameter` from its declarative spec.
 
     Specs look like ``{"type": "float", "low": 0.05, "high": 0.6}`` or
     ``{"type": "categorical", "choices": ["sgd", "bcpnn"]}`` — the shape a
@@ -211,12 +174,6 @@ class SearchSpace:
     def __len__(self) -> int:
         return len(self.parameters)
 
-    def __iter__(self) -> Iterator[Tuple[str, Parameter]]:
-        return iter(self.parameters.items())
-
-    def names(self) -> List[str]:
-        return list(self.parameters)
-
     # ------------------------------------------------------------- sampling
     def sample_from_unit_vector(self, unit: Sequence[float]) -> Dict[str, object]:
         """Map a vector of [0,1) values (one per parameter) to a configuration."""
@@ -245,18 +202,9 @@ class SearchSpace:
             name: param.mutate(config[name], rng, scale) for name, param in self.parameters.items()
         }
 
-    def validate(self, config: Dict[str, object]) -> Dict[str, object]:
-        """Clip/validate a configuration into the space."""
-        return {name: param.clip(config[name]) for name, param in self.parameters.items()}
-
-    # -------------------------------------------------------- serialization
-    def to_dict(self) -> Dict[str, Dict[str, object]]:
-        """Declarative form: ``{name: parameter_spec}`` (JSON/YAML-ready)."""
-        return {name: param.to_dict() for name, param in self.parameters.items()}
-
     @classmethod
     def from_dict(cls, mapping: Mapping) -> "SearchSpace":
-        """Rebuild a space from :meth:`to_dict` output (round-trip exact)."""
+        """Build a space from ``{name: parameter_spec}`` (a config file's ``hyperopt.space``)."""
         if not isinstance(mapping, Mapping):
             raise ConfigurationError(
                 f"search space must be a mapping of parameter specs, got {type(mapping).__name__}"

@@ -1,11 +1,11 @@
-"""Instrumentation: timers, FLOP/byte cost model and report formatting."""
+"""Instrumentation: a repeat timer, the FLOP/byte cost model and report formatting."""
 
 from repro._lazy import attach
 
 __getattr__, __dir__, __all__ = attach(
     __name__,
     {
-        "timers": ["Timer", "RepeatTimer", "TimingStatistics"],
+        "timers": ["RepeatTimer", "TimingStatistics"],
         "flops": ["BCPNNCostModel", "CostBreakdown"],
         "pipeline_bench": ["measure_pipelined_training"],
         "reports": ["format_table", "format_comparison", "dump_json_report"],

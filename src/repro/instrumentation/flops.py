@@ -172,29 +172,3 @@ class BCPNNCostModel:
             weight_update_flops=batch.weight_update_flops * n_batches + plasticity_flops,
             bytes_touched=batch.bytes_touched * n_batches,
         )
-
-    def memory_bytes(self) -> float:
-        """Resident model state: traces + weights + mask."""
-        return float(
-            self.dtype_bytes
-            * (2 * self.n_weights + 2 * (self.n_input_units + self.n_hidden_units))
-            + self.n_hypercolumns * self.n_input_units  # mask (stored as float64/8 but negligible)
-        )
-
-    def scaling_table(self, hcu_values, mcu_values, n_samples: int):
-        """Predicted epoch FLOPs for a grid of (HCU, MCU) capacities.
-
-        Mirrors the structure of Fig. 3: rows are MCU counts, columns HCU
-        counts, entries total FLOPs per epoch.
-        """
-        table = {}
-        for mcus in mcu_values:
-            row = {}
-            for hcus in hcu_values:
-                model = BCPNNCostModel(
-                    self.n_input_units, int(hcus), int(mcus), self.batch_size,
-                    self.density, self.dtype_bytes, self.sparse_gemm,
-                )
-                row[int(hcus)] = model.epoch_cost(n_samples).total_flops
-            table[int(mcus)] = row
-        return table

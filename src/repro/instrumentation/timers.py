@@ -1,16 +1,16 @@
-"""Wall-clock timing utilities used by experiments and benchmarks."""
+"""Repeated wall-clock timing, for ``repro benchmark``."""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["Timer", "RepeatTimer", "TimingStatistics"]
+__all__ = ["RepeatTimer", "TimingStatistics"]
 
 
 @dataclass
@@ -20,65 +20,12 @@ class TimingStatistics:
     samples: List[float]
 
     @property
-    def n(self) -> int:
-        return len(self.samples)
-
-    @property
     def mean(self) -> float:
         return float(np.mean(self.samples)) if self.samples else float("nan")
 
     @property
     def std(self) -> float:
         return float(np.std(self.samples)) if self.samples else float("nan")
-
-    @property
-    def minimum(self) -> float:
-        return float(np.min(self.samples)) if self.samples else float("nan")
-
-    @property
-    def maximum(self) -> float:
-        return float(np.max(self.samples)) if self.samples else float("nan")
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.samples)) if self.samples else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "n": float(self.n),
-            "mean": self.mean,
-            "std": self.std,
-            "min": self.minimum,
-            "max": self.maximum,
-            "total": self.total,
-        }
-
-
-class Timer:
-    """Context-manager stopwatch.
-
-    >>> with Timer() as t:
-    ...     _ = sum(range(1000))
-    >>> t.elapsed > 0
-    True
-    """
-
-    def __init__(self, name: str = "timer") -> None:
-        self.name = name
-        self.start_time: Optional[float] = None
-        self.elapsed: float = 0.0
-
-    def __enter__(self) -> "Timer":
-        self.start_time = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self.start_time is not None:
-            self.elapsed = time.perf_counter() - self.start_time
-
-    def restart(self) -> None:
-        self.start_time = time.perf_counter()
-        self.elapsed = 0.0
 
 
 class RepeatTimer:

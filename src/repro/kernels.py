@@ -198,10 +198,6 @@ class SparseLayout:
         )
         self._group_cache: dict = {}
 
-    @property
-    def n_blocks(self) -> int:
-        return len(self.hidden_sizes)
-
     def group_gather_indices(self, group: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Precomputed gather indices for one equal-k group (cached).
 
@@ -244,12 +240,6 @@ class SparseLayout:
             lo, hi = self.block_starts[h], self.block_starts[h + 1]
             views.append(flat[lo:hi].reshape(idx.size, self.hidden_sizes[h]))
         return views
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"SparseLayout(blocks={self.n_blocks}, density={self.density:.2f}, "
-            f"packed={self.packed_size})"
-        )
 
 
 class SparseWeights:
@@ -575,20 +565,8 @@ class OneHotActivity:
     __slots__ = ("winners", "width")
 
     def __init__(self, winners: np.ndarray, width: int) -> None:
-        winners = np.asarray(winners)
-        if winners.ndim != 2 or winners.dtype.kind not in "iu":
-            raise DataError("winners must be a 2-D integer array")
-        if winners.size and (winners.min() < 0 or winners.max() >= width):
-            raise DataError(f"winner columns must lie in [0, {width})")
-        self.winners = winners.astype(np.intp, copy=False)
-        self.width = int(width)
-
-    @classmethod
-    def _wrap(cls, winners: np.ndarray, width: int) -> "OneHotActivity":
         """Wrap ``intp`` winners known to lie in ``[0, width)``, unchecked."""
-        activity = object.__new__(cls)
-        activity.winners, activity.width = winners, width
-        return activity
+        self.winners, self.width = winners, width
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -754,7 +732,7 @@ def compete_into(
         np.argmax(block >= u[:, cols, None], axis=-1, out=picks)
         picks[block[..., -1] < u[:, cols]] = block.shape[-1] - 1
     winners += starts
-    return OneHotActivity._wrap(winners, width)
+    return OneHotActivity(winners, width)
 
 
 def batch_outer_product(

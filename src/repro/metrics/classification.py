@@ -1,22 +1,13 @@
-"""Confusion-matrix based classification metrics."""
+"""Accuracy and log loss of a classifier's labels and probabilities."""
 
 from __future__ import annotations
-
-from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import DataError
 from repro.utils.validation import check_labels, check_same_length
 
-__all__ = [
-    "accuracy",
-    "balanced_accuracy",
-    "confusion_matrix",
-    "precision_recall_f1",
-    "classification_report",
-    "log_loss",
-]
+__all__ = ["accuracy", "log_loss"]
 
 
 def accuracy(y_true, y_pred) -> float:
@@ -25,75 +16,6 @@ def accuracy(y_true, y_pred) -> float:
     y_true = check_labels(y_true, name="y_true")
     y_pred = check_labels(y_pred, name="y_pred")
     return float(np.mean(y_true == y_pred))
-
-
-def confusion_matrix(y_true, y_pred, n_classes: Optional[int] = None) -> np.ndarray:
-    """Confusion matrix ``C[i, j]`` = number of samples of class ``i`` predicted ``j``."""
-    y_true, y_pred = check_same_length(y_true, y_pred, names=("y_true", "y_pred"))
-    y_true = check_labels(y_true, name="y_true")
-    y_pred = check_labels(y_pred, name="y_pred")
-    if n_classes is None:
-        n_classes = int(max(y_true.max(), y_pred.max())) + 1
-    if np.any(y_true >= n_classes) or np.any(y_pred >= n_classes):
-        raise DataError("labels exceed the requested number of classes")
-    flat = y_true * n_classes + y_pred
-    counts = np.bincount(flat, minlength=n_classes * n_classes)
-    return counts.reshape(n_classes, n_classes)
-
-
-def balanced_accuracy(y_true, y_pred) -> float:
-    """Mean per-class recall; robust to class imbalance."""
-    cm = confusion_matrix(y_true, y_pred)
-    support = cm.sum(axis=1).astype(np.float64)
-    recalls = np.divide(
-        np.diag(cm).astype(np.float64),
-        support,
-        out=np.zeros(cm.shape[0]),
-        where=support > 0,
-    )
-    present = support > 0
-    if not np.any(present):
-        return 0.0
-    return float(recalls[present].mean())
-
-
-def precision_recall_f1(
-    y_true, y_pred, positive_class: int = 1
-) -> Tuple[float, float, float]:
-    """Binary precision, recall, and F1 for the given positive class."""
-    if positive_class < 0:
-        raise DataError("positive_class must be non-negative")
-    y_true_arr = check_labels(y_true, name="y_true")
-    y_pred_arr = check_labels(y_pred, name="y_pred")
-    n_classes = int(max(y_true_arr.max(), y_pred_arr.max(), positive_class)) + 1
-    cm = confusion_matrix(y_true, y_pred, n_classes=n_classes)
-    tp = float(cm[positive_class, positive_class])
-    fp = float(cm[:, positive_class].sum() - tp)
-    fn = float(cm[positive_class, :].sum() - tp)
-    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return precision, recall, f1
-
-
-def classification_report(y_true, y_pred) -> Dict[str, Dict[str, float]]:
-    """Per-class precision/recall/F1/support, keyed by class label string."""
-    cm = confusion_matrix(y_true, y_pred)
-    report: Dict[str, Dict[str, float]] = {}
-    for cls in range(cm.shape[0]):
-        precision, recall, f1 = precision_recall_f1(y_true, y_pred, positive_class=cls)
-        report[str(cls)] = {
-            "precision": precision,
-            "recall": recall,
-            "f1": f1,
-            "support": float(cm[cls, :].sum()),
-        }
-    report["overall"] = {
-        "accuracy": accuracy(y_true, y_pred),
-        "balanced_accuracy": balanced_accuracy(y_true, y_pred),
-        "support": float(cm.sum()),
-    }
-    return report
 
 
 def log_loss(y_true, probabilities, eps: float = 1e-12) -> float:

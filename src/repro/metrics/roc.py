@@ -1,11 +1,10 @@
-"""ROC / AUC and precision-recall curves, computed with vectorised NumPy.
+"""ROC / AUC, computed with vectorised NumPy.
 
 The AUC reported in the paper (76.4% for the BCPNN+SGD hybrid) is the area
 under the ROC curve of the signal-class score.  :func:`roc_auc` follows the
 standard construction (sort scores descending, accumulate TP/FP counts,
-trapezoidal integration); :func:`rank_auc` provides the equivalent
-Mann-Whitney-U formulation, which the test-suite uses as an independent
-cross-check.
+trapezoidal integration); the test-suite checks it against the
+Mann-Whitney-U formulation.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 
 from repro.exceptions import DataError
 
-__all__ = ["roc_curve", "roc_auc", "rank_auc", "precision_recall_curve", "average_precision"]
+__all__ = ["roc_curve", "roc_auc"]
 
 
 def _validate_binary(y_true, scores) -> Tuple[np.ndarray, np.ndarray]:
@@ -74,61 +73,3 @@ def roc_auc(y_true, scores) -> float:
     # numpy 2.0 renamed trapz -> trapezoid; support both.
     trapezoid = getattr(np, "trapezoid", getattr(np, "trapz", None))
     return float(trapezoid(tpr, fpr))
-
-
-def rank_auc(y_true, scores) -> float:
-    """AUC via the Mann-Whitney U statistic (average tie ranks).
-
-    Mathematically identical to :func:`roc_auc`; kept as an independent
-    implementation for cross-validation in tests and for callers who prefer
-    the probabilistic interpretation P(score_pos > score_neg).
-    """
-    y_true, scores = _validate_binary(y_true, scores)
-    n_pos = int(y_true.sum())
-    n_neg = int(y_true.shape[0] - n_pos)
-    if n_pos == 0 or n_neg == 0:
-        raise DataError("rank_auc requires both positive and negative samples")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty_like(order, dtype=np.float64)
-    ranks[order] = np.arange(1, len(scores) + 1)
-    # Average ranks over ties.
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        if j > i:
-            avg = 0.5 * (i + 1 + j + 1)
-            ranks[order[i : j + 1]] = avg
-        i = j + 1
-    rank_sum_pos = ranks[y_true == 1].sum()
-    u_stat = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
-    return float(u_stat / (n_pos * n_neg))
-
-
-def precision_recall_curve(y_true, scores) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return ``(precision, recall, thresholds)`` sorted by decreasing threshold."""
-    y_true, scores = _validate_binary(y_true, scores)
-    n_pos = int(y_true.sum())
-    if n_pos == 0:
-        raise DataError("precision_recall_curve requires positive samples")
-    order = np.argsort(-scores, kind="mergesort")
-    sorted_scores = scores[order]
-    sorted_true = y_true[order]
-    tp_cum = np.cumsum(sorted_true).astype(np.float64)
-    predicted = np.arange(1, len(sorted_true) + 1, dtype=np.float64)
-    distinct = np.r_[np.diff(sorted_scores) != 0, True]
-    precision = tp_cum[distinct] / predicted[distinct]
-    recall = tp_cum[distinct] / n_pos
-    thresholds = sorted_scores[distinct]
-    # Prepend the (recall=0, precision=1) anchor point.
-    precision = np.concatenate([[1.0], precision])
-    recall = np.concatenate([[0.0], recall])
-    return precision, recall, thresholds
-
-
-def average_precision(y_true, scores) -> float:
-    """Area under the precision-recall curve (step-wise interpolation)."""
-    precision, recall, _ = precision_recall_curve(y_true, scores)
-    return float(np.sum(np.diff(recall) * precision[1:]))

@@ -10,15 +10,11 @@ __getattr__, __dir__, __all__ = attach(
             "check_array",
             "check_fraction",
             "check_positive_int",
-            "check_probability_matrix",
-            "check_one_hot",
         ],
         "arrays": [
-            "batch_slices",
             "one_hot",
             "row_softmax",
             "blockwise_softmax",
-            "moving_average_update",
             "stable_log",
         ],
         "logging": ["get_logger"],

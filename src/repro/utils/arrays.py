@@ -9,7 +9,7 @@ quadratic.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -19,13 +19,9 @@ __all__ = [
     "one_hot",
     "row_softmax",
     "blockwise_softmax",
-    "blockwise_argmax",
-    "moving_average_update",
     "stable_log",
-    "batch_slices",
     "block_offsets",
     "block_layout",
-    "normalize_blocks",
 ]
 
 #: Numerical floor used before taking logarithms of probability traces.
@@ -133,71 +129,10 @@ def blockwise_softmax(
     return out
 
 
-def blockwise_argmax(activations: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
-    """Return the argmax index *within each block* for each sample.
-
-    Output shape is ``(n_samples, n_blocks)`` with local indices.
-    """
-    activations = np.asarray(activations)
-    starts, stops, uniform = block_layout(tuple(block_sizes))
-    if activations.shape[1] != stops[-1]:
-        raise DataError("activations width does not match block sizes")
-    if uniform:
-        n = activations.shape[0]
-        return activations.reshape(n, starts.shape[0], int(stops[0])).argmax(axis=2)
-    cols = [activations[:, lo:hi].argmax(axis=1) for lo, hi in zip(starts, stops)]
-    return np.stack(cols, axis=1)
-
-
-def moving_average_update(trace: np.ndarray, target: np.ndarray, rate: float) -> np.ndarray:
-    """In-place exponential moving-average update ``trace += rate*(target-trace)``.
-
-    This is the fundamental BCPNN trace update.  The operation is performed
-    without temporaries beyond one buffer the size of ``target``.
-    """
-    if trace.shape != np.shape(target):
-        raise DataError(
-            f"trace shape {trace.shape} does not match target shape {np.shape(target)}"
-        )
-    if not 0.0 <= rate <= 1.0:
-        raise DataError(f"rate must be in [0, 1], got {rate}")
-    # trace = (1-rate)*trace + rate*target, done in place on `trace`.
-    trace *= 1.0 - rate
-    trace += rate * np.asarray(target, dtype=trace.dtype)
-    return trace
-
-
 def stable_log(values: np.ndarray, floor: float = EPS) -> np.ndarray:
     """Logarithm with a numerical floor, used when converting traces to weights."""
     values = np.asarray(values, dtype=np.float64)
     return np.log(np.maximum(values, floor))
-
-
-def batch_slices(n_samples: int, batch_size: int) -> Iterator[slice]:
-    """Yield contiguous slices covering ``range(n_samples)`` in order."""
-    if n_samples < 0:
-        raise DataError("n_samples must be non-negative")
-    if batch_size <= 0:
-        raise DataError("batch_size must be positive")
-    for start in range(0, n_samples, batch_size):
-        yield slice(start, min(start + batch_size, n_samples))
-
-
-def normalize_blocks(values: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
-    """Normalise each block of each row to sum to one (safe for zero blocks)."""
-    values = np.asarray(values, dtype=np.float64)
-    starts, stops, _ = block_layout(tuple(block_sizes))
-    if values.ndim == 1:
-        values = values[None, :]
-        squeeze = True
-    else:
-        squeeze = False
-    out = values.copy()
-    for lo, hi in zip(starts, stops):
-        sums = out[:, lo:hi].sum(axis=1, keepdims=True)
-        sums[sums <= 0.0] = 1.0
-        out[:, lo:hi] /= sums
-    return out[0] if squeeze else out
 
 
 def split_into_chunks(n_items: int, n_chunks: int) -> List[Tuple[int, int]]:

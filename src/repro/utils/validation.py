@@ -20,8 +20,6 @@ __all__ = [
     "check_numeric_dtype",
     "check_positive_int",
     "check_fraction",
-    "check_probability_matrix",
-    "check_one_hot",
     "check_labels",
     "check_same_length",
 ]
@@ -108,57 +106,6 @@ def check_fraction(
     if not (low_ok and high_ok) or not np.isfinite(value):
         raise ConfigurationError(f"{name} must lie in [0, 1], got {value}")
     return value
-
-
-def check_probability_matrix(
-    activations: np.ndarray,
-    hypercolumn_sizes: Sequence[int],
-    *,
-    name: str = "activations",
-    atol: float = 1e-6,
-) -> np.ndarray:
-    """Validate that each hypercolumn block of each row sums to one.
-
-    ``activations`` has shape ``(n_samples, sum(hypercolumn_sizes))`` and is
-    interpreted as a concatenation of per-hypercolumn probability
-    distributions (the output of a modular softmax, or a one-hot encoding).
-    """
-    arr = check_array(activations, name=name, ndim=2)
-    total = int(sum(hypercolumn_sizes))
-    if arr.shape[1] != total:
-        raise DataError(
-            f"{name} has {arr.shape[1]} columns but hypercolumn sizes sum to {total}"
-        )
-    if np.any(arr < -atol):
-        raise DataError(f"{name} contains negative probabilities")
-    offset = 0
-    for idx, size in enumerate(hypercolumn_sizes):
-        block = arr[:, offset : offset + size]
-        sums = block.sum(axis=1)
-        if not np.allclose(sums, 1.0, atol=max(atol, 1e-4)):
-            bad = int(np.argmax(np.abs(sums - 1.0)))
-            raise DataError(
-                f"{name}: hypercolumn {idx} does not sum to 1 for row {bad} "
-                f"(sum={sums[bad]:.6f})"
-            )
-        offset += size
-    return arr
-
-
-def check_one_hot(encoded: np.ndarray, n_bins: int, *, name: str = "encoded") -> np.ndarray:
-    """Validate a one-hot encoded matrix with uniform block size ``n_bins``."""
-    arr = check_array(encoded, name=name, ndim=2)
-    if arr.shape[1] % n_bins != 0:
-        raise DataError(
-            f"{name} has {arr.shape[1]} columns which is not a multiple of n_bins={n_bins}"
-        )
-    n_features = arr.shape[1] // n_bins
-    reshaped = arr.reshape(arr.shape[0], n_features, n_bins)
-    if not np.array_equal(reshaped.sum(axis=2), np.ones((arr.shape[0], n_features))):
-        raise DataError(f"{name} is not one-hot: some blocks do not sum to exactly 1")
-    if not np.all((arr == 0.0) | (arr == 1.0)):
-        raise DataError(f"{name} is not one-hot: values other than 0/1 present")
-    return arr
 
 
 def check_labels(labels, n_classes: Optional[int] = None, *, name: str = "labels") -> np.ndarray:

@@ -16,6 +16,7 @@ from repro.comm import SerialComm, ThreadComm
 from repro.core import BCPNNHyperParameters, InputSpec, StructuralPlasticityLayer
 from repro.exceptions import BackendError, DataError
 from repro.utils.rng import as_rng
+from tests.core.layer_helpers import traces_consistent
 
 
 def _one_hot(n, f, m, seed):
@@ -126,7 +127,7 @@ class TestDistributedTrainer:
                 layer, small_one_hot_batch, epochs=1, batch_size=16, rng=as_rng(0)
             )
         assert report.global_batches == 4
-        assert layer.traces.check_consistency()
+        assert traces_consistent(layer.traces)
 
     def test_report_contents(self, small_input_spec, data):
         layer = _make_layer(small_input_spec, seed=2)
@@ -218,7 +219,7 @@ class TestDistributedTrainer:
             )
         # train_batch semantics: calibration + batch counting happened.
         assert layer.batches_trained == data.shape[0] // 64
-        assert layer.traces.check_consistency()
+        assert traces_consistent(layer.traces)
 
     def test_worker_replicas_inherit_the_compute_backend(self, small_input_spec, data):
         """Rank-invariance must hold for non-default backends too: the spec
@@ -266,7 +267,7 @@ class TestDistributedTrainer:
             DistributedTrainer(comm).train_layer(
                 layer, data, epochs=3, batch_size=64, rng=as_rng(2)
             )
-        assert layer.traces.check_consistency()
+        assert traces_consistent(layer.traces)
 
     def test_invalid_arguments(self, small_input_spec, data):
         layer = _make_layer(small_input_spec)

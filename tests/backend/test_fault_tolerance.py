@@ -254,3 +254,23 @@ def test_fit_recovers_a_crashed_rank_without_a_flag(caplog, competition):
     assert np.array_equal(recovered.hidden_layers[0].weights, base.hidden_layers[0].weights)
     assert np.array_equal(recovered.head.weights, base.head.weights)
     assert _history_key(recovered.history) == _history_key(base.history)
+
+
+class TestDelayedFrames:
+    """``tcp.delay`` (the chaos job's flaky link) slows frames, never the numbers."""
+
+    @pytest.mark.parametrize("competition", ["softmax", "sample"])
+    def test_a_delayed_link_trains_bitwise_the_same(self, competition):
+        comm = TCPComm(2, timeout=60.0)
+        try:
+            plain, _ = _train(comm, competition=competition)
+            plan = faults.FaultPlan("tcp.delay@p=0.5,seconds=0.001", seed=3)
+            faults.install_plan(plan)
+            delayed, _ = _train(comm, competition=competition)
+        finally:
+            faults.install_plan(None)
+            comm.close()
+        assert plan.fired and {f["site"] for f in plan.fired} == {"tcp.delay"}
+        assert np.array_equal(plain.traces.p_ij, delayed.traces.p_ij)
+        assert np.array_equal(plain.weights, delayed.weights)
+        assert np.array_equal(plain.plasticity.mask, delayed.plasticity.mask)

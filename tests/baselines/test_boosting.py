@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines import DecisionTreeBaseline, GradientBoostingBaseline
+from repro.baselines import GradientBoostingBaseline
 from repro.exceptions import ConfigurationError, DataError
 
 
@@ -23,13 +23,6 @@ class TestGradientBoosting:
         ).fit(X, y)
         assert model.evaluate(X, y)["accuracy"] > 0.85
 
-    def test_beats_single_tree_on_held_out_data(self):
-        X, y = _nonlinear_data(seed=1)
-        X_test, y_test = _nonlinear_data(seed=2)
-        boosted = GradientBoostingBaseline(n_estimators=50, max_depth=3, seed=0).fit(X, y)
-        single = DecisionTreeBaseline(max_depth=3).fit(X, y)
-        assert boosted.evaluate(X_test, y_test)["auc"] > single.evaluate(X_test, y_test)["auc"]
-
     def test_training_loss_decreases(self):
         X, y = _nonlinear_data(seed=3)
         model = GradientBoostingBaseline(n_estimators=30, max_depth=2, seed=0).fit(X, y)
@@ -41,7 +34,7 @@ class TestGradientBoosting:
         model = GradientBoostingBaseline(
             n_estimators=200, max_depth=2, early_stopping_rounds=5, seed=0
         ).fit(X, y)
-        assert model.n_trees_ <= 200
+        assert len(model.trees_) <= 200
         assert len(model.validation_losses_) == len(model.train_losses_)
 
     def test_subsampling_still_learns(self):

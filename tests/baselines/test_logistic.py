@@ -37,13 +37,13 @@ class TestLogisticRegression:
 
     def test_predict_before_fit(self):
         with pytest.raises(NotFittedError):
-            LogisticRegressionBaseline().predict(np.ones((2, 3)))
+            LogisticRegressionBaseline().predict_proba(np.ones((2, 3)))
 
     def test_feature_width_checked(self):
         X, y = _blobs()
         model = LogisticRegressionBaseline(epochs=2, seed=0).fit(X, y)
         with pytest.raises(DataError):
-            model.predict(np.ones((3, 7)))
+            model.predict_proba(np.ones((3, 7)))
 
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
@@ -57,10 +57,3 @@ class TestLogisticRegression:
         with pytest.raises(ConfigurationError):
             LogisticRegressionBaseline(momentum=1.5)
 
-    def test_decision_scores_binary_only(self):
-        rng = np.random.default_rng(4)
-        y = rng.integers(0, 3, size=90)
-        X = rng.normal(size=(90, 2))
-        model = LogisticRegressionBaseline(epochs=2, seed=0).fit(X, y)
-        with pytest.raises(DataError):
-            model.decision_scores(X)

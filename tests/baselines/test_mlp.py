@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import MLPBaseline
-from repro.baselines.mlp import relu, relu_grad, tanh_act, tanh_grad
+from repro.baselines.mlp import relu, relu_grad
 from repro.exceptions import ConfigurationError
 
 
@@ -22,10 +22,6 @@ class TestActivations:
         assert np.array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
         assert np.array_equal(relu_grad(np.array([-1.0, 0.5])), [0.0, 1.0])
 
-    def test_tanh(self):
-        x = np.array([-0.3, 0.0, 0.8])
-        assert np.allclose(tanh_act(x), np.tanh(x))
-        assert np.allclose(tanh_grad(x), 1 - np.tanh(x) ** 2)
 
 
 class TestMLP:
@@ -46,14 +42,6 @@ class TestMLP:
         proba = model.predict_proba(X[:20])
         assert np.allclose(proba.sum(axis=1), 1.0)
         assert np.all(proba >= 0)
-
-    def test_tanh_activation_works(self):
-        X, y = _xor_data(seed=3)
-        model = MLPBaseline(
-            hidden_layers=(24,), activation="tanh", epochs=60, learning_rate=0.1, seed=0
-        )
-        model.fit(X, y)
-        assert model.evaluate(X, y)["accuracy"] > 0.85
 
     def test_dropout_still_learns(self):
         X, y = _xor_data(seed=4)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.baselines import DecisionStump, DecisionTreeBaseline
 from repro.baselines.trees import RegressionTree
 from repro.exceptions import ConfigurationError
 
@@ -16,17 +15,11 @@ class TestRegressionTree:
         predictions = tree.predict(X)[:, 0]
         assert np.mean((predictions > 0.5) == (y > 0.5)) > 0.97
 
-    def test_stump_depth(self):
-        X = np.linspace(0, 1, 100)[:, None]
-        y = (X[:, 0] > 0.3).astype(float)
-        stump = DecisionStump(min_samples_leaf=5).fit(X, y)
-        assert stump.depth <= 1
-
     def test_constant_target_gives_single_leaf(self):
         X = np.random.default_rng(0).random((50, 3))
         y = np.ones(50)
         tree = RegressionTree(max_depth=4).fit(X, y)
-        assert tree.depth == 0
+        assert tree.root_.is_leaf
         assert np.allclose(tree.predict(X), 1.0)
 
     def test_multi_output_targets(self):
@@ -43,7 +36,7 @@ class TestRegressionTree:
         y = np.random.default_rng(3).random(30)
         tree = RegressionTree(max_depth=10, min_samples_leaf=20).fit(X, y)
         # Not enough samples for any split.
-        assert tree.depth == 0
+        assert tree.root_.is_leaf
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
@@ -60,20 +53,3 @@ class TestRegressionTree:
     def test_misaligned_targets(self):
         with pytest.raises(ConfigurationError):
             RegressionTree().fit(np.ones((5, 2)), np.ones(4))
-
-
-class TestDecisionTreeBaseline:
-    def test_classifies_axis_aligned_data(self):
-        rng = np.random.default_rng(4)
-        X = rng.uniform(-1, 1, size=(600, 3))
-        y = ((X[:, 0] > 0) & (X[:, 2] > 0)).astype(int)
-        model = DecisionTreeBaseline(max_depth=4, min_samples_leaf=10).fit(X, y)
-        assert model.evaluate(X, y)["accuracy"] > 0.9
-
-    def test_probabilities_normalised(self):
-        rng = np.random.default_rng(5)
-        X = rng.random((200, 2))
-        y = (X[:, 0] > 0.5).astype(int)
-        model = DecisionTreeBaseline(max_depth=3).fit(X, y)
-        proba = model.predict_proba(X)
-        assert np.allclose(proba.sum(axis=1), 1.0)

@@ -7,6 +7,7 @@ process dies with :data:`repro.faults.KILL_EXIT_CODE`, the rerun passes
 ``--resume``, and the saved model matches an uninterrupted run.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -91,3 +92,72 @@ def test_fault_env_is_inert_without_checkpointing_sites(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert model.is_file()
+
+
+def _same_model(first, second):
+    """Two ``--save-model`` files hold the same arrays, bit for bit."""
+    with np.load(first) as a, np.load(second) as b:
+        assert sorted(a.files) == sorted(b.files)
+        for name in a.files:
+            assert np.array_equal(a[name], b[name]), name
+
+
+def _corrupt_latest(ckpt_dir: Path) -> Path:
+    manifest = json.loads((ckpt_dir / "MANIFEST.json").read_text())
+    latest = ckpt_dir / manifest["latest"]
+    blob = bytearray(latest.read_bytes())
+    blob[len(blob) // 2] ^= 0xFF
+    latest.write_bytes(bytes(blob))
+    return latest
+
+
+def test_driver_kill_mid_layer_under_thread_ranks_resumes_bitwise(tmp_path):
+    """The chaos job's second kill: data-parallel training dies at an epoch
+    boundary and the resumed run saves the uninterrupted model."""
+    args = [*_TRAIN_ARGS, "--comm", "thread:2"]
+    ckpt_dir, never = tmp_path / "ckpt", tmp_path / "never-written.npz"
+    base = _run_cli([*args, "--save-model", str(tmp_path / "base.npz")])
+    assert base.returncode == 0, base.stderr
+    killed = _run_cli(
+        [*args, "--checkpoint-dir", str(ckpt_dir), "--save-model", str(never)],
+        env_extra={"REPRO_FAULTS": "driver.kill@epoch=1"},
+    )
+    assert killed.returncode == KILL_EXIT_CODE, killed.stderr
+    assert not never.exists()
+    resumed = _run_cli(
+        [*args, "--checkpoint-dir", str(ckpt_dir), "--resume"]
+        + ["--save-model", str(tmp_path / "resumed.npz")]
+    )
+    assert resumed.returncode == 0, resumed.stderr
+    _same_model(tmp_path / "base.npz", tmp_path / "resumed.npz")
+
+
+@pytest.fixture
+def killed_run(tmp_path):
+    """A checkpoint directory left by a driver killed at the epoch-1 boundary."""
+    ckpt_dir = tmp_path / "ckpt"
+    killed = _run_cli(
+        [*_TRAIN_ARGS, "--checkpoint-dir", str(ckpt_dir)],
+        env_extra={"REPRO_FAULTS": "driver.kill@epoch=1"},
+    )
+    assert killed.returncode == KILL_EXIT_CODE, killed.stderr
+    return ckpt_dir
+
+
+def test_a_corrupt_checkpoint_fails_resume_naming_the_file(killed_run):
+    latest = _corrupt_latest(killed_run)
+    resumed = _run_cli([*_TRAIN_ARGS, "--checkpoint-dir", str(killed_run), "--resume"])
+    assert resumed.returncode == 2
+    assert "checksum mismatch" in resumed.stderr and latest.name in resumed.stderr
+    assert "Traceback" not in resumed.stderr
+
+
+def test_a_corrupt_read_fault_fails_resume_and_leaves_the_files(killed_run):
+    before = {path.name: path.read_bytes() for path in killed_run.iterdir()}
+    resumed = _run_cli(
+        [*_TRAIN_ARGS, "--checkpoint-dir", str(killed_run), "--resume"],
+        env_extra={"REPRO_FAULTS": "checkpoint.corrupt_read"},
+    )
+    assert resumed.returncode == 2
+    assert "checksum mismatch" in resumed.stderr
+    assert {path.name: path.read_bytes() for path in killed_run.iterdir()} == before

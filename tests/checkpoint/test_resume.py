@@ -106,7 +106,7 @@ class TestSerialResume:
         interrupted = _network()
         with pytest.raises(FaultInjected):
             interrupted.fit(
-                x, y, input_spec=blocks, schedule=_schedule().replace(pipeline=True),
+                x, y, input_spec=blocks, schedule=dataclasses.replace(_schedule(), pipeline=True),
                 checkpoint_dir=tmp_path,
             )
         faults.install_plan(None)
@@ -303,11 +303,12 @@ class TestFingerprint:
 
     @pytest.mark.parametrize("field, value", sorted(NUMBER_CHANGING_FIELDS.items()))
     def test_number_changing_schedule_field_is_digested(self, field, value):
-        changed = _schedule().replace(**{field: value})
+        changed = dataclasses.replace(_schedule(), **{field: value})
         assert _fingerprint(schedule=changed) != _fingerprint()
 
     def test_pipeline_is_not_digested(self):
-        assert _fingerprint(schedule=_schedule().replace(pipeline=True)) == _fingerprint()
+        piped = dataclasses.replace(_schedule(), pipeline=True)
+        assert _fingerprint(schedule=piped) == _fingerprint()
 
     def test_every_schedule_field_is_classified(self):
         """A new schedule field is listed above as digested, or beside ``pipeline``."""

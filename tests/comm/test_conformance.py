@@ -3,7 +3,7 @@
 Every :class:`~repro.comm.Communicator` must present *identical* collective
 semantics, survive chunked payloads at tiny chunk caps, and turn a crashed rank into a
 :class:`~repro.exceptions.BackendError` instead of a hang.  The suite runs
-the same SPMD programs (:mod:`repro.comm.tasks`) over serial, thread and
+the same SPMD programs (:mod:`tests.comm.programs`) over serial, thread and
 tcp, so a new transport passes or fails the whole matrix at once.
 
 The module-scope tcp fixture is shared across tests (hub start-up costs
@@ -32,7 +32,6 @@ from repro.comm import (
     list_transports,
     parse_transport_spec,
     resolve_comm,
-    tasks,
     transport_capabilities,
 )
 from repro.comm import tcp as tcp_module
@@ -64,13 +63,13 @@ def comm(request, tcp_comm):
 
 class TestCollectiveConformance:
     def test_identity(self, comm):
-        results = comm.run(tasks.echo_rank)
+        results = comm.run(programs.echo_rank)
         assert [r["rank"] for r in results] == list(range(comm.size))
         assert all(r["size"] == comm.size for r in results)
 
     def test_collective_semantics_identical(self, comm):
         """allreduce/bcast/barrier agree on every transport."""
-        results = comm.run(tasks.collective_checks)
+        results = comm.run(programs.collective_checks)
         expected_sum = float(sum(range(comm.size)))
         for r in results:
             assert np.allclose(r["reduced"], expected_sum)
@@ -135,7 +134,7 @@ class TestChunking:
 
     @staticmethod
     def _check(comm):
-        results = comm.run(tasks.chunked_allreduce_checks, [(201,)] * comm.size)
+        results = comm.run(programs.chunked_allreduce_checks, [(201,)] * comm.size)
         for r in results:
             assert np.array_equal(r["reduced"], r["expected"])
             assert r["matrix_max"] == float(comm.size)
@@ -152,7 +151,7 @@ class TestCrashSemantics:
         with get_communicator(name, ranks=2, timeout=30.0) as comm:
             started = time.monotonic()
             with pytest.raises(BackendError):
-                comm.run(tasks.crash_rank, [(1,)] * comm.size)
+                comm.run(programs.crash_rank, [(1,)] * comm.size)
             assert time.monotonic() - started < 1.0
 
     def test_worker_that_exits_before_joining_fails_the_constructor(self, monkeypatch):
@@ -180,7 +179,7 @@ class TestCrashSemantics:
     def test_respawned_worker_that_exits_before_joining_fails_recover(self, monkeypatch):
         with TCPComm(2, timeout=30.0) as comm:
             with pytest.raises(BackendError):
-                comm.run(tasks.crash_rank, [(1,)] * comm.size)
+                comm.run(programs.crash_rank, [(1,)] * comm.size)
             monkeypatch.setattr(tcp_module, "_tcp_worker_main", programs.exit_before_joining)
             started = time.monotonic()
             with pytest.raises(BackendError, match="rank 1 exited with code 3"):
@@ -190,15 +189,15 @@ class TestCrashSemantics:
     def test_tcp_crash_raises_and_recovers(self):
         with TCPComm(2, timeout=30.0) as comm:
             with pytest.raises(BackendError):
-                comm.run(tasks.crash_rank, [(1,)] * comm.size)
+                comm.run(programs.crash_rank, [(1,)] * comm.size)
             assert comm.recover()
-            results = comm.run(tasks.echo_rank)
+            results = comm.run(programs.echo_rank)
             assert [r["rank"] for r in results] == [0, 1]
 
     def test_tcp_crash_mid_chunked_payload(self):
         with TCPComm(2, timeout=30.0, chunk_bytes=256) as comm:
             with pytest.raises(BackendError):
-                comm.run(tasks.crash_rank_chunked, [(1, 512)] * comm.size)
+                comm.run(programs.crash_rank_chunked, [(1, 512)] * comm.size)
 
 
 @pytest.fixture(scope="module")
@@ -216,7 +215,7 @@ class TestRawFrames:
     """
 
     def test_every_collective_at_three_ranks(self, tcp3_comm):
-        results = tcp3_comm.run(tasks.collective_checks, [(40,)] * 3)
+        results = tcp3_comm.run(programs.collective_checks, [(40,)] * 3)
         for r in results:
             assert np.array_equal(r["reduced"], np.full(40, 3.0))
             assert np.array_equal(r["maxed"], np.full(40, 2.0))
@@ -271,7 +270,7 @@ class TestRawFrames:
             assert [r["raised"] for r in results] == [True] * 3
             assert max(r["seconds"] for r in results) < 10.0
             # The failed round poisoned only its own task.
-            assert [r["rank"] for r in comm.run(tasks.echo_rank)] == [0, 1, 2]
+            assert [r["rank"] for r in comm.run(programs.echo_rank)] == [0, 1, 2]
 
     def test_external_workers_join_over_the_wire(self):
         """``spawn=0``: workers started by hand claim ranks, compute, and a
@@ -306,7 +305,7 @@ class TestRawFrames:
             comm = box["comm"]
             surplus = subprocess.run(join, env=env, capture_output=True, text=True, timeout=60.0)
             assert surplus.returncode == 1 and "rejected" in surplus.stdout
-            results = comm.run(tasks.collective_checks)
+            results = comm.run(programs.collective_checks)
             assert [r["rank"] for r in results] == [0, 1, 2]
             assert all(np.array_equal(r["reduced"], np.full(3, 3.0)) for r in results)
             comm.close()
@@ -348,7 +347,7 @@ class TestTimeouts:
         with TCPComm(2, timeout=10.0) as comm:
             started = time.monotonic()
             with pytest.raises(BackendError):
-                comm.run(tasks.crash_rank_chunked, [(1, 4096)] * 2)
+                comm.run(programs.crash_rank_chunked, [(1, 4096)] * 2)
             assert time.monotonic() - started < 10.0
 
     def test_rank0_waiting_on_a_silent_worker(self):
@@ -356,7 +355,7 @@ class TestTimeouts:
         with TCPComm(2, timeout=2.0) as comm:
             started = time.monotonic()
             with pytest.raises(BackendError):
-                comm.run(tasks.stall_rank, [(1, 4.0)] * 2)
+                comm.run(programs.stall_rank, [(1, 4.0)] * 2)
             assert time.monotonic() - started < 2.0 + 5.0 + 2.0  # + result collection
 
     def test_stopped_worker_cannot_wedge_hub_sends(self):
@@ -389,7 +388,7 @@ class TestFaultPoints:
         with TCPComm(2, timeout=30.0, chunk_bytes=64) as comm:
             plan = faults.FaultPlan("tcp.delay@p=1.0,seconds=0.0")
             faults.install_plan(plan)
-            comm.run(tasks.collective_checks)
+            comm.run(programs.collective_checks)
             faults.install_plan(None)
         # Hub frames to the one worker: the task, then one reply per collective.
         assert [f["site"] for f in plan.fired] == ["tcp.delay"] * 6
@@ -401,10 +400,10 @@ class TestFaultPoints:
             plan = faults.FaultPlan("tcp.drop@count=1")
             faults.install_plan(plan)
             with pytest.raises(BackendError):  # the task frame never arrives
-                comm.run(tasks.collective_checks)
+                comm.run(programs.collective_checks)
             assert len(plan.fired) == 1
             assert comm.recover()
-            assert [r["rank"] for r in comm.run(tasks.echo_rank)] == [0, 1]
+            assert [r["rank"] for r in comm.run(programs.echo_rank)] == [0, 1]
             assert len(plan.fired) == 1
 
 
@@ -466,11 +465,18 @@ class TestSpecParsing:
         with pytest.raises(BackendError):
             parse_transport_spec(bad)
 
+    def test_spawn_option_chooses_external_workers(self):
+        spec = parse_transport_spec("tcp://0.0.0.0:9400?ranks=4&spawn=0")
+        assert spec.options["spawn_workers"] is False
+        assert parse_transport_spec("tcp?ranks=2&spawn=1").options["spawn_workers"] is True
+        with pytest.raises(BackendError, match="spawn must be 0 or 1"):
+            parse_transport_spec("tcp?ranks=2&spawn=yes")
+
     def test_process_one_is_a_tcp_comm_without_workers(self):
         with get_communicator("process:1") as comm:
             assert isinstance(comm, TCPComm) and comm.size == 1
             assert not comm._workers
-            [result] = comm.run(tasks.collective_checks)
+            [result] = comm.run(programs.collective_checks)
             assert np.array_equal(result["reduced"], np.zeros(3))
             assert result["int_ranks"] == [0]
 

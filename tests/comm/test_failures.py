@@ -8,8 +8,9 @@ import time
 
 import pytest
 
-from repro.comm import TCPComm, ThreadComm, tasks
+from repro.comm import TCPComm, ThreadComm
 from repro.exceptions import BackendError
+from tests.comm import programs
 
 
 def _boom(comm):
@@ -26,7 +27,7 @@ class TestProcessFailures:
         try:
             started = time.monotonic()
             with pytest.raises(BackendError):
-                comm.run(tasks.crash_rank, [(1,), (1,)])
+                comm.run(programs.crash_rank, [(1,), (1,)])
             assert time.monotonic() - started < 60.0
         finally:
             comm.close()
@@ -37,7 +38,7 @@ class TestProcessFailures:
         try:
             started = time.monotonic()
             with pytest.raises(BackendError):
-                comm.run(tasks.stall_rank, [(1, 120.0), (1, 120.0)])
+                comm.run(programs.stall_rank, [(1, 120.0), (1, 120.0)])
             assert time.monotonic() - started < 60.0
         finally:
             comm.close()
@@ -51,7 +52,7 @@ class TestProcessFailures:
             with pytest.raises(BackendError, match="rank 1"):
                 comm.run(_boom)
             assert time.monotonic() - started < 5.0  # an event, not the 10 s timeout
-            results = comm.run(tasks.echo_rank)
+            results = comm.run(programs.echo_rank)
             assert [r["rank"] for r in results] == [0, 1]
         finally:
             comm.close()
@@ -60,7 +61,7 @@ class TestProcessFailures:
         comm = TCPComm(2, timeout=10.0)
         comm.close()
         with pytest.raises(BackendError):
-            comm.run(tasks.echo_rank)
+            comm.run(programs.echo_rank)
 
 
 class TestThreadFailures:
@@ -69,7 +70,7 @@ class TestThreadFailures:
             with pytest.raises(ValueError, match="rank 1 exploded"):
                 comm.run(_boom)
             # barrier was reset; the comm stays usable
-            results = comm.run(tasks.echo_rank)
+            results = comm.run(programs.echo_rank)
             assert [r["rank"] for r in results] == [0, 1]
 
     def test_driver_rank_exception_propagates(self):
@@ -81,3 +82,26 @@ class TestThreadFailures:
         with ThreadComm(2, timeout=10.0) as comm:
             with pytest.raises(RuntimeError, match="root failed"):
                 comm.run(fail_on_root)
+
+
+class TestExternalWorker:
+    """``python -m repro.comm.tcp --connect HOST:PORT``, the multi-host worker."""
+
+    def test_an_unreachable_rendezvous_exits_1_naming_the_address(self, capsys):
+        import socket
+
+        from repro.comm import tcp
+
+        with socket.socket() as probe:  # a port nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        assert tcp.main(["--connect", f"127.0.0.1:{port}", "--timeout", "1"]) == 1
+        out = capsys.readouterr().out
+        assert f"could not reach the tcp rendezvous at 127.0.0.1:{port}" in out
+
+    def test_a_malformed_address_is_a_usage_error(self):
+        from repro.comm import tcp
+
+        with pytest.raises(SystemExit) as exc:
+            tcp.main(["--connect", "no-port-here"])
+        assert exc.value.code == 2

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.comm import TCPComm, ThreadComm, tasks
+from repro.comm import TCPComm, ThreadComm
 from repro.exceptions import BackendError
 from tests.comm import programs
 
@@ -53,7 +53,7 @@ def test_lying_header_fails_every_rank_within_timeout(tcp_comm, what):
         failure.value
     )
     # The payload was read whole: the stream is in step, the next task runs.
-    assert [r["rank"] for r in tcp_comm.run(tasks.echo_rank)] == [0, 1]
+    assert [r["rank"] for r in tcp_comm.run(programs.echo_rank)] == [0, 1]
 
 
 def test_worker_killed_between_collectives_fails_the_next_one():
@@ -66,7 +66,7 @@ def test_worker_killed_between_collectives_fails_the_next_one():
             comm.run(programs.die_between_collectives, [(pause,)] * 2)
         assert time.monotonic() - started < pause + 1.0
         assert comm.recover()
-        assert [r["rank"] for r in comm.run(tasks.echo_rank)] == [0, 1]
+        assert [r["rank"] for r in comm.run(programs.echo_rank)] == [0, 1]
 
 
 class TestChunkedTCPCollectives:
@@ -75,7 +75,7 @@ class TestChunkedTCPCollectives:
         """Ragged final chunks, zero-length and 1-element payloads all
         round-trip at chunk caps down to one float64 per chunk."""
         with TCPComm(2, timeout=60.0, chunk_bytes=chunk_bytes) as comm:
-            results = comm.run(tasks.chunked_allreduce_checks, [(23,)] * comm.size)
+            results = comm.run(programs.chunked_allreduce_checks, [(23,)] * comm.size)
             for r in results:
                 assert np.array_equal(r["reduced"], r["expected"])
                 assert r["matrix_max"] == float(comm.size)
@@ -85,7 +85,7 @@ class TestChunkedTCPCollectives:
     def test_chunking_books_one_call_per_collective(self):
         with TCPComm(2, timeout=60.0, chunk_bytes=64) as comm:
             before = dict(comm.collective_calls)
-            comm.run(tasks.chunked_allreduce_checks, [(23,)] * comm.size)
+            comm.run(programs.chunked_allreduce_checks, [(23,)] * comm.size)
             # 4 allreduces per rank-program, one booking each however many
             # chunks their frames took.
             assert comm.collective_calls["allreduce"] == before["allreduce"] + 4

@@ -12,7 +12,8 @@ import threading
 
 import pytest
 
-from repro.comm import TCPComm, tasks
+from repro.comm import TCPComm
+from tests.comm import programs
 
 CYCLES = 3
 
@@ -31,9 +32,9 @@ class TestRecoverResources:
 
         with TCPComm(2, timeout=5.0) as comm:
             with pytest.raises(BackendError):
-                comm.run(tasks.crash_rank, [(1,)] * comm.size)
+                comm.run(programs.crash_rank, [(1,)] * comm.size)
             assert comm.recover()
-            comm.run(tasks.echo_rank)
+            comm.run(programs.echo_rank)
 
             baseline_fds = _fd_count()
             # Rank 0 is in-process and reads its workers' sockets in its own
@@ -44,9 +45,9 @@ class TestRecoverResources:
 
             for _ in range(CYCLES):
                 with pytest.raises(BackendError):
-                    comm.run(tasks.crash_rank, [(1,)] * comm.size)
+                    comm.run(programs.crash_rank, [(1,)] * comm.size)
                 assert comm.recover()
-                results = comm.run(tasks.echo_rank)
+                results = comm.run(programs.echo_rank)
                 assert [r["rank"] for r in results] == [0, 1]
 
             assert hub_threads() == ["tcp-hub-accept"]
@@ -58,8 +59,8 @@ class TestRecoverResources:
         with TCPComm(2, timeout=5.0) as comm:
             for _ in range(CYCLES):
                 with pytest.raises(BackendError):
-                    comm.run(tasks.crash_rank, [(1,)] * comm.size)
+                    comm.run(programs.crash_rank, [(1,)] * comm.size)
                 assert comm.recover()
-            results = comm.run(tasks.collective_checks)
+            results = comm.run(programs.collective_checks)
             expected = float(sum(range(comm.size)))
             assert all(float(r["reduced"][0]) == expected for r in results)

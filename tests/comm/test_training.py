@@ -197,7 +197,11 @@ class TestNetworkFitComm:
                 schedule=schedule,
                 comm=comm,
             )
-        entropies = network.history.metric("mean_activation_entropy", phase="hidden")
+        entropies = [
+            r.metrics["mean_activation_entropy"]
+            for r in network.history.records
+            if r.phase == "hidden"
+        ]
         assert len(entropies) == 4
         assert all(entropy > 0.0 for entropy in entropies)
         assert all(later < earlier for earlier, later in zip(entropies, entropies[1:]))

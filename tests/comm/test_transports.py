@@ -15,9 +15,9 @@ from repro.comm import (
     ThreadComm,
     get_communicator,
     list_transports,
-    tasks,
 )
 from repro.exceptions import BackendError
+from tests.comm import programs
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +41,7 @@ def comm(request, tcp_comm):
 
 class TestCollectives:
     def test_identity(self, comm):
-        results = comm.run(tasks.echo_rank)
+        results = comm.run(programs.echo_rank)
         assert [r["rank"] for r in results] == list(range(comm.size))
         assert all(r["size"] == comm.size for r in results)
         if comm.transport == "tcp":
@@ -49,7 +49,7 @@ class TestCollectives:
             assert len({r["pid"] for r in results}) == comm.size
 
     def test_collective_semantics(self, comm):
-        results = comm.run(tasks.collective_checks)
+        results = comm.run(programs.collective_checks)
         expected_sum = float(sum(range(comm.size)))
         for r in results:
             assert np.allclose(r["reduced"], expected_sum)
@@ -59,7 +59,7 @@ class TestCollectives:
 
     def test_counters_track_collectives(self, comm):
         before = dict(comm.collective_calls)
-        comm.run(tasks.collective_checks)
+        comm.run(programs.collective_checks)
         assert comm.collective_calls["allreduce"] == before["allreduce"] + 2
         assert comm.collective_calls["bcast"] == before["bcast"] + 2
         assert comm.collective_calls["barrier"] == before["barrier"] + 1
@@ -108,6 +108,6 @@ class TestDriverSideGuards:
 
 def _nested_run(comm):
     if comm.rank == 1:
-        comm.run(tasks.echo_rank)
+        comm.run(programs.echo_rank)
     comm.barrier()
     return comm.rank

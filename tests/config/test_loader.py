@@ -8,7 +8,6 @@ from repro.config import (
     HAVE_YAML,
     ConfigError,
     compose_config,
-    compose_from_files,
     deep_merge,
     load_config_file,
     parse_set_overrides,
@@ -151,12 +150,3 @@ class TestComposePrecedence:
     def test_quick_does_not_mask_type_errors(self):
         with pytest.raises(ConfigError, match="training.hidden_epochs"):
             compose_config({"training": {"hidden_epochs": "oops"}}, quick=True)
-
-    def test_compose_from_files(self, tmp_path):
-        a = tmp_path / "a.json"
-        a.write_text(json.dumps({"dataset": {"n_events": 1000}}))
-        b = tmp_path / "b.json"
-        b.write_text(json.dumps({"dataset": {"scenario": "wide-sparse"}}))
-        configs = compose_from_files([a, b], overrides={"seed": 9})
-        assert [c.dataset.scenario for c in configs] == ["higgs", "wide-sparse"]
-        assert all(c.seed == 9 for c in configs)

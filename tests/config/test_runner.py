@@ -1,5 +1,6 @@
 """Tests for the config runner: flag-path parity, comm, hyperopt, serving."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +52,7 @@ class TestFlagParity:
             via_config["network"].hidden_layers, via_flags["network"].hidden_layers
         ):
             assert np.array_equal(layer_c.weights, layer_f.weights)
-            assert np.array_equal(layer_c.mask, layer_f.mask)
+            assert np.array_equal(layer_c.plasticity.mask, layer_f.plasticity.mask)
         data = prepare_higgs_data(n_events=2000, n_bins=10, seed=0)
         assert np.array_equal(
             via_config["network"].predict(data.x_test),
@@ -187,6 +188,117 @@ class TestRunExperiment:
         assert "model.density" in result["best_params"]
         assert len(result["trials"]) == 2
 
+    def test_hyperopt_journal_resume_runs_only_the_new_trials(self, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        base = {
+            "dataset": {"n_events": 800},
+            "model": {"n_minicolumns": 10},
+            "training": {"hidden_epochs": 1, "classifier_epochs": 1},
+            "hyperopt": {
+                "enabled": True,
+                "trials": 2,
+                "journal": str(journal),
+                "resume": True,
+                "space": {"model.density": {"type": "float", "low": 0.2, "high": 0.6}},
+            },
+        }
+        first = run_experiment(compose_config(base))
+        assert len(journal.read_text().splitlines()) == 2
+        base["hyperopt"]["trials"] = 3
+        again = run_experiment(compose_config(base))
+        assert len(journal.read_text().splitlines()) == 3
+        assert again["trials"][:2] == first["trials"][:2]
+
+    def test_hyperopt_summary_line(self, tmp_path, capsys):
+        from repro.cli import main_run
+
+        config = tmp_path / "sweep.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "dataset": {"n_events": 800},
+                    "training": {"hidden_epochs": 1, "classifier_epochs": 1},
+                    "hyperopt": {
+                        "enabled": True,
+                        "algorithm": "halton",
+                        "trials": 2,
+                        "space": {"model.density": {"type": "float", "low": 0.2, "high": 0.6}},
+                    },
+                }
+            )
+        )
+        assert main_run([str(config), "--quiet"]) == 0
+        out = capsys.readouterr().out
+        assert "hyperopt(halton): best auc=" in out
+        assert "over 2 trials" in out and "model.density" in out
+
+    def test_a_failed_training_closes_the_communicator_it_opened(self, monkeypatch):
+        from repro.comm import factory
+        from repro.experiments import higgs_pipeline
+
+        closed = []
+        resolve = factory.resolve_comm
+
+        def resolve_and_watch(*args):
+            comm = resolve(*args)
+            close = comm.close
+            comm.close = lambda: (closed.append(comm.size), close())
+            return comm
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("training failed")
+
+        monkeypatch.setattr(factory, "resolve_comm", resolve_and_watch)
+        monkeypatch.setattr(higgs_pipeline, "train_and_evaluate", fail)
+        cfg = compose_config({"training": {"comm": "thread:2"}}, quick=True)
+        with pytest.raises(RuntimeError, match="training failed"):
+            run_experiment(cfg)
+        assert closed == [2]
+
+    def test_evolution_searches_the_head_choice(self):
+        cfg = compose_config(
+            {
+                "dataset": {"n_events": 800},
+                "model": {"n_minicolumns": 10},
+                "training": {"hidden_epochs": 1, "classifier_epochs": 1},
+                "hyperopt": {
+                    "enabled": True,
+                    "algorithm": "evolution",
+                    "trials": 6,
+                    "space": {
+                        "model.head": {"type": "categorical", "choices": ["sgd", "bcpnn"]},
+                        "model.density": {"type": "float", "low": 0.2, "high": 0.6},
+                    },
+                },
+            }
+        )
+        result = run_experiment(cfg)
+        assert result["algorithm"] == "evolution" and result["n_trials"] == 6
+        heads = [trial["config"]["model.head"] for trial in result["trials"]]
+        assert set(heads) <= {"sgd", "bcpnn"}
+        assert result["best_params"]["model.head"] in heads
+
+    def test_hyperopt_json_report_lists_every_trial(self, tmp_path):
+        from repro.cli import main_run
+
+        config = tmp_path / "sweep.json"
+        space = {"model.density": {"type": "float", "low": 0.2, "high": 0.6}}
+        config.write_text(
+            json.dumps(
+                {
+                    "dataset": {"n_events": 800},
+                    "training": {"hidden_epochs": 1, "classifier_epochs": 1},
+                    "hyperopt": {"enabled": True, "trials": 3, "space": space},
+                }
+            )
+        )
+        report = tmp_path / "report.json"
+        assert main_run([str(config), "--quiet", "--json", str(report)]) == 0
+        result = json.loads(report.read_text())
+        assert [trial["index"] for trial in result["trials"]] == [0, 1, 2]
+        assert result["best_score"] == max(trial["score"] for trial in result["trials"])
+        assert "network" not in result
+
     def test_hyperopt_deterministic_under_seed(self):
         base = {
             "seed": 3,
@@ -229,3 +341,17 @@ class TestBuildPredictionServer:
         assert server.batcher.deadline == pytest.approx(0.002)
         assert server.batcher.max_queue_rows == 128
         assert server.batcher.request_timeout == pytest.approx(0.25)
+
+    def test_unset_durations_keep_the_server_defaults(self):
+        cfg = compose_config(
+            {
+                "dataset": {"n_events": 800},
+                "model": {"n_minicolumns": 10},
+                "training": {"hidden_epochs": 1, "classifier_epochs": 1},
+                "serving": {"enabled": True, "port": 0},
+            }
+        )
+        assert cfg.serving.request_timeout_ms is None
+        server = build_prediction_server(run_experiment(cfg)["network"], cfg.serving)
+        assert server.batcher.request_timeout is None
+        assert server.batcher.deadline == pytest.approx(cfg.serving.batch_deadline_ms / 1000.0)

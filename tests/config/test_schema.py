@@ -6,7 +6,6 @@ from repro.config import (
     ConfigError,
     ExperimentConfig,
     build_config,
-    builtin_defaults,
 )
 from repro.exceptions import ConfigurationError
 
@@ -23,9 +22,6 @@ class TestBuildConfig:
         cfg = build_config({"seed": 7, "model": {"density": 0.2}})
         again = build_config(cfg.to_dict())
         assert again == cfg
-
-    def test_builtin_defaults_validate(self):
-        assert build_config(builtin_defaults()) == ExperimentConfig()
 
     def test_nested_sections_apply(self):
         cfg = build_config(

@@ -264,16 +264,6 @@ class TestOneHotActivity:
         with pytest.raises(DataError):
             activity.dense(out=np.empty((3, 5)))
 
-    def test_invalid_winners_rejected(self):
-        with pytest.raises(DataError):
-            kernels.OneHotActivity(np.array([[0, 5]]), 5)
-        with pytest.raises(DataError):
-            kernels.OneHotActivity(np.array([[-1, 2]]), 5)
-        with pytest.raises(DataError):
-            kernels.OneHotActivity(np.array([0, 2]), 5)
-        with pytest.raises(DataError):
-            kernels.OneHotActivity(np.array([[0.0, 2.0]]), 5)
-
 
 @st.composite
 def _binary_batches(draw):

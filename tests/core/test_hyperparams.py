@@ -94,9 +94,8 @@ class TestTrainingSchedule:
         with pytest.raises(TypeError, match=field):
             TrainingSchedule(**{field: 1})
 
-    def test_replace_and_dict(self):
+    def test_to_dict(self):
         schedule = TrainingSchedule(batch_size=64)
-        assert schedule.replace(batch_size=32).batch_size == 32
         assert schedule.to_dict()["batch_size"] == 64
         assert set(schedule.to_dict()) == {
             "hidden_epochs",

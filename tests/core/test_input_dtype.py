@@ -26,6 +26,7 @@ from repro.core import (
 )
 from repro.core.network import TILE_ROWS
 from repro.exceptions import DataError, FaultInjected
+from repro.serving import predict_proba_stream
 from repro.utils.rng import as_rng
 
 SPEC = InputSpec.uniform(12, 5)
@@ -138,11 +139,11 @@ class TestInferenceIsDtypeInvariant:
     def test_every_bulk_call_agrees_across_dtypes(self, network, n):
         x = one_hot(n, seed=n)
         wide = x.astype(np.float64)
-        for method in ("predict", "predict_proba", "transform", "decision_function"):
+        for method in ("predict", "predict_proba", "transform"):
             assert np.array_equal(getattr(network, method)(x), getattr(network, method)(wide))
         assert np.array_equal(network.predict_stream(x), network.predict(wide))
         assert np.array_equal(
-            network.predict_proba_stream(x, batch_size=TILE_ROWS), network.predict_proba(wide)
+            predict_proba_stream(network, x, batch_size=TILE_ROWS), network.predict_proba(wide)
         )
 
 
@@ -178,7 +179,7 @@ class TestUnsupportedDtypesAreRefusedAtTheEntryPoints:
     def test_bulk_forward(self, kind):
         network = fit(one_hot(128))
         x, named = BAD_INPUTS[kind]
-        for method in ("predict", "predict_proba", "transform", "decision_function"):
+        for method in ("predict", "predict_proba", "transform"):
             with pytest.raises(DataError, match=named):
                 getattr(network, method)(x)
 
@@ -190,7 +191,6 @@ class TestUnsupportedDtypesAreRefusedAtTheEntryPoints:
         x, named = BAD_INPUTS[kind]
         calls = (
             network.predict_stream,
-            network.predict_proba_stream,
             predictor.predict_stream,
             predictor.predict_proba_stream,
         )

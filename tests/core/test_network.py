@@ -12,7 +12,7 @@ from repro.core import (
     StructuralPlasticityLayer,
     TrainingSchedule,
 )
-from repro.core.training import LambdaCallback
+from repro.core.training import TrainingCallback
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
 
 
@@ -68,7 +68,7 @@ class TestTraining:
         evaluation = net.evaluate(encoded_higgs["x_test"], encoded_higgs["y_test"])
         assert evaluation["accuracy"] > 0.58
         assert evaluation["auc"] > 0.6
-        assert len(history) == 3 + 6
+        assert len(history.records) == 3 + 6
 
     def test_head_trains_at_its_own_learning_rate(self):
         # The head's learning_rate is the one declaration fit reads (a tenth
@@ -96,17 +96,46 @@ class TestTraining:
 
     def test_history_metrics_present(self, trained_network):
         history = trained_network.history
-        assert all("mean_activation_entropy" in r.metrics for r in history.phase("hidden"))
-        assert all("train_accuracy" in r.metrics for r in history.phase("classifier"))
-        assert history.total_seconds > 0
+        by_phase = {"hidden": [], "classifier": []}
+        for record in history.records:
+            by_phase[record.phase].append(record)
+        assert by_phase["hidden"] and by_phase["classifier"]
+        assert all("mean_activation_entropy" in r.metrics for r in by_phase["hidden"])
+        assert all("train_accuracy" in r.metrics for r in by_phase["classifier"])
+
+    def test_verbose_fit_prints_one_line_per_epoch(self, encoded_higgs, capsys):
+        net = Network(seed=0)
+        net.add(StructuralPlasticityLayer(1, 10, density=0.5, seed=1))
+        net.add(SGDClassifier(n_classes=2, seed=2))
+        net.fit(
+            encoded_higgs["x_train"][:500],
+            encoded_higgs["y_train"][:500],
+            input_spec=encoded_higgs["spec"],
+            schedule=TrainingSchedule(hidden_epochs=2, classifier_epochs=3, batch_size=128),
+            verbose=True,
+        )
+        lines = capsys.readouterr().out.splitlines()
+        hidden = [line for line in lines if line.startswith("[hidden:")]
+        head = [line for line in lines if line.startswith("[head:")]
+        assert [line.split()[2] for line in hidden] == ["1/2", "2/2"]
+        assert "entropy=" in hidden[0] and "swaps=" in hidden[0]
+        assert len(head) == len(net.history.records) - 2
+        assert all("train_acc=" in line for line in head)
 
     def test_callbacks_invoked_per_epoch(self, encoded_higgs):
         events = []
-        callback = LambdaCallback(
-            on_train_begin=lambda net: events.append("begin"),
-            on_epoch_end=lambda ctx: events.append((ctx["phase"], ctx["epoch"])),
-            on_train_end=lambda net: events.append("end"),
-        )
+
+        class Recorder(TrainingCallback):
+            def on_train_begin(self, network):
+                events.append("begin")
+
+            def on_epoch_end(self, context):
+                events.append((context["phase"], context["epoch"]))
+
+            def on_train_end(self, network):
+                events.append("end")
+
+        callback = Recorder()
         net = Network(seed=0)
         net.add(StructuralPlasticityLayer(1, 10, density=0.5, seed=1))
         net.add(BCPNNClassifier(n_classes=2))

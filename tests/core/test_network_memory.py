@@ -1,7 +1,7 @@
 """Bounded-memory ``fit`` and bulk inference: one tile loop, one ``(N, H)`` matrix.
 
 Every bulk forward of :class:`~repro.core.Network` (``predict*``,
-``decision_function``, ``transform``, ``evaluate`` and the between-phase
+``transform``, ``evaluate`` and the between-phase
 transforms of ``fit``) pushes ``TILE_ROWS``-row tiles through engine
 workspaces.  Two families of checks:
 
@@ -37,6 +37,7 @@ from repro.core import (
 )
 from repro.core.network import TILE_ROWS
 from repro.exceptions import FaultInjected
+from repro.serving import StreamingPredictor
 
 T = TILE_ROWS
 FULL_MATRIX_ATOL = 1e-12
@@ -112,10 +113,10 @@ def _hidden_by_hand(network, x, rows=None, n_layers=None):
 
 
 def _by_hand(network, x, rows=None):
-    """``(hidden, decision, proba, labels)`` from ``layer.forward`` + the head."""
+    """``(hidden, proba, labels)`` from ``layer.forward`` + the head."""
     head = network.head
     pieces = [
-        (hidden, head.decision_function(hidden), head.predict_proba(hidden), head.predict(hidden))
+        (hidden, head.predict_proba(hidden), head.predict(hidden))
         for hidden in _hidden_by_hand(network, x, rows)
     ]
     return [np.concatenate(part) for part in zip(*pieces)]
@@ -127,7 +128,6 @@ class TestBulkForwardNumerics:
         x = _one_hot(n, SPEC, seed=n)
         outputs = (
             fitted.transform(x),
-            fitted.decision_function(x),
             fitted.predict_proba(x),
             fitted.predict(x),
         )
@@ -136,9 +136,9 @@ class TestBulkForwardNumerics:
             assert ours.dtype == reference.dtype
             assert np.array_equal(ours, reference)
         # Full matrix: labels equal, floats within the kernel-selection ulp.
-        hidden, decision, proba, labels = _by_hand(fitted, x)
-        assert np.array_equal(outputs[3], labels)
-        for ours, reference in zip(outputs[:3], (hidden, decision, proba)):
+        hidden, proba, labels = _by_hand(fitted, x)
+        assert np.array_equal(outputs[2], labels)
+        for ours, reference in zip(outputs[:2], (hidden, proba)):
             np.testing.assert_allclose(ours, reference, rtol=0, atol=FULL_MATRIX_ATOL)
         if len(fitted.hidden_layers) == 1:
             # One-hot rows make every product exact: the first layer's
@@ -148,9 +148,8 @@ class TestBulkForwardNumerics:
     def test_stream_and_bulk_paths_agree_bitwise(self, fitted):
         x = _one_hot(2 * T + 3, SPEC, seed=5)
         assert np.array_equal(fitted.predict_stream(x, batch_size=T), fitted.predict(x))
-        assert np.array_equal(
-            fitted.predict_proba_stream(x, batch_size=T), fitted.predict_proba(x)
-        )
+        streamed = StreamingPredictor(fitted, batch_size=T).predict_proba_stream(x)
+        assert np.array_equal(streamed, fitted.predict_proba(x))
 
     def test_empty_and_malformed_inputs(self, fitted):
         from repro.exceptions import DataError
@@ -313,7 +312,7 @@ class TestMemory:
         # full-matrix forward at once) on top of the same fixed part.
         assert peak < n * WIDE_H * 8 + WIDE_FIXED_BYTES, f"peak {peak / MB:.1f} MB"
 
-    @pytest.mark.parametrize("method", ["predict", "predict_proba", "evaluate", "decision_function"])
+    @pytest.mark.parametrize("method", ["predict", "predict_proba", "evaluate"])
     def test_inference_peak_does_not_grow_with_the_input(self, wide_fitted, method):
         n = 1500
         small, large = _one_hot(n, WIDE_SPEC, 3), _one_hot(4 * n, WIDE_SPEC, 4)

@@ -12,6 +12,8 @@ The contracts this file enforces (ISSUE 4 acceptance criteria):
   exact training.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -84,7 +86,7 @@ class TestPipelinedFitEquivalence:
         serial_history = serial.fit(x, y, input_spec=InputSpec(SIZES), schedule=schedule)
         piped = _network(head)
         piped_history = piped.fit(
-            x, y, input_spec=InputSpec(SIZES), schedule=schedule.replace(pipeline=True)
+            x, y, input_spec=InputSpec(SIZES), schedule=replace(schedule, pipeline=True)
         )
         for ls, lp in zip(serial.hidden_layers, piped.hidden_layers):
             np.testing.assert_array_equal(ls.traces.p_i, lp.traces.p_i)
@@ -105,7 +107,7 @@ class TestPipelinedFitEquivalence:
         x, y = dataset
         schedule = TrainingSchedule(hidden_epochs=3, classifier_epochs=2, batch_size=64)
         piped = _network("bcpnn")
-        piped.fit(x, y, input_spec=InputSpec(SIZES), schedule=schedule.replace(pipeline=True))
+        piped.fit(x, y, input_spec=InputSpec(SIZES), schedule=replace(schedule, pipeline=True))
         monkeypatch.setattr("repro.core.network.helper_threads_available", lambda: False)
         serial = _network("bcpnn")
         serial.fit(x, y, input_spec=InputSpec(SIZES), schedule=schedule)
@@ -196,7 +198,7 @@ class TestTolZeroMatchesHistoricalLoop:
         default.fit(x, y, input_spec=InputSpec(SIZES), schedule=schedule)
         explicit = _network("bcpnn")
         explicit.fit(
-            x, y, input_spec=InputSpec(SIZES), schedule=schedule.replace(weight_refresh_tol=0.0)
+            x, y, input_spec=InputSpec(SIZES), schedule=replace(schedule, weight_refresh_tol=0.0)
         )
         for ld, le in zip(default.hidden_layers, explicit.hidden_layers):
             np.testing.assert_array_equal(ld.traces.p_ij, le.traces.p_ij)

@@ -13,7 +13,7 @@ class TestInitialisation:
     def test_mask_density_respected(self):
         plasticity = StructuralPlasticity(20, 4, density=0.3, seed=0)
         assert plasticity.connections_per_hcu == 6
-        assert np.array_equal(plasticity.active_counts(), [6, 6, 6, 6])
+        assert np.array_equal(plasticity.mask.sum(axis=0), [6, 6, 6, 6])
 
     def test_zero_density_gives_empty_masks(self):
         plasticity = StructuralPlasticity(10, 2, density=0.0, seed=0)
@@ -52,7 +52,7 @@ class TestUpdate:
         rng = np.random.default_rng(0)
         for _ in range(10):
             plasticity.update(rng.random((15, 3)))
-            assert np.array_equal(plasticity.active_counts(), [6, 6, 6])
+            assert np.array_equal(plasticity.mask.sum(axis=0), [6, 6, 6])
 
     def test_no_swaps_when_active_connections_already_best(self):
         plasticity = StructuralPlasticity(6, 1, density=0.5, seed=2)
@@ -72,29 +72,6 @@ class TestUpdate:
             plasticity.update(np.zeros((5, 2)))
 
 
-class TestSetDensityAndDiagnostics:
-    def test_grow_and_shrink(self):
-        plasticity = StructuralPlasticity(20, 2, density=0.2, seed=4)
-        plasticity.set_density(0.6)
-        assert np.array_equal(plasticity.active_counts(), [12, 12])
-        plasticity.set_density(0.1)
-        assert np.array_equal(plasticity.active_counts(), [2, 2])
-
-    def test_coverage_and_overlap(self):
-        plasticity = StructuralPlasticity(10, 2, density=1.0, seed=5)
-        assert plasticity.coverage() == 1.0
-        overlap = plasticity.overlap_matrix()
-        assert overlap.shape == (2, 2)
-        assert overlap[0, 0] == 10
-
-    def test_receptive_field_accessor(self):
-        plasticity = StructuralPlasticity(10, 2, density=0.3, seed=6)
-        field = plasticity.receptive_field(1)
-        assert field.dtype == bool and field.sum() == 3
-        with pytest.raises(DataError):
-            plasticity.receptive_field(5)
-
-
 @given(
     n_inputs=st.integers(2, 30),
     n_hcus=st.integers(1, 5),
@@ -110,5 +87,5 @@ def test_property_active_count_invariant_under_updates(n_inputs, n_hcus, density
     rng = np.random.default_rng(seed)
     for _ in range(rounds):
         plasticity.update(rng.normal(size=(n_inputs, n_hcus)))
-        assert np.all(plasticity.active_counts() == expected)
+        assert np.all(plasticity.mask.sum(axis=0) == expected)
         assert set(np.unique(plasticity.mask)) <= {0.0, 1.0}

@@ -27,6 +27,7 @@ from repro.core import (
     TrainingSchedule,
 )
 from repro.instrumentation.pipeline_bench import _pinned_density_threshold as pinned_threshold
+from tests.core.layer_helpers import load_mask_density
 
 INPUT_SIZES = [10] * 28
 SPEC = InputSpec(INPUT_SIZES)
@@ -77,12 +78,12 @@ class TestSparseActivation:
         with pinned_threshold(0.0):
             assert not _layer(density=0.1).sparse_active
 
-    def test_set_density_reevaluates_the_plan(self):
+    def test_mask_swap_reevaluates_the_plan(self):
         layer = _layer(density=0.3)
         assert layer.sparse_active
-        layer.set_density(1.0)
+        load_mask_density(layer, 1.0)
         assert not layer.sparse_active
-        layer.set_density(0.2)
+        load_mask_density(layer, 0.2)
         assert layer.sparse_active
 
     @pytest.mark.parametrize("surface", ["fitted", "serving", "replica", "parent_state"])
@@ -410,8 +411,9 @@ class TestLazyDenseWeights:
         layer.train_batch(X[:128])
         assert layer._dense_stale
         # Reading the property settles it to exactly the trace-derived values.
-        expected_w, expected_b = layer.traces.to_weights(
-            layer.hyperparams.trace_floor
+        traces = layer.traces
+        expected_w, expected_b = kernels.traces_to_weights(
+            traces.p_i, traces.p_j, traces.p_ij, layer.hyperparams.trace_floor
         )
         assert np.array_equal(layer.weights, expected_w)
         assert not layer._dense_stale

@@ -68,7 +68,6 @@ class TestLayerCodec:
         head.train_batch(x[:32], y[:32])
         clone = SGDClassifier(2, seed=99)
         clone.load_state_dict(head.state_dict(training=True))
-        assert clone.weights_token == head.weights_token
         for twin in (head, clone):
             twin.train_batch(x[32:], y[32:])
         assert np.array_equal(clone.weights, head.weights)
@@ -92,11 +91,9 @@ class TestLayerCodec:
         header, arrays = network_state(net)
         layer0 = ["layer0.mask", "layer0.p_i", "layer0.p_ij", "layer0.p_j"]
         assert sorted(arrays) == layer0 + ["layer1.bias", "layer1.weights"]
-        assert "weights_token" not in header["layers"][1]
         header, arrays = network_state(net, training=True)
         assert arrays["layer0.rng"].dtype == np.uint64 and arrays["layer0.rng"].shape == (6,)
         assert {"layer1.rng", "layer1.vel_w", "layer1.vel_b"} <= set(arrays)
-        assert header["layers"][1]["weights_token"] == net.head.weights_token
 
 
 class TestCheckpointLayout:

@@ -11,6 +11,7 @@ from repro.core import ProbabilityTraces
 from repro.engine import ExecutionPlan, LayerEngine
 from repro.exceptions import DataError
 from repro.utils.arrays import blockwise_softmax, one_hot
+from tests.core.layer_helpers import ema_step, traces_consistent
 
 
 def _one_hot_batch(rng, n, sizes):
@@ -29,7 +30,7 @@ class TestInitialisation:
         assert np.allclose(traces.p_i, 1 / 3)
         assert np.allclose(traces.p_j, 1 / 4)
         assert np.allclose(traces.p_ij, np.outer(traces.p_i, traces.p_j))
-        assert traces.check_consistency()
+        assert traces_consistent(traces)
 
     def test_dimensions(self):
         traces = ProbabilityTraces([10] * 28, [100, 100])
@@ -51,7 +52,7 @@ class TestUpdate:
         x = _one_hot_batch(rng, 50, [2, 2])
         a = blockwise_softmax(rng.normal(size=(50, 3)), [3])
         before = traces.p_ij.copy()
-        traces.update(x, a, taupdt=0.5)
+        ema_step(traces, x, a, taupdt=0.5)
         target = (x.T @ a) / 50
         assert np.all(np.abs(traces.p_ij - target) <= np.abs(before - target) + 1e-12)
         assert traces.updates_seen == 1
@@ -61,19 +62,19 @@ class TestUpdate:
         traces = ProbabilityTraces([2], [2])
         x = _one_hot_batch(rng, 20, [2])
         a = blockwise_softmax(rng.normal(size=(20, 2)), [2])
-        traces.update(x, a, taupdt=1.0)
+        ema_step(traces, x, a, taupdt=1.0)
         assert np.allclose(traces.p_i, x.mean(axis=0))
         assert np.allclose(traces.p_j, a.mean(axis=0))
 
     def test_invalid_taupdt(self):
         traces = ProbabilityTraces([2], [2])
         with pytest.raises(DataError):
-            traces.update(np.ones((2, 2)) / 2, np.ones((2, 2)) / 2, taupdt=0.0)
+            ema_step(traces, np.ones((2, 2)) / 2, np.ones((2, 2)) / 2, taupdt=0.0)
 
     def test_width_mismatch(self):
         traces = ProbabilityTraces([2], [2])
         with pytest.raises(DataError):
-            traces.update(np.ones((2, 3)) / 3, np.ones((2, 2)) / 2, taupdt=0.1)
+            ema_step(traces, np.ones((2, 3)) / 3, np.ones((2, 2)) / 2, taupdt=0.1)
 
     def test_engine_apply_means_equivalent_to_update(self):
         """The data-parallel trace update (reduced means through the
@@ -83,7 +84,7 @@ class TestUpdate:
         a = blockwise_softmax(rng.normal(size=(30, 4)), [4])
         t1 = ProbabilityTraces([3, 3], [4])
         t2 = ProbabilityTraces([3, 3], [4])
-        t1.update(x, a, 0.2)
+        ema_step(t1, x, a, 0.2)
         engine = LayerEngine(get_backend("numpy"), ExecutionPlan.for_traces(t2, 30))
         engine.apply_means(t2, x.mean(axis=0), a.mean(axis=0), (x.T @ a) / 30, 0.2)
         assert np.allclose(t1.p_i, t2.p_i)
@@ -130,7 +131,7 @@ class TestUpdate:
 class TestWeightsAndMI:
     def test_weights_shape(self):
         traces = ProbabilityTraces([2, 2], [3])
-        weights, bias = traces.to_weights()
+        weights, bias = kernels.traces_to_weights(traces.p_i, traces.p_j, traces.p_ij)
         assert weights.shape == (4, 3)
         assert bias.shape == (3,)
 
@@ -140,21 +141,10 @@ class TestWeightsAndMI:
         for _ in range(30):
             x = _one_hot_batch(rng, 40, [2, 2, 2])
             a = one_hot(rng.integers(0, 4, 40), 4)
-            traces.update(x, a, 0.05)
+            ema_step(traces, x, a, 0.05)
         scores = traces.mutual_information()
         assert scores.shape == (3, 1)
         assert np.all(scores > -1e-9)
-
-
-class TestMergeAndCopy:
-    def test_copy_is_independent(self):
-        traces = ProbabilityTraces([2], [2])
-        clone = traces.copy()
-        clone.p_ij[0, 0] = 0.9
-        assert traces.p_ij[0, 0] != 0.9
-
-    def test_memory_bytes_positive(self):
-        assert ProbabilityTraces([4], [4]).memory_bytes() > 0
 
 
 @given(
@@ -173,8 +163,8 @@ def test_property_traces_remain_valid_distributions(sizes, hidden, steps, taupdt
     for _ in range(steps):
         x = _one_hot_batch(rng, 16, sizes)
         a = blockwise_softmax(rng.normal(size=(16, hidden)), [hidden])
-        traces.update(x, a, taupdt)
-    assert traces.check_consistency()
+        ema_step(traces, x, a, taupdt)
+    assert traces_consistent(traces)
     # Joint marginalised over hidden equals input marginal (both are means of
     # x because each hidden hypercolumn's activity sums to one).
     assert np.allclose(traces.p_ij.sum(axis=1), traces.p_i, atol=1e-9)

@@ -1,60 +1,25 @@
 """Tests for History, EpochResult and callbacks."""
 
-import numpy as np
-
-from repro.core.training import CallbackList, EpochResult, History, LambdaCallback, TrainingCallback
+from repro.core.training import CallbackList, EpochResult, History, TrainingCallback
 
 
 class TestHistory:
-    def test_append_and_query(self):
+    def test_append_and_last_metric(self):
         history = History()
-        history.start()
         history.append(EpochResult("hidden", "layer0", 0, 0.5, {"entropy": 1.0}))
         history.append(EpochResult("hidden", "layer0", 1, 0.4, {"entropy": 0.8}))
         history.append(EpochResult("classifier", "head", 0, 0.1, {"train_accuracy": 0.7}))
-        history.finish()
-        assert len(history) == 3
-        assert len(history.phase("hidden")) == 2
-        assert history.metric("entropy", phase="hidden") == [1.0, 0.8]
+        assert [r.phase for r in history.records] == ["hidden", "hidden", "classifier"]
+        assert history.last_metric("entropy") == 0.8
         assert history.last_metric("train_accuracy") == 0.7
-        assert history.total_seconds >= 0
 
-    def test_missing_metric_is_nan_or_default(self):
+    def test_missing_metric_is_default(self):
         history = History()
         history.append(EpochResult("hidden", "l", 0, 0.1, {}))
-        assert np.isnan(history.metric("nothing")[0])
         assert history.last_metric("nothing", default=-1.0) == -1.0
-
-    def test_as_table(self):
-        history = History()
-        history.append(EpochResult("hidden", "l", 0, 0.1, {"a": 1.0}))
-        table = history.as_table()
-        assert table[0]["phase"] == "hidden"
-        assert table[0]["a"] == 1.0
-
-    def test_empty_history_total_seconds(self):
-        assert History().total_seconds == 0.0
 
 
 class TestCallbacks:
-    def test_lambda_callback_dispatch(self):
-        calls = []
-        cb = LambdaCallback(
-            on_train_begin=lambda net: calls.append(("begin", net)),
-            on_epoch_end=lambda ctx: calls.append(("epoch", ctx["epoch"])),
-            on_train_end=lambda net: calls.append(("end", net)),
-        )
-        cb.on_train_begin("net")
-        cb.on_epoch_end({"epoch": 3})
-        cb.on_train_end("net")
-        assert calls == [("begin", "net"), ("epoch", 3), ("end", "net")]
-
-    def test_lambda_callback_partial_hooks(self):
-        cb = LambdaCallback()
-        cb.on_train_begin(None)
-        cb.on_epoch_end({})
-        cb.on_train_end(None)
-
     def test_callback_list_order(self):
         order = []
 
@@ -65,8 +30,7 @@ class TestCallbacks:
             def on_epoch_end(self, context):
                 order.append(self.tag)
 
-        callbacks = CallbackList([Recorder("a")])
-        callbacks.append(Recorder("b"))
+        callbacks = CallbackList([Recorder("a"), Recorder("b")])
         callbacks.on_epoch_end({})
         assert order == ["a", "b"]
 

@@ -45,19 +45,6 @@ class TestDataset:
         with pytest.raises(DataError):
             _dataset().subset([100])
 
-    def test_shuffled_preserves_multiset(self):
-        data = _dataset()
-        shuffled = data.shuffled(np.random.default_rng(1))
-        assert sorted(shuffled.labels.tolist()) == sorted(data.labels.tolist())
-
-    def test_head(self):
-        assert _dataset().head(7).n_samples == 7
-        assert _dataset().head(1000).n_samples == 30
-
-    def test_describe_keys(self):
-        info = _dataset().describe()
-        assert {"name", "n_samples", "n_features", "n_classes", "class_counts"} <= set(info)
-
 
 class TestDatasetSplits:
     def test_mismatched_width_rejected(self):
@@ -69,5 +56,4 @@ class TestDatasetSplits:
     def test_sizes(self):
         a, b = _dataset(n=20), _dataset(n=10, seed=1)
         splits = DatasetSplits(train=a, validation=None, test=b)
-        assert splits.sizes == (20, 0, 10)
-        assert splits.describe()["validation"] is None
+        assert (splits.train.n_samples, splits.validation, splits.test.n_samples) == (20, None, 10)

@@ -108,6 +108,17 @@ class TestLoaders:
         assert data.n_samples == 30
         assert data.features.shape[1] == 28
 
+    def test_load_higgs_reads_the_file_the_environment_names(self, tmp_path, monkeypatch):
+        synthetic = SyntheticHiggsGenerator(seed=1).sample(40)
+        matrix = np.concatenate(
+            [synthetic.labels[:, None].astype(float), synthetic.features], axis=1
+        )
+        path = write_numeric_csv(tmp_path / "elsewhere.csv", matrix)
+        monkeypatch.setenv("REPRO_HIGGS_PATH", str(path))
+        data = load_higgs(n_samples=25)
+        assert data.metadata == {"path": str(path), "synthetic": False}
+        assert np.array_equal(data.labels, synthetic.labels[:25])
+
     def test_load_higgs_missing_explicit_path(self, tmp_path):
         with pytest.raises(DataError):
             load_higgs(path=tmp_path / "nope.csv")

@@ -100,12 +100,6 @@ class TestTwoBodyDecay:
         assert np.allclose(kin.invariant_mass(d1, d2), kin.mass(parent), rtol=1e-6)
 
 
-class TestDeltaPhi:
-    def test_wraps_into_range(self):
-        assert kin.delta_phi(np.pi, -np.pi) == pytest.approx(0.0)
-        assert abs(kin.delta_phi(3.0, -3.0)) <= np.pi
-
-
 @given(
     pt_=st.floats(1.0, 500.0),
     eta_=st.floats(-3.0, 3.0),

@@ -1,17 +1,9 @@
-"""Tests for the procedural digit generator and IDX readers."""
-
-import struct
+"""Tests for the procedural digit generator."""
 
 import numpy as np
 import pytest
 
-from repro.datasets.mnist import (
-    IMAGE_SIZE,
-    SyntheticDigits,
-    load_digits,
-    read_idx_images,
-    read_idx_labels,
-)
+from repro.datasets.mnist import IMAGE_SIZE, SyntheticDigits
 from repro.exceptions import DataError
 
 
@@ -65,50 +57,3 @@ class TestSyntheticDigits:
         a = SyntheticDigits(seed=9).sample(20)
         b = SyntheticDigits(seed=9).sample(20)
         assert np.array_equal(a.features, b.features)
-
-
-def _write_idx(tmp_path, images: np.ndarray, labels: np.ndarray):
-    n, rows, cols = images.shape
-    image_path = tmp_path / "images.idx"
-    with open(image_path, "wb") as handle:
-        handle.write(struct.pack(">IIII", 2051, n, rows, cols))
-        handle.write((images * 255).astype(np.uint8).tobytes())
-    label_path = tmp_path / "labels.idx"
-    with open(label_path, "wb") as handle:
-        handle.write(struct.pack(">II", 2049, n))
-        handle.write(labels.astype(np.uint8).tobytes())
-    return image_path, label_path
-
-
-class TestIdxReaders:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        images = rng.random((6, 28, 28))
-        labels = rng.integers(0, 10, size=6)
-        image_path, label_path = _write_idx(tmp_path, images, labels)
-        loaded_images = read_idx_images(image_path)
-        loaded_labels = read_idx_labels(label_path)
-        assert loaded_images.shape == (6, 784)
-        assert np.array_equal(loaded_labels, labels)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.idx"
-        path.write_bytes(struct.pack(">IIII", 1234, 1, 28, 28))
-        with pytest.raises(DataError):
-            read_idx_images(path)
-
-    def test_load_digits_from_idx(self, tmp_path):
-        rng = np.random.default_rng(1)
-        images = rng.random((10, 28, 28))
-        labels = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 9])
-        image_path, label_path = _write_idx(tmp_path, images, labels)
-        data = load_digits(
-            n_samples=6, digits=(1, 3, 5), images_path=image_path, labels_path=label_path
-        )
-        assert data.metadata["synthetic"] is False
-        assert set(np.unique(data.labels)) <= {0, 1, 2}
-
-    def test_load_digits_synthetic_fallback(self):
-        data = load_digits(n_samples=25, seed=0)
-        assert data.metadata["synthetic"] is True
-        assert data.n_samples == 25

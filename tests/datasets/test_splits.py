@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.base import Dataset
-from repro.datasets.splits import stratified_kfold, train_test_split
+from repro.datasets.splits import train_test_split
 from repro.exceptions import DataError
 
 
@@ -43,27 +43,3 @@ class TestTrainTestSplit:
         t1, _ = train_test_split(data, 0.3, rng=np.random.default_rng(7))
         t2, _ = train_test_split(data, 0.3, rng=np.random.default_rng(7))
         assert np.array_equal(t1.features, t2.features)
-
-
-class TestStratifiedKFold:
-    def test_folds_partition_dataset(self):
-        data = _dataset(n=90, seed=4)
-        seen = []
-        for train, val in stratified_kfold(data, 3, rng=np.random.default_rng(5)):
-            assert train.n_samples + val.n_samples == 90
-            seen.append(val.n_samples)
-        assert sum(seen) == 90
-
-    def test_every_fold_has_both_classes(self):
-        data = _dataset(n=100, seed=6)
-        for _, val in stratified_kfold(data, 4, rng=np.random.default_rng(6)):
-            assert len(np.unique(val.labels)) == 2
-
-    def test_too_few_samples_per_class_rejected(self):
-        data = Dataset(features=np.ones((4, 2)), labels=np.array([0, 0, 0, 1]))
-        with pytest.raises(DataError):
-            list(stratified_kfold(data, 3))
-
-    def test_minimum_folds(self):
-        with pytest.raises(DataError):
-            list(stratified_kfold(_dataset(), 1))

@@ -260,9 +260,8 @@ class TestLayerEngineLifecycle:
         net.add(hidden)
         net.add(head)
         # One shared backend instance across the whole stack.
-        assert hidden.backend is net.backend
-        assert head.backend is net.backend
-        assert net.backend.precision == "float32"
+        assert hidden.backend is head.backend
+        assert hidden.backend.precision == "float32"
         # An explicit per-layer choice survives network binding.
         explicit = StructuralPlasticityLayer(1, 4, density=1.0, backend="numpy", seed=2)
         net2 = Network(seed=0, backend="float32")

@@ -138,7 +138,6 @@ class TestDoubleBuffering:
         # The third dispatch wraps around onto the first workspace.
         out_c = engine.forward(x_a, w, b, None)
         assert np.shares_memory(out_a, out_c)
-        assert engine.workspace_nbytes() == sum(ws.nbytes() for ws in engine.workspaces)
 
     def test_triple_buffer_keeps_two_batches_in_flight(self):
         """n_buffers=3 (deep-stack second in-flight batch): batches k and k+1
@@ -166,7 +165,6 @@ class TestDoubleBuffering:
         out_d = engine.forward(batches[3], w, b, None)
         assert np.shares_memory(out_a, out_d)
         assert np.array_equal(out_b, snap_b)
-        assert engine.workspace_nbytes() == sum(ws.nbytes() for ws in engine.workspaces)
 
     def test_triple_buffer_training_matches_single_buffer(self):
         """The ring depth is a scheduling choice: identical results at n=3."""

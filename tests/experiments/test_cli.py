@@ -2,7 +2,9 @@
 
 import json
 import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import cli
@@ -33,6 +35,57 @@ class TestTrainCli:
         )
         assert code == 0
         assert "accuracy=" in capsys.readouterr().out
+
+    def test_without_quiet_progress_is_logged_to_stderr(self, capsys):
+        import logging
+
+        try:
+            code = main_train(["--mcus", "10", "--events", "800", "--epochs", "1"])
+        finally:
+            logger = logging.getLogger("repro")
+            for handler in list(logger.handlers):
+                if getattr(handler, "_repro_console", False):
+                    logger.removeHandler(handler)
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "accuracy=" in captured.out
+        assert "INFO repro.experiments.higgs_pipeline: trained higgs-" in captured.err
+
+    def test_higgs_path_trains_on_the_file(self, tmp_path, monkeypatch, capsys):
+        from repro.datasets import higgs
+        from repro.datasets.csvio import write_numeric_csv
+
+        events = higgs.SyntheticHiggsGenerator(seed=2).sample(700)
+        path = write_numeric_csv(
+            tmp_path / "HIGGS-sample.csv", np.column_stack([events.labels, events.features])
+        )
+        read = []
+        real_read = higgs.read_numeric_csv
+        monkeypatch.setattr(
+            higgs, "read_numeric_csv", lambda *a, **k: read.append(a[0]) or real_read(*a, **k)
+        )
+        code = main_train(["--higgs-path", str(path), "--events", "600", "--mcus", "10", "--quiet"])
+        assert code == 0
+        assert read == [path]
+        assert "accuracy=" in capsys.readouterr().out
+
+    def test_a_bcpnn_head_model_round_trips_through_predict(self, tmp_path, capsys):
+        from repro.cli import main_predict
+        from repro.core import load_network
+        from repro.experiments import prepare_higgs_data
+
+        model = tmp_path / "bcpnn.npz"
+        argv = ["--head", "bcpnn", "--mcus", "10", "--events", "800", "--epochs", "1"]
+        assert main_train(argv + ["--save-model", str(model), "--quiet"]) == 0
+        x = prepare_higgs_data(n_events=800, seed=5).x_test
+        np.savez(tmp_path / "rows.npz", x=x)
+        output = tmp_path / "predictions.csv"
+        argv = [str(tmp_path / "rows.npz"), "--model", str(model), "--output", str(output)]
+        assert main_predict(argv + ["--quiet"]) == 0
+        predicted = np.loadtxt(output, delimiter=",", skiprows=1).astype(np.int64)
+        loaded = load_network(model)
+        assert type(loaded.head).__name__ == "BCPNNClassifier"
+        assert np.array_equal(predicted, loaded.predict(x))
 
     def test_unknown_backend_fails(self):
         with pytest.raises(Exception):
@@ -167,6 +220,14 @@ class TestSweepCli:
         assert report["all_equivalent"] is True
         assert [row["ranks"] for row in report["rows"]] == [1, 2]
         assert report["rows"][1]["transport"] == "thread"
+
+    def test_distributed_sweep_over_tcp(self, tmp_path):
+        json_path = tmp_path / "sweep.json"
+        argv = ["distributed", "--quiet", "--comm", "tcp?ranks=2", "--json", str(json_path)]
+        assert main_sweep(argv) == 0
+        report = json.loads(json_path.read_text())
+        assert report["all_equivalent"] is True
+        assert [(row["ranks"], row["transport"]) for row in report["rows"]][1] == (2, "tcp")
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
@@ -328,3 +389,93 @@ class TestRunCli:
         )
         assert code == 0
         assert "ranks=2 (thread)" in capsys.readouterr().out
+
+
+class TestCommHelp:
+    """``--comm help`` prints the transport table ``transport_capabilities()`` holds."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["train"], ["sweep", "capacity"], ["benchmark"]],
+        ids=["train", "sweep", "benchmark"],
+    )
+    def test_rows_match_transport_capabilities(self, argv, capsys):
+        from repro.comm import transport_capabilities
+
+        assert cli.main(argv + ["--comm", "help"]) == 0
+        out = capsys.readouterr().out
+        cells = [[c.strip() for c in line.split("|")] for line in out.splitlines() if "|" in line]
+        rows = {row[0]: row for row in cells[1:]}
+        assert cells[0] == ["transport", "example_spec", "multihost", "fault_tolerant"]
+        capabilities = transport_capabilities()
+        assert set(capabilities) == {"serial", "thread", "tcp"}
+        for name, caps in capabilities.items():
+            yes_no = ["yes" if caps[flag] else "no" for flag in ("multihost", "fault_tolerant")]
+            assert rows[name] == [name, caps["spec"], *yes_no]
+        assert "Available comm transports" in out
+        assert "docs/distributed.md" in out
+
+
+class TestSweepCommands:
+    """``repro sweep NAME`` runs each paper experiment at the scale it names."""
+
+    @pytest.fixture(autouse=True)
+    def _tiny_scale(self, monkeypatch, tiny_scale):
+        from repro import experiments
+
+        monkeypatch.setattr(experiments, "get_scale", lambda name=None: tiny_scale)
+
+    @pytest.mark.parametrize(
+        "name, rows_key",
+        [
+            ("capacity", "rows"),
+            ("receptive-field", "rows"),
+            ("related-work", "results"),
+            ("precision", "rows"),
+        ],
+    )
+    def test_prints_the_table_and_writes_the_report(self, capsys, tmp_path, name, rows_key):
+        json_path = tmp_path / "sweep.json"
+        assert main_sweep([name, "--quiet", "--seed", "2", "--json", str(json_path)]) == 0
+        report = json.loads(json_path.read_text())
+        assert report[rows_key]
+        assert report["table"] in capsys.readouterr().out
+
+
+class TestRunSuites:
+    """``repro run`` over several configs or a directory: one summary, one report."""
+
+    CONFIG = {"dataset": {"n_events": 800}, "training": {"hidden_epochs": 1}}
+
+    def _write(self, path, config):
+        path.write_text(json.dumps(config))
+        return path
+
+    def test_a_directory_runs_every_config_inside(self, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        self._write(suite / "a.json", self.CONFIG)
+        self._write(suite / "b.json", {**self.CONFIG, "dataset": {"n_events": 900}})
+        (suite / "notes.txt").write_text("not a config")
+        report = tmp_path / "report.json"
+        assert cli.main(["run", str(suite), "--quick", "--quiet", "--json", str(report)]) == 0
+        assert "repro run: 2/2 ok" in capsys.readouterr().out
+        runs = json.loads(report.read_text())
+        assert [Path(run["source"]).name for run in runs] == ["a.json", "b.json"]
+
+    def test_a_bad_config_fails_the_suite_but_not_the_others(self, tmp_path, capsys):
+        good = self._write(tmp_path / "good.json", self.CONFIG)
+        bad = self._write(tmp_path / "bad.json", {"model": {"density": 1.5}})
+        report = tmp_path / "report.json"
+        code = cli.main(["run", str(good), str(bad), "--quick", "--quiet", "--json", str(report)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "repro run: 1/2 ok" in captured.out and "FAILED" in captured.out
+        assert "model.density" in captured.err
+        runs = json.loads(report.read_text())
+        assert runs[0]["source"] == str(good) and "auc" in runs[0]
+        assert runs[1] == {"source": str(bad), "error": runs[1]["error"], "failed": True}
+
+    def test_an_empty_directory_is_a_config_error(self, tmp_path, capsys):
+        assert cli.main(["run", str(tmp_path), "--quiet"]) == 2
+        assert "no config files" in capsys.readouterr().err

@@ -40,6 +40,19 @@ class TestCapacitySweep:
 
 
 class TestReceptiveFieldSweep:
+    def test_masks_are_optional(self, tiny_scale, tiny_higgs_data):
+        result = run_receptive_field_sweep(
+            scale=tiny_scale,
+            density_values=(0.4,),
+            n_minicolumns=10,
+            repeats=1,
+            data=tiny_higgs_data,
+            seed=0,
+            collect_masks=False,
+        )
+        assert result["masks"] == {}
+        assert [row["density"] for row in result["rows"]] == [0.4]
+
     def test_rows_masks_and_peak(self, tiny_scale, tiny_higgs_data):
         result = run_receptive_field_sweep(
             scale=tiny_scale,

@@ -11,7 +11,6 @@ from repro.hyperopt import (
     FloatParameter,
     RandomSearch,
     SearchSpace,
-    SuccessiveHalving,
 )
 from repro.hyperopt.search import Trial
 
@@ -24,13 +23,12 @@ def _objective(config):
     return 1.0 - ((config["x"] - 1.0) ** 2 + (config["y"] + 2.0) ** 2) / 50.0
 
 
-def _trial(index, score=0.5, budget=None):
+def _trial(index, score=0.5):
     return Trial(
         index=index,
         config={"x": float(index), "y": -float(index)},
         score=score,
         duration_seconds=0.01,
-        budget=budget,
     )
 
 
@@ -81,16 +79,11 @@ class TestJournalIntegrity:
     def test_completed_trials_keys(self, tmp_path):
         journal = ExperimentJournal(tmp_path / "j.jsonl", experiment="exp")
         journal.record(_trial(0))
-        journal.record(_trial(1, budget=8.0))
+        journal.record(_trial(1))
         table = journal.completed_trials("exp")
-        assert len(table) == 2
-        for (index, config_key, budget), record in table.items():
+        assert sorted(index for index, _ in table) == [0, 1]
+        for (index, config_key), record in table.items():
             assert json.loads(config_key) == record["config"]
-            assert budget == record["budget"]
-        budgets = sorted(
-            (b for _, _, b in table), key=lambda b: (b is not None, b)
-        )
-        assert budgets == [None, 8.0]
 
 
 class TestSearchResume:
@@ -160,25 +153,3 @@ class TestSearchResume:
             _space(), seed=2, journal=ExperimentJournal(path), resume=True
         ).optimize(counting, n_trials=4)
         assert calls["n"] == 4
-
-    def test_successive_halving_resume(self, tmp_path):
-        path = tmp_path / "sh.jsonl"
-
-        def budgeted(config, budget=None):
-            return _objective(config) + (budget or 0.0) * 1e-6
-
-        first = SuccessiveHalving(
-            _space(), seed=5, journal=ExperimentJournal(path)
-        ).optimize(budgeted, n_trials=8)
-
-        calls = {"n": 0}
-
-        def counting(config, budget=None):
-            calls["n"] += 1
-            return budgeted(config, budget=budget)
-
-        resumed = SuccessiveHalving(
-            _space(), seed=5, journal=ExperimentJournal(path), resume=True
-        ).optimize(counting, n_trials=8)
-        assert calls["n"] == 0
-        assert resumed.best_score == first.best_score

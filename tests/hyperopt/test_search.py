@@ -6,13 +6,13 @@ import pytest
 
 from repro.exceptions import SearchError
 from repro.hyperopt import (
+    CategoricalParameter,
     EvolutionarySearch,
     FloatParameter,
     HaltonSearch,
     IntParameter,
     RandomSearch,
     SearchSpace,
-    SuccessiveHalving,
 )
 
 
@@ -74,12 +74,6 @@ class TestHaltonSearch:
         result = HaltonSearch(_space(), seed=0).optimize(_objective, n_trials=40)
         assert result.best_score > 0.8
 
-    def test_top_k(self):
-        result = HaltonSearch(_space(), seed=0).optimize(_objective, n_trials=10)
-        top3 = result.top(3)
-        assert len(top3) == 3
-        assert top3[0].score >= top3[1].score >= top3[2].score
-
 
 class TestEvolutionarySearch:
     def test_improves_over_generations(self):
@@ -101,33 +95,7 @@ class TestEvolutionarySearch:
             EvolutionarySearch(_space(), mutation_scale=0.0)
 
 
-class TestSuccessiveHalving:
-    def test_budget_passed_to_objective(self):
-        budgets_seen = []
-
-        def objective(config):
-            budgets_seen.append(config["budget"])
-            return _objective(config)
-
-        search = SuccessiveHalving(_space(), min_budget=1, max_budget=4, reduction_factor=2, seed=0)
-        result = search.optimize(objective, n_trials=8)
-        assert 1 in budgets_seen
-        assert max(budgets_seen) <= 4
-        assert result.best_score > 0.5
-
-    def test_rung_sizes_shrink(self):
-        search = SuccessiveHalving(_space(), min_budget=1, max_budget=8, reduction_factor=2, seed=1)
-        result = search.optimize(lambda c: _objective(c), n_trials=8)
-        budgets = [t.budget for t in result.trials]
-        assert budgets.count(1.0) == 8
-        assert budgets.count(2.0) <= 4
-
-    def test_invalid_configuration(self):
-        with pytest.raises(SearchError):
-            SuccessiveHalving(_space(), min_budget=0)
-        with pytest.raises(SearchError):
-            SuccessiveHalving(_space(), reduction_factor=1)
-
+class TestSearchSpaceArgument:
     def test_requires_search_space(self):
         with pytest.raises(SearchError):
             RandomSearch({"x": FloatParameter(0, 1)})  # type: ignore[arg-type]
@@ -142,3 +110,18 @@ class TestIntegrationWithIntParameters:
 
         result = EvolutionarySearch(space, population_size=4, seed=2).optimize(objective, 30)
         assert abs(result.best_config["n"] - 12) <= 3
+
+
+class TestEvolutionOverACategoricalChoice:
+    def test_the_search_finds_the_better_choice(self):
+        space = SearchSpace(
+            {"head": CategoricalParameter(["sgd", "bcpnn"]), "x": FloatParameter(-5.0, 5.0)}
+        )
+
+        def objective(config):
+            return (1.0 if config["head"] == "bcpnn" else 0.0) - abs(config["x"] - 1.0) / 10.0
+
+        search = EvolutionarySearch(space, population_size=3, offspring_per_parent=2, seed=4)
+        result = search.optimize(objective, n_trials=30)
+        assert result.best_trial.config["head"] == "bcpnn"
+        assert {t.config["head"] for t in result.trials} == {"sgd", "bcpnn"}

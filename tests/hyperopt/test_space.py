@@ -43,9 +43,6 @@ class TestParameters:
         param = CategoricalParameter(["a", "b", "c"])
         assert param.sample_from_unit(0.0) == "a"
         assert param.sample_from_unit(0.99) == "c"
-        assert param.clip("b") == "b"
-        with pytest.raises(SearchError):
-            param.clip("z")
         with pytest.raises(ConfigurationError):
             CategoricalParameter(["only"])
 
@@ -83,12 +80,6 @@ class TestSearchSpace:
         with pytest.raises(SearchError):
             space.mutate({"lr": 1e-2}, np.random.default_rng(0))
 
-    def test_validate_clips(self):
-        space = self._space()
-        config = space.validate({"lr": 10.0, "units": 1000, "kind": "a"})
-        assert config["lr"] == 1e-1
-        assert config["units"] == 100
-
     def test_empty_space_rejected(self):
         with pytest.raises(ConfigurationError):
             SearchSpace({})
@@ -111,7 +102,7 @@ def test_property_float_sampling_in_bounds(u, low, span):
 
 
 class TestSerialization:
-    """to_dict/from_dict round-trip for declarative (config-file) spaces."""
+    """from_dict builds the same space as the typed constructors."""
 
     def _space(self):
         return SearchSpace(
@@ -123,26 +114,25 @@ class TestSerialization:
             }
         )
 
-    def test_round_trip_is_exact(self):
-        space = self._space()
-        rebuilt = SearchSpace.from_dict(space.to_dict())
-        assert rebuilt.to_dict() == space.to_dict()
-        assert rebuilt.names() == space.names()
-        for (_, orig), (_, new) in zip(space, rebuilt):
+    SPEC = {
+        "model.density": {"type": "float", "low": 0.05, "high": 0.6},
+        "model.taupdt": {"type": "logfloat", "low": 1e-3, "high": 1e-1},
+        "training.batch_size": {"type": "int", "low": 32, "high": 256},
+        "model.head": {"type": "categorical", "choices": ["sgd", "bcpnn"]},
+    }
+
+    def test_from_dict_builds_typed_parameters(self):
+        space, rebuilt = self._space(), SearchSpace.from_dict(self.SPEC)
+        assert list(rebuilt.parameters) == list(space.parameters)
+        for orig, new in zip(space.parameters.values(), rebuilt.parameters.values()):
             assert type(orig) is type(new)
 
     def test_rebuilt_space_samples_identically(self):
         space = self._space()
-        rebuilt = SearchSpace.from_dict(space.to_dict())
+        rebuilt = SearchSpace.from_dict(self.SPEC)
         unit = [0.3, 0.7, 0.1, 0.9]
         assert space.sample_from_unit_vector(unit) == rebuilt.sample_from_unit_vector(unit)
 
-    def test_parameter_spec_shapes(self):
-        d = self._space().to_dict()
-        assert d["model.density"] == {"type": "float", "low": 0.05, "high": 0.6}
-        assert d["model.taupdt"]["type"] == "logfloat"
-        assert d["training.batch_size"] == {"type": "int", "low": 32, "high": 256}
-        assert d["model.head"] == {"type": "categorical", "choices": ["sgd", "bcpnn"]}
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown parameter type"):
@@ -161,3 +151,33 @@ class TestSerialization:
             SearchSpace.from_dict({"x": [0.0, 1.0]})
         with pytest.raises(ConfigurationError):
             SearchSpace.from_dict("not a mapping")
+
+
+class TestCategoricalMutation:
+    """What the evolution strategy does to a categorical gene (``model.head``)."""
+
+    def test_mutation_stays_among_the_choices(self):
+        param = CategoricalParameter(["sgd", "bcpnn", "other"])
+        rng = np.random.default_rng(0)
+        values = {param.mutate("sgd", rng, scale=0.9) for _ in range(200)}
+        assert values <= {"sgd", "bcpnn", "other"}
+        assert values - {"sgd"}  # a high scale does switch the choice
+
+    def test_a_switch_picks_another_choice(self):
+        param = CategoricalParameter(["a", "b"])
+        rng = np.random.default_rng(1)
+        switched = [param.mutate("a", rng, scale=1.0) for _ in range(50)]
+        assert set(switched) == {"b"}
+
+    def test_a_small_scale_mostly_keeps_the_value(self):
+        param = CategoricalParameter(["a", "b", "c"])
+        rng = np.random.default_rng(2)
+        kept = sum(param.mutate("a", rng, scale=0.0) == "a" for _ in range(400))
+        # The switch probability is floored at 5 %.
+        assert 340 <= kept < 400
+
+    def test_mutation_is_deterministic_under_a_seed(self):
+        param = CategoricalParameter(["a", "b", "c"])
+        first = [param.mutate("a", np.random.default_rng(7), scale=0.5) for _ in range(3)]
+        again = [param.mutate("a", np.random.default_rng(7), scale=0.5) for _ in range(3)]
+        assert first == again

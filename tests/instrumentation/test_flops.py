@@ -51,15 +51,6 @@ class TestCostModel:
         assert cost.arithmetic_intensity > 0
         assert cost.bytes_touched > 0
 
-    def test_memory_bytes(self):
-        assert self._model().memory_bytes() > 280 * 300 * 8
-
-    def test_scaling_table_structure(self):
-        table = self._model().scaling_table([1, 2], [30, 300], n_samples=1000)
-        assert set(table) == {30, 300}
-        assert set(table[30]) == {1, 2}
-        assert table[300][2] > table[30][1]
-
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
             BCPNNCostModel(0, 1, 1, 1)

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DataError
-from repro.metrics import (
-    accuracy,
-    balanced_accuracy,
-    classification_report,
-    confusion_matrix,
-    log_loss,
-    precision_recall_f1,
-)
+from repro.metrics import accuracy, log_loss
 
 
 class TestAccuracy:
@@ -24,71 +17,6 @@ class TestAccuracy:
     def test_length_mismatch(self):
         with pytest.raises(DataError):
             accuracy([0, 1], [0])
-
-
-class TestConfusionMatrix:
-    def test_binary_counts(self):
-        cm = confusion_matrix([0, 0, 1, 1, 1], [0, 1, 1, 1, 0])
-        assert cm.tolist() == [[1, 1], [1, 2]]
-
-    def test_explicit_n_classes(self):
-        cm = confusion_matrix([0, 1], [1, 0], n_classes=3)
-        assert cm.shape == (3, 3)
-        assert cm.sum() == 2
-
-    def test_label_exceeding_classes_rejected(self):
-        with pytest.raises(DataError):
-            confusion_matrix([0, 2], [0, 1], n_classes=2)
-
-    def test_diag_is_correct_predictions(self):
-        y = [0, 1, 2, 2, 1]
-        cm = confusion_matrix(y, y)
-        assert np.trace(cm) == 5
-
-
-class TestBalancedAccuracy:
-    def test_equal_to_accuracy_when_balanced(self):
-        y_true = [0, 0, 1, 1]
-        y_pred = [0, 1, 1, 1]
-        assert balanced_accuracy(y_true, y_pred) == pytest.approx(0.75)
-
-    def test_imbalanced_case(self):
-        # 9 of class 0 all right, 1 of class 1 wrong: accuracy 0.9 but
-        # balanced accuracy 0.5.
-        y_true = [0] * 9 + [1]
-        y_pred = [0] * 10
-        assert accuracy(y_true, y_pred) == pytest.approx(0.9)
-        assert balanced_accuracy(y_true, y_pred) == pytest.approx(0.5)
-
-
-class TestPrecisionRecallF1:
-    def test_known_values(self):
-        y_true = [1, 1, 1, 0, 0, 0]
-        y_pred = [1, 1, 0, 1, 0, 0]
-        precision, recall, f1 = precision_recall_f1(y_true, y_pred, positive_class=1)
-        assert precision == pytest.approx(2 / 3)
-        assert recall == pytest.approx(2 / 3)
-        assert f1 == pytest.approx(2 / 3)
-
-    def test_zero_division_guard(self):
-        precision, recall, f1 = precision_recall_f1([0, 0], [0, 0], positive_class=1)
-        assert (precision, recall, f1) == (0.0, 0.0, 0.0)
-
-    def test_absent_positive_class_returns_zeros(self):
-        precision, recall, f1 = precision_recall_f1([0, 1], [0, 1], positive_class=5)
-        assert (precision, recall, f1) == (0.0, 0.0, 0.0)
-
-    def test_negative_positive_class_rejected(self):
-        with pytest.raises(DataError):
-            precision_recall_f1([0, 1], [0, 1], positive_class=-1)
-
-
-class TestClassificationReport:
-    def test_report_structure(self):
-        report = classification_report([0, 1, 1, 0], [0, 1, 0, 0])
-        assert set(report) == {"0", "1", "overall"}
-        assert report["overall"]["support"] == 4.0
-        assert 0.0 <= report["1"]["f1"] <= 1.0
 
 
 class TestLogLoss:

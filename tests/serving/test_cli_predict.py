@@ -59,6 +59,29 @@ def test_predict_from_npz_with_proba_and_json(
     assert payload["rows_per_second"] > 0
 
 
+def test_predict_from_gzipped_csv(tmp_path, saved_model, trained_network, encoded_higgs):
+    x = encoded_higgs["x_test"][:200]
+    features = write_numeric_csv(tmp_path / "features.csv.gz", x)
+    output = tmp_path / "predictions.csv"
+    code = main_predict([str(features), "--model", saved_model, "--output", str(output), "--quiet"])
+    assert code == 0
+    predictions = read_numeric_csv(output, skip_header=True)[:, 0].astype(np.int64)
+    assert np.array_equal(predictions, trained_network.predict(x))
+
+
+def test_a_single_array_archive_is_read_under_any_key(
+    tmp_path, saved_model, trained_network, encoded_higgs
+):
+    x = encoded_higgs["x_test"][:64]
+    features = tmp_path / "features.npz"
+    np.savez(features, rows=x)
+    output = tmp_path / "predictions.csv"
+    code = main_predict([str(features), "--model", saved_model, "--output", str(output), "--quiet"])
+    assert code == 0
+    predictions = read_numeric_csv(output, skip_header=True)[:, 0].astype(np.int64)
+    assert np.array_equal(predictions, trained_network.predict(x))
+
+
 def test_predict_from_npy(tmp_path, saved_model, trained_network, encoded_higgs):
     x = encoded_higgs["x_test"][:64]
     features = tmp_path / "features.npy"

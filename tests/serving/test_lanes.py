@@ -115,10 +115,11 @@ class TestLanesEqualOneLane:
         x = encoded_higgs["x_test"]
         _force_lanes(monkeypatch, 1)
         stacked_network._serving_predictor = None
-        expected = stacked_network.predict_proba_stream(x, batch_size=50)
+        expected = stacked_network._streaming_predictor(50, None).predict_proba_stream(x)
         _force_lanes(monkeypatch, n_lanes)
         stacked_network._serving_predictor = None
-        assert np.array_equal(stacked_network.predict_proba_stream(x, batch_size=50), expected)
+        streamed = stacked_network._streaming_predictor(50, None).predict_proba_stream(x)
+        assert np.array_equal(streamed, expected)
         assert np.array_equal(
             stacked_network.predict_stream(x, batch_size=50), np.argmax(expected, axis=1)
         )

@@ -15,6 +15,7 @@ import pytest
 from repro.datasets.stream import BatchStream
 from repro.exceptions import DataError, NotFittedError
 from repro.serving import StreamingPredictor, predict_proba_stream, predict_stream
+from tests.core.layer_helpers import load_mask_density
 
 #: (backend name, absolute tolerance implied by its declared precision) —
 #: mirrors tests/engine/test_execution.py.
@@ -297,7 +298,7 @@ class TestFacadesAndLifecycle:
             trained_network.predict_stream(x, batch_size=128), trained_network.predict(x)
         )
         assert np.array_equal(
-            trained_network.predict_proba_stream(x, batch_size=x.shape[0]),
+            predict_proba_stream(trained_network, x, batch_size=x.shape[0]),
             trained_network.predict_proba(x),
         )
 
@@ -404,7 +405,7 @@ class TestCachedPredictor:
         network, x, _ = _small_network(encoded_higgs)
         labels = network.predict_stream(x, batch_size=64)
         cached = network._serving_predictor
-        proba = network.predict_proba_stream(x, batch_size=64)
+        proba = network._streaming_predictor(64, None).predict_proba_stream(x)
         assert network._serving_predictor is cached
         assert np.array_equal(labels, network.predict(x))
         np.testing.assert_allclose(proba, network.predict_proba(x), atol=1e-12)
@@ -413,22 +414,22 @@ class TestCachedPredictor:
         from repro.core import TrainingSchedule
 
         network, x, y = _small_network(encoded_higgs)
-        before = network.predict_proba_stream(x, batch_size=64)
+        before = network._streaming_predictor(64, None).predict_proba_stream(x)
         network.fit(
             x, y, input_spec=encoded_higgs["spec"],
             schedule=TrainingSchedule(hidden_epochs=2, classifier_epochs=1, batch_size=64),
         )
-        after = network.predict_proba_stream(x, batch_size=64)
+        after = network._streaming_predictor(64, None).predict_proba_stream(x)
         assert not np.array_equal(before, after)
         np.testing.assert_allclose(after, network.predict_proba(x), atol=1e-12)
 
     def test_mask_change_refreshes_the_cached_predictor(self, encoded_higgs):
-        """``set_density`` swaps the mask without retraining; the next
+        """A state load swaps the mask without retraining; the next
         streamed call must serve the new receptive field."""
         network, x, _ = _small_network(encoded_higgs)
-        before = network.predict_proba_stream(x, batch_size=64)
-        network.hidden_layers[0].set_density(0.8)
-        after = network.predict_proba_stream(x, batch_size=64)
+        before = network._streaming_predictor(64, None).predict_proba_stream(x)
+        load_mask_density(network.hidden_layers[0], 0.8)
+        after = network._streaming_predictor(64, None).predict_proba_stream(x)
         assert not np.array_equal(before, after)
         np.testing.assert_allclose(after, network.predict_proba(x), atol=1e-12)
 
@@ -441,8 +442,8 @@ class TestCachedPredictor:
         network_b, _, _ = _small_network(encoded_higgs, seed=9)
         loaded_a = load_network(save_network(network_a, tmp_path / "a.npz"))
         loaded_b = load_network(save_network(network_b, tmp_path / "b.npz"))
-        out_a = loaded_a.predict_proba_stream(x, batch_size=64)
-        out_b = loaded_b.predict_proba_stream(x, batch_size=64)
+        out_a = loaded_a._streaming_predictor(64, None).predict_proba_stream(x)
+        out_b = loaded_b._streaming_predictor(64, None).predict_proba_stream(x)
         assert not np.array_equal(out_a, out_b)
         np.testing.assert_allclose(out_a, network_a.predict_proba(x), atol=1e-12)
         np.testing.assert_allclose(out_b, network_b.predict_proba(x), atol=1e-12)

@@ -15,6 +15,7 @@ import asyncio
 import json
 import http.client
 import threading
+import urllib.request
 
 import numpy as np
 import pytest
@@ -351,6 +352,13 @@ class TestPredictionServer:
         assert doc["status"] == "ok"
         assert doc["model_version"] >= 1
 
+    def test_url_names_the_bound_address(self, live_server):
+        # The server was asked for port 0; the handle reports the bound one.
+        assert live_server.port > 0
+        assert live_server.url == f"http://127.0.0.1:{live_server.port}"
+        with urllib.request.urlopen(f"{live_server.url}/healthz", timeout=15) as response:
+            assert json.loads(response.read())["status"] == "ok"
+
     def test_predict_matches_bulk_predict(self, live_server, trained_network, encoded_higgs):
         rows = encoded_higgs["x_test"][:5]
         status, doc, _ = _request(live_server, "POST", "/predict", {"rows": rows.tolist()})
@@ -531,6 +539,85 @@ class TestCLIServe:
             conn.close()
         assert response.status == 200
         assert doc["predictions"] == trained_network.predict(rows).tolist()
+
+    def test_sigint_drains_and_exits_cleanly(self, tmp_path, trained_network):
+        """The documented shutdown: Ctrl-C drains the batcher and exits 0."""
+        import os
+        import signal
+        import socket
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.core import save_network
+        from repro.serving.server import wait_until_listening
+
+        model_path = save_network(trained_network, tmp_path / "model.npz")
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        paths = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        argv = [sys.executable, "-m", "repro.cli", "serve", "--model", str(model_path)]
+        server = subprocess.Popen(
+            argv + ["--port", str(port)], stdout=subprocess.PIPE, text=True, env=env
+        )
+        try:
+            wait_until_listening("127.0.0.1", port, timeout=60.0)
+            server.send_signal(signal.SIGINT)
+            out, _ = server.communicate(timeout=60)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+        assert server.returncode == 0
+        lines = out.splitlines()
+        assert lines[0].startswith(f"serving {model_path} on http://127.0.0.1:{port}")
+        assert lines[-2:] == ["draining...", "server stopped"]
+
+    def test_a_config_with_serving_enabled_serves_the_trained_model(self, tmp_path):
+        """``repro run`` with ``serving.enabled`` trains, then serves until Ctrl-C."""
+        import os
+        import signal
+        import socket
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.serving.server import wait_until_listening
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        config = tmp_path / "serve.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "dataset": {"n_events": 800},
+                    "training": {"hidden_epochs": 1, "classifier_epochs": 1},
+                    "serving": {"enabled": True, "port": port},
+                }
+            )
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        paths = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        argv = [sys.executable, "-m", "repro.cli", "run", str(config), "--quiet"]
+        server = subprocess.Popen(argv, stdout=subprocess.PIPE, text=True, env=env)
+        try:
+            wait_until_listening("127.0.0.1", port, timeout=120.0)
+            with urllib.request.urlopen(f"http://127.0.0.1:{port}/healthz", timeout=15) as got:
+                assert json.loads(got.read())["status"] == "ok"
+            server.send_signal(signal.SIGINT)
+            out, _ = server.communicate(timeout=60)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+        assert server.returncode == 0
+        assert f"serving [higgs] on http://127.0.0.1:{port}" in out
+        assert out.splitlines()[-2:] == ["draining...", "server stopped"]
 
     @pytest.mark.parametrize(
         "flag,value", [("--batch-deadline-ms", "0"), ("--request-timeout-ms", "-5")]

@@ -125,8 +125,7 @@ PUBLIC = {
     "repro.backend": "Backend KernelStatistics NumpyBackend LowPrecisionBackend posit_round "
     "get_backend list_backends DistributedTrainer split_ranks",
     "repro.baselines": "BaselineClassifier LogisticRegressionBaseline MLPBaseline "
-    "DecisionTreeBaseline DecisionStump GradientBoostingBaseline relu relu_grad tanh_act "
-    "tanh_grad",
+    "GradientBoostingBaseline relu relu_grad",
     "repro.checkpoint": "atomic_write_bytes fsync_directory CheckpointManager MAGIC "
     "FORMAT_VERSION MANIFEST_NAME ResumeState TrainingCheckpointer network_from_checkpoint "
     "training_fingerprint",
@@ -134,16 +133,15 @@ PUBLIC = {
     "TransportSpec parse_transport_spec get_communicator resolve_comm "
     "transport_capabilities list_transports",
     "repro.config": "ConfigError DatasetSection ModelSection TrainingSection ServingSection "
-    "HyperoptSection ExperimentConfig build_config builtin_defaults HAVE_YAML "
-    "load_config_file parse_set_overrides deep_merge compose_config compose_from_files "
-    "run_experiment run_hyperopt build_prediction_server",
+    "HyperoptSection ExperimentConfig build_config HAVE_YAML load_config_file "
+    "parse_set_overrides deep_merge compose_config run_experiment run_hyperopt "
+    "build_prediction_server",
     "repro.core": "BCPNNHyperParameters TrainingSchedule ProbabilityTraces StructuralPlasticity "
     "InputSpec StructuralPlasticityLayer BCPNNClassifier SGDClassifier Network History "
     "TrainingCallback EpochResult save_network load_network",
     "repro.datasets": "Dataset DatasetSplits Batch BatchStream HIGGS_FEATURE_NAMES "
     "HIGGS_LOW_LEVEL HIGGS_HIGH_LEVEL SyntheticHiggsGenerator load_higgs make_higgs_splits "
-    "SyntheticDigits load_digits QuantileOneHotEncoder balanced_subsample standardize "
-    "train_test_split stratified_kfold register_dataset get_dataset list_datasets SplitSpec "
+    "SyntheticDigits QuantileOneHotEncoder balanced_subsample train_test_split SplitSpec "
     "ScenarioSpec register_scenario get_scenario list_scenarios scenario_catalog",
     "repro.engine": "ExecutionPlan LayerEngine LayerWorkspace PipelineTask PipelineWorker "
     "mean_activation_entropy train_layer_pipelined",
@@ -154,23 +152,20 @@ PUBLIC = {
     "run_precision_ablation",
     "repro.hyperopt": "SearchSpace FloatParameter LogFloatParameter IntParameter "
     "CategoricalParameter halton_sequence scrambled_halton Trial SearchResult RandomSearch "
-    "HaltonSearch EvolutionarySearch SuccessiveHalving ExperimentJournal",
-    "repro.instrumentation": "Timer RepeatTimer TimingStatistics BCPNNCostModel CostBreakdown "
+    "HaltonSearch EvolutionarySearch ExperimentJournal",
+    "repro.instrumentation": "RepeatTimer TimingStatistics BCPNNCostModel CostBreakdown "
     "format_table format_comparison dump_json_report measure_pipelined_training "
     "measure_serving_latency measure_sparse_density_sweep",
-    "repro.metrics": "accuracy balanced_accuracy confusion_matrix precision_recall_f1 "
-    "classification_report log_loss roc_curve roc_auc rank_auc precision_recall_curve "
-    "average_precision ams_score best_ams_threshold calibration_curve "
+    "repro.metrics": "accuracy log_loss roc_curve roc_auc calibration_curve "
     "expected_calibration_error brier_score",
     "repro.serving": "BatchResult DeadlineExceededError DispatchError MicroBatcher ModelRunner "
     "PredictionServer QueueFullError RequestSlice ServerThread ServingClosedError "
     "ServingMetrics StreamingPredictor predict_proba_stream predict_stream",
-    "repro.utils": "as_rng check_array check_fraction check_positive_int "
-    "check_probability_matrix check_one_hot batch_slices one_hot row_softmax "
-    "blockwise_softmax moving_average_update stable_log get_logger",
+    "repro.utils": "as_rng check_array check_fraction check_positive_int one_hot row_softmax "
+    "blockwise_softmax stable_log get_logger",
     "repro.visualization": "write_vti ImageDataSpec array_to_pgm ascii_render normalize_to_unit "
     "masks_to_image_grid mask_to_square_image receptive_field_summary CoProcessor "
-    "CatalystAdaptor TrainingCurveRecorder",
+    "CatalystAdaptor",
 }
 
 

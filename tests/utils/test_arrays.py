@@ -8,12 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from repro.exceptions import DataError
 from repro.utils.arrays import (
-    batch_slices,
     block_offsets,
-    blockwise_argmax,
     blockwise_softmax,
-    moving_average_update,
-    normalize_blocks,
     one_hot,
     row_softmax,
     split_into_chunks,
@@ -84,11 +80,6 @@ class TestBlockwise:
         with pytest.raises(DataError):
             blockwise_softmax(np.ones((2, 5)), [2, 2])
 
-    def test_blockwise_argmax(self):
-        acts = np.array([[0.1, 0.9, 0.7, 0.3], [0.8, 0.2, 0.1, 0.9]])
-        winners = blockwise_argmax(acts, [2, 2])
-        assert np.array_equal(winners, [[1, 0], [0, 1]])
-
     def test_block_offsets(self):
         assert np.array_equal(block_offsets([2, 3, 1]), [0, 2, 5, 6])
         with pytest.raises(DataError):
@@ -96,50 +87,12 @@ class TestBlockwise:
         with pytest.raises(DataError):
             block_offsets([2, 0])
 
-    def test_normalize_blocks(self):
-        values = np.array([[2.0, 2.0, 1.0, 3.0]])
-        normed = normalize_blocks(values, [2, 2])
-        assert np.allclose(normed, [[0.5, 0.5, 0.25, 0.75]])
-
-    def test_normalize_blocks_zero_block_safe(self):
-        normed = normalize_blocks(np.array([[0.0, 0.0, 1.0, 1.0]]), [2, 2])
-        assert np.allclose(normed[0, :2], 0.0)
-
-
-class TestMovingAverage:
-    def test_update_moves_toward_target(self):
-        trace = np.zeros(4)
-        moving_average_update(trace, np.ones(4), 0.25)
-        assert np.allclose(trace, 0.25)
-
-    def test_rate_one_replaces(self):
-        trace = np.zeros(3)
-        moving_average_update(trace, np.array([1.0, 2.0, 3.0]), 1.0)
-        assert np.allclose(trace, [1, 2, 3])
-
-    def test_invalid_rate(self):
-        with pytest.raises(DataError):
-            moving_average_update(np.zeros(2), np.zeros(2), 1.5)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DataError):
-            moving_average_update(np.zeros(2), np.zeros(3), 0.1)
-
 
 class TestMisc:
     def test_stable_log_floors(self):
         out = stable_log(np.array([0.0, 1.0]), floor=1e-6)
         assert out[0] == pytest.approx(np.log(1e-6))
         assert out[1] == pytest.approx(0.0)
-
-    def test_batch_slices_cover(self):
-        slices = list(batch_slices(10, 3))
-        covered = sum((list(range(s.start, s.stop)) for s in slices), [])
-        assert covered == list(range(10))
-
-    def test_batch_slices_invalid(self):
-        with pytest.raises(DataError):
-            list(batch_slices(5, 0))
 
     def test_split_into_chunks_balanced(self):
         chunks = split_into_chunks(10, 3)

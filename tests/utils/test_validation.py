@@ -8,9 +8,7 @@ from repro.utils.validation import (
     check_array,
     check_fraction,
     check_labels,
-    check_one_hot,
     check_positive_int,
-    check_probability_matrix,
     check_same_length,
 )
 
@@ -85,42 +83,6 @@ class TestScalarValidators:
     def test_fraction_non_numeric(self):
         with pytest.raises(ConfigurationError):
             check_fraction("half", "f")
-
-
-class TestProbabilityMatrix:
-    def test_valid_blocks_pass(self):
-        x = np.array([[0.2, 0.8, 1.0, 0.0], [0.5, 0.5, 0.3, 0.7]])
-        out = check_probability_matrix(x, [2, 2])
-        assert out.shape == (2, 4)
-
-    def test_wrong_width_rejected(self):
-        with pytest.raises(DataError):
-            check_probability_matrix(np.ones((2, 3)) / 3, [2, 2])
-
-    def test_non_normalised_block_rejected(self):
-        x = np.array([[0.2, 0.2, 1.0, 0.0]])
-        with pytest.raises(DataError):
-            check_probability_matrix(x, [2, 2])
-
-    def test_negative_rejected(self):
-        x = np.array([[1.2, -0.2, 1.0, 0.0]])
-        with pytest.raises(DataError):
-            check_probability_matrix(x, [2, 2])
-
-
-class TestOneHot:
-    def test_valid_one_hot(self):
-        x = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]])
-        assert check_one_hot(x, 2).shape == (2, 4)
-
-    def test_wrong_block_count(self):
-        with pytest.raises(DataError):
-            check_one_hot(np.ones((2, 5)), 2)
-
-    def test_soft_values_rejected(self):
-        x = np.array([[0.5, 0.5, 1.0, 0.0]])
-        with pytest.raises(DataError):
-            check_one_hot(x, 2)
 
 
 class TestLabels:
