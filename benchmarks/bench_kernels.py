@@ -411,31 +411,44 @@ def measure_streaming_inference(
     }
 
 
+#: What ``--check-checkpoint R`` adds to R for the whole-fit
+#: ``paired_overhead``.  Twenty runs of the section on unchanged code (a
+#: 2-vCPU box, BLAS pinned to one thread; docs/benchmarks.md) put that median
+#: of 8 fit pairs between 0.92 and 1.06, so R + 0.05 passes noise and still
+#: catches a cost of ~8 % or more that ``overhead`` does not count.
+CHECKPOINT_PAIRED_SLACK = 0.05
+
+
 def measure_checkpoint_overhead(n_samples=32768, epochs=3, repeats=8, batch_size=BATCH):
     """Wall-clock cost of durable checkpointing at ``checkpoint_every=1``.
 
     Times the same ``Network.fit`` with and without a checkpoint directory
     (every epoch boundary then pays a snapshot + npz serialise on the
     training thread; fsync + rename + manifest rewrite run on the writer
-    thread).  ``overhead`` is measured *inside* each checkpointed fit: the
-    seconds the training thread spends in ``TrainingCheckpointer.save`` and
-    ``flush`` (snapshot, serialise, any wait for the previous commit) plus
-    the seconds the writer thread spends in ``CheckpointManager.commit``
-    are all taken out of that same fit, and ``fit / (fit - checkpoint
-    seconds)`` is the ratio.  Counting the writer's time as if it never
-    overlapped training makes it an upper bound on the cost, and one fit
-    gives both sides, so drift between two fits cannot move it.  The median
-    over ``repeats`` fits is gated: the CI gate (``--check-checkpoint``)
-    pins it at <= 1.05x, so durability stays in the noise of a training
-    epoch instead of competing with it.
+    thread).  Two figures, both gated by ``--check-checkpoint R``:
 
-    ``paired_overhead`` is the older figure, reported beside it: the median
-    ratio of back-to-back checkpointed/plain fit pairs (alternating order).
-    On a 2-vCPU box the median of 8 such pairs spread over 1.00-1.07 on
-    unchanged code, so it cannot resolve a 5 % bar.
+    * ``overhead`` is measured *inside* each checkpointed fit: the seconds
+      spent in every method of ``TrainingCheckpointer`` and
+      ``CheckpointManager`` (construction and fingerprint, ``maybe_save``,
+      ``save``, ``flush`` with any wait for the previous commit, and the
+      writer thread's ``commit``) are taken out of that same fit, and
+      ``fit / (fit - checkpoint seconds)`` is the ratio.  Counting the
+      writer's time as if it never overlapped training makes it an upper
+      bound, and one fit gives both sides, so drift between two fits cannot
+      move it.  The median over ``repeats`` fits must stay <= R (1.05 in
+      CI): durability stays in the noise of a training epoch.
+    * ``paired_overhead`` is the whole-fit figure: the median ratio of
+      back-to-back checkpointed/plain fit pairs (alternating order, because
+      the second fit of a pair runs ~1-2 % slower for identical work).  It
+      sees a cost that ``checkpoint_dir`` causes outside those two classes,
+      but its run-to-run spread is wider than 5 %, so its bound is R plus
+      :data:`CHECKPOINT_PAIRED_SLACK`.
     """
+    import functools
+    import inspect
     import shutil
     import tempfile
+    import threading
 
     from repro.checkpoint import CheckpointManager, TrainingCheckpointer
     from repro.core import (
@@ -457,27 +470,33 @@ def measure_checkpoint_overhead(n_samples=32768, epochs=3, repeats=8, batch_size
         network.add(SGDClassifier(n_classes=2, seed=2))
         return network
 
-    # Checkpoint seconds of the current fit: the training thread's (save
-    # and flush) and the writer thread's (commit), each in its own slot.
+    # Checkpoint seconds of the current fit, by thread: every method of the
+    # two checkpoint classes counts (construction and fingerprint, the
+    # boundary's maybe_save/save/flush, the writer's commit), outermost
+    # call only, so a new cost anywhere in the checkpoint path is seen.
+    fit_thread = threading.current_thread()
     spent = {"training": 0.0, "writer": 0.0}
+    nesting = threading.local()
     originals = [
-        (TrainingCheckpointer, "save", "training"),
-        (TrainingCheckpointer, "flush", "training"),
-        (CheckpointManager, "commit", "writer"),
+        (owner, name, method)
+        for owner in (TrainingCheckpointer, CheckpointManager)
+        for name, method in vars(owner).items()
+        if inspect.isfunction(method)
     ]
-    methods = [getattr(owner, name) for owner, name, _ in originals]
 
-    def counted(method, slot):
-        def timed(self, *args, **kwargs):
-            if getattr(self, "_bench_inside", False):  # save() calls flush() itself
-                return method(self, *args, **kwargs)
-            self._bench_inside = True
+    def counted(method):
+        @functools.wraps(method)
+        def timed(*args, **kwargs):
+            if getattr(nesting, "inside", False):
+                return method(*args, **kwargs)
+            nesting.inside = True
             start = time.perf_counter()
             try:
-                return method(self, *args, **kwargs)
+                return method(*args, **kwargs)
             finally:
+                slot = "training" if threading.current_thread() is fit_thread else "writer"
                 spent[slot] += time.perf_counter() - start
-                self._bench_inside = False
+                nesting.inside = False
 
         return timed
 
@@ -494,8 +513,8 @@ def measure_checkpoint_overhead(n_samples=32768, epochs=3, repeats=8, batch_size
     plain_timings, ckpt_timings, ratios, in_fit = [], [], [], []
     tmp = tempfile.mkdtemp(prefix="bench-ckpt-")
     try:
-        for (owner, name, slot), method in zip(originals, methods):
-            setattr(owner, name, counted(method, slot))
+        for owner, name, method in originals:
+            setattr(owner, name, counted(method))
         timed_fit()  # warm-up: page in data, settle BLAS threads
         for pair in range(repeats):
             if pair % 2 == 0:
@@ -510,7 +529,7 @@ def measure_checkpoint_overhead(n_samples=32768, epochs=3, repeats=8, batch_size
             in_fit.append(ckpt_timings[-1] / max(ckpt_timings[-1] - own, 1e-12))
         n_checkpoints = len(list(Path(tmp).glob("ckpt-*.npz")))
     finally:
-        for (owner, name, _), method in zip(originals, methods):
+        for owner, name, method in originals:
             setattr(owner, name, method)
         shutil.rmtree(tmp, ignore_errors=True)
     return {
@@ -859,8 +878,9 @@ def main(argv=None):
         default=None,
         metavar="R",
         help=(
-            "exit non-zero when fit with checkpoint_every=1 is more than R "
-            "times slower than the same fit without checkpointing"
+            "exit non-zero when fit with checkpoint_every=1 spends more than "
+            "R times its time without the checkpoint seconds, or runs more "
+            f"than R+{CHECKPOINT_PAIRED_SLACK} times slower than a paired plain fit"
         ),
     )
     parser.add_argument(
@@ -977,13 +997,18 @@ def main(argv=None):
                 "under the closed-loop client population (expected zero)"
             )
             failed = True
-    if args.check_checkpoint is not None and checkpoint["overhead"] > args.check_checkpoint:
-        print(
-            f"PERF REGRESSION: checkpoint_every=1 overhead "
-            f"{checkpoint['overhead']:.3f}x exceeds the "
-            f"{args.check_checkpoint:.2f}x gate"
-        )
-        failed = True
+    if args.check_checkpoint is not None:
+        bounds = {
+            "overhead": args.check_checkpoint,
+            "paired_overhead": args.check_checkpoint + CHECKPOINT_PAIRED_SLACK,
+        }
+        for figure, bound in bounds.items():
+            if checkpoint[figure] > bound:
+                print(
+                    f"PERF REGRESSION: checkpoint_every=1 {figure} "
+                    f"{checkpoint[figure]:.3f}x exceeds the {bound:.2f}x gate"
+                )
+                failed = True
     if args.check_committed is not None:
         drift = check_committed_drift(sections, args.check_committed, args.drift_tol)
         for line in drift:

@@ -44,9 +44,9 @@ class KernelStatistics:
 class Backend:
     """Abstract compute backend.
 
-    Subclasses must implement :meth:`forward`, :meth:`batch_statistics` and
-    :meth:`traces_to_weights`.  ``precision`` is advisory metadata used by
-    reports and tests.
+    Subclasses must implement :meth:`forward`, :meth:`forward_into`,
+    :meth:`batch_statistics` and :meth:`traces_to_weights`.  ``precision``
+    is advisory metadata used by reports and tests.
     """
 
     #: Human-readable backend name (used by the registry and reports).
@@ -74,6 +74,21 @@ class Backend:
         bundle (compiled mask layout + packed weight slabs), served with
         gather-GEMMs.
         """
+        raise NotImplementedError
+
+    def forward_into(
+        self,
+        x: np.ndarray,
+        weights: np.ndarray,
+        bias: np.ndarray,
+        mask_expanded: np.ndarray,
+        hidden_sizes: Sequence[int],
+        bias_gain: float = 1.0,
+        out: Optional[np.ndarray] = None,
+        workspace=None,
+        sparse=None,
+    ) -> np.ndarray:
+        """:meth:`forward` written into ``out`` (a fresh array when ``None``)."""
         raise NotImplementedError
 
     def batch_statistics(
@@ -106,9 +121,9 @@ class Backend:
     # object exposing the preallocated buffers of
     # :class:`repro.engine.LayerWorkspace` (``support``, ``activations``,
     # ``masked_weights``, ``mean_x``, ``mean_a``, ``mean_outer``) works.
-    # The base implementations compose the abstract kernels, so every
-    # backend gets a numerically-faithful fused path for free; subclasses
-    # override them to exploit buffer reuse (NumPy).
+    # The base implementations compose the abstract kernels, so a backend
+    # that implements those gets a numerically-faithful fused path for free;
+    # subclasses override them to exploit buffer reuse (NumPy).
     #
     # Two workspace conventions support the pipelined engine:
     #

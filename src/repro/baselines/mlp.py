@@ -31,9 +31,6 @@ def relu_grad(pre: np.ndarray) -> np.ndarray:
     return (pre > 0).astype(np.float64)
 
 
-_ACTIVATIONS = {"relu": (relu, relu_grad)}
-
-
 class MLPBaseline(BaselineClassifier):
     """Fully-connected feed-forward classifier trained with backprop.
 
@@ -42,8 +39,6 @@ class MLPBaseline(BaselineClassifier):
     hidden_layers:
         Sizes of the hidden layers, e.g. ``(300,)`` for the shallow baseline
         or ``(300, 300, 300, 300, 300)`` for the deep one.
-    activation:
-        ``"relu"`` (the one activation the baselines use).
     dropout:
         Dropout probability applied to hidden activations during training.
     epochs, batch_size, learning_rate, momentum, weight_decay:
@@ -55,7 +50,6 @@ class MLPBaseline(BaselineClassifier):
     def __init__(
         self,
         hidden_layers: Sequence[int] = (300,),
-        activation: str = "relu",
         dropout: float = 0.0,
         epochs: int = 30,
         batch_size: int = 128,
@@ -68,8 +62,6 @@ class MLPBaseline(BaselineClassifier):
         hidden_layers = tuple(int(h) for h in hidden_layers)
         if not hidden_layers or any(h <= 0 for h in hidden_layers):
             raise ConfigurationError("hidden_layers must be a non-empty tuple of positive ints")
-        if activation not in _ACTIVATIONS:
-            raise ConfigurationError(f"activation must be one of {sorted(_ACTIVATIONS)}")
         if not 0.0 <= dropout < 1.0:
             raise ConfigurationError("dropout must be in [0, 1)")
         if epochs <= 0 or batch_size <= 0 or learning_rate <= 0:
@@ -77,7 +69,6 @@ class MLPBaseline(BaselineClassifier):
         if not 0 <= momentum < 1 or weight_decay < 0:
             raise ConfigurationError("invalid momentum or weight_decay")
         self.hidden_layers = hidden_layers
-        self.activation = activation
         self.dropout = float(dropout)
         self.epochs = int(epochs)
         self.batch_size = int(batch_size)
@@ -102,14 +93,13 @@ class MLPBaseline(BaselineClassifier):
     def _forward(
         self, X: np.ndarray, training: bool
     ) -> Tuple[np.ndarray, List[np.ndarray], List[np.ndarray], List[Optional[np.ndarray]]]:
-        act_fn, _ = _ACTIVATIONS[self.activation]
         pre_list: List[np.ndarray] = []
         post_list: List[np.ndarray] = [X]
         drop_masks: List[Optional[np.ndarray]] = []
         h = X
         for layer in range(len(self.weights_) - 1):
             pre = h @ self.weights_[layer] + self.biases_[layer]
-            post = act_fn(pre)
+            post = relu(pre)
             mask = None
             if training and self.dropout > 0:
                 mask = (self._rng.random(post.shape) >= self.dropout) / (1.0 - self.dropout)
@@ -123,7 +113,6 @@ class MLPBaseline(BaselineClassifier):
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         self._init_parameters(X.shape[1])
-        _, grad_fn = _ACTIVATIONS[self.activation]
         targets = one_hot(y, self.n_classes_)
         vel_w = [np.zeros_like(w) for w in self.weights_]
         vel_b = [np.zeros_like(b) for b in self.biases_]
@@ -146,7 +135,7 @@ class MLPBaseline(BaselineClassifier):
                 for layer in range(len(self.weights_) - 2, -1, -1):
                     if drop_masks[layer] is not None:
                         upstream = upstream * drop_masks[layer]
-                    local = upstream * grad_fn(pre_list[layer])
+                    local = upstream * relu_grad(pre_list[layer])
                     grads_w[layer] = (
                         post_list[layer].T @ local + self.weight_decay * self.weights_[layer]
                     )

@@ -15,7 +15,7 @@ in *any* layer surfaces as a :class:`~repro.exceptions.ConfigError` with the
 dotted field path.
 
 JSON is always accepted; YAML additionally when PyYAML is importable (CI's
-core jobs stay dependency-light — the scenario-matrix job opts into the
+core jobs stay dependency-light — the e2e-smoke job opts into the
 ``yaml`` extra).
 """
 

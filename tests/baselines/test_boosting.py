@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.baselines import GradientBoostingBaseline
+from repro.baselines.trees import RegressionTree
 from repro.exceptions import ConfigurationError, DataError
+from repro.metrics import roc_auc
 
 
 def _nonlinear_data(n=800, seed=0):
@@ -22,6 +24,16 @@ class TestGradientBoosting:
             n_estimators=100, max_depth=4, learning_rate=0.2, seed=0
         ).fit(X, y)
         assert model.evaluate(X, y)["accuracy"] > 0.85
+
+    def test_beats_single_tree_on_held_out_data(self):
+        X, y = _nonlinear_data(seed=1)
+        X_test, y_test = _nonlinear_data(seed=2)
+        boosted = GradientBoostingBaseline(n_estimators=50, max_depth=3, seed=0).fit(X, y)
+        # A single tree of the same depth on the 0/1 labels: its leaf means
+        # are the class-1 probabilities.
+        single = RegressionTree(max_depth=3, min_samples_leaf=20).fit(X, y.astype(float))
+        single_auc = roc_auc(y_test, single.predict(X_test)[:, 0])
+        assert boosted.evaluate(X_test, y_test)["auc"] > single_auc
 
     def test_training_loss_decreases(self):
         X, y = _nonlinear_data(seed=3)

@@ -61,7 +61,6 @@ class TestMLP:
         [
             {"hidden_layers": ()},
             {"hidden_layers": (0,)},
-            {"activation": "sigmoid"},
             {"dropout": 1.0},
             {"epochs": 0},
             {"learning_rate": 0.0},

@@ -1,8 +1,7 @@
 """Every shipped example config and every registered scenario runs through ``repro run``.
 
-ci.yml's scenario job runs the same commands at ``--quick`` size; here they
-run in-process, so a config that stops composing or a scenario that stops
-training fails tier-1 too.
+The reachability census runs the same commands as product runs and checks
+only their exit codes; here they run in-process and their output is checked.
 """
 
 from pathlib import Path
